@@ -1,32 +1,39 @@
 """Machine-readable commitment-path benchmark.
 
-Measures the hot path this repo optimizes — MTT labeling and
-reconstruction — and writes ``BENCH_commit.json`` at the repo root so
-regressions are diffable:
+Measures MTT labeling — the serial kernel and the shared-memory worker
+pool (:class:`repro.mtt.pool.LabelPool` via
+:func:`repro.mtt.labeling.label_tree_parallel`) at each width — and
+writes ``BENCH_commit.json`` at the repo root so regressions are
+diffable.  Serial and every pool width are measured on both traffic
+shapes:
 
-* serial labeling (cold = first round, building the flattened schedule;
-  steady = schedule cached, the per-commitment-round cost);
-* per-node labeling cost in nanoseconds;
-* the *warm* shared-memory worker pool at c ∈ {1, 2, 4, 8}
-  (:class:`repro.mtt.pool.LabelPool` via
-  :func:`repro.mtt.labeling.label_tree_parallel`), reporting one-time
-  spin-up (worker spawn + program install) separately from steady-state
-  rounds — conflating the two is what made the pre-warm-pool numbers
-  misleading; on a box with a single core the pool cannot beat serial —
-  ``cores`` is recorded so the numbers can be interpreted;
-* a ``trajectory`` block (seed → PR 1 → current, measured on the
-  original bench box) so the labeling story is diffable at a glance;
-* proof-generator reconstruction cache hit rate for a batch of
-  verifications against one commitment.
+* ``fresh_tree`` — a new ``Mtt.build`` for every round, which is what
+  the recorder and the proof generator do: every round pays the
+  schedule and, on the pool, a program install;
+* ``same_tree`` — one tree object relabeled with new randomness, the
+  shape this benchmark measured alone until PR 14: the schedule and the
+  installed program are reused.
+
+Each row reports the whole labeling call (``round_seconds``: schedule,
+CSPRNG draw, install, hash pass, copy-back), its hash phase alone
+(``hash_seconds``, the part the pool parallelizes) and, for the pool,
+the install share (``install_seconds``) and the one-time worker spawn
+(``spawn_seconds``).  ``cores`` is recorded so the pool numbers can be
+interpreted: with fewer cores than workers the pool cannot win.  Also:
+a ``trajectory`` block (seed → PR 1 → current) and the proof
+generator's reconstruction-cache hit rate.
 
 CI runs ``--quick --check-against BENCH_commit.json``: a fast pass that
-fails if (a) serial steady-state cost per node regresses back to the
-seed baseline (ns/node is box-sensitive but the seed ran on a
-comparable-or-faster box, so this is a loose no-regression floor), or
+fails if (a) serial same-tree cost per node regresses back to the seed
+baseline (ns/node is box-sensitive but the seed ran on a
+comparable-or-faster box, so this is a loose no-regression floor),
 (b) on a runner with ≥ 4 cores, the warm pool at 4 workers is slower
-than serial in the same run — the exact regression this PR fixes, and a
-same-box comparison so it is machine-independent.  Quick mode writes no
-files.
+than serial on the same tree in the same run (hash phase against hash
+phase — the shape the pool was built for, and a same-box comparison so
+it is machine-independent), or (c) any row's roots differ from serial's on
+the same tree.  ``fresh_tree`` rows are reported, not gated: there the pool
+loses today, which is the number the ROADMAP's keep-or-delete decision
+on ``mtt/pool.py`` needs.  Quick mode writes no files.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
 """
@@ -41,7 +48,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.crypto.rc4 import Rc4Csprng  # noqa: E402
 from repro.harness.experiments import run_replay_experiment  # noqa: E402
-from repro.mtt.labeling import label_tree, label_tree_parallel  # noqa: E402
+from repro.mtt.labeling import label_tree_parallel  # noqa: E402
 from repro.mtt.pool import LabelPool  # noqa: E402
 from repro.mtt.tree import Mtt  # noqa: E402
 from repro.obs.export import snapshot  # noqa: E402
@@ -50,8 +57,11 @@ from repro.traces.workload import generate_prefixes  # noqa: E402
 
 N_PREFIXES = 2000
 K = 50
-STEADY_ROUNDS = 3
-POOL_WIDTHS = (1, 2, 4, 8)
+ROUNDS = 3
+POOL_WIDTHS = (2, 4, 8)
+#: Per-round CSPRNG seeds; the first is the one whose root on the full
+#: workload, a4254237…, has been this file's ``golden_root`` since PR 9.
+SEEDS = (b"bench-pool", b"bench-1", b"bench-2")
 
 #: Measured at the seed commit on this machine, same workload and box.
 SEED_BASELINE = {
@@ -59,108 +69,110 @@ SEED_BASELINE = {
     "label_ns_per_node": 6275.8,
 }
 
-#: The labeling story so far, measured on the original bench box (one
-#: core — pool numbers there show overhead, not speedup).  PR 1's pool
-#: spawned a fresh ProcessPoolExecutor and pickled per-subtree op lists
-#: every round, so its per-round "seconds" include what is now split
-#: out as spin-up; the warm pool pays spawn+install once instead.
+#: The labeling story so far, measured on the original one-core bench
+#: box (pool numbers there show overhead, not speedup), all on the
+#: same-tree shape.  PR 1's pool spawned a fresh ProcessPoolExecutor
+#: and pickled per-subtree op lists every round; PR 9's warm pool pays
+#: spawn once and install once per tree.
 TRAJECTORY_HISTORY = {
     "seed": {
-        "serial_steady_seconds": 1.052,
-        "pool": None,
+        "serial_same_tree_seconds": 1.052,
         "note": "pre-optimization; no worker pool",
     },
     "pr1": {
-        "serial_steady_seconds": 0.4576,
-        "pool_seconds_per_round": {"2": 0.9732, "4": 0.9849,
+        "serial_same_tree_seconds": 0.4576,
+        "pool_same_tree_seconds": {"2": 0.9732, "4": 0.9849,
                                    "8": 1.2276},
         "note": "cold ProcessPoolExecutor + pickled op lists every "
                 "round — workers were a regression at any width",
     },
+    "pr9": {
+        "serial_same_tree_seconds": 0.4357,
+        "serial_same_tree_hash_seconds": 0.117,
+        "pool_same_tree_hash_seconds": {"2": 0.1993, "4": 0.1928,
+                                        "8": 0.2035},
+        "note": "warm shared-memory pool; fresh-tree rounds were not "
+                "measured",
+    },
 }
 
 
-def build_tree(n_prefixes: int, k: int) -> Mtt:
-    prefixes = generate_prefixes(n_prefixes, seed=7)
-    entries = {p: [1] * k for p in prefixes}
-    return Mtt.build(entries)
+def build_entries(n_prefixes: int, k: int) -> dict:
+    return {p: [1] * k for p in generate_prefixes(n_prefixes, seed=7)}
 
 
-def measure_serial(tree: Mtt, steady_rounds: int) -> dict:
-    start = time.perf_counter()
-    label_tree(tree, Rc4Csprng(b"bench-cold"))
-    cold = time.perf_counter() - start
-    steady = []
-    hash_steady = []
-    for i in range(steady_rounds):
-        start = time.perf_counter()
-        round_report = label_tree(tree, Rc4Csprng(b"bench-%d" % i))
-        steady.append(time.perf_counter() - start)
-        hash_steady.append(round_report.seconds)
-    total = tree.census().total
-    best = min(steady)
-    return {
-        "cold_seconds": round(cold, 4),
-        # Full round: CSPRNG randomness draw (inherently serial; §6.5
-        # replay fixes its order) + the hash pass.
-        "steady_seconds": round(best, 4),
-        # Hash pass alone — the part the worker pool parallelizes; pool
-        # steady_seconds below are measured on the same phase.
-        "steady_hash_seconds": round(min(hash_steady), 4),
-        "steady_ns_per_node": round(best / total * 1e9, 1),
-        "speedup_vs_seed_steady": round(
-            SEED_BASELINE["label_total_seconds"] / best, 2),
-        "speedup_vs_seed_cold": round(
-            SEED_BASELINE["label_total_seconds"] / cold, 2),
-    }
+def measure(entries: dict, rounds: int, fresh: bool, width: int = 1,
+            pool=None) -> dict:
+    """Best-of-``rounds`` labeling on one traffic shape.
 
-
-def measure_pool(tree: Mtt, widths, steady_rounds: int) -> dict:
-    """Warm-pool steady state per width, spin-up split out.
-
-    Every width labels with the same seed once ("bench-pool") so the
-    byte-identical-roots criterion is checked *in the benchmark*, not
-    just in tests; the remaining rounds vary the seed like real
-    commitment rounds do.
+    ``fresh`` builds a new tree for every round (outside the timed
+    region: ``Mtt.build`` costs the same on every row); otherwise one
+    tree is labeled once untimed — building its schedule and installing
+    its program — and then relabeled.  Every row draws round ``i``
+    from ``SEEDS[i]``, so roots are comparable across rows.
     """
-    golden = label_tree(tree, Rc4Csprng(b"bench-pool")).root_label
-    out = {"golden_root": golden.hex()}
+    tree = Mtt.build(entries)
+    if not fresh:
+        label_tree_parallel(tree, Rc4Csprng(b"warm-up"), workers=width,
+                            pool=pool)
+    walls, reports = [], []
+    for i in range(rounds):
+        if fresh:
+            tree = Mtt.build(entries)
+        start = time.perf_counter()
+        reports.append(label_tree_parallel(
+            tree, Rc4Csprng(SEEDS[i]), workers=width, pool=pool))
+        walls.append(time.perf_counter() - start)
+    best = min(range(rounds), key=walls.__getitem__)
+    row = {
+        "round_seconds": round(walls[best], 4),
+        "hash_seconds": round(min(r.seconds for r in reports), 4),
+        "ns_per_node": round(
+            walls[best] / tree.census().total * 1e9, 1),
+        "roots": [r.root_label.hex() for r in reports],
+    }
+    if pool is not None:
+        row["install_seconds"] = round(reports[best].spinup_seconds, 4)
+        row["mode"] = reports[best].mode
+        row["jobs"] = reports[best].jobs
+    return row
+
+
+def measure_all(entries: dict, widths, rounds: int) -> dict:
+    """Serial and every pool width on both shapes.
+
+    Every pool row is checked against the serial roots of the same
+    round seeds, so the byte-identical-roots criterion is checked *in
+    the benchmark*, not just in tests.
+    """
+    shapes = ("fresh_tree", "same_tree")
+    serial = {shape: measure(entries, rounds, fresh=shape == "fresh_tree")
+              for shape in shapes}
+    golden = serial["same_tree"]["roots"]
+    serial["same_tree"]["speedup_vs_seed"] = round(
+        SEED_BASELINE["label_total_seconds"]
+        / serial["same_tree"]["round_seconds"], 2)
+    pools = {}
     for width in widths:
-        if width == 1:
-            report = label_tree_parallel(tree, Rc4Csprng(b"bench-pool"),
-                                         workers=1)
-            out[str(width)] = {
-                "steady_seconds": round(report.seconds, 4),
-                "spinup_seconds": 0.0,
-                "mode": report.mode,
-                "jobs": report.jobs,
-                "root_matches_serial":
-                    report.root_label == golden,
-            }
-            continue
         pool = LabelPool(width)
         try:
-            first = label_tree_parallel(
-                tree, Rc4Csprng(b"bench-pool"), workers=width,
-                pool=pool)
-            steady = []
-            for i in range(steady_rounds):
-                report = label_tree_parallel(
-                    tree, Rc4Csprng(b"bench-%d" % i), workers=width,
-                    pool=pool)
-                steady.append(report.seconds)
-            out[str(width)] = {
-                "steady_seconds": round(min(steady), 4),
-                # one-time: worker spawn + shared-memory program install
-                "spinup_seconds": round(
-                    pool.spinup_seconds + first.spinup_seconds, 4),
-                "mode": first.mode,
-                "jobs": first.jobs,
-                "root_matches_serial": first.root_label == golden,
-            }
+            rows = {shape: measure(entries, rounds,
+                                   fresh=shape == "fresh_tree",
+                                   width=width, pool=pool)
+                    for shape in shapes}
         finally:
             pool.close()
-    return out
+        for shape in shapes:
+            rows[shape]["speedup_vs_serial"] = round(
+                serial[shape]["round_seconds"]
+                / rows[shape]["round_seconds"], 2)
+        rows["spawn_seconds"] = round(pool.spinup_seconds, 4)
+        pools[str(width)] = rows
+    for rows in (serial, *pools.values()):
+        for shape in shapes:
+            rows[shape]["root_matches_serial"] = \
+                rows[shape].pop("roots") == golden
+    return {"golden_root": golden[0], "serial": serial, "pool": pools}
 
 
 def measure_cache_hit_rate(neighbors: int = 8) -> float:
@@ -180,64 +192,66 @@ def measure_cache_hit_rate(neighbors: int = 8) -> float:
 def check_against(report: dict, path: str) -> int:
     """The CI bench-smoke gate; returns a process exit status.
 
-    Two machine-robust checks:
+    Machine-robust checks, each comparing like with like:
 
-    * serial guard — steady ns/node must stay below the committed seed
-      baseline (the measurement this repo started from; being slower
-      than that means the optimization work regressed outright);
+    * serial guard — same-tree ns/node must stay below the committed
+      seed baseline (the measurement this repo started from, taken on
+      that shape; being slower means the optimization work regressed
+      outright);
     * pool guard (≥ 4 cores only) — the warm pool at 4 workers must not
-      be slower than serial *in the same run*.  Same box, same workload,
-      same process: if this fails, the parallel-labeling regression is
-      back.
+      be slower than serial *on the same tree in the same run*, hash
+      phase against hash phase (the randomness draw is serial on both
+      sides).  Same box, same workload, same process: if this fails,
+      the parallel-labeling regression is back;
+    * roots guard — every row produced the serial same-tree roots.
     """
     with open(path) as handle:
         committed = json.load(handle)
     seed_floor = committed["seed_baseline"]["label_ns_per_node"]
-    measured_ns = report["serial"]["steady_ns_per_node"]
+    serial = report["serial"]["same_tree"]
+    measured_ns = serial["ns_per_node"]
     serial_ok = measured_ns <= seed_floor
     cores = report["cores"] or 1
     verdict = {
-        "serial_ns_per_node": measured_ns,
+        "serial_same_tree_ns_per_node": measured_ns,
         "seed_baseline_ns_per_node": seed_floor,
         "serial_ok": serial_ok,
         "cores": cores,
     }
     pool_ok = True
-    pool4 = report["pool"].get("4")
+    pool4 = report["pool"].get("4", {}).get("same_tree")
     if cores >= 4 and pool4 is not None and pool4["mode"] == "process":
-        # Hash phase vs hash phase: the randomness draw is serial in
-        # every mode, so it is excluded from both sides.
-        serial_hash = report["serial"]["steady_hash_seconds"]
-        pool_ok = pool4["steady_seconds"] <= serial_hash
+        pool_ok = pool4["hash_seconds"] <= serial["hash_seconds"]
         verdict.update({
-            "pool4_steady_seconds": pool4["steady_seconds"],
-            "serial_steady_hash_seconds": serial_hash,
+            "pool4_same_tree_hash_seconds": pool4["hash_seconds"],
+            "serial_same_tree_hash_seconds": serial["hash_seconds"],
             "pool4_speedup": round(
-                serial_hash / pool4["steady_seconds"], 2)
-            if pool4["steady_seconds"] else None,
+                serial["hash_seconds"] / pool4["hash_seconds"], 2)
+            if pool4["hash_seconds"] else None,
             "pool_ok": pool_ok,
         })
     else:
         verdict["pool_check"] = (
             f"skipped: {cores} core(s), "
             f"mode={pool4['mode'] if pool4 else 'unmeasured'}")
-    roots_ok = all(entry.get("root_matches_serial", True)
-                   for entry in report["pool"].values()
-                   if isinstance(entry, dict))
+    roots_ok = all(rows[shape]["root_matches_serial"]
+                   for rows in (report["serial"],
+                                *report["pool"].values())
+                   for shape in ("fresh_tree", "same_tree"))
     verdict["roots_ok"] = roots_ok
     verdict["ok"] = serial_ok and pool_ok and roots_ok
     print(json.dumps({"check_against": verdict}, indent=2))
     if not serial_ok:
-        print(f"FAIL: serial steady {measured_ns:.1f} ns/node regressed "
-              f"past the seed baseline {seed_floor:.1f}",
+        print(f"FAIL: serial same-tree {measured_ns:.1f} ns/node "
+              f"regressed past the seed baseline {seed_floor:.1f}",
               file=sys.stderr)
     if not pool_ok:
-        print("FAIL: warm pool at 4 workers is slower than serial on a "
-              f"{cores}-core box — the parallel-labeling regression is "
-              "back", file=sys.stderr)
+        print("FAIL: warm pool at 4 workers is slower than serial on "
+              f"the same tree on a {cores}-core box — the "
+              "parallel-labeling regression is back", file=sys.stderr)
     if not roots_ok:
-        print("FAIL: a pool mode produced a root differing from serial",
-              file=sys.stderr)
+        print("FAIL: a row produced a root differing from serial on "
+              "the same tree", file=sys.stderr)
     return 0 if verdict["ok"] else 1
 
 
@@ -254,18 +268,16 @@ def main() -> None:
              "BENCH_commit.json (exit 1 on regression)")
     args = parser.parse_args()
     if args.quick:
-        n_prefixes, k, steady_rounds = 600, 50, 2
-        widths = (1, 4)
+        n_prefixes, k, rounds, widths = 600, 50, 2, (4,)
     else:
-        n_prefixes, k, steady_rounds = N_PREFIXES, K, STEADY_ROUNDS
-        widths = POOL_WIDTHS
+        n_prefixes, k, rounds, widths = N_PREFIXES, K, ROUNDS, POOL_WIDTHS
 
     # The whole run reports into a fresh obs registry, whose snapshot is
     # written next to the BENCH json for cost attribution
     # (``python -m repro.obs.dump --snapshot BENCH_commit_obs.json``).
     with use_registry(Registry()) as registry:
-        tree = build_tree(n_prefixes, k)
-        census = tree.census()
+        entries = build_entries(n_prefixes, k)
+        census = Mtt.build(entries).census()
         report = {
             "workload": {
                 "n_prefixes": n_prefixes,
@@ -273,30 +285,22 @@ def main() -> None:
                 "nodes_total": census.total,
                 "hashes_per_round":
                     census.bit + census.prefix + census.inner,
+                "rounds": rounds,
             },
             "cores": os.cpu_count(),
             "seed_baseline": SEED_BASELINE,
-            "serial": measure_serial(tree, steady_rounds),
-            "pool": measure_pool(tree, widths, steady_rounds),
+            **measure_all(entries, widths, rounds),
         }
         report["trajectory"] = dict(
             TRAJECTORY_HISTORY,
             current={
-                "serial_steady_seconds":
-                    report["serial"]["steady_seconds"],
-                "serial_steady_hash_seconds":
-                    report["serial"]["steady_hash_seconds"],
-                "pool_steady_seconds": {
-                    key: value["steady_seconds"]
-                    for key, value in report["pool"].items()
-                    if isinstance(value, dict)},
-                "pool_spinup_seconds": {
-                    key: value["spinup_seconds"]
-                    for key, value in report["pool"].items()
-                    if isinstance(value, dict)},
-                "note": "warm shared-memory pool; spin-up paid once "
-                        "per deployment, not per round",
-            })
+                shape: {
+                    "serial_seconds":
+                        report["serial"][shape]["round_seconds"],
+                    "pool_seconds": {
+                        width: rows[shape]["round_seconds"]
+                        for width, rows in report["pool"].items()},
+                } for shape in ("fresh_tree", "same_tree")})
         if not args.quick:
             report["proofgen_cache_hit_rate"] = round(
                 measure_cache_hit_rate(), 4)

@@ -3,9 +3,19 @@
 The paper labels its 22.3M-node MTT in 13.4 s with c=3 workers and
 38.8 s with c=1 (speedup 2.9), concluding that labeling "is highly
 scalable" and shorter commitment intervals just need more cores.  We
-measure real per-subtree labeling times and the makespan of a greedy
-schedule over c workers (the GIL substitution documented in DESIGN.md).
+measure the serial kernel and the real shared-memory worker pool
+relabeling the same tree at each width the box has cores for, and
+report the speedup; with fewer cores than workers none is observable
+and the check is skipped.  The paper's shape — workers beat serial —
+is reported as an expected failure where it does not hold: on the
+shared 2-vCPU box this pure-Python pool measures 0.7–1.1× at c=2
+(EXPERIMENTS.md E4), and no ≥4-core run exists yet.  (The deployment
+builds a new tree every round, where the pool also pays a program
+install: ``benchmarks/bench_report.py`` measures that shape as
+``fresh_tree``.)
 """
+
+import os
 
 import pytest
 
@@ -14,12 +24,13 @@ from repro.harness.reporting import render_table
 
 N_PREFIXES = 2000
 K = 50
+WIDTHS = tuple(c for c in (2, 3) if c <= (os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="module")
 def result():
     return labeling_experiment(n_prefixes=N_PREFIXES, k=K,
-                               workers=(1, 2, 3))
+                               pool_workers=WIDTHS)
 
 
 def test_labeling_time_and_speedup(benchmark, result, emit):
@@ -35,31 +46,36 @@ def test_labeling_time_and_speedup(benchmark, result, emit):
 
     benchmark.pedantic(label_fresh, rounds=1, iterations=1)
 
-    rows = [
-        ("c=1 time (s)", 38.8, result.makespans[1]),
-        ("c=3 time (s)", 13.4, result.makespans[3]),
-        ("speedup c=3", 2.9, result.speedup(3)),
-        ("speedup c=2", "-", result.speedup(2)),
-        ("hashes per labeling", "-", result.hash_count),
-    ]
+    paper = {2: ("-", "-"), 3: (13.4, 2.9)}
+    rows = [("c=1 hash phase (s)", 38.8, result.sequential_seconds)]
+    for c in WIDTHS:
+        rows.append((f"c={c} hash phase, same tree (s)", paper[c][0],
+                     result.pool_seconds[c]))
+        rows.append((f"speedup c={c}", paper[c][1],
+                     result.pool_speedup(c)))
+    rows.append(("hashes per labeling", "-", result.hash_count))
     emit(render_table(
         "§7.3 labeling time (paper: 22.3M nodes; here: "
-        f"{N_PREFIXES} prefixes × {K} classes)",
+        f"{N_PREFIXES} prefixes × {K} classes, "
+        f"{os.cpu_count()} core(s))",
         ["quantity", "paper", "measured"], rows))
 
-    # Shape: near-linear speedup, monotone in worker count.
-    assert result.speedup(3) > 2.0
-    assert result.speedup(2) > 1.5
-    assert result.makespans[3] < result.makespans[2] < \
-        result.makespans[1] * 1.02
+    if not WIDTHS:
+        pytest.skip("one core: the worker pool cannot show a speedup")
+    # Shape: on cores it actually has, the pool beats the serial hash
+    # phase on a tree it has installed.
+    slower = {c: round(result.pool_speedup(c), 2) for c in WIDTHS
+              if result.pool_speedup(c) <= 1.0}
+    if slower:
+        pytest.xfail(f"pool did not beat serial on {os.cpu_count()} "
+                     f"core(s): speedup by width {slower}")
 
 
 def test_labeling_scales_linearly_in_prefixes(benchmark, emit):
-    benchmark.pedantic(lambda: labeling_experiment(n_prefixes=200, k=5,
-                                                    workers=(1,)),
+    benchmark.pedantic(lambda: labeling_experiment(n_prefixes=200, k=5),
                        rounds=1, iterations=1)
-    small = labeling_experiment(n_prefixes=500, k=10, workers=(1,))
-    large = labeling_experiment(n_prefixes=2000, k=10, workers=(1,))
+    small = labeling_experiment(n_prefixes=500, k=10)
+    large = labeling_experiment(n_prefixes=2000, k=10)
     ratio = large.sequential_seconds / small.sequential_seconds
     emit(render_table(
         "labeling scaling (k=10)",

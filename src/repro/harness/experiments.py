@@ -16,8 +16,8 @@ from ..bgp.prefix import Prefix
 from ..core.bits import compute_bits
 from ..core.promise import total_order_promise
 from ..crypto.rc4 import Rc4Csprng
-from ..mtt.labeling import label_tree, label_tree_parallel, \
-    parallel_labeling_report
+from ..mtt.labeling import label_tree, label_tree_parallel
+from ..mtt.pool import LabelPool
 from ..mtt.stats import PAPER_CENSUS, predict_census
 from ..mtt.tree import Mtt, NodeCensus
 from ..netsim.network import BGP_TRAFFIC, Network, TraceEvent
@@ -219,79 +219,58 @@ def mtt_size_experiment(n_prefixes: int = 4000, k: int = 50,
 class LabelingResult:
     n_prefixes: int
     k: int
-    #: Serial labeling time measured with the same per-subtree traversal
-    #: that the makespan model schedules — the apples-to-apples baseline
-    #: for :meth:`speedup`.
+    #: Hash phase of the serial kernel
+    #: (:func:`repro.mtt.labeling.label_tree`), best of the rounds on
+    #: one tree — the baseline for :meth:`pool_speedup`.
     sequential_seconds: float
-    #: Serial labeling time of the fast flat-schedule path
-    #: (:func:`repro.mtt.labeling.label_tree`); always ≤ the above.
-    flat_seconds: float
-    makespans: Dict[int, float]  # workers → modeled seconds
     hash_count: int
-    #: workers → measured steady-state wall-clock of a real pool run —
-    #: hash phase only, spawn/install split into ``pool_spinup_seconds``
-    #: (only populated when ``pool_workers`` was requested).
+    #: workers → hash phase of a warm real-pool round relabeling the
+    #: *same* tree (program installed once); the deployment path builds
+    #: a new tree per round and pays the install each time, which
+    #: ``benchmarks/bench_report.py`` measures as ``fresh_tree``.
     pool_seconds: Dict[int, float] = field(default_factory=dict)
     #: workers → one-time pool spawn + program install cost.
     pool_spinup_seconds: Dict[int, float] = field(default_factory=dict)
-    #: pool mode actually used ("process" or "thread"), "" if unmeasured.
-    pool_mode: str = ""
-
-    def speedup(self, workers: int) -> float:
-        return self.sequential_seconds / self.makespans[workers]
 
     def pool_speedup(self, workers: int) -> float:
         return self.sequential_seconds / self.pool_seconds[workers]
 
 
 def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
-                        workers: Tuple[int, ...] = (1, 2, 3),
                         seed: int = 7,
                         pool_workers: Tuple[int, ...] = (),
                         ) -> LabelingResult:
-    """Sequential labeling time plus the modeled §7.1 makespans; with
-    ``pool_workers`` it also runs the *real* worker pool
-    (:func:`label_tree_parallel`) at each requested width and records
-    its wall clock — on a box with enough free cores the measured times
-    should approach the model."""
+    """Serial labeling time, plus the real worker pool's
+    (:func:`label_tree_parallel` on a :class:`LabelPool`) at each
+    width in ``pool_workers`` — meaningful as a speedup only at widths
+    the box has cores for, which is the caller's to check."""
     from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
-    entries = {p: [1] * k for p in prefixes}
-    tree = Mtt.build(entries)
-    flat = label_tree(tree, Rc4Csprng(b"label-exp"))
-    makespans: Dict[int, float] = {}
-    sequential_seconds = 0.0
-    for c in workers:
-        tree_c = Mtt.build(entries)
-        report = parallel_labeling_report(tree_c, Rc4Csprng(b"label-exp"),
-                                          workers=c)
-        makespans[c] = report.makespan_seconds
-        # Modeled makespans schedule real per-subtree times, so the
-        # speedup baseline must be the same traversal run serially.
-        sequential_seconds = report.sequential_seconds
-        if report.root_label != flat.root_label:
-            raise RuntimeError("model labeling diverged from serial")
+    tree = Mtt.build({p: [1] * k for p in prefixes})
+    serial = [label_tree(tree, Rc4Csprng(b"label-exp"))
+              for _ in range(2)]
     pool_seconds: Dict[int, float] = {}
     pool_spinup_seconds: Dict[int, float] = {}
-    pool_mode = ""
     for c in pool_workers:
-        tree_c = Mtt.build(entries)
-        pool = label_tree_parallel(tree_c, Rc4Csprng(b"label-exp"),
-                                   workers=c)
-        if pool.root_label != flat.root_label:
+        pool = LabelPool(c)
+        try:
+            # The first round installs the program; the rest are warm.
+            reports = [label_tree_parallel(tree, Rc4Csprng(b"label-exp"),
+                                           workers=c, pool=pool)
+                       for _ in range(3)]
+        finally:
+            pool.close()
+        if any(r.root_label != serial[0].root_label for r in reports):
             raise RuntimeError("pool labeling diverged from serial")
-        pool_seconds[c] = pool.seconds
-        pool_spinup_seconds[c] = pool.spinup_seconds
-        if pool.mode != "serial":
-            pool_mode = pool.mode
+        pool_seconds[c] = min(r.seconds for r in reports[1:])
+        pool_spinup_seconds[c] = pool.spinup_seconds + \
+            reports[0].spinup_seconds
     return LabelingResult(n_prefixes=n_prefixes, k=k,
-                          sequential_seconds=sequential_seconds,
-                          flat_seconds=flat.seconds,
-                          makespans=makespans,
-                          hash_count=flat.hash_count,
+                          sequential_seconds=min(r.seconds
+                                                 for r in serial),
+                          hash_count=serial[0].hash_count,
                           pool_seconds=pool_seconds,
-                          pool_spinup_seconds=pool_spinup_seconds,
-                          pool_mode=pool_mode)
+                          pool_spinup_seconds=pool_spinup_seconds)
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,8 @@ hashes.
 
 from .aggregation import aggregate_bits, aggregation_candidates, \
     aggregation_overhead, sibling, with_aggregates
-from .labeling import LabelingReport, ParallelLabelReport, \
-    ParallelReport, assign_randomness, compute_label, label_tree, \
-    label_tree_parallel, label_tree_with_workers, \
-    parallel_labeling_report
+from .labeling import LabelingReport, assign_randomness, \
+    compute_label, label_tree, label_tree_parallel
 from .nodes import BitNode, DummyNode, EDGE_END, EDGE_ONE, EDGE_ZERO, \
     EDGES, InnerNode, MttNode, PrefixNode, validate_structure
 from .pool import LabelPool, PoolBrokenError, RoundResult, subtree_jobs
@@ -24,10 +22,8 @@ from .tree import FlatSchedule, Mtt, NodeCensus
 __all__ = [
     "aggregate_bits", "aggregation_candidates", "aggregation_overhead",
     "sibling", "with_aggregates",
-    "LabelingReport", "ParallelLabelReport", "ParallelReport",
-    "assign_randomness", "compute_label", "label_tree",
-    "label_tree_parallel", "label_tree_with_workers",
-    "parallel_labeling_report",
+    "LabelingReport", "assign_randomness", "compute_label",
+    "label_tree", "label_tree_parallel",
     "BitNode", "DummyNode", "EDGE_END", "EDGE_ONE", "EDGE_ZERO", "EDGES",
     "InnerNode", "MttNode", "PrefixNode", "validate_structure",
     "LabelPool", "PoolBrokenError", "RoundResult", "subtree_jobs",

@@ -1,4 +1,4 @@
-"""Merkle labeling of MTTs (Section 5.3) with real multi-worker labeling.
+"""Merkle labeling of MTTs (Section 5.3).
 
 Labels: each dummy node gets a random bitstring; each bit node gets
 ``H(b_i || x_i)`` with a fresh blinding ``x_i``; each interior node (prefix
@@ -8,30 +8,27 @@ generator can reconstruct a past MTT from the stored 32-byte seed
 (Section 6.5).
 
 Randomness is assigned in one deterministic depth-first pass *before* any
-hashing, so the labeling work can then be partitioned into independent
-subtrees.  The hashing itself runs over the tree's cached
-:class:`~repro.mtt.tree.FlatSchedule`: arrays of node references in
-post-order, computed once per tree shape and reused across commitment
-rounds, so the per-round loops carry no isinstance dispatch and no
-repeated traversal.
+hashing, so the hashing can be partitioned into independent subtrees.
+There are exactly two implementations of the hashing, each built for
+the caller that uses it:
 
-The paper's prototype labels subtrees on ``c`` commitment threads
-(Section 7.1).  :func:`label_tree_parallel` reproduces this for real via
-:class:`~repro.mtt.pool.LabelPool`: a *warm* pool of worker processes
-sharing the tree's flat hash program and label slots through
-``multiprocessing.shared_memory``, so steady-state rounds move a few
-control bytes per worker instead of pickled subtrees (see
-:mod:`repro.mtt.pool` for the buffer layout and failure model).  Because
-all randomness is assigned serially up front and every label is a pure
-function of its subtree, pool, thread-fallback, serial, and
-failure-fallback labeling produce byte-identical labels on every node
-from the same seed (property-tested).
+* the **serial kernel** — :func:`assign_randomness` plus
+  :func:`_hash_pass` over the tree's :class:`~repro.mtt.tree.FlatSchedule`,
+  behind :func:`label_tree`.  The recorder and the proof generator build
+  a new tree for every commitment and every reconstruction, so this
+  path carries nothing a single round does not use.
+* the **process pool** — the paper's ``c`` commitment threads (§7.1),
+  reached through :func:`label_tree_parallel` with a caller-owned
+  :class:`~repro.mtt.pool.LabelPool`: worker processes execute a flat
+  slot program over ``multiprocessing.shared_memory`` (see
+  :mod:`repro.mtt.pool` for the layout and failure model).  No function
+  here spawns a pool on the caller's behalf; without one, and whenever
+  the pool breaks, the round is labeled by the serial kernel.
 
-:func:`parallel_labeling_report` is retained as a *model* cross-check: it
-measures real per-subtree labeling times and reports the makespan of a
-greedy longest-first schedule over ``c`` workers — the same wall-clock
-quantity the paper measures — which remains useful on machines whose
-core count cannot support the real pool (see DESIGN.md).
+Every label is a pure function of its subtree and the serially drawn
+randomness, so serial, pool, and fallback labeling produce byte-identical
+labels on every node from the same seed (property-tested), and
+:func:`compute_label` stays as the per-node reference both are pinned to.
 """
 
 from __future__ import annotations
@@ -39,13 +36,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, digest_concat
 from ..crypto.rc4 import Rc4Csprng
 from ..obs.registry import get_registry
 from .nodes import BitNode, DummyNode, MttNode, PrefixNode
-from .pool import LabelPool, PoolBrokenError, subtree_jobs
+from .pool import CUT_DEPTH, LabelPool, PoolBrokenError
 from .tree import Mtt
 
 
@@ -54,7 +51,7 @@ def _observe_labeling(mode: str, seconds: float, hashes: int,
     """Publish one labeling run to the instrumentation registry.
 
     Feeds the Section 7.5 cost attribution: ``mtt_label_seconds`` is the
-    wall-clock of the hash phase (bucketed by pool mode), and the pool
+    wall-clock of the hash phase (bucketed by mode), and the pool
     gauges record how the work was spread over the paper's ``c``
     commitment workers.
     """
@@ -66,29 +63,15 @@ def _observe_labeling(mode: str, seconds: float, hashes: int,
     registry.gauge("mtt_pool_jobs").set(jobs)
 
 
-def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> None:
-    """Deterministic DFS pass giving every bit node a blinding and every
-    dummy node its random label.
+def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> List[bytes]:
+    """Give every bit node a blinding and every dummy node its label.
 
     Draws one bitstring per dummy/bit node in the schedule's fixed DFS
-    order (one blocked CSPRNG draw for the whole tree), then invalidates
-    every previously computed label.
-    """
-    _assign_randomness_fast(tree, csprng)
-    for node in tree.schedule().reset_nodes:
-        node.label = None
-
-
-def _assign_randomness_fast(tree: Mtt,
-                            csprng: Rc4Csprng) -> List[bytes]:
-    """Randomness assignment without the label-reset pass.
-
-    Safe whenever the follow-up labeling overwrites every bit and
-    interior label unconditionally — true of the serial hash pass, the
-    pool, the thread fallback, and the failure fallback — where
-    invalidation would be pure overhead.  Returns the drawn bitstrings
-    in plan order so the pool can scatter them into its label buffer
-    without re-reading the node attributes.
+    order (one blocked CSPRNG draw for the whole tree).  Labels of bit
+    and interior nodes are left as they are: every labeling below
+    overwrites them unconditionally.  Returns the drawn bitstrings in
+    plan order so the pool can copy them into shared memory without
+    re-reading the node attributes.
     """
     plan = tree.schedule().rand_plan
     strings = csprng.bitstrings(len(plan))
@@ -101,7 +84,7 @@ def _assign_randomness_fast(tree: Mtt,
 
 
 def compute_label(node: MttNode) -> bytes:
-    """Compute (and cache) the Merkle label of a subtree.
+    """Compute the Merkle label of a subtree, node by node.
 
     :spiderlint-contract: declassifier(merkle-label)
 
@@ -109,11 +92,10 @@ def compute_label(node: MttNode) -> bytes:
     blinding beneath it, so spiderlint treats this construction as a
     sanctioned declassifier for taint that flows into it.
 
-    Generic iterative post-order traversal, used for arbitrary subtrees
-    (model cross-checks and tests).  Whole-tree labeling goes through
-    :func:`label_tree`, which runs over the flattened schedule instead.
-    Interior nodes that already carry a label are skipped, so partial
-    relabeling only pays for the unlabeled upper nodes.
+    The reference implementation: a generic iterative post-order
+    traversal straight off the §5.3 definition, which the golden-root
+    tests pin the serial kernel and the pool to.  Whole-tree labeling
+    goes through :func:`label_tree`.
     """
     stack: List[Tuple[MttNode, bool]] = [(node, False)]
     while stack:
@@ -130,22 +112,16 @@ def compute_label(node: MttNode) -> bytes:
                                    "assign_randomness first")
             current.label = bit_commitment(current.bit, current.blinding)
             continue
+        if kind is PrefixNode:
+            children: List[MttNode] = list(current.bit_nodes)
+        else:
+            children = [c for c in current.children if c is not None]
         if expanded:
-            if kind is PrefixNode:
-                children: List[MttNode] = list(current.bit_nodes)
-            else:
-                children = [c for c in current.children if c is not None]
             current.label = digest_concat(
                 *[child.label for child in children])
             continue
-        if current.label is not None:
-            continue  # subtree already labeled (partial relabel)
         stack.append((current, True))
-        if kind is PrefixNode:
-            stack.extend((b, False) for b in current.bit_nodes)
-        else:
-            stack.extend((c, False) for c in current.children
-                         if c is not None)
+        stack.extend((child, False) for child in children)
     return node.label
 
 
@@ -154,7 +130,7 @@ def _hash_pass(tree: Mtt) -> bytes:
 
     Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, identical to
     :func:`repro.crypto.hashing.digest`) so each node costs one hash
-    call; the determinism tests pin this path to the generic
+    call; the golden-root tests pin this path to the generic
     :func:`compute_label` traversal byte for byte.  This is also the
     recovery path when a worker pool breaks mid-round: the tree's
     randomness is already in place, so one serial pass always restores
@@ -175,60 +151,51 @@ def _hash_pass(tree: Mtt) -> bytes:
 
 @dataclass(frozen=True)
 class LabelingReport:
-    """Result of a sequential labeling run."""
+    """Result of one labeling round, serial or pooled.
+
+    ``seconds`` is the hash phase only.  On the pool, installing the
+    tree's program into shared memory is reported separately as
+    ``spinup_seconds`` so warm rounds stay comparable to the serial
+    path; the pool's own spawn cost is ``LabelPool.spinup_seconds``.
+    """
 
     root_label: bytes
     seconds: float
     hash_count: int
+    workers: int = 1
+    mode: str = "serial"  # "serial" | "process" | "serial-fallback"
+    jobs: int = 1
+    spinup_seconds: float = 0.0
+
+
+def _hash_count(tree: Mtt) -> int:
+    """One hash per bit node and per interior node (dummies are free)."""
+    census = tree.schedule().counts
+    return census.bit + census.prefix + census.inner
+
+
+def _serial_round(tree: Mtt, mode: str, workers: int) -> LabelingReport:
+    """Time one :func:`_hash_pass` over an already-blinded tree."""
+    start = time.perf_counter()
+    root_label = _hash_pass(tree)
+    seconds = time.perf_counter() - start
+    hashes = _hash_count(tree)
+    _observe_labeling(mode, seconds, hashes, jobs=1, workers=workers)
+    return LabelingReport(root_label=root_label, seconds=seconds,
+                          hash_count=hashes, workers=workers, mode=mode)
 
 
 def label_tree(tree: Mtt, csprng: Rc4Csprng) -> LabelingReport:
     """Assign randomness and label the whole tree, timing the hash work."""
-    schedule = tree.schedule()
-    _assign_randomness_fast(tree, csprng)
-    census = schedule.counts
-    start = time.perf_counter()
-    root_label = _hash_pass(tree)
-    seconds = time.perf_counter() - start
-    # One hash per bit node and per interior node (dummies are free).
-    hashes = census.bit + census.prefix + census.inner
-    _observe_labeling("serial", seconds, hashes, jobs=1, workers=1)
-    return LabelingReport(root_label=root_label, seconds=seconds,
-                          hash_count=hashes)
+    assign_randomness(tree, csprng)
+    return _serial_round(tree, "serial", workers=1)
 
 
-# ----------------------------------------------------------------------
-# Real parallel labeling (the paper's c commitment threads, §7.1)
-
-
-@dataclass(frozen=True)
-class ParallelLabelReport:
-    """Result of a real multi-worker labeling run.
-
-    ``seconds`` is the steady-state hash phase only; one-time costs —
-    pool spawn when this call created its own pool, plus installing a
-    new tree shape into shared memory — are reported separately as
-    ``spinup_seconds`` so repeated rounds on a warm pool are comparable
-    to the serial path (conflating the two is exactly what made the
-    pre-warm-pool benchmark numbers misleading).
-    """
-
-    root_label: bytes
-    workers: int
-    seconds: float  # steady-state hash phase (dispatch + hashing + merge)
-    hash_count: int
-    mode: str  # "process" | "thread" | "serial" | "serial-fallback"
-    jobs: int
-    spinup_seconds: float = 0.0  # pool spawn + program install, this call
-
-
-def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
-                        cut_depth: int = 4,
-                        prefer_processes: bool = True,
+def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
+                        cut_depth: int = CUT_DEPTH,
                         pool: Optional[LabelPool] = None,
-                        materialize: bool = True,
-                        ) -> ParallelLabelReport:
-    """Assign randomness serially, then label subtrees on ``c`` workers.
+                        materialize: bool = True) -> LabelingReport:
+    """Assign randomness serially, then label subtrees on ``pool``.
 
     The tree is partitioned into independent subtrees ``cut_depth``
     branch levels below the root; each worker labels whole subtrees in
@@ -239,157 +206,37 @@ def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
     proof generation is oblivious to how the tree was labeled.  Set
     ``materialize=False`` when only the root is consumed (the recorder
     discards the commitment tree right after taking the root): the
-    per-node copy-back is skipped, which removes most of the pool's
-    serial overhead.
+    per-node copy-back is skipped.
 
-    Pass a warm :class:`~repro.mtt.pool.LabelPool` (the recorder owns
-    one sized to ``SpiderConfig.commit_workers``) to amortize worker
-    spawn across rounds; without one, an ephemeral pool is created and
-    torn down, and its spawn cost shows up in ``spinup_seconds``.
-
-    If the pool breaks mid-round (worker OOM-killed, crashed, or
-    unresponsive) the round falls back to a serial relabel — the tree's
-    randomness was assigned up front and is never touched by workers,
-    so the fallback yields byte-identical labels (mode
+    The pool is the caller's (the recorder owns one,
+    ``SpiderConfig.commit_workers`` wide); ``workers`` is that width as
+    the report and the gauges show it.  Without a pool the round is
+    :func:`label_tree`.  If the pool is broken or breaks mid-round
+    (worker OOM-killed, crashed, unresponsive, or a platform that cannot
+    fork or map shared memory) the round falls back to the serial
+    kernel — the randomness was assigned up front and is never touched
+    by workers, so the fallback yields byte-identical labels (mode
     ``"serial-fallback"``); the caller should discard the broken pool.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
-    rand_values = _assign_randomness_fast(tree, csprng)
-    census = tree.schedule().counts
-    hashes = census.bit + census.prefix + census.inner
-
-    if workers == 1 and pool is None:
-        start = time.perf_counter()
-        root_label = _hash_pass(tree)
-        seconds = time.perf_counter() - start
-        _observe_labeling("serial", seconds, hashes, jobs=1, workers=1)
-        return ParallelLabelReport(
-            root_label=root_label, workers=1, seconds=seconds,
-            hash_count=hashes, mode="serial", jobs=1)
-
-    own_pool = pool is None
-    if own_pool:
-        pool = LabelPool(workers, prefer_processes=prefer_processes)
-    assert pool is not None
-    spinup_seconds = pool.spinup_seconds if own_pool else 0.0
+    if pool is None:
+        return label_tree(tree, csprng)
+    rand_values = assign_randomness(tree, csprng)
     try:
         start = time.perf_counter()
-        result = pool.label(tree, cut_depth, rand_values=rand_values,
+        result = pool.label(tree, rand_values, cut_depth=cut_depth,
                             materialize=materialize)
         elapsed = time.perf_counter() - start
-        spinup_seconds += result.install_seconds
-        seconds = max(0.0, elapsed - result.install_seconds)
-        mode = pool.mode
-        jobs = result.jobs
-        root_label = result.root_label
     except PoolBrokenError:
-        # Recovery (worker death must never corrupt a commitment
-        # round): the randomness above is on the node objects, so one
-        # serial pass restores exactly the labels the pool would have
-        # produced.
         get_registry().counter("mtt_pool_failures_total",
                                mode="fallback").inc()
-        start = time.perf_counter()
-        root_label = _hash_pass(tree)
-        seconds = time.perf_counter() - start
-        mode = "serial-fallback"
-        jobs = 1
-    finally:
-        if own_pool:
-            pool.close()
-    _observe_labeling(mode, seconds, hashes, jobs=jobs, workers=workers)
-    return ParallelLabelReport(
-        root_label=root_label, workers=workers, seconds=seconds,
-        hash_count=hashes, mode=mode, jobs=jobs,
-        spinup_seconds=spinup_seconds)
-
-
-def label_tree_with_workers(
-        tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
-        cut_depth: int = 4, pool: Optional[LabelPool] = None,
-        materialize: bool = True,
-) -> "Union[LabelingReport, ParallelLabelReport]":
-    """Labeling entry point for recorder and proof generator.
-
-    Serial fast path (flattened schedule) when ``workers <= 1`` and no
-    warm pool is supplied, the real worker pool otherwise.  Both return
-    objects exposing ``root_label``, ``seconds``, and ``hash_count``.
-    ``materialize=False`` (pool path only) skips copying per-node labels
-    back onto the tree — for the commitment round, where only the root
-    is consumed; reconstructions must keep the default, proofs read the
-    node labels.
-    """
-    if workers <= 1 and pool is None:
-        return label_tree(tree, csprng)
-    return label_tree_parallel(tree, csprng, workers=workers,
-                               cut_depth=cut_depth, pool=pool,
-                               materialize=materialize)
-
-
-# ----------------------------------------------------------------------
-# Makespan model (retained as a cross-check of the real pool)
-
-
-@dataclass(frozen=True)
-class ParallelReport:
-    """Modeled labeling-time accounting for ``c`` commitment workers.
-
-    ``makespan_seconds`` models the wall-clock time of the paper's
-    multi-threaded labeling: subtree jobs are assigned longest-first to
-    the least-loaded worker, plus the (serial) root-merge cost.  The
-    real pool (:func:`label_tree_parallel`) should approach this bound
-    on a machine with at least ``c`` free cores.
-    """
-
-    root_label: bytes
-    workers: int
-    sequential_seconds: float
-    makespan_seconds: float
-    subtree_seconds: Tuple[float, ...]
-
-    @property
-    def speedup(self) -> float:
-        if self.makespan_seconds == 0:
-            return float(self.workers)
-        return self.sequential_seconds / self.makespan_seconds
-
-
-def parallel_labeling_report(tree: Mtt, csprng: Rc4Csprng, workers: int,
-                             fanout_depth: int = 4) -> ParallelReport:
-    """Label the tree and model the work as ``workers`` parallel jobs."""
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    assign_randomness(tree, csprng)
-    jobs = subtree_jobs(tree, fanout_depth)
-
-    registry = get_registry()
-    subtree_histogram = registry.histogram("mtt_subtree_seconds")
-    job_times: List[float] = []
-    start_all = time.perf_counter()
-    for job in jobs:
-        start = time.perf_counter()
-        compute_label(job)
-        elapsed = time.perf_counter() - start
-        job_times.append(elapsed)
-        subtree_histogram.observe(elapsed)
-    # Remaining (upper) nodes: label whatever has no label yet.
-    merge_start = time.perf_counter()
-    root_label = compute_label(tree.root)
-    merge_seconds = time.perf_counter() - merge_start
-    sequential = time.perf_counter() - start_all
-
-    # Greedy longest-first schedule onto `workers` bins.
-    bins = [0.0] * workers
-    for job_time in sorted(job_times, reverse=True):
-        bins[bins.index(min(bins))] += job_time
-    makespan = max(bins) + merge_seconds
-    if makespan > 0:
-        # Modeled pool utilization: fraction of worker-seconds doing
-        # hash work under the greedy schedule (1.0 = perfectly packed).
-        registry.gauge("mtt_pool_utilization").set(
-            sequential / (workers * makespan))
-    return ParallelReport(root_label=root_label, workers=workers,
-                          sequential_seconds=sequential,
-                          makespan_seconds=makespan,
-                          subtree_seconds=tuple(job_times))
+        return _serial_round(tree, "serial-fallback", workers)
+    seconds = max(0.0, elapsed - result.install_seconds)
+    hashes = _hash_count(tree)
+    _observe_labeling("process", seconds, hashes, jobs=result.jobs,
+                      workers=workers)
+    return LabelingReport(
+        root_label=result.root_label, seconds=seconds, hash_count=hashes,
+        workers=workers, mode="process", jobs=result.jobs,
+        spinup_seconds=result.install_seconds)

@@ -11,10 +11,11 @@ that design with two ideas:
 * **Flat shared buffers, zero per-round pickling.**  Three
   ``multiprocessing.shared_memory`` blocks:
 
-  - the *program* block, written once per tree shape — the
-    :class:`~repro.mtt.tree.FlatSchedule`'s slot arrays (op kinds,
-    committed bits, CSR child indices) plus each slot's index into the
-    randomness blob;
+  - the *program* block, written once per tree object — the slot
+    arrays :func:`_build_program` derives from the tree's
+    :class:`~repro.mtt.tree.FlatSchedule` (op kinds, committed bits,
+    CSR child indices) plus each slot's index into the randomness
+    blob.  This module is the only one that knows the slot layout;
   - the *label* block, one
     :data:`~repro.crypto.hashing.DIGEST_SIZE`-byte slot per node,
     written in place by whoever executes the slot;
@@ -33,11 +34,16 @@ that design with two ideas:
   message of a few ``(lo, hi)`` slot ranges per worker.
 
 * **A warm pool.**  :class:`LabelPool` spawns its workers once — owned
-  by the recorder / proof generator for as long as the deployment lives
+  by the recorder for as long as the deployment lives
   (``SpiderConfig.commit_workers`` wide, shut down by
-  ``Recorder.close()``) — so steady-state rounds pay dispatch, not
-  ``fork``/``exec``.  Installing a new tree shape re-uses the same
-  workers; only the buffers are replaced.
+  ``Recorder.close()``) — so rounds pay dispatch, not ``fork``/``exec``.
+  The installed program is keyed by the tree *object*: relabeling the
+  same tree skips straight to dispatch, a new tree re-installs (build,
+  encode, and one compile of all n slots in every worker).  The
+  recorder and the proof generator build a new tree for every
+  commitment and every reconstruction, so the deployment path installs
+  every round today; `BENCH_commit.json` carries both shapes
+  (``same_tree``, ``fresh_tree``).
 
 Failure model: a worker death (OOM kill, SIGKILL, crash) surfaces as
 :class:`PoolBrokenError` on the next dispatch or reply.  The pool marks
@@ -45,16 +51,14 @@ itself broken and the caller (:func:`repro.mtt.labeling.
 label_tree_parallel`) falls back to a serial relabel of the
 already-blinded tree, so a commitment round never fails or produces a
 partially labeled tree; the recorder respawns a fresh pool on the next
-round.  Where subprocesses are unavailable entirely, the pool degrades
-to a warm thread pool executing the same flat program over a local
-buffer (no speedup under the GIL, but identical bytes and cheap
-dispatch).
+round.  A platform that cannot fork or map shared memory gets the same
+treatment: the pool is born (or marks itself) broken and every round
+takes that serial path.
 
 Determinism: randomness is drawn serially by the caller in the fixed
 CSPRNG order before any hashing, and every label is a pure function of
-its subtree, so pool, thread, serial, and fallback labeling are
-byte-identical per node (property-tested in
-``tests/mtt/test_label_pool.py``).
+its subtree, so pool, serial, and fallback labeling are byte-identical
+per node (property-tested in ``tests/mtt/test_label_pool.py``).
 """
 
 from __future__ import annotations
@@ -68,12 +72,25 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from multiprocessing.connection import Connection
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.hashing import DIGEST_SIZE
 from ..obs.registry import get_registry
-from .nodes import InnerNode, MttNode
-from .tree import FlatSchedule, Mtt, SLOT_BIT, SLOT_INTERIOR
+from .nodes import BitNode, InnerNode, MttNode
+from .tree import FlatSchedule, Mtt
+
+#: Branch levels below the MTT root at which the tree is cut into
+#: per-worker subtree jobs, and seconds to wait for a worker's reply
+#: before declaring the pool broken.  One value each is in use; tests
+#: vary them through the function/constructor parameters.
+CUT_DEPTH = 4
+POOL_TIMEOUT = 30.0
+
+#: Slot kinds of the flat labeling program (one byte per node).  Dummy
+#: slots carry pre-drawn random labels, bit slots hash ``H(b || x)``
+#: over their blinding, interior slots hash the concatenation of their
+#: children's label slots.
+SLOT_DUMMY, SLOT_BIT, SLOT_INTERIOR = 0, 1, 2
 
 #: Magic + version prefixing the static program block, so a worker that
 #: attaches to a stale or foreign segment fails loudly.
@@ -111,11 +128,12 @@ def subtree_jobs(tree: Mtt, cut_depth: int) -> List[MttNode]:
 
 
 # ----------------------------------------------------------------------
-# The flat hash program executor (runs in workers, threads, and the
-# parent's upper-remainder merge — one code path, three call sites).
+# The flat hash program executor (runs in the workers and in the
+# parent's upper-remainder merge — one code path, two call sites).
 
 
-def _bit_prefixes(slot_kinds: bytes, slot_bits: bytes) -> List[bytes]:
+def _bit_prefixes(slot_kinds: Iterable[int],
+                  slot_bits: Iterable[int]) -> List[bytes]:
     """Per-slot ``b"\\x00"``/``b"\\x01"`` hash prefixes for bit slots."""
     one, zero = b"\x01", b"\x00"
     return [one if (kind == SLOT_BIT and bit) else zero
@@ -148,7 +166,7 @@ class _FlatOps:
     int_ls: List[slice]
     int_ch: List[Tuple[slice, ...]]
 
-    def __init__(self, slots: Iterable[int], kinds: bytes,
+    def __init__(self, slots: Iterable[int], kinds: Sequence[int],
                  prefixes: Sequence[bytes], offsets: Sequence[int],
                  children: Sequence[int],
                  rand_index: Sequence[int]):
@@ -226,7 +244,7 @@ def _run_streams(dum_ls: Sequence[slice], dum_rs: Sequence[slice],
 
 @dataclass(frozen=True)
 class _Program:
-    """One installed tree shape: slot ranges over the shared buffers."""
+    """One installed tree: slot ranges over the shared buffers."""
 
     schedule: FlatSchedule  # strong ref: identity key for the cache
     cut_depth: int
@@ -234,18 +252,10 @@ class _Program:
     n_rand: int  # randomness draws per round (plan length)
     #: Contiguous ``[lo, hi)`` slot ranges, one per cut subtree.
     job_ranges: Tuple[Tuple[int, int], ...]
-    #: Slots above the cut, ascending (a valid post-order suffix).
-    upper_slots: Tuple[int, ...]
     #: Hash ops (bit + interior slots) per job range, for balancing.
     job_costs: Tuple[int, ...]
-    #: Per-slot index into the randomness blob (meaningful for dummy
-    #: and bit slots; 0 elsewhere).
-    rand_index: "array[int]"
-    #: Compiled ops for the upper remainder (parent-side merge).
+    #: Compiled ops for the remainder above the cut (parent-side merge).
     upper_ops: _FlatOps
-    #: Compiled ops for every slot; built only in thread mode, where
-    #: the parent process executes the job ranges itself.
-    full_ops: Optional[_FlatOps]
     #: Non-dummy nodes in slot order and their label-buffer slices
     #: (dummies keep the label ``assign_randomness`` put on them, so
     #: copy-back skips them).
@@ -253,48 +263,92 @@ class _Program:
     out_slices: Tuple[slice, ...]
 
 
-def _build_program(tree: Mtt, cut_depth: int,
-                   with_full_ops: bool) -> _Program:
+def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
+    """Derive the slot program of ``tree``; returns it with the encoded
+    program block the workers parse.
+
+    Every node gets a slot id in a post-order: interiors in the
+    schedule's order, each leaf child right before the first interior
+    that completes after it.  A node's whole subtree completes before
+    the node itself, so each subtree is one contiguous slot block
+    (``sizes`` gives its length) and a worker can be handed a
+    ``(lo, hi)`` range instead of a pickled subtree; the root is last.
+    """
     schedule = tree.schedule()
-    kinds = schedule.slot_kinds
-    sizes = schedule.subtree_sizes
-    size = DIGEST_SIZE
-    n_slots = schedule.n_slots
+    slot_of: Dict[int, int] = {}
+    nodes: List[MttNode] = []
+    kinds = bytearray()
+    bits = bytearray()
+    # CSR: the children of slot s are children[offsets[s]:offsets[s+1]].
+    offsets = array("I", (0,))
+    children = array("I")
+    sizes = array("I")
+
+    def add_slot(node: MttNode, kind: int, bit: int, size: int) -> None:
+        slot_of[id(node)] = len(nodes)
+        nodes.append(node)
+        kinds.append(kind)
+        bits.append(bit)
+        offsets.append(len(children))
+        sizes.append(size)
+
+    def add_leaf(node: MttNode) -> None:
+        if type(node) is BitNode:
+            add_slot(node, SLOT_BIT, node.bit, 1)
+        else:
+            add_slot(node, SLOT_DUMMY, 0, 1)
+
+    for node, kids in schedule.interiors:
+        # Leaves first: a slot's CSR range starts where the previous
+        # slot's ended, so no slot may open inside this node's range.
+        for kid in kids:
+            if id(kid) not in slot_of:
+                add_leaf(kid)
+        size = 1
+        for kid in kids:
+            kid_slot = slot_of[id(kid)]
+            children.append(kid_slot)
+            size += sizes[kid_slot]
+        add_slot(node, SLOT_INTERIOR, 0, size)
+    if not nodes:  # the empty tree: a lone dummy root
+        add_leaf(tree.root)
+    n_slots = len(nodes)
+
     covered = bytearray(n_slots)
     ranges: List[Tuple[int, int]] = []
     costs: List[int] = []
     for job in subtree_jobs(tree, cut_depth):
-        hi = schedule.slot_of(job) + 1
+        hi = slot_of[id(job)] + 1
         lo = hi - sizes[hi - 1]
         # Pure-dummy jobs still dispatch: their slots must be
         # materialized from the randomness blob by *someone*, and a
         # worker copying them is free compared to the parent doing it.
         ranges.append((lo, hi))
-        costs.append(sum(1 for s in range(lo, hi) if kinds[s] != 0))
-        for s in range(lo, hi):
-            covered[s] = 1
-    upper = tuple(s for s in range(n_slots) if not covered[s])
-    rand_index = array("I", bytes(4 * max(1, n_slots)))
-    for i, s in enumerate(schedule.rand_slots):
-        rand_index[s] = i
-    prefixes = _bit_prefixes(kinds, schedule.slot_bits)
-    offsets = schedule.child_offsets
-    children = schedule.child_slots
-    upper_ops = _FlatOps(upper, kinds, prefixes, offsets, children,
-                         rand_index)
-    full_ops = _FlatOps(range(n_slots), kinds, prefixes, offsets,
-                        children, rand_index) if with_full_ops else None
-    out = [(node, slice(s * size, s * size + size))
-           for s, node in enumerate(schedule.slot_nodes)
-           if kinds[s] != 0]
-    return _Program(schedule=schedule, cut_depth=cut_depth,
-                    n_slots=n_slots, n_rand=len(schedule.rand_slots),
-                    job_ranges=tuple(ranges),
-                    upper_slots=upper, job_costs=tuple(costs),
-                    rand_index=rand_index, upper_ops=upper_ops,
-                    full_ops=full_ops,
-                    out_nodes=tuple(node for node, _ in out),
-                    out_slices=tuple(sl for _, sl in out))
+        costs.append(sum(1 for s in range(lo, hi)
+                         if kinds[s] != SLOT_DUMMY))
+        covered[lo:hi] = b"\x01" * (hi - lo)
+    upper = [s for s in range(n_slots) if not covered[s]]
+    # Per-slot index into the randomness blob (meaningful for dummy
+    # and bit slots; 0 elsewhere).
+    rand_index = array("I", bytes(4 * n_slots))
+    for i, (node, _) in enumerate(schedule.rand_plan):
+        rand_index[slot_of[id(node)]] = i
+    upper_ops = _FlatOps(upper, kinds, _bit_prefixes(kinds, bits),
+                         offsets, children, rand_index)
+    out = [(node, slice(s * DIGEST_SIZE, (s + 1) * DIGEST_SIZE))
+           for s, node in enumerate(nodes) if kinds[s] != SLOT_DUMMY]
+    blob = b"".join([_PROG_MAGIC,
+                     _PROG_VERSION.to_bytes(4, "little"),
+                     n_slots.to_bytes(4, "little"),
+                     kinds, bits, offsets.tobytes(), children.tobytes(),
+                     rand_index.tobytes()])
+    program = _Program(schedule=schedule, cut_depth=cut_depth,
+                       n_slots=n_slots, n_rand=len(schedule.rand_plan),
+                       job_ranges=tuple(ranges), job_costs=tuple(costs),
+                       upper_ops=upper_ops,
+                       out_nodes=tuple(node for node, _ in out),
+                       out_slices=tuple(sl for _, sl in out))
+    return program, blob
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +479,7 @@ class RoundResult:
     root_label: bytes
     jobs: int
     dispatches: int
-    install_seconds: float  # 0.0 when the shape was already installed
+    install_seconds: float  # 0.0 when this tree was already installed
 
 
 class LabelPool:
@@ -438,8 +492,7 @@ class LabelPool:
     of control messages per worker.
     """
 
-    def __init__(self, workers: int, prefer_processes: bool = True,
-                 timeout: float = 30.0):
+    def __init__(self, workers: int, timeout: float = POOL_TIMEOUT):
         if workers < 1:
             raise ValueError("need at least one worker")
         if timeout <= 0:
@@ -447,56 +500,47 @@ class LabelPool:
         self.workers = workers
         self.timeout = timeout
         self.broken = False
-        self.mode = "thread"
         self._procs: List[Any] = []
         self._conns: List[Connection] = []
-        self._executor: Optional[Any] = None
         self._program: Optional[_Program] = None
         self._prog_shm: Optional[Any] = None
         self._label_shm: Optional[Any] = None
         self._rand_shm: Optional[Any] = None
-        self._label_buf: Optional[bytearray] = None  # thread mode
         self._closed = False
         self._obs = get_registry()
         start = time.perf_counter()
-        if prefer_processes:
-            self._try_spawn_processes()
-        if self.mode != "process":
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(max_workers=workers)
+        try:
+            self._spawn()
+        except (OSError, ImportError, ValueError):
+            # Sandboxed or exotic platform without fork/pipes/shared
+            # memory: the pool is born broken, so every round takes the
+            # PoolBrokenError → serial recovery path.
+            self._mark_broken("cannot spawn pool workers")
         self.spinup_seconds = time.perf_counter() - start
-        self._obs.counter("mtt_pool_spinups_total", mode=self.mode).inc()
+        self._obs.counter("mtt_pool_spinups_total").inc()
         self._obs.histogram("mtt_pool_spinup_seconds").observe(
             self.spinup_seconds)
 
     # -- lifecycle -----------------------------------------------------
 
-    def _try_spawn_processes(self) -> None:
+    def _spawn(self) -> None:
+        import multiprocessing
+        from multiprocessing import shared_memory  # noqa: F401
         try:
-            import multiprocessing
-            from multiprocessing import shared_memory  # noqa: F401
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork
-                context = multiprocessing.get_context()  # type: ignore[assignment]
-            procs: List[Any] = []
-            conns: List[Connection] = []
-            for _ in range(self.workers):
-                parent_end, child_end = context.Pipe()
-                proc = context.Process(target=_worker_main,
-                                       args=(child_end,), daemon=True)
-                proc.start()
-                child_end.close()
-                procs.append(proc)
-                conns.append(parent_end)
-        except (OSError, PermissionError, ImportError, ValueError):
-            return  # sandboxed/exotic platform: thread fallback
-        self._procs = procs
-        self._conns = conns
-        self.mode = "process"
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork
+            context = multiprocessing.get_context()  # type: ignore[assignment]
+        for _ in range(self.workers):
+            parent_end, child_end = context.Pipe()
+            proc = context.Process(target=_worker_main,
+                                   args=(child_end,), daemon=True)
+            proc.start()
+            child_end.close()
+            self._procs.append(proc)
+            self._conns.append(parent_end)
 
     def worker_pids(self) -> List[int]:
-        """PIDs of live worker processes (empty in thread mode)."""
+        """PIDs of the worker processes."""
         return [proc.pid for proc in self._procs
                 if proc.pid is not None]
 
@@ -505,26 +549,23 @@ class LabelPool:
         if self._closed:
             return
         self._closed = True
-        if self.mode == "process":
-            for conn in self._conns:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for conn in self._conns:
-                try:
-                    if conn.poll(1.0):
-                        conn.recv()
-                except (EOFError, OSError):
-                    pass
-                conn.close()
-            for proc in self._procs:
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for conn in self._conns:
+            try:
+                if conn.poll(1.0):
+                    conn.recv()
+            except (EOFError, OSError):
+                pass
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.terminate()
                 proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         self._release_shm()
 
     def _release_shm(self) -> None:
@@ -543,11 +584,10 @@ class LabelPool:
     def _mark_broken(self, reason: str) -> PoolBrokenError:
         self.broken = True
         self._obs.counter("mtt_pool_failures_total",
-                          mode=self.mode).inc()
-        if self.mode == "process":
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
+                          mode="process").inc()
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
         return PoolBrokenError(reason)
 
     # -- program install -----------------------------------------------
@@ -556,56 +596,36 @@ class LabelPool:
         """Install the tree's flat hash program; returns install time.
 
         Keyed by schedule identity + cut depth: labeling the same tree
-        again (benchmark rounds, proof-generator reconstructions against
-        a cached tree) skips straight to dispatch.
+        object again (benchmark rounds) skips straight to dispatch; a
+        newly built tree, which is what every commitment round and
+        reconstruction labels, pays the install.
         """
         schedule = tree.schedule()
         program = self._program
         if program is not None and program.schedule is schedule and \
                 program.cut_depth == cut_depth:
             return 0.0
+        from multiprocessing import shared_memory
         start = time.perf_counter()
-        program = _build_program(tree, cut_depth,
-                                 with_full_ops=self.mode != "process")
-        label_bytes = max(1, program.n_slots * DIGEST_SIZE)
-        rand_bytes = max(1, program.n_rand * DIGEST_SIZE)
-        if self.mode == "process":
-            from multiprocessing import shared_memory
-            self._release_shm()
-            prog_blob = self._encode_program(schedule,
-                                             program.rand_index)
-            prog_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(prog_blob)))
-            prog_shm.buf[:len(prog_blob)] = prog_blob
-            label_shm = shared_memory.SharedMemory(create=True,
-                                                   size=label_bytes)
-            rand_shm = shared_memory.SharedMemory(create=True,
-                                                  size=rand_bytes)
-            self._prog_shm = prog_shm
-            self._label_shm = label_shm
-            self._rand_shm = rand_shm
-            self._roundtrip([("install", prog_shm.name, label_shm.name,
-                              rand_shm.name)] * len(self._conns))
-        else:
-            self._label_buf = bytearray(label_bytes)
+        program, prog_blob = _build_program(tree, cut_depth)
+        self._release_shm()
+        try:
+            self._prog_shm = shared_memory.SharedMemory(
+                create=True, size=len(prog_blob))
+            self._label_shm = shared_memory.SharedMemory(
+                create=True, size=program.n_slots * DIGEST_SIZE)
+            self._rand_shm = shared_memory.SharedMemory(
+                create=True, size=program.n_rand * DIGEST_SIZE)
+        except OSError:
+            raise self._mark_broken("cannot map shared memory") from None
+        self._prog_shm.buf[:len(prog_blob)] = prog_blob
+        self._roundtrip([("install", self._prog_shm.name,
+                          self._label_shm.name, self._rand_shm.name)]
+                        * len(self._conns))
         self._program = program
         seconds = time.perf_counter() - start
         self._obs.counter("mtt_pool_installs_total").inc()
         return seconds
-
-    @staticmethod
-    def _encode_program(schedule: FlatSchedule,
-                        rand_index: "array[int]") -> bytes:
-        n_slots = schedule.n_slots
-        parts = [_PROG_MAGIC,
-                 _PROG_VERSION.to_bytes(4, "little"),
-                 n_slots.to_bytes(4, "little"),
-                 schedule.slot_kinds,
-                 schedule.slot_bits,
-                 schedule.child_offsets.tobytes(),
-                 schedule.child_slots.tobytes(),
-                 rand_index.tobytes()]
-        return b"".join(parts)
 
     # -- dispatch ------------------------------------------------------
 
@@ -651,22 +671,22 @@ class LabelPool:
 
     # -- the per-round entry point -------------------------------------
 
-    def label(self, tree: Mtt, cut_depth: int,
-              rand_values: Optional[Sequence[bytes]] = None,
+    def label(self, tree: Mtt, rand_values: Sequence[bytes],
+              cut_depth: int = CUT_DEPTH,
               materialize: bool = True) -> RoundResult:
         """Hash one already-blinded tree on the warm pool.
 
-        The caller must have assigned randomness (serially, in CSPRNG
-        order) to the tree's nodes first; passing the drawn bitstrings
-        as ``rand_values`` (``rand_plan`` order) avoids re-reading them
-        off the node objects.  On return every node carries its label,
-        exactly as serial labeling would have left it — unless
-        ``materialize`` is False, which skips the copy-back and yields
-        only the root (the commitment fast path: the recorder discards
-        the tree right after taking the root, so per-node labels would
-        be written once and never read).
-        Raises :class:`PoolBrokenError` if a worker died; the tree's
-        randomness is untouched, so a serial relabel remains valid.
+        ``rand_values`` are the bitstrings the caller drew and assigned
+        to the tree's nodes (serially, in CSPRNG order — what
+        :func:`repro.mtt.labeling.assign_randomness` returns).  On
+        return every node carries its label, exactly as serial labeling
+        would have left it — unless ``materialize`` is False, which
+        skips the copy-back and yields only the root (the commitment
+        fast path: the recorder discards the tree right after taking
+        the root, so per-node labels would be written once and never
+        read).  Raises :class:`PoolBrokenError` if a worker died; the
+        tree's randomness is untouched, so a serial relabel remains
+        valid.
         """
         if self._closed:
             raise PoolBrokenError("pool is closed")
@@ -675,72 +695,34 @@ class LabelPool:
         install_seconds = self._ensure_program(tree, cut_depth)
         program = self._program
         assert program is not None
-        schedule = program.schedule
-        if rand_values is None:
-            rand_values = [node.label if is_dummy else node.blinding
-                           for node, is_dummy in schedule.rand_plan]
+        assert self._rand_shm is not None and self._label_shm is not None
         # The round's entire randomness traffic: one join + one memcpy.
         rand_blob = b"".join(rand_values)
-        labels = self._labels_view()
-        assignments = self._assignments(program)
-        dispatches = 0
-        if self.mode == "process":
-            assert self._rand_shm is not None
-            self._rand_shm.buf[:len(rand_blob)] = rand_blob
-            engaged = [("run", ranges) for ranges in assignments
-                       if ranges]
-            dispatches = len(engaged)
-            self._roundtrip(engaged)
-        else:
-            assert self._executor is not None
-            full_ops = program.full_ops
-            assert full_ops is not None
-            work = [ranges for ranges in assignments if ranges]
-            dispatches = len(work)
-
-            def run_bin(ranges: List[Tuple[int, int]]) -> None:
-                for lo, hi in ranges:
-                    full_ops.execute_range(lo, hi, rand_blob, labels)
-
-            list(self._executor.map(run_bin, work))
+        self._rand_shm.buf[:len(rand_blob)] = rand_blob
+        engaged = [("run", ranges)
+                   for ranges in self._assignments(program) if ranges]
+        self._roundtrip(engaged)
         # Merge: the (small) remainder above the cut, executed
         # in-process — including any dummies no job range covered.
+        labels = memoryview(self._label_shm.buf)
         program.upper_ops.execute_all(rand_blob, labels)
+        size = DIGEST_SIZE
         if materialize:
-            root_label = self._copy_out(program, labels)
+            # One bulk copy of the shared buffer, then a C-level slice
+            # gather and ``setattr`` sweep over the non-dummy nodes.
+            # This pass is serial and bounds the pool's speedup — hence
+            # no per-node interpreted loop.
+            blob = bytes(labels[:program.n_slots * size])
+            deque(map(setattr, program.out_nodes, repeat("label"),
+                      map(blob.__getitem__, program.out_slices)),
+                  maxlen=0)
+            root_label = blob[len(blob) - size:]
         else:
-            size = DIGEST_SIZE
-            root_label = bytes(
-                labels[(program.n_slots - 1) * size:
-                       program.n_slots * size])
-        self._obs.counter("mtt_pool_dispatches_total",
-                          mode=self.mode).inc(max(dispatches, 1))
+            root_label = bytes(labels[(program.n_slots - 1) * size:
+                                      program.n_slots * size])
+        self._obs.counter("mtt_pool_dispatches_total").inc(
+            max(len(engaged), 1))
         return RoundResult(root_label=root_label,
                            jobs=len(program.job_ranges),
-                           dispatches=dispatches,
+                           dispatches=len(engaged),
                            install_seconds=install_seconds)
-
-    def _labels_view(self) -> memoryview:
-        if self.mode == "process":
-            assert self._label_shm is not None
-            return memoryview(self._label_shm.buf)
-        assert self._label_buf is not None
-        return memoryview(self._label_buf)
-
-    @staticmethod
-    def _copy_out(program: _Program, labels: memoryview) -> bytes:
-        """Materialize hashed slots back onto their nodes; returns root.
-
-        One bulk copy of the shared buffer, then a C-level slice gather
-        and ``setattr`` sweep over the non-dummy nodes (dummies already
-        carry their round label).  This pass is serial in every mode
-        and bounds the pool's speedup — hence no per-node interpreted
-        loop, and the commitment path skips it entirely via
-        ``materialize=False``.
-        """
-        size = DIGEST_SIZE
-        blob = bytes(labels[:program.n_slots * size])
-        out_labels = map(blob.__getitem__, program.out_slices)
-        deque(map(setattr, program.out_nodes, repeat("label"),
-                  out_labels), maxlen=0)
-        return blob[len(blob) - size:]

@@ -14,7 +14,6 @@ slot of every inner node is an inner node, a prefix node, or a dummy).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,57 +21,31 @@ from ..bgp.prefix import Prefix
 from .nodes import BitNode, DummyNode, EDGE_END, EDGES, InnerNode, \
     MttNode, PrefixNode, validate_structure
 
-#: Slot kinds of the flattened labeling program (one byte per node in
-#: :class:`FlatSchedule`).  Dummy slots carry pre-drawn random labels,
-#: bit slots hash ``H(b || x)`` in place over their blinding, interior
-#: slots hash the concatenation of their children's label slots.
-SLOT_DUMMY, SLOT_BIT, SLOT_INTERIOR = 0, 1, 2
-
-
 class FlatSchedule:
     """Flattened traversal orders for one MTT shape (the §5.3 hot path).
 
-    Between commitment rounds only the randomness changes — the tree
-    *shape* is fixed once built — so the DFS orders that labeling needs
-    are computed once and reused.  With the schedule in hand,
-    randomness assignment and Merkle labeling become tight loops over
-    preflattened arrays with no isinstance dispatch and no repeated
-    traversal (see :mod:`repro.mtt.labeling`).
+    Labeling needs two DFS orders over the tree; the schedule computes
+    both once, so randomness assignment and Merkle labeling become
+    tight loops over preflattened tuples with no isinstance dispatch
+    (see :mod:`repro.mtt.labeling`).  The recorder and the proof
+    generator build a new tree, and therefore a new schedule, for every
+    commitment and every reconstruction, so the schedule holds only
+    what the serial kernel reads; the worker pool derives its slot
+    program from it on install (:mod:`repro.mtt.pool`).
 
     * ``rand_plan`` — ``(node, is_dummy)`` pairs for every dummy and bit
       node, in exactly the depth-first order the original recursive
       assignment visited them.  The CSPRNG stream is consumed in this
       order, so it must never change: proof generators rebuild past
       blindings from the stored seed by replaying it (Section 6.5).
-    * ``reset_nodes`` — every node whose label must be invalidated when
-      fresh randomness is assigned (interior and bit nodes).
-    * ``bit_nodes`` / ``bit_values`` — all bit nodes with their committed
-      bits, in post-order.
+    * ``bit_nodes`` — all bit nodes, in post-order.
     * ``interiors`` — ``(node, children)`` pairs for every prefix and
       inner node in post-order: children always precede parents, so one
       forward pass computes every Merkle label.
-
-    Beyond the node-object views, the schedule also carries a fully
-    *flat* slot representation of the same post-order: every node
-    (dummies included) is assigned a slot id in completion order, and
-    the whole hash program becomes four contiguous arrays —
-    ``slot_kinds`` (one :data:`SLOT_DUMMY`/:data:`SLOT_BIT`/
-    :data:`SLOT_INTERIOR` byte per slot), ``slot_bits`` (the committed
-    bit for bit slots), and ``child_offsets``/``child_slots`` (CSR-style
-    child indices for interior slots).  Because a node's entire subtree
-    completes before the node itself, each subtree occupies one
-    contiguous slot block (``subtree_sizes`` gives the block length),
-    which is what lets the shared-memory label pool hand a worker a
-    ``(lo, hi)`` slot range instead of a pickled subtree — see
-    :mod:`repro.mtt.pool`.  ``rand_slots`` maps each ``rand_plan`` entry
-    to its slot so randomness can be written straight into a flat label
-    buffer; ``slot_nodes`` maps slots back to nodes for the copy-out.
+    * ``counts`` — the node census.
     """
 
-    __slots__ = ("rand_plan", "reset_nodes", "bit_nodes", "bit_values",
-                 "interiors", "counts", "slot_nodes", "slot_kinds",
-                 "slot_bits", "child_offsets", "child_slots",
-                 "subtree_sizes", "rand_slots", "_slot_index")
+    __slots__ = ("rand_plan", "bit_nodes", "interiors", "counts")
 
     def __init__(self, root: MttNode):
         # Pass 1 — preorder DFS, identical to the original recursive
@@ -97,53 +70,22 @@ class FlatSchedule:
                                        if c is not None]))
         self.rand_plan = tuple(rand_plan)
 
-        # Pass 2 — post-order with slot assignment: children before
-        # parents, so labels can be computed in one forward sweep, and
-        # every subtree lands in one contiguous slot block.
+        # Pass 2 — post-order: children before parents, so labels can
+        # be computed in one forward sweep.
         bit_nodes: List[BitNode] = []
         interiors: List[Tuple[MttNode, Tuple[MttNode, ...]]] = []
-        slot_nodes: List[MttNode] = []
-        slot_index: Dict[int, int] = {}
-        slot_kinds = bytearray()
-        slot_bits = bytearray()
-        child_offsets = array("I", (0,))
-        child_slots: "array[int]" = array("I")
-        subtree_sizes: "array[int]" = array("I")
         work: List[Tuple[MttNode, Optional[Tuple[MttNode, ...]]]] = \
             [(root, None)]
         while work:
             node, children = work.pop()
             kind = type(node)
             if kind is DummyNode:
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_DUMMY)
-                slot_bits.append(0)
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(1)
                 continue
             if kind is BitNode:
                 bit_nodes.append(node)
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_BIT)
-                slot_bits.append(node.bit)
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(1)
                 continue
             if children is not None:
                 interiors.append((node, children))
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_INTERIOR)
-                slot_bits.append(0)
-                size = 1
-                for child in children:
-                    child_slot = slot_index[id(child)]
-                    child_slots.append(child_slot)
-                    size += subtree_sizes[child_slot]
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(size)
                 continue
             if kind is PrefixNode:
                 kids: Tuple[MttNode, ...] = tuple(node.bit_nodes)
@@ -152,31 +94,10 @@ class FlatSchedule:
             work.append((node, kids))
             work.extend((c, None) for c in kids)
         self.bit_nodes = tuple(bit_nodes)
-        self.bit_values = tuple(b.bit for b in bit_nodes)
         self.interiors = tuple(interiors)
-        self.reset_nodes = tuple(
-            [n for n, _ in interiors] + list(bit_nodes))
-        self.slot_nodes = tuple(slot_nodes)
-        self.slot_kinds = bytes(slot_kinds)
-        self.slot_bits = bytes(slot_bits)
-        self.child_offsets = child_offsets
-        self.child_slots = child_slots
-        self.subtree_sizes = subtree_sizes
-        self._slot_index = slot_index
-        self.rand_slots: "array[int]" = array(
-            "I", (slot_index[id(node)] for node, _ in rand_plan))
-        dummy = sum(1 for _, is_dummy in rand_plan if is_dummy)
         self.counts = NodeCensus(inner=inner, prefix=prefix,
-                                 bit=len(bit_nodes), dummy=dummy)
-
-    @property
-    def n_slots(self) -> int:
-        """Total label slots (== the node census total; root is last)."""
-        return len(self.slot_nodes)
-
-    def slot_of(self, node: MttNode) -> int:
-        """The label-buffer slot assigned to ``node``."""
-        return self._slot_index[id(node)]
+                                 bit=len(bit_nodes),
+                                 dummy=len(rand_plan) - len(bit_nodes))
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,8 @@ VERIFY_SECONDS = "verify_seconds"
 MTT_LABELINGS_TOTAL = "mtt_labelings_total"
 MTT_HASHES_TOTAL = "mtt_hashes_total"
 MTT_LABEL_SECONDS = "mtt_label_seconds"
-MTT_SUBTREE_SECONDS = "mtt_subtree_seconds"
 MTT_POOL_WORKERS = "mtt_pool_workers"
 MTT_POOL_JOBS = "mtt_pool_jobs"
-MTT_POOL_UTILIZATION = "mtt_pool_utilization"
 MTT_POOL_SPINUPS_TOTAL = "mtt_pool_spinups_total"
 MTT_POOL_SPINUP_SECONDS = "mtt_pool_spinup_seconds"
 MTT_POOL_INSTALLS_TOTAL = "mtt_pool_installs_total"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
@@ -108,27 +108,43 @@ def apply_entry(state: RoutingState, asn: int, entry: LogEntry) -> None:
     # ACKs, commitments and checkpoints do not change routing state.
 
 
-def replay(log: SpiderLog, asn: int, until: float) -> RoutingState:
-    """Reconstruct the routing state at time ``until``.
+def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
+           before_index: Optional[int] = None) -> RoutingState:
+    """Reconstruct the routing state at a point of the log.
 
-    Loads the latest checkpoint at or before ``until`` and applies every
-    later announcement/withdrawal with timestamp ≤ ``until``.  Incoming
-    messages take effect when acknowledged, outgoing when sent
-    (Section 6.3); the recorder logs them at exactly those moments, so
-    replay can apply entries in log order.
+    The point is a time — every entry with timestamp ≤ ``until`` — or,
+    for the proof generator, a log position: every entry below
+    ``before_index``, the index of the commitment entry.  The recorder
+    commits to its state as of that position, and entries logged in the
+    same millisecond *after* it carry the same timestamp, so a
+    commitment can only be cut out by position.
+
+    Loads the latest checkpoint inside the cut and applies every later
+    announcement/withdrawal inside it.  Incoming messages take effect
+    when acknowledged, outgoing when sent (Section 6.3); the recorder
+    logs them at exactly those moments, so replay can apply entries in
+    log order.
     """
-    base = log.last_checkpoint_before(until)
-    if base is not None:
-        state = base.payload.copy()
-        start_index = base.index + 1
-    else:
-        state = RoutingState()
-        start_index = 0
+    if (until is None) == (before_index is None):
+        raise ValueError("replay needs a time or a log index, not both")
+    base: Optional[LogEntry] = None
+    later: List[LogEntry] = []
     for entry in log:
-        if entry.index < start_index:
-            continue
-        if entry.timestamp > until:
+        if before_index is not None:
+            if entry.index >= before_index:
+                break
+        elif until is not None and entry.timestamp > until:
             break
+        if entry.kind is EntryKind.CHECKPOINT:
+            base = entry
+            later = []
+        else:
+            later.append(entry)
+    state = RoutingState()
+    if base is not None:
+        assert isinstance(base.payload, RoutingState)
+        state = base.payload.copy()
+    for entry in later:
         apply_entry(state, asn, entry)
     return state
 

@@ -19,17 +19,10 @@ class SpiderConfig:
     * ``checkpoint_interval`` — how often a full routing snapshot is
       logged (the paper estimates one per day);
     * ``commit_workers`` — the paper's ``c`` commitment threads (§7.1):
-      MTT subtrees are labeled on this many workers when > 1;
-    * ``label_cut_depth`` — branch levels below the MTT root at which
-      the tree is cut into per-worker subtree jobs;
-    * ``label_pool_warm`` — keep one persistent shared-memory
-      :class:`~repro.mtt.pool.LabelPool` alive across commitment rounds
-      (spawned lazily on the first multi-worker labeling, shut down by
-      ``Recorder.close()``); disable to fall back to an ephemeral pool
-      per round, which re-pays worker spawn every commitment;
-    * ``label_pool_timeout`` — seconds the recorder waits for a pool
-      worker's reply before declaring the pool broken and relabeling
-      serially;
+      when > 1 the recorder keeps one warm shared-memory
+      :class:`~repro.mtt.pool.LabelPool` this wide (spawned lazily on
+      the first commitment, shut down by ``Recorder.close()``) and MTT
+      subtrees are labeled on its workers;
     * ``reconstruction_cache_size`` — past-commitment reconstructions
       (replay + relabel) kept by the proof generator so N neighbors
       verifying the same interval trigger one rebuild, not N (0
@@ -44,9 +37,6 @@ class SpiderConfig:
     retention_seconds: float = 365 * 24 * 3600
     checkpoint_interval: float = 24 * 3600
     commit_workers: int = 1
-    label_cut_depth: int = 4
-    label_pool_warm: bool = True
-    label_pool_timeout: float = 30.0
     reconstruction_cache_size: int = 8
 
     def __post_init__(self) -> None:
@@ -60,9 +50,5 @@ class SpiderConfig:
             raise ValueError("max_batch must be at least 1")
         if self.commit_workers < 1:
             raise ValueError("commit_workers must be at least 1")
-        if self.label_cut_depth < 0:
-            raise ValueError("label_cut_depth must be non-negative")
-        if self.label_pool_timeout <= 0:
-            raise ValueError("label_pool_timeout must be positive")
         if self.reconstruction_cache_size < 0:
             raise ValueError("reconstruction_cache_size must be >= 0")

@@ -203,12 +203,6 @@ class SpiderLog:
         wanted = set(kinds)
         return [e for e in self._entries if e.kind in wanted]
 
-    def last_checkpoint_before(self, t: float) -> Optional[LogEntry]:
-        candidates = [e for e in self._entries
-                      if e.kind is EntryKind.CHECKPOINT
-                      and e.timestamp <= t]
-        return candidates[-1] if candidates else None
-
     def commitment_at(self, t: float) -> Optional[LogEntry]:
         for entry in self._entries:
             if entry.kind is EntryKind.COMMITMENT and \

@@ -35,7 +35,8 @@ from ..bgp.prefix import Prefix
 from ..crypto.hashing import constant_time_eq
 from ..bgp.route import NULL_ROUTE
 from ..crypto.rc4 import Rc4Csprng
-from ..mtt.labeling import label_tree_with_workers
+# Imported under the name benchmarks/e2e/layers.py TARGETS wraps here.
+from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
 from ..mtt.proofs import generate_proof
 from ..mtt.tree import Mtt
 from .checkpoint import RoutingState, elector_view, replay
@@ -138,18 +139,20 @@ class ProofGenerator:
         seed = entry.payload["seed"]
 
         start = time.perf_counter()
-        state = replay(recorder.log, recorder.asn, commit_time)
+        # Cut at the commitment's log position, not its timestamp: an
+        # entry logged in the same millisecond after the commitment is
+        # not part of the committed state.
+        state = replay(recorder.log, recorder.asn,
+                       before_index=entry.index)
         entries = recorder.mtt_entries(state)
         tree = Mtt.build(entries)
         replay_seconds = time.perf_counter() - start
 
-        # Reuses the recorder's warm labeling pool: reconstructions are
-        # the same workload as live commitments (§6.5 replay), so they
-        # share the same workers and shared-memory program.
+        # Reconstructions are the same workload as live commitments
+        # (§6.5 replay), so they run on the recorder's labeling pool.
         report = label_tree_with_workers(
             tree, Rc4Csprng(seed),
             workers=recorder.config.commit_workers,
-            cut_depth=recorder.config.label_cut_depth,
             pool=recorder.labeling_pool())
         if not constant_time_eq(report.root_label,
                                 entry.payload["root"]):

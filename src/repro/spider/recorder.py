@@ -27,7 +27,8 @@ from ..crypto.hashing import constant_time_eq, digest_fields
 from ..crypto.keys import Identity, KeyRegistry
 from ..crypto.rc4 import Rc4Csprng
 from ..crypto.signatures import Signed, Signer, Verifier
-from ..mtt.labeling import label_tree_with_workers
+# Imported under the name benchmarks/e2e/layers.py TARGETS wraps here.
+from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
 from ..mtt.pool import LabelPool
 from ..mtt.tree import Mtt
 from ..netsim.metering import CpuMeter, StorageMeter
@@ -158,20 +159,20 @@ class Recorder:
         """The warm labeling pool, spawned lazily; ``None`` when serial.
 
         One pool of ``commit_workers`` processes serves every commitment
-        round and every proof-generator reconstruction.  A pool that
+        round and every proof-generator reconstruction — each of which
+        labels a newly built tree, so the pool installs its program
+        every round (see DESIGN.md §2 for what that costs).  A pool that
         broke (worker death mid-round) is discarded here and replaced,
         so one crashed worker costs exactly one serial-fallback round.
         """
-        if self.config.commit_workers <= 1 or \
-                not self.config.label_pool_warm:
+        if self.config.commit_workers <= 1:
             return None
         pool = self._label_pool
         if pool is not None and pool.broken:
             pool.close()
             pool = None
         if pool is None:
-            pool = LabelPool(self.config.commit_workers,
-                             timeout=self.config.label_pool_timeout)
+            pool = LabelPool(self.config.commit_workers)
             self._label_pool = pool
         return pool
 
@@ -547,7 +548,6 @@ class Recorder:
                 report = label_tree_with_workers(
                     tree, Rc4Csprng(self.commitment_seed(commit_time)),
                     workers=self.config.commit_workers,
-                    cut_depth=self.config.label_cut_depth,
                     pool=self.labeling_pool(), materialize=False)
             with self.cpu.section("signatures"):
                 message = SpiderCommitment.make(self.signer, commit_time,

@@ -1,11 +1,12 @@
 """Tests for the shared-memory warm labeling pool (repro.mtt.pool).
 
 The pool's contract has three legs — determinism (byte-identical to
-serial labeling, per node, in every mode), warmth (workers and the
-installed program survive across rounds), and survivability (a dead
-worker costs one serial-fallback round, never a wrong or partial
-tree).  Each gets exercised here, plus the recorder-level lifecycle
-that owns the pool in a deployment.
+serial labeling, per node), warmth (workers survive across rounds, the
+installed program across rounds on one tree), and survivability (a
+dead worker, or a platform that cannot spawn one, costs a
+serial-fallback round, never a wrong or partial tree).  Each gets
+exercised here, plus the recorder-level lifecycle that owns the pool
+in a deployment and the traffic a deployment actually sends it.
 """
 
 import os
@@ -19,13 +20,19 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import Prefix
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.rc4 import Rc4Csprng
-from repro.mtt.labeling import label_tree, label_tree_parallel
-from repro.mtt.pool import LabelPool, PoolBrokenError, subtree_jobs
+from repro.mtt.labeling import assign_randomness, label_tree, \
+    label_tree_parallel
+from repro.mtt.pool import LabelPool, PoolBrokenError, _build_program
 from repro.mtt.tree import Mtt
+from repro.obs.registry import Registry, use_registry
 from repro.core.promise import total_order_promise
 from repro.netsim.events import Simulator
+from repro.netsim.network import Network, TraceEvent
+from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
+from repro.spider import proofgen as proofgen_module
+from repro.spider import recorder as recorder_module
 from repro.spider.config import SpiderConfig
-from repro.spider.node import evaluation_scheme
+from repro.spider.node import SpiderDeployment, evaluation_scheme
 from repro.spider.recorder import Recorder
 
 
@@ -42,21 +49,18 @@ def serial_snapshot(tree, seed):
 
 
 def node_labels(tree):
-    return [node.label for node in tree.schedule().slot_nodes]
+    return [node.label for node in tree.iter_nodes()]
 
 
 @pytest.fixture(scope="module")
 def pools():
-    """Warm pools shared across tests; keyed by (workers, mode)."""
+    """Warm pools shared across tests; keyed by width."""
     cache = {}
 
-    def get(workers, prefer_processes=True):
-        key = (workers, prefer_processes)
-        if key not in cache or cache[key].broken:
-            cache[key] = LabelPool(workers,
-                                   prefer_processes=prefer_processes,
-                                   timeout=10.0)
-        return cache[key]
+    def get(workers):
+        if workers not in cache or cache[workers].broken:
+            cache[workers] = LabelPool(workers, timeout=10.0)
+        return cache[workers]
 
     yield get
     for pool in cache.values():
@@ -76,7 +80,7 @@ class TestWarmPool:
                                        workers=2, pool=pool)
         assert report_a.root_label == root_a
         assert report_b.root_label == root_b
-        assert report_a.mode == pool.mode
+        assert report_a.mode == "process"
         # Warm: same workers served both rounds, and the second round
         # reused the installed program (no install cost).
         assert sorted(pool.worker_pids()) == pids
@@ -112,17 +116,48 @@ class TestWarmPool:
         pool = LabelPool(2, timeout=10.0)
         pool.close()
         tree = Mtt.build(entries_grid(4, 2))
+        rand_values = assign_randomness(tree, Rc4Csprng(b"closed"))
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, cut_depth=2)
+            pool.label(tree, rand_values, cut_depth=2)
         pool.close()  # idempotent
 
-    def test_ephemeral_pool_counts_spinup(self):
+    def test_dispatch_is_per_worker_not_per_job(self, pools):
+        tree = Mtt.build(entries_grid(32, 4))
+        rand_values = assign_randomness(tree, Rc4Csprng(b"dispatch"))
+        pool = pools(2)
+        result = pool.label(tree, rand_values, cut_depth=4)
+        # Many subtree jobs, but at most one control message per
+        # worker per round.
+        assert result.jobs > pool.workers
+        assert 0 < result.dispatches <= pool.workers
+
+    def test_no_pool_means_the_serial_kernel(self):
+        """Nothing spawns a pool on the caller's behalf."""
         tree = Mtt.build(entries_grid(8, 3))
-        root, _ = serial_snapshot(tree, b"ephemeral")
-        report = label_tree_parallel(tree, Rc4Csprng(b"ephemeral"),
-                                     workers=2)
+        root, _ = serial_snapshot(tree, b"no-pool")
+        with use_registry(Registry()) as registry:
+            report = label_tree_parallel(tree, Rc4Csprng(b"no-pool"),
+                                         workers=2)
+            assert registry.total("mtt_pool_spinups_total") == 0
         assert report.root_label == root
-        assert report.spinup_seconds > 0.0
+        assert report.mode == "serial"
+        assert report.spinup_seconds == 0.0
+
+
+class TestSlotProgram:
+    """The slot layout lives in pool.py alone: a serial round never
+    builds it, and the pool derives it from the schedule on install."""
+
+    def test_schedule_allocates_no_slot_arrays(self):
+        from array import array
+        tree = Mtt.build(entries_grid(16, 4))
+        label_tree(tree, Rc4Csprng(b"serial-only"))
+        schedule = tree.schedule()
+        assert set(type(schedule).__slots__) == {
+            "rand_plan", "bit_nodes", "interiors", "counts"}
+        for name in type(schedule).__slots__:
+            assert not isinstance(getattr(schedule, name),
+                                  (array, bytes, bytearray))
 
 
 class TestWorkerDeathRecovery:
@@ -131,7 +166,7 @@ class TestWorkerDeathRecovery:
 
     def test_sigkill_mid_deployment_falls_back_serially(self):
         pool = LabelPool(2, timeout=10.0)
-        if pool.mode != "process":
+        if pool.broken:
             pool.close()
             pytest.skip("no subprocess support on this platform")
         tree = Mtt.build(entries_grid(20, 4))
@@ -158,51 +193,37 @@ class TestWorkerDeathRecovery:
 
     def test_die_command_breaks_pool(self):
         pool = LabelPool(1, timeout=5.0)
-        if pool.mode != "process":
+        if pool.broken:
             pool.close()
             pytest.skip("no subprocess support on this platform")
         tree = Mtt.build(entries_grid(6, 2))
-        label_tree(tree, Rc4Csprng(b"die"))  # assigns randomness
-        pool.label(tree, cut_depth=2)  # install + one good round
+        rand_values = assign_randomness(tree, Rc4Csprng(b"die"))
+        pool.label(tree, rand_values, cut_depth=2)  # one good round
         pool._conns[0].send(("die",))
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, cut_depth=2)
+            pool.label(tree, rand_values, cut_depth=2)
         assert pool.broken
         pool.close()
 
+    def test_platform_without_fork_labels_serially(self, monkeypatch):
+        """No thread substitute: a pool that cannot spawn is born
+        broken and every round is the serial recovery path."""
+        import multiprocessing
 
-class TestThreadFallback:
-    """Satellite: the degraded thread path must dispatch whole bins to
-    a warm executor (not per-subtree tasks) and stay byte-identical."""
+        def no_fork(method=None):
+            raise OSError("fork is not available here")
 
-    def test_thread_mode_matches_serial_per_node(self, pools):
-        tree = Mtt.build(entries_grid(16, 4))
-        _, expected = serial_snapshot(tree, b"threads")
-        pool = pools(2, prefer_processes=False)
-        assert pool.mode == "thread"
-        report = label_tree_parallel(tree, Rc4Csprng(b"threads"),
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        pool = LabelPool(2, timeout=5.0)
+        assert pool.broken and pool.worker_pids() == []
+        tree = Mtt.build(entries_grid(12, 3))
+        root, expected = serial_snapshot(tree, b"no-fork")
+        report = label_tree_parallel(tree, Rc4Csprng(b"no-fork"),
                                      workers=2, pool=pool)
-        assert report.mode == "thread"
-        assert node_labels(tree) == expected
-
-    def test_thread_dispatch_is_per_worker_not_per_job(self, pools):
-        tree = Mtt.build(entries_grid(32, 4))
-        label_tree(tree, Rc4Csprng(b"dispatch"))  # assigns randomness
-        pool = pools(2, prefer_processes=False)
-        result = pool.label(tree, cut_depth=4)
-        # Many subtree jobs, but at most one dispatch per worker: the
-        # dispatch-per-subtree overhead was the thread path's
-        # regression.
-        assert result.jobs > pool.workers
-        assert 0 < result.dispatches <= pool.workers
-
-    def test_prefer_processes_false_without_pool(self):
-        tree = Mtt.build(entries_grid(8, 3))
-        root, _ = serial_snapshot(tree, b"adhoc-thread")
-        report = label_tree_parallel(tree, Rc4Csprng(b"adhoc-thread"),
-                                     workers=2, prefer_processes=False)
-        assert report.mode == "thread"
+        assert report.mode == "serial-fallback"
         assert report.root_label == root
+        assert node_labels(tree) == expected
+        pool.close()
 
 
 class TestRecorderLifecycle:
@@ -229,12 +250,6 @@ class TestRecorderLifecycle:
 
     def test_serial_config_has_no_pool(self):
         recorder = self.make_recorder(commit_workers=1)
-        assert recorder.labeling_pool() is None
-        recorder.close()
-
-    def test_warm_pool_disabled_by_config(self):
-        recorder = self.make_recorder(commit_workers=2,
-                                      label_pool_warm=False)
         assert recorder.labeling_pool() is None
         recorder.close()
 
@@ -268,6 +283,71 @@ class TestRecorderLifecycle:
         recorder.close()
 
 
+class TestDeploymentTraffic:
+    """The traffic a deployment sends the labeling layer: the recorder
+    and the proof generator build a new tree for every commitment and
+    every reconstruction, so on ``commit_workers > 1`` the pool
+    installs a program every round.  Pinned here so the pool's
+    keep-or-delete decision is made on this shape, not on the
+    same-tree shape the benchmarks used to assume."""
+
+    FEED = 65000
+
+    def drive(self, commit_workers, monkeypatch):
+        """Two commitments with an update in between, then one
+        verification (one reconstruction) of the first."""
+        labeled = []
+        for module in (recorder_module, proofgen_module):
+            def spy(tree, *args, _real=module.label_tree_with_workers,
+                    **kwargs):
+                labeled.append(tree)
+                return _real(tree, *args, **kwargs)
+            monkeypatch.setattr(module, "label_tree_with_workers", spy)
+        with use_registry(Registry()) as registry:
+            network = Network(figure5_topology())
+            deployment = SpiderDeployment(
+                network, scheme=evaluation_scheme(6),
+                config=SpiderConfig(commit_workers=commit_workers))
+            try:
+                network.attach_feed(INJECTION_AS, feed_asn=self.FEED)
+                network.schedule_trace(self.FEED, [TraceEvent(
+                    1.0, Prefix.parse("10.1.0.0/16"),
+                    (self.FEED, 4000))])
+                network.settle()
+                first = deployment.commit_now(FOCUS_AS)
+                network.schedule_trace(self.FEED, [TraceEvent(
+                    network.sim.now + 1.0, Prefix.parse("10.2.0.0/16"),
+                    (self.FEED, 4001))])
+                network.settle()
+                second = deployment.commit_now(FOCUS_AS)
+                outcomes = deployment.verify(
+                    FOCUS_AS, commit_time=first.commit_time)
+            finally:
+                for node in deployment.nodes.values():
+                    node.close()
+            installs = registry.total("mtt_pool_installs_total")
+        assert outcomes and all(o.report.ok for o in outcomes)
+        assert sum(o.proofs.proof_count() for o in outcomes) > 0
+        return (first.root, second.root), labeled, installs
+
+    def test_every_round_labels_a_new_tree(self, monkeypatch):
+        serial_roots, serial_trees, serial_installs = \
+            self.drive(1, monkeypatch)
+        monkeypatch.undo()
+        pooled_roots, pooled_trees, pooled_installs = \
+            self.drive(2, monkeypatch)
+        assert pooled_roots == serial_roots
+        assert serial_roots[0] != serial_roots[1]
+        for trees in (serial_trees, pooled_trees):
+            # Two commitment rounds and one reconstruction, each on a
+            # tree (and schedule) object of its own.
+            assert len(trees) == 3
+            assert len({id(tree) for tree in trees}) == 3
+            assert len({id(tree.schedule()) for tree in trees}) == 3
+        assert serial_installs == 0
+        assert pooled_installs == 3  # once per pooled round
+
+
 @st.composite
 def random_entries(draw):
     n = draw(st.integers(1, 10))
@@ -283,9 +363,9 @@ def random_entries(draw):
 
 
 class TestPoolDeterminismProperty:
-    """Satellite: serial, shared-memory pool, and thread fallback agree
-    byte for byte — roots AND per-node labels — over random tree
-    shapes, cut depths, and worker counts."""
+    """Satellite: serial and the shared-memory pool agree byte for
+    byte — roots AND per-node labels — over random tree shapes, cut
+    depths, and worker counts."""
 
     @settings(max_examples=20, deadline=None)
     @given(random_entries(), st.integers(0, 5), st.integers(2, 4),
@@ -294,26 +374,23 @@ class TestPoolDeterminismProperty:
                                       workers, seed):
         tree = Mtt.build(entries)
         root, expected = serial_snapshot(tree, seed)
-        for prefer_processes in (True, False):
-            pool = pools(workers, prefer_processes)
-            report = label_tree_parallel(
-                tree, Rc4Csprng(seed), workers=workers,
-                cut_depth=cut_depth, pool=pool)
-            assert report.root_label == root, (pool.mode, cut_depth)
-            assert node_labels(tree) == expected, (pool.mode, cut_depth)
+        report = label_tree_parallel(
+            tree, Rc4Csprng(seed), workers=workers,
+            cut_depth=cut_depth, pool=pools(workers))
+        assert report.mode == "process"
+        assert report.root_label == root, cut_depth
+        assert node_labels(tree) == expected, cut_depth
 
     @settings(max_examples=10, deadline=None)
     @given(random_entries(), st.integers(0, 4))
     def test_job_partition_covers_tree(self, entries, cut_depth):
         tree = Mtt.build(entries)
-        jobs = subtree_jobs(tree, cut_depth)
-        schedule = tree.schedule()
-        sizes = schedule.subtree_sizes
+        program, blob = _build_program(tree, cut_depth)
+        assert program.n_slots == tree.census().total
+        assert int.from_bytes(blob[12:16], "little") == program.n_slots
         seen = set()
-        for job in jobs:
-            hi = schedule.slot_of(job) + 1
-            lo = hi - sizes[hi - 1]
+        for lo, hi in program.job_ranges:
             block = set(range(lo, hi))
-            assert not (block & seen)  # disjoint
+            assert block and not (block & seen)  # disjoint
             seen |= block
-        assert len(seen) <= schedule.n_slots
+        assert max(seen) < program.n_slots

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import assign_randomness, compute_label, \
-    label_tree, label_tree_parallel, label_tree_with_workers, \
-    parallel_labeling_report
+    label_tree, label_tree_parallel
+from repro.mtt.pool import LabelPool
 from repro.mtt.proofs import LabelDigestCache, MttBitProof, PathStep, \
     ProofError, generate_proof, verify_proof
 from repro.mtt.tree import Mtt
@@ -73,41 +73,6 @@ class TestLabeling:
             generate_proof(tree, Prefix.parse("0.0.0.0/2"), 0)
 
 
-class TestParallelLabeling:
-    def make_wide_entries(self, n=64, k=4):
-        return {Prefix.parse(f"{a}.{b}.0.0/16"): [1] * k
-                for a in range(0, 256, 256 // (n // 16 or 1))
-                for b in range(16)}
-
-    def test_same_root_as_sequential(self):
-        entries = self.make_wide_entries()
-        tree1 = Mtt.build(entries)
-        seq = label_tree(tree1, Rc4Csprng(b"s"))
-        tree2 = Mtt.build(entries)
-        par = parallel_labeling_report(tree2, Rc4Csprng(b"s"), workers=3)
-        assert par.root_label == seq.root_label
-
-    def test_makespan_not_longer_than_sequential(self):
-        tree = Mtt.build(self.make_wide_entries())
-        report = parallel_labeling_report(tree, Rc4Csprng(b"s"), workers=3)
-        assert report.makespan_seconds <= report.sequential_seconds * 1.05
-
-    def test_speedup_bounded_by_worker_count(self):
-        tree = Mtt.build(self.make_wide_entries())
-        report = parallel_labeling_report(tree, Rc4Csprng(b"s"), workers=3)
-        assert report.speedup <= 3.6  # allow measurement noise on top
-
-    def test_single_worker_equals_sequential_shape(self):
-        tree = Mtt.build(self.make_wide_entries())
-        report = parallel_labeling_report(tree, Rc4Csprng(b"s"), workers=1)
-        assert report.speedup <= 1.1
-
-    def test_rejects_zero_workers(self):
-        tree = Mtt.build(BASIC)
-        with pytest.raises(ValueError):
-            parallel_labeling_report(tree, Rc4Csprng(b"s"), workers=0)
-
-
 class TestGoldenRoots:
     """Anchors captured from the pre-optimization implementation: the
     flattened schedule, blocked keystream, and worker pool must all
@@ -138,34 +103,40 @@ class TestGoldenRoots:
         assign_randomness(tree, Rc4Csprng(b"golden-wide"))
         assert compute_label(tree.root).hex() == self.GOLDEN_WIDE
 
+    def test_generic_traversal_recomputes_stale_labels(self):
+        # assign_randomness resets no label, so the reference must
+        # recompute every node rather than trust what an earlier round
+        # left on it.
+        tree = Mtt.build(self.wide_entries())
+        label_tree(tree, Rc4Csprng(b"an-earlier-round"))
+        assign_randomness(tree, Rc4Csprng(b"golden-wide"))
+        assert compute_label(tree.root).hex() == self.GOLDEN_WIDE
+
 
 class TestRealPool:
-    """Process, thread, serial, and reference labeling must all produce
+    """Process-pool, serial, and reference labeling must all produce
     byte-identical roots from the same seed."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        pool = LabelPool(3, timeout=10.0)
+        yield pool
+        pool.close()
 
     def wide_tree(self):
         from repro.traces.workload import generate_prefixes
         entries = {p: [1, 0, 1] for p in generate_prefixes(150, seed=3)}
         return Mtt.build(entries)
 
-    def test_process_pool_matches_serial(self):
+    def test_process_pool_matches_serial(self, pool):
         tree = self.wide_tree()
         serial = label_tree(tree, Rc4Csprng(b"pool"))
         tree2 = self.wide_tree()
         par = label_tree_parallel(tree2, Rc4Csprng(b"pool"), workers=3,
-                                  cut_depth=3)
+                                  cut_depth=3, pool=pool)
         assert par.root_label == serial.root_label
         assert par.jobs > 1
-        assert par.mode in ("process", "thread")  # thread = fallback
-
-    def test_thread_pool_matches_serial(self):
-        tree = self.wide_tree()
-        serial = label_tree(tree, Rc4Csprng(b"pool"))
-        tree2 = self.wide_tree()
-        par = label_tree_parallel(tree2, Rc4Csprng(b"pool"), workers=3,
-                                  cut_depth=3, prefer_processes=False)
-        assert par.root_label == serial.root_label
-        assert par.mode == "thread"
+        assert par.mode == "process"
 
     def test_single_worker_uses_serial_path(self):
         tree = self.wide_tree()
@@ -173,22 +144,27 @@ class TestRealPool:
         assert par.mode == "serial"
         assert par.jobs == 1
 
-    def test_pool_labels_support_proofs(self):
+    def test_pool_labels_support_proofs(self, pool):
         # Labels must land on the nodes so proof generation works the
         # same regardless of labeling mode.
         tree = self.wide_tree()
-        par = label_tree_parallel(tree, Rc4Csprng(b"pool"), workers=2,
-                                  cut_depth=3)
+        par = label_tree_parallel(tree, Rc4Csprng(b"pool"), workers=3,
+                                  cut_depth=3, pool=pool)
         prefix = tree.prefixes[0]
         proof = generate_proof(tree, prefix, 0)
         assert verify_proof(par.root_label, proof, expected_k=3) == 1
 
-    def test_dispatch_helper(self):
+    def test_dispatch_helper(self, pool):
+        # The name the recorder and the proof generator call: serial
+        # without a pool, the pool's workers with one.
+        from repro.spider.recorder import label_tree_with_workers
         tree = self.wide_tree()
         serial = label_tree_with_workers(tree, Rc4Csprng(b"pool"))
         tree2 = self.wide_tree()
         pooled = label_tree_with_workers(tree2, Rc4Csprng(b"pool"),
-                                         workers=2, cut_depth=3)
+                                         workers=3, cut_depth=3,
+                                         pool=pool)
+        assert serial.mode == "serial" and pooled.mode == "process"
         assert serial.root_label == pooled.root_label
 
     def test_rejects_zero_workers(self):

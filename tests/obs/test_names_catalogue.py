@@ -19,8 +19,7 @@ GOLDEN_NAMES = sorted([
     "signatures_checked_total", "sign_seconds", "sign_batch_size",
     "verify_seconds",
     "mtt_labelings_total", "mtt_hashes_total", "mtt_label_seconds",
-    "mtt_subtree_seconds", "mtt_pool_workers", "mtt_pool_jobs",
-    "mtt_pool_utilization", "mtt_pool_spinups_total",
+    "mtt_pool_workers", "mtt_pool_jobs", "mtt_pool_spinups_total",
     "mtt_pool_spinup_seconds", "mtt_pool_installs_total",
     "mtt_pool_dispatches_total", "mtt_pool_occupancy",
     "mtt_pool_failures_total",

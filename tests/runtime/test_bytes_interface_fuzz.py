@@ -25,8 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.runtime import codec
 from repro.runtime.logdump import decode_log_entry, encode_log_entry
+from repro.spider.checkpoint import RoutingState
 from repro.spider.log import EntryKind, LogEntry
 from tests.strategies import acks, announces, bit_proofs, commitments, \
     commitment_payloads, prefixes, routes, routing_states, withdraws
@@ -195,6 +198,25 @@ def test_codec_truncation_per_type(name, data):
 # without extending the durable-store encoding fails the registry test
 # here.
 
+#: One neighbor's full table, past 64 KB encoded: the CHECKPOINT entry
+#: carries a u32 length, and the properties below must hold on both
+#: sides of the u16 limit it used to have.
+_FULL_TABLE_NEIGHBOR = 70000  # outside what routing_states() draws
+_FULL_TABLE = {
+    route.prefix: route for route in (
+        Route(prefix=Prefix.parse(f"10.{i // 256}.{i % 256}.0/24"),
+              as_path=(64512, 4000), neighbor=_FULL_TABLE_NEIGHBOR)
+        for i in range(1800))}
+
+
+@st.composite
+def checkpoint_states(draw):
+    state = draw(routing_states())
+    if draw(st.booleans()):
+        state.exports[_FULL_TABLE_NEIGHBOR] = dict(_FULL_TABLE)
+    return state
+
+
 ENTRY_STRATEGIES = {
     EntryKind.SENT_ANNOUNCE: announces(),
     EntryKind.RECV_ANNOUNCE: announces(),
@@ -203,7 +225,7 @@ ENTRY_STRATEGIES = {
     EntryKind.SENT_ACK: acks(),
     EntryKind.RECV_ACK: acks(),
     EntryKind.COMMITMENT: commitment_payloads(),
-    EntryKind.CHECKPOINT: routing_states(),
+    EntryKind.CHECKPOINT: checkpoint_states(),
 }
 
 _ENTRY_PARAMS = sorted(ENTRY_STRATEGIES, key=lambda kind: kind.value)
@@ -222,6 +244,15 @@ def test_every_entry_kind_has_a_strategy():
     assert set(ENTRY_STRATEGIES) == set(EntryKind), (
         "EntryKind changed; give the new kind a payload strategy here "
         "so its canonical encoding is corruption-fuzzed")
+
+
+def test_full_table_checkpoint_is_past_the_u16_limit():
+    state = RoutingState(exports={_FULL_TABLE_NEIGHBOR: _FULL_TABLE})
+    encoded = encode_log_entry(_entry(EntryKind.CHECKPOINT, 1.0, state))
+    # kind tag (1) + timestamp (8), then the u32 length of the rest.
+    assert int.from_bytes(encoded[9:13], "big") == len(encoded) - 13
+    assert len(encoded) - 13 > 0xFFFF
+    assert decode_log_entry(encoded) == (EntryKind.CHECKPOINT, 1.0, state)
 
 
 @pytest.mark.parametrize("kind", _ENTRY_PARAMS,
@@ -246,6 +277,19 @@ def test_log_entry_truncation_raises(kind, data):
     cut = data.draw(st.integers(0, len(encoded) - 1))
     with pytest.raises(codec.CodecError):
         decode_log_entry(encoded[:cut])
+
+
+@pytest.mark.parametrize("kind", _ENTRY_PARAMS,
+                         ids=[k.value for k in _ENTRY_PARAMS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_log_entry_extension_raises(kind, data):
+    payload = data.draw(ENTRY_STRATEGIES[kind])
+    encoded = encode_log_entry(_entry(kind, data.draw(_TIMESTAMPS),
+                                      payload))
+    junk = data.draw(st.binary(min_size=1, max_size=16))
+    with pytest.raises(codec.CodecError):
+        decode_log_entry(encoded + junk)
 
 
 @pytest.mark.parametrize("kind", _ENTRY_PARAMS,

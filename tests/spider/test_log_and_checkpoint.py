@@ -2,13 +2,20 @@
 
 import pytest
 
+from repro.bgp.messages import Announce
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.core.promise import total_order_promise
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.signatures import Signer
+from repro.netsim.events import Simulator
 from repro.spider.checkpoint import RoutingState, apply_entry, \
     elector_view, replay, take_checkpoint
+from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind, SpiderLog, TamperError
+from repro.spider.node import evaluation_scheme
+from repro.spider.proofgen import ProofGenerator
+from repro.spider.recorder import Recorder
 from repro.spider.wire import SpiderAnnounce, SpiderWithdraw
 
 P = Prefix.parse("203.0.113.0/24")
@@ -80,8 +87,6 @@ class TestSpiderLog:
         log.append(3.0, EntryKind.COMMITMENT, {}, 32)
         assert len(log.entries_between(1.5, 3.0)) == 2
         assert len(log.entries_up_to(2.0)) == 2
-        assert log.last_checkpoint_before(2.5).timestamp == 2.0
-        assert log.last_checkpoint_before(1.0) is None
         assert log.commitment_at(3.0) is not None
         assert log.commitment_at(4.0) is None
 
@@ -182,6 +187,60 @@ class TestReplay:
 
         state = replay(log, 5, until=2.5)
         assert P in state.imports[7] and Q in state.imports[7]
+
+    def test_replay_cut_by_index_ignores_same_timestamp_tail(
+            self, registry, neighbor):
+        """Entries may share a commitment's millisecond on either side
+        of it; only a log position separates them."""
+        log = SpiderLog()
+        a1 = announce(neighbor, 1.0)
+        log.append(1.0, EntryKind.RECV_ANNOUNCE, a1, a1.wire_size())
+        commitment = log.append(1.0, EntryKind.COMMITMENT, {}, 32)
+        take_checkpoint(log, 1.0, replay(log, 5, until=1.0))
+        a2 = announce(neighbor, 1.0, prefix=Q)
+        log.append(1.0, EntryKind.RECV_ANNOUNCE, a2, a2.wire_size())
+
+        by_time = replay(log, 5, until=1.0)
+        assert Q in by_time.imports[7]
+        by_index = replay(log, 5, before_index=commitment.index)
+        assert set(by_index.imports[7]) == {P}
+        # The checkpoint logged right after the commitment is a valid
+        # base for later cuts and carries the committed state.
+        after = replay(log, 5, before_index=commitment.index + 2)
+        assert set(after.imports[7]) == {P}
+        with pytest.raises(ValueError):
+            replay(log, 5)
+        with pytest.raises(ValueError):
+            replay(log, 5, until=1.0, before_index=1)
+
+    def test_reconstruct_with_same_millisecond_traffic(self, registry):
+        """Regression: an announce logged at ``commit_time`` after
+        ``make_commitment`` is not part of the commitment, and
+        ``reconstruct`` must still arrive at the committed root."""
+        identity = make_identity(5, registry=registry, bits=512,
+                                 seed=605)
+        scheme = evaluation_scheme(5)
+        sim = Simulator()
+        recorder = Recorder(
+            identity=identity, registry=registry, scheme=scheme,
+            promises={7: total_order_promise(scheme)},
+            config=SpiderConfig(nagle_delay=0.0), clock=sim.clock,
+            transport=lambda receiver, message: None)
+
+        def export(prefix):
+            recorder.mirror_sent_update(Announce(
+                sender=5, receiver=7,
+                route=Route(prefix=prefix, as_path=(5, 9), neighbor=9)))
+
+        export(P)
+        record = recorder.make_commitment()
+        export(Q)  # same clock reading: logged at commit_time
+        assert [e.timestamp for e in recorder.log][-1] == \
+            record.commit_time
+        reconstruction = ProofGenerator(recorder).reconstruct(
+            record.commit_time)
+        assert reconstruction.root == record.root
+        assert set(reconstruction.state.exports[7]) == {P}
 
     def test_checkpoint_isolation(self, registry, neighbor):
         """Mutating the live state after a checkpoint must not alter the

@@ -8,8 +8,10 @@ process that never died.
 
 import pytest
 
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.obs.registry import Registry, use_registry
-from repro.runtime.logdump import encode_log
+from repro.runtime.logdump import encode_log, encode_log_entry
 from repro.runtime.scenario import ASN_A, ASN_B, _drive_first_round, \
     exchange_runtime, resume_store_exchange, run_store_reference, \
     run_store_smoke
@@ -94,3 +96,41 @@ class TestKillRestartSmoke:
         assert summary["byte_identical"] is True
         assert summary["recovered_entries"] == 4
         assert summary["final_entries"] == summary["reference_entries"]
+
+
+class TestLargeCheckpoint:
+    def test_checkpoint_over_64k_commits_and_recovers(self, tmp_path):
+        """A full-table §6.5 checkpoint passes 64 KB at about 1.3 k
+        routes; its log entry carries a u32 length, so the first
+        commitment on such a table must reach the disk and come back
+        from a cold open byte for byte."""
+        store_dir = str(tmp_path / "store")
+        with use_registry(Registry()):
+            hub = LoopbackHub()
+            rt = exchange_runtime(ASN_A, hub.attach(ASN_A),
+                                  store_dir=store_dir)
+            hub.attach(ASN_B)
+            rt.advance_to(1.0)
+            for i in range(1800):
+                prefix = Prefix.parse(f"10.{i // 256}.{i % 256}.0/24")
+                rt.announce(ASN_B, Route(prefix=prefix,
+                                         as_path=(ASN_A, 4000),
+                                         neighbor=4000))
+            rt.advance_to(2.0)
+            record = rt.commit()
+            checkpoint = rt.recorder.log.of_kind(EntryKind.CHECKPOINT)[-1]
+            assert len(encode_log_entry(checkpoint)) > 0xFFFF
+            log_hex = encode_log(rt.recorder.log).hex()
+            rt.close()
+
+            cold = exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
+                                    store_dir=store_dir)
+            try:
+                assert encode_log(cold.recorder.log).hex() == log_hex
+                assert cold.recorder.commitments[-1].root == record.root
+                recovered = cold.recorder.log.of_kind(
+                    EntryKind.CHECKPOINT)[-1]
+                assert recovered.payload == checkpoint.payload
+                assert len(recovered.payload.exports[ASN_B]) == 1800
+            finally:
+                cold.close()

@@ -53,21 +53,17 @@ class TestMttSizeExperiment:
 
 class TestLabelingExperiment:
     def test_small_run(self):
-        result = labeling_experiment(n_prefixes=100, k=3,
-                                     workers=(1, 2))
+        result = labeling_experiment(n_prefixes=100, k=3)
         assert result.sequential_seconds > 0
-        assert result.flat_seconds > 0
-        assert set(result.makespans) == {1, 2}
-        assert result.speedup(2) > 0
+        assert result.hash_count > 0
         assert result.pool_seconds == {}
-        assert result.pool_mode == ""
 
     def test_real_pool_measurement(self):
         result = labeling_experiment(n_prefixes=100, k=3,
-                                     workers=(1,), pool_workers=(1, 2))
+                                     pool_workers=(1, 2))
         assert set(result.pool_seconds) == {1, 2}
         assert all(s > 0 for s in result.pool_seconds.values())
-        assert result.pool_mode in ("process", "thread")
+        assert all(s > 0 for s in result.pool_spinup_seconds.values())
         assert result.pool_speedup(1) > 0
 
 
