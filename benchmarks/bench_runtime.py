@@ -10,8 +10,9 @@ Measures the :mod:`repro.runtime` subsystem and writes
   path against a per-frame :func:`encode_frame` loop, and the
   zero-copy :meth:`FrameDecoder.feed`, at batch sizes 1, 16, and 256;
 * loopback and TCP transport throughput — the full encode → frame →
-  decode → dispatch path, both per-message ``send`` and the batched
-  ``send_many`` hot path;
+  decode → dispatch path through the one ``send``, at the batch the
+  recorder's outbox hands over (``SpiderConfig().max_batch``) and at
+  batch 1 (a broadcast, or a lone ACK);
 * a many-peer soak — 50 concurrent sessions against one node runtime,
   with the per-peer backpressure metrics read back from ``repro.obs``;
 * a bandwidth cross-check against §7.6: the paper reports 11.8 kbps of
@@ -51,6 +52,7 @@ from repro.obs.registry import Registry, use_registry  # noqa: E402
 from repro.runtime.soak import run_soak  # noqa: E402
 from repro.runtime.tcp import TcpTransport  # noqa: E402
 from repro.runtime.transport import LoopbackHub  # noqa: E402
+from repro.spider.config import SpiderConfig  # noqa: E402
 from repro.spider.wire import SpiderAck, SpiderAnnounce, \
     SpiderCommitment, SpiderWithdraw  # noqa: E402
 
@@ -61,8 +63,8 @@ PAPER_SPIDER_KBPS = 32.6
 CODEC_ITERATIONS = 20000
 TRANSPORT_MESSAGES = 1000
 REPEATS = 5
-#: Messages per ``send_many`` burst on the batched transport paths.
-SEND_BATCH = 64
+#: Messages per ``send``: a full signed chunk, as the recorder sends.
+SEND_BATCH = SpiderConfig().max_batch
 FRAMING_BATCH_SIZES = (1, 16, 256)
 FRAMING_OPS = 4096
 SOAK_SESSIONS = 50
@@ -180,45 +182,38 @@ def measure_framing(messages, ops, repeats):
     return results
 
 
-def measure_loopback(messages, count):
-    announce = messages["announce"]
-
-    def run_single():
-        hub = LoopbackHub()
-        sender = hub.attach(1)
-        received = []
-        hub.attach(2).on_receive(received.append)
-        start = time.perf_counter()
-        for _ in range(count):
-            sender.send(2, announce)
-        hub.deliver_all()
-        elapsed = time.perf_counter() - start
-        assert len(received) == count
-        return elapsed, sender
-
-    def run_batched():
-        hub = LoopbackHub()
-        sender = hub.attach(1)
-        received = []
-        hub.attach(2).on_receive(received.append)
-        burst = [announce] * SEND_BATCH
-        batches = count // SEND_BATCH
-        start = time.perf_counter()
-        for _ in range(batches):
-            sender.send_many(2, burst)
-        hub.deliver_all()
-        elapsed = time.perf_counter() - start
-        assert len(received) == batches * SEND_BATCH
-        return elapsed, batches * SEND_BATCH
-
-    single_elapsed, sender = run_single()
-    batched_elapsed, batched_count = run_batched()
+def _chunk_and_single(run):
+    """``run(send_batch) -> (msgs/s, sending transport)`` at a full
+    chunk and at one message per ``send``."""
+    batched_rate, sender = run(SEND_BATCH)
+    single_rate, _ = run(1)
     return {
-        "msgs_per_sec": batched_count / batched_elapsed,
-        "single_msgs_per_sec": count / single_elapsed,
+        "msgs_per_sec": batched_rate,
+        "single_msgs_per_sec": single_rate,
         "send_batch": SEND_BATCH,
         "bytes_per_message": sender.bytes_sent // sender.frames_sent,
     }
+
+
+def measure_loopback(messages, count):
+    announce = messages["announce"]
+
+    def run(send_batch):
+        hub = LoopbackHub()
+        sender = hub.attach(1)
+        received = []
+        hub.attach(2).on_receive(received.append)
+        burst = [announce] * send_batch
+        total = (count // send_batch) * send_batch
+        start = time.perf_counter()
+        for _ in range(count // send_batch):
+            sender.send(2, burst)
+        hub.deliver_all()
+        elapsed = time.perf_counter() - start
+        assert len(received) == total
+        return total / elapsed, sender
+
+    return _chunk_and_single(run)
 
 
 def measure_tcp(messages, count):
@@ -233,17 +228,11 @@ def measure_tcp(messages, count):
                               peers={2: ("127.0.0.1", server.port)})
         client.start()
         try:
-            if send_batch > 1:
-                burst = [announce] * send_batch
-                total = (count // send_batch) * send_batch
-                start = time.perf_counter()
-                for _ in range(count // send_batch):
-                    client.send_many(2, burst)
-            else:
-                total = count
-                start = time.perf_counter()
-                for _ in range(count):
-                    client.send(2, announce)
+            burst = [announce] * send_batch
+            total = (count // send_batch) * send_batch
+            start = time.perf_counter()
+            for _ in range(count // send_batch):
+                client.send(2, burst)
             deadline = time.monotonic() + 60
             while len(received) < total:
                 if time.monotonic() > deadline:
@@ -255,14 +244,7 @@ def measure_tcp(messages, count):
             server.stop()
         return total / elapsed, client
 
-    batched_rate, client = run(SEND_BATCH)
-    single_rate, _ = run(1)
-    return {
-        "msgs_per_sec": batched_rate,
-        "single_msgs_per_sec": single_rate,
-        "send_batch": SEND_BATCH,
-        "bytes_per_message": client.bytes_sent // client.frames_sent,
-    }
+    return _chunk_and_single(run)
 
 
 def measure_soak(sessions, messages_per_session):

@@ -102,7 +102,7 @@ class EquivocatingRecorder(Recorder):
         fake = SpiderCommitment.make(self.signer, record.commit_time,
                                      fake_root)
         for neighbor in self.lie_to:
-            self.transport(neighbor, fake)
+            self.transport(neighbor, [fake])
         return record
 
 

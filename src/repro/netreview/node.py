@@ -11,7 +11,8 @@ minus MTT generation, about 5× lower) falls out of exactly this sharing.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.classes import ClassScheme
 from ..core.promise import Promise, total_order_promise
@@ -22,7 +23,7 @@ from ..spider.checkpoint import replay
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind
 from ..spider.node import SPIDER_TRAFFIC
-from ..spider.recorder import CommitmentRecord, Recorder
+from ..spider.recorder import CommitmentRecord, Recorder, Transport
 from .auditor import AuditReport, NetReviewAuditor
 
 #: Traffic category for NetReview's own messages (same substrate).
@@ -110,18 +111,19 @@ class NetReviewDeployment:
     def recorder(self, asn: int) -> NetReviewRecorder:
         return self.recorders[asn]
 
-    def _transport_for(self, sender: int
-                       ) -> Callable[[int, object], None]:
-        def send(receiver: int, message: object) -> None:
+    def _transport_for(self, sender: int) -> Transport:
+        def send(receiver: int, messages: Sequence[object]) -> None:
             meter = self.network.meters.get(sender)
             if meter is not None:
-                meter.record(NETREVIEW_TRAFFIC, message.wire_size(),
-                             at=self.network.sim.now)
+                for message in messages:
+                    meter.record(NETREVIEW_TRAFFIC, message.wire_size(),
+                                 at=self.network.sim.now)
             target = self.recorders.get(receiver)
             if target is None:
                 return
-            self.network.sim.after(self.network.link_delay,
-                                   lambda: target.receive(message))
+            for message in messages:
+                self.network.sim.after(self.network.link_delay,
+                                       partial(target.receive, message))
         return send
 
     # ------------------------------------------------------------------

@@ -79,13 +79,7 @@ class Network:
     def schedule_delivery(self, sender: int, category: str, nbytes: int,
                           deliver: Callable[[], None]) -> None:
         """Meter ``nbytes`` against ``sender`` and schedule ``deliver``
-        after one link delay.
-
-        The single egress point for every overlay on this network: BGP
-        updates, SPIDeR traffic, and runtime transports all go through
-        here, so the simulator and the socket runtime share one
-        interface (:mod:`repro.runtime.simadapter`).
-        """
+        after one link delay."""
         meter = self.meters.get(sender)
         if meter is not None:
             meter.record(category, nbytes, at=self.sim.now)

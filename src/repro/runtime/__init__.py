@@ -7,17 +7,17 @@ package gives it a wire.  It provides, bottom-up:
   for every SPIDeR wire message;
 * :mod:`~repro.runtime.framing` — length-prefixed frames over a byte
   stream;
-* :mod:`~repro.runtime.transport` — the Transport interface plus the
-  hermetic in-process :class:`LoopbackTransport`;
+* :mod:`~repro.runtime.transport` — the Transport interface (one
+  egress method, ``send(receiver, messages)``: the recorder hands over
+  each signed chunk whole) plus the hermetic in-process
+  :class:`LoopbackTransport`;
 * :mod:`~repro.runtime.tcp` — asyncio TCP streams with per-peer bounded
-  outbound queues;
+  outbound queues, one cross-thread hop per ``send``;
 * :mod:`~repro.runtime.delivery` — ACK tracking with exponential
   backoff + jitter, surfacing unacknowledged messages to the Section
   6.2 evidence path;
 * :mod:`~repro.runtime.node_runtime` — a per-process host bundling
   clock, timers, inbox, and one :class:`~repro.spider.node.SpiderNode`;
-* :mod:`~repro.runtime.simadapter` — the netsim event loop behind the
-  same Transport interface, so simulation and deployment share code;
 * :mod:`~repro.runtime.soak` — the many-peer soak scenario: 50+
   concurrent sessions against one node runtime, with per-peer
   backpressure metrics.
@@ -30,7 +30,6 @@ from .framing import FrameDecoder, FramingError, MAX_FRAME_SIZE, \
     encode_frame, encode_frames
 from .logdump import encode_log, encode_log_entry, log_digest
 from .node_runtime import NodeRuntime, StepClock, TimerWheel, WallClock
-from .simadapter import SimTransport, sim_transport_factory
 from .soak import run_soak
 from .tcp import TcpTransport
 from .transport import LoopbackHub, LoopbackTransport, Transport, \
@@ -43,7 +42,6 @@ __all__ = [
     "encode_frames",
     "encode_log", "encode_log_entry", "log_digest",
     "NodeRuntime", "StepClock", "TimerWheel", "WallClock",
-    "SimTransport", "sim_transport_factory",
     "run_soak",
     "TcpTransport",
     "LoopbackHub", "LoopbackTransport", "Transport", "TransportError",

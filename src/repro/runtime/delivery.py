@@ -96,9 +96,7 @@ class DeliveryService:
         self.acks_matched = 0
         #: Retransmissions accumulated within one timer pump, per
         #: receiver, flushed in a single batched send (see
-        #: :meth:`_flush_retries`).  Only used when the transport
-        #: offers ``send_many``; bare-callable transports (the
-        #: simulator closure) keep the immediate single-send path.
+        #: :meth:`_flush_retries`).
         self._retry_batch: Dict[int, List[object]] = {}
         self._flush_scheduled = False
         # Registry mirrors of the counters above, plus the backoff
@@ -170,36 +168,24 @@ class DeliveryService:
         entry.history.append(now)
         self.retries_sent += 1
         self._retries_counter.inc()
-        transport = self.recorder.transport
-        if hasattr(transport, "send_many"):
-            # Flush-on-batch: retries firing in the same timer pump
-            # (a burst of unacked messages shares a backoff schedule)
-            # coalesce into one batched send per receiver.  The
-            # zero-delay flush runs within the same pump, so the
-            # retransmission timing, attempt counting, and §6.2
-            # ACK-or-evidence bookkeeping above are exactly those of
-            # the immediate path.
-            self._retry_batch.setdefault(entry.receiver,
-                                         []).append(entry.message)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.schedule(0.0, self._flush_retries)
-        else:
-            transport(entry.receiver, entry.message)
+        # Retries firing in the same timer pump (a burst of unacked
+        # messages shares a backoff schedule) coalesce into one send
+        # per receiver.  The zero-delay flush runs within the same
+        # pump, so the retransmission timing, attempt counting, and
+        # §6.2 ACK-or-evidence bookkeeping above are those of an
+        # immediate send.
+        self._retry_batch.setdefault(entry.receiver,
+                                     []).append(entry.message)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.schedule(0.0, self._flush_retries)
         self._schedule_retry(message_hash, retry_number=entry.attempts)
 
     def _flush_retries(self) -> None:
         self._flush_scheduled = False
         batches, self._retry_batch = self._retry_batch, {}
-        transport = self.recorder.transport
         for receiver, messages in batches.items():
-            if hasattr(transport, "send_many"):
-                transport.send_many(receiver, messages)
-            else:
-                # The transport was swapped after batching (tests do
-                # this); fall back to the single-send contract.
-                for message in messages:
-                    transport(receiver, message)
+            self.recorder.transport(receiver, messages)
 
     def _give_up(self, message_hash: bytes, entry: PendingDelivery,
                  now: float) -> None:

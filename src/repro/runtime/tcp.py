@@ -136,29 +136,15 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
     # Sending
 
-    def send(self, receiver: int, message: object) -> None:
-        if self._loop is None:
-            raise TransportError("transport not started")
-        if receiver not in self.peers:
-            raise TransportError(f"no address for peer AS {receiver}")
-        frame = encode_frame(encode_message(message))
-        future = asyncio.run_coroutine_threadsafe(
-            self._enqueue(receiver, [frame]), self._loop)
-        # Bounded backpressure: blocks here while the peer queue is full.
-        future.result(timeout=self.connect_timeout + 60.0)
-        self._note_sent(len(frame))
+    def send(self, receiver: int, messages: Sequence[object]) -> None:
+        """One cross-thread hop for the whole batch.
 
-    def send_many(self, receiver: int,
-                  messages: Sequence[object]) -> None:
-        """Batch egress: one cross-thread hop for the whole batch.
-
-        The per-message :meth:`send` pays one
-        ``run_coroutine_threadsafe`` round trip (~the entire per-message
-        TCP budget) per frame; here the batch crosses into the loop
-        thread once and the writer coalesces the frames into as few
-        socket writes as the peer's flow control allows.  Backpressure
-        is unchanged — the bounded per-peer queue still blocks this
-        caller until every frame of the batch is accepted.
+        A ``run_coroutine_threadsafe`` round trip costs about as much
+        as everything else on the per-message TCP path, so the batch
+        crosses into the loop thread once and the writer coalesces the
+        frames into as few socket writes as the peer's flow control
+        allows.  Backpressure is per peer and bounded: this call blocks
+        until every frame of the batch is accepted by the peer queue.
         """
         if self._loop is None:
             raise TransportError("transport not started")
@@ -191,8 +177,13 @@ class TcpTransport(Transport):
             self._writer_tasks[receiver] = \
                 asyncio.ensure_future(self._writer(receiver, queue))
         peer_gauge = self._peer_gauge(receiver)
-        for frame in frames:
+        for queued, frame in enumerate(frames):
             await queue.put(frame)
+            if self._queues.get(receiver) is not queue:
+                # The writer died while this batch waited for room: the
+                # frame just queued and the rest go down with it.
+                self.send_errors += len(frames) - queued
+                return
             depth = queue.qsize()
             self._queue_depth_gauge.set(depth)
             peer_gauge.set(depth)
@@ -200,26 +191,33 @@ class TcpTransport(Transport):
     async def _writer(self, receiver: int, queue: asyncio.Queue) -> None:
         host, port = self.peers[receiver]
         writer = None
+        backlog: List[bytes] = []
         try:
             writer = await self._connect(host, port)
             while True:
-                frame = await queue.get()
                 # Coalesce whatever else is already queued into this
                 # write: one syscall and one drain per burst instead of
                 # per frame.
-                backlog: List[bytes] = [frame]
+                backlog = [await queue.get()]
                 while True:
                     try:
                         backlog.append(queue.get_nowait())
                     except asyncio.QueueEmpty:
                         break
-                writer.write(b"".join(backlog) if len(backlog) > 1
-                             else frame)
+                writer.write(b"".join(backlog))
                 await writer.drain()
         except asyncio.CancelledError:
             pass
         except (TransportError, OSError):
-            self.send_errors += 1
+            # The connection is gone.  Deregister, so the next send
+            # dials a fresh one instead of feeding a queue nobody
+            # drains, and discard what was in flight or queued behind
+            # it (draining also wakes a sender blocked on a full
+            # queue): lost frames are the retry service's job (§6.2).
+            del self._queues[receiver], self._writer_tasks[receiver]
+            while not queue.empty():
+                backlog.append(queue.get_nowait())
+            self.send_errors += len(backlog)
         finally:
             if writer is not None:
                 writer.close()

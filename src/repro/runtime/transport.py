@@ -2,10 +2,10 @@
 
 A transport moves encoded SPIDeR messages between ASes.  The
 :class:`~repro.spider.recorder.Recorder` only ever calls
-``transport(receiver, message)``, so a :class:`Transport` instance is
-directly usable wherever the recorder previously took a bare callable —
-the simulator closure, the in-process loopback hub, and real TCP all
-present the same interface.
+``transport(receiver, messages)`` — one signed chunk, or a one-element
+broadcast — so a :class:`Transport` instance is directly usable wherever
+the recorder takes a bare callable: the simulator closures, the
+in-process loopback hub, and real TCP all present the same interface.
 
 :class:`LoopbackTransport` is the hermetic implementation: messages
 really pass through the binary codec and framing layers (serialization
@@ -23,8 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.registry import get_registry
 from .codec import decode_message, encode_message
-from .framing import FrameDecoder, LENGTH_BYTES, encode_frame, \
-    encode_frames
+from .framing import FrameDecoder, LENGTH_BYTES, encode_frames
 
 #: A delivery callback: receives the decoded message object.
 ReceiveCallback = Callable[[object], None]
@@ -87,25 +86,17 @@ class Transport:
         """Tear the transport down; idempotent."""
 
     # -- sending -------------------------------------------------------
-    def send(self, receiver: int, message: object) -> None:
+    def send(self, receiver: int, messages: Sequence[object]) -> None:
+        """Send a batch to one receiver: delivered in order, one
+        coalesced submission (one hub entry, one cross-thread hop)."""
         raise NotImplementedError
 
-    def __call__(self, receiver: int, message: object) -> None:
-        # Recorder compatibility: a Transport is a valid transport
-        # callable.
-        self.send(receiver, message)
-
-    def send_many(self, receiver: int,
-                  messages: Sequence[object]) -> None:
-        """Send a batch to one receiver.
-
-        The base implementation is a plain loop; implementations that
-        can coalesce (one socket write, one hub submission) override
-        it.  Callers may rely on batch members being delivered in
-        order, exactly as if sent one by one.
-        """
-        for message in messages:
-            self.send(receiver, message)
+    def __call__(self, receiver: int,
+                 messages: Sequence[object]) -> None:
+        # A Transport is a valid recorder transport callable.  ``send``
+        # is looked up per call: the e2e tracer substitutes it on the
+        # class between units, tests on the instance.
+        self.send(receiver, messages)
 
     # -- receiving -----------------------------------------------------
     def on_receive(self, callback: ReceiveCallback) -> None:
@@ -165,24 +156,9 @@ class LoopbackHub:
         """Attached transports by ASN (read-only view for tests)."""
         return dict(self._endpoints)
 
-    def _submit(self, sender: int, receiver: int, message: object,
-                frame: bytes) -> None:
-        if receiver not in self._endpoints:
-            raise TransportError(f"no endpoint for AS {receiver}")
-        if self.drop_filter is not None and \
-                self.drop_filter(sender, receiver, message):
-            self.frames_dropped += 1
-            return
-        latency = 0.0
-        if self.max_latency > 0:
-            latency = self._rng.uniform(self.min_latency,
-                                        self.max_latency)
-        heapq.heappush(self._queue,
-                       (latency, next(self._seq), receiver, frame))
-
-    def _submit_batch(self, sender: int, receiver: int,
-                      messages: Sequence[object],
-                      payloads: Sequence[bytes]) -> None:
+    def _submit(self, sender: int, receiver: int,
+                messages: Sequence[object],
+                payloads: Sequence[bytes]) -> None:
         """One queue entry for a whole batch: the frames are gathered
         into a single contiguous buffer (the loopback equivalent of one
         socket write) and delivered together.  The drop filter still
@@ -216,9 +192,8 @@ class LoopbackHub:
     def deliver_next(self) -> bool:
         """Deliver the next entry; False when nothing is in flight.
 
-        An entry holds one frame for :meth:`LoopbackTransport.send` or
-        a whole coalesced batch for :meth:`LoopbackTransport.send_many`;
-        either way each contained message is accounted and dispatched
+        An entry holds one coalesced :meth:`LoopbackTransport.send`
+        batch; each contained message is accounted and dispatched
         individually.
         """
         if not self._queue:
@@ -248,16 +223,8 @@ class LoopbackTransport(Transport):
         self.hub = hub
         self._decoder = FrameDecoder()
 
-    def send(self, receiver: int, message: object) -> None:
-        frame = encode_frame(encode_message(message))
-        self._note_sent(len(frame))
-        self.hub._submit(self.asn, receiver, message, frame)
-
-    def send_many(self, receiver: int,
-                  messages: Sequence[object]) -> None:
-        if not messages:
-            return
+    def send(self, receiver: int, messages: Sequence[object]) -> None:
         payloads = [encode_message(m) for m in messages]
         for payload in payloads:
             self._note_sent(len(payload) + LENGTH_BYTES)
-        self.hub._submit_batch(self.asn, receiver, messages, payloads)
+        self.hub._submit(self.asn, receiver, messages, payloads)

@@ -11,6 +11,7 @@ as tcpdump separates them in §7.6), and drives verification end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
     Optional, Sequence, Tuple
 
@@ -149,9 +150,7 @@ class SpiderDeployment:
                      Dict[int, Callable[..., Recorder]]] = None,
                  scheme_factory: Optional[
                      Callable[[int], ClassScheme]] = None,
-                 participants: Optional[Iterable[int]] = None,
-                 transport_factory: Optional[Callable[
-                     ["SpiderDeployment", int], Transport]] = None):
+                 participants: Optional[Iterable[int]] = None):
         """``scheme``/``promise_factory`` configure a single global class
         scheme (the paper's evaluation setup).  ``scheme_factory(asn)``
         instead gives each elector its own scheme — used with
@@ -162,16 +161,9 @@ class SpiderDeployment:
         ASes (incremental deployment, §6.7): non-participants run plain
         BGP only, and detection guarantees cover violations whose inputs
         and outputs stay within the participating subset.
-
-        ``transport_factory(deployment, asn)`` supplies each node's
-        transport; default is the built-in metered event-loop sender.
-        :func:`repro.runtime.simadapter.sim_transport_factory` plugs in
-        the runtime :class:`~repro.runtime.transport.Transport`
-        interface (messages then pass through the real binary codec).
         """
         self.network = network
         self.config = config
-        self.transport_factory = transport_factory
         self.scheme = scheme if scheme is not None else \
             evaluation_scheme()
         self._scheme_factory = scheme_factory
@@ -218,20 +210,19 @@ class SpiderDeployment:
         return self.nodes[asn]
 
     def _transport_for(self, sender: int) -> Transport:
-        if self.transport_factory is not None:
-            return self.transport_factory(self, sender)
-
-        def send(receiver: int, message: object) -> None:
+        def send(receiver: int, messages: Sequence[object]) -> None:
             meter = self.network.meters.get(sender)
             if meter is not None:
-                meter.record(SPIDER_TRAFFIC, message.wire_size(),
-                             at=self.network.sim.now)
+                for message in messages:
+                    meter.record(SPIDER_TRAFFIC, message.wire_size(),
+                                 at=self.network.sim.now)
             target = self.nodes.get(receiver)
             if target is None:
                 return  # phantom feed neighbors run no SPIDeR
-            self.network.sim.after(
-                self.network.link_delay,
-                lambda: target.receive_spider(message))
+            for message in messages:
+                self.network.sim.after(
+                    self.network.link_delay,
+                    partial(target.receive_spider, message))
         return send
 
     # ------------------------------------------------------------------

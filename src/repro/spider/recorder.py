@@ -72,8 +72,9 @@ class _PendingAck:
 
 _PendingItem = object  # union of the three pending kinds
 
-#: Transport callback: (receiver ASN, message object).
-Transport = Callable[[int, object], None]
+#: Transport callback: (receiver ASN, messages for that receiver, in
+#: order).  The batch is the only unit of egress (§6.2's Nagle burst).
+Transport = Callable[[int, Sequence[object]], None]
 #: Scheduler callback: (delay seconds, thunk).
 Scheduler = Callable[[float, Callable[[], None]], None]
 
@@ -332,10 +333,11 @@ class Recorder:
             items = by_receiver[receiver]
             for start in range(0, len(items), self.config.max_batch):
                 chunk = items[start:start + self.config.max_batch]
-                flushed += self._flush_chunk(chunk)
+                flushed += self._flush_chunk(receiver, chunk)
         return flushed
 
-    def _flush_chunk(self, chunk: List["_PendingItem"]) -> int:
+    def _flush_chunk(self, receiver: int,
+                     chunk: List["_PendingItem"]) -> int:
         with self.cpu.section("signatures"):
             announces = [i for i in chunk
                          if isinstance(i, _PendingAnnounce)]
@@ -359,6 +361,8 @@ class Recorder:
                         item.message_hash))
             envelopes = self.signer.sign_batch(envelope_payloads)
 
+        messages: List[object] = []
+        ack_expecting: List[object] = []
         for item, envelope in zip(chunk, envelopes):
             if isinstance(item, _PendingAnnounce):
                 message: object = SpiderAnnounce(
@@ -385,13 +389,17 @@ class Recorder:
             if kind is not EntryKind.SENT_ACK:
                 self._awaiting_ack[message.message_hash()] = \
                     (item.timestamp, item.receiver)
-            self.transport(item.receiver, message)
-            if kind is not EntryKind.SENT_ACK:
-                for hook in self.sent_hooks:
-                    hook(message)
-        # Group-commit boundary: everything this chunk logged is made
-        # durable before control returns to the protocol.
+                ack_expecting.append(message)
+            messages.append(message)
+        # Group-commit boundary: everything logged so far — this chunk
+        # and, on an inline flush, the RECV_* entries it acknowledges —
+        # is durable before any of it is on the wire: a peer must never
+        # hold a receipt this node could not answer for after a crash.
         self.log.sync()
+        self.transport(receiver, messages)
+        for message in ack_expecting:
+            for hook in self.sent_hooks:
+                hook(message)
         return len(chunk)
 
     def _underlying_for(self, route: Route) -> Optional[Signed]:
@@ -566,7 +574,7 @@ class Recorder:
         # verification requests for every commitment it published.
         self.log.sync()
         for neighbor in self._all_neighbors():
-            self.transport(neighbor, message)
+            self.transport(neighbor, [message])
         return record
 
     def _maybe_checkpoint(self, now: float) -> None:

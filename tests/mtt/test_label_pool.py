@@ -245,7 +245,7 @@ class TestRecorderLifecycle:
             promises={self.CONSUMER: total_order_promise(scheme)},
             config=SpiderConfig(**config_kwargs),
             clock=sim.clock,
-            transport=lambda receiver, message: None,
+            transport=lambda receiver, messages: None,
             schedule=sim.after)
 
     def test_serial_config_has_no_pool(self):

@@ -35,9 +35,9 @@ def run_dropped_ack_scenario():
 
     sends = []
     transport = rt_a.recorder.transport
-    rt_a.recorder.transport = lambda receiver, message: (
-        sends.append((rt_a.clock.now, message)),
-        transport(receiver, message))[-1]
+    rt_a.recorder.transport = lambda receiver, messages: (
+        sends.extend((rt_a.clock.now, m) for m in messages),
+        transport(receiver, messages))[-1]
 
     rt_a.advance_to(1.0)
     rt_a.announce(ASN_B, ROUTE)
@@ -274,12 +274,11 @@ class TestRetryPolicy:
 
 
 class TestBatchedRetryFlush:
-    """With a batching transport, retries that fire in one timer pump
-    leave as one ``send_many`` per receiver — and the §6.2 bookkeeping
-    (attempt counts, T_max, evidence) is identical to the single-send
-    path."""
+    """Retries that fire in one timer pump leave as one ``send`` per
+    receiver — and the §6.2 bookkeeping (attempt counts, T_max,
+    evidence) does not depend on how the transport groups them."""
 
-    def test_retries_coalesce_into_one_send_many(self):
+    def test_retries_coalesce_into_one_send(self):
         hub = LoopbackHub(drop_filter=drop_acks)
         transport_a = hub.attach(ASN_A)
         rt_a = exchange_runtime(ASN_A, transport_a,
@@ -287,8 +286,8 @@ class TestBatchedRetryFlush:
         rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B),
                                 retry_policy=FAST_RETRY)
         calls = []
-        original = transport_a.send_many
-        transport_a.send_many = lambda receiver, messages: (
+        original = transport_a.send
+        transport_a.send = lambda receiver, messages: (
             calls.append((receiver, list(messages))),
             original(receiver, messages))[-1]
 
@@ -312,9 +311,9 @@ class TestBatchedRetryFlush:
         assert rt_b.recorder.alarms == []
 
     def test_evidence_timing_identical_to_single_send_path(self):
-        """Run the dropped-ACK fault twice — batching transport versus
-        the bare-callable wrapper that forces single sends — and the
-        §6.2 outcomes must match exactly."""
+        """Run the dropped-ACK fault twice — the transport as is versus
+        a bare-callable wrapper that splits every batch into single
+        sends — and the §6.2 outcomes must match exactly."""
 
         def outcome(force_single):
             hub = LoopbackHub(drop_filter=drop_acks)
@@ -325,8 +324,8 @@ class TestBatchedRetryFlush:
                                     retry_policy=FAST_RETRY)
             if force_single:
                 rt_a.recorder.transport = \
-                    lambda receiver, message: \
-                    transport_a.send(receiver, message)
+                    lambda receiver, messages: \
+                    [transport_a.send(receiver, [m]) for m in messages]
             rt_a.advance_to(1.0)
             rt_a.announce(ASN_B, ROUTE)
             hub.deliver_all()

@@ -1,18 +1,19 @@
-"""Transport implementations: loopback determinism, real TCP, and the
-simulator adapter's equivalence with the legacy deployment closure."""
+"""Transport implementations: loopback determinism and real TCP behind
+the one egress method, ``send(receiver, messages)``.
+
+Every ``send`` property is checked through one helper per property,
+taking the batch size: size 1 under ``TestLoopbackHub``/``TestTcpSmoke``,
+sizes 0 and 4 under ``TestSendMany``.
+"""
 
 import pytest
 
 from repro.bgp.prefix import Prefix
-from repro.netsim.network import Network, TraceEvent
-from repro.netsim.topology import figure5_topology
+from repro.runtime.codec import encode_message
+from repro.runtime.framing import encode_frame
 from repro.runtime.scenario import ASN_A, ASN_B, run_loopback_exchange
-from repro.runtime.simadapter import SimTransport, sim_transport_factory
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import LoopbackHub, TransportError
-from repro.spider.config import SpiderConfig
-from repro.spider.node import SPIDER_TRAFFIC, SpiderDeployment, \
-    evaluation_scheme
 from repro.spider.wire import SpiderAnnounce
 
 
@@ -62,7 +63,7 @@ class TestLoopbackHub:
             hub.attach(2).on_receive(lambda m: order.append(("b", m)))
             hub.attach(3).on_receive(lambda m: order.append(("c", m)))
             for i in range(6):
-                t_a.send(2 if i % 2 else 3, _announce_stub(i))
+                t_a.send(2 if i % 2 else 3, [_announce_stub(i)])
             hub.deliver_all()
             return [(who, m.timestamp) for who, m in order]
 
@@ -71,20 +72,10 @@ class TestLoopbackHub:
         assert delivery_order(43) != first
 
     def test_drop_filter_counts(self):
-        hub = LoopbackHub(drop_filter=lambda s, r, m: True)
-        sink = []
-        t_a = hub.attach(1)
-        hub.attach(2).on_receive(sink.append)
-        t_a.send(2, _announce_stub(0))
-        hub.deliver_all()
-        assert sink == []
-        assert hub.frames_dropped == 1
+        _check_drop_filter_is_per_message(1)
 
     def test_unknown_receiver_rejected(self):
-        hub = LoopbackHub()
-        t_a = hub.attach(1)
-        with pytest.raises(TransportError):
-            t_a.send(99, _announce_stub(0))
+        _check_loopback_unknown_receiver(1)
 
 
 class TestTcpSmoke:
@@ -92,36 +83,13 @@ class TestTcpSmoke:
     the real socket path (encode → kernel → decode → dispatch)."""
 
     def test_message_crosses_a_real_socket(self):
-        received = []
-        server = TcpTransport(2)
-        server.on_receive(received.append)
-        server.start()
-        client = TcpTransport(1, peers={2: ("127.0.0.1", server.port)})
-        client.start()
-        try:
-            message = _announce_stub(3)
-            client.send(2, message)
-            _wait_until(lambda: received, timeout=10.0)
-            assert received[0] == message
-            assert client.frames_sent == 1
-            assert server.frames_received == 1
-        finally:
-            client.stop()
-            server.stop()
+        _check_tcp_round_trip(1)
 
     def test_send_to_unknown_peer_raises(self):
-        transport = TcpTransport(1)
-        transport.start()
-        try:
-            with pytest.raises(TransportError):
-                transport.send(99, _announce_stub(0))
-        finally:
-            transport.stop()
+        _check_tcp_unknown_peer(1)
 
     def test_send_before_start_raises(self):
-        transport = TcpTransport(1, peers={2: ("127.0.0.1", 1)})
-        with pytest.raises(TransportError):
-            transport.send(2, _announce_stub(0))
+        _check_tcp_before_start(1)
 
     def test_frames_arriving_before_receiver_are_buffered(self):
         """A peer can deliver while this side is still setting up (key
@@ -133,7 +101,7 @@ class TestTcpSmoke:
         client.start()
         try:
             message = _announce_stub(5)
-            client.send(2, message)
+            client.send(2, [message])
             _wait_until(lambda: server.frames_received, timeout=10.0)
             received = []
             server.on_receive(received.append)  # registered *after*
@@ -143,56 +111,91 @@ class TestTcpSmoke:
             server.stop()
 
 
-class TestSimAdapterEquivalence:
-    """SpiderDeployment over SimTransport must behave exactly like the
-    legacy closure: same commitment roots, same metered traffic."""
+class TestTcpWriterDeath:
+    def test_sender_redials_after_the_peer_restarts(self):
+        """A writer that loses its connection must not leave its queue
+        registered: later frames would pile up behind a task that is
+        gone and, once the queue is full, block the sender."""
+        import time
+        server = TcpTransport(2)
+        server.start()
+        port = server.port
+        client = TcpTransport(1, peers={2: ("127.0.0.1", port)},
+                              connect_timeout=2.0)
+        client.start()
+        longest = 0.0
 
-    P = Prefix.parse("198.51.100.0/24")
+        def timed_send(messages):
+            nonlocal longest
+            start = time.monotonic()
+            client.send(2, messages)
+            longest = max(longest, time.monotonic() - start)
 
-    def run_deployment(self, transport_factory=None):
-        network = Network(figure5_topology())
-        deployment = SpiderDeployment(
-            network, scheme=evaluation_scheme(6),
-            config=SpiderConfig(commit_interval=60.0),
-            transport_factory=transport_factory)
-        network.attach_feed(2, feed_asn=65000)
-        network.schedule_trace(65000, [
-            TraceEvent(1.0, self.P, (65000, 4000)),
-        ])
-        deployment.start(until=65.0)
-        network.run_until(70.0)
-        return network, deployment
+        try:
+            timed_send([_announce_stub(0)])
+            _wait_until(lambda: server.frames_received, timeout=10.0)
+            server.stop()
+            # A write into a closed connection fails only once the
+            # kernel has seen the peer's reset: send until it does.
+            for i in range(1, 500):
+                timed_send([_announce_stub(i)])
+                if client.send_errors:
+                    break
+                time.sleep(0.01)
+            assert client.send_errors
 
-    @pytest.fixture(scope="class")
-    def pair(self):
-        baseline = self.run_deployment()
-        adapted = self.run_deployment(sim_transport_factory)
-        return baseline, adapted
+            received = []
+            server = TcpTransport(2, port=port)
+            server.on_receive(received.append)
+            server.start()
+            batch = [_announce_stub(1000 + i) for i in range(4)]
+            # More than max_queue frames: a dead queue would block.
+            for i in range(client.max_queue + 1):
+                timed_send([_announce_stub(500 + i)])
+            timed_send(batch)
+            _wait_until(lambda: batch[-1] in received, timeout=10.0)
+            assert received[-4:] == batch
+            assert longest < client.connect_timeout
+        finally:
+            client.stop()
+            server.stop()
 
-    def test_commitment_roots_identical(self, pair):
-        (_, base_dep), (_, sim_dep) = pair
-        for asn, node in base_dep.nodes.items():
-            base_roots = [c.root for c in node.recorder.commitments]
-            sim_roots = [c.root for c in
-                         sim_dep.nodes[asn].recorder.commitments]
-            assert base_roots == sim_roots, f"AS {asn} roots diverge"
 
-    def test_metered_traffic_identical(self, pair):
-        (base_net, _), (sim_net, _) = pair
-        for asn in base_net.meters:
-            assert base_net.meter(asn).total(SPIDER_TRAFFIC) == \
-                sim_net.meter(asn).total(SPIDER_TRAFFIC), \
-                f"AS {asn} SPIDeR bytes diverge"
+class TestSendMany:
+    """A batch is indistinguishable from its messages sent one by one
+    on the receive side: same messages, same order, same counters."""
 
-    def test_adapter_reports_honest_frame_bytes(self, pair):
-        _, (_, sim_dep) = pair
-        transports = [node.recorder.transport
-                      for node in sim_dep.nodes.values()]
-        assert all(isinstance(t, SimTransport) for t in transports)
-        active = [t for t in transports if t.frames_sent]
-        assert active, "no SPIDeR traffic crossed the adapter"
-        for transport in active:
-            assert transport.frame_bytes == transport.bytes_sent > 0
+    def test_loopback_batch_delivers_in_order(self):
+        _check_loopback_round_trip(4)
+
+    def test_loopback_batch_matches_singles_byte_for_byte(self):
+        """One batch meters exactly the bytes of its members sent as
+        one-element batches."""
+        assert _check_loopback_round_trip(4) == \
+            _check_loopback_round_trip(4, split=True)
+
+    def test_loopback_drop_filter_is_per_message(self):
+        _check_drop_filter_is_per_message(4)
+
+    def test_empty_batch_is_a_no_op(self):
+        _check_loopback_round_trip(0)
+        _check_drop_filter_is_per_message(0)
+        _check_tcp_round_trip(0)
+
+    def test_loopback_unknown_receiver_rejected(self):
+        _check_loopback_unknown_receiver(0)
+        _check_loopback_unknown_receiver(4)
+
+    def test_tcp_batch_crosses_a_real_socket(self):
+        _check_tcp_round_trip(4)
+
+    def test_tcp_send_many_before_start_raises(self):
+        _check_tcp_before_start(0)
+        _check_tcp_before_start(4)
+
+    def test_tcp_send_many_unknown_peer_raises(self):
+        _check_tcp_unknown_peer(0)
+        _check_tcp_unknown_peer(4)
 
 
 # ----------------------------------------------------------------------
@@ -218,97 +221,96 @@ def _wait_until(predicate, timeout):
         time.sleep(0.01)
 
 
-class TestSendMany:
-    """Batched egress must be indistinguishable from N single sends on
-    the receive side: same messages, same order, same frame counts."""
 
-    def test_loopback_batch_delivers_in_order(self):
-        hub = LoopbackHub()
-        t_a = hub.attach(1)
-        received = []
-        hub.attach(2).on_receive(received.append)
-        batch = [_announce_stub(i) for i in range(5)]
-        t_a.send_many(2, batch)
-        hub.deliver_all()
-        assert received == batch
-        assert t_a.frames_sent == 5
-        assert hub.endpoints[2].frames_received == 5
 
-    def test_loopback_batch_matches_singles_byte_for_byte(self):
-        """The batched hub path must meter exactly the same bytes as
-        five individual sends."""
-        batch = [_announce_stub(i) for i in range(5)]
+# ----------------------------------------------------------------------
+# One check per ``send`` property, taking the batch size.
 
-        def totals(send):
-            hub = LoopbackHub()
-            t_a = hub.attach(1)
-            hub.attach(2).on_receive(lambda m: None)
-            send(t_a, batch)
-            hub.deliver_all()
-            return (t_a.bytes_sent, hub.endpoints[2].bytes_received)
+def _batch(size):
+    return [_announce_stub(i) for i in range(size)]
 
-        def singles(t, ms):
-            for m in ms:
-                t.send(2, m)
 
-        assert totals(lambda t, ms: t.send_many(2, ms)) == \
-            totals(singles)
+def _frame_bytes(batch):
+    return sum(len(encode_frame(encode_message(m))) for m in batch)
 
-    def test_loopback_drop_filter_is_per_message(self):
-        hub = LoopbackHub(drop_filter=lambda s, r, m:
-                          int(m.timestamp) % 2 == 0)
-        t_a = hub.attach(1)
-        received = []
-        hub.attach(2).on_receive(received.append)
-        t_a.send_many(2, [_announce_stub(i) for i in range(4)])
-        hub.deliver_all()
-        assert [m.timestamp for m in received] == [1.0, 3.0]
-        assert hub.frames_dropped == 2
 
-    def test_empty_batch_is_a_no_op(self):
-        hub = LoopbackHub()
-        t_a = hub.attach(1)
-        received = []
-        hub.attach(2).on_receive(received.append)
-        t_a.send_many(2, [])
-        hub.deliver_all()
-        assert received == []
-        assert t_a.frames_sent == 0
+def _check_loopback_round_trip(size, split=False):
+    """Order and byte/frame counters over the hub; ``split`` sends the
+    members as one-element batches.  Returns the metered totals."""
+    hub = LoopbackHub()
+    t_a = hub.attach(1)
+    received = []
+    hub.attach(2).on_receive(received.append)
+    batch = _batch(size)
+    for part in ([[m] for m in batch] if split else [batch]):
+        t_a.send(2, part)
+    # One hub entry per non-empty send, however many frames it holds.
+    assert hub.in_flight == (size if split else min(size, 1))
+    hub.deliver_all()
+    assert received == batch
+    t_b = hub.endpoints[2]
+    assert t_a.frames_sent == t_b.frames_received == size
+    assert t_a.bytes_sent == t_b.bytes_received == _frame_bytes(batch)
+    return t_a.bytes_sent, t_b.bytes_received
 
-    def test_loopback_unknown_receiver_rejected(self):
-        hub = LoopbackHub()
-        t_a = hub.attach(1)
+
+def _check_drop_filter_is_per_message(size):
+    """The filter sees (and may drop) every member of a batch."""
+    hub = LoopbackHub(drop_filter=lambda s, r, m:
+                      int(m.timestamp) % 2 == 0)
+    t_a = hub.attach(1)
+    received = []
+    hub.attach(2).on_receive(received.append)
+    t_a.send(2, _batch(size))
+    hub.deliver_all()
+    assert [m.timestamp for m in received] == \
+        [float(i) for i in range(size) if i % 2]
+    assert hub.frames_dropped == (size + 1) // 2
+
+
+def _check_loopback_unknown_receiver(size):
+    hub = LoopbackHub()
+    t_a = hub.attach(1)
+    with pytest.raises(TransportError):
+        t_a.send(99, _batch(size))
+
+
+def _check_tcp_round_trip(size):
+    """Order and byte/frame counters across a real socket."""
+    received = []
+    server = TcpTransport(2)
+    server.on_receive(received.append)
+    server.start()
+    client = TcpTransport(1, peers={2: ("127.0.0.1", server.port)})
+    client.start()
+    try:
+        batch = _batch(size)
+        client.send(2, batch)
+        # A trailing one-element send marks the end of the stream, so
+        # the empty batch is seen to have put nothing before it.
+        marker = _announce_stub(99)
+        client.send(2, [marker])
+        _wait_until(lambda: len(received) > size, timeout=10.0)
+        assert received == batch + [marker]
+        assert client.frames_sent == server.frames_received == size + 1
+        assert client.bytes_sent == server.bytes_received == \
+            _frame_bytes(batch + [marker])
+    finally:
+        client.stop()
+        server.stop()
+
+
+def _check_tcp_unknown_peer(size):
+    transport = TcpTransport(1)
+    transport.start()
+    try:
         with pytest.raises(TransportError):
-            t_a.send_many(99, [_announce_stub(0)])
+            transport.send(99, _batch(size))
+    finally:
+        transport.stop()
 
-    def test_tcp_batch_crosses_a_real_socket(self):
-        received = []
-        server = TcpTransport(2)
-        server.on_receive(received.append)
-        server.start()
-        client = TcpTransport(1, peers={2: ("127.0.0.1", server.port)})
-        client.start()
-        try:
-            batch = [_announce_stub(i) for i in range(8)]
-            client.send_many(2, batch)
-            _wait_until(lambda: len(received) >= 8, timeout=10.0)
-            assert received == batch
-            assert client.frames_sent == 8
-            assert server.frames_received == 8
-        finally:
-            client.stop()
-            server.stop()
 
-    def test_tcp_send_many_before_start_raises(self):
-        transport = TcpTransport(1, peers={2: ("127.0.0.1", 1)})
-        with pytest.raises(TransportError):
-            transport.send_many(2, [_announce_stub(0)])
-
-    def test_tcp_send_many_unknown_peer_raises(self):
-        transport = TcpTransport(1)
-        transport.start()
-        try:
-            with pytest.raises(TransportError):
-                transport.send_many(99, [_announce_stub(0)])
-        finally:
-            transport.stop()
+def _check_tcp_before_start(size):
+    transport = TcpTransport(1, peers={2: ("127.0.0.1", 1)})
+    with pytest.raises(TransportError):
+        transport.send(2, _batch(size))

@@ -29,7 +29,7 @@ def make_recorder(sim, nagle_delay=0.05, max_batch=16):
         config=SpiderConfig(nagle_delay=nagle_delay,
                             max_batch=max_batch),
         clock=sim.clock,
-        transport=lambda receiver, message: sent.append(message),
+        transport=lambda receiver, messages: sent.extend(messages),
         schedule=sim.after)
     return recorder, sent
 
@@ -122,7 +122,82 @@ class TestBatching:
             identity=identity, registry=registry, scheme=scheme,
             promises={}, config=SpiderConfig(),
             clock=sim.clock,
-            transport=lambda receiver, message: sent.append(message),
+            transport=lambda receiver, messages: sent.extend(messages),
             schedule=None)
         recorder.mirror_sent_update(announce(1))
         assert len(sent) == 1  # no scheduler → synchronous send
+
+
+class _RecordingSink:
+    """A LogSink that counts what is appended but not yet synced."""
+
+    def __init__(self):
+        self.unsynced = 0
+        self.appended = 0
+
+    def append(self, entry):
+        self.unsynced += 1
+        self.appended += 1
+
+    def sync(self):
+        self.unsynced = 0
+
+    def trim(self, keep_from_index):
+        return 0
+
+
+class TestDurableBeforeVisible:
+    """Nothing this node signed may be on the wire before its log entry
+    — and the entry of whatever it acknowledges — is durable: after a
+    crash the peer would hold a receipt this node cannot answer for."""
+
+    def make_pair(self, nagle_delay):
+        sim = Simulator()
+        registry = KeyRegistry()
+        scheme = evaluation_scheme(5)
+        sink = _RecordingSink()
+        calls = []
+
+        def checked_transport(receiver, messages):
+            assert sink.appended and sink.unsynced == 0, \
+                "message handed to the transport before its log " \
+                "entry was synced"
+            calls.append((receiver, list(messages)))
+
+        def recorder(asn, seed, peer, **kwargs):
+            return Recorder(
+                identity=make_identity(asn, registry=registry,
+                                       bits=512, seed=seed),
+                registry=registry, scheme=scheme,
+                promises={peer: total_order_promise(scheme)},
+                config=SpiderConfig(nagle_delay=nagle_delay),
+                clock=sim.clock, schedule=sim.after, **kwargs)
+
+        elector = recorder(ELECTOR, 920, CONSUMER, log_store=sink,
+                           transport=checked_transport)
+        from_peer = []
+        peer = recorder(
+            CONSUMER, 921, ELECTOR,
+            transport=lambda receiver, messages:
+            from_peer.extend(messages))
+        return sim, elector, peer, from_peer, calls
+
+    def test_timed_flush_syncs_before_sending(self):
+        sim, elector, _peer, _from_peer, calls = self.make_pair(0.05)
+        for i in range(3):
+            elector.mirror_sent_update(announce(i))
+        sim.run()
+        assert [len(messages) for _r, messages in calls] == [3]
+
+    def test_inline_ack_syncs_the_receipt_it_acknowledges(self):
+        sim, elector, peer, from_peer, calls = self.make_pair(0.0)
+        peer.mirror_sent_update(Announce(
+            sender=CONSUMER, receiver=ELECTOR,
+            route=Route(prefix=Prefix.parse("10.9.0.0/16"),
+                        as_path=(CONSUMER, 9), neighbor=9)))
+        (inbound,) = from_peer
+        elector.receive(inbound)  # logs RECV_ANNOUNCE, ACKs inline
+        ((receiver, (ack,)),) = calls
+        assert receiver == CONSUMER
+        assert ack.message_hash == inbound.message_hash()
+        assert elector.alarms == []

@@ -225,7 +225,7 @@ class TestReplay:
             identity=identity, registry=registry, scheme=scheme,
             promises={7: total_order_promise(scheme)},
             config=SpiderConfig(nagle_delay=0.0), clock=sim.clock,
-            transport=lambda receiver, message: None)
+            transport=lambda receiver, messages: None)
 
         def export(prefix):
             recorder.mirror_sent_update(Announce(
