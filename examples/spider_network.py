@@ -31,7 +31,8 @@ from repro.harness.experiments import proof_experiment, \
     run_replay_experiment
 from repro.harness.reporting import format_bytes, format_rate, \
     render_table
-from repro.faults.scenarios import overaggressive_filter
+from repro.faults.adversaries import SEC74_SPECS
+from repro.faults.campaign import run_spec
 from repro.netsim.topology import FOCUS_AS
 
 
@@ -80,11 +81,10 @@ def run_sim():
           f"{proofs.single_prefix_seconds * 1000:.1f} ms")
 
     print("\nInjecting the §7.4 over-aggressive-filter fault at AS 5...")
-    result = overaggressive_filter()
-    for asn, kinds in sorted(result.detectors.items()):
-        names = ", ".join(sorted(k.value for k in kinds))
-        print(f"  detected by AS{asn}: {names}")
-    assert result.detected
+    entry = run_spec(SEC74_SPECS["overaggressive-filter"])
+    for record in entry["spider_detections"]:
+        print(f"  detected by AS{record['detector']}: {record['kind']}")
+    assert entry["spider_detections"] and entry["ok"], entry["problems"]
 
 
 def print_summary(summary):

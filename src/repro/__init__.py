@@ -13,7 +13,8 @@ Top-level packages:
 * :mod:`repro.netreview` — the NetReview baseline used in the evaluation.
 * :mod:`repro.netsim` — deterministic event-driven AS-level simulator.
 * :mod:`repro.traces` — synthetic RouteViews-style workloads.
-* :mod:`repro.faults` — fault-injection scenarios (Section 7.4).
+* :mod:`repro.faults` — fault injection: primitives, attack classes, the
+  Section 7.4 checks and the adversarial campaign engine.
 * :mod:`repro.harness` — experiment runners shared by the benchmarks.
 """
 

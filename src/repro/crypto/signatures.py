@@ -8,9 +8,9 @@ provides:
 * :class:`Signer` / :class:`Verifier` — per-AS signing and verification
   frontends that also keep operation counters, which the evaluation uses to
   attribute CPU cost to cryptography (Section 7.5);
-* :class:`BatchSigner` — Nagle-style batching: "routers can sign messages in
-  batches" (Section 6.2), which is why the paper observes only 3,913
-  signatures for 38,696 BGP updates.
+* :meth:`Signer.sign_batch` — "routers can sign messages in batches"
+  (Section 6.2), which is why the paper observes only 3,913 signatures
+  for 38,696 BGP updates; the recorder's outbox decides what a batch is.
 
 A batch signature signs the hash-concatenation of all payloads in the batch;
 each :class:`Signed` then carries the sibling digests it needs so it remains
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import rsa
 from ..obs.registry import Registry, get_registry
@@ -196,41 +196,3 @@ class Verifier:
         self._obs.counter("signatures_checked_total",
                           outcome="valid" if ok else "invalid").inc()
         return ok
-
-
-class BatchSigner:
-    """Nagle-style signature batching (Section 6.2).
-
-    Payloads are queued and flushed either when the queue reaches
-    ``max_batch`` or when ``flush()`` is called (the recorder calls it when
-    its Nagle timer fires).  The ``on_signed`` callback receives each
-    resulting envelope in queue order.
-    """
-
-    def __init__(self, signer: Signer,
-                 on_signed: Callable[[Signed], None],
-                 max_batch: int = 64):
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self._signer = signer
-        self._on_signed = on_signed
-        self._max_batch = max_batch
-        self._pending: List[bytes] = []
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def submit(self, payload: bytes) -> None:
-        self._pending.append(payload)
-        if len(self._pending) >= self._max_batch:
-            self.flush()
-
-    def flush(self) -> int:
-        """Sign and emit all queued payloads; returns how many were sent."""
-        if not self._pending:
-            return 0
-        batch, self._pending = self._pending, []
-        for envelope in self._signer.sign_batch(batch):
-            self._on_signed(envelope)
-        return len(batch)

@@ -29,7 +29,6 @@ see PAPERS.md and DESIGN.md §3g).
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, \
@@ -44,9 +43,9 @@ from ..core.promise import Promise, trivial_promise
 from ..core.verdict import DetectionRecord, FaultKind
 from ..netreview import auditor as netreview_auditor
 from ..netreview.auditor import AuditReport
-from ..netreview.node import NetReviewDeployment, NetReviewRecorder
+from ..netreview.node import NetReviewDeployment
 from ..netsim.network import Network, TraceEvent
-from ..netsim.topology import Topology
+from ..netsim.topology import FOCUS_AS, Topology
 from ..spider import node as spider_node
 from ..spider.checkpoint import elector_view
 from ..spider.extended import run_extended_verification
@@ -54,15 +53,21 @@ from ..spider.log import TamperError
 from ..spider.node import SpiderDeployment, VerificationOutcome
 from ..spider.promises import GaoRexfordPromises
 from ..spider.recorder import Recorder
-from .injector import AckWithholdingNetReviewRecorder, \
-    AckWithholdingRecorder, EquivocatingNetReviewRecorder, \
-    EquivocatingRecorder, FilteringNetReviewRecorder, FilteringRecorder, \
-    install_export_filter, install_export_leak, install_export_mutator, \
-    install_import_filter, shorten_as_path, tamper_log_entry, \
+from .injector import install_equivocation, install_export_filter, \
+    install_export_leak, install_export_mutator, install_import_filter, \
+    install_inbound_drop, shorten_as_path, tamper_log_entry, \
     tamper_proof_set
 from .oracle import SystemExpectation
-from .scenarios import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX, \
-    SECRET_ORIGIN, SECRET_PREFIX, selective_export_scheme_for_spider
+
+#: The phantom AS behind the route feed attached at the injection AS.
+FEED_ASN = 65000
+
+#: Origin AS whose routes are 'not for export' (§7.4 fault 2).
+SECRET_ORIGIN = 6666
+
+GOOD_PREFIX = Prefix.parse("203.0.113.0/24")
+SECRET_PREFIX = Prefix.parse("198.51.100.0/24")
+FILLER_PREFIX = Prefix.parse("192.0.2.0/24")
 
 #: Additional workload prefix originated at the second stub (AS 10).
 TEN_PREFIX = Prefix.parse("203.0.114.0/24")
@@ -83,6 +88,18 @@ def standard_workload(network: Network) -> None:
     network.originate(9, GOOD_PREFIX)
     network.originate(10, TEN_PREFIX)
     network.settle()
+
+
+def selective_export_scheme_for_spider() -> ClassScheme:
+    """A path-based never-export scheme usable across the whole AS graph:
+    routes originated by :data:`SECRET_ORIGIN` must not be exported."""
+    def classify(route: RouteOrNull) -> int:
+        if route is NULL_ROUTE:
+            return 1
+        return 0 if route.traverses(SECRET_ORIGIN) else 2
+    return ClassScheme(
+        labels=("not-for-export", "no-route", "exportable"),
+        classify_fn=classify)
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +150,12 @@ class World:
     network: Network
     spider: SpiderDeployment
     netreview: NetReviewDeployment
+
+    def recorders(self, asn: int) -> Tuple[Recorder, Recorder]:
+        """``asn``'s recorder on each system — a recorder-level fault is
+        installed on both."""
+        return (self.spider.nodes[asn].recorder,
+                self.netreview.recorders[asn])
 
 
 @dataclass(frozen=True)
@@ -276,10 +299,6 @@ def verify_and_audit(world: World, spec: AttackSpec, *,
     return result
 
 
-RecorderFactories = Dict[int, Callable[..., Recorder]]
-NetReviewFactories = Dict[int, Callable[..., NetReviewRecorder]]
-
-
 # ----------------------------------------------------------------------
 # The adversary interface
 
@@ -321,19 +340,10 @@ class Adversary:
         randomness, so identical seeds yield identical specs."""
         raise NotImplementedError
 
-    def spider_factories(self, spec: AttackSpec
-                         ) -> Optional[RecorderFactories]:
-        """Misbehaving SPIDeR recorders for the faulty world only."""
-        return None
-
-    def netreview_factories(self, spec: AttackSpec
-                            ) -> Optional[NetReviewFactories]:
-        """Misbehaving NetReview recorders for the faulty world only."""
-        return None
-
     def install(self, world: World, spec: AttackSpec) -> None:
-        """Hook speaker-level faults (faulty world) or their honest
-        counterparts (control world)."""
+        """Hook the fault into a freshly built faulty world (speakers
+        and both systems' recorders), or its honest counterpart into
+        the control world."""
 
     def drive(self, world: World, spec: AttackSpec) -> None:
         self.probe_workload(world.network)
@@ -377,23 +387,13 @@ class RouteDropAdversary(Adversary):
         return AttackSpec(attack=self.name, position=position,
                           victims=(supplier,), prefix=str(prefix))
 
-    def spider_factories(self, spec: AttackSpec
-                         ) -> Optional[RecorderFactories]:
-        return {spec.position: functools.partial(
-            FilteringRecorder, drop_from=spec.victims[0],
-            drop_prefixes={spec.prefix_value})}
-
-    def netreview_factories(self, spec: AttackSpec
-                            ) -> Optional[NetReviewFactories]:
-        return {spec.position: functools.partial(
-            FilteringNetReviewRecorder, drop_from=spec.victims[0],
-            drop_prefixes={spec.prefix_value})}
-
     def install(self, world: World, spec: AttackSpec) -> None:
         if not world.faulty:
             return
         supplier = spec.victims[0]
         prefix = spec.prefix_value
+        for recorder in world.recorders(spec.position):
+            install_inbound_drop(recorder, supplier, prefixes={prefix})
         install_import_filter(
             world.network.speaker(spec.position),
             lambda route, neighbor: neighbor == supplier and
@@ -727,18 +727,13 @@ class AckWithholdingAdversary(Adversary):
                        "prefix": str(ACK_PREFIX)})
         return events
 
-    def spider_factories(self, spec: AttackSpec
-                         ) -> Optional[RecorderFactories]:
-        return {spec.position: functools.partial(
-            AckWithholdingRecorder, withhold_from={spec.victims[0]},
-            active_from=spec.activate_time - 0.5)}
-
-    def netreview_factories(self, spec: AttackSpec
-                            ) -> Optional[NetReviewFactories]:
-        return {spec.position: functools.partial(
-            AckWithholdingNetReviewRecorder,
-            withhold_from={spec.victims[0]},
-            active_from=spec.activate_time - 0.5)}
+    def install(self, world: World, spec: AttackSpec) -> None:
+        if not world.faulty:
+            return
+        for recorder in world.recorders(spec.position):
+            install_inbound_drop(recorder, spec.victims[0],
+                                 active_from=spec.activate_time - 0.5,
+                                 acknowledge=False)
 
     def drive(self, world: World, spec: AttackSpec) -> None:
         standard_workload(world.network)
@@ -796,14 +791,14 @@ class EquivocationAdversary(Adversary):
         return AttackSpec(attack=self.name, position=position,
                           victims=victims, intensity=count)
 
-    def spider_factories(self, spec: AttackSpec
-                         ) -> Optional[RecorderFactories]:
-        return {spec.position: functools.partial(
-            EquivocatingRecorder, lie_to=set(spec.victims))}
-
-    def netreview_factories(self, spec: AttackSpec
-                            ) -> Optional[NetReviewFactories]:
-        return {spec.position: EquivocatingNetReviewRecorder}
+    def install(self, world: World, spec: AttackSpec) -> None:
+        if not world.faulty:
+            return
+        # On the baseline the second "root" is as empty as the first
+        # and nobody stores either: the fault is installed, the attack
+        # surface is absent.
+        for recorder in world.recorders(spec.position):
+            install_equivocation(recorder, set(spec.victims))
 
     def detect(self, world: World, spec: AttackSpec) -> DetectResult:
         result = DetectResult()
@@ -877,29 +872,13 @@ class ProofTamperAdversary(Adversary):
         commit_time = elector_node.recorder.commitments[-1].commit_time
         reconstruction = elector_node.proofgen.reconstruct(commit_time)
         for neighbor in participant_neighbors(world, spec.position):
-            node = world.spider.nodes[neighbor]
             proofs = elector_node.proofgen.proofs_for(reconstruction,
                                                       neighbor)
             if world.faulty and neighbor == spec.victims[0]:
                 proofs = tamper_proof_set(elector_node.recorder.signer,
                                           proofs, spec.prefix_value)
-            commitment = node.commitment_from(spec.position,
-                                              commit_time)
-            if commitment is None:
-                commitment = \
-                    elector_node.recorder.commitments[-1].message
-            view = node.view_at(commit_time)
-            report = node.checker.check(
-                commitment, proofs,
-                my_exports_to_elector=view.exports.get(
-                    spec.position, {}),
-                my_imports_from_elector=view.imports.get(
-                    spec.position, {}),
-                promise=elector_node.recorder.promises.get(neighbor),
-                elector_scheme=elector_node.recorder.scheme)
-            result.outcomes.append(VerificationOutcome(
-                elector=spec.position, neighbor=neighbor,
-                commit_time=commit_time, proofs=proofs, report=report))
+            result.outcomes.append(world.spider.check_proofs(
+                spec.position, neighbor, commit_time, proofs))
         result.spider.extend(
             spider_node.detection_records(result.outcomes))
         result.spider.extend(world.spider.sweep_overdue_acks())
@@ -967,23 +946,14 @@ class CollusionAdversary(Adversary):
         return AttackSpec(attack=self.name, position=position,
                           accomplices=(confederate,), prefix=str(prefix))
 
-    def spider_factories(self, spec: AttackSpec
-                         ) -> Optional[RecorderFactories]:
-        return {spec.position: functools.partial(
-            FilteringRecorder, drop_from=spec.accomplices[0],
-            drop_prefixes={spec.prefix_value})}
-
-    def netreview_factories(self, spec: AttackSpec
-                            ) -> Optional[NetReviewFactories]:
-        return {spec.position: functools.partial(
-            FilteringNetReviewRecorder, drop_from=spec.accomplices[0],
-            drop_prefixes={spec.prefix_value})}
-
     def install(self, world: World, spec: AttackSpec) -> None:
         if not world.faulty:
             return
         confederate = spec.accomplices[0]
         prefix = spec.prefix_value
+        for recorder in world.recorders(spec.position):
+            install_inbound_drop(recorder, confederate,
+                                 prefixes={prefix})
         install_import_filter(
             world.network.speaker(spec.position),
             lambda route, neighbor: neighbor == confederate and
@@ -1075,3 +1045,35 @@ ATTACK_CLASSES: Tuple[Callable[[], Adversary], ...] = (
     ProofTamperAdversary,
     CollusionAdversary,
 )
+
+
+def adversary_for(spec: AttackSpec) -> Adversary:
+    """The attack class a spec names."""
+    for cls in ATTACK_CLASSES:
+        adversary = cls()
+        if adversary.name == spec.attack:
+            return adversary
+    raise ValueError(f"unknown attack class {spec.attack!r}")
+
+
+#: The §7.4 functionality check: the paper's three faults injected at
+#: AS 5, plus the two other recorder-level faults (§4.5 equivocation,
+#: §6.2 stonewalling), each a fixed spec for the campaign engine.  The
+#: control world of any of them is the paper's clean run; the control
+#: world of ``wrongly-exporting`` is its "fixed export policy" run.
+SEC74_SPECS: Dict[str, AttackSpec] = {
+    "overaggressive-filter": AttackSpec(
+        attack="route-drop", position=FOCUS_AS, victims=(7,),
+        prefix=str(GOOD_PREFIX)),
+    "wrongly-exporting": AttackSpec(
+        attack="wrongful-export", position=FOCUS_AS, victims=(7, 8),
+        prefix=str(SECRET_PREFIX)),
+    "tampered-bit-proof": AttackSpec(
+        attack="proof-tamper", position=FOCUS_AS, victims=(8,),
+        prefix=str(GOOD_PREFIX)),
+    "equivocating-commitments": AttackSpec(
+        attack="equivocation", position=FOCUS_AS, victims=(8,)),
+    "ack-withholding": AttackSpec(
+        attack="ack-withhold", position=FOCUS_AS, victims=(7,),
+        prefix=str(ACK_PREFIX), activate_time=7.0),
+}

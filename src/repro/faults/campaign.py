@@ -18,6 +18,10 @@ A *campaign* is one randomized-but-reproducible attack instance:
    no detection and no alarm, and that SPIDeR's proofs reveal no
    third-party prefixes where NetReview disclosed the full log.
 
+A *fixed* spec — the §7.4 functionality check is five of them,
+:data:`~repro.faults.adversaries.SEC74_SPECS` — skips steps 1–2 and runs
+through the same :func:`run_spec` from step 3 on.
+
 Run it from the command line::
 
     python -m repro.faults.campaign --seed 0 --campaigns 20
@@ -32,7 +36,7 @@ import argparse
 import json
 import random
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.hashing import digest
 from ..netsim.network import Network
@@ -43,11 +47,10 @@ from ..spider.config import SpiderConfig
 from ..spider.node import SpiderDeployment
 from ..netreview.node import NetReviewDeployment
 from ..core.verdict import DetectionRecord
-from .adversaries import ATTACK_CLASSES, Adversary, \
-    AttackSpec, World
+from .adversaries import ATTACK_CLASSES, FEED_ASN, Adversary, \
+    AttackSpec, DetectResult, World, adversary_for
 from .oracle import PrivacyReport, check_clean, check_detections, \
     check_privacy
-from .scenarios import FEED_ASN
 
 #: The simulation config every campaign world runs under.
 _CONFIG = SpiderConfig(commit_interval=60.0)
@@ -70,16 +73,12 @@ def build_world(adversary: Adversary, spec: AttackSpec,
         network, scheme=scheme_config.scheme,
         scheme_factory=scheme_config.scheme_factory,
         promise_factory=scheme_config.promise_factory,
-        config=_CONFIG,
-        recorder_factories=adversary.spider_factories(spec)
-        if faulty else None)
+        config=_CONFIG)
     netreview = NetReviewDeployment(
         network, scheme=scheme_config.scheme,
         scheme_factory=scheme_config.scheme_factory,
         promise_factory=scheme_config.promise_factory,
-        config=_CONFIG,
-        recorder_factories=adversary.netreview_factories(spec)
-        if faulty else None)
+        config=_CONFIG)
     network.attach_feed(INJECTION_AS, FEED_ASN)
     world = World(faulty=faulty, network=network, spider=spider,
                   netreview=netreview)
@@ -114,7 +113,7 @@ def _schedule_digest(payload: Dict[str, object]) -> str:
     return digest(blob.encode("utf-8")).hex()
 
 
-def _control_alarms(world: World) -> Dict[int, List[str]]:
+def recorder_alarms(world: World) -> Dict[int, List[str]]:
     alarms: Dict[int, List[str]] = {}
     for asn in sorted(world.spider.nodes):
         texts = world.spider.nodes[asn].recorder.alarms
@@ -136,54 +135,63 @@ def _by_system(records: List[DetectionRecord], system: str
 # One campaign
 
 
+def run_world(spec: AttackSpec, faulty: bool
+              ) -> Tuple[World, DetectResult]:
+    """Build one world for ``spec`` — the fault hooked in, or its
+    honest counterpart — drive the workload and run detection."""
+    adversary = adversary_for(spec)
+    world = build_world(adversary, spec, faulty)
+    adversary.drive(world, spec)
+    return world, adversary.detect(world, spec)
+
+
 def run_campaign(seed: int, index: int) -> Dict[str, object]:
-    """Run campaign ``index`` of a sweep seeded with ``seed``.
+    """Run campaign ``index`` of a sweep seeded with ``seed``: sample a
+    spec, then :func:`run_spec` it.  Identical ``(seed, index)`` always
+    produce an identical entry.
+    """
+    rng = random.Random(f"{seed}:{index}")
+    adversary = ATTACK_CLASSES[index % len(ATTACK_CLASSES)]()
+    spec = adversary.sample(build_probe(adversary), rng)
+    if spec is None:
+        return {
+            "index": index, "seed": seed, "attack": adversary.name,
+            "spec": None, "schedule_digest": "",
+            "problems": [f"{adversary.name}: no realizable attack "
+                         "position in the probe network"],
+            "ok": False,
+        }
+    return run_spec(spec, seed=seed, index=index)
+
+
+def run_spec(spec: AttackSpec, seed: Optional[int] = None,
+             index: Optional[int] = None) -> Dict[str, object]:
+    """Run one concrete spec — sampled by :func:`run_campaign` or fixed,
+    like the §7.4 table — through a faulty world, a control world and
+    the differential oracle.
 
     Returns a JSON-ready result entry; ``entry["ok"]`` is True iff the
-    differential oracle found no problem.  Identical ``(seed, index)``
-    always produce an identical entry.
+    oracle found no problem.
     """
     registry = get_registry()
     started = time.perf_counter()
-    rng = random.Random(f"{seed}:{index}")
-    adversary = ATTACK_CLASSES[index % len(ATTACK_CLASSES)]()
+    adversary = adversary_for(spec)
     registry.counter(names.CAMPAIGN_RUNS_TOTAL,
                      attack=adversary.name).inc()
 
     problems: List[str] = []
-    entry: Dict[str, object] = {
+    schedule: Dict[str, object] = {
         "index": index,
         "seed": seed,
         "attack": adversary.name,
+        "spec": spec.to_json(),
+        "workload_events": adversary.workload_events(spec),
     }
+    entry = dict(schedule, schedule_digest=_schedule_digest(schedule))
 
-    probe = build_probe(adversary)
-    spec = adversary.sample(probe, rng)
-    if spec is None:
-        problems.append(f"{adversary.name}: no realizable attack "
-                        "position in the probe network")
-        entry.update({"spec": None, "schedule_digest": "",
-                      "problems": problems, "ok": False})
-        return entry
-
-    workload_events = adversary.workload_events(spec)
-    entry["spec"] = spec.to_json()
-    entry["workload_events"] = workload_events
-    entry["schedule_digest"] = _schedule_digest({
-        "seed": seed, "index": index, "attack": adversary.name,
-        "spec": spec.to_json(), "workload_events": workload_events,
-    })
-
-    # --- Faulty world -------------------------------------------------
-    faulty_world = build_world(adversary, spec, faulty=True)
-    adversary.drive(faulty_world, spec)
-    faulty = adversary.detect(faulty_world, spec)
+    faulty_world, faulty = run_world(spec, faulty=True)
     problems.extend(faulty.problems)
-
-    # --- Control world ------------------------------------------------
-    control_world = build_world(adversary, spec, faulty=False)
-    adversary.drive(control_world, spec)
-    control = adversary.detect(control_world, spec)
+    control_world, control = run_world(spec, faulty=False)
     problems.extend(control.problems)
 
     # --- The differential oracle --------------------------------------
@@ -211,7 +219,7 @@ def run_campaign(seed: int, index: int) -> Dict[str, object]:
     problems.extend(check_clean(
         _by_system(control.spider + control.discarded, "spider"),
         _by_system(control.netreview + control.discarded, "netreview"),
-        _control_alarms(control_world)))
+        recorder_alarms(control_world)))
 
     privacy: Optional[PrivacyReport] = None
     if adversary.privacy_check and control.outcomes and \

@@ -4,21 +4,19 @@ Each injector makes one component misbehave in a specific way while the
 rest of the system stays correct, so tests can verify that the paper's
 detection guarantees hold against exactly that deviation:
 
-* :class:`FilteringRecorder` — hides a neighbor's announcements from the
-  committed state (the over-aggressive filter of §7.4, as it manifests at
-  the recorder: the AS's routers dropped the route, so the mirrored state
-  the MTT is built from is missing it);
-* :class:`EquivocatingRecorder` — sends different commitments to chosen
-  neighbors (the INVALIDCOMMIT case of §4.5);
+* :func:`install_inbound_drop` — makes a recorder lose a neighbor's
+  messages.  Acknowledged, it is the over-aggressive filter of §7.4 as
+  it manifests at the recorder (the AS's routers dropped the route, so
+  the mirrored state the MTT is built from is missing it); silent, it
+  is the §6.2 stonewalling the T_max timeout exists to catch;
+* :func:`install_equivocation` — sends a second commitment root to
+  chosen neighbors (the INVALIDCOMMIT case of §4.5);
 * :func:`install_import_filter` — makes the *BGP speaker* drop matching
   routes on import, so its decisions really do ignore them;
 * :func:`install_export_filter` — suppresses matching routes on export
   (used to build the *honest* variant of the selective-export scenario);
 * :func:`tamper_bit_proof` — re-signs a bit proof with the bit flipped
   (§7.4's "tampered bit proof");
-* :class:`AckWithholdingRecorder` — silently ignores a neighbor's
-  companion-protocol messages (no log entry, no ACK), the §6.2 fault the
-  T_max timeout exists to catch;
 * :func:`install_export_leak` — disables the valley-free discipline so
   the speaker leaks provider/peer routes upstream (a classic route
   leak);
@@ -27,9 +25,11 @@ detection guarantees hold against exactly that deviation:
 * :func:`tamper_log_entry` — edits a log entry in place (an adversary
   doctoring the log it will later disclose to a NetReview auditor).
 
-The ``*NetReviewRecorder`` combo classes graft the same misbehaviors
-onto the NetReview baseline recorder so one campaign can drive both
-systems with an identical fault.
+Every ``install_*`` takes a *built* object — a speaker, or a recorder of
+either system (:class:`~repro.spider.recorder.Recorder` and the
+NetReview baseline's subclass alike) — and rebinds methods on that one
+instance, so faults compose and one campaign drives both systems with
+an identical fault.
 """
 
 from __future__ import annotations
@@ -42,118 +42,66 @@ from ..bgp.route import Route
 from ..bgp.speaker import Speaker
 from ..crypto.signatures import Signer
 from ..mtt.proofs import MttBitProof
-from ..netreview.node import NetReviewRecorder
 from ..spider.log import LogEntry, SpiderLog
 from ..spider.proofgen import ProofSet
 from ..spider.recorder import CommitmentRecord, Recorder
-from ..spider.wire import SpiderAnnounce, SpiderBitProof, \
-    SpiderCommitment, SpiderWithdraw
+from ..spider.wire import SpiderBitProof, SpiderCommitment
 
 
-class FilteringRecorder(Recorder):
-    """A recorder that pretends selected announcements never arrived.
+def install_inbound_drop(recorder: Recorder, sender: int, *,
+                         prefixes: Optional[Set[Prefix]] = None,
+                         active_from: float = 0.0,
+                         acknowledge: bool = True) -> List[object]:
+    """Make a built recorder lose ``sender``'s announcements and
+    withdrawals (for ``prefixes`` only, when given) once its clock
+    reaches ``active_from``: no log entry, no committed state.
 
-    It still acknowledges them (a missing ACK would raise an immediate
-    alarm), but neither logs them nor counts them in commitments — the
-    stealthy version of losing a route.
+    With ``acknowledge`` the (validly signed) message is still ACKed —
+    the stealthy loss of §7.4's over-aggressive filter, where a missing
+    ACK would raise an immediate alarm.  Without it the sender is
+    stonewalled and its :meth:`~repro.spider.recorder.Recorder.
+    overdue_acks` trips after T_max (§6.2).  Returns the live list of
+    dropped messages.
     """
+    dropped: List[object] = []
 
-    def __init__(self, *args: Any, drop_from: int,
-                 drop_prefixes: Optional[Set[Prefix]] = None,
-                 active_from: float = 0.0,
-                 **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.drop_from = drop_from
-        self.drop_prefixes = drop_prefixes
-        self.active_from = active_from
-        self.dropped: List[SpiderAnnounce] = []
+    def dropping(original: Callable[[Any], None]
+                 ) -> Callable[[Any], None]:
+        def receive(message: Any) -> None:
+            if message.sender != sender or \
+                    recorder.clock.now < active_from or \
+                    (prefixes is not None and
+                     message.prefix not in prefixes):
+                original(message)
+                return
+            dropped.append(message)
+            if acknowledge and message.valid(recorder.registry):
+                recorder._send_ack(sender, message.message_hash())
+        return receive
 
-    def _should_drop(self, message: SpiderAnnounce) -> bool:
-        if message.sender != self.drop_from:
-            return False
-        if self.clock.now < self.active_from:
-            return False
-        return self.drop_prefixes is None or \
-            message.prefix in self.drop_prefixes
-
-    def _receive_announce(self, message: SpiderAnnounce) -> None:
-        if isinstance(message, SpiderAnnounce) and \
-                self._should_drop(message):
-            if message.valid(self.registry):
-                self.dropped.append(message)
-                self._send_ack(message.sender, message.message_hash())
-            return
-        super()._receive_announce(message)
+    recorder._receive_announce = dropping(  # type: ignore[method-assign]
+        recorder._receive_announce)
+    recorder._receive_withdraw = dropping(  # type: ignore[method-assign]
+        recorder._receive_withdraw)
+    return dropped
 
 
-class EquivocatingRecorder(Recorder):
-    """A recorder that commits differently toward selected neighbors."""
+def install_equivocation(recorder: Recorder, lie_to: Set[int]) -> None:
+    """Follow every commitment of a built recorder with a second,
+    inconsistent one (same time, different root) toward ``lie_to`` —
+    the INVALIDCOMMIT case of §4.5."""
+    original = recorder.make_commitment
 
-    def __init__(self, *args: Any, lie_to: Set[int],
-                 **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.lie_to = set(lie_to)
-
-    def make_commitment(self) -> CommitmentRecord:
-        record = super().make_commitment()
-        # Overwrite what the chosen neighbors received with a second,
-        # inconsistent commitment (same time, different root).
+    def make_commitment() -> CommitmentRecord:
+        record = original()
         fake_root = bytes(b ^ 0xFF for b in record.root)
-        fake = SpiderCommitment.make(self.signer, record.commit_time,
+        fake = SpiderCommitment.make(recorder.signer, record.commit_time,
                                      fake_root)
-        for neighbor in self.lie_to:
-            self.transport(neighbor, [fake])
+        for neighbor in sorted(lie_to):
+            recorder.transport(neighbor, [fake])
         return record
 
-
-class AckWithholdingRecorder(Recorder):
-    """A recorder that stonewalls selected neighbors (§6.2 timeout case).
-
-    Announces and withdrawals from ``withhold_from`` are neither logged
-    nor acknowledged once the clock passes ``active_from`` — the sender's
-    :meth:`~repro.spider.recorder.Recorder.overdue_acks` trips after
-    T_max, which is the paper's required reaction to a silent peer.
-    """
-
-    def __init__(self, *args: Any, withhold_from: Set[int],
-                 active_from: float = 0.0, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.withhold_from = set(withhold_from)
-        self.active_from = active_from
-        self.withheld: List[object] = []
-
-    def _withholds(self, sender: int) -> bool:
-        return sender in self.withhold_from and \
-            self.clock.now >= self.active_from
-
-    def _receive_announce(self, message: SpiderAnnounce) -> None:
-        if self._withholds(message.sender):
-            self.withheld.append(message)
-            return
-        super()._receive_announce(message)
-
-    def _receive_withdraw(self, message: SpiderWithdraw) -> None:
-        if self._withholds(message.sender):
-            self.withheld.append(message)
-            return
-        super()._receive_withdraw(message)
-
-
-class FilteringNetReviewRecorder(FilteringRecorder, NetReviewRecorder):
-    """The same stealth drop, grafted onto the NetReview baseline."""
-
-
-class AckWithholdingNetReviewRecorder(AckWithholdingRecorder,
-                                      NetReviewRecorder):
-    """The same stonewalling, grafted onto the NetReview baseline."""
-
-
-class EquivocatingNetReviewRecorder(NetReviewRecorder):
-    """Would-be equivocator on the baseline: NetReview commitments carry
-    no broadcast message (``make_commitment`` only marks the epoch), so
-    there is nothing to equivocate about — the class exists to make the
-    differential explicit: the attack surface is absent, and so is the
-    detection."""
+    recorder.make_commitment = make_commitment  # type: ignore[method-assign]
 
 
 def install_import_filter(speaker: Speaker,

@@ -16,13 +16,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.classes import ClassScheme
 from ..core.promise import Promise, total_order_promise
-from ..core.verdict import DetectionRecord, FaultKind
+from ..core.verdict import DetectionRecord
 from ..crypto.keys import KeyRegistry, make_identity
 from ..netsim.network import Network
 from ..spider.checkpoint import replay
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind
-from ..spider.node import SPIDER_TRAFFIC
+from ..spider.node import SPIDER_TRAFFIC, evaluation_scheme, \
+    sweep_overdue_acks
 from ..spider.recorder import CommitmentRecord, Recorder, Transport
 from .auditor import AuditReport, NetReviewAuditor
 
@@ -63,10 +64,7 @@ class NetReviewDeployment:
                  promise_factory:
                  Optional[Callable[[int, int], Promise]] = None,
                  scheme_factory:
-                 Optional[Callable[[int], ClassScheme]] = None,
-                 recorder_factories: Optional[
-                     Dict[int, Callable[..., NetReviewRecorder]]] = None):
-        from ..spider.node import evaluation_scheme
+                 Optional[Callable[[int], ClassScheme]] = None):
         self.network = network
         self.config = config
         self.scheme = scheme if scheme is not None else \
@@ -90,9 +88,7 @@ class NetReviewDeployment:
                 for neighbor in network.topology.neighbors(asn)
             }
             self.promises[asn] = promises
-            factory = (recorder_factories or {}).get(
-                asn, NetReviewRecorder)
-            recorder = factory(
+            recorder = NetReviewRecorder(
                 identity=identities[asn], registry=self.registry,
                 scheme=self._scheme_for(asn), promises=promises,
                 config=config,
@@ -171,24 +167,6 @@ class NetReviewDeployment:
                 if neighbor in self.recorders]
 
     def sweep_overdue_acks(self) -> List[DetectionRecord]:
-        """The §6.2 T_max check on the shared substrate, NetReview side.
-
-        Same semantics as
-        :meth:`repro.spider.node.SpiderDeployment.sweep_overdue_acks`:
-        messages to ASes running no recorder are skipped.
-        """
-        records: List[DetectionRecord] = []
-        for asn in sorted(self.recorders):
-            accused_seen: set[int] = set()
-            for _message_hash, neighbor in \
-                    self.recorders[asn].overdue_acks():
-                if neighbor not in self.recorders or \
-                        neighbor in accused_seen:
-                    continue
-                accused_seen.add(neighbor)
-                records.append(DetectionRecord(
-                    system="netreview", detector=asn, accused=neighbor,
-                    kind=FaultKind.MISSING_MESSAGE, source="ack-sweep",
-                    description=(f"AS{neighbor} never acknowledged a "
-                                 "logged message (T_max exceeded)")))
-        return records
+        """The §6.2 T_max check on the shared substrate, NetReview side."""
+        return sweep_overdue_acks(self.recorders, "netreview",
+                                  "a logged message")

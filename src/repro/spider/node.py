@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Optional, Sequence, Tuple
+    Mapping, Optional, Sequence, Tuple
 
 from ..bgp.prefix import Prefix
 from ..core.classes import ClassScheme, path_length_scheme
@@ -56,25 +56,18 @@ class SpiderNode:
                  scheme: ClassScheme, promises: Dict[int, Promise],
                  config: SpiderConfig, clock: ClockLike,
                  transport: Transport, master_seed: bytes,
-                 recorder_factory: Callable[..., Recorder] = Recorder,
                  schedule: Optional[Scheduler] = None,
                  log_store: Optional[LogSink] = None,
                  recovered_entries: Optional[
                      Sequence[LogEntry]] = None):
         self.identity = identity
         self.registry = registry
-        # Store kwargs are forwarded only when set, so custom recorder
-        # factories that predate durability keep working unchanged.
-        extra: Dict[str, object] = {}
-        if log_store is not None:
-            extra["log_store"] = log_store
-        if recovered_entries is not None:
-            extra["recovered_entries"] = recovered_entries
-        self.recorder = recorder_factory(
+        self.recorder = Recorder(
             identity=identity, registry=registry, scheme=scheme,
             promises=promises, config=config, clock=clock,
             transport=transport, master_seed=master_seed,
-            schedule=schedule, **extra)
+            schedule=schedule, log_store=log_store,
+            recovered_entries=recovered_entries)
         self.proofgen = ProofGenerator(self.recorder)
         self.checker = Checker(identity.asn, registry, scheme)
         #: Commitments received from neighbors: (elector, time) → message.
@@ -146,8 +139,6 @@ class SpiderDeployment:
                  key_bits: int = 512, key_seed: int = 4242,
                  promise_factory: Optional[
                      Callable[[int, int], Promise]] = None,
-                 recorder_factories: Optional[
-                     Dict[int, Callable[..., Recorder]]] = None,
                  scheme_factory: Optional[
                      Callable[[int], ClassScheme]] = None,
                  participants: Optional[Iterable[int]] = None):
@@ -188,7 +179,6 @@ class SpiderDeployment:
                 for neighbor in network.topology.neighbors(asn)
                 if neighbor in identities
             }
-            factory = (recorder_factories or {}).get(asn, Recorder)
             node = SpiderNode(
                 identity=identities[asn],
                 registry=self.registry, scheme=self._scheme_for(asn),
@@ -196,7 +186,6 @@ class SpiderDeployment:
                 clock=network.sim.clock,
                 transport=self._transport_for(asn),
                 master_seed=b"spider-node-%d" % asn,
-                recorder_factory=factory,
                 schedule=network.sim.after)
             self.nodes[asn] = node
             speaker.on_send(node.recorder.mirror_sent_update)
@@ -267,8 +256,7 @@ class SpiderDeployment:
 
         outcomes: List[VerificationOutcome] = []
         for neighbor in neighbors:
-            node = self.nodes.get(neighbor)
-            if node is None:
+            if neighbor not in self.nodes:
                 continue
             proofs = elector_node.proofgen.proofs_for(
                 reconstruction, neighbor,
@@ -277,27 +265,40 @@ class SpiderDeployment:
             if meter is not None:
                 meter.record(PROOF_TRAFFIC, proofs.wire_size(),
                              at=self.network.sim.now)
-            commitment = node.commitment_from(elector, commit_time)
-            if commitment is None:
-                # The neighbor never got the commitment — use the
-                # elector's own record (a real deployment would raise an
-                # alarm; integration tests verify delivery separately).
-                commitment = elector_node.recorder.commitments[-1].message
-                for record in elector_node.recorder.commitments:
-                    if record.commit_time == commit_time:
-                        commitment = record.message
-            view = node.view_at(commit_time)
-            report = node.checker.check(
-                commitment, proofs,
-                my_exports_to_elector=view.exports.get(elector, {}),
-                my_imports_from_elector=view.imports.get(elector, {}),
-                promise=elector_node.recorder.promises.get(neighbor),
-                watch=watch.get(neighbor, ()),
-                elector_scheme=elector_node.recorder.scheme)
-            outcomes.append(VerificationOutcome(
-                elector=elector, neighbor=neighbor,
-                commit_time=commit_time, proofs=proofs, report=report))
+            outcomes.append(self.check_proofs(
+                elector, neighbor, commit_time, proofs,
+                watch=watch.get(neighbor, ())))
         return outcomes
+
+    def check_proofs(self, elector: int, neighbor: int,
+                     commit_time: float, proofs: ProofSet,
+                     watch: Sequence[Prefix] = (),
+                     ) -> VerificationOutcome:
+        """One neighbor checks the proof set it was handed for the
+        elector's commitment at ``commit_time`` against its own logged
+        view."""
+        elector_node = self.nodes[elector]
+        node = self.nodes[neighbor]
+        commitment = node.commitment_from(elector, commit_time)
+        if commitment is None:
+            # The neighbor never got the commitment — use the elector's
+            # own record (a real deployment would raise an alarm;
+            # integration tests verify delivery separately).
+            commitment = elector_node.recorder.commitments[-1].message
+            for record in elector_node.recorder.commitments:
+                if record.commit_time == commit_time:
+                    commitment = record.message
+        view = node.view_at(commit_time)
+        report = node.checker.check(
+            commitment, proofs,
+            my_exports_to_elector=view.exports.get(elector, {}),
+            my_imports_from_elector=view.imports.get(elector, {}),
+            promise=elector_node.recorder.promises.get(neighbor),
+            watch=watch,
+            elector_scheme=elector_node.recorder.scheme)
+        return VerificationOutcome(
+            elector=elector, neighbor=neighbor,
+            commit_time=commit_time, proofs=proofs, report=report)
 
     def all_clean(self, outcomes: List[VerificationOutcome]) -> bool:
         return all(o.report.ok for o in outcomes)
@@ -306,26 +307,10 @@ class SpiderDeployment:
     # Normalized detection reporting (for the fault-campaign oracle)
 
     def sweep_overdue_acks(self) -> List[DetectionRecord]:
-        """Every participant's §6.2 T_max check, as detection records.
-
-        Messages to non-participants (e.g. phantom feed neighbors, which
-        run no SPIDeR and can never acknowledge) are outside the
-        detection guarantee and are skipped.
-        """
-        records: List[DetectionRecord] = []
-        for asn in sorted(self.nodes):
-            node = self.nodes[asn]
-            accused_seen: set[int] = set()
-            for _message_hash, neighbor in node.recorder.overdue_acks():
-                if neighbor not in self.nodes or neighbor in accused_seen:
-                    continue
-                accused_seen.add(neighbor)
-                records.append(DetectionRecord(
-                    system="spider", detector=asn, accused=neighbor,
-                    kind=FaultKind.MISSING_MESSAGE, source="ack-sweep",
-                    description=(f"AS{neighbor} never acknowledged a "
-                                 "SPIDeR message (T_max exceeded)")))
-        return records
+        """Every participant's §6.2 T_max check, as detection records."""
+        return sweep_overdue_acks(
+            {asn: node.recorder for asn, node in self.nodes.items()},
+            "spider", "a SPIDeR message")
 
     # ------------------------------------------------------------------
     # The VERIFY broadcast cross-check (Section 4.5 over SPIDeR)
@@ -361,6 +346,30 @@ class SpiderDeployment:
                         poms.append(pom)
             seen_roots.setdefault(commitment.root, commitment)
         return poms
+
+
+def sweep_overdue_acks(recorders: Mapping[int, Recorder], system: str,
+                       what: str) -> List[DetectionRecord]:
+    """The §6.2 T_max check over one system's recorders: one record per
+    (sender, silent neighbor).
+
+    Messages to ASes running no recorder (e.g. phantom feed neighbors,
+    which can never acknowledge) are outside the detection guarantee
+    and are skipped.
+    """
+    records: List[DetectionRecord] = []
+    for asn in sorted(recorders):
+        accused_seen: set[int] = set()
+        for _message_hash, neighbor in recorders[asn].overdue_acks():
+            if neighbor not in recorders or neighbor in accused_seen:
+                continue
+            accused_seen.add(neighbor)
+            records.append(DetectionRecord(
+                system=system, detector=asn, accused=neighbor,
+                kind=FaultKind.MISSING_MESSAGE, source="ack-sweep",
+                description=(f"AS{neighbor} never acknowledged {what} "
+                             "(T_max exceeded)")))
+    return records
 
 
 def detection_records(outcomes: Iterable[VerificationOutcome]

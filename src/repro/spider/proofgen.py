@@ -123,8 +123,7 @@ class ProofGenerator:
             return self._cache[commit_time]
         self.cache_misses += 1
         reconstruction = self._reconstruct(commit_time)
-        capacity = getattr(self.recorder.config,
-                           "reconstruction_cache_size", 8)
+        capacity = self.recorder.config.reconstruction_cache_size
         if use_cache and capacity > 0:
             self._cache[commit_time] = reconstruction
             while len(self._cache) > capacity:

@@ -26,7 +26,7 @@ from ..core.promise import Promise
 from ..crypto.hashing import constant_time_eq, digest_fields
 from ..crypto.keys import Identity, KeyRegistry
 from ..crypto.rc4 import Rc4Csprng
-from ..crypto.signatures import Signed, Signer, Verifier
+from ..crypto.signatures import Signed, Signer
 # Imported under the name benchmarks/e2e/layers.py TARGETS wraps here.
 from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
 from ..mtt.pool import LabelPool
@@ -116,7 +116,6 @@ class Recorder:
         self.cpu = cpu if cpu is not None else CpuMeter(node=node)
         self.storage = StorageMeter(node=node)
         self.signer = Signer(identity)
-        self.verifier = Verifier(registry)
         if recovered_entries is not None:
             self.log = SpiderLog.restore(
                 recovered_entries,
@@ -464,6 +463,10 @@ class Recorder:
         if not ok or message.receiver != self.asn:
             self.alarm("invalid_withdraw",
                        f"invalid withdraw from AS{message.sender}")
+            return
+        if not self._timestamp_plausible(message.timestamp):
+            self.alarm("stale_timestamp",
+                       f"stale timestamp from AS{message.sender}")
             return
         entry = self._log_append(self.clock.now, EntryKind.RECV_WITHDRAW,
                                  message, size_bytes=message.wire_size())

@@ -4,8 +4,8 @@ import pytest
 
 from repro.crypto import rsa
 from repro.crypto.keys import KeyRegistry, UnknownKeyError, make_identity
-from repro.crypto.signatures import BatchSigner, CryptoStats, Signed, \
-    Signer, Verifier
+from repro.crypto.signatures import CryptoStats, Signed, Signer, \
+    Verifier
 
 BITS = 512
 
@@ -138,49 +138,3 @@ class TestBatchSigning:
         assert len(envs) == 1
         assert envs[0].batch_digests == ()
         assert Verifier(registry).verify(envs[0])
-
-
-class TestBatchSigner:
-    def test_flushes_at_max_batch(self, registry, alice):
-        stats = CryptoStats()
-        out = []
-        batcher = BatchSigner(Signer(alice, stats=stats), out.append,
-                              max_batch=3)
-        for i in range(7):
-            batcher.submit(bytes([i]))
-        # Two full batches flushed automatically, one payload pending.
-        assert stats.signatures_made == 2
-        assert batcher.pending_count == 1
-        assert batcher.flush() == 1
-        assert stats.signatures_made == 3
-        assert len(out) == 7
-        verifier = Verifier(registry)
-        assert all(verifier.verify(e) for e in out)
-
-    def test_flush_on_empty_is_noop(self, alice):
-        batcher = BatchSigner(Signer(alice), lambda e: None)
-        assert batcher.flush() == 0
-
-    def test_preserves_submission_order(self, alice):
-        out = []
-        batcher = BatchSigner(Signer(alice), out.append, max_batch=10)
-        payloads = [bytes([i]) for i in range(5)]
-        for p in payloads:
-            batcher.submit(p)
-        batcher.flush()
-        assert [e.payload for e in out] == payloads
-
-    def test_rejects_bad_max_batch(self, alice):
-        with pytest.raises(ValueError):
-            BatchSigner(Signer(alice), lambda e: None, max_batch=0)
-
-    def test_batching_reduces_signature_count(self, alice):
-        # The Section 7.5 effect: fewer signatures than payloads.
-        stats = CryptoStats()
-        batcher = BatchSigner(Signer(alice, stats=stats), lambda e: None,
-                              max_batch=16)
-        for i in range(100):
-            batcher.submit(i.to_bytes(2, "big"))
-        batcher.flush()
-        assert stats.payloads_signed == 100
-        assert stats.signatures_made < 10

@@ -9,29 +9,44 @@ import pytest
 
 from repro.bgp.prefix import Prefix
 from repro.core.verdict import FaultKind
-from repro.faults.injector import AckWithholdingRecorder, \
-    EquivocatingRecorder, FilteringRecorder, install_export_filter, \
-    install_export_leak, install_export_mutator, install_import_filter, \
-    shorten_as_path, tamper_bit_proof, tamper_log_entry, \
-    tamper_proof_set
-from repro.faults.scenarios import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX
+from repro.faults.adversaries import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX
+from repro.faults.injector import install_equivocation, \
+    install_export_filter, install_export_leak, install_export_mutator, \
+    install_import_filter, install_inbound_drop, shorten_as_path, \
+    tamper_bit_proof, tamper_log_entry, tamper_proof_set
+from repro.netreview.node import NetReviewDeployment
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, \
     figure5_topology
 from repro.spider.config import SpiderConfig
-from repro.spider.log import TamperError
+from repro.spider.log import EntryKind, TamperError
 from repro.spider.node import SpiderDeployment
+from repro.spider.wire import SpiderCommitment
 
 OTHER_PREFIX = Prefix.parse("198.51.100.0/24")
 
 _CONFIG = SpiderConfig(commit_interval=60.0)
 
+SYSTEMS = ("spider", "netreview")
 
-def build(recorder_factories=None):
+
+def build_system(system):
+    """One network with one system deployed: (network, deployment,
+    asn → recorder).  The installers take either system's recorder."""
     network = Network(figure5_topology())
-    deployment = SpiderDeployment(network, config=_CONFIG,
-                                  recorder_factories=recorder_factories)
+    if system == "spider":
+        deployment = SpiderDeployment(network, config=_CONFIG)
+        recorders = {asn: node.recorder
+                     for asn, node in deployment.nodes.items()}
+    else:
+        deployment = NetReviewDeployment(network, config=_CONFIG)
+        recorders = deployment.recorders
     network.attach_feed(INJECTION_AS, feed_asn=FEED_ASN)
+    return network, deployment, recorders
+
+
+def build():
+    network, deployment, _recorders = build_system("spider")
     return network, deployment
 
 
@@ -40,23 +55,23 @@ def good_route_workload(network):
     network.settle()
 
 
+def logged_from(recorder, sender):
+    return [entry for entry in recorder.log
+            if entry.kind is EntryKind.RECV_ANNOUNCE and
+            entry.payload.sender == sender]
+
+
 # ----------------------------------------------------------------------
-# FilteringRecorder
-
-
-def _filtering_factory(**overrides):
-    def factory(*args, **kwargs):
-        return FilteringRecorder(*args, drop_from=7, **overrides,
-                                 **kwargs)
-    return {FOCUS_AS: factory}
+# install_inbound_drop, acknowledged: the stealthy recorder-side filter
 
 
 def test_filtering_recorder_drops_but_still_acks():
-    network, deployment = build(_filtering_factory())
+    network, deployment = build()
+    dropped = install_inbound_drop(
+        deployment.node(FOCUS_AS).recorder, 7)
     good_route_workload(network)
-    recorder = deployment.node(FOCUS_AS).recorder
-    assert recorder.dropped, "the filtered announce was never seen"
-    assert all(m.sender == 7 for m in recorder.dropped)
+    assert dropped, "the filtered announce was never seen"
+    assert all(m.sender == 7 for m in dropped)
     # The stealthy part: AS 7 got its ACKs, so no T_max sweep fires.
     assert deployment.node(7).recorder.overdue_acks() == []
     assert deployment.sweep_overdue_acks() == []
@@ -67,48 +82,88 @@ def test_filtering_recorder_drops_but_still_acks():
 
 
 def test_filtering_recorder_prefix_scoping():
-    network, deployment = build(
-        _filtering_factory(drop_prefixes={OTHER_PREFIX}))
+    network, deployment = build()
+    dropped = install_inbound_drop(
+        deployment.node(FOCUS_AS).recorder, 7, prefixes={OTHER_PREFIX})
     good_route_workload(network)
     # Only OTHER_PREFIX (never announced) is in scope: nothing dropped.
-    assert deployment.node(FOCUS_AS).recorder.dropped == []
+    assert dropped == []
 
 
 def test_filtering_recorder_respects_active_from():
-    network, deployment = build(
-        _filtering_factory(active_from=1e9))
+    network, deployment = build()
+    dropped = install_inbound_drop(
+        deployment.node(FOCUS_AS).recorder, 7, active_from=1e9)
     good_route_workload(network)
-    assert deployment.node(FOCUS_AS).recorder.dropped == []
+    assert dropped == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_acknowledged_drop_leaves_no_log_entry_but_clears_the_ack(
+        system):
+    network, deployment, recorders = build_system(system)
+    dropped = install_inbound_drop(recorders[FOCUS_AS], 7)
+    good_route_workload(network)
+    assert dropped
+    assert logged_from(recorders[FOCUS_AS], 7) == []
+    network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
+    assert recorders[7].overdue_acks() == []
+    assert deployment.sweep_overdue_acks() == []
 
 
 # ----------------------------------------------------------------------
-# AckWithholdingRecorder
+# install_inbound_drop, silent: the §6.2 stonewall
 
 
 def test_ack_withholding_trips_the_tmax_sweep():
-    def factory(*args, **kwargs):
-        return AckWithholdingRecorder(*args, withhold_from={7},
-                                      **kwargs)
-
-    network, deployment = build({FOCUS_AS: factory})
+    network, deployment = build()
+    withheld = install_inbound_drop(
+        deployment.node(FOCUS_AS).recorder, 7, acknowledge=False)
     good_route_workload(network)
-    recorder = deployment.node(FOCUS_AS).recorder
-    assert recorder.withheld, "nothing was withheld"
+    assert withheld, "nothing was withheld"
     network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
     records = deployment.sweep_overdue_acks()
     assert [(r.detector, r.accused, r.kind) for r in records] == \
         [(7, FOCUS_AS, FaultKind.MISSING_MESSAGE)]
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_silent_drop_trips_overdue_acks_after_tmax(system):
+    network, deployment, recorders = build_system(system)
+    install_inbound_drop(recorders[FOCUS_AS], 7, acknowledge=False)
+    good_route_workload(network)
+    assert logged_from(recorders[FOCUS_AS], 7) == []
+    assert recorders[7].overdue_acks() == []  # not yet: T_max is a wait
+    network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
+    assert {neighbor for _hash, neighbor in
+            recorders[7].overdue_acks()} == {FOCUS_AS}
+    records = deployment.sweep_overdue_acks()
+    assert [(r.system, r.detector, r.accused, r.kind)
+            for r in records] == \
+        [(system, 7, FOCUS_AS, FaultKind.MISSING_MESSAGE)]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_inbound_drop_waits_for_active_from(system):
+    network, deployment, recorders = build_system(system)
+    dropped = install_inbound_drop(recorders[FOCUS_AS], 7,
+                                   active_from=5.0, acknowledge=False)
+    good_route_workload(network)            # all of it before t = 5
+    assert dropped == []
+    assert logged_from(recorders[FOCUS_AS], 7)
+    network.schedule_fault(6.0, "late-origin",
+                           lambda: network.originate(9, OTHER_PREFIX))
+    network.settle()
+    assert {m.prefix for m in dropped} == {OTHER_PREFIX}
+
+
 # ----------------------------------------------------------------------
-# EquivocatingRecorder
+# install_equivocation
 
 
 def test_equivocating_recorder_detected_by_lied_to_neighbor():
-    def factory(*args, **kwargs):
-        return EquivocatingRecorder(*args, lie_to={7}, **kwargs)
-
-    network, deployment = build({FOCUS_AS: factory})
+    network, deployment = build()
+    install_equivocation(deployment.node(FOCUS_AS).recorder, {7})
     good_route_workload(network)
     deployment.commit_now(FOCUS_AS)
     network.settle()
@@ -117,6 +172,58 @@ def test_equivocating_recorder_detected_by_lied_to_neighbor():
                r.accused == FOCUS_AS for r in lied_to)
     # A neighbor that saw only one root has nothing to report.
     assert deployment.node(8).detections == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_second_root_reaches_only_lie_to(system):
+    network, _deployment, recorders = build_system(system)
+    recorder = recorders[FOCUS_AS]
+    install_equivocation(recorder, {7})
+    good_route_workload(network)
+    sent = []
+    recorder.transport = lambda receiver, messages: sent.extend(
+        (receiver, message) for message in messages)
+    record = recorder.make_commitment()
+    second = [(receiver, message) for receiver, message in sent
+              if isinstance(message, SpiderCommitment) and
+              message is not record.message]
+    assert [receiver for receiver, _message in second] == [7]
+    fake = second[0][1]
+    assert fake.commit_time == record.commit_time
+    assert fake.valid(recorder.registry)
+    if system == "spider":
+        honest = {receiver for receiver, message in sent
+                  if message is record.message}
+        assert {7, 8} <= honest
+        assert fake.root != record.root
+
+
+# ----------------------------------------------------------------------
+# Composition: two recorder faults on one built recorder
+
+
+def test_inbound_drop_and_equivocation_compose():
+    """What no single subclass could express: AS 5 both loses AS 7's
+    route and lies to AS 8 about its commitment — each victim detects
+    its own fault."""
+    network, deployment = build()
+    recorder = deployment.node(FOCUS_AS).recorder
+    install_inbound_drop(recorder, 7, prefixes={GOOD_PREFIX})
+    install_equivocation(recorder, {8})
+    install_import_filter(
+        network.speaker(FOCUS_AS),
+        lambda route, neighbor: neighbor == 7 and
+        route.prefix == GOOD_PREFIX)
+    good_route_workload(network)
+    deployment.commit_now(FOCUS_AS)
+    network.settle()
+    assert any(r.kind is FaultKind.EQUIVOCATION and
+               r.accused == FOCUS_AS
+               for r in deployment.node(8).detections)
+    assert deployment.node(7).detections == []
+    outcomes = deployment.verify(FOCUS_AS, neighbors=[7])
+    kinds = {v.kind for o in outcomes for v in o.report.verdicts}
+    assert kinds & {FaultKind.MISSING_PROOF, FaultKind.FALSE_BIT}
 
 
 # ----------------------------------------------------------------------

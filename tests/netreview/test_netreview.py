@@ -5,7 +5,7 @@ import pytest
 
 from repro.bgp.prefix import Prefix
 from repro.core.verdict import FaultKind
-from repro.faults.injector import FilteringRecorder, install_import_filter
+from repro.faults.injector import install_import_filter
 from repro.netreview.auditor import disclosure_bytes
 from repro.netreview.node import NetReviewDeployment
 from repro.netsim.network import Network, TraceEvent

@@ -58,18 +58,14 @@ class TestIncrementalDeployment:
     def test_island_detects_violations_within_subset(self):
         """§6.7: the island can still 'detect and prove violations of
         promises that involve inputs and outputs from that subset'."""
-        from repro.faults.injector import FilteringRecorder, \
-            install_import_filter
-        import functools
+        from repro.faults.injector import install_import_filter, \
+            install_inbound_drop
         network = Network(figure5_topology())
         deployment = SpiderDeployment(
             network, scheme=evaluation_scheme(10),
-            config=SpiderConfig(), participants=ISLAND,
-            recorder_factories={
-                FOCUS_AS: functools.partial(
-                    FilteringRecorder, drop_from=7,
-                    drop_prefixes={GOOD}),
-            })
+            config=SpiderConfig(), participants=ISLAND)
+        install_inbound_drop(deployment.node(FOCUS_AS).recorder, 7,
+                             prefixes={GOOD})
         install_import_filter(
             network.speaker(FOCUS_AS),
             lambda route, neighbor: neighbor == 7 and
@@ -102,17 +98,13 @@ class TestCommitmentCrossCheck:
         assert poms == []
 
     def test_equivocation_yields_transferable_pom(self):
-        import functools
-        from repro.faults.injector import EquivocatingRecorder
+        from repro.faults.injector import install_equivocation
         from repro.spider.evidence import commitment_equivocation_valid
         network = Network(figure5_topology())
         deployment = SpiderDeployment(
             network, scheme=evaluation_scheme(10),
-            config=SpiderConfig(),
-            recorder_factories={
-                FOCUS_AS: functools.partial(EquivocatingRecorder,
-                                            lie_to={8}),
-            })
+            config=SpiderConfig())
+        install_equivocation(deployment.node(FOCUS_AS).recorder, {8})
         network.originate(9, GOOD)
         network.settle()
         record = deployment.commit_now(FOCUS_AS)

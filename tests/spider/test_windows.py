@@ -1,4 +1,6 @@
-"""Tests for the loose-synchronization input windows (§6.4)."""
+"""Tests for the loose-synchronization input windows (§6.4), and for
+the receive-side timestamp window that makes a timestamp a nonce
+(§6.2)."""
 
 import pytest
 
@@ -6,8 +8,15 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import NULL_ROUTE, Route
 from repro.core.classes import ClassScheme
 from repro.core.promise import total_order_promise
+from repro.crypto.keys import KeyRegistry, make_identity
+from repro.crypto.signatures import Signer
+from repro.netsim.clock import SimClock
+from repro.spider.config import SpiderConfig
+from repro.spider.node import evaluation_scheme
+from repro.spider.recorder import Recorder
 from repro.spider.windows import RouteChange, admissible_inputs, \
     choose_input, stable_in_window, value_at
+from repro.spider.wire import SpiderAnnounce, SpiderWithdraw
 
 P = Prefix.parse("203.0.113.0/24")
 
@@ -119,3 +128,69 @@ class TestChooseInput:
         chosen = choose_input(FLAPPY, commit_time=21.0, delta=10.0,
                               output=NULL_ROUTE, promises=[])
         assert chosen == R1  # first admissible, nothing forbids it
+
+
+class TestReceiveTimestampWindow:
+    """A validly signed message is only fresh near its timestamp: an
+    old (or far-future) one replayed later must not touch the log or
+    the committed state, whichever message type it is."""
+
+    ELECTOR, PRODUCER, NOW = 5, 7, 1000.0
+
+    @pytest.fixture()
+    def world(self):
+        registry = KeyRegistry()
+        identity = make_identity(self.ELECTOR, registry=registry,
+                                 bits=512, seed=910)
+        producer = Signer(make_identity(self.PRODUCER, registry=registry,
+                                        bits=512, seed=911))
+        clock = SimClock(self.NOW)
+        sent = []
+        scheme = evaluation_scheme(5)
+        recorder = Recorder(
+            identity=identity, registry=registry, scheme=scheme,
+            promises={self.PRODUCER: total_order_promise(scheme)},
+            config=SpiderConfig(), clock=clock,
+            transport=lambda receiver, messages: sent.extend(messages))
+        live = Route(prefix=P, as_path=(self.PRODUCER, 9),
+                     neighbor=self.PRODUCER)
+        recorder.receive(SpiderAnnounce.make(
+            producer, self.ELECTOR, self.NOW, live, None))
+        assert recorder.state.imports[self.PRODUCER][P] == live
+        del sent[:]
+        return recorder, producer, sent
+
+    @pytest.mark.parametrize("stamp", [5.0, 1e6],
+                             ids=["stale", "far-future"])
+    def test_replayed_withdraw_rejected(self, world, stamp):
+        recorder, producer, sent = world
+        entries = len(recorder.log)
+        recorder.receive(SpiderWithdraw.make(
+            producer, self.ELECTOR, stamp, P))
+        assert recorder.alarms == [
+            f"stale timestamp from AS{self.PRODUCER}"]
+        assert len(recorder.log) == entries      # no log entry
+        assert sent == []                        # no ACK
+        assert P in recorder.state.imports[self.PRODUCER]
+
+    @pytest.mark.parametrize("stamp", [5.0, 1e6],
+                             ids=["stale", "far-future"])
+    def test_replayed_announce_rejected(self, world, stamp):
+        recorder, producer, sent = world
+        entries = len(recorder.log)
+        other = Route(prefix=P, as_path=(self.PRODUCER, 8, 9),
+                      neighbor=self.PRODUCER)
+        recorder.receive(SpiderAnnounce.make(
+            producer, self.ELECTOR, stamp, other, None))
+        assert recorder.alarms == [
+            f"stale timestamp from AS{self.PRODUCER}"]
+        assert len(recorder.log) == entries and sent == []
+        assert recorder.state.imports[self.PRODUCER][P] != other
+
+    def test_fresh_withdraw_accepted(self, world):
+        recorder, producer, sent = world
+        recorder.receive(SpiderWithdraw.make(
+            producer, self.ELECTOR, self.NOW, P))
+        assert recorder.alarms == []
+        assert P not in recorder.state.imports.get(self.PRODUCER, {})
+        assert len(sent) == 1                    # the ACK

@@ -7,12 +7,11 @@ commitments, full verification with watch sets, extended verification,
 a fault injection, and the NetReview baseline auditing the same victim.
 """
 
-import functools
-
 import pytest
 
 from repro.bgp.prefix import Prefix
-from repro.faults.injector import FilteringRecorder, install_import_filter
+from repro.faults.injector import install_import_filter, \
+    install_inbound_drop
 from repro.netsim.network import Network
 from repro.netsim.topology import caida_like_topology
 from repro.spider.config import SpiderConfig
@@ -107,12 +106,9 @@ class TestFaultOnRandomTopology:
         deployment = SpiderDeployment(
             network, config=SpiderConfig(commit_interval=60.0),
             scheme_factory=grp.scheme_for,
-            promise_factory=grp.promise_for,
-            recorder_factories={
-                hub: functools.partial(FilteringRecorder,
-                                       drop_from=victim,
-                                       drop_prefixes={prefix}),
-            })
+            promise_factory=grp.promise_for)
+        install_inbound_drop(deployment.node(hub).recorder, victim,
+                             prefixes={prefix})
         install_import_filter(
             network.speaker(hub),
             lambda route, neighbor: neighbor == victim and
