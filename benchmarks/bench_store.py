@@ -66,8 +66,7 @@ def fill_store(directory, n, fsync, registry):
     log = SpiderLog(retention_seconds=1e9, sink=store)
     for i in range(n):
         log.append(float(i), EntryKind.COMMITMENT,
-                   commitment_payload(i),
-                   PAPER_BYTES_PER_COMMITMENT)
+                   commitment_payload(i))
     store.sync()
     store.close()
     return store

@@ -12,10 +12,12 @@ example walks the paper's evidence-of-import timeline:
 Alice's (announce, ack) pair is valid evidence for any commitment after
 t=10 — until Bob refutes it with Alice's own withdrawal for disputes
 after t=20.  The tamper-evident log that stores all of this is also
-demonstrated: a single flipped byte breaks the hash chain.
+demonstrated: one edited route breaks the hash chain.
 
 Run:  python examples/forensics.py
 """
+
+import dataclasses
 
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
@@ -69,14 +71,10 @@ def main():
     # --- The tamper-evident log behind it. -------------------------------
     print("\nBob's log of the exchange:")
     log = SpiderLog()
-    log.append(10.1, EntryKind.RECV_ANNOUNCE, announce,
-               announce.wire_size())
-    log.append(10.1, EntryKind.SENT_ACK, announce_ack,
-               announce_ack.wire_size())
-    log.append(20.1, EntryKind.RECV_WITHDRAW, withdraw,
-               withdraw.wire_size())
-    log.append(20.1, EntryKind.SENT_ACK, withdraw_ack,
-               withdraw_ack.wire_size())
+    log.append(10.1, EntryKind.RECV_ANNOUNCE, announce)
+    log.append(10.1, EntryKind.SENT_ACK, announce_ack)
+    log.append(20.1, EntryKind.RECV_WITHDRAW, withdraw)
+    log.append(20.1, EntryKind.SENT_ACK, withdraw_ack)
     for entry in log:
         print(f"  [{entry.index}] t={entry.timestamp:<5} "
               f"{entry.kind.value:<14} {entry.size_bytes:>4} B "
@@ -84,12 +82,15 @@ def main():
     log.verify_chain()
     print("hash chain verifies.")
 
-    import dataclasses
-    log._entries[1] = dataclasses.replace(log._entries[1], size_bytes=1)
+    # Bob rewrites history: the route he logged came over another path.
+    rerouted = dataclasses.replace(
+        announce, route=dataclasses.replace(route, as_path=(ALICE, 92)))
+    log._entries[0] = dataclasses.replace(log._entries[0],
+                                          payload=rerouted)
     try:
         log.verify_chain()
     except TamperError as error:
-        print(f"after tampering with entry 1: {error}")
+        print(f"after re-routing the announce in entry 0: {error}")
 
 
 if __name__ == "__main__":

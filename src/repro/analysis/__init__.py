@@ -28,9 +28,8 @@ shrink-only ratchet file format.
 
 from __future__ import annotations
 
-from .baseline import (BASELINE_VERSION, BaselineError, baseline_version,
-                       check_shrunk, load_baseline, migrate_baseline,
-                       write_baseline)
+from .baseline import (BASELINE_VERSION, BaselineError, check_shrunk,
+                       load_baseline, write_baseline)
 from .callgraph import Program, load_program, source_tree_digest
 from .cfg import Cfg, build_cfg
 from .contracts import ContractRegistry, default_registry
@@ -54,7 +53,6 @@ __all__ = [
     "TaintAnalysis",
     "all_rules",
     "analyze_paths_dataflow",
-    "baseline_version",
     "build_cfg",
     "build_registry",
     "check_shrunk",
@@ -62,7 +60,6 @@ __all__ = [
     "default_registry",
     "load_baseline",
     "load_program",
-    "migrate_baseline",
     "source_tree_digest",
     "write_baseline",
 ]

@@ -13,11 +13,7 @@ Baseline schema v2 keys entries by the v2 fingerprint of
 :mod:`repro.analysis.findings` — (rule, path, whitespace-normalized
 snippet hash, occurrence) — so unrelated edits that shift line numbers
 or re-indent the offending line cannot resurrect a baselined finding.
-v1 files (raw line-text fingerprints) are rejected by
-:func:`load_baseline` with a pointer to :func:`migrate_baseline`,
-which recomputes every entry's fingerprint from the rule/line metadata
-v1 files carried alongside the hash.  The shrink check treats a
-v1→v2 pair as a migration, not growth.
+Any other schema version is rejected by :func:`load_baseline`.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Set
 
-from .findings import Finding, compute_fingerprint
+from .findings import Finding
 
 BASELINE_VERSION = 2
 
@@ -52,23 +48,10 @@ def _read_doc(path: str) -> Dict[str, object]:
     return doc
 
 
-def baseline_version(path: str) -> int:
-    """The schema version of a baseline file (for migration logic)."""
-    version = _read_doc(path).get("version")
-    if not isinstance(version, int):
-        raise BaselineError(f"baseline {path!r} lacks a version")
-    return version
-
-
 def load_baseline(path: str) -> Set[str]:
     """Read a baseline file into a set of finding fingerprints."""
     doc = _read_doc(path)
-    version = doc.get("version")
-    if version == 1:
-        raise BaselineError(
-            f"baseline {path!r} uses fingerprint schema v1; run "
-            f"python -m repro.analysis --migrate-baseline {path}")
-    if version != BASELINE_VERSION:
+    if doc.get("version") != BASELINE_VERSION:
         raise BaselineError(
             f"baseline {path!r} has unsupported structure/version")
     entries = doc.get("findings")
@@ -107,68 +90,12 @@ def write_baseline(path: str, findings: List[Finding]) -> None:
                           encoding="utf-8")
 
 
-def migrate_baseline(path: str) -> int:
-    """Rewrite a v1 baseline in place as v2; returns entries migrated.
-
-    v1 entries stored the rule id, ``path:line`` location, and raw line
-    text next to the fingerprint, which is everything the v2
-    fingerprint needs — occurrences are reassigned in file order per
-    (rule, path, snippet), mirroring the engine's assignment.  A v2
-    file is left untouched (idempotent).
-    """
-    doc = _read_doc(path)
-    version = doc.get("version")
-    if version == BASELINE_VERSION:
-        return 0
-    if version != 1:
-        raise BaselineError(
-            f"baseline {path!r} has unsupported version {version!r}")
-    entries = doc.get("findings")
-    if not isinstance(entries, list):
-        raise BaselineError(f"baseline {path!r} lacks a findings list")
-    counts: Dict[str, int] = {}
-    migrated: List[Dict[str, str]] = []
-    for entry in entries:
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("rule"), str) or \
-                not isinstance(entry.get("location"), str) or \
-                not isinstance(entry.get("line"), str):
-            raise BaselineError(
-                f"baseline {path!r} entry lacks the metadata needed "
-                f"for migration: {entry!r}")
-        rule = entry["rule"]
-        location = entry["location"]
-        line_text = entry["line"]
-        module_path = location.rsplit(":", 1)[0]
-        key = "\x1f".join((rule, module_path,
-                           " ".join(line_text.split())))
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        migrated.append({
-            "fingerprint": compute_fingerprint(rule, module_path,
-                                               line_text, occurrence),
-            "rule": rule,
-            "location": location,
-            "line": line_text,
-        })
-    out = {"version": BASELINE_VERSION, "findings": migrated}
-    Path(path).write_text(json.dumps(out, indent=2) + "\n",
-                          encoding="utf-8")
-    return len(migrated)
-
-
 def check_shrunk(old_path: str, new_path: str) -> List[str]:
     """Fingerprints present in NEW but not in OLD (must be empty).
 
     Used by CI against the previous commit's baseline: an empty return
-    means the ratchet only moved the permitted direction.  When OLD
-    still uses schema v1 and NEW is v2, the fingerprints are not
-    comparable; the pair is treated as a migration and passes (the
-    migration itself cannot invent entries: it is a pure rewrite).
+    means the ratchet only moved the permitted direction.
     """
-    if baseline_version(old_path) == 1 and \
-            baseline_version(new_path) == BASELINE_VERSION:
-        return []
     old = load_baseline(old_path)
     new = load_baseline(new_path)
     return sorted(new - old)

@@ -11,7 +11,6 @@ Usage patterns::
     python -m repro.analysis src --engine dataflow --explain <fingerprint>
     python -m repro.analysis --list-rules
     python -m repro.analysis --check-shrunk OLD NEW # baseline ratchet check
-    python -m repro.analysis --migrate-baseline analysis-baseline.json
 
 Exit status: 0 when no (non-baselined) findings and no parse errors,
 1 when findings remain, 2 for usage/baseline errors.
@@ -32,8 +31,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Set
 
-from .baseline import BASELINE_VERSION, BaselineError, baseline_version, \
-    check_shrunk, load_baseline, migrate_baseline, write_baseline
+from .baseline import BaselineError, check_shrunk, load_baseline, \
+    write_baseline
 from .engine import AnalysisResult, Engine, Rule
 from .findings import Finding
 from .rules import all_rules
@@ -58,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "baseline file")
     parser.add_argument("--write-baseline", metavar="FILE", default=None,
                         help="write current findings to FILE and exit 0")
-    parser.add_argument("--migrate-baseline", metavar="FILE",
-                        default=None,
-                        help="rewrite a v1 baseline file as "
-                             f"v{BASELINE_VERSION} and exit")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     parser.add_argument("--rules", metavar="IDS", default=None,
@@ -180,26 +175,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "exception text (dataflow)")
         return 0
 
-    if args.migrate_baseline is not None:
-        try:
-            count = migrate_baseline(args.migrate_baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"migrated {count} entr{'y' if count == 1 else 'ies'} to "
-              f"schema v{BASELINE_VERSION} in {args.migrate_baseline}",
-              file=sys.stderr)
-        return 0
-
     if args.check_shrunk is not None:
         old_path, new_path = args.check_shrunk
         try:
-            if baseline_version(old_path) != \
-                    baseline_version(new_path):
-                print("baseline schema changed between OLD and NEW; "
-                      "treating as migration, skipping shrink check",
-                      file=sys.stderr)
-                return 0
             grown = check_shrunk(old_path, new_path)
         except BaselineError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ exactly the semantics a ratchet file needs.
 
 This is fingerprint schema **v2**.  The v1 scheme hashed the raw
 stripped line text, so a pure re-indent (which changes internal
-spacing when lines are re-wrapped) could resurrect baselined findings;
-:func:`repro.analysis.baseline.migrate_baseline` rewrites v1 files.
+spacing when lines are re-wrapped) could resurrect baselined findings.
 
 Dataflow findings (SPDR006–008) additionally carry a ``trace`` — the
 source→sink path — which is presentation only and never part of the

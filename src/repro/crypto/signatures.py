@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import rsa
 from ..obs.registry import Registry, get_registry
-from .hashing import constant_time_eq, digest, digest_fields
+from .hashing import DIGEST_SIZE, constant_time_eq, digest, \
+    digest_fields
 from .keys import Identity, KeyRegistry
 
 
@@ -62,7 +63,7 @@ class Signed:
         overhead = 4 + 4 + 4  # signer + index + count framing
         if self.batch_digests:
             shared = len(self.signature) + \
-                sum(len(d) for d in self.batch_digests)
+                DIGEST_SIZE * len(self.batch_digests)
             share = -(-shared // len(self.batch_digests))  # ceil div
             return len(self.payload) + overhead + share
         return len(self.payload) + len(self.signature) + overhead

@@ -22,8 +22,9 @@ detection guarantees hold against exactly that deviation:
   leak);
 * :func:`install_export_mutator` — rewrites routes after export policy,
   e.g. :func:`shorten_as_path` for a path-shortening interception;
-* :func:`tamper_log_entry` — edits a log entry in place (an adversary
-  doctoring the log it will later disclose to a NetReview auditor).
+* :func:`tamper_log_entry` — swaps a log entry's payload in place (an
+  adversary doctoring the log it will later disclose to a NetReview
+  auditor).
 
 Every ``install_*`` takes a *built* object — a speaker, or a recorder of
 either system (:class:`~repro.spider.recorder.Recorder` and the
@@ -42,10 +43,11 @@ from ..bgp.route import Route
 from ..bgp.speaker import Speaker
 from ..crypto.signatures import Signer
 from ..mtt.proofs import MttBitProof
-from ..spider.log import LogEntry, SpiderLog
+from ..spider.log import EntryKind, LogEntry, SpiderLog
 from ..spider.proofgen import ProofSet
 from ..spider.recorder import CommitmentRecord, Recorder
-from ..spider.wire import SpiderBitProof, SpiderCommitment
+from ..spider.wire import SpiderAnnounce, SpiderBitProof, \
+    SpiderCommitment, SpiderWithdraw
 
 
 def install_inbound_drop(recorder: Recorder, sender: int, *,
@@ -185,16 +187,41 @@ def shorten_as_path(route: Route) -> Route:
 def tamper_log_entry(log: SpiderLog, index: int) -> LogEntry:
     """Doctor one entry of a log that will later be disclosed whole.
 
-    Perturbs the entry's recorded size (one of the fields the §6.5 hash
-    chain binds), modeling an AS that edits its log before handing it to
-    a NetReview auditor; ``verify_chain`` must catch it.
+    Swaps the entry's payload for a different valid payload of the same
+    kind — another root in a commitment, a checkpoint with one route
+    dropped, a message carrying another route, prefix or hash — and
+    leaves ``size_bytes``, ``chain`` and every other entry alone,
+    modeling an AS that edits its log before handing it to a NetReview
+    auditor; ``verify_chain`` must catch it.
     """
     entries = log._entries
     entry = entries[index]
-    tampered = dataclasses.replace(entry,
-                                   size_bytes=entry.size_bytes ^ 1)
+    tampered = dataclasses.replace(
+        entry, payload=_doctored_payload(entry.kind, entry.payload))
     entries[index] = tampered
     return tampered
+
+
+def _doctored_payload(kind: EntryKind, payload: Any) -> Any:
+    if kind is EntryKind.COMMITMENT:
+        root = bytes(b ^ 0xFF for b in payload["root"]) or b"\xff"
+        return dict(payload, root=root)
+    if kind is EntryKind.CHECKPOINT:
+        state = payload.copy()
+        for table in list(state.imports.values()) + \
+                list(state.exports.values()):
+            if table:
+                del table[min(table)]
+                return state
+        raise ValueError("checkpoint holds no route to drop")
+    if isinstance(payload, SpiderAnnounce):
+        return dataclasses.replace(payload, route=dataclasses.replace(
+            payload.route, med=payload.route.med ^ 1))
+    if isinstance(payload, SpiderWithdraw):
+        return dataclasses.replace(payload, prefix=Prefix(
+            address=0, length=0 if payload.prefix.length else 1))
+    return dataclasses.replace(payload, message_hash=bytes(
+        b ^ 0xFF for b in payload.message_hash))
 
 
 def tamper_bit_proof(signer: Signer, message: SpiderBitProof,

@@ -11,6 +11,7 @@ presence or absence of any other prefix.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -19,6 +20,10 @@ from ..crypto.hashing import DIGEST_SIZE, bit_commitment, \
     constant_time_eq, digest_concat
 from .nodes import EDGE_END
 from .tree import Mtt
+
+_S_CLASS_BIT = struct.Struct(">IB")  # class_index | bit
+_S_STEPS = struct.Struct(">H")       # n_steps
+_S_STEP = struct.Struct(">HH")       # n_children | child_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +58,29 @@ class MttBitProof:
         return 5 + 4 + 1 + len(self.blinding) + labels + framing
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out += self.prefix.to_bytes()
-        out += self.class_index.to_bytes(4, "big")
-        out += bytes([self.bit])
-        out += self.blinding
-        for step in self.steps:
-            out += len(step.child_labels).to_bytes(2, "big")
-            out += step.child_index.to_bytes(2, "big")
-            for label in step.child_labels:
-                out += label
+        """The proof's one byte form: what :class:`~repro.spider.wire.
+        SpiderBitProof` signs and what the wire codec ships.
+
+        ``prefix(5) | u32 class | u8 bit | blinding[20] | u16 n_steps``,
+        then per step ``u16 n_children | u16 child_index | labels``.
+        Raises ``ValueError`` for a field the layout cannot hold.
+        """
+        if len(self.blinding) != DIGEST_SIZE:
+            raise ValueError("blinding has wrong length")
+        out = bytearray(self.prefix.to_bytes())
+        try:
+            out += _S_CLASS_BIT.pack(self.class_index, self.bit)
+            out += self.blinding
+            out += _S_STEPS.pack(len(self.steps))
+            for step in self.steps:
+                out += _S_STEP.pack(len(step.child_labels),
+                                    step.child_index)
+                for label in step.child_labels:
+                    if len(label) != DIGEST_SIZE:
+                        raise ValueError("node label has wrong length")
+                    out += label
+        except struct.error as exc:
+            raise ValueError(f"proof field out of range: {exc}") from exc
         return bytes(out)
 
 

@@ -46,7 +46,7 @@ class NetReviewRecorder(Recorder):
     def make_commitment(self) -> CommitmentRecord:
         commit_time = self.clock.now
         self.log.append(commit_time, EntryKind.COMMITMENT,
-                        {"seed": b"", "root": b""}, size_bytes=12)
+                        {"seed": b"", "root": b""})
         record = CommitmentRecord(commit_time=commit_time, root=b"",
                                   message=None, census_total=0)
         self.commitments.append(record)

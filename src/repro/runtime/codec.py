@@ -14,11 +14,9 @@ bytes here: every message type has a tagged, versioned encoding with
   unknown tag, short buffer, trailing bytes, out-of-range field) raises
   :class:`CodecError`; nothing is silently clamped or skipped.
 
-Timestamps are encoded at millisecond resolution — the same grid
-:func:`repro.spider.wire._time_bytes` uses for signature payloads, so a
-decoded message still validates even though sub-millisecond detail is
-gone.  Negative timestamps are rejected on encode, mirroring the wire
-module.
+Timestamps are encoded through :func:`repro.spider.wire.time_bytes`,
+the millisecond grid the signature payloads use, so a decoded message
+still validates even though sub-millisecond detail is gone.
 
 The decode path is the runtime's hot loop (framing hands it one buffer
 per message at wire rate), so it is built for throughput: the
@@ -43,7 +41,7 @@ from ..crypto.hashing import DIGEST_SIZE
 from ..crypto.signatures import Signed
 from ..mtt.proofs import MttBitProof, PathStep
 from ..spider.wire import SpiderAck, SpiderAnnounce, SpiderBitProof, \
-    SpiderCommitment, SpiderWithdraw
+    SpiderCommitment, SpiderWithdraw, time_bytes
 
 #: Bumped whenever an encoding changes shape; decoders reject other
 #: versions outright rather than guessing.
@@ -100,12 +98,10 @@ class _Writer:
         self._parts += value.to_bytes(4, "big")
 
     def time_ms(self, timestamp: float) -> None:
-        if timestamp < 0:
-            raise CodecError(f"negative timestamp {timestamp}")
-        ms = int(round(timestamp * 1000))
-        if ms >= (1 << 64):
-            raise CodecError(f"timestamp {timestamp} overflows u64")
-        self._parts += ms.to_bytes(8, "big")
+        try:
+            self._parts += time_bytes(timestamp)
+        except ValueError as exc:
+            raise CodecError(str(exc)) from exc
 
     def blob16(self, data: bytes) -> None:
         self.u16(len(data))
@@ -358,20 +354,12 @@ def _read_prefix(r: _Reader) -> Prefix:
 
 
 def _write_bit_proof(w: _Writer, proof: MttBitProof) -> None:
-    _write_prefix(w, proof.prefix)
-    w.u32(proof.class_index)
-    w.u8(proof.bit)
-    if len(proof.blinding) != DIGEST_SIZE:
-        raise CodecError("blinding has wrong length")
-    w.raw(proof.blinding)
-    w.u16(len(proof.steps))
-    for step in proof.steps:
-        w.u16(len(step.child_labels))
-        w.u16(step.child_index)
-        for label in step.child_labels:
-            if len(label) != DIGEST_SIZE:
-                raise CodecError("node label has wrong length")
-            w.raw(label)
+    # The body is the proof's own byte form, the one its signature
+    # covers; _read_bit_proof below is its inverse.
+    try:
+        w.raw(proof.encode())
+    except ValueError as exc:
+        raise CodecError(f"unencodable proof: {exc}") from exc
 
 
 def _read_bit_proof(r: _Reader) -> MttBitProof:

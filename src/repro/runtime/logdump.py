@@ -8,9 +8,12 @@ wire codec (messages), the seed+root pair (commitments), or a sorted
 canonical dump of the routing state (checkpoints).  Two logs that
 serialize identically recorded the same protocol history.
 
-:func:`decode_log_entry` is the strict inverse — it exists so the
-durable store (:mod:`repro.store`) can persist entries in exactly the
-canonical form and recover the in-memory objects on restart.  Every
+These bytes *are* the entry everywhere else: :meth:`repro.spider.log.
+SpiderLog.append` encodes once through :func:`encode_entry`, chains
+``H(prev | entry_bytes)`` over the result and hands the same bytes to
+the durable store (:mod:`repro.store`), which frames them unchanged.
+:func:`decode_log_entry` is the strict inverse, used by crash recovery
+to rebuild the in-memory objects after the chain has been checked.  Every
 entry kind round-trips: ``decode_log_entry(encode_log_entry(e))``
 reproduces ``(kind, timestamp, payload)`` exactly, and malformed bytes
 fail closed as :class:`~repro.runtime.codec.CodecError`.
@@ -18,15 +21,16 @@ fail closed as :class:`~repro.runtime.codec.CodecError`.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
-from ..bgp.prefix import Prefix, PrefixError
+from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..crypto.hashing import digest
 from ..spider.checkpoint import RoutingState
 from ..spider.log import EntryKind, LogEntry, SpiderLog
 from ..spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
-from .codec import CodecError, _Reader, _Writer, decode_message, \
+from .codec import CodecError, _Reader, _Writer, _read_prefix, \
+    _read_route, _write_prefix, _write_route, decode_message, \
     encode_message
 
 _KIND_TAGS: Dict[EntryKind, int] = {
@@ -51,14 +55,12 @@ def _encode_state(state: RoutingState) -> bytes:
             w.u32(neighbor)
             w.u32(len(table))
             for prefix in sorted(table):
-                w.raw(prefix.to_bytes())
-                route = table[prefix]
-                w.u32(route.neighbor)
-                w.blob16(route.to_bytes())
+                _write_prefix(w, prefix)
+                _write_route(w, table[prefix])
     w.raw(b"O")
     w.u32(len(state.origins))
     for prefix in sorted(state.origins):
-        w.raw(prefix.to_bytes())
+        _write_prefix(w, prefix)
     return w.getvalue()
 
 
@@ -81,15 +83,7 @@ def _decode_state(data: Union[bytes, memoryview]) -> RoutingState:
                 if prefix in table:
                     raise CodecError(
                         f"duplicate prefix in neighbor {neighbor} table")
-                route_neighbor = r.u32()
-                try:
-                    route = Route.from_bytes(r.blob16(),
-                                             neighbor=route_neighbor)
-                except (ValueError, PrefixError) as exc:
-                    raise CodecError(
-                        f"malformed route in routing state: {exc}"
-                    ) from exc
-                table[prefix] = route
+                table[prefix] = _read_route(r)
     if r.raw(1) != b"O":
         raise CodecError("routing state misses section b'O'")
     for _ in range(r.u32()):
@@ -101,31 +95,30 @@ def _decode_state(data: Union[bytes, memoryview]) -> RoutingState:
     return state
 
 
-def _read_prefix(r: _Reader) -> Prefix:
-    try:
-        return Prefix.from_bytes(r.raw(5))
-    except PrefixError as exc:
-        raise CodecError(f"malformed prefix: {exc}") from exc
-
-
-def encode_log_entry(entry: LogEntry) -> bytes:
+def encode_entry(kind: EntryKind, timestamp: float,
+                 payload: Any) -> bytes:
+    """The canonical bytes of one entry, ``kind | t_ms | body`` — what
+    the §6.5 chain hashes and the durable store writes."""
     w = _Writer()
-    w.u8(_KIND_TAGS[entry.kind])
-    w.time_ms(entry.timestamp)
-    if entry.kind is EntryKind.COMMITMENT:
-        record = entry.payload  # {"seed": ..., "root": ...}
-        w.blob16(record["seed"])
-        w.blob16(record["root"])
+    w.u8(_KIND_TAGS[kind])
+    w.time_ms(timestamp)
+    if kind is EntryKind.COMMITMENT:
+        w.blob16(payload["seed"])
+        w.blob16(payload["root"])
     else:
         # Checkpoints take the messages' u32 length: a full-table
         # routing snapshot passes 64 KB at about 1.3 k routes.
-        if entry.kind is EntryKind.CHECKPOINT:
-            encoded = _encode_state(entry.payload)
+        if kind is EntryKind.CHECKPOINT:
+            encoded = _encode_state(payload)
         else:
-            encoded = encode_message(entry.payload)
+            encoded = encode_message(payload)
         w.u32(len(encoded))
         w.raw(encoded)
     return w.getvalue()
+
+
+def encode_log_entry(entry: LogEntry) -> bytes:
+    return encode_entry(entry.kind, entry.timestamp, entry.payload)
 
 
 _KINDS_BY_TAG: Dict[int, EntryKind] = {
@@ -147,9 +140,9 @@ def decode_log_entry(data: Union[bytes, bytearray, memoryview]
                      ) -> Tuple[EntryKind, float, object]:
     """Strict inverse of :func:`encode_log_entry`.
 
-    Returns ``(kind, timestamp, payload)``; the chain fields that
-    complete a :class:`~repro.spider.log.LogEntry` travel outside the
-    canonical bytes (the durable store frames them alongside).  Fails
+    Returns ``(kind, timestamp, payload)``; the index and chain value
+    that complete a :class:`~repro.spider.log.LogEntry` travel outside
+    the canonical bytes (the durable store frames them alongside).  Fails
     closed: unknown kind tags, payload/kind type mismatches, truncation
     and trailing bytes all raise :class:`CodecError`.
     """

@@ -137,7 +137,6 @@ class NodeRuntime:
                  clock: Optional[SteppableClock] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  retry_seed: int = 0,
-                 store: Optional["SegmentedLogStore"] = None,
                  store_dir: Optional[str] = None,
                  store_fsync: str = "always"):
         if promises is None:
@@ -147,21 +146,23 @@ class NodeRuntime:
         self.clock = clock if clock is not None else StepClock()
         self.timers = TimerWheel(self.clock)
         self.transport = transport
-        # Durable log store: either injected, or opened from a
-        # directory.  Opening replays and chain-verifies everything on
-        # disk before the node processes its first message.  (Imported
-        # lazily: repro.store depends on this package's serializer, so
-        # a module-level import would cycle.)
-        self.store = store
+        # Durable log store.  Opening replays and chain-verifies
+        # everything on disk before the node processes its first
+        # message.  (Imported lazily: repro.store depends on this
+        # package's serializer, so a module-level import would cycle.)
+        self.store: Optional["SegmentedLogStore"] = None
         self.recovery: Optional["Recovery"] = None
         recovered_entries: Optional[Sequence[LogEntry]] = None
-        if self.store is None and store_dir is not None:
+        if store_dir is not None:
+            from ..store.recovery import recover
             from ..store.seglog import SegmentedLogStore
             self.store = SegmentedLogStore(store_dir, fsync=store_fsync,
                                            node=f"as{identity.asn}")
-        if self.store is not None:
-            from ..store.recovery import recover
-            self.recovery = recover(self.store)
+            try:
+                self.recovery = recover(self.store)
+            except BaseException:
+                self.store.close()  # a tampered log is never adopted
+                raise
             if self.recovery.entries:
                 recovered_entries = self.recovery.entries
         self.node = SpiderNode(

@@ -152,6 +152,4 @@ def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
 def take_checkpoint(log: SpiderLog, timestamp: float,
                     state: RoutingState) -> LogEntry:
     """Store a full snapshot in the log."""
-    snapshot = state.copy()
-    return log.append(timestamp, EntryKind.CHECKPOINT, snapshot,
-                      size_bytes=snapshot.serialized_size())
+    return log.append(timestamp, EntryKind.CHECKPOINT, state.copy())

@@ -7,6 +7,17 @@ for each commitment, only the 32-byte CSPRNG seed — the MTT itself is
 reconstructed from the message trace on demand, which is why the paper's
 per-commitment storage cost is 32 bytes (Section 7.7).
 
+An entry *is* its canonical bytes, ``kind | t_ms | body``
+(:func:`repro.runtime.logdump.encode_entry`): :meth:`SpiderLog.append`
+encodes them once, links ``chain = H(prev_chain | entry_bytes)``
+through :func:`chain_step`, hands the same bytes to the durable sink and
+drops them.  :meth:`SpiderLog.verify_chain` re-encodes what a reader of
+``entry.payload`` would read, and crash recovery checks the link over
+the raw record bytes before it decodes them, so an edited payload —
+in memory or at rest — breaks the chain from that entry on.
+``size_bytes`` is not part of that: it is the paper's §7.6/§7.7
+accounting model, derived from the payload by :func:`entry_size`.
+
 Retention: verification reaches back at most ``retention_seconds``;
 :meth:`SpiderLog.trim` discards older entries once a newer checkpoint
 covers them, reporting the bytes reclaimed per storage kind so the
@@ -23,9 +34,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol
+from typing import Any, Dict, Iterable, Iterator, List, Optional, \
+    Protocol
 
-from ..crypto.hashing import DIGEST_SIZE, digest_fields
+from ..crypto.hashing import DIGEST_SIZE, digest
 
 
 class EntryKind(enum.Enum):
@@ -52,14 +64,37 @@ def storage_kind(kind: EntryKind) -> str:
     return "log"
 
 
+def entry_size(kind: EntryKind, payload: Any) -> int:
+    """The §7.6/§7.7 accounting size of one entry.
+
+    The paper's model, not the length of the canonical bytes: a message
+    counts its ``wire_size()`` (signatures amortized over the batch), a
+    checkpoint its ``serialized_size()``, a commitment its seed plus 12
+    bytes of framing — 32 bytes with a SPIDeR seed.
+    """
+    if kind is EntryKind.COMMITMENT:
+        return len(payload["seed"]) + 12
+    if kind is EntryKind.CHECKPOINT:
+        return int(payload.serialized_size())
+    return int(payload.wire_size())
+
+
+def chain_step(prev_chain: bytes, entry_bytes: bytes) -> bytes:
+    """The §6.5 link, ``H(prev_chain | entry_bytes)`` — the one formula
+    append, :meth:`SpiderLog.verify_chain` and crash recovery share.
+    ``prev_chain`` has fixed width, so plain concatenation is
+    unambiguous."""
+    return digest(prev_chain + entry_bytes)
+
+
 @dataclass(frozen=True)
 class LogEntry:
     """One log record.
 
     ``payload`` is the message object itself (kept in memory for replay);
-    ``size_bytes`` is its serialized size including signatures, which is
-    what the storage experiment accounts; ``chain`` is the running hash
-    binding this entry to all earlier ones.
+    ``size_bytes`` is its :func:`entry_size`, which is what the storage
+    experiment accounts; ``chain`` is the running hash binding this
+    entry's canonical bytes to all earlier ones.
     """
 
     index: int
@@ -78,12 +113,13 @@ class LogSink(Protocol):
     """Durable destination for log entries (see :mod:`repro.store`).
 
     Structural, so :mod:`repro.spider` never imports the store package
-    (the store's serializer imports :mod:`repro.runtime.logdump`, which
-    imports this module — a nominal base class here would cycle).
+    (recovery imports :mod:`repro.runtime.logdump`, which imports this
+    module — a nominal base class here would cycle).
     """
 
-    def append(self, entry: "LogEntry") -> None:
-        """Persist one entry; called *before* it is visible in memory."""
+    def append(self, entry: "LogEntry", entry_bytes: bytes) -> None:
+        """Persist one entry as the canonical bytes its chain covers;
+        called *before* it is visible in memory."""
         ...
 
     def sync(self) -> None:
@@ -160,25 +196,25 @@ class SpiderLog:
     def head(self) -> bytes:
         return self._head
 
-    def append(self, timestamp: float, kind: EntryKind, payload: object,
-               size_bytes: int) -> LogEntry:
+    def append(self, timestamp: float, kind: EntryKind,
+               payload: object) -> LogEntry:
+        # Function-level: repro.runtime's __init__ reaches back into
+        # this module through node_runtime.
+        from ..runtime.logdump import encode_entry
         if self._entries and timestamp < self._entries[-1].timestamp:
             # Clocks are loosely synchronized; tolerate equal stamps but
             # never reorder entries backwards.
             timestamp = self._entries[-1].timestamp
-        chain = digest_fields(
-            self._head,
-            kind.value.encode(),
-            int(round(timestamp * 1000)).to_bytes(8, "big"),
-            size_bytes.to_bytes(8, "big"),
-        )
+        entry_bytes = encode_entry(kind, timestamp, payload)
+        chain = chain_step(self._head, entry_bytes)
         entry = LogEntry(index=self._next_index, timestamp=timestamp,
                          kind=kind, payload=payload,
-                         size_bytes=size_bytes, chain=chain)
+                         size_bytes=entry_size(kind, payload),
+                         chain=chain)
         if self.sink is not None:
             # Durable before visible: a sink failure leaves the
             # in-memory log exactly as it was.
-            self.sink.append(entry)
+            self.sink.append(entry, entry_bytes)
         self._entries.append(entry)
         self._head = chain
         self._next_index = entry.index + 1
@@ -216,11 +252,15 @@ class SpiderLog:
     def verify_chain(self) -> None:
         """Recompute the chain; raises :class:`TamperError` on mismatch.
 
+        Every entry is re-encoded from the objects a reader of the log
+        sees, so a swapped payload is caught like an edited stamp.
+
         A trimmed/compacted log no longer starts at genesis: the first
         surviving entry's stored chain value is then the trust anchor
         (a checkpoint at or before it covers everything discarded), and
         verification checks the linkage from there onward.
         """
+        from ..runtime.logdump import encode_log_entry
         entries = self._entries
         if entries and entries[0].index > 0:
             head = entries[0].chain
@@ -229,12 +269,7 @@ class SpiderLog:
             head = bytes(DIGEST_SIZE)
             start = 0
         for entry in entries[start:]:
-            expected = digest_fields(
-                head, entry.kind.value.encode(),
-                int(round(entry.timestamp * 1000)).to_bytes(8, "big"),
-                entry.size_bytes.to_bytes(8, "big"),
-            )
-            if expected != entry.chain:
+            if chain_step(head, encode_log_entry(entry)) != entry.chain:
                 raise TamperError(f"log entry {entry.index} breaks the "
                                   "hash chain")
             head = entry.chain

@@ -39,7 +39,7 @@ from .config import SpiderConfig
 from .log import EntryKind, LogEntry, LogSink, SpiderLog, storage_kind
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
     SpiderWithdraw, ack_payload, announce_payload, \
-    route_signature_payload, withdraw_payload
+    route_signature_payload, time_bytes, withdraw_payload
 
 if TYPE_CHECKING:
     from ..bgp.speaker import Speaker
@@ -267,13 +267,13 @@ class Recorder:
                           reason=reason).inc()
 
     def _log_append(self, timestamp: float, kind: EntryKind,
-                    message: object, size_bytes: int) -> LogEntry:
+                    message: object) -> LogEntry:
         """Append to the tamper-evident log, metering durable growth
         (the Section 7.7 storage accounting rides on every append;
         :func:`~repro.spider.log.storage_kind` splits the categories)."""
-        self.storage.record(storage_kind(kind), size_bytes)
-        return self.log.append(timestamp, kind, message,
-                               size_bytes=size_bytes)
+        entry = self.log.append(timestamp, kind, message)
+        self.storage.record(storage_kind(kind), entry.size_bytes)
+        return entry
 
     # ------------------------------------------------------------------
     # Mirroring the BGP flow (hooked to Speaker.on_send)
@@ -382,8 +382,7 @@ class Recorder:
                     timestamp=item.timestamp,
                     message_hash=item.message_hash, envelope=envelope)
                 kind = EntryKind.SENT_ACK
-            entry = self._log_append(item.timestamp, kind, message,
-                                     size_bytes=message.wire_size())
+            entry = self._log_append(item.timestamp, kind, message)
             apply_entry(self.state, self.asn, entry)
             if kind is not EntryKind.SENT_ACK:
                 self._awaiting_ack[message.message_hash()] = \
@@ -449,7 +448,7 @@ class Recorder:
                        f"stale timestamp from AS{message.sender}")
             return
         entry = self._log_append(self.clock.now, EntryKind.RECV_ANNOUNCE,
-                                 message, size_bytes=message.wire_size())
+                                 message)
         apply_entry(self.state, self.asn, entry)
         # Remember the sender's inner signature: when we export a route
         # derived from this import, it becomes our σ_P(r').
@@ -469,7 +468,7 @@ class Recorder:
                        f"stale timestamp from AS{message.sender}")
             return
         entry = self._log_append(self.clock.now, EntryKind.RECV_WITHDRAW,
-                                 message, size_bytes=message.wire_size())
+                                 message)
         apply_entry(self.state, self.asn, entry)
         self._send_ack(message.sender, message.message_hash())
 
@@ -483,8 +482,7 @@ class Recorder:
         if not ok:
             self.alarm("invalid_ack", f"invalid ack from AS{ack.acker}")
             return
-        self._log_append(self.clock.now, EntryKind.RECV_ACK, ack,
-                         size_bytes=ack.wire_size())
+        self._log_append(self.clock.now, EntryKind.RECV_ACK, ack)
         self._awaiting_ack.pop(ack.message_hash, None)
         for hook in self.ack_hooks:
             hook(ack)
@@ -509,9 +507,7 @@ class Recorder:
         simulation replays identically; only the 20-byte seed is logged,
         reproducing the paper's tiny per-commitment storage cost.
         """
-        return digest_fields(self.master_seed,
-                             int(round(commit_time * 1000)).to_bytes(8,
-                                                                     "big"))
+        return digest_fields(self.master_seed, time_bytes(commit_time))
 
     def mtt_entries(
             self, state: RoutingState
@@ -565,8 +561,7 @@ class Recorder:
                                                 report.root_label)
         seed = self.commitment_seed(commit_time)
         self._log_append(commit_time, EntryKind.COMMITMENT,
-                         {"seed": seed, "root": report.root_label},
-                         size_bytes=len(seed) + 12)
+                         {"seed": seed, "root": report.root_label})
         record = CommitmentRecord(commit_time=commit_time,
                                   root=report.root_label, message=message,
                                   census_total=tree.census().total)

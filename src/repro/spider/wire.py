@@ -31,11 +31,13 @@ from ..crypto.keys import KeyRegistry
 from ..crypto.signatures import Signed, Signer, Verifier
 
 
-def _time_bytes(t: float) -> bytes:
-    """Canonical 8-byte timestamp used inside every signature payload.
+def time_bytes(t: float) -> bytes:
+    """The millisecond grid: a timestamp as 8 big-endian bytes.
 
-    Millisecond resolution keeps the encoding stable across replay, and
-    it is also the nonce resolution: the paper's timestamps "double as
+    The one definition under every signature payload, wire message, log
+    entry and commitment seed.  Millisecond resolution keeps the
+    encoding stable across replay, and it is also the nonce
+    resolution: the paper's timestamps "double as
     nonces" (Section 6.2), so two *logically distinct* messages to the
     same peer within the same millisecond would encode identical nonce
     bytes and be indistinguishable as replays.  The recorder respects
@@ -45,11 +47,14 @@ def _time_bytes(t: float) -> bytes:
 
     Timestamps are seconds since an epoch and can never be negative; a
     negative value would wrap the unsigned encoding into a huge bogus
-    nonce, so it is rejected outright.
+    nonce, so it is rejected outright, as is one past the u64 range.
     """
     if t < 0:
         raise ValueError(f"negative timestamp {t!r}")
-    return int(round(t * 1000)).to_bytes(8, "big")
+    ms = int(round(t * 1000))
+    if ms >= 1 << 64:
+        raise ValueError(f"timestamp {t!r} overflows u64")
+    return ms.to_bytes(8, "big")
 
 
 def route_signature_payload(route: Route) -> bytes:
@@ -77,7 +82,7 @@ def announce_payload(sender: int, receiver: int, timestamp: float,
         underlying.payload + underlying.signature)
     return digest_fields(
         tag, sender.to_bytes(4, "big"), receiver.to_bytes(4, "big"),
-        _time_bytes(timestamp), route.prefix.to_bytes(), route.to_bytes(),
+        time_bytes(timestamp), route.prefix.to_bytes(), route.to_bytes(),
         underlying_part, route_sig.signature)
 
 
@@ -144,7 +149,7 @@ def withdraw_payload(sender: int, receiver: int, timestamp: float,
                      prefix: Prefix) -> bytes:
     return digest_fields(b"SPIDER-WITHDRAW", sender.to_bytes(4, "big"),
                          receiver.to_bytes(4, "big"),
-                         _time_bytes(timestamp), prefix.to_bytes())
+                         time_bytes(timestamp), prefix.to_bytes())
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +189,7 @@ def ack_payload(acker: int, sender: int, timestamp: float,
                 message_hash: bytes) -> bytes:
     return digest_fields(b"SPIDER-ACK", acker.to_bytes(4, "big"),
                          sender.to_bytes(4, "big"),
-                         _time_bytes(timestamp), message_hash)
+                         time_bytes(timestamp), message_hash)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +225,7 @@ class SpiderAck:
 def commitment_payload(elector: int, commit_time: float,
                        root: bytes) -> bytes:
     return digest_fields(b"SPIDER-COMMIT", elector.to_bytes(4, "big"),
-                         _time_bytes(commit_time), root)
+                         time_bytes(commit_time), root)
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +260,7 @@ def bit_proof_payload(elector: int, recipient: int, commit_time: float,
                       proof_bytes: bytes) -> bytes:
     return digest_fields(b"SPIDER-BITPROOF", elector.to_bytes(4, "big"),
                          recipient.to_bytes(4, "big"),
-                         _time_bytes(commit_time), proof_bytes)
+                         time_bytes(commit_time), proof_bytes)
 
 
 @dataclass(frozen=True, slots=True)

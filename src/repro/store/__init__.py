@@ -5,21 +5,23 @@ and its 32-byte-per-commitment seeds (§7.7) across restarts; this
 package is the on-disk half of that log.  Bottom-up:
 
 * :mod:`~repro.store.segment` — the byte format: CRC32-framed records
-  carrying the canonical evidence-log encoding, plus segment scanning;
+  carrying the canonical entry bytes the log chained, as handed over,
+  plus segment scanning;
 * :mod:`~repro.store.seglog` — :class:`SegmentedLogStore`, the
   :class:`~repro.spider.log.LogSink` implementation with size-based
   rotation, ``never``/``batch``/``always`` fsync policies with group
   commit, and torn-tail truncation on open;
 * :mod:`~repro.store.recovery` — replay segments into verified
   :class:`~repro.spider.log.LogEntry` objects, checking CRCs *and* the
-  Section 6.5 hash chain so tampering-at-rest fails at startup;
+  Section 6.5 hash chain over each record's bytes before decoding them,
+  so tampering-at-rest fails at startup;
 * :mod:`~repro.store.compact` — whole-segment retirement once a signed
   checkpoint covers a span (the disk mirror of ``SpiderLog.trim``);
 * :mod:`~repro.store.inspect` — the ``python -m repro.store.inspect``
   CLI for listing and verifying a store directory.
 
 Layering: this package sits *above* :mod:`repro.spider` (it persists
-its log entries) and imports the canonical serializer from
+its log entries) and imports the canonical decoder from
 :mod:`repro.runtime.logdump`; the spider layer reaches back only
 through the structural ``LogSink`` protocol, never by importing this
 package.

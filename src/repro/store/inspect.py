@@ -2,10 +2,12 @@
 
 Lists every segment (base index, record count, bytes, torn tail) and,
 with ``--verify``, runs the full recovery verification — CRC framing
-plus Section 6.5 hash-chain linkage — printing the chain head the way
-``side_summary`` reports log digests.  Exit status is non-zero when
-verification fails, so the CI restart-survival smoke can assert
-integrity with one command.
+plus the Section 6.5 hash chain over every record's entry bytes —
+printing the chain head the way ``side_summary`` reports log digests.
+Exit status is non-zero when verification fails, and the report names
+the first record that breaks the chain, so the CI restart-survival
+smoke can assert integrity — and that an edited record loses it — with
+one command.
 
 Read-only by design: unlike opening a :class:`SegmentedLogStore`,
 inspection never truncates a torn tail — it reports one instead.

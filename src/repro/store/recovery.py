@@ -8,12 +8,13 @@ way in:
   scan): CRC32 per frame, header sanity, torn-tail truncation.  This
   catches accidents.
 * **Tamper-evident** (done here, Section 6.5): every record's stored
-  chain digest must extend its predecessor's —
-  ``chain = H(prev_chain | kind | timestamp_ms | size_bytes)`` — and
-  indices must be contiguous.  An adversary who edits a record at rest
-  and fixes up its CRC still breaks the linkage of everything after
-  it, which is detected at startup before any recovered state is
-  trusted.
+  chain digest must extend its predecessor's over the record's own
+  bytes — ``chain = H(prev_chain | entry_bytes)``,
+  :func:`repro.spider.log.chain_step` — and indices must be
+  contiguous.  The link is checked over the raw bytes *before* they
+  are decoded, so an adversary who edits any byte of a record at rest
+  and fixes up its CRC breaks the chain at that record, which is
+  detected at startup before any recovered state is trusted.
 
 A compacted log no longer starts at genesis; the first surviving
 record's chain value is then the trust anchor (the checkpoint that
@@ -27,11 +28,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..crypto.hashing import DIGEST_SIZE, constant_time_eq, \
-    digest_fields
+from ..crypto.hashing import DIGEST_SIZE, constant_time_eq
 from ..runtime.codec import CodecError
 from ..runtime.logdump import decode_log_entry
-from ..spider.log import LogEntry, TamperError
+from ..spider.log import LogEntry, TamperError, chain_step, entry_size
 from .segment import RawRecord, StoreCorruptionError
 from .seglog import SegmentedLogStore
 
@@ -57,23 +57,16 @@ class Recovery:
 
 
 def rebuild_entries(records: Iterable[RawRecord]) -> List[LogEntry]:
-    """Decode and chain-verify raw records into log entries.
+    """Chain-verify and decode raw records into log entries.
 
-    Raises :class:`TamperError` when the hash-chain linkage breaks
-    (tampering-at-rest) and :class:`StoreCorruptionError` for
-    undecodable payloads or index gaps.
+    Raises :class:`TamperError` when the hash chain breaks
+    (tampering-at-rest) and :class:`StoreCorruptionError` for index
+    gaps or chain-consistent but undecodable payloads.
     """
     entries: List[LogEntry] = []
     prev_chain: Optional[bytes] = None
     prev_index: Optional[int] = None
     for record in records:
-        try:
-            kind, timestamp, payload = \
-                decode_log_entry(record.entry_bytes)
-        except CodecError as exc:
-            raise StoreCorruptionError(
-                f"record {record.index}: undecodable entry: {exc}"
-            ) from exc
         if prev_index is None:
             if record.index == 0:
                 prev_chain = bytes(DIGEST_SIZE)
@@ -83,18 +76,21 @@ def rebuild_entries(records: Iterable[RawRecord]) -> List[LogEntry]:
             raise StoreCorruptionError(
                 f"record index gap: {record.index} follows "
                 f"{prev_index}")
-        if prev_chain is not None:
-            expected = digest_fields(
-                prev_chain, kind.value.encode(),
-                int(round(timestamp * 1000)).to_bytes(8, "big"),
-                record.size_bytes.to_bytes(8, "big"))
-            if not constant_time_eq(expected, record.chain):
-                raise TamperError(
-                    f"record {record.index} breaks the hash chain")
+        if prev_chain is not None and not constant_time_eq(
+                chain_step(prev_chain, record.entry_bytes), record.chain):
+            raise TamperError(
+                f"record {record.index} breaks the hash chain")
+        try:
+            kind, timestamp, payload = \
+                decode_log_entry(record.entry_bytes)
+        except CodecError as exc:
+            raise StoreCorruptionError(
+                f"record {record.index}: undecodable entry: {exc}"
+            ) from exc
         entries.append(LogEntry(index=record.index,
                                 timestamp=timestamp, kind=kind,
                                 payload=payload,
-                                size_bytes=record.size_bytes,
+                                size_bytes=entry_size(kind, payload),
                                 chain=record.chain))
         prev_chain = record.chain
         prev_index = record.index

@@ -28,7 +28,9 @@ from typing import IO, Dict, Iterator, List, Optional
 
 from ..obs.metrics import Counter, Gauge
 from ..obs.registry import Registry, get_registry, next_instance_id
-from ..runtime.logdump import encode_log_entry
+# Not called here — the log hands append() the bytes it chained —
+# but benchmarks/e2e/layers.py TARGETS substitutes this attribute.
+from ..runtime.logdump import encode_log_entry  # noqa: F401
 from ..spider.log import LogEntry, storage_kind
 from .compact import droppable_segments
 from .segment import HEADER_SIZE, RawRecord, ScanResult, SegmentInfo, \
@@ -200,8 +202,9 @@ class SegmentedLogStore:
     # ------------------------------------------------------------------
     # The LogSink protocol
 
-    def append(self, entry: LogEntry) -> None:
-        """Persist one entry (the log calls this before exposing it).
+    def append(self, entry: LogEntry, entry_bytes: bytes) -> None:
+        """Persist one entry as the canonical bytes the log chained
+        (the log calls this before exposing the entry).
 
         Privacy model: this is the ``store-append`` public sink of
         spiderlint's SPDR006 (declared centrally in
@@ -222,10 +225,8 @@ class SegmentedLogStore:
             raise StoreError(
                 f"first append to an empty store must be entry 0, "
                 f"got {entry.index}")
-        entry_bytes = encode_log_entry(entry)
-        payload = encode_record(entry.index, entry.size_bytes,
-                                entry.chain, entry_bytes)
-        frame = frame_record(payload)
+        frame = frame_record(
+            encode_record(entry.index, entry.chain, entry_bytes))
         handle = self._writable_segment(entry.index, len(frame))
         handle.write(frame)
         assert self._current is not None

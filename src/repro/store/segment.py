@@ -4,19 +4,20 @@ One segment is one append-only file::
 
     header:  magic "SPDRSEG1" | u32 store_version | u64 base_index
     frame:   u32 payload_len | u32 crc32(payload) | payload
-    payload: u8 record_version | u64 index | u64 size_bytes
-             | chain[20] | entry_bytes...
+    payload: u8 record_version | u64 index | chain[20] | entry_bytes...
 
 ``entry_bytes`` is exactly the canonical evidence-log encoding of the
-entry (:func:`repro.runtime.logdump.encode_log_entry`), so the durable
-form and the byte-identical-logs acceptance form are the same bytes.
-The chain digest and the entry's logical ``size_bytes`` (which the
-chain binds) travel in the fixed prefix, letting recovery verify the
-Section 6.5 hash chain without re-deriving wire sizes.
+entry (:func:`repro.runtime.logdump.encode_entry`) — the bytes the
+log hashed into ``chain = H(prev_chain | entry_bytes)`` and handed
+over, written as given — so the durable form, the chained form and the
+byte-identical-logs acceptance form are the same bytes.  Nothing else
+about the entry is stored: its accounting size is derived from the
+decoded payload, as :meth:`repro.spider.log.SpiderLog.append` derives
+it.
 
 The CRC32 detects accidental corruption (torn writes, bit rot) frame
 by frame; *adversarial* tampering is caught one level up, by the hash
-chain linkage check in :mod:`repro.store.recovery`.
+chain check over ``entry_bytes`` in :mod:`repro.store.recovery`.
 
 This module is deliberately dumb: pure byte-level encode/decode/scan
 with no file-descriptor state.  :mod:`repro.store.seglog` owns file
@@ -35,14 +36,16 @@ from typing import List, Optional, Tuple, Union
 from ..crypto.hashing import DIGEST_SIZE
 
 #: Bumped whenever the segment layout changes shape; readers reject
-#: other versions outright rather than guessing.
-STORE_VERSION = 1
+#: other versions outright rather than guessing.  Version 1 carried a
+#: u64 ``size_bytes`` in the record prefix and chained over it instead
+#: of over ``entry_bytes``.
+STORE_VERSION = 2
 
 SEGMENT_MAGIC = b"SPDRSEG1"
 
 _S_HEADER = struct.Struct(">8sIQ")   # magic | version | base_index
 _S_FRAME = struct.Struct(">II")      # payload_len | crc32
-_S_RECORD = struct.Struct(">BQQ")    # version | index | size_bytes
+_S_RECORD = struct.Struct(">BQ")     # version | index
 
 HEADER_SIZE = _S_HEADER.size
 FRAME_OVERHEAD = _S_FRAME.size
@@ -87,7 +90,6 @@ class RawRecord:
     """One framed record as scanned off disk (not yet chain-verified)."""
 
     index: int
-    size_bytes: int
     chain: bytes
     entry_bytes: bytes
     #: File offset just past this record's frame — the truncation point
@@ -138,16 +140,15 @@ def decode_header(data: Union[bytes, memoryview]) -> int:
     return int(base_index)
 
 
-def encode_record(index: int, size_bytes: int, chain: bytes,
+def encode_record(index: int, chain: bytes,
                   entry_bytes: bytes) -> bytes:
     """One frame payload (the fixed prefix plus the canonical entry)."""
     if len(chain) != DIGEST_SIZE:
         raise StoreError(
             f"chain digest must be {DIGEST_SIZE} bytes")
-    if index < 0 or size_bytes < 0:
-        raise StoreError("record index/size must be non-negative")
-    return _S_RECORD.pack(STORE_VERSION, index, size_bytes) + chain + \
-        entry_bytes
+    if index < 0:
+        raise StoreError("record index must be non-negative")
+    return _S_RECORD.pack(STORE_VERSION, index) + chain + entry_bytes
 
 
 def decode_record(data: Union[bytes, memoryview],
@@ -156,15 +157,14 @@ def decode_record(data: Union[bytes, memoryview],
     if len(data) < RECORD_OVERHEAD:
         raise StoreCorruptionError(
             f"record payload truncated at {len(data)} bytes")
-    version, index, size_bytes = _S_RECORD.unpack_from(data, 0)
+    version, index = _S_RECORD.unpack_from(data, 0)
     if version != STORE_VERSION:
         raise StoreCorruptionError(
             f"unsupported record version {version}")
     chain = bytes(data[_S_RECORD.size:RECORD_OVERHEAD])
     entry_bytes = bytes(data[RECORD_OVERHEAD:])
-    return RawRecord(index=int(index), size_bytes=int(size_bytes),
-                     chain=chain, entry_bytes=entry_bytes,
-                     end_offset=end_offset)
+    return RawRecord(index=int(index), chain=chain,
+                     entry_bytes=entry_bytes, end_offset=end_offset)
 
 
 def frame_record(payload: bytes) -> bytes:

@@ -4,8 +4,7 @@ These drive :func:`repro.analysis.cli.main` in-process with the same
 argv CI uses, covering the acceptance criteria: exit 0 on the repo's
 own ``src`` tree under both engines, non-zero on every rule's trigger
 fixture, and the new PR-10 surface — ``--engine``, ``--stats``,
-``--explain``, ``--migrate-baseline``, and non-crashing parse-error
-reporting.
+``--explain``, and non-crashing parse-error reporting.
 """
 
 import json
@@ -212,23 +211,6 @@ def test_write_baseline_then_lint_against_it(tmp_path):
     assert main([str(target)]) == 1
 
 
-def test_migrate_baseline_cli(tmp_path, capsys):
-    # A v1 file is rejected by --baseline with a migration hint, and
-    # --migrate-baseline rewrites it so the same run passes.
-    target = FIXTURES / "spdr004" / "trigger"
-    v2 = tmp_path / "v2.json"
-    assert main([str(target), "--write-baseline", str(v2)]) == 0
-    doc = json.loads(v2.read_text(encoding="utf-8"))
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({"version": 1,
-                              "findings": doc["findings"]}),
-                  encoding="utf-8")
-    assert main([str(target), "--baseline", str(v1)]) == 2
-    assert "--migrate-baseline" in capsys.readouterr().err
-    assert main(["--migrate-baseline", str(v1)]) == 0
-    assert main([str(target), "--baseline", str(v1)]) == 0
-
-
 def test_check_shrunk_exit_codes(tmp_path):
     target = FIXTURES / "spdr004" / "trigger"
     full = tmp_path / "full.json"
@@ -239,3 +221,9 @@ def test_check_shrunk_exit_codes(tmp_path):
     assert main(["--check-shrunk", str(full), str(empty)]) == 0
     assert main(["--check-shrunk", str(full), str(full)]) == 0
     assert main(["--check-shrunk", str(empty), str(full)]) == 1
+    # A schema-v1 file is a usage error on either side, not a pass.
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({"version": 1, "findings": []}),
+                  encoding="utf-8")
+    assert main(["--check-shrunk", str(v1), str(empty)]) == 2
+    assert main([str(target), "--baseline", str(v1)]) == 2

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Engine, all_rules, load_baseline, write_baseline
-from repro.analysis.baseline import (BaselineError, baseline_version,
-                                     check_shrunk, migrate_baseline)
+from repro.analysis.baseline import BaselineError, check_shrunk
 from repro.analysis.engine import normalize_path, parse_suppressions
 from repro.analysis.findings import FINGERPRINT_SCHEMA, compute_fingerprint
 
@@ -209,79 +208,16 @@ def test_check_shrunk_accepts_shrinkage_and_rejects_growth(tmp_path):
     assert grown == sorted(f.fingerprint() for f in findings)
 
 
-# ----------------------------------------------------------------------
-# Baseline migration (v1 -> v2)
-
-
-def _v1_baseline(tmp_path, entries):
+def test_v1_baseline_is_rejected(tmp_path):
+    """Schema v1 (raw line-text fingerprints) is not readable and is
+    not migrated: nothing but the empty v2 baseline has existed since
+    the v2 fingerprint landed."""
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"version": 1, "findings": entries}))
-    return str(path)
-
-
-def test_v1_baseline_is_rejected_with_migration_hint(tmp_path):
-    path = _v1_baseline(tmp_path, [])
-    with pytest.raises(BaselineError, match="--migrate-baseline"):
-        load_baseline(path)
-
-
-def test_migrate_baseline_recomputes_fingerprints(tmp_path):
-    # Two identical snippets in one file: occurrences 0 and 1.
-    entries = [
-        {"fingerprint": "stale-v1-hash-a", "rule": "SPDR002",
-         "location": "repro/spider/x.py:2",
-         "line": "return a.payload == b"},
-        {"fingerprint": "stale-v1-hash-b", "rule": "SPDR002",
-         "location": "repro/spider/x.py:5",
-         "line": "return  a.payload ==  b"},
-    ]
-    path = _v1_baseline(tmp_path, entries)
-    assert migrate_baseline(path) == 2
-    assert baseline_version(path) == 2
-    fingerprints = load_baseline(path)
-    expected = {
-        compute_fingerprint("SPDR002", "repro/spider/x.py",
-                            "return a.payload == b", 0),
-        compute_fingerprint("SPDR002", "repro/spider/x.py",
-                            "return a.payload == b", 1),
-    }
-    assert fingerprints == expected
-    # Idempotent: a second run is a no-op.
-    assert migrate_baseline(path) == 0
-
-
-def test_migrated_baseline_matches_engine_findings(tmp_path):
-    # End to end: a v1 baseline written from engine metadata matches
-    # the engine's own v2 fingerprints after migration.
-    double = ("def check(a, b):\n"
-              "    return a.payload == b\n"
-              "\n"
-              "def check2(a, b):\n"
-              "    return a.payload == b\n")
-    findings = _analyze(double).findings
-    entries = [{"fingerprint": "old", "rule": f.rule_id,
-                "location": f"{f.path}:{f.line}", "line": f.line_text}
-               for f in findings]
-    path = _v1_baseline(tmp_path, entries)
-    migrate_baseline(path)
-    rerun = _analyze(double, baseline=load_baseline(path))
-    assert rerun.findings == []
-    assert rerun.baselined == 2
-
-
-def test_migrate_rejects_entries_without_metadata(tmp_path):
-    path = _v1_baseline(tmp_path, ["bare-fingerprint-string"])
-    with pytest.raises(BaselineError, match="metadata"):
-        migrate_baseline(path)
-
-
-def test_check_shrunk_treats_v1_to_v2_as_migration(tmp_path):
-    old = _v1_baseline(tmp_path, [
-        {"fingerprint": "x", "rule": "SPDR002",
-         "location": "repro/spider/x.py:2", "line": "a == b"}])
-    new = tmp_path / "new.json"
-    write_baseline(str(new), _analyze(OFFENDING).findings)
-    assert check_shrunk(old, str(new)) == []
+    path.write_text(json.dumps({"version": 1, "findings": []}))
+    with pytest.raises(BaselineError, match="unsupported"):
+        load_baseline(str(path))
+    with pytest.raises(BaselineError, match="unsupported"):
+        check_shrunk(str(path), str(path))
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,9 @@ class TestGoldenRoots:
 
     GOLDEN_BASIC = "7c275377aa7845b2d22b413297edb5700baec380"
     GOLDEN_WIDE = "d56c957599fc43ecd2cb483563e01b49e59ea4d8"
+    #: The root every PR since PR 9 has quoted (``golden_root`` in
+    #: ``BENCH_commit.json``): 2 000 prefixes × 50 one-bits.
+    GOLDEN_BENCH = "a4254237340ba931616aeea156dbff1d2c2b9f94"
 
     def wide_entries(self):
         from repro.traces.workload import generate_prefixes
@@ -95,6 +98,13 @@ class TestGoldenRoots:
         tree = Mtt.build(self.wide_entries())
         report = label_tree(tree, Rc4Csprng(b"golden-wide"))
         assert report.root_label.hex() == self.GOLDEN_WIDE
+
+    def test_bench_anchor(self):
+        from repro.traces.workload import generate_prefixes
+        tree = Mtt.build({p: [1] * 50
+                          for p in generate_prefixes(2000, seed=7)})
+        report = label_tree(tree, Rc4Csprng(b"bench-pool"))
+        assert report.root_label.hex() == self.GOLDEN_BENCH
 
     def test_generic_traversal_matches_anchor(self):
         # compute_label is the reference implementation the fast

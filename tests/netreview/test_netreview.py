@@ -5,12 +5,14 @@ import pytest
 
 from repro.bgp.prefix import Prefix
 from repro.core.verdict import FaultKind
-from repro.faults.injector import install_import_filter
+from repro.faults.injector import install_import_filter, \
+    tamper_log_entry
 from repro.netreview.auditor import disclosure_bytes
 from repro.netreview.node import NetReviewDeployment
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from repro.spider.config import SpiderConfig
+from repro.spider.log import EntryKind, TamperError
 from repro.spider.node import evaluation_scheme
 
 FEED = 65000
@@ -128,11 +130,23 @@ class TestDisclosure:
         assert after > before
 
     def test_tampered_log_rejected_by_auditor(self):
-        import dataclasses
-        from repro.spider.log import TamperError
+        """A doctored payload at any index — same kind, same accounted
+        size, chain value untouched — stops the audit before a route of
+        that log is replayed."""
         network, deployment = build()
+        deployment.recorder(FOCUS_AS).make_commitment()
         log = deployment.recorder(FOCUS_AS).log
-        log._entries[0] = dataclasses.replace(log._entries[0],
-                                              size_bytes=1)
-        with pytest.raises(TamperError):
-            deployment.audit(FOCUS_AS, auditor=7)
+        assert {e.kind for e in log} >= {
+            EntryKind.RECV_ANNOUNCE, EntryKind.SENT_ANNOUNCE,
+            EntryKind.SENT_ACK, EntryKind.RECV_ACK,
+            EntryKind.COMMITMENT, EntryKind.CHECKPOINT}
+        for position, entry in enumerate(list(log)):
+            tampered = tamper_log_entry(log, position)
+            assert tampered.payload != entry.payload
+            assert (tampered.size_bytes, tampered.chain) == \
+                (entry.size_bytes, entry.chain)
+            with pytest.raises(TamperError, match=f"log entry "
+                               f"{entry.index} breaks the hash chain"):
+                deployment.audit(FOCUS_AS, auditor=7)
+            log._entries[position] = entry
+        assert deployment.audit(FOCUS_AS, auditor=7).ok

@@ -28,11 +28,11 @@ import repro
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.runtime import codec
-from repro.runtime.logdump import decode_log_entry, encode_log_entry
+from repro.runtime.logdump import decode_log_entry, encode_entry
 from repro.spider.checkpoint import RoutingState
-from repro.spider.log import EntryKind, LogEntry
-from tests.strategies import acks, announces, bit_proofs, commitments, \
-    commitment_payloads, prefixes, routes, routing_states, withdraws
+from repro.spider.log import EntryKind
+from tests.strategies import ENTRY_PAYLOADS, acks, announces, \
+    bit_proofs, commitments, prefixes, routes, routing_states, withdraws
 
 # ----------------------------------------------------------------------
 # Discovery
@@ -217,27 +217,13 @@ def checkpoint_states(draw):
     return state
 
 
-ENTRY_STRATEGIES = {
-    EntryKind.SENT_ANNOUNCE: announces(),
-    EntryKind.RECV_ANNOUNCE: announces(),
-    EntryKind.SENT_WITHDRAW: withdraws(),
-    EntryKind.RECV_WITHDRAW: withdraws(),
-    EntryKind.SENT_ACK: acks(),
-    EntryKind.RECV_ACK: acks(),
-    EntryKind.COMMITMENT: commitment_payloads(),
-    EntryKind.CHECKPOINT: checkpoint_states(),
-}
+ENTRY_STRATEGIES = {**ENTRY_PAYLOADS,
+                    EntryKind.CHECKPOINT: checkpoint_states()}
 
 _ENTRY_PARAMS = sorted(ENTRY_STRATEGIES, key=lambda kind: kind.value)
 
 #: Millisecond-grid timestamps (the wire resolution).
 _TIMESTAMPS = st.integers(0, 10**10).map(lambda ms: ms / 1000.0)
-
-
-def _entry(kind, timestamp, payload):
-    return LogEntry(index=0, timestamp=timestamp, kind=kind,
-                    payload=payload, size_bytes=1,
-                    chain=bytes(20))
 
 
 def test_every_entry_kind_has_a_strategy():
@@ -248,7 +234,7 @@ def test_every_entry_kind_has_a_strategy():
 
 def test_full_table_checkpoint_is_past_the_u16_limit():
     state = RoutingState(exports={_FULL_TABLE_NEIGHBOR: _FULL_TABLE})
-    encoded = encode_log_entry(_entry(EntryKind.CHECKPOINT, 1.0, state))
+    encoded = encode_entry(EntryKind.CHECKPOINT, 1.0, state)
     # kind tag (1) + timestamp (8), then the u32 length of the rest.
     assert int.from_bytes(encoded[9:13], "big") == len(encoded) - 13
     assert len(encoded) - 13 > 0xFFFF
@@ -262,7 +248,7 @@ def test_full_table_checkpoint_is_past_the_u16_limit():
 def test_log_entry_roundtrip_exact(kind, data):
     payload = data.draw(ENTRY_STRATEGIES[kind])
     timestamp = data.draw(_TIMESTAMPS)
-    encoded = encode_log_entry(_entry(kind, timestamp, payload))
+    encoded = encode_entry(kind, timestamp, payload)
     assert decode_log_entry(encoded) == (kind, timestamp, payload)
 
 
@@ -272,8 +258,7 @@ def test_log_entry_roundtrip_exact(kind, data):
 @given(data=st.data())
 def test_log_entry_truncation_raises(kind, data):
     payload = data.draw(ENTRY_STRATEGIES[kind])
-    encoded = encode_log_entry(_entry(kind, data.draw(_TIMESTAMPS),
-                                      payload))
+    encoded = encode_entry(kind, data.draw(_TIMESTAMPS), payload)
     cut = data.draw(st.integers(0, len(encoded) - 1))
     with pytest.raises(codec.CodecError):
         decode_log_entry(encoded[:cut])
@@ -285,8 +270,7 @@ def test_log_entry_truncation_raises(kind, data):
 @given(data=st.data())
 def test_log_entry_extension_raises(kind, data):
     payload = data.draw(ENTRY_STRATEGIES[kind])
-    encoded = encode_log_entry(_entry(kind, data.draw(_TIMESTAMPS),
-                                      payload))
+    encoded = encode_entry(kind, data.draw(_TIMESTAMPS), payload)
     junk = data.draw(st.binary(min_size=1, max_size=16))
     with pytest.raises(codec.CodecError):
         decode_log_entry(encoded + junk)
@@ -300,7 +284,7 @@ def test_log_entry_bitflip_never_misparses(kind, data):
     payload = data.draw(ENTRY_STRATEGIES[kind])
     timestamp = data.draw(_TIMESTAMPS)
     encoded = bytearray(
-        encode_log_entry(_entry(kind, timestamp, payload)))
+        encode_entry(kind, timestamp, payload))
     pos = data.draw(st.integers(0, len(encoded) - 1))
     encoded[pos] ^= data.draw(st.integers(1, 255))
     try:

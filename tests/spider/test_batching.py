@@ -128,16 +128,17 @@ class TestBatching:
         assert len(sent) == 1  # no scheduler → synchronous send
 
 
-class _RecordingSink:
-    """A LogSink that counts what is appended but not yet synced."""
+class RecordingSink:
+    """A LogSink that keeps what it is handed and counts what is
+    appended but not yet synced."""
 
     def __init__(self):
         self.unsynced = 0
-        self.appended = 0
+        self.appended = []
 
-    def append(self, entry):
+    def append(self, entry, entry_bytes):
         self.unsynced += 1
-        self.appended += 1
+        self.appended.append((entry, entry_bytes))
 
     def sync(self):
         self.unsynced = 0
@@ -155,7 +156,7 @@ class TestDurableBeforeVisible:
         sim = Simulator()
         registry = KeyRegistry()
         scheme = evaluation_scheme(5)
-        sink = _RecordingSink()
+        sink = RecordingSink()
         calls = []
 
         def checked_transport(receiver, messages):

@@ -9,7 +9,8 @@ The invariants under fuzz (ISSUE 7 satellite):
   nothing that ``append`` returned for;
 * any byte flip in a *sealed* segment fails closed at open;
 * tampering that fixes up the CRC is still caught by the §6.5 hash
-  chain at recovery.
+  chain at recovery — in the stored chain digest or in any bit of any
+  record's entry bytes.
 """
 
 import os
@@ -20,21 +21,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.registry import Registry
+from repro.runtime.logdump import encode_log_entry
 from repro.spider.log import EntryKind, SpiderLog, TamperError
-from repro.store import SegmentedLogStore, StoreCorruptionError, recover
-from repro.store.segment import FRAME_OVERHEAD, HEADER_SIZE
-from tests.strategies import commitment_payloads
+from repro.store import SegmentedLogStore, StoreCorruptionError, \
+    list_segments, recover
+from repro.store.segment import FRAME_OVERHEAD, HEADER_SIZE, \
+    RECORD_OVERHEAD
+from tests.strategies import log_payloads
 
 SEGMENT_BYTES = 192  # tiny: a handful of commitment records per file
 
 
 def build_store(directory, n, fsync="batch", payloads=None):
-    """``n`` chained commitment entries over small segments; returns
-    the in-memory entries (ground truth) with the store left open.
+    """``n`` chained entries over small segments; returns the
+    in-memory entries (ground truth) with the store left open.
 
-    ``payloads`` optionally supplies the commitment payload for each
-    entry (drawn from :func:`tests.strategies.commitment_payloads` in
-    the property tests); by default a fixed deterministic shape is
+    ``payloads`` optionally supplies ``(kind, payload)`` for each entry
+    (drawn from :func:`tests.strategies.log_payloads` in the property
+    tests); by default commitments of a fixed deterministic shape are
     used.
     """
     store = SegmentedLogStore(str(directory), fsync=fsync,
@@ -42,9 +46,10 @@ def build_store(directory, n, fsync="batch", payloads=None):
                               registry=Registry())
     log = SpiderLog(retention_seconds=1e9, sink=store)
     for i in range(n):
-        payload = payloads[i] if payloads is not None else \
-            {"seed": bytes(20), "root": b"root-%04d" % i}
-        log.append(float(i), EntryKind.COMMITMENT, payload, 32)
+        kind, payload = payloads[i] if payloads is not None else \
+            (EntryKind.COMMITMENT,
+             {"seed": bytes(20), "root": b"root-%04d" % i})
+        log.append(float(i), kind, payload)
     return store, list(log)
 
 
@@ -61,6 +66,26 @@ def frame_offsets(path):
         spans.append((offset, end))
         offset = end
     return spans
+
+
+def rewrite_record(directory, index, edit):
+    """Edit record ``index`` of a closed store in place, the way an
+    adversary with the disk would: ``edit(payload)`` mutates the frame
+    payload (a bytearray: record prefix, then the entry bytes from
+    ``RECORD_OVERHEAD`` on) keeping its length, and the frame CRC is
+    recomputed so the structural scan finds nothing wrong."""
+    segment = [info for info in list_segments(str(directory))
+               if info.base_index <= index][-1]
+    start, end = frame_offsets(segment.path)[index - segment.base_index]
+    with open(segment.path, "r+b") as handle:
+        handle.seek(start + FRAME_OVERHEAD)
+        payload = bytearray(handle.read(end - start - FRAME_OVERHEAD))
+        edit(payload)
+        assert len(payload) == end - start - FRAME_OVERHEAD
+        handle.seek(start)
+        handle.write(struct.pack(">II", len(payload),
+                                 zlib.crc32(payload) & 0xFFFFFFFF))
+        handle.write(payload)
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,18 +194,45 @@ def test_bitflip_in_final_segment_yields_prefix_or_fails(
 @given(data=st.data())
 def test_arbitrary_payloads_roundtrip_through_recovery(tmp_path_factory,
                                                        data):
-    """Recovery is payload-agnostic: drawn commitment payloads (shared
-    strategy with the encoding fuzz) survive a close/reopen exactly."""
+    """Recovery is payload-agnostic: drawn payloads of every entry
+    kind (shared strategies with the encoding fuzz) survive a
+    close/reopen exactly, accounting size included."""
     directory = tmp_path_factory.mktemp("payloads")
     n = data.draw(st.integers(min_value=1, max_value=10))
-    payloads = [data.draw(commitment_payloads()) for _ in range(n)]
+    payloads = [data.draw(log_payloads()) for _ in range(n)]
     store, entries = build_store(directory, n, payloads=payloads)
     store.close()
     recovery = recover(SegmentedLogStore(str(directory),
                                          segment_bytes=SEGMENT_BYTES,
                                          registry=Registry()))
     assert recovery.entries == entries
-    assert [e.payload for e in recovery.entries] == payloads
+    assert [(e.kind, e.payload) for e in recovery.entries] == payloads
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_no_entry_bit_flip_survives_a_cold_open(tmp_path_factory, data):
+    """The chain covers the record's contents: flip any one bit of any
+    record's entry bytes, fix up the CRC, and the open must fail — it
+    never hands back a log."""
+    directory = tmp_path_factory.mktemp("bitflip")
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    payloads = [data.draw(log_payloads()) for _ in range(n)]
+    store, entries = build_store(directory, n, payloads=payloads)
+    store.close()
+    index = data.draw(st.integers(min_value=0, max_value=n - 1))
+    size = len(encode_log_entry(entries[index]))
+    bit = data.draw(st.integers(min_value=0, max_value=8 * size - 1))
+
+    def flip(payload):
+        assert len(payload) == RECORD_OVERHEAD + size
+        payload[RECORD_OVERHEAD + bit // 8] ^= 1 << (bit % 8)
+
+    rewrite_record(directory, index, flip)
+    with pytest.raises((TamperError, StoreCorruptionError)):
+        recover(SegmentedLogStore(str(directory),
+                                  segment_bytes=SEGMENT_BYTES,
+                                  registry=Registry()))
 
 
 def test_crc_fixup_tampering_breaks_the_chain(tmp_path):
@@ -192,22 +244,14 @@ def test_crc_fixup_tampering_breaks_the_chain(tmp_path):
     # anchor, so their linkage is verified against segment one's.
     segments = store.segments()
     assert len(segments) >= 3
-    target = segments[1]
-    spans = frame_offsets(target.path)
-    start, end = spans[0]
-    with open(target.path, "r+b") as handle:
-        data = bytearray(handle.read())
-        payload = bytearray(data[start + FRAME_OVERHEAD:end])
-        # Flip a bit inside the stored chain digest, then fix the CRC.
-        payload[17 + 3] ^= 0x01
-        struct.pack_into(">II", data, start, len(payload),
-                         zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
-        data[start + FRAME_OVERHEAD:end] = payload
-        handle.seek(0)
-        handle.write(data)
 
+    def flip_chain_bit(payload):
+        payload[RECORD_OVERHEAD - 1] ^= 0x01  # stored chain digest
+
+    rewrite_record(tmp_path, segments[1].base_index, flip_chain_bit)
     opened = SegmentedLogStore(str(tmp_path),
                                segment_bytes=SEGMENT_BYTES,
                                registry=Registry())
-    with pytest.raises(TamperError):
+    with pytest.raises(TamperError, match=f"record "
+                       f"{segments[1].base_index} breaks the hash chain"):
         recover(opened)

@@ -6,6 +6,8 @@ evidence log it then produces must be byte-identical to one from a
 process that never died.
 """
 
+import struct
+
 import pytest
 
 from repro.bgp.prefix import Prefix
@@ -16,7 +18,10 @@ from repro.runtime.scenario import ASN_A, ASN_B, _drive_first_round, \
     exchange_runtime, resume_store_exchange, run_store_reference, \
     run_store_smoke
 from repro.runtime.transport import LoopbackHub
-from repro.spider.log import EntryKind
+from repro.spider.log import EntryKind, TamperError
+from repro.store import SegmentedLogStore, StoreCorruptionError, recover
+from repro.store.segment import SEGMENT_MAGIC, segment_filename
+from tests.store.test_recovery_fuzz import rewrite_record
 
 
 @pytest.fixture()
@@ -86,6 +91,59 @@ class TestInProcessRestart:
                              EntryKind.CHECKPOINT]
             assert registry.total("store_recovered_records_total") == 4
             rt_a.close()
+
+
+#: One in-place edit per record of the phase-one store: which record,
+#: and the bytes inside it whose last bit is flipped.  Each keeps the
+#: length and leaves a decodable entry of the same kind.
+AT_REST_EDITS = {
+    # the route up to its router id (the community count follows)
+    "sent-announce-route":
+        (0, lambda e: e.payload.route.to_bytes()[:-2]),
+    "recv-ack-hash": (1, lambda e: e.payload.message_hash),
+    "commitment-root": (2, lambda e: e.payload["root"]),
+    # the first three octets of a /24
+    "checkpoint-prefix":
+        (3, lambda e: min(e.payload.known_prefixes()).to_bytes()[:3]),
+}
+
+
+class TestTamperAtRest:
+    @pytest.mark.parametrize("name", sorted(AT_REST_EDITS))
+    def test_rewritten_record_is_never_adopted(self, tmp_path, name):
+        """An adversary with the disk rewrites one record at equal
+        length and fixes its CRC: the cold open must name the record
+        and refuse, not adopt (and re-sign) the forged history."""
+        store_dir = str(tmp_path / "store")
+        run_phase1(store_dir)
+        index, field = AT_REST_EDITS[name]
+        with use_registry(Registry()):
+            store = SegmentedLogStore(store_dir)
+            needle = field(recover(store).entries[index])
+            store.close()
+
+        def edit(payload):
+            payload[payload.rindex(needle) + len(needle) - 1] ^= 0x01
+
+        rewrite_record(store_dir, index, edit)
+        with use_registry(Registry()), pytest.raises(
+                TamperError,
+                match=f"record {index} breaks the hash chain"):
+            exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
+                             store_dir=store_dir)
+
+    def test_version_1_directory_fails_closed(self, tmp_path):
+        """A store written before the chain covered the entry bytes
+        says so in its header; nothing past the header is looked at."""
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / segment_filename(0)).write_bytes(
+            struct.pack(">8sIQ", SEGMENT_MAGIC, 1, 0) + b"\xff" * 64)
+        with use_registry(Registry()), pytest.raises(
+                StoreCorruptionError,
+                match="unsupported store version 1"):
+            exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
+                             store_dir=str(store_dir))
 
 
 class TestKillRestartSmoke:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.registry import Registry
+from repro.runtime.logdump import encode_log_entry
 from repro.spider.log import EntryKind, SpiderLog
 from repro.store import SegmentedLogStore, StoreError, \
     droppable_segments, recover
@@ -19,7 +20,7 @@ def fill(store, n, start=0):
     log = SpiderLog(retention_seconds=1e9, sink=store)
     for i in range(start, start + n):
         log.append(float(i), EntryKind.COMMITMENT,
-                   commitment_payload(i), 32)
+                   commitment_payload(i))
     return log
 
 
@@ -48,7 +49,7 @@ class TestRoundtrip:
                                 retention_seconds=1e9, sink=store2)
         log.verify_chain()
         log.append(99.0, EntryKind.COMMITMENT,
-                   commitment_payload(99), 32)
+                   commitment_payload(99))
         store2.close()
         final = recover(reopened(tmp_path))
         assert len(final.entries) == 6
@@ -73,14 +74,15 @@ class TestAppendDiscipline:
             retention_seconds=1e9, sink=store)
         with pytest.raises(StoreError):
             restored.append(9.0, EntryKind.COMMITMENT,
-                            commitment_payload(9), 32)
+                            commitment_payload(9))
 
     def test_contiguous_indices_enforced(self, tmp_path):
         store = reopened(tmp_path)
         log = fill(store, 3)
         entry = log._entries[-1]
         with pytest.raises(StoreError):
-            store.append(entry)  # replay of index 2 after index 2
+            # replay of index 2 after index 2
+            store.append(entry, encode_log_entry(entry))
 
     def test_unknown_fsync_policy(self, tmp_path):
         with pytest.raises(StoreError):

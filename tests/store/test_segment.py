@@ -24,7 +24,7 @@ def write_segment(path, base_index, payloads):
 
 
 def record_payloads(n, base_index=0):
-    return [encode_record(base_index + i, 32, CHAIN, b"entry-%03d" % i)
+    return [encode_record(base_index + i, CHAIN, b"entry-%03d" % i)
             for i in range(n)]
 
 
@@ -61,6 +61,15 @@ class TestHeader:
         with pytest.raises(StoreCorruptionError):
             decode_header(bad)
 
+    def test_version_1_is_unsupported(self):
+        """Version 1 stored a size field and chained over it, not over
+        the entry bytes; such a store must not open as if verified."""
+        assert STORE_VERSION == 2
+        old = struct.pack(">8sIQ", SEGMENT_MAGIC, 1, 0)
+        with pytest.raises(StoreCorruptionError,
+                           match="unsupported store version 1"):
+            decode_header(old)
+
     def test_negative_base_rejected(self):
         with pytest.raises(StoreError):
             encode_header(-1)
@@ -68,24 +77,24 @@ class TestHeader:
 
 class TestRecords:
     def test_roundtrip(self):
-        payload = encode_record(3, 32, CHAIN, b"hello")
+        payload = encode_record(3, CHAIN, b"hello")
+        assert len(payload) == RECORD_OVERHEAD + 5 == 29 + 5
         record = decode_record(payload, end_offset=123)
         assert record.index == 3
-        assert record.size_bytes == 32
         assert record.chain == CHAIN
         assert record.entry_bytes == b"hello"
         assert record.end_offset == 123
 
     def test_wrong_chain_length(self):
         with pytest.raises(StoreError):
-            encode_record(0, 32, b"short", b"")
+            encode_record(0, b"short", b"")
 
     def test_negative_fields(self):
         with pytest.raises(StoreError):
-            encode_record(-1, 32, CHAIN, b"")
+            encode_record(-1, CHAIN, b"")
 
     def test_truncated_payload(self):
-        payload = encode_record(0, 32, CHAIN, b"")
+        payload = encode_record(0, CHAIN, b"")
         with pytest.raises(StoreCorruptionError):
             decode_record(payload[:RECORD_OVERHEAD - 1], 0)
 

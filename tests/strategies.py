@@ -21,6 +21,7 @@ from repro.crypto.signatures import Signed
 from repro.faults.adversaries import ATTACK_CLASSES
 from repro.mtt.proofs import MttBitProof, PathStep
 from repro.spider.checkpoint import RoutingState
+from repro.spider.log import EntryKind
 from repro.spider.wire import SpiderAck, SpiderAnnounce, SpiderBitProof, \
     SpiderCommitment, SpiderWithdraw
 
@@ -172,6 +173,27 @@ def commitment_payloads():
         "seed": st.binary(min_size=0, max_size=32),
         "root": st.binary(min_size=0, max_size=32),
     })
+
+
+#: A payload strategy for every kind of entry a ``SpiderLog`` holds.
+ENTRY_PAYLOADS = {
+    EntryKind.SENT_ANNOUNCE: announces(),
+    EntryKind.RECV_ANNOUNCE: announces(),
+    EntryKind.SENT_WITHDRAW: withdraws(),
+    EntryKind.RECV_WITHDRAW: withdraws(),
+    EntryKind.SENT_ACK: acks(),
+    EntryKind.RECV_ACK: acks(),
+    EntryKind.COMMITMENT: commitment_payloads(),
+    EntryKind.CHECKPOINT: routing_states(),
+}
+
+
+@st.composite
+def log_payloads(draw):
+    """A ``(kind, payload)`` pair a ``SpiderLog`` can append."""
+    kind = draw(st.sampled_from(sorted(ENTRY_PAYLOADS,
+                                       key=lambda k: k.value)))
+    return kind, draw(ENTRY_PAYLOADS[kind])
 
 
 # ----------------------------------------------------------------------
