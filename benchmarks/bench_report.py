@@ -4,15 +4,21 @@ Measures MTT labeling — the serial kernel and the shared-memory worker
 pool (:class:`repro.mtt.pool.LabelPool` via
 :func:`repro.mtt.labeling.label_tree_parallel`) at each width — and
 writes ``BENCH_commit.json`` at the repo root so regressions are
-diffable.  Serial and every pool width are measured on both traffic
+diffable.  Serial and every pool width are measured on three traffic
 shapes:
 
 * ``fresh_tree`` — a new ``Mtt.build`` for every round, which is what
-  the recorder and the proof generator do: every round pays the
+  the proof generator does for a reconstruction: every round pays the
   schedule and, on the pool, a program install;
-* ``same_tree`` — one tree object relabeled with new randomness, the
-  shape this benchmark measured alone until PR 14: the schedule and the
-  installed program are reused.
+* ``same_tree`` — one tree object relabeled with new randomness: the
+  schedule and the installed program are reused.  The floor a retained
+  tree can reach;
+* ``churn_tree`` — what the recorder does: one retained tree, and
+  before every round ``CHURN_SHARE`` of its prefixes get new bits
+  (``set_bits``), one prefix is inserted and one removed, so every
+  round pays the edits, a schedule rebuild and, on the pool, an install
+  (the program holds the bits).  Every round's root is checked against
+  a from-scratch ``Mtt.build`` + serial labeling of the same entries.
 
 Each row reports the whole labeling call (``round_seconds``: schedule,
 CSPRNG draw, install, hash pass, copy-back), its hash phase alone
@@ -20,8 +26,8 @@ CSPRNG draw, install, hash pass, copy-back), its hash phase alone
 the install share (``install_seconds``) and the one-time worker spawn
 (``spawn_seconds``).  ``cores`` is recorded so the pool numbers can be
 interpreted: with fewer cores than workers the pool cannot win.  Also:
-a ``trajectory`` block (seed → PR 1 → current) and the proof
-generator's reconstruction-cache hit rate.
+a ``trajectory`` block (seed → PR 1 → PR 9 → PR 14 → current) and the
+proof generator's reconstruction-cache hit rate.
 
 CI runs ``--quick --check-against BENCH_commit.json``: a fast pass that
 fails if (a) serial same-tree cost per node regresses back to the seed
@@ -30,10 +36,14 @@ comparable-or-faster box, so this is a loose no-regression floor),
 (b) on a runner with ≥ 4 cores, the warm pool at 4 workers is slower
 than serial on the same tree in the same run (hash phase against hash
 phase — the shape the pool was built for, and a same-box comparison so
-it is machine-independent), or (c) any row's roots differ from serial's on
-the same tree.  ``fresh_tree`` rows are reported, not gated: there the pool
-loses today, which is the number the ROADMAP's keep-or-delete decision
-on ``mtt/pool.py`` needs.  Quick mode writes no files.
+it is machine-independent), (c) any row's roots differ from serial's on
+the same tree, or a ``churn_tree`` round's from the from-scratch build's,
+or (d) a serial ``churn_tree`` round costs more than ``CHURN_BOUND`` ×
+relabeling the same tree unedited, measured alternately in the same
+row — the retained tree's promise, again a same-box comparison.  ``fresh_tree`` rows and the pool's
+``churn_tree`` rows are timed but not gated: there the pool loses today,
+which is the number the ROADMAP's keep-or-delete decision on
+``mtt/pool.py`` needs.  Quick mode writes no files.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
 """
@@ -41,6 +51,7 @@ Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
@@ -48,7 +59,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.crypto.rc4 import Rc4Csprng  # noqa: E402
 from repro.harness.experiments import run_replay_experiment  # noqa: E402
-from repro.mtt.labeling import label_tree_parallel  # noqa: E402
+from repro.mtt.labeling import label_tree, \
+    label_tree_parallel  # noqa: E402
 from repro.mtt.pool import LabelPool  # noqa: E402
 from repro.mtt.tree import Mtt  # noqa: E402
 from repro.obs.export import snapshot  # noqa: E402
@@ -63,17 +75,29 @@ POOL_WIDTHS = (2, 4, 8)
 #: workload, a4254237…, has been this file's ``golden_root`` since PR 9.
 SEEDS = (b"bench-pool", b"bench-1", b"bench-2")
 
+#: ``churn_tree``: share of the table whose bits change before each
+#: round (the order of the e2e ``table_commit`` workload's churn), and
+#: how much more than a ``same_tree`` round such a round may cost on
+#: the serial kernel.
+CHURN_SHARE = 0.003
+CHURN_BOUND = 1.15
+#: Rounds of the serial ``churn_tree`` row, the gated one: on a shared
+#: box best-of-3 reads 1.11-1.25 for a ratio that best-of-8 puts at
+#: 1.08-1.14 (six runs each, 600 x 50).
+CHURN_ROUNDS = 8
+
 #: Measured at the seed commit on this machine, same workload and box.
 SEED_BASELINE = {
     "label_total_seconds": 1.052,
     "label_ns_per_node": 6275.8,
 }
 
-#: The labeling story so far, measured on the original one-core bench
-#: box (pool numbers there show overhead, not speedup), all on the
-#: same-tree shape.  PR 1's pool spawned a fresh ProcessPoolExecutor
-#: and pickled per-subtree op lists every round; PR 9's warm pool pays
-#: spawn once and install once per tree.
+#: The labeling story so far.  Seed to PR 9 were measured on the
+#: original one-core bench box (pool numbers there show overhead, not
+#: speedup), all on the same-tree shape.  PR 1's pool spawned a fresh
+#: ProcessPoolExecutor and pickled per-subtree op lists every round;
+#: PR 9's warm pool pays spawn once and install once per tree; PR 14 is
+#: the committed BENCH_commit.json this PR's run replaced.
 TRAJECTORY_HISTORY = {
     "seed": {
         "serial_same_tree_seconds": 1.052,
@@ -94,11 +118,39 @@ TRAJECTORY_HISTORY = {
         "note": "warm shared-memory pool; fresh-tree rounds were not "
                 "measured",
     },
+    "pr14": {
+        "cores": 2,
+        "serial_same_tree_seconds": 0.5016,
+        "serial_fresh_tree_seconds": 0.7067,
+        "pool_same_tree_seconds": {"2": 0.485, "4": 0.4124,
+                                   "8": 0.4864},
+        "pool_fresh_tree_seconds": {"2": 2.2686, "4": 2.7328,
+                                    "8": 5.0083},
+        "note": "first 2-vCPU run and first fresh-tree rows: the "
+                "deployment built a new tree per round, so it paid the "
+                "fresh-tree column (plus Mtt.build, untimed here)",
+    },
 }
 
 
 def build_entries(n_prefixes: int, k: int) -> dict:
     return {p: [1] * k for p in generate_prefixes(n_prefixes, seed=7)}
+
+
+def timing_row(walls: list, reports: list, tree: Mtt, pool) -> dict:
+    """What every shape reports about its best round."""
+    best = min(range(len(walls)), key=walls.__getitem__)
+    row = {
+        "round_seconds": round(walls[best], 4),
+        "hash_seconds": round(min(r.seconds for r in reports), 4),
+        "ns_per_node": round(
+            walls[best] / tree.census().total * 1e9, 1),
+    }
+    if pool is not None:
+        row["install_seconds"] = round(reports[best].spinup_seconds, 4)
+        row["mode"] = reports[best].mode
+        row["jobs"] = reports[best].jobs
+    return row
 
 
 def measure(entries: dict, rounds: int, fresh: bool, width: int = 1,
@@ -123,23 +175,64 @@ def measure(entries: dict, rounds: int, fresh: bool, width: int = 1,
         reports.append(label_tree_parallel(
             tree, Rc4Csprng(SEEDS[i]), workers=width, pool=pool))
         walls.append(time.perf_counter() - start)
-    best = min(range(rounds), key=walls.__getitem__)
-    row = {
-        "round_seconds": round(walls[best], 4),
-        "hash_seconds": round(min(r.seconds for r in reports), 4),
-        "ns_per_node": round(
-            walls[best] / tree.census().total * 1e9, 1),
-        "roots": [r.root_label.hex() for r in reports],
-    }
-    if pool is not None:
-        row["install_seconds"] = round(reports[best].spinup_seconds, 4)
-        row["mode"] = reports[best].mode
-        row["jobs"] = reports[best].jobs
-    return row
+    return dict(timing_row(walls, reports, tree, pool),
+                roots=[r.root_label.hex() for r in reports])
+
+
+def measure_churn(entries: dict, rounds: int, width: int = 1,
+                  pool=None) -> dict:
+    """Best-of-``rounds`` on one retained tree that is edited before
+    every round; the timed region is the edits plus the labeling call.
+
+    The edits are a function of the round number alone, so every row
+    labels the same sequence of tables.  After each round the entries
+    are built and labeled from scratch (untimed, serial) and the roots
+    compared: the edited tree must be the built tree.  Each round is
+    preceded by a timed relabel of the tree as it stands, so
+    ``vs_same_tree`` compares neighbours in time, not two phases of a
+    run on a shared box.
+    """
+    current = dict(entries)
+    spare = [p for p in generate_prefixes(len(entries) + 64, seed=11)
+             if p not in current]
+    tree = Mtt.build(current)
+    label_tree_parallel(tree, Rc4Csprng(b"warm-up"), workers=width,
+                        pool=pool)
+    unedited, walls, reports, matches = [], [], [], []
+    for i in range(rounds):
+        rng = random.Random(i)
+        known = sorted(current)
+        gone, new = rng.choice(known), spare[i]
+        touched = [p for p in rng.sample(
+            known, max(1, round(CHURN_SHARE * len(known)))) if p != gone]
+        start = time.perf_counter()
+        label_tree_parallel(tree, Rc4Csprng(b"unedited"), workers=width,
+                            pool=pool)
+        unedited.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for prefix in touched:
+            bits = [(i + j) & 1 for j in range(len(current[prefix]))]
+            tree.set_bits(prefix, bits)
+            current[prefix] = bits
+        tree.remove(gone)
+        tree.insert(new, current[gone])
+        reports.append(label_tree_parallel(
+            tree, Rc4Csprng(SEEDS[i % len(SEEDS)]), workers=width,
+            pool=pool))
+        walls.append(time.perf_counter() - start)
+        current[new] = current.pop(gone)
+        matches.append(reports[-1].root_label == label_tree(
+            Mtt.build(current),
+            Rc4Csprng(SEEDS[i % len(SEEDS)])).root_label)
+    return dict(timing_row(walls, reports, tree, pool),
+                vs_same_tree=round(min(walls) / min(unedited), 3),
+                edits_per_round={"set_bits": len(touched), "insert": 1,
+                                 "remove": 1},
+                root_matches_scratch=all(matches))
 
 
 def measure_all(entries: dict, widths, rounds: int) -> dict:
-    """Serial and every pool width on both shapes.
+    """Serial and every pool width on all three shapes.
 
     Every pool row is checked against the serial roots of the same
     round seeds, so the byte-identical-roots criterion is checked *in
@@ -148,6 +241,7 @@ def measure_all(entries: dict, widths, rounds: int) -> dict:
     shapes = ("fresh_tree", "same_tree")
     serial = {shape: measure(entries, rounds, fresh=shape == "fresh_tree")
               for shape in shapes}
+    serial["churn_tree"] = measure_churn(entries, CHURN_ROUNDS)
     golden = serial["same_tree"]["roots"]
     serial["same_tree"]["speedup_vs_seed"] = round(
         SEED_BASELINE["label_total_seconds"]
@@ -160,9 +254,11 @@ def measure_all(entries: dict, widths, rounds: int) -> dict:
                                    fresh=shape == "fresh_tree",
                                    width=width, pool=pool)
                     for shape in shapes}
+            rows["churn_tree"] = measure_churn(entries, rounds,
+                                               width=width, pool=pool)
         finally:
             pool.close()
-        for shape in shapes:
+        for shape in (*shapes, "churn_tree"):
             rows[shape]["speedup_vs_serial"] = round(
                 serial[shape]["round_seconds"]
                 / rows[shape]["round_seconds"], 2)
@@ -203,7 +299,14 @@ def check_against(report: dict, path: str) -> int:
       phase against hash phase (the randomness draw is serial on both
       sides).  Same box, same workload, same process: if this fails,
       the parallel-labeling regression is back;
-    * roots guard — every row produced the serial same-tree roots.
+    * roots guard — every row produced the serial same-tree roots,
+      and every ``churn_tree`` round, at every width, the root of the
+      from-scratch build of the entries it had been edited to;
+    * churn guard — a serial ``churn_tree`` round (edits, a schedule
+      rebuild, the labeling) costs at most ``CHURN_BOUND`` × a relabel
+      of the same tree without edits, the two measured alternately in
+      one row.  If this fails the retained tree has stopped paying for
+      itself.
     """
     with open(path) as handle:
         committed = json.load(handle)
@@ -234,12 +337,18 @@ def check_against(report: dict, path: str) -> int:
         verdict["pool_check"] = (
             f"skipped: {cores} core(s), "
             f"mode={pool4['mode'] if pool4 else 'unmeasured'}")
+    every_row = (report["serial"], *report["pool"].values())
     roots_ok = all(rows[shape]["root_matches_serial"]
-                   for rows in (report["serial"],
-                                *report["pool"].values())
-                   for shape in ("fresh_tree", "same_tree"))
+                   for rows in every_row
+                   for shape in ("fresh_tree", "same_tree")) and \
+        all(rows["churn_tree"]["root_matches_scratch"]
+            for rows in every_row)
     verdict["roots_ok"] = roots_ok
-    verdict["ok"] = serial_ok and pool_ok and roots_ok
+    churn_ratio = report["serial"]["churn_tree"]["vs_same_tree"]
+    churn_ok = churn_ratio <= CHURN_BOUND
+    verdict.update({"serial_churn_vs_same_tree": churn_ratio,
+                    "churn_bound": CHURN_BOUND, "churn_ok": churn_ok})
+    verdict["ok"] = serial_ok and pool_ok and roots_ok and churn_ok
     print(json.dumps({"check_against": verdict}, indent=2))
     if not serial_ok:
         print(f"FAIL: serial same-tree {measured_ns:.1f} ns/node "
@@ -251,7 +360,13 @@ def check_against(report: dict, path: str) -> int:
               "parallel-labeling regression is back", file=sys.stderr)
     if not roots_ok:
         print("FAIL: a row produced a root differing from serial on "
-              "the same tree", file=sys.stderr)
+              "the same tree, or an edited tree's from the from-scratch "
+              "build's", file=sys.stderr)
+    if not churn_ok:
+        print(f"FAIL: a serial churn-tree round costs {churn_ratio} x a "
+              f"same-tree round (bound {CHURN_BOUND}) — editing the "
+              "retained tree no longer beats rebuilding it",
+              file=sys.stderr)
     return 0 if verdict["ok"] else 1
 
 
@@ -300,7 +415,8 @@ def main() -> None:
                     "pool_seconds": {
                         width: rows[shape]["round_seconds"]
                         for width, rows in report["pool"].items()},
-                } for shape in ("fresh_tree", "same_tree")})
+                } for shape in ("fresh_tree", "same_tree",
+                                "churn_tree")})
         if not args.quick:
             report["proofgen_cache_hit_rate"] = round(
                 measure_cache_hit_rate(), 4)

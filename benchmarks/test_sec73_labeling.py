@@ -10,9 +10,9 @@ and the check is skipped.  The paper's shape — workers beat serial —
 is reported as an expected failure where it does not hold: on the
 shared 2-vCPU box this pure-Python pool measures 0.7–1.1× at c=2
 (EXPERIMENTS.md E4), and no ≥4-core run exists yet.  (The deployment
-builds a new tree every round, where the pool also pays a program
-install: ``benchmarks/bench_report.py`` measures that shape as
-``fresh_tree``.)
+edits its retained tree before most rounds, where the pool also pays a
+program install: ``benchmarks/bench_report.py`` measures that shape as
+``churn_tree``.)
 """
 
 import os

@@ -225,9 +225,9 @@ class LabelingResult:
     sequential_seconds: float
     hash_count: int
     #: workers → hash phase of a warm real-pool round relabeling the
-    #: *same* tree (program installed once); the deployment path builds
-    #: a new tree per round and pays the install each time, which
-    #: ``benchmarks/bench_report.py`` measures as ``fresh_tree``.
+    #: *same* tree (program installed once); the deployment path edits
+    #: its tree before most rounds and pays the install each time,
+    #: which ``benchmarks/bench_report.py`` measures as ``churn_tree``.
     pool_seconds: Dict[int, float] = field(default_factory=dict)
     #: workers → one-time pool spawn + program install cost.
     pool_spinup_seconds: Dict[int, float] = field(default_factory=dict)

@@ -14,9 +14,11 @@ the caller that uses it:
 
 * the **serial kernel** — :func:`assign_randomness` plus
   :func:`_hash_pass` over the tree's :class:`~repro.mtt.tree.FlatSchedule`,
-  behind :func:`label_tree`.  The recorder and the proof generator build
-  a new tree for every commitment and every reconstruction, so this
-  path carries nothing a single round does not use.
+  behind :func:`label_tree`.  The recorder relabels the one tree it
+  keeps — new randomness every round (§5), the schedule reused while
+  the prefix set holds — and the proof generator labels a tree of its
+  own per reconstruction, once; this path carries nothing a single
+  round does not use.
 * the **process pool** — the paper's ``c`` commitment threads (§7.1),
   reached through :func:`label_tree_parallel` with a caller-owned
   :class:`~repro.mtt.pool.LabelPool`: worker processes execute a flat
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -73,13 +76,9 @@ def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> List[bytes]:
     plan order so the pool can copy them into shared memory without
     re-reading the node attributes.
     """
-    plan = tree.schedule().rand_plan
-    strings = csprng.bitstrings(len(plan))
-    for (node, is_dummy), string in zip(plan, strings):
-        if is_dummy:
-            node.label = string
-        else:
-            node.blinding = string
+    nodes, attributes = tree.schedule().rand_plan
+    strings = csprng.bitstrings(len(nodes))
+    deque(map(setattr, nodes, attributes, strings), maxlen=0)
     return strings
 
 
@@ -144,7 +143,7 @@ def _hash_pass(tree: Mtt) -> bytes:
         node.label = sha((one if node.bit else zero)
                          + node.blinding).digest()[:size]
     join = b"".join
-    for node, children in schedule.interiors:
+    for node, children in zip(*schedule.interiors):
         node.label = sha(join([c.label for c in children])).digest()[:size]
     return tree.root.label
 
@@ -170,7 +169,7 @@ class LabelingReport:
 
 def _hash_count(tree: Mtt) -> int:
     """One hash per bit node and per interior node (dummies are free)."""
-    census = tree.schedule().counts
+    census = tree.census()
     return census.bit + census.prefix + census.inner
 
 
@@ -205,8 +204,8 @@ def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
     land on the same node objects serial labeling would have written, so
     proof generation is oblivious to how the tree was labeled.  Set
     ``materialize=False`` when only the root is consumed (the recorder
-    discards the commitment tree right after taking the root): the
-    per-node copy-back is skipped.
+    takes the root and relabels its tree next round; proofs come from
+    the proof generator's own tree): the per-node copy-back is skipped.
 
     The pool is the caller's (the recorder owns one,
     ``SpiderConfig.commit_workers`` wide); ``workers`` is that width as

@@ -78,8 +78,10 @@ class InnerNode:
 
     __slots__ = ("children", "label")
 
-    def __init__(self):
-        self.children: List[Optional[MttNode]] = [None, None, None]
+    def __init__(self,
+                 children: Optional[List[Optional[MttNode]]] = None):
+        self.children: List[Optional[MttNode]] = \
+            [None, None, None] if children is None else children
         self.label: Optional[bytes] = None
 
     @property
@@ -110,11 +112,13 @@ def validate_structure(node: MttNode, depth: int = 0) -> None:
     * the E child is a prefix node or a dummy node (never inner);
     * 0/1 children are inner, prefix, or dummy nodes;
     * bit nodes appear only under prefix nodes;
-    * the tree is no deeper than 32 branch levels.
+    * the tree is no deeper than 32 branch levels: an inner node sits
+      below at most 32 bit edges (a /32's prefix node hangs off one
+      that sits below exactly 32).
     """
-    if depth > 32:
-        raise ValueError("MTT deeper than 32 branch levels")
     if isinstance(node, InnerNode):
+        if depth > 32:
+            raise ValueError("MTT deeper than 32 branch levels")
         for edge in EDGES:
             child = node.children[edge]
             if child is None:

@@ -11,8 +11,8 @@ that design with two ideas:
 * **Flat shared buffers, zero per-round pickling.**  Three
   ``multiprocessing.shared_memory`` blocks:
 
-  - the *program* block, written once per tree object — the slot
-    arrays :func:`_build_program` derives from the tree's
+  - the *program* block, written once per tree and edit version —
+    the slot arrays :func:`_build_program` derives from the tree's
     :class:`~repro.mtt.tree.FlatSchedule` (op kinds, committed bits,
     CSR child indices) plus each slot's index into the randomness
     blob.  This module is the only one that knows the slot layout;
@@ -37,13 +37,19 @@ that design with two ideas:
   by the recorder for as long as the deployment lives
   (``SpiderConfig.commit_workers`` wide, shut down by
   ``Recorder.close()``) — so rounds pay dispatch, not ``fork``/``exec``.
-  The installed program is keyed by the tree *object*: relabeling the
-  same tree skips straight to dispatch, a new tree re-installs (build,
-  encode, and one compile of all n slots in every worker).  The
-  recorder and the proof generator build a new tree for every
-  commitment and every reconstruction, so the deployment path installs
-  every round today; `BENCH_commit.json` carries both shapes
-  (``same_tree``, ``fresh_tree``).
+  The installed program is current for one tree *at one edit
+  version*: it bakes in the shape (slot layout) and the committed bits
+  (per-slot hash prefixes), so relabeling an unedited tree skips
+  straight to dispatch, while another tree, or the same tree after any
+  :meth:`~repro.mtt.tree.Mtt.set_bits` / ``insert`` / ``remove``,
+  re-installs (build, encode, and one compile of all n slots in every
+  worker).  The recorder relabels one retained tree whose diff is
+  rarely empty and the proof generator labels a tree of its own per
+  reconstruction, so the deployment path still installs on almost
+  every round; `BENCH_commit.json` carries all three shapes
+  (``same_tree``, ``churn_tree``, ``fresh_tree``).  Shipping bits per
+  round beside the randomness blob, so that a bits-only round keeps
+  its program, is the next step and is not taken here.
 
 Failure model: a worker death (OOM kill, SIGKILL, crash) surfaces as
 :class:`PoolBrokenError` on the next dispatch or reply.  The pool marks
@@ -247,6 +253,7 @@ class _Program:
     """One installed tree: slot ranges over the shared buffers."""
 
     schedule: FlatSchedule  # strong ref: identity key for the cache
+    version: int  # the tree's edit version the bits were read at
     cut_depth: int
     n_slots: int
     n_rand: int  # randomness draws per round (plan length)
@@ -298,7 +305,7 @@ def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
         else:
             add_slot(node, SLOT_DUMMY, 0, 1)
 
-    for node, kids in schedule.interiors:
+    for node, kids in zip(*schedule.interiors):
         # Leaves first: a slot's CSR range starts where the previous
         # slot's ended, so no slot may open inside this node's range.
         for kid in kids:
@@ -331,7 +338,8 @@ def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
     # Per-slot index into the randomness blob (meaningful for dummy
     # and bit slots; 0 elsewhere).
     rand_index = array("I", bytes(4 * n_slots))
-    for i, (node, _) in enumerate(schedule.rand_plan):
+    rand_nodes = schedule.rand_plan[0]
+    for i, node in enumerate(rand_nodes):
         rand_index[slot_of[id(node)]] = i
     upper_ops = _FlatOps(upper, kinds, _bit_prefixes(kinds, bits),
                          offsets, children, rand_index)
@@ -342,8 +350,9 @@ def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
                      n_slots.to_bytes(4, "little"),
                      kinds, bits, offsets.tobytes(), children.tobytes(),
                      rand_index.tobytes()])
-    program = _Program(schedule=schedule, cut_depth=cut_depth,
-                       n_slots=n_slots, n_rand=len(schedule.rand_plan),
+    program = _Program(schedule=schedule, version=tree.version,
+                       cut_depth=cut_depth,
+                       n_slots=n_slots, n_rand=len(rand_nodes),
                        job_ranges=tuple(ranges), job_costs=tuple(costs),
                        upper_ops=upper_ops,
                        out_nodes=tuple(node for node, _ in out),
@@ -595,14 +604,17 @@ class LabelPool:
     def _ensure_program(self, tree: Mtt, cut_depth: int) -> float:
         """Install the tree's flat hash program; returns install time.
 
-        Keyed by schedule identity + cut depth: labeling the same tree
-        object again (benchmark rounds) skips straight to dispatch; a
-        newly built tree, which is what every commitment round and
-        reconstruction labels, pays the install.
+        Keyed by schedule identity, the tree's edit version and the
+        cut depth: relabeling an unedited tree skips straight to
+        dispatch; a new tree pays the install, and so does an edited
+        one — the program holds the bits as hash prefixes, so after a
+        bits-only edit (same schedule object) the old program would
+        hash the *previous* bits and commit to a stale root.
         """
         schedule = tree.schedule()
         program = self._program
         if program is not None and program.schedule is schedule and \
+                program.version == tree.version and \
                 program.cut_depth == cut_depth:
             return 0.0
         from multiprocessing import shared_memory
@@ -682,9 +694,9 @@ class LabelPool:
         return every node carries its label, exactly as serial labeling
         would have left it — unless ``materialize`` is False, which
         skips the copy-back and yields only the root (the commitment
-        fast path: the recorder discards the tree right after taking
-        the root, so per-node labels would be written once and never
-        read).  Raises :class:`PoolBrokenError` if a worker died; the
+        fast path: the recorder reads nothing but the root off its
+        tree, so per-node labels would be written and never read).
+        Raises :class:`PoolBrokenError` if a worker died; the
         tree's randomness is untouched, so a serial relabel remains
         valid.
         """

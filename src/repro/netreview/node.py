@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..bgp.prefix import Prefix
 from ..core.classes import ClassScheme
 from ..core.promise import Promise, total_order_promise
 from ..core.verdict import DetectionRecord
@@ -40,8 +41,12 @@ class NetReviewRecorder(Recorder):
     Epoch boundaries are still logged (auditors audit per epoch), but no
     tree is built and nothing is hashed beyond the log chain — the cost
     difference against SPIDeR is precisely the missing 'mtt' CPU
-    section.
+    section.  With no tree to keep current there are no dirty-prefix
+    marks either: nothing would ever clear them.
     """
+
+    def _mark_dirty(self, prefixes: Iterable[Prefix]) -> None:
+        pass
 
     def make_commitment(self) -> CommitmentRecord:
         commit_time = self.clock.now

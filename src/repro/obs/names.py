@@ -38,6 +38,11 @@ MTT_POOL_DISPATCHES_TOTAL = "mtt_pool_dispatches_total"
 MTT_POOL_OCCUPANCY = "mtt_pool_occupancy"
 MTT_POOL_FAILURES_TOTAL = "mtt_pool_failures_total"
 
+# -- the retained commitment tree (one round's diff) -------------------
+MTT_TREE_EDITS_TOTAL = "mtt_tree_edits_total"
+MTT_SCHEDULE_BUILDS_TOTAL = "mtt_schedule_builds_total"
+COMMITMENT_DIRTY_PREFIXES = "commitment_dirty_prefixes"
+
 # -- SPIDeR node -------------------------------------------------------
 SPIDER_ALARMS_TOTAL = "spider_alarms_total"
 

@@ -49,6 +49,12 @@ class RoutingState:
             prefixes.update(table)
         return prefixes
 
+    def knows(self, prefix: Prefix) -> bool:
+        """``prefix in known_prefixes()``, without building the set."""
+        return prefix in self.origins or \
+            any(prefix in table for table in self.imports.values()) or \
+            any(prefix in table for table in self.exports.values())
+
     def import_route(self, neighbor: int,
                      prefix: Prefix) -> Optional[Route]:
         return self.imports.get(neighbor, {}).get(prefix)
@@ -84,8 +90,14 @@ def elector_view(route: Route, elector: int) -> Route:
     return route
 
 
-def apply_entry(state: RoutingState, asn: int, entry: LogEntry) -> None:
-    """Fold one logged message into the replayed state."""
+def apply_entry(state: RoutingState, asn: int,
+                entry: LogEntry) -> Optional[Prefix]:
+    """Fold one logged message into the replayed state.
+
+    Returns the prefix whose routes the entry touched, ``None`` for an
+    entry that touches none — the one definition of what an entry
+    changes, which the recorder's retained commitment tree follows.
+    """
     message = entry.payload
     if entry.kind is EntryKind.RECV_ANNOUNCE:
         assert isinstance(message, SpiderAnnounce)
@@ -95,17 +107,23 @@ def apply_entry(state: RoutingState, asn: int, entry: LogEntry) -> None:
                                     neighbor=message.sender)
         state.imports.setdefault(message.sender, {})[message.prefix] = \
             route
-    elif entry.kind is EntryKind.RECV_WITHDRAW:
+        return message.prefix
+    if entry.kind is EntryKind.RECV_WITHDRAW:
         assert isinstance(message, SpiderWithdraw)
         state.imports.get(message.sender, {}).pop(message.prefix, None)
-    elif entry.kind is EntryKind.SENT_ANNOUNCE:
+        return message.prefix
+    if entry.kind is EntryKind.SENT_ANNOUNCE:
         assert isinstance(message, SpiderAnnounce)
         state.exports.setdefault(message.receiver, {})[message.prefix] = \
             message.route
-    elif entry.kind is EntryKind.SENT_WITHDRAW:
+        return message.prefix
+    if entry.kind is EntryKind.SENT_WITHDRAW:
         assert isinstance(message, SpiderWithdraw)
         state.exports.get(message.receiver, {}).pop(message.prefix, None)
-    # ACKs, commitments and checkpoints do not change routing state.
+        return message.prefix
+    # ACKs and commitments do not change routing state; a checkpoint
+    # replaces it (replay and recovery load it whole).
+    return None
 
 
 def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,

@@ -153,6 +153,10 @@ class ProofGenerator:
             tree, Rc4Csprng(seed),
             workers=recorder.config.commit_workers,
             pool=recorder.labeling_pool())
+        # Labeled once and then only read by proof generation: the
+        # cache holds up to ``reconstruction_cache_size`` of these
+        # trees, and nothing reads a schedule after the hash pass.
+        tree.release_schedule()
         if not constant_time_eq(report.root_label,
                                 entry.payload["root"]):
             raise RuntimeError(

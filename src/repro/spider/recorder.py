@@ -9,13 +9,20 @@ The recorder derives everything it commits to from its own
 :class:`~repro.spider.checkpoint.RoutingState` mirror — never from the
 live speaker — so that the proof generator, replaying the log, arrives at
 bit-for-bit the same MTT (Section 6.5).
+
+The commitment tree persists: the recorder keeps one
+:class:`~repro.mtt.tree.Mtt` for its lifetime, marks a prefix dirty
+whenever an entry that touches it is folded into the mirror, and each
+round recomputes the bits of the dirty prefixes only and edits the tree
+in place.  What it cannot keep is the hash pass: every round draws new
+randomness from a new seed (§5), so every label changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
-    Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
+    Optional, Sequence, Set, Tuple
 
 from ..bgp.messages import Announce, Update
 from ..bgp.prefix import Prefix
@@ -126,6 +133,12 @@ class Recorder:
                 retention_seconds=config.retention_seconds,
                 sink=log_store, storage=self.storage)
         self.state = RoutingState()
+        #: The commitment tree (§5.2), kept up to ``state`` by
+        #: :meth:`_apply_dirty`; ``_dirty`` holds the prefixes touched
+        #: since it last ran.  Only the root ever leaves this tree —
+        #: proofs come from the proof generator's own reconstruction.
+        self._tree = Mtt()
+        self._dirty: Set[Prefix] = set()
         self.commitments: List[CommitmentRecord] = []
         self.alarms: List[str] = []
         #: σ_P(r') for each (neighbor, prefix) we imported — the inner
@@ -159,11 +172,13 @@ class Recorder:
         """The warm labeling pool, spawned lazily; ``None`` when serial.
 
         One pool of ``commit_workers`` processes serves every commitment
-        round and every proof-generator reconstruction — each of which
-        labels a newly built tree, so the pool installs its program
-        every round (see DESIGN.md §2 for what that costs).  A pool that
-        broke (worker death mid-round) is discarded here and replaced,
-        so one crashed worker costs exactly one serial-fallback round.
+        round and every proof-generator reconstruction.  Its installed
+        program holds one tree's shape *and bits*, so it is reused only
+        by a round whose diff was empty; any edit of the retained tree,
+        and every reconstruction (a tree of its own), re-installs (see
+        DESIGN.md §2 for what that costs).  A pool that broke (worker
+        death mid-round) is discarded here and replaced, so one crashed
+        worker costs exactly one serial-fallback round.
         """
         if self.config.commit_workers <= 1:
             return None
@@ -195,7 +210,12 @@ class Recorder:
 
         Everything the recorder tracks beside the log is a pure
         function of the log plus its deterministic secrets: routing
-        state replays through :func:`apply_entry`; import signatures
+        state replays through :func:`apply_entry` from the latest
+        checkpoint, exactly as :func:`~repro.spider.checkpoint.replay`
+        does (a trimmed log begins at one, and whole-segment compaction
+        may leave older entries in front of it), with every recovered
+        prefix dirty so the first commitment builds the tree; import
+        signatures
         and pending ACKs come from the logged messages; commitment
         records re-derive their seeds from the master secret and
         re-sign their broadcast messages (signing is deterministic, so
@@ -205,7 +225,7 @@ class Recorder:
         for entry in self.log:
             self.storage.record(storage_kind(entry.kind),
                                 entry.size_bytes)
-            apply_entry(self.state, self.asn, entry)
+            self._fold(entry)
             message = entry.payload
             if entry.kind is EntryKind.RECV_ANNOUNCE:
                 assert isinstance(message, SpiderAnnounce)
@@ -223,7 +243,10 @@ class Recorder:
             elif entry.kind is EntryKind.COMMITMENT:
                 self._adopt_commitment(entry)
             elif entry.kind is EntryKind.CHECKPOINT:
+                assert isinstance(message, RoutingState)
                 self._checkpointed_at = entry.timestamp
+                self.state = message.copy()
+                self._mark_dirty(self.state.known_prefixes())
 
     def _adopt_commitment(self, entry: LogEntry) -> None:
         payload = entry.payload
@@ -274,6 +297,16 @@ class Recorder:
         entry = self.log.append(timestamp, kind, message)
         self.storage.record(storage_kind(kind), entry.size_bytes)
         return entry
+
+    def _fold(self, entry: LogEntry) -> None:
+        """Fold one logged entry into the routing mirror and mark the
+        prefix it touched for the next commitment's tree update."""
+        prefix = apply_entry(self.state, self.asn, entry)
+        if prefix is not None:
+            self._mark_dirty((prefix,))
+
+    def _mark_dirty(self, prefixes: Iterable[Prefix]) -> None:
+        self._dirty.update(prefixes)
 
     # ------------------------------------------------------------------
     # Mirroring the BGP flow (hooked to Speaker.on_send)
@@ -382,8 +415,7 @@ class Recorder:
                     timestamp=item.timestamp,
                     message_hash=item.message_hash, envelope=envelope)
                 kind = EntryKind.SENT_ACK
-            entry = self._log_append(item.timestamp, kind, message)
-            apply_entry(self.state, self.asn, entry)
+            self._fold(self._log_append(item.timestamp, kind, message))
             if kind is not EntryKind.SENT_ACK:
                 self._awaiting_ack[message.message_hash()] = \
                     (item.timestamp, item.receiver)
@@ -447,9 +479,8 @@ class Recorder:
             self.alarm("stale_timestamp",
                        f"stale timestamp from AS{message.sender}")
             return
-        entry = self._log_append(self.clock.now, EntryKind.RECV_ANNOUNCE,
-                                 message)
-        apply_entry(self.state, self.asn, entry)
+        self._fold(self._log_append(self.clock.now,
+                                    EntryKind.RECV_ANNOUNCE, message))
         # Remember the sender's inner signature: when we export a route
         # derived from this import, it becomes our σ_P(r').
         self._import_sigs[(message.sender, message.prefix)] = \
@@ -467,9 +498,8 @@ class Recorder:
             self.alarm("stale_timestamp",
                        f"stale timestamp from AS{message.sender}")
             return
-        entry = self._log_append(self.clock.now, EntryKind.RECV_WITHDRAW,
-                                 message)
-        apply_entry(self.state, self.asn, entry)
+        self._fold(self._log_append(self.clock.now,
+                                    EntryKind.RECV_WITHDRAW, message))
         self._send_ack(message.sender, message.message_hash())
 
     def _send_ack(self, to: int, message_hash: bytes) -> None:
@@ -512,18 +542,21 @@ class Recorder:
     def mtt_entries(
             self, state: RoutingState
     ) -> Dict[Prefix, Tuple[int, ...]]:
-        """The per-prefix VPref input bits for a routing state."""
-        entries: Dict[Prefix, Tuple[int, ...]] = {}
+        """The per-prefix VPref input bits for a routing state, from
+        scratch — what a reconstruction builds its tree from, and what
+        the retained tree must equal after every round."""
         promise_list = list(self.promises.values())
-        for prefix in state.known_prefixes():
-            inputs: List[RouteOrNull] = [
-                table[prefix] for table in state.imports.values()
-                if prefix in table
-            ]
-            chosen = self._chosen_for(state, prefix)
-            entries[prefix] = compute_bits(self.scheme, inputs, chosen,
-                                           promise_list)
-        return entries
+        return {prefix: self._prefix_bits(state, prefix, promise_list)
+                for prefix in state.known_prefixes()}
+
+    def _prefix_bits(self, state: RoutingState, prefix: Prefix,
+                     promise_list: List[Promise]) -> Tuple[int, ...]:
+        inputs: List[RouteOrNull] = [
+            table[prefix] for table in state.imports.values()
+            if prefix in table
+        ]
+        return compute_bits(self.scheme, inputs,
+                            self._chosen_for(state, prefix), promise_list)
 
     def _chosen_for(self, state: RoutingState,
                     prefix: Prefix) -> RouteOrNull:
@@ -540,20 +573,62 @@ class Recorder:
                 return elector_view(route, self.asn)
         return NULL_ROUTE
 
+    def _apply_dirty(self) -> None:
+        """Bring the retained tree up to ``self.state``.
+
+        Only prefixes an entry touched since the last round can differ,
+        and for each the state says which edit is owed: bits rewritten
+        (still known, already in the tree), inserted (known, new) or
+        removed (no route left anywhere).  Marks are cleared once every
+        edit is in.  An edit order does not exist: M(P, ε) is unique,
+        so the tree equals ``Mtt.build(self.mtt_entries(self.state))``.
+        """
+        tree, state = self._tree, self.state
+        promise_list = list(self.promises.values())
+        rewritten = inserted = removed = 0
+        try:
+            for prefix in self._dirty:
+                present = tree.prefix_node(prefix) is not None
+                if state.knows(prefix):
+                    bits = self._prefix_bits(state, prefix, promise_list)
+                    if present:
+                        tree.set_bits(prefix, bits)
+                        rewritten += 1
+                    else:
+                        tree.insert(prefix, bits)
+                        inserted += 1
+                elif present:
+                    tree.remove(prefix)
+                    removed += 1
+        except Exception:
+            # Fail closed: a half-applied diff mirrors no state, so the
+            # next round starts from the empty tree with the whole
+            # table dirty — the from-scratch build.
+            self._tree = Mtt()
+            self._dirty = state.known_prefixes()
+            raise
+        self._obs.histogram("commitment_dirty_prefixes").observe(
+            len(self._dirty))
+        self._dirty.clear()
+        for op, count in (("set_bits", rewritten), ("insert", inserted),
+                          ("remove", removed)):
+            self._obs.counter("mtt_tree_edits_total", op=op).inc(count)
+
     def make_commitment(self) -> CommitmentRecord:
-        """Build, sign, log, and broadcast one commitment."""
+        """Update the retained tree, relabel it under this round's
+        seed, then sign, log, and broadcast the root."""
         self.flush_outbox()  # the commitment must cover queued messages
         commit_time = self.clock.now
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
-            entries = self.mtt_entries(self.state)
             with self.cpu.section("mtt"):
-                tree = Mtt.build(entries)
-                # materialize=False: only the root leaves this scope —
-                # the tree is discarded, and proofs later come from a
-                # fresh §6.5 reconstruction in the proof generator.
+                self._apply_dirty()
+                # materialize=False: only the root leaves this tree;
+                # proofs later come from a fresh §6.5 reconstruction
+                # in the proof generator, on a tree of its own.
                 report = label_tree_with_workers(
-                    tree, Rc4Csprng(self.commitment_seed(commit_time)),
+                    self._tree,
+                    Rc4Csprng(self.commitment_seed(commit_time)),
                     workers=self.config.commit_workers,
                     pool=self.labeling_pool(), materialize=False)
             with self.cpu.section("signatures"):
@@ -564,7 +639,7 @@ class Recorder:
                          {"seed": seed, "root": report.root_label})
         record = CommitmentRecord(commit_time=commit_time,
                                   root=report.root_label, message=message,
-                                  census_total=tree.census().total)
+                                  census_total=self._tree.census().total)
         self.commitments.append(record)
         self._maybe_checkpoint(commit_time)
         # The seed and any checkpoint must be durable before the root

@@ -285,67 +285,88 @@ class TestRecorderLifecycle:
 
 class TestDeploymentTraffic:
     """The traffic a deployment sends the labeling layer: the recorder
-    and the proof generator build a new tree for every commitment and
-    every reconstruction, so on ``commit_workers > 1`` the pool
-    installs a program every round.  Pinned here so the pool's
-    keep-or-delete decision is made on this shape, not on the
-    same-tree shape the benchmarks used to assume."""
+    relabels the one tree it keeps, with the schedule it already has
+    unless a prefix appeared or vanished, and the proof generator
+    labels a tree of its own per reconstruction.  On ``commit_workers
+    > 1`` the pool's program is current only for an unedited tree, so
+    it installs on every round whose diff is not empty.  Pinned here
+    so the pool's keep-or-delete decision is made on this shape."""
 
     FEED = 65000
 
     def drive(self, commit_workers, monkeypatch):
-        """Two commitments with an update in between, then one
-        verification (one reconstruction) of the first."""
+        """Four commitments — after the first announcement, after
+        nothing, after a re-announcement of the same prefix (bits
+        only), after a new prefix (new shape) — then one verification
+        (one reconstruction) of the first."""
         labeled = []
         for module in (recorder_module, proofgen_module):
             def spy(tree, *args, _real=module.label_tree_with_workers,
                     **kwargs):
-                labeled.append(tree)
-                return _real(tree, *args, **kwargs)
+                report = _real(tree, *args, **kwargs)
+                labeled.append((tree, tree.schedule()))
+                return report
             monkeypatch.setattr(module, "label_tree_with_workers", spy)
         with use_registry(Registry()) as registry:
             network = Network(figure5_topology())
             deployment = SpiderDeployment(
                 network, scheme=evaluation_scheme(6),
                 config=SpiderConfig(commit_workers=commit_workers))
+
+            def feed(prefix, *tail):
+                network.schedule_trace(self.FEED, [TraceEvent(
+                    network.sim.now + 1.0, Prefix.parse(prefix),
+                    (self.FEED, *tail))])
+                network.settle()
+
             try:
                 network.attach_feed(INJECTION_AS, feed_asn=self.FEED)
-                network.schedule_trace(self.FEED, [TraceEvent(
-                    1.0, Prefix.parse("10.1.0.0/16"),
-                    (self.FEED, 4000))])
+                feed("10.1.0.0/16", 4000)
+                records = [deployment.commit_now(FOCUS_AS)]
+                network.sim.after(1.0, lambda: None)  # time only
                 network.settle()
-                first = deployment.commit_now(FOCUS_AS)
-                network.schedule_trace(self.FEED, [TraceEvent(
-                    network.sim.now + 1.0, Prefix.parse("10.2.0.0/16"),
-                    (self.FEED, 4001))])
-                network.settle()
-                second = deployment.commit_now(FOCUS_AS)
+                records.append(deployment.commit_now(FOCUS_AS))
+                feed("10.1.0.0/16", 4000, 4001, 4002)
+                records.append(deployment.commit_now(FOCUS_AS))
+                feed("10.2.0.0/16", 4001)
+                records.append(deployment.commit_now(FOCUS_AS))
                 outcomes = deployment.verify(
-                    FOCUS_AS, commit_time=first.commit_time)
+                    FOCUS_AS, commit_time=records[0].commit_time)
             finally:
                 for node in deployment.nodes.values():
                     node.close()
             installs = registry.total("mtt_pool_installs_total")
+            edits = {op: registry.total("mtt_tree_edits_total", op=op)
+                     for op in ("set_bits", "insert", "remove")}
         assert outcomes and all(o.report.ok for o in outcomes)
         assert sum(o.proofs.proof_count() for o in outcomes) > 0
-        return (first.root, second.root), labeled, installs
+        assert edits == {"set_bits": 1, "insert": 2, "remove": 0}
+        return [r.root for r in records], labeled, installs
 
-    def test_every_round_labels_a_new_tree(self, monkeypatch):
-        serial_roots, serial_trees, serial_installs = \
+    def test_rounds_relabel_one_retained_tree(self, monkeypatch):
+        serial_roots, serial_labeled, serial_installs = \
             self.drive(1, monkeypatch)
         monkeypatch.undo()
-        pooled_roots, pooled_trees, pooled_installs = \
+        pooled_roots, pooled_labeled, pooled_installs = \
             self.drive(2, monkeypatch)
         assert pooled_roots == serial_roots
-        assert serial_roots[0] != serial_roots[1]
-        for trees in (serial_trees, pooled_trees):
-            # Two commitment rounds and one reconstruction, each on a
-            # tree (and schedule) object of its own.
-            assert len(trees) == 3
-            assert len({id(tree) for tree in trees}) == 3
-            assert len({id(tree.schedule()) for tree in trees}) == 3
+        assert len(set(serial_roots)) == 4  # a new seed every round
+        for labeled in (serial_labeled, pooled_labeled):
+            trees = [tree for tree, _ in labeled]
+            schedules = [schedule for _, schedule in labeled]
+            assert len(labeled) == 5
+            # Four rounds on the recorder's tree, the reconstruction
+            # on one of its own.
+            assert all(tree is trees[0] for tree in trees[:4])
+            assert trees[4] is not trees[0]
+            # The schedule outlives an empty and a bits-only round; a
+            # new prefix replaces it.
+            assert schedules[0] is schedules[1] is schedules[2]
+            assert len({id(s) for s in schedules[2:]}) == 3
         assert serial_installs == 0
-        assert pooled_installs == 3  # once per pooled round
+        # The first tree, then once per edited tree (bits, shape) and
+        # for the reconstruction's; the empty-diff round reuses.
+        assert pooled_installs == 4
 
 
 @st.composite

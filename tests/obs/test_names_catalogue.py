@@ -23,6 +23,8 @@ GOLDEN_NAMES = sorted([
     "mtt_pool_spinup_seconds", "mtt_pool_installs_total",
     "mtt_pool_dispatches_total", "mtt_pool_occupancy",
     "mtt_pool_failures_total",
+    "mtt_tree_edits_total", "mtt_schedule_builds_total",
+    "commitment_dirty_prefixes",
     "spider_alarms_total",
     "traffic_bytes_total", "cpu_seconds_total", "cpu_calls_total",
     "cpu_section_seconds", "storage_bytes_total",

@@ -213,3 +213,56 @@ campaign_indices = st.integers(min_value=0,
 def campaign_coordinates(draw):
     """A ``(seed, index)`` pair addressing one campaign."""
     return draw(campaign_seeds), draw(campaign_indices)
+
+
+# ----------------------------------------------------------------------
+# Recorder histories
+#
+# What one recorder lives through between commitments, as data: the
+# test decides how a step is signed and delivered.  Prefixes come from
+# a small per-history pool that nests (a prefix and one of its covering
+# prefixes), so re-announcements, withdrawals of known prefixes and
+# parent/child pairs are the common case rather than a coincidence.
+
+
+@st.composite
+def prefix_pools(draw):
+    pool = draw(st.lists(prefixes(), min_size=1, max_size=4,
+                         unique=True))
+    for prefix in list(pool):
+        if prefix.length and draw(st.booleans()):
+            length = draw(st.integers(0, prefix.length - 1))
+            mask = ((1 << length) - 1) << (32 - length) if length else 0
+            pool.append(Prefix(address=prefix.address & mask,
+                               length=length))
+    return sorted(set(pool))
+
+
+@st.composite
+def recorder_histories(draw, neighbors=(2, 3), max_steps=16,
+                       restarts=False):
+    """A list of steps: ``("announce", neighbor, prefix, path_tail)``
+    and ``("withdraw", neighbor, prefix)`` arrive from ``neighbor``;
+    ``("export", neighbor, prefix, path_tail)`` and ``("unexport",
+    neighbor, prefix)`` are the recorder's own AS talking to it (the
+    AS path is whoever speaks, then the tail); ``("commit",)`` is a
+    commitment round and, with ``restarts``, ``("restart",)`` a crash
+    and a recovery from the log.  Every history ends in a commit."""
+    pool = draw(prefix_pools())
+    kinds = ["announce", "announce", "withdraw", "export", "unexport",
+             "commit"] + (["restart"] if restarts else [])
+    steps = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("commit", "restart"):
+            steps.append((kind,))
+            continue
+        neighbor = draw(st.sampled_from(neighbors))
+        prefix = draw(st.sampled_from(pool))
+        if kind in ("announce", "export"):
+            tail = draw(st.lists(st.integers(4000, 4008), max_size=4,
+                                 unique=True))
+            steps.append((kind, neighbor, prefix, tuple(tail)))
+        else:
+            steps.append((kind, neighbor, prefix))
+    return steps + [("commit",)]
