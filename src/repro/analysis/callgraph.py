@@ -17,7 +17,8 @@ heuristics are ranked and bounded so imprecision stays conservative:
    program, unless the name is so common (``append``, ``get``, …) or
    so widely defined that by-name matching would be noise; such calls
    stay unresolved and the taint engine propagates through them.
-4. ``Class(...)`` resolves to ``Class.__init__``.
+4. ``Class(...)``, and ``cls(...)`` inside one of the class's own
+   methods, resolves to ``Class.__init__``.
 
 A :class:`Program` is picklable; :func:`load_program` keys a pickle
 cache on a digest of the source tree so repeated CI runs skip the
@@ -201,6 +202,9 @@ class Program:
         if module is None:
             return []
         if len(parts) == 1:
+            if parts[0] == "cls" and caller.cls is not None:
+                # cls(...) in a classmethod: the enclosing class.
+                return self._constructor(module.path, caller.cls)
             return self._resolve_simple(parts[0], module)
         if parts[0] in ("self", "cls") and len(parts) == 2:
             return self._resolve_self(parts[1], caller, module)

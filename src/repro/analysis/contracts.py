@@ -120,9 +120,11 @@ class ContractRegistry:
     #: read off an object that carries taint (receiver inheritance would
     #: otherwise make ``identity.asn`` as private as ``identity.
     #: private_key``).  AS numbers and prefixes are the protocol's
-    #: public inputs (§3).
+    #: public inputs (§3); a timestamp goes out in every signed message
+    #: as its nonce and names every broadcast commitment (§6.2), so the
+    #: time of a log entry that also holds a seed is not the seed.
     public_attrs: FrozenSet[str] = frozenset({
-        "asn", "prefix", "public_key", "signer", "origin"})
+        "asn", "prefix", "public_key", "signer", "origin", "timestamp"})
 
     def without_declassifier(self, name: str) -> "ContractRegistry":
         """A copy with one declassifier removed (regression lever)."""
@@ -292,7 +294,7 @@ def default_registry() -> ContractRegistry:
                      description="wire bytes leave the node",
                      section="§6.2"),
         SinkContract(SINK_LOG, "SPDR006",
-                     patterns=("log.append", "_log_append"),
+                     patterns=("log.append",),
                      description="evidence-log append (disclosed to "
                                  "auditors on demand)",
                      section="§6.4"),

@@ -66,25 +66,20 @@ def install_inbound_drop(recorder: Recorder, sender: int, *,
     dropped messages.
     """
     dropped: List[object] = []
+    original = recorder._receive_update
 
-    def dropping(original: Callable[[Any], None]
-                 ) -> Callable[[Any], None]:
-        def receive(message: Any) -> None:
-            if message.sender != sender or \
-                    recorder.clock.now < active_from or \
-                    (prefixes is not None and
-                     message.prefix not in prefixes):
-                original(message)
-                return
-            dropped.append(message)
-            if acknowledge and message.valid(recorder.registry):
-                recorder._send_ack(sender, message.message_hash())
-        return receive
+    def receive_update(message: Any) -> None:
+        if message.sender != sender or \
+                recorder.clock.now < active_from or \
+                (prefixes is not None and
+                 message.prefix not in prefixes):
+            original(message)
+            return
+        dropped.append(message)
+        if acknowledge and message.valid(recorder.registry):
+            recorder._send_ack(sender, message.message_hash())
 
-    recorder._receive_announce = dropping(  # type: ignore[method-assign]
-        recorder._receive_announce)
-    recorder._receive_withdraw = dropping(  # type: ignore[method-assign]
-        recorder._receive_withdraw)
+    recorder._receive_update = receive_update  # type: ignore[method-assign]
     return dropped
 
 

@@ -22,7 +22,7 @@ from ..crypto.keys import KeyRegistry, make_identity
 from ..netsim.network import Network
 from ..spider.checkpoint import replay
 from ..spider.config import SpiderConfig
-from ..spider.log import EntryKind
+from ..spider.log import EntryKind, LogEntry
 from ..spider.node import SPIDER_TRAFFIC, evaluation_scheme, \
     sweep_overdue_acks
 from ..spider.recorder import CommitmentRecord, Recorder, Transport
@@ -48,15 +48,17 @@ class NetReviewRecorder(Recorder):
     def _mark_dirty(self, prefixes: Iterable[Prefix]) -> None:
         pass
 
+    def _commitment_record(self, entry: LogEntry) -> CommitmentRecord:
+        """An epoch marker: nothing to sign, nothing to count."""
+        return CommitmentRecord(commit_time=entry.timestamp, root=b"",
+                                message=None, census_total=0)
+
     def make_commitment(self) -> CommitmentRecord:
         commit_time = self.clock.now
-        self.log.append(commit_time, EntryKind.COMMITMENT,
-                        {"seed": b"", "root": b""})
-        record = CommitmentRecord(commit_time=commit_time, root=b"",
-                                  message=None, census_total=0)
-        self.commitments.append(record)
+        self._fold(self.log.append(commit_time, EntryKind.COMMITMENT,
+                                   {"seed": b"", "root": b""}))
         self._maybe_checkpoint(commit_time)
-        return record
+        return self.commitments[-1]
 
 
 class NetReviewDeployment:

@@ -13,9 +13,9 @@ package gives it a wire.  It provides, bottom-up:
   :class:`LoopbackTransport`;
 * :mod:`~repro.runtime.tcp` — asyncio TCP streams with per-peer bounded
   outbound queues, one cross-thread hop per ``send``;
-* :mod:`~repro.runtime.delivery` — ACK tracking with exponential
-  backoff + jitter, surfacing unacknowledged messages to the Section
-  6.2 evidence path;
+* :mod:`~repro.runtime.delivery` — retries of the recorder's un-ACKed
+  messages with exponential backoff + jitter, then the Section 6.2
+  evidence path;
 * :mod:`~repro.runtime.node_runtime` — a per-process host bundling
   clock, timers, inbox, and one :class:`~repro.spider.node.SpiderNode`;
 * :mod:`~repro.runtime.soak` — the many-peer soak scenario: 50+
@@ -25,7 +25,7 @@ package gives it a wire.  It provides, bottom-up:
 
 from .codec import CodecError, WIRE_VERSION, decode_message, \
     encode_message
-from .delivery import DeliveryService, PendingDelivery, RetryPolicy
+from .delivery import DeliveryService, RetryPolicy
 from .framing import FrameDecoder, FramingError, MAX_FRAME_SIZE, \
     encode_frame, encode_frames
 from .logdump import encode_log, encode_log_entry, log_digest
@@ -37,7 +37,7 @@ from .transport import LoopbackHub, LoopbackTransport, Transport, \
 
 __all__ = [
     "CodecError", "WIRE_VERSION", "decode_message", "encode_message",
-    "DeliveryService", "PendingDelivery", "RetryPolicy",
+    "DeliveryService", "RetryPolicy",
     "FrameDecoder", "FramingError", "MAX_FRAME_SIZE", "encode_frame",
     "encode_frames",
     "encode_log", "encode_log_entry", "log_digest",

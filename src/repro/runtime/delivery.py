@@ -10,20 +10,27 @@ exhausted its attempts and waited out ``ack_timeout`` — at which point a
 :class:`~repro.spider.evidence.MissingAckEvidence` record is produced
 and the recorder raises the paper's out-of-band alarm.
 
-The service plugs into the recorder through its send/receive hooks: no
-recorder code path changes, the tracking rides alongside.
+Which messages are un-ACKed is the recorder's knowledge, rebuilt from
+its log at a restart: :attr:`~repro.spider.recorder.Recorder.
+awaiting_ack` maps each to the ``SENT_*`` entry holding the message, its
+receiver and the send time.  The service adds what the log cannot know
+— timers, the attempt count each timer carries, the evidence — and arms
+a timer for every awaited message: those it finds at construction (sent
+before a crash; attempts restart at 1, the T_max clock does not) and,
+through the recorder's sent hook, each new one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..obs.registry import get_registry
 from ..spider.evidence import MissingAckEvidence
+from ..spider.log import LogEntry
 from ..spider.recorder import Recorder, Scheduler
-from ..spider.wire import SpiderAck
+from ..spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
 
 
 @dataclass(frozen=True)
@@ -61,20 +68,8 @@ class RetryPolicy:
         return min(base, self.max_delay)
 
 
-@dataclass
-class PendingDelivery:
-    """One message awaiting its ACK."""
-
-    message: object
-    receiver: int
-    first_sent: float
-    attempts: int = 1
-    #: Timestamps of every (re)transmission, the first send included.
-    history: List[float] = field(default_factory=list)
-
-
 class DeliveryService:
-    """Tracks unacknowledged messages for one recorder and retries them.
+    """Retries one recorder's unacknowledged messages, then accuses.
 
     ``schedule`` is any ``(delay, thunk)`` scheduler — the simulator's
     ``sim.after``, or a :class:`~repro.runtime.node_runtime.TimerWheel`
@@ -82,15 +77,11 @@ class DeliveryService:
     """
 
     def __init__(self, recorder: Recorder, schedule: Scheduler,
-                 policy: Optional[RetryPolicy] = None, seed: int = 0,
-                 on_evidence: Optional[
-                     Callable[[MissingAckEvidence], None]] = None):
+                 policy: Optional[RetryPolicy] = None, seed: int = 0):
         self.recorder = recorder
         self.schedule = schedule
         self.policy = policy if policy is not None else RetryPolicy()
         self.rng = random.Random(seed)
-        self.on_evidence = on_evidence
-        self.pending: Dict[bytes, PendingDelivery] = {}
         self.evidence: List[MissingAckEvidence] = []
         self.retries_sent = 0
         self.acks_matched = 0
@@ -114,58 +105,65 @@ class DeliveryService:
         self._pending_gauge = obs.gauge("delivery_pending", node=node)
         self._backoff_histogram = obs.histogram("retry_backoff_seconds",
                                                 node=node)
+        for message_hash in recorder.awaiting_ack:
+            self._track(message_hash)
         recorder.add_sent_hook(self._on_sent)
         recorder.add_ack_hook(self._on_ack)
+
+    @property
+    def pending(self) -> Dict[bytes, LogEntry]:
+        """The un-ACKed messages still owed a retry or an alarm: the
+        recorder's table less the ones already given up on."""
+        given_up = {e.message.message_hash() for e in self.evidence}
+        return {message_hash: entry for message_hash, entry
+                in self.recorder.awaiting_ack.items()
+                if message_hash not in given_up}
 
     # ------------------------------------------------------------------
     # Hook targets
 
     def _on_sent(self, message: object) -> None:
-        """An ack-expecting message left the recorder: start tracking."""
-        message_hash = message.message_hash()
-        if message_hash in self.pending:
-            return  # already tracked (recorder-level duplicate)
-        now = self.recorder.clock.now
-        entry = PendingDelivery(message=message,
-                                receiver=message.receiver,
-                                first_sent=now, history=[now])
-        self.pending[message_hash] = entry
-        self._tracked_counter.inc()
-        self._pending_gauge.set(len(self.pending))
-        self._schedule_retry(message_hash, retry_number=1)
+        assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
+        self._track(message.message_hash())
 
-    def _on_ack(self, ack: SpiderAck) -> None:
-        if self.pending.pop(ack.message_hash, None) is not None:
-            self.acks_matched += 1
-            self._acks_counter.inc()
-            self._pending_gauge.set(len(self.pending))
+    def _track(self, message_hash: bytes) -> None:
+        """A message awaits its ACK: arm its first retry."""
+        self._tracked_counter.inc()
+        self._pending_gauge.set(len(self.recorder.awaiting_ack))
+        self._schedule_retry(message_hash, attempts=1)
+
+    def _on_ack(self, _ack: SpiderAck) -> None:
+        self.acks_matched += 1
+        self._acks_counter.inc()
+        self._pending_gauge.set(len(self.recorder.awaiting_ack))
 
     # ------------------------------------------------------------------
     # Retry machinery
 
-    def _schedule_retry(self, message_hash: bytes,
-                        retry_number: int) -> None:
-        delay = self.policy.delay(retry_number, self.rng)
+    def _schedule_retry(self, message_hash: bytes, attempts: int) -> None:
+        """Arm the timer that follows transmission number ``attempts``
+        — the count lives in the timer, the message in the log."""
+        delay = self.policy.delay(attempts, self.rng)
         self._backoff_histogram.observe(delay)
-        self.schedule(delay, lambda: self._retry(message_hash))
+        self.schedule(delay, lambda: self._retry(message_hash, attempts))
 
-    def _retry(self, message_hash: bytes) -> None:
-        entry = self.pending.get(message_hash)
+    def _retry(self, message_hash: bytes, attempts: int) -> None:
+        entry = self.recorder.awaiting_ack.get(message_hash)
         if entry is None:
             return  # acknowledged in the meantime
+        message = entry.payload
+        assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
         now = self.recorder.clock.now
         timeout = self.recorder.config.ack_timeout
-        if entry.attempts >= self.policy.max_attempts:
-            if now - entry.first_sent < timeout:
+        if attempts >= self.policy.max_attempts:
+            if now - entry.timestamp < timeout:
                 # Attempts exhausted but T_max not reached: the alarm
                 # would be premature, wait out the remainder.
-                self.schedule(timeout - (now - entry.first_sent),
-                              lambda: self._retry(message_hash))
+                self.schedule(timeout - (now - entry.timestamp),
+                              lambda: self._retry(message_hash, attempts))
                 return
-            self._give_up(message_hash, entry, now)
+            self._give_up(message, entry.timestamp, attempts, now)
             return
-        entry.attempts += 1
-        entry.history.append(now)
         self.retries_sent += 1
         self._retries_counter.inc()
         # Retries firing in the same timer pump (a burst of unacked
@@ -174,12 +172,12 @@ class DeliveryService:
         # pump, so the retransmission timing, attempt counting, and
         # §6.2 ACK-or-evidence bookkeeping above are those of an
         # immediate send.
-        self._retry_batch.setdefault(entry.receiver,
-                                     []).append(entry.message)
+        self._retry_batch.setdefault(message.receiver,
+                                     []).append(message)
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.schedule(0.0, self._flush_retries)
-        self._schedule_retry(message_hash, retry_number=entry.attempts)
+        self._schedule_retry(message_hash, attempts + 1)
 
     def _flush_retries(self) -> None:
         self._flush_scheduled = False
@@ -187,20 +185,15 @@ class DeliveryService:
         for receiver, messages in batches.items():
             self.recorder.transport(receiver, messages)
 
-    def _give_up(self, message_hash: bytes, entry: PendingDelivery,
-                 now: float) -> None:
-        del self.pending[message_hash]
+    def _give_up(self, message: SpiderAnnounce | SpiderWithdraw,
+                 first_sent: float, attempts: int, now: float) -> None:
+        """No timer follows; the message stays in the recorder's table
+        (``overdue_acks`` keeps listing it) with the evidence on file."""
         self._giveups_counter.inc()
-        self._pending_gauge.set(len(self.pending))
-        evidence = MissingAckEvidence(message=entry.message,
-                                      first_sent=entry.first_sent,
-                                      attempts=entry.attempts,
-                                      gave_up_at=now)
-        self.evidence.append(evidence)
+        self.evidence.append(MissingAckEvidence(
+            message=message, first_sent=first_sent, attempts=attempts,
+            gave_up_at=now))
         self.recorder.alarm(
             "missing_ack",
-            f"no ack from AS{entry.receiver} after "
-            f"{entry.attempts} attempts over "
-            f"{now - entry.first_sent:.1f}s")
-        if self.on_evidence is not None:
-            self.on_evidence(evidence)
+            f"no ack from AS{message.receiver} after "
+            f"{attempts} attempts over {now - first_sent:.1f}s")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, List, Optional, Set
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
@@ -91,12 +91,12 @@ def elector_view(route: Route, elector: int) -> Route:
 
 
 def apply_entry(state: RoutingState, asn: int,
-                entry: LogEntry) -> Optional[Prefix]:
-    """Fold one logged message into the replayed state.
+                entry: LogEntry) -> Collection[Prefix]:
+    """Fold one logged entry into the replayed state.
 
-    Returns the prefix whose routes the entry touched, ``None`` for an
-    entry that touches none — the one definition of what an entry
-    changes, which the recorder's retained commitment tree follows.
+    Returns the prefixes whose routes the entry touched — the one
+    definition of what an entry changes, for :func:`replay` and for the
+    recorder's mirror and retained commitment tree alike.
     """
     message = entry.payload
     if entry.kind is EntryKind.RECV_ANNOUNCE:
@@ -107,23 +107,35 @@ def apply_entry(state: RoutingState, asn: int,
                                     neighbor=message.sender)
         state.imports.setdefault(message.sender, {})[message.prefix] = \
             route
-        return message.prefix
+        return (message.prefix,)
     if entry.kind is EntryKind.RECV_WITHDRAW:
         assert isinstance(message, SpiderWithdraw)
         state.imports.get(message.sender, {}).pop(message.prefix, None)
-        return message.prefix
+        return (message.prefix,)
     if entry.kind is EntryKind.SENT_ANNOUNCE:
         assert isinstance(message, SpiderAnnounce)
         state.exports.setdefault(message.receiver, {})[message.prefix] = \
             message.route
-        return message.prefix
+        return (message.prefix,)
     if entry.kind is EntryKind.SENT_WITHDRAW:
         assert isinstance(message, SpiderWithdraw)
         state.exports.get(message.receiver, {}).pop(message.prefix, None)
-        return message.prefix
-    # ACKs and commitments do not change routing state; a checkpoint
-    # replaces it (replay and recovery load it whole).
-    return None
+        return (message.prefix,)
+    if entry.kind is EntryKind.CHECKPOINT:
+        assert isinstance(message, RoutingState)
+        if message == state:
+            # A snapshot of this very state — every checkpoint folded
+            # where it was taken, and after a replay from genesis —
+            # changes nothing.
+            return ()
+        # Otherwise it replaces the state: what precedes a checkpoint
+        # in a trimmed or compacted log does not add up to it.
+        touched = state.known_prefixes()
+        snapshot = message.copy()
+        state.imports, state.exports, state.origins = \
+            snapshot.imports, snapshot.exports, snapshot.origins
+        return touched | state.known_prefixes()
+    return ()  # ACKs and commitments do not change routing state
 
 
 def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
@@ -137,16 +149,16 @@ def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
     same millisecond *after* it carry the same timestamp, so a
     commitment can only be cut out by position.
 
-    Loads the latest checkpoint inside the cut and applies every later
-    announcement/withdrawal inside it.  Incoming messages take effect
-    when acknowledged, outgoing when sent (Section 6.3); the recorder
-    logs them at exactly those moments, so replay can apply entries in
-    log order.
+    Folds the latest checkpoint inside the cut and every later entry
+    inside it (nothing before a checkpoint survives it, so nothing
+    before it is applied).  Incoming messages take effect when
+    acknowledged, outgoing when sent (Section 6.3); the recorder logs
+    them at exactly those moments, so replay can apply entries in log
+    order.
     """
     if (until is None) == (before_index is None):
         raise ValueError("replay needs a time or a log index, not both")
-    base: Optional[LogEntry] = None
-    later: List[LogEntry] = []
+    cut: List[LogEntry] = []
     for entry in log:
         if before_index is not None:
             if entry.index >= before_index:
@@ -154,15 +166,10 @@ def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
         elif until is not None and entry.timestamp > until:
             break
         if entry.kind is EntryKind.CHECKPOINT:
-            base = entry
-            later = []
-        else:
-            later.append(entry)
+            cut = []
+        cut.append(entry)
     state = RoutingState()
-    if base is not None:
-        assert isinstance(base.payload, RoutingState)
-        state = base.payload.copy()
-    for entry in later:
+    for entry in cut:
         apply_entry(state, asn, entry)
     return state
 

@@ -20,8 +20,9 @@ accounting model, derived from the payload by :func:`entry_size`.
 
 Retention: verification reaches back at most ``retention_seconds``;
 :meth:`SpiderLog.trim` discards older entries once a newer checkpoint
-covers them, reporting the bytes reclaimed per storage kind so the
-Section 7.7 accounting can follow compaction down as well as up.
+covers them.  The log keeps its own Section 7.7 storage account: every
+entry it holds was recorded when it was appended or restored, and is
+released, per storage kind, when it is trimmed.
 
 Durability is pluggable: a :class:`LogSink` (the on-disk segmented
 store in :mod:`repro.store`, or nothing for the default in-memory
@@ -134,8 +135,10 @@ class LogSink(Protocol):
 
 class StorageAccount(Protocol):
     """The slice of :class:`repro.netsim.metering.StorageMeter` the log
-    needs for trim accounting (structural for the same no-cycle
-    reason as :class:`LogSink`)."""
+    keeps its §7.7 account in (structural for the same no-cycle reason
+    as :class:`LogSink`)."""
+
+    def record(self, kind: str, nbytes: int) -> None: ...
 
     def release(self, kind: str, nbytes: int) -> None: ...
 
@@ -154,8 +157,22 @@ class TrimReport:
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
 
 
+def _bytes_by_kind(entries: Iterable[LogEntry]) -> Dict[str, int]:
+    """Logical bytes per :func:`storage_kind` — what the §7.7 account
+    holds for ``entries`` while they are in the log."""
+    by_kind: Dict[str, int] = {}
+    for entry in entries:
+        kind = storage_kind(entry.kind)
+        by_kind[kind] = by_kind.get(kind, 0) + entry.size_bytes
+    return by_kind
+
+
 class SpiderLog:
-    """Append-only hash-chained log with an optional durable sink."""
+    """Append-only hash-chained log with an optional durable sink.
+
+    Every entry it holds is in the ``storage`` account: recorded by
+    :meth:`append` and :meth:`restore`, released by :meth:`trim`.
+    """
 
     def __init__(self, retention_seconds: float = 365 * 24 * 3600,
                  sink: Optional[LogSink] = None,
@@ -177,13 +194,16 @@ class SpiderLog:
                 storage: Optional[StorageAccount] = None) -> "SpiderLog":
         """Rebuild a log from already-persisted entries (crash
         recovery).  The entries are adopted as-is — they are *not*
-        re-appended to the sink."""
+        re-appended to the sink — and accounted like appended ones."""
         log = cls(retention_seconds=retention_seconds, sink=sink,
                   storage=storage)
         log._entries = list(entries)
         if log._entries:
             log._head = log._entries[-1].chain
             log._next_index = log._entries[-1].index + 1
+        if storage is not None:
+            for kind, nbytes in _bytes_by_kind(log._entries).items():
+                storage.record(kind, nbytes)
         return log
 
     def __len__(self) -> int:
@@ -218,6 +238,8 @@ class SpiderLog:
         self._entries.append(entry)
         self._head = chain
         self._next_index = entry.index + 1
+        if self.storage is not None:
+            self.storage.record(storage_kind(kind), entry.size_bytes)
         return entry
 
     def sync(self) -> None:
@@ -291,10 +313,7 @@ class SpiderLog:
             return TrimReport(entries=0, bytes_reclaimed=0)
         dropped = self._entries[:base]  # keep the checkpoint itself
         self._entries = self._entries[base:]
-        by_kind: Dict[str, int] = {}
-        for entry in dropped:
-            kind = storage_kind(entry.kind)
-            by_kind[kind] = by_kind.get(kind, 0) + entry.size_bytes
+        by_kind = _bytes_by_kind(dropped)
         if self.storage is not None:
             for kind, nbytes in sorted(by_kind.items()):
                 self.storage.release(kind, nbytes)

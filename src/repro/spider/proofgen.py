@@ -173,74 +173,61 @@ class ProofGenerator:
 
     def proofs_for(self, reconstruction: Reconstruction, neighbor: int,
                    watch: Iterable[Prefix] = ()) -> ProofSet:
-        """All proofs ``neighbor`` is due for one commitment."""
-        recorder = self.recorder
+        """All proofs ``neighbor`` is due for one commitment: as a
+        producer for every prefix it advertised, as a consumer for
+        every prefix we exported to it or it asks about."""
+        state = reconstruction.state
+        return self._proof_set(
+            reconstruction, neighbor,
+            produced=state.imports.get(neighbor, {}),
+            consumed=set(state.exports.get(neighbor, {})) | set(watch))
+
+    def proofs_for_prefix(self, reconstruction: Reconstruction,
+                          neighbor: int, prefix: Prefix) -> ProofSet:
+        """Single-prefix verification (the §7.3 'route to Google' case)."""
+        return self._proof_set(reconstruction, neighbor,
+                               produced=(prefix,), consumed=(prefix,))
+
+    def _proof_set(self, reconstruction: Reconstruction, neighbor: int,
+                   produced: Iterable[Prefix],
+                   consumed: Iterable[Prefix]) -> ProofSet:
+        """``neighbor``'s proofs over the named prefixes.
+
+        Producer side: a 1-proof for the class of the route it was
+        advertising, for each of ``produced`` it advertised.  Consumer
+        side: for each of ``consumed`` that is in the commitment, the
+        0-proofs for every class its promise ranks above our offer.
+        """
         state = reconstruction.state
         tree = reconstruction.tree
-        scheme = recorder.scheme
+        commit_time = reconstruction.commit_time
+        scheme = self.recorder.scheme
         start = time.perf_counter()
         result = ProofSet(elector=self.asn, recipient=neighbor,
-                          commit_time=reconstruction.commit_time)
-
-        # Producer side: one 1-proof per prefix the neighbor advertised.
-        for prefix, route in state.imports.get(neighbor, {}).items():
-            class_index = scheme.classify(route)
-            result.producer_proofs[prefix] = self._signed_proof(
-                tree, neighbor, reconstruction.commit_time, prefix,
-                class_index)
-
-        # Consumer side: 0-proofs for classes above each offer.
-        promise = recorder.promises.get(neighbor)
+                          commit_time=commit_time)
+        imports = state.imports.get(neighbor, {})
+        for prefix in produced:
+            if prefix in imports:
+                result.producer_proofs[prefix] = self._signed_proof(
+                    tree, neighbor, commit_time, prefix,
+                    scheme.classify(imports[prefix]))
+        promise = self.recorder.promises.get(neighbor)
         if promise is not None:
             exports = state.exports.get(neighbor, {})
-            prefixes = set(exports) | set(watch)
-            for prefix in prefixes:
+            for prefix in consumed:
                 if tree.prefix_node(prefix) is None:
                     continue  # nothing committed for this prefix
                 offer = exports.get(prefix, NULL_ROUTE)
                 if offer is not NULL_ROUTE:
                     offer = elector_view(offer, self.asn)
-                offer_class = scheme.classify(offer)
                 proofs = [
-                    self._signed_proof(tree, neighbor,
-                                       reconstruction.commit_time,
+                    self._signed_proof(tree, neighbor, commit_time,
                                        prefix, class_index)
-                    for class_index in promise.classes_above(offer_class)
+                    for class_index in promise.classes_above(
+                        scheme.classify(offer))
                 ]
                 if proofs:
                     result.consumer_proofs[prefix] = proofs
-        result.generation_seconds = time.perf_counter() - start
-        return result
-
-    def proofs_for_prefix(self, reconstruction: Reconstruction,
-                          neighbor: int, prefix: Prefix) -> ProofSet:
-        """Single-prefix verification (the §7.3 'route to Google' case)."""
-        recorder = self.recorder
-        state = reconstruction.state
-        tree = reconstruction.tree
-        start = time.perf_counter()
-        result = ProofSet(elector=self.asn, recipient=neighbor,
-                          commit_time=reconstruction.commit_time)
-        advertised = state.imports.get(neighbor, {}).get(prefix)
-        if advertised is not None:
-            result.producer_proofs[prefix] = self._signed_proof(
-                tree, neighbor, reconstruction.commit_time, prefix,
-                recorder.scheme.classify(advertised))
-        promise = recorder.promises.get(neighbor)
-        if promise is not None and tree.prefix_node(prefix) is not None:
-            offer = state.exports.get(neighbor, {}).get(prefix,
-                                                        NULL_ROUTE)
-            if offer is not NULL_ROUTE:
-                offer = elector_view(offer, self.asn)
-            offer_class = recorder.scheme.classify(offer)
-            proofs = [
-                self._signed_proof(tree, neighbor,
-                                   reconstruction.commit_time, prefix,
-                                   class_index)
-                for class_index in promise.classes_above(offer_class)
-            ]
-            if proofs:
-                result.consumer_proofs[prefix] = proofs
         result.generation_seconds = time.perf_counter() - start
         return result
 

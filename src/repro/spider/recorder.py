@@ -10,6 +10,11 @@ The recorder derives everything it commits to from its own
 live speaker — so that the proof generator, replaying the log, arrives at
 bit-for-bit the same MTT (Section 6.5).
 
+Everything the recorder knows beside its log is a function of that log,
+and :meth:`Recorder._fold` is the one place that computes it: a live
+site appends an entry and folds it, a restart folds the entries that
+survived, and the two cannot disagree.
+
 The commitment tree persists: the recorder keeps one
 :class:`~repro.mtt.tree.Mtt` for its lifetime, marks a prefix dirty
 whenever an entry that touches it is folded into the mirror, and each
@@ -43,7 +48,7 @@ from ..obs.registry import ClockLike, get_registry
 from .checkpoint import RoutingState, apply_entry, elector_view, \
     take_checkpoint
 from .config import SpiderConfig
-from .log import EntryKind, LogEntry, LogSink, SpiderLog, storage_kind
+from .log import EntryKind, LogEntry, LogSink, SpiderLog
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
     SpiderWithdraw, ack_payload, announce_payload, \
     route_signature_payload, time_bytes, withdraw_payload
@@ -123,43 +128,42 @@ class Recorder:
         self.cpu = cpu if cpu is not None else CpuMeter(node=node)
         self.storage = StorageMeter(node=node)
         self.signer = Signer(identity)
-        if recovered_entries is not None:
-            self.log = SpiderLog.restore(
-                recovered_entries,
-                retention_seconds=config.retention_seconds,
-                sink=log_store, storage=self.storage)
-        else:
-            self.log = SpiderLog(
-                retention_seconds=config.retention_seconds,
-                sink=log_store, storage=self.storage)
-        self.state = RoutingState()
-        #: The commitment tree (§5.2), kept up to ``state`` by
-        #: :meth:`_apply_dirty`; ``_dirty`` holds the prefixes touched
-        #: since it last ran.  Only the root ever leaves this tree —
-        #: proofs come from the proof generator's own reconstruction.
-        self._tree = Mtt()
-        self._dirty: Set[Prefix] = set()
-        self.commitments: List[CommitmentRecord] = []
         self.alarms: List[str] = []
+        #: The log keeps the §7.7 account in ``storage`` itself.
+        self.log = SpiderLog.restore(
+            recovered_entries or (),
+            retention_seconds=config.retention_seconds,
+            sink=log_store, storage=self.storage)
+        # Derived from the log, down to ``_checkpointed_at``:
+        # :meth:`_fold` is the only writer of these.
+        self.state = RoutingState()
+        #: Prefixes touched since :meth:`_apply_dirty` last brought the
+        #: commitment tree (§5.2) up to ``state``.  Only the root ever
+        #: leaves that tree — proofs come from the proof generator's
+        #: own reconstruction.
+        self._dirty: Set[Prefix] = set()
+        self._tree = Mtt()
+        self.commitments: List[CommitmentRecord] = []
         #: σ_P(r') for each (neighbor, prefix) we imported — the inner
         #: producer signature our own announcements must carry.
         self._import_sigs: Dict[Tuple[int, Prefix], Signed] = {}
-        #: Hashes of sent messages still waiting for an ACK.
-        self._awaiting_ack: Dict[bytes, Tuple[float, int]] = {}
+        #: The un-ACKed messages (§6.2): message hash → the ``SENT_*``
+        #: entry that logged it, which holds the message, its receiver
+        #: and the send time.  :meth:`overdue_acks` and the runtime's
+        #: delivery service both read this one table.
+        self.awaiting_ack: Dict[bytes, LogEntry] = {}
         self._checkpointed_at: Optional[float] = None
         self._outbox: List[_PendingItem] = []
         self._flush_scheduled = False
-        #: Pluggable observation hooks (the runtime delivery layer rides
-        #: on these; see :mod:`repro.runtime.delivery`).
+        #: What the runtime delivery layer listens on to time its
+        #: retries (see :mod:`repro.runtime.delivery`).
         self.sent_hooks: List[Callable[[object], None]] = []
         self.ack_hooks: List[Callable[[SpiderAck], None]] = []
-        self.receive_hooks: List[Callable[[object], None]] = []
         #: The warm shared-memory labeling pool (spawned lazily on the
         #: first multi-worker commitment, reused across rounds; see
         #: repro.mtt.pool).  ``close()`` shuts it down.
         self._label_pool: Optional[LabelPool] = None
-        if recovered_entries is not None:
-            self._adopt_recovery()
+        self._adopt_recovery()
 
     @property
     def asn(self) -> int:
@@ -203,81 +207,17 @@ class Recorder:
             self._label_pool = None
 
     # ------------------------------------------------------------------
-    # Crash recovery (the durable-store path; see repro.store.recovery)
-
-    def _adopt_recovery(self) -> None:
-        """Re-arm protocol state from an already-verified recovered log.
-
-        Everything the recorder tracks beside the log is a pure
-        function of the log plus its deterministic secrets: routing
-        state replays through :func:`apply_entry` from the latest
-        checkpoint, exactly as :func:`~repro.spider.checkpoint.replay`
-        does (a trimmed log begins at one, and whole-segment compaction
-        may leave older entries in front of it), with every recovered
-        prefix dirty so the first commitment builds the tree; import
-        signatures
-        and pending ACKs come from the logged messages; commitment
-        records re-derive their seeds from the master secret and
-        re-sign their broadcast messages (signing is deterministic, so
-        the bytes match the pre-crash originals exactly).  The census
-        total is not logged — recovered records report it as zero.
-        """
-        for entry in self.log:
-            self.storage.record(storage_kind(entry.kind),
-                                entry.size_bytes)
-            self._fold(entry)
-            message = entry.payload
-            if entry.kind is EntryKind.RECV_ANNOUNCE:
-                assert isinstance(message, SpiderAnnounce)
-                self._import_sigs[(message.sender, message.prefix)] = \
-                    message.route_sig
-            elif entry.kind in (EntryKind.SENT_ANNOUNCE,
-                                EntryKind.SENT_WITHDRAW):
-                assert isinstance(message,
-                                  (SpiderAnnounce, SpiderWithdraw))
-                self._awaiting_ack[message.message_hash()] = \
-                    (entry.timestamp, message.receiver)
-            elif entry.kind is EntryKind.RECV_ACK:
-                assert isinstance(message, SpiderAck)
-                self._awaiting_ack.pop(message.message_hash, None)
-            elif entry.kind is EntryKind.COMMITMENT:
-                self._adopt_commitment(entry)
-            elif entry.kind is EntryKind.CHECKPOINT:
-                assert isinstance(message, RoutingState)
-                self._checkpointed_at = entry.timestamp
-                self.state = message.copy()
-                self._mark_dirty(self.state.known_prefixes())
-
-    def _adopt_commitment(self, entry: LogEntry) -> None:
-        payload = entry.payload
-        assert isinstance(payload, dict)
-        seed, root = payload["seed"], payload["root"]
-        if not constant_time_eq(seed,
-                                self.commitment_seed(entry.timestamp)):
-            self.alarm("recovered_seed_mismatch",
-                       f"logged commitment seed at t={entry.timestamp} "
-                       "does not derive from this master secret")
-        with self.cpu.section("signatures"):
-            message = SpiderCommitment.make(self.signer,
-                                            entry.timestamp, root)
-        self.commitments.append(CommitmentRecord(
-            commit_time=entry.timestamp, root=root, message=message,
-            census_total=0))
-
-    # ------------------------------------------------------------------
     # Observation hooks
 
     def add_sent_hook(self, hook: Callable[[object], None]) -> None:
-        """Called with every ack-expecting message after transmission."""
+        """Called, after transmission, with every message that newly
+        entered :attr:`awaiting_ack`."""
         self.sent_hooks.append(hook)
 
     def add_ack_hook(self, hook: Callable[["SpiderAck"], None]) -> None:
-        """Called with every valid ACK after it clears its message."""
+        """Called with every valid ACK that cleared a message from
+        :attr:`awaiting_ack`."""
         self.ack_hooks.append(hook)
-
-    def add_receive_hook(self, hook: Callable[[object], None]) -> None:
-        """Called with every inbound message before it is handled."""
-        self.receive_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # Instrumented primitives
@@ -289,21 +229,66 @@ class Recorder:
         self._obs.counter("spider_alarms_total", node=f"as{self.asn}",
                           reason=reason).inc()
 
-    def _log_append(self, timestamp: float, kind: EntryKind,
-                    message: object) -> LogEntry:
-        """Append to the tamper-evident log, metering durable growth
-        (the Section 7.7 storage accounting rides on every append;
-        :func:`~repro.spider.log.storage_kind` splits the categories)."""
-        entry = self.log.append(timestamp, kind, message)
-        self.storage.record(storage_kind(kind), entry.size_bytes)
-        return entry
+    def _adopt_recovery(self) -> None:
+        """A restart is the live path run again, minus the appends:
+        the entries that survived (none, on a first start) go through
+        the same fold, in log order."""
+        for entry in self.log:
+            self._fold(entry)
 
     def _fold(self, entry: LogEntry) -> None:
-        """Fold one logged entry into the routing mirror and mark the
-        prefix it touched for the next commitment's tree update."""
-        prefix = apply_entry(self.state, self.asn, entry)
-        if prefix is not None:
-            self._mark_dirty((prefix,))
+        """Fold one logged entry into everything derived from the log.
+
+        The only writer of the routing mirror and its dirty marks, the
+        import signatures, the un-ACKed table, the commitment records
+        and the checkpoint cursor — called on the entry a live site has
+        just appended, and on every surviving entry at a restart
+        (§6.5: state is a pure function of the log, plus the
+        deterministic secrets a commitment record re-derives from).
+        """
+        self._mark_dirty(apply_entry(self.state, self.asn, entry))
+        kind, message = entry.kind, entry.payload
+        if kind is EntryKind.RECV_ANNOUNCE:
+            assert isinstance(message, SpiderAnnounce)
+            # The sender's inner signature: when we export a route
+            # derived from this import, it becomes our σ_P(r').
+            self._import_sigs[(message.sender, message.prefix)] = \
+                message.route_sig
+        elif kind in (EntryKind.SENT_ANNOUNCE, EntryKind.SENT_WITHDRAW):
+            assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
+            self.awaiting_ack[message.message_hash()] = entry
+        elif kind is EntryKind.RECV_ACK:
+            assert isinstance(message, SpiderAck)
+            self.awaiting_ack.pop(message.message_hash, None)
+        elif kind is EntryKind.COMMITMENT:
+            self.commitments.append(self._commitment_record(entry))
+        elif kind is EntryKind.CHECKPOINT:
+            self._checkpointed_at = entry.timestamp
+
+    def _commitment_record(self, entry: LogEntry) -> CommitmentRecord:
+        """The record of one COMMITMENT entry.
+
+        The log stores the seed and the root; the broadcast message is
+        signed here — once per commitment, live or recovered, and
+        deterministically, so a recovered record carries the bytes its
+        neighbours hold.  A logged seed that does not derive from our
+        master secret means the log is not this recorder's.  The census
+        is not logged: a record says 0 until :meth:`make_commitment`,
+        which has the tree, fills it in.
+        """
+        payload = entry.payload
+        assert isinstance(payload, dict)
+        if not constant_time_eq(payload["seed"],
+                                self.commitment_seed(entry.timestamp)):
+            self.alarm("recovered_seed_mismatch",
+                       f"logged commitment seed at t={entry.timestamp} "
+                       "does not derive from this master secret")
+        with self.cpu.section("signatures"):
+            message = SpiderCommitment.make(self.signer, entry.timestamp,
+                                            payload["root"])
+        return CommitmentRecord(commit_time=entry.timestamp,
+                                root=payload["root"], message=message,
+                                census_total=0)
 
     def _mark_dirty(self, prefixes: Iterable[Prefix]) -> None:
         self._dirty.update(prefixes)
@@ -394,7 +379,7 @@ class Recorder:
             envelopes = self.signer.sign_batch(envelope_payloads)
 
         messages: List[object] = []
-        ack_expecting: List[object] = []
+        newly_awaited: List[object] = []
         for item, envelope in zip(chunk, envelopes):
             if isinstance(item, _PendingAnnounce):
                 message: object = SpiderAnnounce(
@@ -415,11 +400,10 @@ class Recorder:
                     timestamp=item.timestamp,
                     message_hash=item.message_hash, envelope=envelope)
                 kind = EntryKind.SENT_ACK
-            self._fold(self._log_append(item.timestamp, kind, message))
-            if kind is not EntryKind.SENT_ACK:
-                self._awaiting_ack[message.message_hash()] = \
-                    (item.timestamp, item.receiver)
-                ack_expecting.append(message)
+            awaited = len(self.awaiting_ack)
+            self._fold(self.log.append(item.timestamp, kind, message))
+            if len(self.awaiting_ack) > awaited:
+                newly_awaited.append(message)
             messages.append(message)
         # Group-commit boundary: everything logged so far — this chunk
         # and, on an inline flush, the RECV_* entries it acknowledges —
@@ -427,7 +411,7 @@ class Recorder:
         # hold a receipt this node could not answer for after a crash.
         self.log.sync()
         self.transport(receiver, messages)
-        for message in ack_expecting:
+        for message in newly_awaited:
             for hook in self.sent_hooks:
                 hook(message)
         return len(chunk)
@@ -450,12 +434,8 @@ class Recorder:
             self._receive(message)
 
     def _receive(self, message: object) -> None:
-        for hook in self.receive_hooks:
-            hook(message)
-        if isinstance(message, SpiderAnnounce):
-            self._receive_announce(message)
-        elif isinstance(message, SpiderWithdraw):
-            self._receive_withdraw(message)
+        if isinstance(message, (SpiderAnnounce, SpiderWithdraw)):
+            self._receive_update(message)
         elif isinstance(message, SpiderAck):
             self._receive_ack(message)
         elif isinstance(message, SpiderCommitment):
@@ -468,38 +448,25 @@ class Recorder:
         return abs(timestamp - self.clock.now) <= \
             max(self.config.ack_timeout, self.config.delta)
 
-    def _receive_announce(self, message: SpiderAnnounce) -> None:
+    def _receive_update(
+            self, message: SpiderAnnounce | SpiderWithdraw) -> None:
+        """An announcement or withdrawal takes effect — is logged,
+        folded and acknowledged — iff it is validly signed, addressed
+        to us and plausibly timed (§6.2, §6.4)."""
+        kind, what = (EntryKind.RECV_ANNOUNCE, "announce") \
+            if isinstance(message, SpiderAnnounce) \
+            else (EntryKind.RECV_WITHDRAW, "withdraw")
         with self.cpu.section("signatures"):
             ok = message.valid(self.registry)
         if not ok or message.receiver != self.asn:
-            self.alarm("invalid_announce",
-                       f"invalid announce from AS{message.sender}")
+            self.alarm(f"invalid_{what}",
+                       f"invalid {what} from AS{message.sender}")
             return
         if not self._timestamp_plausible(message.timestamp):
             self.alarm("stale_timestamp",
                        f"stale timestamp from AS{message.sender}")
             return
-        self._fold(self._log_append(self.clock.now,
-                                    EntryKind.RECV_ANNOUNCE, message))
-        # Remember the sender's inner signature: when we export a route
-        # derived from this import, it becomes our σ_P(r').
-        self._import_sigs[(message.sender, message.prefix)] = \
-            message.route_sig
-        self._send_ack(message.sender, message.message_hash())
-
-    def _receive_withdraw(self, message: SpiderWithdraw) -> None:
-        with self.cpu.section("signatures"):
-            ok = message.valid(self.registry)
-        if not ok or message.receiver != self.asn:
-            self.alarm("invalid_withdraw",
-                       f"invalid withdraw from AS{message.sender}")
-            return
-        if not self._timestamp_plausible(message.timestamp):
-            self.alarm("stale_timestamp",
-                       f"stale timestamp from AS{message.sender}")
-            return
-        self._fold(self._log_append(self.clock.now,
-                                    EntryKind.RECV_WITHDRAW, message))
+        self._fold(self.log.append(self.clock.now, kind, message))
         self._send_ack(message.sender, message.message_hash())
 
     def _send_ack(self, to: int, message_hash: bytes) -> None:
@@ -512,18 +479,24 @@ class Recorder:
         if not ok:
             self.alarm("invalid_ack", f"invalid ack from AS{ack.acker}")
             return
-        self._log_append(self.clock.now, EntryKind.RECV_ACK, ack)
-        self._awaiting_ack.pop(ack.message_hash, None)
-        for hook in self.ack_hooks:
-            hook(ack)
+        awaited = len(self.awaiting_ack)
+        self._fold(self.log.append(self.clock.now, EntryKind.RECV_ACK,
+                                   ack))
+        if len(self.awaiting_ack) < awaited:
+            for hook in self.ack_hooks:
+                hook(ack)
 
     def overdue_acks(self) -> List[Tuple[bytes, int]]:
         """Messages unacknowledged past T_max — each one is an alarm that
         must be handled out of band (Section 6.2)."""
         now = self.clock.now
-        return [(h, neighbor)
-                for h, (sent_at, neighbor) in self._awaiting_ack.items()
-                if now - sent_at > self.config.ack_timeout]
+        overdue: List[Tuple[bytes, int]] = []
+        for message_hash, entry in self.awaiting_ack.items():
+            message = entry.payload
+            assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
+            if now - entry.timestamp > self.config.ack_timeout:
+                overdue.append((message_hash, message.receiver))
+        return overdue
 
     # ------------------------------------------------------------------
     # Commitments (Section 5.3 / 6.1)
@@ -616,9 +589,10 @@ class Recorder:
 
     def make_commitment(self) -> CommitmentRecord:
         """Update the retained tree, relabel it under this round's
-        seed, then sign, log, and broadcast the root."""
+        seed, then log, sign, and broadcast the root."""
         self.flush_outbox()  # the commitment must cover queued messages
         commit_time = self.clock.now
+        seed = self.commitment_seed(commit_time)
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
             with self.cpu.section("mtt"):
@@ -627,35 +601,28 @@ class Recorder:
                 # proofs later come from a fresh §6.5 reconstruction
                 # in the proof generator, on a tree of its own.
                 report = label_tree_with_workers(
-                    self._tree,
-                    Rc4Csprng(self.commitment_seed(commit_time)),
+                    self._tree, Rc4Csprng(seed),
                     workers=self.config.commit_workers,
                     pool=self.labeling_pool(), materialize=False)
-            with self.cpu.section("signatures"):
-                message = SpiderCommitment.make(self.signer, commit_time,
-                                                report.root_label)
-        seed = self.commitment_seed(commit_time)
-        self._log_append(commit_time, EntryKind.COMMITMENT,
-                         {"seed": seed, "root": report.root_label})
-        record = CommitmentRecord(commit_time=commit_time,
-                                  root=report.root_label, message=message,
-                                  census_total=self._tree.census().total)
-        self.commitments.append(record)
+            self._fold(self.log.append(
+                commit_time, EntryKind.COMMITMENT,
+                {"seed": seed, "root": report.root_label}))
+        record = self.commitments[-1]
+        record.census_total = self._tree.census().total
         self._maybe_checkpoint(commit_time)
         # The seed and any checkpoint must be durable before the root
         # is broadcast: a post-crash recorder must be able to answer
         # verification requests for every commitment it published.
         self.log.sync()
         for neighbor in self._all_neighbors():
-            self.transport(neighbor, [message])
+            self.transport(neighbor, [record.message])
         return record
 
     def _maybe_checkpoint(self, now: float) -> None:
         if self._checkpointed_at is None or \
                 now - self._checkpointed_at >= \
                 self.config.checkpoint_interval:
-            take_checkpoint(self.log, now, self.state)
-            self._checkpointed_at = now
+            self._fold(take_checkpoint(self.log, now, self.state))
 
     def _all_neighbors(self) -> List[int]:
         neighbors: Set[int] = set(self.promises)

@@ -112,6 +112,18 @@ def test_constructor_resolves_to_init():
         ["repro/helpers/main.py::Widget.__init__"]
 
 
+def test_cls_call_in_a_method_resolves_to_its_own_init():
+    """``cls(...)`` in a classmethod builds the enclosing class; from a
+    plain function the name ``cls`` means nothing."""
+    program = _program()
+    method = program.functions["repro/helpers/main.py::Widget.refresh"]
+    targets = program.resolve_call(_call("cls(x)"), method)
+    assert [t.qualname for t in targets] == \
+        ["repro/helpers/main.py::Widget.__init__"]
+    function = program.functions["repro/helpers/main.py::top"]
+    assert program.resolve_call(_call("cls(x)"), function) == []
+
+
 def test_common_method_names_stay_unresolved():
     program = _program()
     caller = program.functions["repro/helpers/main.py::top"]

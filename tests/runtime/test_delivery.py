@@ -15,6 +15,7 @@ from repro.runtime.scenario import ASN_A, ASN_B, ROUTE, \
     exchange_runtime, run_loopback_exchange
 from repro.runtime.transport import LoopbackHub
 from repro.spider.evidence import missing_ack_evidence_valid
+from repro.spider.log import EntryKind
 from repro.spider.wire import SpiderAck
 
 FAST_RETRY = RetryPolicy(initial=0.5, factor=2.0, max_delay=8.0,
@@ -25,6 +26,16 @@ def drop_acks(_sender, _receiver, message):
     return isinstance(message, SpiderAck)
 
 
+def record_sends(rt):
+    """The live list of ``(time, message)`` leaving ``rt``'s recorder."""
+    sends = []
+    transport = rt.recorder.transport
+    rt.recorder.transport = lambda receiver, messages: (
+        sends.extend((rt.clock.now, m) for m in messages),
+        transport(receiver, messages))[-1]
+    return sends
+
+
 def run_dropped_ack_scenario():
     """Announce from A to B while the hub eats every ACK."""
     hub = LoopbackHub(drop_filter=drop_acks)
@@ -32,12 +43,7 @@ def run_dropped_ack_scenario():
                             retry_policy=FAST_RETRY)
     rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B),
                             retry_policy=FAST_RETRY)
-
-    sends = []
-    transport = rt_a.recorder.transport
-    rt_a.recorder.transport = lambda receiver, messages: (
-        sends.extend((rt_a.clock.now, m) for m in messages),
-        transport(receiver, messages))[-1]
+    sends = record_sends(rt_a)
 
     rt_a.advance_to(1.0)
     rt_a.announce(ASN_B, ROUTE)
@@ -99,7 +105,6 @@ class TestDroppedAckFault:
 
     def test_receiver_saw_every_retransmission(self, scenario):
         _rt_a, rt_b, _hub, _sends = scenario
-        from repro.spider.log import EntryKind
         received = rt_b.recorder.log.of_kind(EntryKind.RECV_ANNOUNCE)
         assert len(received) == FAST_RETRY.max_attempts
 
@@ -194,7 +199,6 @@ class TestRetryPolicy:
     def test_late_ack_between_exhaustion_and_t_max(self):
         """An ACK that arrives after the last retransmission but before
         T_max must cancel the pending alarm: no evidence, ever."""
-        from repro.spider.log import EntryKind
         hub = LoopbackHub(drop_filter=drop_acks)
         quick = RetryPolicy(initial=0.1, factor=1.5, max_delay=0.5,
                             jitter=0.0, max_attempts=2)
@@ -338,7 +342,6 @@ class TestBatchedRetryFlush:
                 rt_b.advance_to(t)
                 hub.deliver_all()
                 rt_b.deliver_pending()
-            from repro.spider.log import EntryKind
             (evidence,) = rt_a.delivery.evidence
             received = rt_b.recorder.log.of_kind(
                 EntryKind.RECV_ANNOUNCE)
@@ -351,3 +354,114 @@ class TestBatchedRetryFlush:
         assert batched[:4] == single[:4]
         # The receiver saw every retransmission in both runs.
         assert batched[4] == single[4] == FAST_RETRY.max_attempts
+
+
+class TestRetriesSurviveARestart:
+    """§6.2 owes every sent message an ACK or an alarm, and a crash
+    between the send and the ACK does not cancel the debt: the log
+    holds the un-ACKed ``SENT_ANNOUNCE``, the recovered recorder awaits
+    it again, and the delivery service of the cold runtime arms a
+    retry for everything the recorder awaits."""
+
+    @staticmethod
+    def crash_after_the_announce(store_dir):
+        """Side A announces on a durable log and dies before any ACK
+        arrives; returns the entry that logged the send."""
+        hub = LoopbackHub(drop_filter=drop_acks)
+        rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A),
+                                retry_policy=FAST_RETRY,
+                                store_dir=store_dir)
+        rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B),
+                                retry_policy=FAST_RETRY)
+        rt_a.advance_to(1.0)
+        rt_a.announce(ASN_B, ROUTE)
+        hub.deliver_all()
+        rt_b.advance_to(1.0)
+        rt_b.deliver_pending()  # B ACKs; the hub eats it
+        hub.deliver_all()
+        rt_a.deliver_pending()
+        assert rt_a.delivery.retries_sent == 0
+        (sent,) = rt_a.recorder.log.of_kind(EntryKind.SENT_ANNOUNCE)
+        rt_a.close()
+        return sent
+
+    @staticmethod
+    def reopen_cold(store_dir, hub):
+        """A's directory under a new process's worth of state, B with
+        no memory of the announcement; A's egress is recorded."""
+        rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A),
+                                retry_policy=FAST_RETRY,
+                                store_dir=store_dir)
+        rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B),
+                                retry_policy=FAST_RETRY)
+        return rt_a, rt_b, record_sends(rt_a)
+
+    @staticmethod
+    def run_until(rt_a, rt_b, hub, done, until=60.0):
+        t = 1.0
+        while not done() and t < until:
+            t += 0.25
+            rt_a.advance_to(t)
+            rt_b.advance_to(t)
+            hub.deliver_all()
+            rt_b.deliver_pending()
+            hub.deliver_all()
+            rt_a.deliver_pending()
+
+    def test_retries_resume_then_evidence_and_alarm(self, tmp_path):
+        from repro.runtime.codec import encode_message
+        store_dir = str(tmp_path / "a")
+        sent = self.crash_after_the_announce(store_dir)
+        hub = LoopbackHub(drop_filter=drop_acks)
+        rt_a, rt_b, sends = self.reopen_cold(store_dir, hub)
+        try:
+            assert rt_a.recovery.stats.records == 1
+            assert list(rt_a.delivery.pending) == \
+                [sent.payload.message_hash()]
+            assert rt_a.timers.pending == 1
+            self.run_until(rt_a, rt_b, hub,
+                           lambda: rt_a.delivery.evidence)
+            # Attempts restart at 1 — the cold runtime cannot know how
+            # many went out before the crash — so a full schedule runs.
+            assert rt_a.delivery.retries_sent == \
+                FAST_RETRY.max_attempts - 1
+            assert [encode_message(m) for _t, m in sends] == \
+                [encode_message(sent.payload)] * \
+                (FAST_RETRY.max_attempts - 1)
+            (evidence,) = rt_a.delivery.evidence
+            assert evidence.message == sent.payload
+            # The T_max clock did not restart: it runs from the logged
+            # send time.
+            assert evidence.first_sent == sent.timestamp == 1.0
+            assert evidence.attempts == FAST_RETRY.max_attempts
+            assert missing_ack_evidence_valid(
+                rt_a.node.registry, evidence, rt_a.config.ack_timeout)
+            assert any("no ack from AS12" in alarm
+                       for alarm in rt_a.recorder.alarms)
+            assert rt_a.delivery.pending == {}
+            # Nothing was logged twice: the retransmissions are the
+            # logged message, not new sends.
+            assert len(rt_a.recorder.log) == 1
+        finally:
+            rt_a.close()
+
+    def test_an_ack_after_the_restart_cancels_the_retry(self, tmp_path):
+        store_dir = str(tmp_path / "a")
+        sent = self.crash_after_the_announce(store_dir)
+        hub = LoopbackHub()  # the network has healed
+        rt_a, rt_b, sends = self.reopen_cold(store_dir, hub)
+        try:
+            self.run_until(rt_a, rt_b, hub,
+                           lambda: not rt_a.delivery.pending)
+            assert [m.message_hash() for _t, m in sends] == \
+                [sent.payload.message_hash()]
+            assert rt_a.delivery.acks_matched == 1
+            assert rt_a.delivery.pending == {}
+            for t in (11.0, 12.0, 30.0, 60.0):
+                rt_a.advance_to(t)
+            assert rt_a.delivery.retries_sent == 1
+            assert rt_a.delivery.evidence == []
+            assert rt_a.recorder.alarms == []
+            assert rt_a.recorder.overdue_acks() == []
+        finally:
+            rt_a.close()

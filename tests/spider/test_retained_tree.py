@@ -34,7 +34,7 @@ from repro.spider.log import EntryKind
 from repro.spider.node import evaluation_scheme
 from repro.spider.proofgen import ProofGenerator
 from repro.spider.recorder import Recorder
-from repro.spider.wire import SpiderAnnounce, SpiderWithdraw
+from repro.spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
 from repro.store import SegmentedLogStore
 from tests.strategies import recorder_histories
 
@@ -44,10 +44,68 @@ P = Prefix.parse("203.0.113.0/24")
 Q = Prefix.parse("198.51.100.0/24")
 
 
-class World:
-    """One recorder under test and the neighbours that talk to it."""
+#: Retention short enough for a history's ``("trim",)`` steps to bite.
+TRIMMING = SpiderConfig(retention_seconds=3, checkpoint_interval=2)
 
-    def __init__(self, config=SpiderConfig(), recorder_class=Recorder):
+
+def assert_restart_lost_nothing(recovered, live):
+    """Everything ``live`` derived from its log, ``recovered`` — built
+    from that log alone — derives again, byte for byte.
+
+    A trim is not an entry, so what the live recorder derived from
+    entries a trim has since dropped stays with it until it restarts:
+    the comparisons below are over the log as it stands.
+    """
+    log = list(recovered.log)
+    assert log == list(live.log)
+    assert recovered.state == live.state
+    assert recovered._checkpointed_at == live._checkpointed_at
+
+    def held(recorder):
+        return {kind: nbytes for kind, nbytes
+                in recorder.storage.bytes_by_kind.items() if nbytes}
+    assert held(recovered) == held(live)
+
+    # Hashes, send times and receivers: the table's values are the
+    # SENT_* entries themselves.
+    first = log[0].index if log else 0
+    assert recovered.awaiting_ack == {
+        message_hash: entry
+        for message_hash, entry in live.awaiting_ack.items()
+        if entry.index >= first}
+    assert recovered.overdue_acks() == [
+        overdue for overdue in live.overdue_acks()
+        if overdue[0] in recovered.awaiting_ack]
+
+    def records(recorder):
+        return [(r.commit_time, r.root, r.message.envelope.signature)
+                for r in recorder.commitments]
+    logged = sum(e.kind is EntryKind.COMMITMENT for e in log)
+    assert len(recovered.commitments) == logged
+    assert records(recovered) == records(live)[
+        len(live.commitments) - logged:]
+    # The census is not logged (documented: recovered records say 0).
+    assert {r.census_total for r in recovered.commitments} <= {0}
+
+    # The one thing a restart loses (DESIGN.md §3f): a checkpoint
+    # carries routes, not the σ_P that came with them, so the signature
+    # of an import whose RECV_ANNOUNCE a trim dropped is gone.
+    still_logged = {(e.payload.sender, e.payload.prefix) for e in log
+                    if e.kind is EntryKind.RECV_ANNOUNCE}
+    assert recovered._import_sigs == {
+        key: sig for key, sig in live._import_sigs.items()
+        if key in still_logged}
+
+
+class World:
+    """One recorder under test and the neighbours that talk to it.
+
+    ``install`` is applied to every recorder built — a fault rebinds
+    methods on one instance, so a restarted recorder needs it again.
+    """
+
+    def __init__(self, config=SpiderConfig(), recorder_class=Recorder,
+                 install=None):
         self.registry = KeyRegistry()
         self.identity = make_identity(ELECTOR, registry=self.registry,
                                       bits=512, seed=700)
@@ -57,12 +115,13 @@ class World:
             for n in NEIGHBORS}
         self.config = config
         self.recorder_class = recorder_class
+        self.install = install
         self.clock = StepClock(1000.0)
         self.sent = []
         self.recorder = self.build()
 
     def build(self, **kwargs):
-        return self.recorder_class(
+        recorder = self.recorder_class(
             identity=self.identity, registry=self.registry,
             scheme=SCHEME,
             promises={n: total_order_promise(SCHEME)
@@ -70,12 +129,17 @@ class World:
             config=self.config, clock=self.clock,
             transport=lambda receiver, messages:
             self.sent.extend(messages), **kwargs)
+        if self.install is not None:
+            self.install(recorder)
+        return recorder
 
     def restart(self):
-        """Crash: everything but the log is lost."""
-        self.recorder.close()
-        self.recorder = self.build(
-            recovered_entries=list(self.recorder.log))
+        """Crash: everything but the log is lost, and everything else
+        comes back from it."""
+        live = self.recorder
+        live.close()
+        self.recorder = self.build(recovered_entries=list(live.log))
+        assert_restart_lost_nothing(self.recorder, live)
 
     def tick(self):
         self.clock.advance_to(self.clock.now + 1.0)
@@ -92,6 +156,20 @@ class World:
         self.recorder.receive(SpiderWithdraw.make(
             self.peers[neighbor], receiver=ELECTOR,
             timestamp=self.clock.now, prefix=prefix))
+
+    def export(self, neighbor, prefix, tail=()):
+        self.recorder.mirror_sent_update(Announce(
+            sender=ELECTOR, receiver=neighbor,
+            route=Route(prefix=prefix, as_path=(ELECTOR, *tail),
+                        neighbor=tail[0] if tail else ELECTOR)))
+
+    def ack_oldest(self):
+        """The ACK for the message that has waited longest, if any."""
+        for message_hash, entry in self.recorder.awaiting_ack.items():
+            self.recorder.receive(SpiderAck.make(
+                self.peers[entry.payload.receiver], sender=ELECTOR,
+                timestamp=self.clock.now, message_hash=message_hash))
+            return
 
     def commit(self):
         """One round; returns the record after checking its root
@@ -115,27 +193,30 @@ class World:
             elif kind == "withdraw":
                 self.withdraw(*step[1:])
             elif kind == "export":
-                _, neighbor, prefix, tail = step
-                self.recorder.mirror_sent_update(Announce(
-                    sender=ELECTOR, receiver=neighbor,
-                    route=Route(prefix=prefix,
-                                as_path=(ELECTOR, *tail),
-                                neighbor=tail[0] if tail else ELECTOR)))
+                self.export(*step[1:])
             elif kind == "unexport":
                 self.recorder.mirror_sent_update(Withdraw(
                     sender=ELECTOR, receiver=step[1], prefix=step[2]))
+            elif kind == "ack":
+                self.ack_oldest()
             elif kind == "commit":
                 self.commit()
+            elif kind == "trim":
+                self.recorder.log.trim(now=self.clock.now)
             else:
                 assert kind == "restart"
                 self.restart()
 
     def finish(self, since=0.0):
-        """Every commitment in the log replays to its own root."""
-        proofgen = ProofGenerator(self.recorder)
+        """Every commitment in the log replays to its own root (a
+        trimmed one is past retention)."""
+        recorder = self.recorder
+        proofgen = ProofGenerator(recorder)
         try:
-            for record in self.recorder.commitments:
-                if record.commit_time < since:
+            for record in recorder.commitments:
+                if record.commit_time < since or \
+                        recorder.log.commitment_at(
+                            record.commit_time) is None:
                     continue
                 assert proofgen.reconstruct(
                     record.commit_time, use_cache=False).root == \
@@ -145,6 +226,9 @@ class World:
 
 
 class TestEveryHistory:
+    """At every ``("restart",)`` step the recorder built from the log
+    alone must equal the one it replaces (``World.restart``)."""
+
     @settings(max_examples=25, deadline=None)
     @given(recorder_histories())
     def test_roots_equal_the_from_scratch_build(self, steps):
@@ -152,15 +236,22 @@ class TestEveryHistory:
         world.play(steps)
         world.finish()
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(recorder_histories(restarts=True))
     def test_across_crash_and_recovery(self, steps):
         world = World()
         world.play(steps)
         world.finish()
 
+    @settings(max_examples=60, deadline=None)
+    @given(recorder_histories(restarts=True, max_steps=24))
+    def test_across_trim_crash_and_recovery(self, steps):
+        world = World(TRIMMING)
+        world.play(steps)
+        world.finish()
+
     @settings(max_examples=6, deadline=None)
-    @given(recorder_histories(max_steps=10))
+    @given(recorder_histories(restarts=True, max_steps=10))
     def test_on_the_pool(self, steps):
         """commit_workers=2 commits to the roots the serial oracle
         computes: no round runs an installed program that has gone
@@ -172,26 +263,121 @@ class TestEveryHistory:
             world.finish()
 
     @settings(max_examples=10, deadline=None)
-    @given(recorder_histories())
+    @given(recorder_histories(restarts=True))
     def test_with_inbound_drop_installed(self, steps):
         """Dropped messages are never logged, so never folded, so never
         dirty: the tree follows the (poorer) state."""
-        world = World()
-        dropped = install_inbound_drop(world.recorder, NEIGHBORS[0])
+        dropped = []
+        world = World(install=lambda recorder: dropped.append(
+            install_inbound_drop(recorder, NEIGHBORS[0])))
         world.play(steps)
-        assert len(dropped) == sum(
+        assert sum(map(len, dropped)) == sum(
             step[0] in ("announce", "withdraw") and
             step[1] == NEIGHBORS[0] for step in steps)
         assert NEIGHBORS[0] not in world.recorder.state.imports
         world.finish()
 
     @settings(max_examples=10, deadline=None)
-    @given(recorder_histories())
+    @given(recorder_histories(restarts=True))
     def test_with_equivocation_installed(self, steps):
-        world = World()
-        install_equivocation(world.recorder, {NEIGHBORS[1]})
+        world = World(install=lambda recorder: install_equivocation(
+            recorder, {NEIGHBORS[1]}))
         world.play(steps)
         world.finish()
+
+
+class TestRestartIsTheLivePath:
+    """The divergences between the live writes and the recovery ladder
+    that the single fold closed, one explicit case each."""
+
+    def test_unacked_exports_survive_and_a_late_ack_clears_them(self):
+        world = World()
+        world.announce(2, P)
+        world.export(3, P, (2,))
+        world.export(3, Q)
+        world.ack_oldest()
+        (message_hash, entry), = world.recorder.awaiting_ack.items()
+        assert entry.kind is EntryKind.SENT_ANNOUNCE
+        assert entry.payload.prefix == Q
+        world.restart()
+        assert list(world.recorder.awaiting_ack) == [message_hash]
+        assert world.recorder.awaiting_ack[message_hash] is entry
+        world.clock.advance_to(
+            world.clock.now + world.config.ack_timeout + 1.0)
+        assert world.recorder.overdue_acks() == [(message_hash, 3)]
+        world.ack_oldest()  # late, and after the restart
+        assert world.recorder.awaiting_ack == {}
+        assert world.recorder.overdue_acks() == []
+
+    def test_a_live_checkpoint_is_accounted_like_a_recovered_one(self):
+        world = World()
+        world.announce(2, P)
+        world.commit()
+        live = world.recorder.storage.bytes_by_kind
+        assert live["checkpoints"] == world.recorder.log.total_bytes(
+            EntryKind.CHECKPOINT) > 0
+        world.restart()
+        assert world.recorder.storage.bytes_by_kind == live
+
+    def test_the_account_follows_every_trim(self):
+        """Three live rounds under short retention: whatever a trim
+        releases was recorded first, so no level goes negative and the
+        account is the log's own size, per kind."""
+        world = World(TRIMMING)
+        trimmed = 0
+        for round_number in range(3):
+            world.announce(2, Prefix.parse(f"10.{round_number}.0.0/16"))
+            world.export(3, Prefix.parse(f"10.{round_number}.0.0/16"),
+                         (2,))
+            world.commit()
+            world.tick()
+            log = world.recorder.log
+            trimmed += log.trim(now=world.clock.now).entries
+            account = world.recorder.storage.bytes_by_kind
+            assert min(account.values()) >= 0
+            assert account == {
+                "log": log.total_bytes() - log.total_bytes(
+                    EntryKind.COMMITMENT, EntryKind.CHECKPOINT),
+                "commitments": log.total_bytes(EntryKind.COMMITMENT),
+                "checkpoints": log.total_bytes(EntryKind.CHECKPOINT)}
+        assert trimmed
+        world.finish()
+
+    def test_what_a_restart_after_a_trim_does_lose(self):
+        """DESIGN.md §3f: a checkpoint carries the imported route, not
+        the σ_P that came with it, so an export derived from an import
+        that survives only inside a checkpoint goes out without its
+        ``underlying`` until the neighbour re-announces."""
+        world = World(TRIMMING)
+        world.announce(2, P)
+        for _ in range(3):
+            world.commit()
+        assert world.recorder.log.trim(now=world.clock.now).entries
+        assert EntryKind.RECV_ANNOUNCE not in {
+            e.kind for e in world.recorder.log}
+        world.export(3, P, (2,))
+        assert world.sent[-1].underlying is not None
+        world.restart()
+        assert world.recorder.state.import_route(2, P) is not None
+        world.export(3, P, (2, 4000))
+        assert world.sent[-1].underlying is None
+        world.announce(2, P)
+        world.export(3, P, (2,))
+        assert world.sent[-1].underlying is not None
+
+    def test_netreview_epochs_recover_unsigned_and_unalarmed(self):
+        world = World(recorder_class=NetReviewRecorder)
+        world.announce(2, P)
+        world.tick()
+        world.recorder.make_commitment()
+        live = world.recorder
+        world.recorder = world.build(recovered_entries=list(live.log))
+        assert world.recorder.commitments == live.commitments
+        assert world.recorder.alarms == []
+        assert world.recorder.state == live.state
+        assert world.recorder._checkpointed_at == live._checkpointed_at
+        assert world.recorder.storage.bytes_by_kind == \
+            live.storage.bytes_by_kind
 
 
 class TestStaleProgramHazard:

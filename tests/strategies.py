@@ -245,16 +245,20 @@ def recorder_histories(draw, neighbors=(2, 3), max_steps=16,
     and ``("withdraw", neighbor, prefix)`` arrive from ``neighbor``;
     ``("export", neighbor, prefix, path_tail)`` and ``("unexport",
     neighbor, prefix)`` are the recorder's own AS talking to it (the
-    AS path is whoever speaks, then the tail); ``("commit",)`` is a
-    commitment round and, with ``restarts``, ``("restart",)`` a crash
-    and a recovery from the log.  Every history ends in a commit."""
+    AS path is whoever speaks, then the tail); ``("ack",)`` is the ACK
+    for the oldest message the recorder still awaits one for — late
+    when other steps came first, never when the history ends before
+    it; ``("commit",)`` is a commitment round, ``("trim",)`` a
+    retention trim of the log (a no-op under the default year of
+    retention) and, with ``restarts``, ``("restart",)`` a crash and a
+    recovery from the log.  Every history ends in a commit."""
     pool = draw(prefix_pools())
     kinds = ["announce", "announce", "withdraw", "export", "unexport",
-             "commit"] + (["restart"] if restarts else [])
+             "ack", "commit", "trim"] + (["restart"] if restarts else [])
     steps = []
     for _ in range(draw(st.integers(1, max_steps))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("commit", "restart"):
+        if kind in ("ack", "commit", "trim", "restart"):
             steps.append((kind,))
             continue
         neighbor = draw(st.sampled_from(neighbors))
