@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .baseline import (BASELINE_VERSION, BaselineError, check_shrunk,
                        load_baseline, write_baseline)
-from .callgraph import Program, load_program, source_tree_digest
+from .callgraph import Program, load_program
 from .cfg import Cfg, build_cfg
 from .contracts import ContractRegistry, default_registry
 from .engine import AnalysisResult, Engine, Rule, RuleContext
@@ -60,6 +60,5 @@ __all__ = [
     "default_registry",
     "load_baseline",
     "load_program",
-    "source_tree_digest",
     "write_baseline",
 ]

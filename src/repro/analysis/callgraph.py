@@ -19,26 +19,17 @@ heuristics are ranked and bounded so imprecision stays conservative:
    stay unresolved and the taint engine propagates through them.
 4. ``Class(...)``, and ``cls(...)`` inside one of the class's own
    methods, resolves to ``Class.__init__``.
-
-A :class:`Program` is picklable; :func:`load_program` keys a pickle
-cache on a digest of the source tree so repeated CI runs skip the
-parse (see ``--cache-dir`` on the CLI).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import pickle
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .engine import dotted_name, normalize_path
-
-#: Bump when the pickle layout or parse products change shape.
-CACHE_SCHEMA = 1
 
 #: Method names too generic for by-name resolution (step 3 above).
 _COMMON_METHODS = frozenset({
@@ -355,39 +346,6 @@ def collect_sources(paths: Iterable[str]) -> List[Tuple[str, str]]:
     return out
 
 
-def source_tree_digest(sources: Sequence[Tuple[str, str]]) -> str:
-    """Stable digest of a source set, for cache keying."""
-    acc = hashlib.sha256(f"schema:{CACHE_SCHEMA}".encode("ascii"))
-    for path, text in sorted(sources, key=lambda pair: pair[0]):
-        acc.update(normalize_path(path).encode("utf-8"))
-        acc.update(b"\x00")
-        acc.update(hashlib.sha256(text.encode("utf-8")).digest())
-    return acc.hexdigest()
-
-
-def load_program(paths: Iterable[str],
-                 cache_dir: Optional[str] = None) -> Program:
-    """Build (or load from cache) the Program for a set of paths."""
-    sources = collect_sources(paths)
-    if cache_dir is None:
-        return Program.from_sources(sources)
-    digest = source_tree_digest(sources)
-    cache_path = Path(cache_dir) / f"program-{digest[:24]}.pickle"
-    if cache_path.is_file():
-        try:
-            with cache_path.open("rb") as fh:
-                cached = pickle.load(fh)
-            if isinstance(cached, Program):
-                return cached
-        except Exception:  # noqa: BLE001 — any stale cache is rebuilt
-            pass
-    program = Program.from_sources(sources)
-    try:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(program, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(cache_path)
-    except OSError:
-        pass
-    return program
+def load_program(paths: Iterable[str]) -> Program:
+    """Build the Program for a set of paths."""
+    return Program.from_sources(collect_sources(paths))

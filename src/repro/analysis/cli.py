@@ -18,9 +18,7 @@ Exit status: 0 when no (non-baselined) findings and no parse errors,
 The ``lint`` engine runs the per-file AST/CFG rules (SPDR001–005,
 SPDR007); the ``dataflow`` engine runs the whole-program privacy-taint
 rules (SPDR006, SPDR008), whose findings print an indented source→sink
-path trace.  ``--cache-dir`` (default ``.spiderlint-cache``) memoizes
-the parsed program keyed on a source-tree digest so repeated dataflow
-runs skip the parse; ``--no-cache`` disables it.
+path trace.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ from .engine import AnalysisResult, Engine, Rule
 from .findings import Finding
 from .rules import all_rules
 from .taint import analyze_paths_dataflow
-
-DEFAULT_CACHE_DIR = ".spiderlint-cache"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explain", metavar="FINGERPRINT", default=None,
                         help="print the full path trace of the finding "
                              "with this fingerprint and exit")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        default=DEFAULT_CACHE_DIR,
-                        help="program-index cache directory for the "
-                             "dataflow engine")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the dataflow program cache")
     return parser
 
 
@@ -200,7 +190,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     paths = list(args.paths) or ["src"]
-    cache_dir = None if args.no_cache else args.cache_dir
     stats: Dict[str, object] = {"engine": args.engine}
 
     result = AnalysisResult()
@@ -219,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         phase: Dict[str, float] = {}
         t0 = time.perf_counter()
         flow_result = analyze_paths_dataflow(
-            paths, baseline=baseline, cache_dir=cache_dir, stats=phase)
+            paths, baseline=baseline, stats=phase)
         flow_seconds = time.perf_counter() - t0
         stats["dataflow"] = {
             "seconds": round(flow_seconds, 4),

@@ -26,7 +26,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .findings import Finding, assign_occurrences
 
@@ -282,12 +282,3 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def iter_function_defs(tree: ast.Module
-                       ) -> Iterable[Tuple[ast.AST, ast.AST]]:
-    """Yield (function_node, enclosing_node) for every def in the tree."""
-    for outer in ast.walk(tree):
-        for child in ast.iter_child_nodes(outer):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, outer

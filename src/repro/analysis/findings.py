@@ -23,7 +23,7 @@ un-baseline it).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 #: Version tag mixed into every fingerprint, bumped with the schema.
@@ -94,12 +94,3 @@ def assign_occurrences(findings: List[Finding]) -> List[Finding]:
             finding = replace(finding, occurrence=ordinal)
         out.append(finding)
     return out
-
-
-@dataclass(slots=True)
-class FileReport:
-    """All findings for one analyzed file (post-suppression)."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0

@@ -608,7 +608,6 @@ def analyze_paths_dataflow(
         paths: Sequence[str],
         baseline: Optional[FrozenSet[str] | set] = None,  # type: ignore[type-arg]
         contracts: Optional[ContractRegistry] = None,
-        cache_dir: Optional[str] = None,
         scope: Tuple[str, ...] = DATAFLOW_SCOPE,
         stats: Optional[Dict[str, float]] = None) -> AnalysisResult:
     """Run SPDR006/SPDR008 over a source tree.
@@ -618,7 +617,7 @@ def analyze_paths_dataflow(
     baseline ratchet.  ``stats``, when given, receives phase timings.
     """
     t0 = time.perf_counter()
-    program = load_program(paths, cache_dir=cache_dir)
+    program = load_program(paths)
     t1 = time.perf_counter()
     registry = contracts if contracts is not None \
         else build_registry(program)

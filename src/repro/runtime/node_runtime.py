@@ -146,10 +146,11 @@ class NodeRuntime:
         self.clock = clock if clock is not None else StepClock()
         self.timers = TimerWheel(self.clock)
         self.transport = transport
-        # Durable log store.  Opening replays and chain-verifies
+        # Durable log store.  Recovery replays and chain-verifies
         # everything on disk before the node processes its first
-        # message.  (Imported lazily: repro.store depends on this
-        # package's serializer, so a module-level import would cycle.)
+        # message; a directory it refuses is never opened for writing.
+        # (Imported lazily: repro.store depends on this package's
+        # serializer, so a module-level import would cycle.)
         self.store: Optional["SegmentedLogStore"] = None
         self.recovery: Optional["Recovery"] = None
         recovered_entries: Optional[Sequence[LogEntry]] = None
@@ -158,11 +159,7 @@ class NodeRuntime:
             from ..store.seglog import SegmentedLogStore
             self.store = SegmentedLogStore(store_dir, fsync=store_fsync,
                                            node=f"as{identity.asn}")
-            try:
-                self.recovery = recover(self.store)
-            except BaseException:
-                self.store.close()  # a tampered log is never adopted
-                raise
+            self.recovery = recover(self.store)
             if self.recovery.entries:
                 recovered_entries = self.recovery.entries
         self.node = SpiderNode(

@@ -72,7 +72,8 @@ class Checker:
         return self._digest_cache
 
     def _verify_one(self, commitment: SpiderCommitment,
-                    message: SpiderBitProof) -> Optional[int]:
+                    message: SpiderBitProof,
+                    scheme: ClassScheme) -> Optional[int]:
         """Returns the proven bit, or None for any invalidity."""
         if message.elector != commitment.elector:
             return None
@@ -82,7 +83,6 @@ class Checker:
             return None
         if not message.valid(self.registry):
             return None
-        scheme = getattr(self, "_active_scheme", self.scheme)
         return verify_proof(commitment.root, message.proof,
                             expected_k=scheme.k,
                             cache=self._cache_for(commitment))
@@ -106,7 +106,6 @@ class Checker:
         start = time.perf_counter()
         scheme = elector_scheme if elector_scheme is not None else \
             self.scheme
-        self._active_scheme = scheme
         cache = self._cache_for(commitment)
         hits_before, misses_before = cache.hits, cache.misses
         report = CheckReport(verifier=self.asn,
@@ -121,11 +120,11 @@ class Checker:
             return report
 
         self._check_producer_side(commitment, proofs,
-                                  my_exports_to_elector, report)
+                                  my_exports_to_elector, scheme, report)
         if promise is not None:
             self._check_consumer_side(commitment, proofs,
                                       my_imports_from_elector, promise,
-                                      watch, report)
+                                      watch, scheme, report)
         report.digest_cache_hits = cache.hits - hits_before
         report.digest_cache_misses = cache.misses - misses_before
         report.check_seconds = time.perf_counter() - start
@@ -136,10 +135,10 @@ class Checker:
     def _check_producer_side(self, commitment: SpiderCommitment,
                              proofs: ProofSet,
                              my_exports: Dict[Prefix, Route],
+                             scheme: ClassScheme,
                              report: CheckReport) -> None:
         """Section 4.5, producer rule: every route I advertised must be
         proven present (bit 1 in its class)."""
-        scheme = getattr(self, "_active_scheme", self.scheme)
         for prefix, route in my_exports.items():
             my_class = scheme.classify(route)
             message = proofs.producer_proofs.get(prefix)
@@ -158,7 +157,7 @@ class Checker:
                     description=f"proof for {prefix} targets the wrong "
                                 "prefix or class"))
                 continue
-            proven = self._verify_one(commitment, message)
+            proven = self._verify_one(commitment, message, scheme)
             if proven is None:
                 report.verdicts.append(Verdict(
                     detector=self.asn, accused=commitment.elector,
@@ -176,10 +175,10 @@ class Checker:
                              proofs: ProofSet,
                              my_imports: Dict[Prefix, Route],
                              promise: Promise, watch: Iterable[Prefix],
+                             scheme: ClassScheme,
                              report: CheckReport) -> None:
         """Section 4.5, consumer rule: every class my promise ranks above
         the route I received must be proven empty (bit 0)."""
-        scheme = getattr(self, "_active_scheme", self.scheme)
         targets: Dict[Prefix, int] = {}
         for prefix, route in my_imports.items():
             # What the elector sent carries its own prepend; the promise
@@ -209,7 +208,7 @@ class Checker:
                                     f"class {label!r}"))
                     continue
                 report.proofs_checked += 1
-                proven = self._verify_one(commitment, message)
+                proven = self._verify_one(commitment, message, scheme)
                 if proven is None:
                     report.verdicts.append(Verdict(
                         detector=self.asn, accused=commitment.elector,

@@ -22,11 +22,7 @@ class SpiderConfig:
       when > 1 the recorder keeps one warm shared-memory
       :class:`~repro.mtt.pool.LabelPool` this wide (spawned lazily on
       the first commitment, shut down by ``Recorder.close()``) and MTT
-      subtrees are labeled on its workers;
-    * ``reconstruction_cache_size`` — past-commitment reconstructions
-      (replay + relabel) kept by the proof generator so N neighbors
-      verifying the same interval trigger one rebuild, not N (0
-      disables caching).
+      subtrees are labeled on its workers.
     """
 
     commit_interval: float = 60.0
@@ -37,7 +33,6 @@ class SpiderConfig:
     retention_seconds: float = 365 * 24 * 3600
     checkpoint_interval: float = 24 * 3600
     commit_workers: int = 1
-    reconstruction_cache_size: int = 8
 
     def __post_init__(self) -> None:
         if self.commit_interval <= 0:
@@ -50,5 +45,3 @@ class SpiderConfig:
             raise ValueError("max_batch must be at least 1")
         if self.commit_workers < 1:
             raise ValueError("commit_workers must be at least 1")
-        if self.reconstruction_cache_size < 0:
-            raise ValueError("reconstruction_cache_size must be >= 0")

@@ -20,8 +20,8 @@ prefix exists in our table.
 Reconstruction (replay + relabel) is by far the dominant cost of a
 verification round, and every neighbor verifying the same commitment
 needs the *same* reconstruction, so the generator keeps a small LRU
-cache keyed by commit time (``SpiderConfig.reconstruction_cache_size``
-entries): N neighbors trigger one rebuild, not N.
+cache keyed by commit time (:data:`RECONSTRUCTION_CACHE` entries): N
+neighbors trigger one rebuild, not N.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ from ..mtt.tree import Mtt
 from .checkpoint import RoutingState, elector_view, replay
 from .recorder import Recorder
 from .wire import SpiderBitProof
+
+#: Past-commitment reconstructions (replay + relabel) a generator keeps,
+#: so N neighbors verifying the same interval trigger one rebuild.
+RECONSTRUCTION_CACHE = 8
 
 
 @dataclass
@@ -93,7 +97,7 @@ class ProofGenerator:
     """Builds proof sets from a recorder's log.
 
     Reconstructions are cached (LRU by commit time, capacity
-    ``SpiderConfig.reconstruction_cache_size``): a reconstruction is a
+    :data:`RECONSTRUCTION_CACHE`): a reconstruction is a
     pure function of the log contents up to that commitment, so as long
     as the commitment exists it can be reused for every neighbor
     verifying that interval.
@@ -123,10 +127,9 @@ class ProofGenerator:
             return self._cache[commit_time]
         self.cache_misses += 1
         reconstruction = self._reconstruct(commit_time)
-        capacity = self.recorder.config.reconstruction_cache_size
-        if use_cache and capacity > 0:
+        if use_cache:
             self._cache[commit_time] = reconstruction
-            while len(self._cache) > capacity:
+            while len(self._cache) > RECONSTRUCTION_CACHE:
                 self._cache.popitem(last=False)
         return reconstruction
 
@@ -154,7 +157,7 @@ class ProofGenerator:
             workers=recorder.config.commit_workers,
             pool=recorder.labeling_pool())
         # Labeled once and then only read by proof generation: the
-        # cache holds up to ``reconstruction_cache_size`` of these
+        # cache holds up to ``RECONSTRUCTION_CACHE`` of these
         # trees, and nothing reads a schedule after the hash pass.
         tree.release_schedule()
         if not constant_time_eq(report.root_label,

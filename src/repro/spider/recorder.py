@@ -111,7 +111,6 @@ class Recorder:
                  transport: Transport,
                  schedule: Optional[Scheduler] = None,
                  master_seed: bytes = b"spider-master",
-                 cpu: Optional[CpuMeter] = None,
                  log_store: Optional[LogSink] = None,
                  recovered_entries: Optional[Sequence[LogEntry]] = None):
         self.identity = identity
@@ -125,7 +124,7 @@ class Recorder:
         self.master_seed = master_seed
         node = f"as{identity.asn}"
         self._obs = get_registry()
-        self.cpu = cpu if cpu is not None else CpuMeter(node=node)
+        self.cpu = CpuMeter(node=node)
         self.storage = StorageMeter(node=node)
         self.signer = Signer(identity)
         self.alarms: List[str] = []

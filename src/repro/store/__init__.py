@@ -7,18 +7,21 @@ package is the on-disk half of that log.  Bottom-up:
 * :mod:`~repro.store.segment` — the byte format: CRC32-framed records
   carrying the canonical entry bytes the log chained, as handed over,
   plus segment scanning;
-* :mod:`~repro.store.seglog` — :class:`SegmentedLogStore`, the
+* :mod:`~repro.store.seglog` — :func:`read_directory`, the one reader
+  of a store directory and the one statement of which directories are
+  acceptable, and :class:`SegmentedLogStore`, the
   :class:`~repro.spider.log.LogSink` implementation with size-based
   rotation, ``never``/``batch``/``always`` fsync policies with group
-  commit, and torn-tail truncation on open;
-* :mod:`~repro.store.recovery` — replay segments into verified
-  :class:`~repro.spider.log.LogEntry` objects, checking CRCs *and* the
-  Section 6.5 hash chain over each record's bytes before decoding them,
-  so tampering-at-rest fails at startup;
-* :mod:`~repro.store.compact` — whole-segment retirement once a signed
-  checkpoint covers a span (the disk mirror of ``SpiderLog.trim``);
+  commit, and whole-segment retirement once a signed checkpoint covers
+  a span (the disk mirror of ``SpiderLog.trim``);
+* :mod:`~repro.store.recovery` — replay that one walk into verified
+  :class:`~repro.spider.log.LogEntry` objects, checking the Section 6.5
+  hash chain over each record's bytes before decoding them, so
+  tampering-at-rest fails at startup; only then is the torn tail
+  repaired and the store opened for appending;
 * :mod:`~repro.store.inspect` — the ``python -m repro.store.inspect``
-  CLI for listing and verifying a store directory.
+  CLI for listing and verifying a store directory, read-only, over the
+  same walk.
 
 Layering: this package sits *above* :mod:`repro.spider` (it persists
 its log entries) and imports the canonical decoder from
@@ -27,19 +30,18 @@ through the structural ``LogSink`` protocol, never by importing this
 package.
 """
 
-from .compact import droppable_segments
 from .recovery import Recovery, RecoveryStats, rebuild_entries, recover
 from .seglog import DEFAULT_BATCH_BYTES, DEFAULT_SEGMENT_BYTES, \
-    FSYNC_POLICIES, SegmentedLogStore
+    FSYNC_POLICIES, SegmentedLogStore, droppable_segments, \
+    read_directory
 from .segment import RawRecord, ScanResult, SegmentInfo, \
     StoreCorruptionError, StoreError, list_segments, scan_segment, \
     segment_filename
 
 __all__ = [
-    "droppable_segments",
     "Recovery", "RecoveryStats", "rebuild_entries", "recover",
     "DEFAULT_BATCH_BYTES", "DEFAULT_SEGMENT_BYTES", "FSYNC_POLICIES",
-    "SegmentedLogStore",
+    "SegmentedLogStore", "droppable_segments", "read_directory",
     "RawRecord", "ScanResult", "SegmentInfo",
     "StoreCorruptionError", "StoreError", "list_segments",
     "scan_segment", "segment_filename",

@@ -13,18 +13,18 @@ it back.  Three fsync policies trade durability for throughput:
   quiescence point, so a batch never spans an acknowledgment).
 * ``never`` — leave flushing to the OS entirely (benchmark baseline).
 
-Opening a directory performs *structural* recovery: every sealed
-segment must scan clean (CRC violations there are corruption, fail
-closed), while the final segment may carry a torn tail from a crash
-mid-write, which is truncated back to the last intact record boundary.
-Chain verification — the tamper check — happens one level up in
-:mod:`repro.store.recovery`.
+A store directory has one reader, :func:`read_directory`: it scans
+each segment file once and is the only statement of which directories
+are acceptable.  A store built on a directory that already holds
+segments accepts no :meth:`~SegmentedLogStore.append` until
+:func:`repro.store.recovery.recover` has chain-verified that walk and
+handed the store its position (:meth:`~SegmentedLogStore.adopt`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import IO, Dict, Iterator, List, Optional
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import Counter, Gauge
 from ..obs.registry import Registry, get_registry, next_instance_id
@@ -32,8 +32,7 @@ from ..obs.registry import Registry, get_registry, next_instance_id
 # but benchmarks/e2e/layers.py TARGETS substitutes this attribute.
 from ..runtime.logdump import encode_log_entry  # noqa: F401
 from ..spider.log import LogEntry, storage_kind
-from .compact import droppable_segments
-from .segment import HEADER_SIZE, RawRecord, ScanResult, SegmentInfo, \
+from .segment import HEADER_SIZE, ScanResult, SegmentInfo, \
     StoreCorruptionError, StoreError, encode_header, encode_record, \
     frame_record, list_segments, scan_segment, segment_filename
 
@@ -47,6 +46,79 @@ DEFAULT_SEGMENT_BYTES = 1 << 20
 
 #: Group-commit threshold for ``fsync="batch"``.
 DEFAULT_BATCH_BYTES = 64 << 10
+
+
+def read_directory(directory: str
+                   ) -> Iterator[Tuple[SegmentInfo, ScanResult]]:
+    """The one reader of a store directory: every segment file, oldest
+    first, scanned once, with its scan.
+
+    Raises :class:`StoreCorruptionError`, naming the file, at the first
+    segment that is not acceptable.  The rules, stated nowhere else:
+
+    * a file's name, its header and its first record give one base
+      index — ``trim`` and lexical order decide by the name, so a name
+      the header does not back is a renamed file;
+    * every segment but the last scans clean and holds records;
+    * only the last may be a torn create (shorter than a header: the
+      file never held data) or end in a torn tail (``torn_bytes`` past
+      the last intact record) — a crash, which the caller repairs
+      (:meth:`SegmentedLogStore.adopt`) or merely reports
+      (:mod:`repro.store.inspect`);
+    * a full-length header that does not parse was valid once (nothing
+      is appended behind a bad one), so it is tampering wherever it
+      sits.
+
+    Read-only, and structural only: the Section 6.5 chain over what it
+    yields is :func:`repro.store.recovery.rebuild_entries`'s check.
+    """
+    infos = list_segments(directory)
+    for info in infos:
+        last = info is infos[-1]
+        result = scan_segment(info.path)
+        if not result.header_ok:
+            if not last or result.file_bytes >= HEADER_SIZE:
+                raise StoreCorruptionError(
+                    f"segment {info.path}: {result.error}")
+        elif result.base_index != info.base_index:
+            raise StoreCorruptionError(
+                f"segment {info.path}: named for base index "
+                f"{info.base_index} but its header says "
+                f"{result.base_index}")
+        elif result.records and \
+                result.records[0].index != result.base_index:
+            raise StoreCorruptionError(
+                f"segment {info.path}: base index {result.base_index} "
+                f"does not match first record "
+                f"{result.records[0].index}")
+        elif not last and result.error is not None:
+            raise StoreCorruptionError(
+                f"sealed segment {info.path}: {result.error}")
+        elif not last and not result.records:
+            raise StoreCorruptionError(
+                f"sealed segment {info.path} holds no records")
+        yield info, result
+        del result  # so the next scan starts with no raw records alive
+
+
+def droppable_segments(segments: Sequence[SegmentInfo],
+                       keep_from_index: int) -> List[SegmentInfo]:
+    """The leading segments whose records *all* precede
+    ``keep_from_index`` — what :meth:`SegmentedLogStore.trim` removes.
+
+    Retention maps to whole files: partial segments are never rewritten
+    (that would re-open the door to the torn-write states recovery
+    exists to handle).  A segment's record range ends where the next
+    segment begins, so it is fully covered iff its successor's base
+    index is at or below the keep boundary; the final (active) segment
+    has no successor and is never dropped.
+    """
+    droppable: List[SegmentInfo] = []
+    for info, successor in zip(segments, segments[1:]):
+        if successor.base_index > keep_from_index:
+            break
+        droppable.append(info)
+    return droppable
 
 
 class SegmentedLogStore:
@@ -84,12 +156,17 @@ class SegmentedLogStore:
             "store_segments", **self._labels())
         os.makedirs(directory, exist_ok=True)
         self._fh: Optional[IO[bytes]] = None
-        self._current: Optional[SegmentInfo] = None
         self._sealed: List[SegmentInfo] = []
+        #: The segment being written: its path, and its base index and
+        #: size so far (meaningful while the path is set).
+        self._tail_path: Optional[str] = None
+        self._tail_base = 0
+        self._tail_bytes = 0
         self._pending_bytes = 0
         self.last_index: Optional[int] = None
-        self.torn_bytes_on_open = 0
-        self._open_existing()
+        #: No append behind an unverified chain: a directory that
+        #: already holds segments must go through ``recover`` first.
+        self._recovered = not list_segments(directory)
 
     # ------------------------------------------------------------------
     # Metrics plumbing
@@ -127,77 +204,46 @@ class SegmentedLogStore:
                 **self._labels()).inc(records)
 
     def _update_segments_gauge(self) -> None:
-        count = len(self._sealed) + (1 if self._current else 0)
-        self._segments_gauge.set(count)
+        self._segments_gauge.set(
+            len(self._sealed) + (self._tail_path is not None))
 
     # ------------------------------------------------------------------
-    # Opening and structural recovery
+    # Taking the position a recovery verified
 
-    def _open_existing(self) -> None:
-        infos = list_segments(self.directory)
-        for info in infos[:-1]:
-            result = scan_segment(info.path)
-            self._check_sealed(info, result)
-            self._note_scanned(result)
-            self._sealed.append(info)
-        if infos:
-            self._adopt_tail(infos[-1])
+    def adopt(self, segments: Sequence[SegmentInfo], torn_bytes: int,
+              last_index: Optional[int]) -> None:
+        """Open for appending where a verified walk of the directory
+        ended (:func:`repro.store.recovery.recover` is the caller).
+
+        ``segments`` is what :func:`read_directory` yielded, each sized
+        by its scan's ``valid_bytes``; ``torn_bytes`` is what the last
+        file carries beyond that.  What a crash left on the last file is
+        repaired here, durably, before anything is appended behind it: a
+        torn create is removed, a torn tail truncated back to the last
+        intact record boundary.
+        """
+        self._sealed = list(segments)
+        self._tail_path = None
+        self.last_index = last_index
+        self._torn.inc(torn_bytes)
+        if self._sealed:
+            tail = self._sealed.pop()
+            if tail.size_bytes < HEADER_SIZE:
+                # Crash between file creation and the header write.
+                os.unlink(tail.path)
+                self._sync_directory()
+            else:
+                if torn_bytes:
+                    with open(tail.path, "r+b") as handle:
+                        handle.truncate(tail.size_bytes)
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                self._tail_path = tail.path
+                self._tail_base = tail.base_index
+                self._tail_bytes = tail.size_bytes
+                self._fh = open(tail.path, "ab")
+        self._recovered = True
         self._update_segments_gauge()
-
-    def _check_sealed(self, info: SegmentInfo,
-                      result: ScanResult) -> None:
-        if result.error is not None:
-            raise StoreCorruptionError(
-                f"sealed segment {info.path}: {result.error}")
-        if not result.records:
-            raise StoreCorruptionError(
-                f"sealed segment {info.path} holds no records")
-        if result.base_index != result.records[0].index:
-            raise StoreCorruptionError(
-                f"sealed segment {info.path}: base index "
-                f"{result.base_index} does not match first record "
-                f"{result.records[0].index}")
-
-    def _note_scanned(self, result: ScanResult) -> None:
-        if result.records:
-            self.last_index = result.records[-1].index
-
-    def _adopt_tail(self, info: SegmentInfo) -> None:
-        """Open the final segment for appending, dropping any torn
-        tail a crash mid-write left behind."""
-        result = scan_segment(info.path)
-        if not result.header_ok:
-            if result.file_bytes >= HEADER_SIZE:
-                # A full-length header that fails to parse was *valid
-                # once* (sealing requires it) — that is tampering, not
-                # a torn create.
-                raise StoreCorruptionError(
-                    f"segment {info.path}: {result.error}")
-            # Crash between file creation and the header write: the
-            # file never held data.  Remove it and start fresh.
-            self.torn_bytes_on_open += result.file_bytes
-            self._torn.inc(result.file_bytes)
-            os.unlink(info.path)
-            self._sync_directory()
-            return
-        if result.records and \
-                result.records[0].index != result.base_index:
-            raise StoreCorruptionError(
-                f"segment {info.path}: base index {result.base_index} "
-                f"does not match first record "
-                f"{result.records[0].index}")
-        if result.torn_bytes:
-            with open(info.path, "r+b") as handle:
-                handle.truncate(result.valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.torn_bytes_on_open += result.torn_bytes
-            self._torn.inc(result.torn_bytes)
-        self._note_scanned(result)
-        self._current = SegmentInfo(path=info.path,
-                                    base_index=info.base_index,
-                                    size_bytes=result.valid_bytes)
-        self._fh = open(info.path, "ab")
 
     # ------------------------------------------------------------------
     # The LogSink protocol
@@ -213,12 +259,16 @@ class SegmentedLogStore:
         to land here is the §6.5 per-commitment seed entry, which the
         recorder keeps in its own trusted storage.
         """
+        if not self._recovered:
+            raise StoreError(
+                f"{self.directory} holds segments nothing has verified "
+                f"yet: recover() the store before appending to it")
         if self.last_index is not None and \
                 entry.index != self.last_index + 1:
             raise StoreError(
                 f"non-contiguous append: entry {entry.index} after "
                 f"{self.last_index}")
-        if self.last_index is None and self._current is None and \
+        if self.last_index is None and self._tail_path is None and \
                 not self._sealed and entry.index != 0:
             # Fresh directory: a log that thinks it has history but
             # brings no store state was restored incorrectly.
@@ -229,11 +279,7 @@ class SegmentedLogStore:
             encode_record(entry.index, entry.chain, entry_bytes))
         handle = self._writable_segment(entry.index, len(frame))
         handle.write(frame)
-        assert self._current is not None
-        self._current = SegmentInfo(
-            path=self._current.path,
-            base_index=self._current.base_index,
-            size_bytes=self._current.size_bytes + len(frame))
+        self._tail_bytes += len(frame)
         self.last_index = entry.index
         self._pending_bytes += len(frame)
         kind = storage_kind(entry.kind)
@@ -256,10 +302,10 @@ class SegmentedLogStore:
         Mirrors :meth:`repro.spider.log.SpiderLog.trim` retention
         semantics: every record with index below ``keep_from_index`` is
         eligible, but a segment is only removed if *all* its records
-        are (whole-file compaction; the active segment never goes).
-        Returns the file bytes reclaimed.
+        are (:func:`droppable_segments`).  Returns the file bytes
+        reclaimed.
         """
-        removable = droppable_segments(self._all_segments(),
+        removable = droppable_segments(self.segments(),
                                        keep_from_index)
         removed_bytes = 0
         for info in removable:
@@ -267,52 +313,28 @@ class SegmentedLogStore:
             removed_bytes += info.size_bytes
         if removable:
             self._sync_directory()
-            removed = {info.path for info in removable}
-            self._sealed = [s for s in self._sealed
-                            if s.path not in removed]
+            # Droppable segments are leading ones, and never the tail.
+            del self._sealed[:len(removable)]
             self._reclaimed.inc(removed_bytes)
             self._update_segments_gauge()
         return removed_bytes
 
-    # ------------------------------------------------------------------
-    # Reading back
-
-    def _all_segments(self) -> List[SegmentInfo]:
-        return self._sealed + \
-            ([self._current] if self._current else [])
-
     def segments(self) -> List[SegmentInfo]:
         """Current segment files, oldest first."""
-        return list(self._all_segments())
-
-    def iter_records(self) -> Iterator[RawRecord]:
-        """Every record in index order, CRC- and frame-verified.
-
-        Used by recovery; the store is flushed first so the scan sees
-        everything appended.
-        """
-        self.sync()
-        for info in self._all_segments():
-            result = scan_segment(info.path)
-            if result.error is not None:
-                raise StoreCorruptionError(
-                    f"segment {info.path}: {result.error}")
-            if result.records and \
-                    result.records[0].index != result.base_index:
-                raise StoreCorruptionError(
-                    f"segment {info.path}: base index "
-                    f"{result.base_index} does not match first record")
-            yield from result.records
+        if self._tail_path is None:
+            return list(self._sealed)
+        return self._sealed + [SegmentInfo(
+            path=self._tail_path, base_index=self._tail_base,
+            size_bytes=self._tail_bytes)]
 
     # ------------------------------------------------------------------
     # File plumbing
 
     def _writable_segment(self, next_index: int,
                           frame_len: int) -> IO[bytes]:
-        if self._fh is not None and self._current is not None and \
-                self._current.size_bytes + frame_len > \
-                self.segment_bytes and \
-                self._current.size_bytes > HEADER_SIZE:
+        if self._fh is not None and \
+                self._tail_bytes + frame_len > self.segment_bytes and \
+                self._tail_bytes > HEADER_SIZE:
             self._rotate()
         if self._fh is None:
             self._start_segment(next_index)
@@ -320,12 +342,12 @@ class SegmentedLogStore:
         return self._fh
 
     def _rotate(self) -> None:
-        assert self._fh is not None and self._current is not None
+        assert self._fh is not None
         self._flush(fsync=self.fsync_policy != "never")
         self._fh.close()
         self._fh = None
-        self._sealed.append(self._current)
-        self._current = None
+        self._sealed = self.segments()
+        self._tail_path = None
         self._rotations.inc()
 
     def _start_segment(self, base_index: int) -> None:
@@ -340,8 +362,9 @@ class SegmentedLogStore:
             os.fsync(self._fh.fileno())
             self._fsyncs.inc()
             self._sync_directory()
-        self._current = SegmentInfo(path=path, base_index=base_index,
-                                    size_bytes=HEADER_SIZE)
+        self._tail_path = path
+        self._tail_base = base_index
+        self._tail_bytes = HEADER_SIZE
         self._update_segments_gauge()
 
     def _flush(self, fsync: bool) -> None:
@@ -363,10 +386,13 @@ class SegmentedLogStore:
             os.close(fd)
 
     def close(self) -> None:
+        """Flush and release the tail; appending again takes a
+        ``recover``."""
         if self._fh is not None:
             self._flush(fsync=self.fsync_policy != "never")
             self._fh.close()
             self._fh = None
+        self._recovered = False
 
     def __enter__(self) -> "SegmentedLogStore":
         return self

@@ -2,8 +2,7 @@
 
 import ast
 
-from repro.analysis.callgraph import (Program, collect_sources,
-                                      load_program, source_tree_digest)
+from repro.analysis.callgraph import Program
 
 MAIN = '''\
 """Module under test."""
@@ -144,52 +143,3 @@ def test_parse_errors_are_collected_not_raised():
     assert program.modules == {}
     assert len(program.parse_errors) == 1
     assert "parse error" in program.parse_errors[0]
-
-
-# ----------------------------------------------------------------------
-# Source digest and pickle cache
-
-
-def test_source_tree_digest_is_order_independent():
-    forward = [("a.py", "x = 1"), ("b.py", "y = 2")]
-    assert source_tree_digest(forward) == \
-        source_tree_digest(list(reversed(forward)))
-    assert source_tree_digest(forward) != \
-        source_tree_digest([("a.py", "x = 9"), ("b.py", "y = 2")])
-
-
-def test_load_program_populates_and_reuses_cache(tmp_path):
-    src = tmp_path / "repro" / "helpers"
-    src.mkdir(parents=True)
-    (src / "mod.py").write_text("def f(x):\n    return x\n")
-    cache = tmp_path / "cache"
-
-    first = load_program([str(tmp_path)], cache_dir=str(cache))
-    assert "repro/helpers/mod.py::f" in first.functions
-    pickles = list(cache.glob("program-*.pickle"))
-    assert len(pickles) == 1
-
-    # Second load hits the cache (same digest, same contents).
-    again = load_program([str(tmp_path)], cache_dir=str(cache))
-    assert set(again.functions) == set(first.functions)
-    assert list(cache.glob("program-*.pickle")) == pickles
-
-    # Editing a file changes the digest: a new cache entry appears.
-    (src / "mod.py").write_text("def g(x):\n    return x\n")
-    third = load_program([str(tmp_path)], cache_dir=str(cache))
-    assert "repro/helpers/mod.py::g" in third.functions
-    assert len(list(cache.glob("program-*.pickle"))) == 2
-
-
-def test_corrupt_cache_entry_is_rebuilt(tmp_path):
-    src = tmp_path / "repro"
-    src.mkdir()
-    (src / "mod.py").write_text("def f(x):\n    return x\n")
-    cache = tmp_path / "cache"
-    sources = collect_sources([str(tmp_path)])
-    digest = source_tree_digest(sources)
-    cache.mkdir()
-    bad = cache / f"program-{digest[:24]}.pickle"
-    bad.write_bytes(b"not a pickle")
-    program = load_program([str(tmp_path)], cache_dir=str(cache))
-    assert "repro/mod.py::f" in program.functions

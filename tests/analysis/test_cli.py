@@ -27,14 +27,8 @@ def test_repo_src_is_clean():
     assert main([str(REPO / "src")]) == 0
 
 
-def test_repo_src_is_clean_under_dataflow(tmp_path):
-    cache = tmp_path / "cache"
-    argv = [str(REPO / "src"), "--engine", "dataflow",
-            "--cache-dir", str(cache)]
-    assert main(argv) == 0
-    # A second run hits the pickled program cache and must agree.
-    assert any(cache.iterdir())
-    assert main(argv) == 0
+def test_repo_src_is_clean_under_dataflow():
+    assert main([str(REPO / "src"), "--engine", "dataflow"]) == 0
 
 
 def test_repo_benchmarks_and_examples_are_clean():
@@ -42,7 +36,7 @@ def test_repo_benchmarks_and_examples_are_clean():
     # satellite); suppressions in those trees are allowed, findings
     # are not.
     assert main([str(REPO / "benchmarks"), str(REPO / "examples"),
-                 "--engine", "all", "--no-cache"]) == 0
+                 "--engine", "all"]) == 0
 
 
 def test_repo_src_is_clean_under_committed_baseline():
@@ -73,8 +67,7 @@ def test_clean_fixture_exits_zero(rule_id):
 @pytest.mark.parametrize("rule_id", FLOW_RULES)
 def test_dataflow_trigger_fixture_exits_nonzero(rule_id, capsys):
     target = FIXTURES / rule_id.lower() / "trigger"
-    assert main([str(target), "--engine", "dataflow",
-                 "--no-cache"]) == 1
+    assert main([str(target), "--engine", "dataflow"]) == 1
     # The lint engine alone does not see whole-program flows (the
     # fixture may still trip per-file rules, e.g. SPDR004 on an
     # undeclared metric name).
@@ -87,8 +80,7 @@ def test_dataflow_trigger_fixture_exits_nonzero(rule_id, capsys):
 @pytest.mark.parametrize("rule_id", FLOW_RULES)
 def test_dataflow_clean_fixture_exits_zero(rule_id):
     target = FIXTURES / rule_id.lower() / "clean"
-    assert main([str(target), "--engine", "dataflow",
-                 "--no-cache"]) == 0
+    assert main([str(target), "--engine", "dataflow"]) == 0
 
 
 def test_engine_all_merges_both_rule_families(capsys):
@@ -97,7 +89,7 @@ def test_engine_all_merges_both_rule_families(capsys):
     lint = FIXTURES / "spdr001" / "trigger"
     flow = FIXTURES / "spdr006" / "trigger"
     assert main([str(lint), str(flow), "--engine", "all",
-                 "--no-cache", "--format", "json"]) == 1
+                 "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     rules = {f["rule"] for f in doc["findings"]}
     assert "SPDR001" in rules
@@ -140,7 +132,7 @@ def test_json_output_shape(capsys):
 
 def test_json_dataflow_findings_carry_traces(capsys):
     target = FIXTURES / "spdr006" / "trigger"
-    assert main([str(target), "--engine", "dataflow", "--no-cache",
+    assert main([str(target), "--engine", "dataflow",
                  "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["findings"], "trigger fixture must produce findings"
@@ -165,14 +157,13 @@ def test_parse_error_exits_nonzero_under_dataflow(tmp_path):
     broken = tmp_path / "repro" / "spider" / "broken.py"
     broken.parent.mkdir(parents=True)
     broken.write_text("class Unclosed(\n", encoding="utf-8")
-    assert main([str(tmp_path), "--engine", "dataflow",
-                 "--no-cache"]) == 1
+    assert main([str(tmp_path), "--engine", "dataflow"]) == 1
 
 
 def test_stats_flag_writes_per_rule_json(tmp_path):
     stats_file = tmp_path / "stats.json"
     target = FIXTURES / "spdr006" / "trigger"
-    assert main([str(target), "--engine", "all", "--no-cache",
+    assert main([str(target), "--engine", "all",
                  "--stats", str(stats_file)]) == 1
     doc = json.loads(stats_file.read_text(encoding="utf-8"))
     assert doc["engine"] == "all"
@@ -185,11 +176,11 @@ def test_stats_flag_writes_per_rule_json(tmp_path):
 
 def test_explain_prints_path_trace(capsys):
     target = FIXTURES / "spdr006" / "trigger"
-    assert main([str(target), "--engine", "dataflow", "--no-cache",
+    assert main([str(target), "--engine", "dataflow",
                  "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     fingerprint = doc["findings"][0]["fingerprint"]
-    assert main([str(target), "--engine", "dataflow", "--no-cache",
+    assert main([str(target), "--engine", "dataflow",
                  "--explain", fingerprint]) == 0
     out = capsys.readouterr().out
     assert "path trace (source -> sink)" in out
@@ -197,7 +188,7 @@ def test_explain_prints_path_trace(capsys):
 
 def test_explain_unknown_fingerprint_exits_2():
     target = FIXTURES / "spdr006" / "clean"
-    assert main([str(target), "--engine", "dataflow", "--no-cache",
+    assert main([str(target), "--engine", "dataflow",
                  "--explain", "deadbeefdeadbeef"]) == 2
 
 

@@ -141,15 +141,14 @@ class TestReconstruction:
         assert fresh is not cached
         assert fresh.root == cached.root
 
-    def test_reconstruction_cache_evicts_lru(self, deployment):
-        from dataclasses import replace
+    def test_reconstruction_cache_evicts_lru(self, deployment,
+                                             monkeypatch):
+        from repro.spider import proofgen
 
         network, dep = deployment
         node = dep.node(FOCUS_AS)
         gen = node.proofgen
-        original = node.recorder.config
-        node.recorder.config = replace(original,
-                                       reconstruction_cache_size=2)
+        monkeypatch.setattr(proofgen, "RECONSTRUCTION_CACHE", 2)
         try:
             gen._cache.clear()
             # Three commitments at distinct times.
@@ -166,7 +165,6 @@ class TestReconstruction:
             assert history[-2] in gen._cache
             assert history[0] not in gen._cache
         finally:
-            node.recorder.config = original
             gen._cache.clear()
 
 

@@ -7,7 +7,7 @@ The invariants under fuzz (ISSUE 7 satellite):
   the torn tail is dropped, nothing reorders;
 * under ``fsync=always``, a crash that never closes the store loses
   nothing that ``append`` returned for;
-* any byte flip in a *sealed* segment fails closed at open;
+* any byte flip in a *sealed* segment fails closed at recovery;
 * tampering that fixes up the CRC is still caught by the §6.5 hash
   chain at recovery — in the stored chain digest or in any bit of any
   record's entry bytes.
@@ -66,6 +66,15 @@ def frame_offsets(path):
         spans.append((offset, end))
         offset = end
     return spans
+
+
+def flip_byte(path, offset, mask=0x01):
+    """XOR one byte of a file in place (no CRC fix-up)."""
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ mask]))
 
 
 def rewrite_record(directory, index, edit):
@@ -147,15 +156,12 @@ def test_bitflip_in_sealed_segment_fails_closed(tmp_path_factory,
     pos = data.draw(st.integers(min_value=0,
                                 max_value=target.size_bytes - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
-    with open(target.path, "r+b") as handle:
-        handle.seek(pos)
-        byte = handle.read(1)
-        handle.seek(pos)
-        handle.write(bytes([byte[0] ^ flip]))
+    flip_byte(target.path, pos, flip)
 
     with pytest.raises(StoreCorruptionError):
-        SegmentedLogStore(str(directory), segment_bytes=SEGMENT_BYTES,
-                          registry=Registry())
+        recover(SegmentedLogStore(str(directory),
+                                  segment_bytes=SEGMENT_BYTES,
+                                  registry=Registry()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,11 +176,7 @@ def test_bitflip_in_final_segment_yields_prefix_or_fails(
     pos = data.draw(st.integers(min_value=0,
                                 max_value=final.size_bytes - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
-    with open(final.path, "r+b") as handle:
-        handle.seek(pos)
-        byte = handle.read(1)
-        handle.seek(pos)
-        handle.write(bytes([byte[0] ^ flip]))
+    flip_byte(final.path, pos, flip)
 
     try:
         recovery = recover(SegmentedLogStore(
