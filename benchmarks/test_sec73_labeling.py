@@ -8,10 +8,10 @@ relabeling the same tree at each width the box has cores for, and
 report the speedup; with fewer cores than workers none is observable
 and the check is skipped.  The paper's shape — workers beat serial —
 is reported as an expected failure where it does not hold: on the
-shared 2-vCPU box this pure-Python pool measures 0.7–1.1× at c=2
-(EXPERIMENTS.md E4), and no ≥4-core run exists yet.  (The deployment
-edits its retained tree before most rounds, where the pool also pays a
-program install: ``benchmarks/bench_report.py`` measures that shape as
+shared 2-vCPU box this pure-Python pool measures 0.67–1.29× at c=2,
+median 1.06× (EXPERIMENTS.md E4), and no ≥4-core run exists yet.
+(The deployment edits its retained tree before most rounds, where the
+pool also pays a program install: ``benchmarks/bench_report.py`` measures that shape as
 ``churn_tree``.)
 """
 

@@ -51,6 +51,7 @@ SINK_STORE = "store-append"
 SINK_OBS = "obs-label"
 SINK_LOGGING = "logging"
 SINK_RAISE = "raise"
+SINK_NATIVE = "native-cipher"
 
 
 @dataclass(frozen=True)
@@ -316,6 +317,11 @@ def default_registry() -> ContractRegistry:
                                "logger.error", "logger.debug",
                                "logger.exception"),
                      description="process log output", section="§7"),
+        SinkContract(SINK_NATIVE, "SPDR006",
+                     patterns=("ARC4", "Cipher"),
+                     description="key bytes handed to a C cipher object "
+                                 "(OpenSSL memory Python does not own)",
+                     section="§7.1"),
     ]
     declassifiers = [
         DeclassifierContract(
@@ -371,6 +377,12 @@ def default_registry() -> ContractRegistry:
             justification="§6.5: the durable store persists the same "
                           "seed entry the in-memory log holds "
                           "(crash recovery must reproduce proofs)"),
+        SanctionedFlow(
+            LABEL_RC4, SINK_NATIVE,
+            justification="§7.1: the prototype keys a library RC4 with "
+                          "the seed; the C object stays in-process and "
+                          "the keystream it returns is as private as "
+                          "the seed (taint flows on through it)"),
     ]
     return ContractRegistry(sources=sources, sinks=sinks,
                             declassifiers=declassifiers,

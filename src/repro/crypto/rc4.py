@@ -13,37 +13,38 @@ exactly this reconstruct-from-seed design.  Nothing outside this module
 depends on RC4 specifically — any deterministic seeded generator with the
 same interface would do.
 
-Performance
------------
+Two keystream engines, one stream
+---------------------------------
 Labeling an MTT draws one 20-byte bitstring per bit node and per dummy
-node — hundreds of thousands of draws per commitment — so the PRGA loop
-and the per-draw call overhead are both on the commitment hot path
-(§7.5).  :class:`Rc4Csprng` therefore generates keystream in large blocks
-and slices bitstrings out of the buffer, and :class:`Rc4` walks a
-precomputed ``i``-index pattern so the inner loop avoids the per-byte
-increment-and-mask and re-reads of ``S[i]``/``S[j]``.  The output stream
-is byte-identical to the textbook formulation (the unit tests pin RFC
-6229 vectors and blocked-vs-unblocked equivalence).
+node, so the keystream rate bounds a commitment round (§7.5).
+:class:`Rc4Csprng` therefore takes its keystream from the ARC4 cipher of
+the installed ``cryptography`` package (OpenSSL, ~30× the pure-Python
+rate) whenever that package imports, accepts the key length and has the
+algorithm enabled.  Every recorder seed is a 20-byte digest (160 bits, a
+length ARC4 accepts), so live rounds and §6.5 reconstructions take that
+path.  Anything else runs :class:`Rc4`, the from-scratch textbook KSA +
+PRGA, which RFC 6229 vectors pin and the C path is tested against.  Both
+produce the same RC4 keystream byte for byte, so roots and logs do not
+depend on which engine ran, and nothing selects one by configuration.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 from .hashing import DIGEST_SIZE
 
+try:
+    from cryptography.exceptions import UnsupportedAlgorithm
+    from cryptography.hazmat.decrepit.ciphers.algorithms import ARC4
+    from cryptography.hazmat.primitives.ciphers import Cipher
+    #: Key lengths (bytes) the installed C ARC4 accepts.
+    _C_KEY_BYTES = frozenset(bits // 8 for bits in ARC4.key_sizes)
+except ImportError:  # the pure-Python engine alone
+    _C_KEY_BYTES = frozenset()
+
 #: Bytes of keystream discarded after keying, per the paper (RC4-drop3072).
 DROP_BYTES = 3072
-
-#: Keystream bytes generated per buffer refill in :class:`Rc4Csprng`.
-BLOCK_BYTES = 8192
-
-#: The PRGA ``i`` index cycles 0..255; precomputing the pattern lets the
-#: inner loop iterate over it directly instead of computing
-#: ``(i + 1) & 0xFF`` per byte.  17 repetitions cover one 4096-byte chunk
-#: from any starting offset.
-_CHUNK = 4096
-_IDX = tuple(range(256)) * (_CHUNK // 256 + 1)
 
 
 class Rc4:
@@ -69,20 +70,12 @@ class Rc4:
             raise ValueError("keystream length must be non-negative")
         S = self._state
         i, j = self._i, self._j
-        out = bytearray()
-        append = out.append
-        remaining = n
-        while remaining > 0:
-            chunk = remaining if remaining < _CHUNK else _CHUNK
-            start = (i + 1) & 0xFF
-            for i in _IDX[start:start + chunk]:
-                x = S[i]
-                j = (j + x) & 0xFF
-                y = S[j]
-                S[i] = y
-                S[j] = x
-                append(S[(x + y) & 0xFF])
-            remaining -= chunk
+        out = bytearray(n)
+        for k in range(n):
+            i = (i + 1) & 0xFF
+            j = (j + S[i]) & 0xFF
+            S[i], S[j] = S[j], S[i]
+            out[k] = S[(S[i] + S[j]) & 0xFF]
         self._i, self._j = i, j
         return bytes(out)
 
@@ -92,6 +85,20 @@ class Rc4:
         return bytes(a ^ b for a, b in zip(data, stream))
 
 
+def _keystream(key: bytes) -> Callable[[int], bytes]:
+    """The RC4 keystream under ``key`` as a draw-``n``-bytes function:
+    the installed C ARC4 when it takes the key, else :class:`Rc4`."""
+    if len(key) in _C_KEY_BYTES:
+        try:
+            encrypt = Cipher(ARC4(key), mode=None).encryptor().update
+        except UnsupportedAlgorithm:  # OpenSSL built without legacy RC4
+            pass
+        else:
+            # Encrypting zeroes yields the raw keystream.
+            return lambda n: encrypt(bytes(n))
+    return Rc4(key).keystream
+
+
 class Rc4Csprng:
     """Seeded deterministic generator for blinding bitstrings.
 
@@ -99,24 +106,19 @@ class Rc4Csprng:
     drops :data:`DROP_BYTES` and then serves keystream bytes.  Two instances
     built from the same seed produce identical output, which is what lets
     the proof generator rebuild a past MTT's random bitstrings from the
-    32-byte stored seed (Section 6.5).
-
-    Keystream is generated in :data:`BLOCK_BYTES` blocks and buffered;
-    :meth:`bitstring`, :meth:`bitstrings`, and :meth:`bytes` all slice the
-    buffer, so the byte sequence served is independent of how draws are
-    batched (blocked output == unblocked output, tested).
+    32-byte stored seed (Section 6.5).  Every draw is the next slice of
+    one keystream, so the bytes served do not depend on how draws are
+    batched.
     """
 
-    __slots__ = ("_seed", "_rc4", "_buf", "_pos")
+    __slots__ = ("_seed", "_keystream")
 
     def __init__(self, seed: bytes):
         if len(seed) == 0:
             raise ValueError("CSPRNG seed must be non-empty")
         self._seed = bytes(seed)
-        self._rc4 = Rc4(self._seed[:256])
-        self._rc4.keystream(DROP_BYTES)
-        self._buf = b""
-        self._pos = 0
+        self._keystream = _keystream(self._seed[:256])
+        self._keystream(DROP_BYTES)
 
     @property
     def seed(self) -> bytes:
@@ -133,21 +135,16 @@ class Rc4Csprng:
         Merkle labels.  The bitstring is private until it enters a bit
         commitment ``H(b||x)`` or is selectively revealed by a proof.
         """
-        pos = self._pos
-        end = pos + DIGEST_SIZE
-        if end <= len(self._buf):
-            self._pos = end
-            return self._buf[pos:end]
-        return self.bytes(DIGEST_SIZE)
+        return self._keystream(DIGEST_SIZE)
 
     def bitstrings(self, n: int) -> List[bytes]:
-        """Return ``n`` consecutive bitstrings in one buffered draw.
+        """Return ``n`` consecutive bitstrings in one draw.
 
         :spiderlint-contract: source(commit-randomness)
 
         Equivalent to ``[self.bitstring() for _ in range(n)]`` but pays
-        the keystream-generation cost once — the labeling pass uses this
-        to blind an entire MTT in a handful of block refills.
+        the per-draw cost once — the labeling pass uses this to blind an
+        entire MTT.
         """
         data = self.bytes(n * DIGEST_SIZE)
         size = DIGEST_SIZE
@@ -157,16 +154,4 @@ class Rc4Csprng:
         """Return ``n`` raw pseudo-random bytes."""
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        buf, pos = self._buf, self._pos
-        avail = len(buf) - pos
-        if n <= avail:
-            self._pos = pos + n
-            return buf[pos:pos + n]
-        head = buf[pos:]
-        need = n - avail
-        # Refill with at least one full block so small draws amortize.
-        fresh = self._rc4.keystream(need if need > BLOCK_BYTES
-                                    else BLOCK_BYTES)
-        self._buf = fresh
-        self._pos = need
-        return head + fresh[:need]
+        return self._keystream(n)

@@ -70,7 +70,7 @@ def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> List[bytes]:
     """Give every bit node a blinding and every dummy node its label.
 
     Draws one bitstring per dummy/bit node in the schedule's fixed DFS
-    order (one blocked CSPRNG draw for the whole tree).  Labels of bit
+    order (one CSPRNG draw for the whole tree).  Labels of bit
     and interior nodes are left as they are: every labeling below
     overwrites them unconditionally.  Returns the drawn bitstrings in
     plan order so the pool can copy them into shared memory without

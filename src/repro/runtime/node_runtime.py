@@ -185,6 +185,7 @@ class NodeRuntime:
             inbox_append(message)
             inbox_gauge.set(len(self.inbox))
 
+        self._enqueue = _enqueue
         transport.on_receive(_enqueue)
 
     @property
@@ -237,7 +238,10 @@ class NodeRuntime:
         return processed
 
     def close(self) -> None:
-        """Release the recorder's worker pool and close the store."""
+        """Unsubscribe from the transport, release the recorder's worker
+        pool and close the store.  The transport may outlive the node;
+        it no longer delivers here, nor keeps the node reachable."""
+        self.transport.remove_receiver(self._enqueue)
         self.recorder.close()
         if self.store is not None:
             self.store.close()

@@ -106,6 +106,14 @@ class Transport:
         for message in backlog:
             callback(message)
 
+    def remove_receiver(self, callback: ReceiveCallback) -> None:
+        """Stop dispatching to ``callback`` (registered by
+        :meth:`on_receive`); idempotent.  A dispatch already under way
+        may still reach it once."""
+        with self._dispatch_lock:
+            if callback in self._receivers:
+                self._receivers.remove(callback)
+
     def _dispatch(self, message: object) -> None:
         with self._dispatch_lock:
             if not self._receivers:

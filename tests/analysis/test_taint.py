@@ -9,9 +9,10 @@ Three layers:
   load-bearing: each one sits between a source and a sink in a minimal
   flow that is clean with the full registry and a finding without it;
 * the repo's own ``src`` tree must analyze clean, and removing the
-  commitment/signature declassifiers or the §6.5 sanctioned seed→log
-  flow must surface findings — proving the engine actually traverses
-  those paths rather than being vacuously quiet.
+  commitment/signature declassifiers, the §6.5 sanctioned seed→log
+  flow or the §7.1 sanctioned seed→C-cipher flow must surface findings
+  — proving the engine actually traverses those paths rather than
+  being vacuously quiet.
 """
 
 from pathlib import Path
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import Program, load_program
-from repro.analysis.contracts import SINK_LOG, default_registry
+from repro.analysis.contracts import SINK_LOG, SINK_NATIVE, \
+    default_registry
 from repro.analysis.taint import (TaintAnalysis, analyze_paths_dataflow,
                                   build_registry)
 
@@ -279,6 +281,18 @@ def test_sanctioned_seed_log_flow_is_traversed(src_program):
                  f.path.startswith("repro/spider/")]
     assert seed_hits, \
         "the recorder's seed->log flow must be visible to the engine"
+
+
+def test_sanctioned_seed_to_c_cipher_flow_is_traversed(src_program):
+    # §7.1: Rc4Csprng keys the installed C ARC4 with the seed.  The flow
+    # is sanctioned, not suppressed; deleting the sanction surfaces it.
+    registry = build_registry(src_program)
+    registry.sanctioned = [flow for flow in registry.sanctioned
+                           if flow.sink_id != SINK_NATIVE]
+    findings = TaintAnalysis(src_program, registry).run()
+    assert [f.path for f in findings
+            if "rc4-seed" in f.message and SINK_NATIVE in f.message] \
+        == ["repro/crypto/rc4.py"]
 
 
 def test_stats_are_populated():

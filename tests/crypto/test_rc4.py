@@ -1,9 +1,43 @@
-"""Unit tests for RC4 and the drop-3072 CSPRNG."""
+"""Unit tests for RC4 and the drop-3072 CSPRNG.
+
+The from-scratch :class:`Rc4` is the reference: the RFC 6229 vectors pin
+it.  :class:`Rc4Csprng` draws through the installed C ARC4 when it takes
+the key; ``TestCKeystream`` holds that path to the reference, and is
+skipped, visibly, where ``cryptography`` is absent.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crypto import rc4
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.rc4 import DROP_BYTES, Rc4, Rc4Csprng
+
+#: Seed lengths (bytes) the C ARC4 accepts: 40/56/64/80/128/160/192/256
+#: bits.  Recorder seeds are 20-byte digests.
+ARC4_SEED_BYTES = (5, 7, 8, 10, 16, 20, 24, 32)
+#: Seed lengths it rejects, which must fall back to :class:`Rc4`.
+FALLBACK_SEED_BYTES = (9, 33)
+
+#: One draw: ``("bytes", k)``, ``("bitstring", 1)`` or
+#: ``("bitstrings", m)``.
+DRAWS = st.one_of(
+    st.tuples(st.just("bytes"), st.integers(0, 5000)),
+    st.tuples(st.just("bitstring"), st.just(1)),
+    st.tuples(st.just("bitstrings"), st.integers(0, 300)))
+
+
+def _draw(gen, draws):
+    out = []
+    for kind, n in draws:
+        if kind == "bytes":
+            out.append(gen.bytes(n))
+        elif kind == "bitstring":
+            out.append(gen.bitstring())
+        else:
+            out.extend(gen.bitstrings(n))
+    return b"".join(out)
 
 
 class TestRc4:
@@ -68,11 +102,11 @@ class TestRfc6229Vectors:
 
 
 class TestBlockedKeystream:
-    """The blocked CSPRNG buffer must be invisible in the output."""
+    """How draws are batched must be invisible in the output."""
 
     def test_bytes_match_unbuffered_stream(self):
-        # Mixed small/large draws across block boundaries equal one
-        # contiguous post-drop keystream.
+        # Mixed small/large draws equal one contiguous post-drop
+        # keystream.
         raw = Rc4(b"blocked")
         raw.keystream(DROP_BYTES)
         gen = Rc4Csprng(b"blocked")
@@ -128,3 +162,70 @@ class TestRc4Csprng:
         gen = Rc4Csprng(b"s")
         outputs = {gen.bitstring() for _ in range(100)}
         assert len(outputs) == 100
+
+
+class TestCKeystream:
+    """The C path serves the reference keystream, and carries the
+    deployment's traffic."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _cryptography(self):
+        # Any ImportError, as in the module's own fallback.
+        pytest.importorskip("cryptography", exc_type=ImportError)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from(ARC4_SEED_BYTES + FALLBACK_SEED_BYTES)
+           .flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+           draws=st.lists(DRAWS, max_size=8))
+    def test_c_path_pure_path_and_textbook_stream_agree(self, seed,
+                                                        draws):
+        built = []
+
+        class CountingRc4(Rc4):
+            def __init__(self, key):
+                built.append(key)
+                super().__init__(key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rc4, "Rc4", CountingRc4)
+            default = _draw(Rc4Csprng(seed), draws)
+        # Only a length ARC4 rejects builds the pure engine.
+        assert bool(built) == (len(seed) in FALLBACK_SEED_BYTES)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rc4, "_C_KEY_BYTES", frozenset())
+            pure = _draw(Rc4Csprng(seed), draws)
+        textbook = Rc4(seed)
+        textbook.keystream(DROP_BYTES)
+        assert default == pure == textbook.keystream(len(default))
+
+    def test_recorder_rounds_and_reconstructions_take_the_c_path(
+            self, monkeypatch):
+        from repro.mtt.labeling import label_tree
+        from repro.mtt.tree import Mtt
+        from repro.runtime.scenario import ASN_A, ASN_B, ROUTE, \
+            exchange_runtime
+        from repro.runtime.transport import LoopbackHub
+
+        hub = LoopbackHub()
+        hub.attach(ASN_B)
+        runtime = exchange_runtime(ASN_A, hub.attach(ASN_A))
+        runtime.advance_to(1.0)
+        runtime.announce(ASN_B, ROUTE)
+        recorder = runtime.recorder
+
+        def no_pure_engine(key):
+            raise AssertionError(f"pure RC4 keyed with {len(key)} bytes")
+
+        monkeypatch.setattr(rc4, "Rc4", no_pure_engine)
+        record = runtime.commit()
+        assert len(recorder.commitment_seed(record.commit_time)) == 20
+        reconstruction = runtime.node.proofgen.reconstruct(
+            record.commit_time)
+        assert reconstruction.root == record.root
+        # The pure path gives the same root for the same seed.
+        monkeypatch.undo()
+        monkeypatch.setattr(rc4, "_C_KEY_BYTES", frozenset())
+        tree = Mtt.build(recorder.mtt_entries(recorder.state))
+        seed = recorder.commitment_seed(record.commit_time)
+        assert label_tree(tree, Rc4Csprng(seed)).root_label == record.root
+        runtime.close()

@@ -75,8 +75,10 @@ class TestLabeling:
 
 class TestGoldenRoots:
     """Anchors captured from the pre-optimization implementation: the
-    flattened schedule, blocked keystream, and worker pool must all
-    preserve the exact CSPRNG draw order and therefore these roots."""
+    flattened schedule, the C keystream (``bench-pool`` is a 10-byte
+    seed, so it takes that path where ``cryptography`` is installed) and
+    the worker pool must all preserve the exact CSPRNG draw order and
+    therefore these roots."""
 
     GOLDEN_BASIC = "7c275377aa7845b2d22b413297edb5700baec380"
     GOLDEN_WIDE = "d56c957599fc43ecd2cb483563e01b49e59ea4d8"

@@ -6,12 +6,16 @@ taking the batch size: size 1 under ``TestLoopbackHub``/``TestTcpSmoke``,
 sizes 0 and 4 under ``TestSendMany``.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bgp.prefix import Prefix
 from repro.runtime.codec import encode_message
 from repro.runtime.framing import encode_frame
-from repro.runtime.scenario import ASN_A, ASN_B, run_loopback_exchange
+from repro.runtime.scenario import ASN_A, ASN_B, exchange_runtime, \
+    run_loopback_exchange
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import LoopbackHub, TransportError
 from repro.spider.wire import SpiderAnnounce
@@ -76,6 +80,47 @@ class TestLoopbackHub:
 
     def test_unknown_receiver_rejected(self):
         _check_loopback_unknown_receiver(1)
+
+    def test_removed_receiver_gets_nothing(self):
+        hub = LoopbackHub()
+        t_a = hub.attach(1)
+        t_b = hub.attach(2)
+        kept, removed = [], []
+        t_b.on_receive(kept.append)
+        t_b.on_receive(removed.append)
+        t_b.remove_receiver(removed.append)
+        t_b.remove_receiver(removed.append)  # idempotent
+        t_a.send(2, [_announce_stub(0)])
+        hub.deliver_all()
+        assert len(kept) == 1 and removed == []
+
+
+class TestClosedRuntime:
+    """A closed :class:`NodeRuntime` lets go of its transport: the
+    transport may outlive it (a harness keeps it to stop it later)."""
+
+    def test_message_after_close_reaches_only_the_new_runtime(self):
+        hub = LoopbackHub()
+        t_a, transport = hub.attach(ASN_A), hub.attach(ASN_B)
+        old = exchange_runtime(ASN_B, transport)
+        old.close()
+        new = exchange_runtime(ASN_B, transport)
+        t_a.send(ASN_B, [_announce_stub(0)])
+        hub.deliver_all()
+        assert len(new.inbox) == 1
+        assert len(old.inbox) == 0
+        new.close()
+
+    def test_closed_runtime_is_collectable_while_transport_lives(self):
+        hub = LoopbackHub()
+        transport = hub.attach(ASN_B)
+        runtime = exchange_runtime(ASN_B, transport)
+        runtime.close()
+        ref = weakref.ref(runtime)
+        del runtime
+        gc.collect()
+        assert ref() is None
+        assert hub.endpoints[ASN_B] is transport
 
 
 class TestTcpSmoke:
