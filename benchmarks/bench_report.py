@@ -1,53 +1,41 @@
-"""Machine-readable commitment-path benchmark.
+"""Machine-readable commitment-path benchmark: the serial commit gate.
 
-Measures MTT labeling — the serial kernel and the shared-memory worker
-pool (:class:`repro.mtt.pool.LabelPool` via
-:func:`repro.mtt.labeling.label_tree_parallel`) at each width — and
-writes ``BENCH_commit.json`` at the repo root so regressions are
-diffable.  Serial and every pool width are measured on three traffic
-shapes:
+Measures the serial MTT labeling kernel
+(:func:`repro.mtt.labeling.label_tree`) and writes ``BENCH_commit.json``
+at the repo root so regressions are diffable.  Three traffic shapes:
 
 * ``fresh_tree`` — a new ``Mtt.build`` for every round, which is what
   the proof generator does for a reconstruction: every round pays the
-  schedule and, on the pool, a program install;
+  schedule;
 * ``same_tree`` — one tree object relabeled with new randomness: the
-  schedule and the installed program are reused.  The floor a retained
-  tree can reach;
+  schedule is reused.  The floor a retained tree can reach;
 * ``churn_tree`` — what the recorder does: one retained tree, and
   before every round ``CHURN_SHARE`` of its prefixes get new bits
   (``set_bits``), one prefix is inserted and one removed, so every
-  round pays the edits, a schedule rebuild and, on the pool, an install
-  (the program holds the bits).  Every round's root is checked against
-  a from-scratch ``Mtt.build`` + serial labeling of the same entries.
+  round pays the edits and a schedule rebuild.  Every round's root is
+  checked against a from-scratch ``Mtt.build`` + labeling of the same
+  entries.
 
 Each row reports the whole labeling call (``round_seconds``: schedule,
-CSPRNG draw, install, hash pass, copy-back), its hash phase alone
-(``hash_seconds``, the part the pool parallelizes) and, for the pool,
-the install share (``install_seconds``) and the one-time worker spawn
-(``spawn_seconds``).  ``cores`` is recorded so the pool numbers can be
-interpreted: with fewer cores than workers the pool cannot win.  Also:
-a ``trajectory`` block — the named snapshots of the committed
-``BENCH_commit.json``, carried forward, plus this run as ``current`` —
-and the proof generator's reconstruction-cache hit rate.  The
-CSPRNG draw runs on whichever RC4 engine is present (the C ARC4 of
+CSPRNG draw, hash pass) and its hash phase alone (``hash_seconds``).
+Also: ``cores``, a ``trajectory`` block — the named snapshots of the
+committed ``BENCH_commit.json``, carried forward, plus this run as
+``current`` — and the proof generator's reconstruction-cache hit rate.
+The CSPRNG draw runs on whichever RC4 engine is present (the C ARC4 of
 ``cryptography`` for every seed here, else the pure-Python one): same
-roots, different round times.
+roots, different round times.  End-to-end and per-layer costs are
+``benchmarks/e2e``'s; this file gates the labeling kernel alone.
 
 CI runs ``--quick --check-against BENCH_commit.json``: a fast pass that
 fails if (a) serial same-tree cost per node regresses back to the seed
 baseline (ns/node is box-sensitive but the seed ran on a
 comparable-or-faster box, so this is a loose no-regression floor),
-(b) on a runner with ≥ 4 cores, the warm pool at 4 workers is slower
-than serial on the same tree in the same run (hash phase against hash
-phase — the shape the pool was built for, and a same-box comparison so
-it is machine-independent), (c) any row's roots differ from serial's on
-the same tree, or a ``churn_tree`` round's from the from-scratch build's,
-or (d) a serial ``churn_tree`` round costs more than ``CHURN_BOUND`` ×
-relabeling the same tree unedited, measured alternately in the same
-row — the retained tree's promise, again a same-box comparison.  ``fresh_tree`` rows and the pool's
-``churn_tree`` rows are timed but not gated: there the pool loses today,
-which is the number the ROADMAP's keep-or-delete decision on
-``mtt/pool.py`` needs.  Quick mode writes no files.
+(b) a fresh tree's roots differ from the same tree's, or a
+``churn_tree`` round's from the from-scratch build's, or (c) a
+``churn_tree`` round costs more than ``CHURN_BOUND`` × relabeling the
+same tree unedited, measured alternately in the same row — the
+retained tree's promise, a same-box comparison.  ``fresh_tree``'s
+time is not gated.  Quick mode writes no files.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
 """
@@ -63,9 +51,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.crypto.rc4 import Rc4Csprng  # noqa: E402
 from repro.harness.experiments import run_replay_experiment  # noqa: E402
-from repro.mtt.labeling import label_tree, \
-    label_tree_parallel  # noqa: E402
-from repro.mtt.pool import LabelPool  # noqa: E402
+from repro.mtt.labeling import label_tree  # noqa: E402
 from repro.mtt.tree import Mtt  # noqa: E402
 from repro.obs.export import snapshot  # noqa: E402
 from repro.obs.registry import Registry, use_registry  # noqa: E402
@@ -74,7 +60,6 @@ from repro.traces.workload import generate_prefixes  # noqa: E402
 N_PREFIXES = 2000
 K = 50
 ROUNDS = 3
-POOL_WIDTHS = (2, 4, 8)
 #: Per-round CSPRNG seeds; the first is the one whose root on the full
 #: workload, a4254237…, has been this file's ``golden_root`` since PR 9.
 SEEDS = (b"bench-pool", b"bench-1", b"bench-2")
@@ -89,7 +74,7 @@ SEEDS = (b"bench-pool", b"bench-1", b"bench-2")
 #: instead of editing it reads 1.84 x there and 2.5 x at 2 000 x 50.
 CHURN_SHARE = 0.003
 CHURN_BOUND = 1.3
-#: Rounds of the serial ``churn_tree`` row, the gated one: on a shared
+#: Rounds of the ``churn_tree`` row: on a shared
 #: box best-of-3 reads 1.11-1.25 for a ratio that best-of-8 puts at
 #: 1.08-1.14 (six runs each, 600 x 50, pure-Python draw).
 CHURN_ROUNDS = 8
@@ -104,56 +89,47 @@ def build_entries(n_prefixes: int, k: int) -> dict:
     return {p: [1] * k for p in generate_prefixes(n_prefixes, seed=7)}
 
 
-def timing_row(walls: list, reports: list, tree: Mtt, pool) -> dict:
+def timing_row(walls: list, reports: list, tree: Mtt) -> dict:
     """What every shape reports about its best round."""
     best = min(range(len(walls)), key=walls.__getitem__)
-    row = {
+    return {
         "round_seconds": round(walls[best], 4),
         "hash_seconds": round(min(r.seconds for r in reports), 4),
         "ns_per_node": round(
             walls[best] / tree.census().total * 1e9, 1),
     }
-    if pool is not None:
-        row["install_seconds"] = round(reports[best].spinup_seconds, 4)
-        row["mode"] = reports[best].mode
-        row["jobs"] = reports[best].jobs
-    return row
 
 
-def measure(entries: dict, rounds: int, fresh: bool, width: int = 1,
-            pool=None) -> dict:
+def measure(entries: dict, rounds: int, fresh: bool) -> dict:
     """Best-of-``rounds`` labeling on one traffic shape.
 
     ``fresh`` builds a new tree for every round (outside the timed
     region: ``Mtt.build`` costs the same on every row); otherwise one
-    tree is labeled once untimed — building its schedule and installing
-    its program — and then relabeled.  Every row draws round ``i``
-    from ``SEEDS[i]``, so roots are comparable across rows.
+    tree is labeled once untimed — building its schedule — and then
+    relabeled.  Every row draws round ``i`` from ``SEEDS[i]``, so roots
+    are comparable across rows.
     """
     tree = Mtt.build(entries)
     if not fresh:
-        label_tree_parallel(tree, Rc4Csprng(b"warm-up"), workers=width,
-                            pool=pool)
+        label_tree(tree, Rc4Csprng(b"warm-up"))
     walls, reports = [], []
     for i in range(rounds):
         if fresh:
             tree = Mtt.build(entries)
         start = time.perf_counter()
-        reports.append(label_tree_parallel(
-            tree, Rc4Csprng(SEEDS[i]), workers=width, pool=pool))
+        reports.append(label_tree(tree, Rc4Csprng(SEEDS[i])))
         walls.append(time.perf_counter() - start)
-    return dict(timing_row(walls, reports, tree, pool),
+    return dict(timing_row(walls, reports, tree),
                 roots=[r.root_label.hex() for r in reports])
 
 
-def measure_churn(entries: dict, rounds: int, width: int = 1,
-                  pool=None) -> dict:
+def measure_churn(entries: dict, rounds: int) -> dict:
     """Best-of-``rounds`` on one retained tree that is edited before
     every round; the timed region is the edits plus the labeling call.
 
-    The edits are a function of the round number alone, so every row
+    The edits are a function of the round number alone, so every run
     labels the same sequence of tables.  After each round the entries
-    are built and labeled from scratch (untimed, serial) and the roots
+    are built and labeled from scratch (untimed) and the roots
     compared: the edited tree must be the built tree.  Each round is
     preceded by a timed relabel of the tree as it stands, so
     ``vs_same_tree`` compares neighbours in time, not two phases of a
@@ -163,8 +139,7 @@ def measure_churn(entries: dict, rounds: int, width: int = 1,
     spare = [p for p in generate_prefixes(len(entries) + 64, seed=11)
              if p not in current]
     tree = Mtt.build(current)
-    label_tree_parallel(tree, Rc4Csprng(b"warm-up"), workers=width,
-                        pool=pool)
+    label_tree(tree, Rc4Csprng(b"warm-up"))
     unedited, walls, reports, matches = [], [], [], []
     for i in range(rounds):
         rng = random.Random(i)
@@ -173,8 +148,7 @@ def measure_churn(entries: dict, rounds: int, width: int = 1,
         touched = [p for p in rng.sample(
             known, max(1, round(CHURN_SHARE * len(known)))) if p != gone]
         start = time.perf_counter()
-        label_tree_parallel(tree, Rc4Csprng(b"unedited"), workers=width,
-                            pool=pool)
+        label_tree(tree, Rc4Csprng(b"unedited"))
         unedited.append(time.perf_counter() - start)
         start = time.perf_counter()
         for prefix in touched:
@@ -183,59 +157,35 @@ def measure_churn(entries: dict, rounds: int, width: int = 1,
             current[prefix] = bits
         tree.remove(gone)
         tree.insert(new, current[gone])
-        reports.append(label_tree_parallel(
-            tree, Rc4Csprng(SEEDS[i % len(SEEDS)]), workers=width,
-            pool=pool))
+        reports.append(label_tree(tree, Rc4Csprng(SEEDS[i % len(SEEDS)])))
         walls.append(time.perf_counter() - start)
         current[new] = current.pop(gone)
         matches.append(reports[-1].root_label == label_tree(
             Mtt.build(current),
             Rc4Csprng(SEEDS[i % len(SEEDS)])).root_label)
-    return dict(timing_row(walls, reports, tree, pool),
+    return dict(timing_row(walls, reports, tree),
                 vs_same_tree=round(min(walls) / min(unedited), 3),
                 edits_per_round={"set_bits": len(touched), "insert": 1,
                                  "remove": 1},
                 root_matches_scratch=all(matches))
 
 
-def measure_all(entries: dict, widths, rounds: int) -> dict:
-    """Serial and every pool width on all three shapes.
+def measure_all(entries: dict, rounds: int) -> dict:
+    """The serial kernel on all three shapes.
 
-    Every pool row is checked against the serial roots of the same
-    round seeds, so the byte-identical-roots criterion is checked *in
-    the benchmark*, not just in tests.
+    The fresh-tree roots are checked against the same-tree roots of
+    the same round seeds, so the byte-identical-roots criterion is
+    checked *in the benchmark*, not just in tests.
     """
-    shapes = ("fresh_tree", "same_tree")
-    serial = {shape: measure(entries, rounds, fresh=shape == "fresh_tree")
-              for shape in shapes}
-    serial["churn_tree"] = measure_churn(entries, CHURN_ROUNDS)
-    golden = serial["same_tree"]["roots"]
-    serial["same_tree"]["speedup_vs_seed"] = round(
-        SEED_BASELINE["label_total_seconds"]
-        / serial["same_tree"]["round_seconds"], 2)
-    pools = {}
-    for width in widths:
-        pool = LabelPool(width)
-        try:
-            rows = {shape: measure(entries, rounds,
-                                   fresh=shape == "fresh_tree",
-                                   width=width, pool=pool)
-                    for shape in shapes}
-            rows["churn_tree"] = measure_churn(entries, rounds,
-                                               width=width, pool=pool)
-        finally:
-            pool.close()
-        for shape in (*shapes, "churn_tree"):
-            rows[shape]["speedup_vs_serial"] = round(
-                serial[shape]["round_seconds"]
-                / rows[shape]["round_seconds"], 2)
-        rows["spawn_seconds"] = round(pool.spinup_seconds, 4)
-        pools[str(width)] = rows
-    for rows in (serial, *pools.values()):
-        for shape in shapes:
-            rows[shape]["root_matches_serial"] = \
-                rows[shape].pop("roots") == golden
-    return {"golden_root": golden[0], "serial": serial, "pool": pools}
+    fresh = measure(entries, rounds, fresh=True)
+    same = measure(entries, rounds, fresh=False)
+    golden = same.pop("roots")
+    same["speedup_vs_seed"] = round(
+        SEED_BASELINE["label_total_seconds"] / same["round_seconds"], 2)
+    fresh["root_matches_same_tree"] = fresh.pop("roots") == golden
+    serial = {"fresh_tree": fresh, "same_tree": same,
+              "churn_tree": measure_churn(entries, CHURN_ROUNDS)}
+    return {"golden_root": golden[0], "serial": serial}
 
 
 def measure_cache_hit_rate(neighbors: int = 8) -> float:
@@ -273,74 +223,43 @@ def check_against(report: dict, path: str) -> int:
       seed baseline (the measurement this repo started from, taken on
       that shape; being slower means the optimization work regressed
       outright);
-    * pool guard (≥ 4 cores only) — the warm pool at 4 workers must not
-      be slower than serial *on the same tree in the same run*, hash
-      phase against hash phase (the randomness draw is serial on both
-      sides).  Same box, same workload, same process: if this fails,
-      the parallel-labeling regression is back;
-    * roots guard — every row produced the serial same-tree roots,
-      and every ``churn_tree`` round, at every width, the root of the
-      from-scratch build of the entries it had been edited to;
-    * churn guard — a serial ``churn_tree`` round (edits, a schedule
-      rebuild, the labeling) costs at most ``CHURN_BOUND`` × a relabel
-      of the same tree without edits, the two measured alternately in
-      one row.  If this fails the retained tree has stopped paying for
-      itself.
+    * roots guard — the fresh-tree rounds produced the same-tree roots,
+      and every ``churn_tree`` round the root of the from-scratch build
+      of the entries it had been edited to;
+    * churn guard — a ``churn_tree`` round (edits, a schedule rebuild,
+      the labeling) costs at most ``CHURN_BOUND`` × a relabel of the
+      same tree without edits, the two measured alternately in one row.
+      If this fails the retained tree has stopped paying for itself.
     """
     with open(path) as handle:
         committed = json.load(handle)
     seed_floor = committed["seed_baseline"]["label_ns_per_node"]
-    serial = report["serial"]["same_tree"]
-    measured_ns = serial["ns_per_node"]
+    serial = report["serial"]
+    measured_ns = serial["same_tree"]["ns_per_node"]
     serial_ok = measured_ns <= seed_floor
-    cores = report["cores"] or 1
+    roots_ok = serial["fresh_tree"]["root_matches_same_tree"] and \
+        serial["churn_tree"]["root_matches_scratch"]
+    churn_ratio = serial["churn_tree"]["vs_same_tree"]
+    churn_ok = churn_ratio <= CHURN_BOUND
     verdict = {
         "serial_same_tree_ns_per_node": measured_ns,
         "seed_baseline_ns_per_node": seed_floor,
         "serial_ok": serial_ok,
-        "cores": cores,
+        "roots_ok": roots_ok,
+        "serial_churn_vs_same_tree": churn_ratio,
+        "churn_bound": CHURN_BOUND,
+        "churn_ok": churn_ok,
+        "ok": serial_ok and roots_ok and churn_ok,
     }
-    pool_ok = True
-    pool4 = report["pool"].get("4", {}).get("same_tree")
-    if cores >= 4 and pool4 is not None and pool4["mode"] == "process":
-        pool_ok = pool4["hash_seconds"] <= serial["hash_seconds"]
-        verdict.update({
-            "pool4_same_tree_hash_seconds": pool4["hash_seconds"],
-            "serial_same_tree_hash_seconds": serial["hash_seconds"],
-            "pool4_speedup": round(
-                serial["hash_seconds"] / pool4["hash_seconds"], 2)
-            if pool4["hash_seconds"] else None,
-            "pool_ok": pool_ok,
-        })
-    else:
-        verdict["pool_check"] = (
-            f"skipped: {cores} core(s), "
-            f"mode={pool4['mode'] if pool4 else 'unmeasured'}")
-    every_row = (report["serial"], *report["pool"].values())
-    roots_ok = all(rows[shape]["root_matches_serial"]
-                   for rows in every_row
-                   for shape in ("fresh_tree", "same_tree")) and \
-        all(rows["churn_tree"]["root_matches_scratch"]
-            for rows in every_row)
-    verdict["roots_ok"] = roots_ok
-    churn_ratio = report["serial"]["churn_tree"]["vs_same_tree"]
-    churn_ok = churn_ratio <= CHURN_BOUND
-    verdict.update({"serial_churn_vs_same_tree": churn_ratio,
-                    "churn_bound": CHURN_BOUND, "churn_ok": churn_ok})
-    verdict["ok"] = serial_ok and pool_ok and roots_ok and churn_ok
     print(json.dumps({"check_against": verdict}, indent=2))
     if not serial_ok:
         print(f"FAIL: serial same-tree {measured_ns:.1f} ns/node "
               f"regressed past the seed baseline {seed_floor:.1f}",
               file=sys.stderr)
-    if not pool_ok:
-        print("FAIL: warm pool at 4 workers is slower than serial on "
-              f"the same tree on a {cores}-core box — the "
-              "parallel-labeling regression is back", file=sys.stderr)
     if not roots_ok:
-        print("FAIL: a row produced a root differing from serial on "
-              "the same tree, or an edited tree's from the from-scratch "
-              "build's", file=sys.stderr)
+        print("FAIL: a fresh tree's root differs from the same tree's, "
+              "or an edited tree's from the from-scratch build's",
+              file=sys.stderr)
     if not churn_ok:
         print(f"FAIL: a serial churn-tree round costs {churn_ratio} x a "
               f"same-tree round (bound {CHURN_BOUND}) — editing the "
@@ -358,15 +277,15 @@ def main() -> None:
              "file writes — the CI smoke configuration")
     parser.add_argument(
         "--check-against", metavar="PATH",
-        help="verify serial/pool guards against a committed "
-             "BENCH_commit.json (exit 1 on regression)")
+        help="verify the serial-floor, roots and churn guards against "
+             "a committed BENCH_commit.json (exit 1 on regression)")
     args = parser.parse_args()
     committed = os.path.join(os.path.dirname(__file__), "..",
                              "BENCH_commit.json")
     if args.quick:
-        n_prefixes, k, rounds, widths = 600, 50, 2, (4,)
+        n_prefixes, k, rounds = 600, 50, 2
     else:
-        n_prefixes, k, rounds, widths = N_PREFIXES, K, ROUNDS, POOL_WIDTHS
+        n_prefixes, k, rounds = N_PREFIXES, K, ROUNDS
 
     # The whole run reports into a fresh obs registry, whose snapshot is
     # written next to the BENCH json for cost attribution
@@ -385,19 +304,14 @@ def main() -> None:
             },
             "cores": os.cpu_count(),
             "seed_baseline": SEED_BASELINE,
-            **measure_all(entries, widths, rounds),
+            **measure_all(entries, rounds),
         }
         report["trajectory"] = dict(
             committed_history(committed),
             current={
-                shape: {
-                    "serial_seconds":
-                        report["serial"][shape]["round_seconds"],
-                    "pool_seconds": {
-                        width: rows[shape]["round_seconds"]
-                        for width, rows in report["pool"].items()},
-                } for shape in ("fresh_tree", "same_tree",
-                                "churn_tree")})
+                f"serial_{shape}_seconds":
+                    report["serial"][shape]["round_seconds"]
+                for shape in ("fresh_tree", "same_tree", "churn_tree")})
         if not args.quick:
             report["proofgen_cache_hit_rate"] = round(
                 measure_cache_hit_rate(), 4)

@@ -10,7 +10,7 @@ from .hashing import DIGEST_SIZE, bit_commitment, digest, digest_concat, \
 from .keys import Identity, KeyRegistry, UnknownKeyError, make_identity
 from .rc4 import Rc4, Rc4Csprng
 from .rsa import PrivateKey, PublicKey, generate_keypair, sign, verify
-from .signatures import CryptoStats, Signed, Signer, Verifier
+from .signatures import Signed, Signer, Verifier
 
 __all__ = [
     "DIGEST_SIZE",
@@ -29,7 +29,6 @@ __all__ = [
     "generate_keypair",
     "sign",
     "verify",
-    "CryptoStats",
     "Signed",
     "Signer",
     "Verifier",

@@ -6,8 +6,8 @@ provides:
 * :class:`Signed` — an envelope binding a payload to its signer's AS number,
   so a signature can always be attributed;
 * :class:`Signer` / :class:`Verifier` — per-AS signing and verification
-  frontends that also keep operation counters, which the evaluation uses to
-  attribute CPU cost to cryptography (Section 7.5);
+  frontends that also publish operation counters to the obs registry, which
+  the evaluation uses to attribute CPU cost to cryptography (Section 7.5);
 * :meth:`Signer.sign_batch` — "routers can sign messages in batches"
   (Section 6.2), which is why the paper observes only 3,913 signatures
   for 38,696 BGP updates; the recorder's outbox decides what a batch is.
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import rsa
-from ..obs.registry import Registry, get_registry
+from ..obs.registry import get_registry
 from .hashing import DIGEST_SIZE, constant_time_eq, digest, \
     digest_fields
 from .keys import Identity, KeyRegistry
@@ -77,38 +77,19 @@ def _batch_root(signer: int, digests: Sequence[bytes]) -> bytes:
     return digest_fields(b"batch", signer.to_bytes(4, "big"), *digests)
 
 
-# Mutable accumulator by design: counters are merged in place.
-@dataclass
-class CryptoStats:  # spiderlint: disable=SPDR005
-    """Counters for signature operations (for the Section 7.5 breakdown)."""
-
-    signatures_made: int = 0
-    signatures_checked: int = 0
-    payloads_signed: int = 0  # counts batched payloads individually
-
-    def merge(self, other: "CryptoStats") -> None:
-        self.signatures_made += other.signatures_made
-        self.signatures_checked += other.signatures_checked
-        self.payloads_signed += other.payloads_signed
-
-
 class Signer:
     """Signs payloads on behalf of one AS identity.
 
-    Besides the legacy :class:`CryptoStats` counters, every operation is
-    published to the instrumentation registry: ``signatures_made_total``
-    / ``payloads_signed_total`` counters, a ``sign_seconds`` duration
-    histogram, and a ``sign_batch_size`` histogram recording how well
-    Nagle batching amortizes RSA operations (Section 6.2 / 7.5).
+    Every operation is published to the default registry:
+    ``signatures_made_total`` / ``payloads_signed_total`` counters
+    (labeled by ``node``), a ``sign_seconds`` duration histogram, and a
+    ``sign_batch_size`` histogram recording how well Nagle batching
+    amortizes RSA operations (Section 6.2 / 7.5).
     """
 
-    def __init__(self, identity: Identity,
-                 stats: Optional[CryptoStats] = None,
-                 registry: Optional[Registry] = None):
+    def __init__(self, identity: Identity):
         self.identity = identity
-        self.stats = stats if stats is not None else CryptoStats()
-        self._registry = registry if registry is not None \
-            else get_registry()
+        self._registry = get_registry()
 
     @property
     def asn(self) -> int:
@@ -127,8 +108,6 @@ class Signer:
         start = time.perf_counter()
         signature = rsa.sign(self.identity.private_key,
                              _single_root(self.asn, payload))
-        self.stats.signatures_made += 1
-        self.stats.payloads_signed += 1
         self._observe(1, time.perf_counter() - start)
         return Signed(signer=self.asn, payload=payload, signature=signature)
 
@@ -146,8 +125,6 @@ class Signer:
         digests = tuple(digest(p) for p in payloads)
         signature = rsa.sign(self.identity.private_key,
                              _batch_root(self.asn, digests))
-        self.stats.signatures_made += 1
-        self.stats.payloads_signed += len(payloads)
         self._observe(len(payloads), time.perf_counter() - start)
         return [
             Signed(signer=self.asn, payload=p, signature=signature,
@@ -160,16 +137,12 @@ class Verifier:
     """Verifies :class:`Signed` envelopes against a key registry.
 
     Publishes ``signatures_checked_total`` (labeled by outcome) and a
-    ``verify_seconds`` histogram alongside the legacy counters.
+    ``verify_seconds`` histogram to the default registry.
     """
 
-    def __init__(self, registry: KeyRegistry,
-                 stats: Optional[CryptoStats] = None,
-                 obs_registry: Optional[Registry] = None):
+    def __init__(self, registry: KeyRegistry):
         self.registry = registry
-        self.stats = stats if stats is not None else CryptoStats()
-        self._obs = obs_registry if obs_registry is not None \
-            else get_registry()
+        self._obs = get_registry()
 
     def verify(self, signed: Signed) -> bool:
         """Check attribution and signature; False on any mismatch."""
@@ -188,7 +161,6 @@ class Verifier:
                 self._obs.counter("signatures_checked_total",
                                   outcome="bad_batch").inc()
                 return False
-        self.stats.signatures_checked += 1
         start = time.perf_counter()
         ok = rsa.verify(self.registry.public_key(signed.signer),
                         signed.signed_bytes(), signed.signature)

@@ -9,19 +9,17 @@ modules print the same rows the paper reports and assert the qualitative
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from ..bgp.prefix import Prefix
-from ..core.bits import compute_bits
-from ..core.promise import total_order_promise
 from ..crypto.rc4 import Rc4Csprng
-from ..mtt.labeling import label_tree, label_tree_parallel
-from ..mtt.pool import LabelPool
-from ..mtt.stats import PAPER_CENSUS, predict_census
+from ..mtt.labeling import label_tree
+from ..mtt.stats import PAPER_CENSUS
 from ..mtt.tree import Mtt, NodeCensus
 from ..netsim.network import BGP_TRAFFIC, Network, TraceEvent
 from ..netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
+from ..obs.dump import cpu_split
+from ..obs.registry import get_registry
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind
 from ..spider.node import PROOF_TRAFFIC, SPIDER_TRAFFIC, \
@@ -85,21 +83,9 @@ class ReplayResult:
 
     # -- Section 7.5 -----------------------------------------------------
     def cpu_breakdown(self) -> Dict[str, float]:
-        """signatures / mtt / other, mirroring the §7.5 attribution.
-
-        'handling' wraps all message processing and *includes* its
-        nested signature work, so other = handling − signatures (the
-        one commitment signature per interval signed outside handling
-        is a negligible approximation error).
-        """
-        signatures = self.cpu_sections.get("signatures", 0.0)
-        handling = self.cpu_sections.get("handling", 0.0)
-        mtt = self.cpu_sections.get("mtt", 0.0)
-        return {
-            "signatures": signatures,
-            "mtt": mtt,
-            "other": max(0.0, handling - signatures),
-        }
+        """signatures / mtt / other: the §7.5 split of
+        :func:`repro.obs.dump.cpu_split`."""
+        return cpu_split(self.cpu_sections)
 
     def cpu_total(self) -> float:
         breakdown = self.cpu_breakdown()
@@ -126,6 +112,7 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
         # commitments per replay period matches the paper's (~13).
         commit_interval = max(PAPER_COMMIT_INTERVAL * scale, 0.05)
 
+    registry = get_registry()  # the one every signer below reports to
     network = Network(figure5_topology())
     deployment = SpiderDeployment(
         network, scheme=evaluation_scheme(k),
@@ -140,7 +127,8 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
     network.run_until(trace.setup_end)
     node5 = deployment.node(FOCUS_AS)
     cpu_before = dict(node5.cpu.seconds_by_section)
-    sigs_before = node5.recorder.signer.stats.signatures_made
+    node_label = f"as{FOCUS_AS}"
+    sigs_before = registry.total("signatures_made_total", node=node_label)
 
     # Replay period with periodic commitments at the focus AS.
     recorder = node5.recorder
@@ -175,8 +163,9 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
         network=network, deployment=deployment,
         setup_end=trace.setup_end, replay_end=trace.replay_end,
         commitments_made=periodic_count, cpu_sections=cpu_sections,
-        signature_count=(node5.recorder.signer.stats.signatures_made
-                         - sigs_before),
+        signature_count=int(registry.total("signatures_made_total",
+                                           node=node_label)
+                            - sigs_before),
         last_census=last_census)
 
 
@@ -221,56 +210,24 @@ class LabelingResult:
     k: int
     #: Hash phase of the serial kernel
     #: (:func:`repro.mtt.labeling.label_tree`), best of the rounds on
-    #: one tree — the baseline for :meth:`pool_speedup`.
+    #: one tree.
     sequential_seconds: float
     hash_count: int
-    #: workers → hash phase of a warm real-pool round relabeling the
-    #: *same* tree (program installed once); the deployment path edits
-    #: its tree before most rounds and pays the install each time,
-    #: which ``benchmarks/bench_report.py`` measures as ``churn_tree``.
-    pool_seconds: Dict[int, float] = field(default_factory=dict)
-    #: workers → one-time pool spawn + program install cost.
-    pool_spinup_seconds: Dict[int, float] = field(default_factory=dict)
-
-    def pool_speedup(self, workers: int) -> float:
-        return self.sequential_seconds / self.pool_seconds[workers]
 
 
 def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
-                        seed: int = 7,
-                        pool_workers: Tuple[int, ...] = (),
-                        ) -> LabelingResult:
-    """Serial labeling time, plus the real worker pool's
-    (:func:`label_tree_parallel` on a :class:`LabelPool`) at each
-    width in ``pool_workers`` — meaningful as a speedup only at widths
-    the box has cores for, which is the caller's to check."""
+                        seed: int = 7) -> LabelingResult:
+    """Serial labeling time: the hash phase, best of two rounds
+    relabeling one tree."""
     from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
     tree = Mtt.build({p: [1] * k for p in prefixes})
     serial = [label_tree(tree, Rc4Csprng(b"label-exp"))
               for _ in range(2)]
-    pool_seconds: Dict[int, float] = {}
-    pool_spinup_seconds: Dict[int, float] = {}
-    for c in pool_workers:
-        pool = LabelPool(c)
-        try:
-            # The first round installs the program; the rest are warm.
-            reports = [label_tree_parallel(tree, Rc4Csprng(b"label-exp"),
-                                           workers=c, pool=pool)
-                       for _ in range(3)]
-        finally:
-            pool.close()
-        if any(r.root_label != serial[0].root_label for r in reports):
-            raise RuntimeError("pool labeling diverged from serial")
-        pool_seconds[c] = min(r.seconds for r in reports[1:])
-        pool_spinup_seconds[c] = pool.spinup_seconds + \
-            reports[0].spinup_seconds
     return LabelingResult(n_prefixes=n_prefixes, k=k,
                           sequential_seconds=min(r.seconds
                                                  for r in serial),
-                          hash_count=serial[0].hash_count,
-                          pool_seconds=pool_seconds,
-                          pool_spinup_seconds=pool_spinup_seconds)
+                          hash_count=serial[0].hash_count)
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,17 @@ Section 7 categories.
 and prints the cost table the evaluation sections report:
 
 * **§7.5 CPU** — seconds split into signatures / MTT labeling / other
-  (other = message handling minus its nested signature work, exactly as
-  :meth:`repro.harness.experiments.ReplayResult.cpu_breakdown` computes
-  it), with shares;
+  (other = message handling minus its nested signature work:
+  :func:`cpu_split`, which
+  :meth:`repro.harness.experiments.ReplayResult.cpu_breakdown` also
+  calls), with shares;
 * **§7.6 traffic** — bytes by category (BGP vs. SPIDeR vs. proof
   traffic) plus transport frame counts;
 * **§7.7 storage** — durable bytes by kind (log, commitments,
   checkpoints).
 
 ``--snapshot FILE`` renders a previously exported JSON snapshot instead
-(e.g. the ``BENCH_*_obs.json`` files the benchmarks write), and
+(e.g. the ``BENCH_commit_obs.json`` the commit benchmark writes), and
 ``--format json|prom`` emits the raw exporter output for piping.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .export import snapshot as export_snapshot, to_json, to_prometheus
 from .registry import Registry, use_registry
@@ -65,19 +66,27 @@ def counter_total(snap: Dict[str, Any], name: str) -> float:
                if entry["name"] == name)
 
 
-def cpu_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
-    """§7.5: signatures / mtt / other from the CPU section counters."""
-    sections = counter_by_label(snap, "cpu_seconds_total", "section")
+def cpu_split(sections: Mapping[str, float]) -> Dict[str, float]:
+    """§7.5: signatures / mtt / other from CPU seconds by section.
+
+    ``handling`` wraps all message processing and *includes* its nested
+    signature work, so other = handling − signatures (the one commitment
+    signature per interval signed outside handling is a negligible
+    approximation error).  Sections outside the recorder's three count
+    as "other" too.
+    """
     signatures = sections.get("signatures", 0.0)
-    mtt = sections.get("mtt", 0.0)
-    handling = sections.get("handling", 0.0)
-    other = max(0.0, handling - signatures)
-    # Sections outside the recorder's three (future layers may add
-    # their own) count as "other" too.
+    other = max(0.0, sections.get("handling", 0.0) - signatures)
     for name, seconds in sections.items():
         if name not in ("signatures", "mtt", "handling"):
             other += seconds
-    return {"signatures": signatures, "mtt": mtt, "other": other}
+    return {"signatures": signatures, "mtt": sections.get("mtt", 0.0),
+            "other": other}
+
+
+def cpu_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
+    """§7.5 split of a snapshot's ``cpu_seconds_total`` counters."""
+    return cpu_split(counter_by_label(snap, "cpu_seconds_total", "section"))
 
 
 def traffic_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
@@ -170,9 +179,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--snapshot", metavar="FILE",
                         help="read an exported JSON snapshot instead of "
                              "running the two-node scenario")
-    parser.add_argument("--scenario", choices=("loopback",),
-                        default="loopback",
-                        help="workload to run when no snapshot is given")
     parser.add_argument("--format", choices=("table", "json", "prom"),
                         default="table")
     args = parser.parse_args(argv)

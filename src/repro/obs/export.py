@@ -3,7 +3,7 @@
 Two formats cover the two consumers:
 
 * :func:`snapshot` / :func:`to_json` — a structured dump of every
-  metric and span, written alongside the ``BENCH_*.json`` reports and
+  metric and span, written alongside ``BENCH_commit.json`` and
   consumed by ``python -m repro.obs.dump --snapshot``;
 * :func:`to_prometheus` — the text exposition format, one line per
   sample, for scraping a long-running deployment.

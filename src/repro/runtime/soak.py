@@ -1,8 +1,8 @@
 """Many-peer soak: one node runtime under 50+ concurrent sessions.
 
-The single-peer benchmarks in ``benchmarks/bench_runtime.py`` measure
-the wire path in isolation; this scenario measures the *runtime* under
-fan-in.  One hub :class:`~repro.runtime.node_runtime.NodeRuntime` —
+The pipeline benchmark (``benchmarks/e2e``) measures the wire path
+with two peers, one window outstanding, and attributes its cost per
+layer; this scenario checks the *runtime* under fan-in.  One hub :class:`~repro.runtime.node_runtime.NodeRuntime` —
 real :class:`~repro.runtime.tcp.TcpTransport`, stepped clock, inbox —
 faces many lightweight peer sessions hosted on a single asyncio event
 loop.  Each peer holds a registered identity, streams pre-signed

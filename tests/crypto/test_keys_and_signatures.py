@@ -4,8 +4,8 @@ import pytest
 
 from repro.crypto import rsa
 from repro.crypto.keys import KeyRegistry, UnknownKeyError, make_identity
-from repro.crypto.signatures import CryptoStats, Signed, Signer, \
-    Verifier
+from repro.crypto.signatures import Signed, Signer, Verifier
+from repro.obs.registry import use_registry
 
 BITS = 512
 
@@ -75,25 +75,6 @@ class TestSignerVerifier:
                         signature=env.signature)
         assert not Verifier(registry).verify(forged)
 
-    def test_stats_counters(self, registry, alice):
-        stats = CryptoStats()
-        signer = Signer(alice, stats=stats)
-        verifier = Verifier(registry, stats=stats)
-        verifier.verify(signer.sign(b"a"))
-        verifier.verify(signer.sign(b"b"))
-        assert stats.signatures_made == 2
-        assert stats.signatures_checked == 2
-        assert stats.payloads_signed == 2
-
-    def test_stats_merge(self):
-        a = CryptoStats(signatures_made=1, signatures_checked=2,
-                        payloads_signed=3)
-        b = CryptoStats(signatures_made=10, signatures_checked=20,
-                        payloads_signed=30)
-        a.merge(b)
-        assert (a.signatures_made, a.signatures_checked,
-                a.payloads_signed) == (11, 22, 33)
-
     def test_wire_size_counts_all_parts(self, alice):
         env = Signer(alice).sign(b"12345")
         assert env.wire_size() == 5 + len(env.signature) + 12
@@ -101,11 +82,7 @@ class TestSignerVerifier:
 
 class TestBatchSigning:
     def test_batch_shares_one_signature(self, registry, alice):
-        stats = CryptoStats()
-        signer = Signer(alice, stats=stats)
-        envs = signer.sign_batch([b"a", b"b", b"c"])
-        assert stats.signatures_made == 1
-        assert stats.payloads_signed == 3
+        envs = Signer(alice).sign_batch([b"a", b"b", b"c"])
         assert len({e.signature for e in envs}) == 1
 
     def test_each_batch_member_verifies_independently(self, registry, alice):
@@ -138,3 +115,58 @@ class TestBatchSigning:
         assert len(envs) == 1
         assert envs[0].batch_digests == ()
         assert Verifier(registry).verify(envs[0])
+
+
+class TestSignatureCounters:
+    """The registry counters are the one tally of signature work: made
+    and payloads per signing node, checked per outcome."""
+
+    @pytest.fixture()
+    def obs(self):
+        with use_registry() as obs:
+            yield obs
+
+    @staticmethod
+    def signed(obs):
+        return (obs.total("signatures_made_total", node="as1"),
+                obs.total("payloads_signed_total", node="as1"))
+
+    @staticmethod
+    def checked(obs):
+        return obs.label_values("signatures_checked_total", "outcome")
+
+    def test_sign_counts_one_signature_one_payload(self, obs, alice):
+        Signer(alice).sign(b"a")
+        assert self.signed(obs) == (1, 1)
+
+    def test_batch_counts_one_signature_per_batch(self, obs, alice):
+        signer = Signer(alice)
+        signer.sign_batch([b"a", b"b", b"c"])
+        assert self.signed(obs) == (1, 3)
+        signer.sign_batch([])
+        assert self.signed(obs) == (1, 3)
+
+    def test_verify_that_reaches_rsa_counts_its_outcome(self, obs,
+                                                        registry, alice):
+        env = Signer(alice).sign(b"a")
+        verifier = Verifier(registry)
+        assert verifier.verify(env)
+        assert self.checked(obs) == {"valid": 1}
+        assert not verifier.verify(Signed(signer=env.signer, payload=b"x",
+                                          signature=env.signature))
+        assert self.checked(obs) == {"valid": 1, "invalid": 1}
+
+    def test_refusals_before_rsa_count_their_reason(self, obs, registry,
+                                                    alice, monkeypatch):
+        envs = Signer(alice).sign_batch([b"a", b"b"])
+        monkeypatch.setattr(rsa, "verify", lambda *_: pytest.fail(
+            "refused envelope reached an RSA check"))
+        verifier = Verifier(registry)
+        assert not verifier.verify(Signed(
+            signer=42, payload=envs[0].payload,
+            signature=envs[0].signature))
+        assert not verifier.verify(Signed(
+            signer=envs[0].signer, payload=envs[0].payload,
+            signature=envs[0].signature,
+            batch_digests=envs[0].batch_digests, batch_index=5))
+        assert self.checked(obs) == {"unknown_signer": 1, "bad_batch": 1}

@@ -8,6 +8,7 @@ from repro.bgp.route import Route
 from repro.core.promise import total_order_promise
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.netsim.events import Simulator
+from repro.obs.registry import use_registry
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind
 from repro.spider.node import evaluation_scheme
@@ -41,8 +42,18 @@ def announce(i):
                                 neighbor=9))
 
 
+def signatures(obs, counter="signatures_made_total"):
+    """What the elector signed, from the registry it reports to."""
+    return obs.total(counter, node=f"as{ELECTOR}")
+
+
 class TestBatching:
-    def test_burst_shares_signatures(self):
+    @pytest.fixture()
+    def obs(self):
+        with use_registry() as obs:
+            yield obs
+
+    def test_burst_shares_signatures(self, obs):
         sim = Simulator()
         recorder, sent = make_recorder(sim)
         for i in range(10):
@@ -52,8 +63,8 @@ class TestBatching:
         assert len(sent) == 10
         # Two RSA operations cover the whole burst: the inner route
         # signatures and the message envelopes.
-        assert recorder.signer.stats.signatures_made == 2
-        assert recorder.signer.stats.payloads_signed == 20
+        assert signatures(obs) == 2
+        assert signatures(obs, "payloads_signed_total") == 20
 
     def test_messages_remain_individually_valid(self):
         sim = Simulator()
@@ -63,14 +74,14 @@ class TestBatching:
         sim.run()
         assert all(m.valid(recorder.registry) for m in sent)
 
-    def test_max_batch_chunks(self):
+    def test_max_batch_chunks(self, obs):
         sim = Simulator()
         recorder, sent = make_recorder(sim, max_batch=4)
         for i in range(10):
             recorder.mirror_sent_update(announce(i))
         sim.run()
         # 10 messages in chunks of 4 → 3 chunks × 2 signatures.
-        assert recorder.signer.stats.signatures_made == 6
+        assert signatures(obs) == 6
 
     def test_commitment_flushes_pending(self):
         sim = Simulator()
@@ -86,7 +97,7 @@ class TestBatching:
         reconstruction_bits = recorder.mtt_entries(recorder.state)
         assert prefix in reconstruction_bits
 
-    def test_mixed_kinds_in_one_batch(self):
+    def test_mixed_kinds_in_one_batch(self, obs):
         sim = Simulator()
         recorder, sent = make_recorder(sim)
         recorder.mirror_sent_update(announce(1))
@@ -98,7 +109,7 @@ class TestBatching:
         assert kinds == {"SpiderAnnounce", "SpiderWithdraw"}
         # Announce adds a route signature; the withdraw shares the
         # envelope batch → 2 signatures total.
-        assert recorder.signer.stats.signatures_made == 2
+        assert signatures(obs) == 2
 
     def test_log_order_preserved(self):
         sim = Simulator()

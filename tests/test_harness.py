@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.harness.experiments import flat_vs_mtt_experiment, \
-    labeling_experiment, mtt_size_experiment, proof_experiment, \
-    run_replay_experiment
+from repro.harness.experiments import ReplayResult, \
+    flat_vs_mtt_experiment, labeling_experiment, mtt_size_experiment, \
+    proof_experiment, run_replay_experiment
 from repro.harness.reporting import format_bytes, format_rate, \
     ratio_note, render_table
+from repro.obs.dump import cpu_attribution
 
 
 class TestReporting:
@@ -56,15 +57,6 @@ class TestLabelingExperiment:
         result = labeling_experiment(n_prefixes=100, k=3)
         assert result.sequential_seconds > 0
         assert result.hash_count > 0
-        assert result.pool_seconds == {}
-
-    def test_real_pool_measurement(self):
-        result = labeling_experiment(n_prefixes=100, k=3,
-                                     pool_workers=(1, 2))
-        assert set(result.pool_seconds) == {1, 2}
-        assert all(s > 0 for s in result.pool_seconds.values())
-        assert all(s > 0 for s in result.pool_spinup_seconds.values())
-        assert result.pool_speedup(1) > 0
 
 
 class TestFlatVsMtt:
@@ -72,6 +64,25 @@ class TestFlatVsMtt:
         result = flat_vs_mtt_experiment(n_prefixes=50, k=5)
         assert result.flat_commitment_bytes == 50 * 20
         assert result.mtt_commitment_bytes == 20
+
+
+class TestCpuSplit:
+    def test_replay_breakdown_and_dump_agree(self):
+        """§7.5's split is stated once: a replay's breakdown and the
+        dump's attribution of the same sections are equal, a section
+        outside the recorder's three included."""
+        sections = {"handling": 5.0, "signatures": 3.0, "mtt": 2.0,
+                    "proofgen": 0.5}
+        replay = ReplayResult(
+            scale=0.0, k=0, commit_interval=0.0, trace=None,
+            network=None, deployment=None, setup_end=0.0, replay_end=0.0,
+            commitments_made=0, cpu_sections=sections, signature_count=0,
+            last_census=None)
+        snap = {"counters": [
+            {"name": "cpu_seconds_total", "labels": {"section": name},
+             "value": seconds} for name, seconds in sections.items()]}
+        assert replay.cpu_breakdown() == cpu_attribution(snap) == {
+            "signatures": 3.0, "mtt": 2.0, "other": 2.5}
 
 
 class TestReplayExperiment:
