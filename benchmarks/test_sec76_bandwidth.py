@@ -58,8 +58,7 @@ def test_verification_traffic_estimate(benchmark, replay, proofs, emit):
 def test_spider_traffic_scales_with_neighbors(benchmark, replay):
     benchmark(lambda: None)
     """More neighbors ⇒ more re-announcements to sign and send."""
-    meters = replay.network.meters
     from repro.spider.node import SPIDER_TRAFFIC
-    hub = meters[2].total(SPIDER_TRAFFIC)      # AS 2: 5 neighbors + feed
-    leaf = meters[10].total(SPIDER_TRAFFIC)    # AS 10: single-homed stub
+    hub = replay.traffic_bytes(2, SPIDER_TRAFFIC)    # 5 neighbors + feed
+    leaf = replay.traffic_bytes(10, SPIDER_TRAFFIC)  # single-homed stub
     assert hub > leaf

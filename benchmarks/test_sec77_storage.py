@@ -17,9 +17,10 @@ def test_log_growth_and_composition(benchmark, replay, emit):
     log_bytes = benchmark.pedantic(replay.log_bytes_replay, rounds=1,
                                    iterations=1)
     log = replay.deployment.node(FOCUS_AS).recorder.log
-    signature_bytes = log.signature_bytes()
     window_entries = log.entries_between(replay.setup_end,
                                          replay.replay_end)
+    # One 64-B signature per logged message: the simulated ASes sign
+    # with SpiderDeployment's 512-bit keys.
     signature_share = (
         sum(1 for e in window_entries
             if e.kind not in (EntryKind.COMMITMENT,

@@ -54,7 +54,7 @@ class Signed:
         return _single_root(self.signer, self.payload)
 
     def wire_size(self) -> int:
-        """Serialized size in bytes, used by the bandwidth meter.
+        """Serialized size in bytes, what §7.6's traffic counts.
 
         A batch is transmitted as a unit to one receiver (the recorder
         groups its outbox per neighbor), so the shared signature and

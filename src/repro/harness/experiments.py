@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.rc4 import Rc4Csprng
 from ..mtt.labeling import label_tree
@@ -19,7 +19,7 @@ from ..mtt.tree import Mtt, NodeCensus
 from ..netsim.network import BGP_TRAFFIC, Network, TraceEvent
 from ..netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from ..obs.dump import cpu_split
-from ..obs.registry import get_registry
+from ..obs.registry import Registry, get_registry
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind
 from ..spider.node import PROOF_TRAFFIC, SPIDER_TRAFFIC, \
@@ -32,6 +32,26 @@ FEED = 65000
 
 # ----------------------------------------------------------------------
 # The main replay experiment (powers E8/E9/E10 and parts of E3)
+
+
+#: Bytes sent, by ``(node, category)``: one reading of the
+#: ``traffic_bytes_total`` series.
+Traffic = Dict[Tuple[str, str], int]
+
+
+def read_traffic(registry: Registry) -> Traffic:
+    """Every ``traffic_bytes_total`` series, by ``(node, category)``."""
+    out: Traffic = {}
+    for metric in registry.metrics():
+        if metric.name == "traffic_bytes_total":
+            labels = dict(metric.labels)
+            out[labels["node"], labels["category"]] = int(metric.value)
+    return out
+
+
+def _sent_between(before: Traffic, after: Traffic) -> Traffic:
+    return {key: nbytes - before.get(key, 0)
+            for key, nbytes in after.items()}
 
 
 @dataclass
@@ -51,15 +71,29 @@ class ReplayResult:
     cpu_sections: Dict[str, float]
     signature_count: int
     last_census: Optional[NodeCensus]
+    #: Bytes sent in the half-open replay window ``[setup_end,
+    #: replay_end)``: each edge was read before anything stamped at it
+    #: ran.
+    window_traffic: Traffic
+    #: Bytes sent over the whole run.
+    traffic: Traffic
 
     # -- Section 7.6 -----------------------------------------------------
+    def traffic_bytes(self, asn: int, category: str) -> int:
+        """What ``asn`` sent under ``category`` over the whole run."""
+        return self.traffic.get((f"as{asn}", category), 0)
+
+    def _rate_bps(self, category: str) -> float:
+        """AS 5's average send rate over the replay window, in the
+        paper's bits per second."""
+        sent = self.window_traffic.get((f"as{FOCUS_AS}", category), 0)
+        return sent * 8 / (self.replay_end - self.setup_end)
+
     def bgp_rate_bps(self) -> float:
-        return self.network.meter(FOCUS_AS).rate_bps(
-            BGP_TRAFFIC, self.setup_end, self.replay_end)
+        return self._rate_bps(BGP_TRAFFIC)
 
     def spider_rate_bps(self) -> float:
-        return self.network.meter(FOCUS_AS).rate_bps(
-            SPIDER_TRAFFIC, self.setup_end, self.replay_end)
+        return self._rate_bps(SPIDER_TRAFFIC)
 
     # -- Section 7.7 -----------------------------------------------------
     def log_bytes_replay(self) -> int:
@@ -112,7 +146,7 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
         # commitments per replay period matches the paper's (~13).
         commit_interval = max(PAPER_COMMIT_INTERVAL * scale, 0.05)
 
-    registry = get_registry()  # the one every signer below reports to
+    registry = get_registry()  # the one everything below reports to
     network = Network(figure5_topology())
     deployment = SpiderDeployment(
         network, scheme=evaluation_scheme(k),
@@ -120,14 +154,28 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
                             delta=commit_interval / 2,
                             nagle_delay=min(0.05,
                                             commit_interval / 10)))
+
+    traffic_before = read_traffic(registry)
+    # The traffic window's edges are read first among the events at
+    # their instants (ties run in scheduling order, and nothing else is
+    # scheduled yet): a byte sent at exactly setup_end is in the
+    # window, one sent at exactly replay_end is not.
+    edges: List[Traffic] = []
+    for edge in (trace.setup_end, trace.replay_end):
+        network.sim.at(edge, lambda: edges.append(read_traffic(registry)))
     network.attach_feed(INJECTION_AS, feed_asn=FEED)
     network.schedule_trace(FEED, trace.all_events)
 
-    # Setup period: converge the snapshot, then zero the meters.
+    # Setup period: converge the snapshot, then read the CPU sections.
     network.run_until(trace.setup_end)
-    node5 = deployment.node(FOCUS_AS)
-    cpu_before = dict(node5.cpu.seconds_by_section)
     node_label = f"as{FOCUS_AS}"
+    node5 = deployment.node(FOCUS_AS)
+
+    def cpu_seconds() -> Dict[str, float]:
+        return registry.label_values("cpu_seconds_total", "section",
+                                     node=node_label)
+
+    cpu_before = cpu_seconds()
     sigs_before = registry.total("signatures_made_total", node=node_label)
 
     # Replay period with periodic commitments at the focus AS.
@@ -137,7 +185,7 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
                       until=trace.replay_end)
     network.run_until(trace.replay_end + 1.0)
 
-    cpu_after = node5.cpu.seconds_by_section
+    cpu_after = cpu_seconds()
     cpu_sections = {
         name: cpu_after.get(name, 0.0) - cpu_before.get(name, 0.0)
         for name in set(cpu_after) | set(cpu_before)
@@ -166,7 +214,8 @@ def run_replay_experiment(scale: float = 0.002, k: int = 10,
         signature_count=int(registry.total("signatures_made_total",
                                            node=node_label)
                             - sigs_before),
-        last_census=last_census)
+        last_census=last_census, window_traffic=_sent_between(*edges),
+        traffic=_sent_between(traffic_before, read_traffic(registry)))
 
 
 # ----------------------------------------------------------------------

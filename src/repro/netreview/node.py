@@ -116,11 +116,9 @@ class NetReviewDeployment:
 
     def _transport_for(self, sender: int) -> Transport:
         def send(receiver: int, messages: Sequence[object]) -> None:
-            meter = self.network.meters.get(sender)
-            if meter is not None:
-                for message in messages:
-                    meter.record(NETREVIEW_TRAFFIC, message.wire_size(),
-                                 at=self.network.sim.now)
+            for message in messages:
+                self.network.record_traffic(sender, NETREVIEW_TRAFFIC,
+                                            message.wire_size())
             target = self.recorders.get(receiver)
             if target is None:
                 return
@@ -156,10 +154,8 @@ class NetReviewDeployment:
             auditor_exports=auditor_exports,
             participants=self.recorders,
             check_derivation=check_derivation)
-        meter = self.network.meters.get(audited)
-        if meter is not None:
-            meter.record(AUDIT_TRAFFIC, report.disclosed_bytes,
-                         at=self.network.sim.now)
+        self.network.record_traffic(audited, AUDIT_TRAFFIC,
+                                    report.disclosed_bytes)
         return report
 
     def audit_all_neighbors(self, audited: int,

@@ -1,13 +1,12 @@
 """Deterministic event-driven AS-level network simulator.
 
 The stand-in for the paper's 11-machine Quagga cluster: simulated time,
-links with byte metering, the Figure 5 topology, and CPU/traffic/storage
-meters replacing getrusage and tcpdump.
+links whose bytes are counted by category in the :mod:`repro.obs`
+registry (the tcpdump stand-in), and the Figure 5 topology.
 """
 
 from .clock import SimClock, SkewedClock
 from .events import Simulator
-from .metering import CpuMeter, StorageMeter, TrafficMeter
 from .network import BGP_TRAFFIC, Network, TraceEvent
 from .topology import FOCUS_AS, INJECTION_AS, Topology, \
     caida_like_topology, degree_distribution, figure5_topology, \
@@ -15,7 +14,6 @@ from .topology import FOCUS_AS, INJECTION_AS, Topology, \
 
 __all__ = [
     "SimClock", "SkewedClock", "Simulator",
-    "CpuMeter", "StorageMeter", "TrafficMeter",
     "BGP_TRAFFIC", "Network", "TraceEvent",
     "FOCUS_AS", "INJECTION_AS", "Topology", "caida_like_topology",
     "degree_distribution", "figure5_topology",

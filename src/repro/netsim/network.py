@@ -2,8 +2,9 @@
 
 A :class:`Network` instantiates one BGP speaker per AS of a topology,
 delivers UPDATEs over links with a configurable propagation delay, and
-meters every byte by category — the simulator's stand-in for the paper's
-11-machine Quagga testbed with tcpdump capture.
+counts every byte sent by AS and category in the :mod:`repro.obs`
+registry — the simulator's stand-in for the paper's 11-machine Quagga
+testbed with tcpdump capture.
 
 External route feeds (the RouteViews trace injected at AS 2, Figure 5)
 are modeled by :meth:`Network.attach_feed`: a phantom neighbor that only
@@ -21,14 +22,15 @@ from ..bgp.policy import Relation, gao_rexford_policy
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..bgp.speaker import Speaker
+from ..obs.metrics import Counter
+from ..obs.registry import get_registry
 from .events import Simulator
-from .metering import TrafficMeter
 from .topology import Topology
 
 if TYPE_CHECKING:
     from ..bgp.policy import NeighborConfig
 
-#: Traffic-meter category for plain BGP updates (§7.6).
+#: Traffic category for plain BGP updates (§7.6).
 BGP_TRAFFIC = "bgp"
 
 
@@ -56,7 +58,8 @@ class Network:
         self.sim = sim if sim is not None else Simulator()
         self.link_delay = link_delay
         self.speakers: Dict[int, Speaker] = {}
-        self.meters: Dict[int, TrafficMeter] = {}
+        self._obs = get_registry()
+        self._traffic: Dict[Tuple[int, str], Counter] = {}
         self._feeds: Dict[int, int] = {}  # feed ASN -> attachment AS
         for asn in topology.ases:
             relations = topology.relations_of(asn)
@@ -65,28 +68,33 @@ class Network:
             for neighbor in relations:
                 speaker.add_neighbor(neighbor)
             self.speakers[asn] = speaker
-            self.meters[asn] = TrafficMeter(node=f"as{asn}")
 
     def speaker(self, asn: int) -> Speaker:
         return self.speakers[asn]
 
-    def meter(self, asn: int) -> TrafficMeter:
-        return self.meters[asn]
-
     # ------------------------------------------------------------------
     # Message transport
 
+    def record_traffic(self, sender: int, category: str,
+                       nbytes: int) -> None:
+        """Count ``nbytes`` sent by AS ``sender`` now under
+        ``traffic_bytes_total{node, category}`` (§7.6)."""
+        counter = self._traffic.get((sender, category))
+        if counter is None:
+            counter = self._traffic[sender, category] = self._obs.counter(
+                "traffic_bytes_total", node=f"as{sender}",
+                category=category)
+        counter.inc(nbytes)
+
     def schedule_delivery(self, sender: int, category: str, nbytes: int,
                           deliver: Callable[[], None]) -> None:
-        """Meter ``nbytes`` against ``sender`` and schedule ``deliver``
+        """Count ``nbytes`` against ``sender`` and schedule ``deliver``
         after one link delay."""
-        meter = self.meters.get(sender)
-        if meter is not None:
-            meter.record(category, nbytes, at=self.sim.now)
+        self.record_traffic(sender, category, nbytes)
         self.sim.after(self.link_delay, deliver)
 
     def send(self, update: Update) -> None:
-        """Meter and schedule delivery of one UPDATE."""
+        """Count and schedule delivery of one UPDATE."""
         self.schedule_delivery(update.sender, BGP_TRAFFIC,
                                update.wire_size(),
                                lambda: self._deliver(update))
@@ -149,7 +157,7 @@ class Network:
         return Announce(sender=feed_asn, receiver=at_asn, route=route)
 
     def _inject(self, update: Update) -> None:
-        # Feed updates are metered against the feed's attachment AS's
+        # Feed updates are counted against the feed's attachment AS's
         # *incoming* side only via the propagated traffic they cause.
         self._deliver(update)
 

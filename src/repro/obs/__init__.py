@@ -2,21 +2,19 @@
 
 One registry of counters, gauges, log-bucketed histograms, and
 clock-sourced spans that every layer reports into: MTT labeling, batch
-signing, the recorder, retry/backoff delivery, the transports, and the
-network simulator.  The Section 7 meters
-(:mod:`repro.netsim.metering`) are thin views over this registry, and
-the exporters render one coherent snapshot of a whole run
-(:mod:`repro.obs.export`, ``python -m repro.obs.dump``).
+signing, the recorder's §7.5 CPU sections, retry/backoff delivery, the
+transports, and the simulated links' §7.6 traffic.  The Section 7
+experiments read it directly, and the exporters render one coherent
+snapshot of a whole run (:mod:`repro.obs.export`,
+``python -m repro.obs.dump``).
 """
 
 from .export import SCHEMA_VERSION, snapshot, to_json, to_prometheus
 from .metrics import Counter, Gauge, Histogram, Span
-from .registry import Registry, get_registry, next_instance_id, \
-    set_registry, use_registry
+from .registry import Registry, get_registry, set_registry, use_registry
 
 __all__ = [
     "SCHEMA_VERSION", "snapshot", "to_json", "to_prometheus",
     "Counter", "Gauge", "Histogram", "Span",
-    "Registry", "get_registry", "next_instance_id", "set_registry",
-    "use_registry",
+    "Registry", "get_registry", "set_registry", "use_registry",
 ]

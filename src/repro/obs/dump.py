@@ -11,9 +11,10 @@ and prints the cost table the evaluation sections report:
   :meth:`repro.harness.experiments.ReplayResult.cpu_breakdown` also
   calls), with shares;
 * **§7.6 traffic** — bytes by category (BGP vs. SPIDeR vs. proof
-  traffic) plus transport frame counts;
-* **§7.7 storage** — durable bytes by kind (log, commitments,
-  checkpoints).
+  traffic) plus transport frame counts.
+
+§7.7's storage is not a metric: it is the log's own entries
+(:meth:`repro.spider.log.SpiderLog.bytes_by_kind`).
 
 ``--snapshot FILE`` renders a previously exported JSON snapshot instead
 (e.g. the ``BENCH_commit_obs.json`` the commit benchmark writes), and
@@ -27,7 +28,7 @@ import json
 import sys
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .export import snapshot as export_snapshot, to_json, to_prometheus
+from .export import snapshot as export_snapshot, to_prometheus
 from .registry import Registry, use_registry
 
 
@@ -37,27 +38,15 @@ from .registry import Registry, use_registry
 
 def counter_by_label(snap: Dict[str, Any], name: str, label: str
                      ) -> Dict[str, float]:
-    return metric_by_label(snap, name, label, kinds=("counters",))
-
-
-def metric_by_label(snap: Dict[str, Any], name: str, label: str,
-                    kinds: Tuple[str, ...] = ("counters", "gauges"),
-                    ) -> Dict[str, float]:
-    """Aggregate one metric family by a label, across snapshot kinds.
-
-    Storage moved from counters to gauges when trim/compaction started
-    reclaiming bytes, so attribution helpers look the name up in both
-    sections rather than hard-coding the metric kind.
-    """
+    """Aggregate one counter family by a label."""
     out: Dict[str, float] = {}
-    for kind in kinds:
-        for entry in snap.get(kind, ()):
-            if entry["name"] != name:
-                continue
-            key = entry["labels"].get(label)
-            if key is None:
-                continue
-            out[key] = out.get(key, 0) + entry["value"]
+    for entry in snap.get("counters", ()):
+        if entry["name"] != name:
+            continue
+        key = entry["labels"].get(label)
+        if key is None:
+            continue
+        out[key] = out.get(key, 0) + entry["value"]
     return out
 
 
@@ -91,10 +80,6 @@ def cpu_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
 
 def traffic_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
     return counter_by_label(snap, "traffic_bytes_total", "category")
-
-
-def storage_attribution(snap: Dict[str, Any]) -> Dict[str, float]:
-    return metric_by_label(snap, "storage_bytes_total", "kind")
 
 
 # ----------------------------------------------------------------------
@@ -133,13 +118,6 @@ def render_cost_table(snap: Dict[str, Any]) -> str:
             ("bytes", f"{int(frame_bytes):>10} B"),
         ]))
 
-    storage = storage_attribution(snap)
-    if storage:
-        rows = [(kind, f"{int(nbytes):>10} B")
-                for kind, nbytes in sorted(storage.items())]
-        blocks.append(_table("Durable storage by kind (paper §7.7)",
-                             rows))
-
     sigs = counter_total(snap, "signatures_made_total")
     checked = counter_total(snap, "signatures_checked_total")
     payloads = counter_total(snap, "payloads_signed_total")
@@ -163,12 +141,16 @@ def render_cost_table(snap: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Snapshot sources
 
-def scenario_snapshot() -> Dict[str, Any]:
+def scenario_registry() -> Registry:
     """Run the two-node loopback exchange inside a fresh registry."""
     with use_registry(Registry()) as registry:
         from ..runtime.scenario import run_loopback_exchange
         run_loopback_exchange()
-        return export_snapshot(registry)
+    return registry
+
+
+def scenario_snapshot() -> Dict[str, Any]:
+    return export_snapshot(scenario_registry())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -183,30 +165,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default="table")
     args = parser.parse_args(argv)
 
-    if args.snapshot:
-        with open(args.snapshot) as handle:
-            snap = json.load(handle)
-    else:
-        if args.format in ("json", "prom"):
-            # Re-run inside a fresh registry and emit the raw export.
-            with use_registry(Registry()) as registry:
-                from ..runtime.scenario import run_loopback_exchange
-                run_loopback_exchange()
-                if args.format == "json":
-                    print(to_json(registry))
-                else:
-                    sys.stdout.write(to_prometheus(registry))
-            return 0
-        snap = scenario_snapshot()
-
     if args.format == "prom":
-        raise SystemExit(
-            "--format prom requires a live run (omit --snapshot)")
-    try:
-        if args.format == "json":
-            print(json.dumps(snap, indent=2))
+        if args.snapshot:
+            raise SystemExit(
+                "--format prom requires a live run (omit --snapshot)")
+        text = to_prometheus(scenario_registry())
+    else:
+        if args.snapshot:
+            with open(args.snapshot) as handle:
+                snap = json.load(handle)
         else:
-            print(render_cost_table(snap))
+            snap = scenario_snapshot()
+        text = (json.dumps(snap, indent=2) if args.format == "json"
+                else render_cost_table(snap)) + "\n"
+    try:
+        sys.stdout.write(text)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe: not an error.
         sys.stderr.close()

@@ -79,12 +79,6 @@ class Gauge:
         if value > self.high_water:
             self.high_water = value
 
-    def inc(self, amount: float = 1) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "labels": dict(self.labels),
                 "value": self.value, "high_water": self.high_water}

@@ -46,12 +46,9 @@ COMMITMENT_DIRTY_PREFIXES = "commitment_dirty_prefixes"
 # -- SPIDeR node -------------------------------------------------------
 SPIDER_ALARMS_TOTAL = "spider_alarms_total"
 
-# -- meters (Section 7 cost attribution) -------------------------------
+# -- Section 7 cost attribution ---------------------------------------
 TRAFFIC_BYTES_TOTAL = "traffic_bytes_total"
 CPU_SECONDS_TOTAL = "cpu_seconds_total"
-CPU_CALLS_TOTAL = "cpu_calls_total"
-CPU_SECTION_SECONDS = "cpu_section_seconds"
-STORAGE_BYTES_TOTAL = "storage_bytes_total"
 
 # -- runtime delivery --------------------------------------------------
 DELIVERY_TRACKED_TOTAL = "delivery_tracked_total"

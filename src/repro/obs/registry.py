@@ -1,13 +1,14 @@
 """The instrumentation registry: one place every layer reports into.
 
-Sections 7.5–7.7 of the paper attribute cost to categories — CPU into
-signatures / MTT labeling / other, traffic into BGP vs. SPIDeR vs.
-verification, storage growth over time.  Before this module those
-numbers lived in ad-hoc counters scattered across the codebase; the
-registry is the common substrate: every meter, signer, transport, and
-retry loop writes named metrics here, and the exporters
+Sections 7.5 and 7.6 of the paper attribute cost to categories — CPU
+into signatures / MTT labeling / other, traffic into BGP vs. SPIDeR vs.
+verification.  The registry is the one account of those numbers: the
+recorder's CPU sections, the simulated links, the signer, the
+transports and the retry loop write named metrics here, and the
+experiments (:mod:`repro.harness.experiments`), the exporters
 (:mod:`repro.obs.export`) and the dump CLI (:mod:`repro.obs.dump`) read
-one coherent snapshot.
+them back.  (§7.7's storage is the log's own entries:
+:meth:`repro.spider.log.SpiderLog.bytes_by_kind`.)
 
 The registry is **process-wide by default but explicitly injectable**:
 components call :func:`get_registry` at construction unless handed a
@@ -15,16 +16,17 @@ components call :func:`get_registry` at construction unless handed a
 scope (the dump CLI and the benchmarks run workloads inside a fresh
 registry so their snapshots are self-contained).
 
-Metric identity is ``(name, labels)``.  Components that exist many times
-per process (per-AS meters, per-node transports) add an ``instance``
-label from :func:`next_instance_id` so independent objects never share a
-cell; aggregation across instances happens at read time
-(:meth:`Registry.total`, :meth:`Registry.label_values`).
+Metric identity is ``(name, labels)``: a series is keyed by what it
+measures — the ``node`` ("as5") and the category — never by the object
+writing it, so a component rebuilt for the same node (a restarted
+runtime, a re-opened store) keeps adding to the series it had.
+Aggregation happens at read time (:meth:`Registry.total`,
+:meth:`Registry.label_values`); readers that want one run's share take
+the difference of two reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional, Protocol, \
@@ -52,13 +54,6 @@ class ClockLike(Protocol):
 
 #: Spans kept per registry; older spans are dropped (a trace ring).
 MAX_SPANS = 16384
-
-_instance_ids = itertools.count(1)
-
-
-def next_instance_id(prefix: str) -> str:
-    """A process-unique instance label, e.g. ``meter-17``."""
-    return f"{prefix}-{next(_instance_ids)}"
 
 
 class Registry:
@@ -155,12 +150,9 @@ class Registry:
 
     def label_values(self, name: str, label: str,
                      **match: str) -> Dict[str, float]:
-        """Aggregate a metric family by one label's values.
-
-        The backbone of the meter views: e.g. CPU seconds by ``section``
-        for one meter instance, or traffic bytes by ``category`` across
-        the whole process.
-        """
+        """Aggregate a metric family by one label's values: e.g. CPU
+        seconds by ``section`` for one node, or traffic bytes by
+        ``category`` across the whole process."""
         out: Dict[str, float] = {}
         for labels, metric in self._matching(name, match):
             key = labels.get(label)

@@ -20,9 +20,9 @@ accounting model, derived from the payload by :func:`entry_size`.
 
 Retention: verification reaches back at most ``retention_seconds``;
 :meth:`SpiderLog.trim` discards older entries once a newer checkpoint
-covers them.  The log keeps its own Section 7.7 storage account: every
-entry it holds was recorded when it was appended or restored, and is
-released, per storage kind, when it is trimmed.
+covers them.  The Section 7.7 storage account is the entries the log
+holds (:meth:`SpiderLog.bytes_by_kind`), so it follows every append,
+restore and trim without being kept anywhere.
 
 Durability is pluggable: a :class:`LogSink` (the on-disk segmented
 store in :mod:`repro.store`, or nothing for the default in-memory
@@ -133,23 +133,13 @@ class LogSink(Protocol):
         ...
 
 
-class StorageAccount(Protocol):
-    """The slice of :class:`repro.netsim.metering.StorageMeter` the log
-    keeps its §7.7 account in (structural for the same no-cycle reason
-    as :class:`LogSink`)."""
-
-    def record(self, kind: str, nbytes: int) -> None: ...
-
-    def release(self, kind: str, nbytes: int) -> None: ...
-
-
 @dataclass(frozen=True)
 class TrimReport:
     """What one :meth:`SpiderLog.trim` call reclaimed.
 
     ``entries`` counts discarded log entries; ``bytes_reclaimed`` sums
-    their logical ``size_bytes`` (the quantity the storage gauge
-    tracks), split by storage kind in ``bytes_by_kind``.
+    their logical ``size_bytes`` (what the §7.7 account loses), split by
+    storage kind in ``bytes_by_kind``.
     """
 
     entries: int
@@ -158,8 +148,7 @@ class TrimReport:
 
 
 def _bytes_by_kind(entries: Iterable[LogEntry]) -> Dict[str, int]:
-    """Logical bytes per :func:`storage_kind` — what the §7.7 account
-    holds for ``entries`` while they are in the log."""
+    """Logical bytes per :func:`storage_kind` of ``entries``."""
     by_kind: Dict[str, int] = {}
     for entry in entries:
         kind = storage_kind(entry.kind)
@@ -168,18 +157,12 @@ def _bytes_by_kind(entries: Iterable[LogEntry]) -> Dict[str, int]:
 
 
 class SpiderLog:
-    """Append-only hash-chained log with an optional durable sink.
-
-    Every entry it holds is in the ``storage`` account: recorded by
-    :meth:`append` and :meth:`restore`, released by :meth:`trim`.
-    """
+    """Append-only hash-chained log with an optional durable sink."""
 
     def __init__(self, retention_seconds: float = 365 * 24 * 3600,
-                 sink: Optional[LogSink] = None,
-                 storage: Optional[StorageAccount] = None):
+                 sink: Optional[LogSink] = None):
         self.retention_seconds = retention_seconds
         self.sink = sink
-        self.storage = storage
         self._entries: List[LogEntry] = []
         self._head: bytes = bytes(DIGEST_SIZE)
         #: Next index to assign.  Distinct from ``len(self._entries)``
@@ -190,20 +173,15 @@ class SpiderLog:
     @classmethod
     def restore(cls, entries: Iterable[LogEntry],
                 retention_seconds: float = 365 * 24 * 3600,
-                sink: Optional[LogSink] = None,
-                storage: Optional[StorageAccount] = None) -> "SpiderLog":
+                sink: Optional[LogSink] = None) -> "SpiderLog":
         """Rebuild a log from already-persisted entries (crash
         recovery).  The entries are adopted as-is — they are *not*
-        re-appended to the sink — and accounted like appended ones."""
-        log = cls(retention_seconds=retention_seconds, sink=sink,
-                  storage=storage)
+        re-appended to the sink."""
+        log = cls(retention_seconds=retention_seconds, sink=sink)
         log._entries = list(entries)
         if log._entries:
             log._head = log._entries[-1].chain
             log._next_index = log._entries[-1].index + 1
-        if storage is not None:
-            for kind, nbytes in _bytes_by_kind(log._entries).items():
-                storage.record(kind, nbytes)
         return log
 
     def __len__(self) -> int:
@@ -238,8 +216,6 @@ class SpiderLog:
         self._entries.append(entry)
         self._head = chain
         self._next_index = entry.index + 1
-        if self.storage is not None:
-            self.storage.record(storage_kind(kind), entry.size_bytes)
         return entry
 
     def sync(self) -> None:
@@ -301,8 +277,8 @@ class SpiderLog:
     def trim(self, now: float) -> TrimReport:
         """Drop entries older than the retention window, keeping at
         least one checkpoint that predates the window (replay needs a
-        base).  Reclaimed logical bytes are released from the storage
-        account and the durable sink, and reported per kind."""
+        base).  The durable sink reclaims the dropped entries, and their
+        logical bytes are reported per kind."""
         horizon = now - self.retention_seconds
         base: Optional[int] = None  # list position, not entry index
         for position, entry in enumerate(self._entries):
@@ -314,9 +290,6 @@ class SpiderLog:
         dropped = self._entries[:base]  # keep the checkpoint itself
         self._entries = self._entries[base:]
         by_kind = _bytes_by_kind(dropped)
-        if self.storage is not None:
-            for kind, nbytes in sorted(by_kind.items()):
-                self.storage.release(kind, nbytes)
         if self.sink is not None:
             self.sink.trim(self._entries[0].index)
         return TrimReport(entries=len(dropped),
@@ -326,18 +299,14 @@ class SpiderLog:
     # ------------------------------------------------------------------
     # Accounting (Section 7.7)
 
+    def bytes_by_kind(self) -> Dict[str, int]:
+        """The §7.7 account: logical bytes held per :func:`storage_kind`
+        (log, commitments, checkpoints)."""
+        return _bytes_by_kind(self._entries)
+
     def total_bytes(self, *kinds: EntryKind) -> int:
         if kinds:
             wanted = set(kinds)
             return sum(e.size_bytes for e in self._entries
                        if e.kind in wanted)
         return sum(e.size_bytes for e in self._entries)
-
-    def signature_bytes(self) -> int:
-        """Bytes attributable to signatures, assuming RSA-1024 (128 B)
-        per signed message envelope in the log."""
-        message_kinds = {EntryKind.SENT_ANNOUNCE, EntryKind.RECV_ANNOUNCE,
-                         EntryKind.SENT_WITHDRAW, EntryKind.RECV_WITHDRAW,
-                         EntryKind.SENT_ACK, EntryKind.RECV_ACK}
-        count = sum(1 for e in self._entries if e.kind in message_kinds)
-        return count * 128

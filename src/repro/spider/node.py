@@ -4,7 +4,7 @@ A :class:`SpiderNode` bundles the three components of Section 6.1 —
 recorder, proof generator, checker — and hooks them onto one AS's BGP
 speaker.  A :class:`SpiderDeployment` instantiates nodes for every AS of
 a simulated :class:`~repro.netsim.network.Network`, carries SPIDeR
-messages over the same event loop (metered separately from BGP traffic,
+messages over the same event loop (counted separately from BGP traffic,
 as tcpdump separates them in §7.6), and drives verification end to end.
 """
 
@@ -21,7 +21,6 @@ from ..core.verdict import DetectionRecord, FaultKind
 from ..crypto.hashing import constant_time_eq
 from ..core.promise import Promise, total_order_promise
 from ..crypto.keys import Identity, KeyRegistry, make_identity
-from ..netsim.metering import CpuMeter
 from ..netsim.network import Network
 from .checker import Checker, CheckReport
 from .checkpoint import replay
@@ -80,10 +79,6 @@ class SpiderNode:
     @property
     def asn(self) -> int:
         return self.identity.asn
-
-    @property
-    def cpu(self) -> CpuMeter:
-        return self.recorder.cpu
 
     def receive_spider(self, message: object) -> None:
         if isinstance(message, SpiderCommitment):
@@ -200,11 +195,9 @@ class SpiderDeployment:
 
     def _transport_for(self, sender: int) -> Transport:
         def send(receiver: int, messages: Sequence[object]) -> None:
-            meter = self.network.meters.get(sender)
-            if meter is not None:
-                for message in messages:
-                    meter.record(SPIDER_TRAFFIC, message.wire_size(),
-                                 at=self.network.sim.now)
+            for message in messages:
+                self.network.record_traffic(sender, SPIDER_TRAFFIC,
+                                            message.wire_size())
             target = self.nodes.get(receiver)
             if target is None:
                 return  # phantom feed neighbors run no SPIDeR
@@ -240,7 +233,7 @@ class SpiderDeployment:
         """Run full verification of one elector commitment.
 
         Each (deployed) neighbor receives its proof set and checks it
-        against its own logged view.  Proof traffic is metered under
+        against its own logged view.  Proof traffic is counted under
         :data:`PROOF_TRAFFIC`.
         """
         elector_node = self.nodes[elector]
@@ -261,10 +254,8 @@ class SpiderDeployment:
             proofs = elector_node.proofgen.proofs_for(
                 reconstruction, neighbor,
                 watch=watch.get(neighbor, ()))
-            meter = self.network.meters.get(elector)
-            if meter is not None:
-                meter.record(PROOF_TRAFFIC, proofs.wire_size(),
-                             at=self.network.sim.now)
+            self.network.record_traffic(elector, PROOF_TRAFFIC,
+                                        proofs.wire_size())
             outcomes.append(self.check_proofs(
                 elector, neighbor, commit_time, proofs,
                 watch=watch.get(neighbor, ())))

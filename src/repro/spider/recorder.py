@@ -25,6 +25,7 @@ randomness from a new seed (§5), so every label changes.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
     Optional, Sequence, Set, Tuple
@@ -43,7 +44,7 @@ from ..crypto.signatures import Signed, Signer
 from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
 from ..mtt.pool import LabelPool
 from ..mtt.tree import Mtt
-from ..netsim.metering import CpuMeter, StorageMeter
+from ..obs.metrics import Counter
 from ..obs.registry import ClockLike, get_registry
 from .checkpoint import RoutingState, apply_entry, elector_view, \
     take_checkpoint
@@ -91,6 +92,24 @@ Transport = Callable[[int, Sequence[object]], None]
 Scheduler = Callable[[float, Callable[[], None]], None]
 
 
+class _CpuSection:
+    """Adds the seconds one ``with`` block takes to a counter: §7.5's
+    getrusage stand-in (the simulator runs every AS inline, so a node's
+    sections sum to its compute cost)."""
+
+    __slots__ = ("_counter", "_start")
+
+    def __init__(self, counter: Counter):
+        self._counter = counter
+        self._start = 0.0
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc: object) -> None:
+        self._counter.inc(time.perf_counter() - self._start)
+
+
 @dataclass
 class CommitmentRecord:
     """What the recorder remembers about one commitment (beyond the log,
@@ -122,17 +141,13 @@ class Recorder:
         self.transport = transport
         self.schedule = schedule
         self.master_seed = master_seed
-        node = f"as{identity.asn}"
         self._obs = get_registry()
-        self.cpu = CpuMeter(node=node)
-        self.storage = StorageMeter(node=node)
+        self._cpu_seconds: Dict[str, Counter] = {}
         self.signer = Signer(identity)
         self.alarms: List[str] = []
-        #: The log keeps the §7.7 account in ``storage`` itself.
         self.log = SpiderLog.restore(
             recovered_entries or (),
-            retention_seconds=config.retention_seconds,
-            sink=log_store, storage=self.storage)
+            retention_seconds=config.retention_seconds, sink=log_store)
         # Derived from the log, down to ``_checkpointed_at``:
         # :meth:`_fold` is the only writer of these.
         self.state = RoutingState()
@@ -221,6 +236,16 @@ class Recorder:
     # ------------------------------------------------------------------
     # Instrumented primitives
 
+    def _cpu(self, section: str) -> _CpuSection:
+        """Time a block into ``cpu_seconds_total{node, section}``:
+        ``handling`` wraps all message processing, its nested
+        ``signatures`` work included; ``mtt`` is the commitment tree."""
+        counter = self._cpu_seconds.get(section)
+        if counter is None:
+            counter = self._cpu_seconds[section] = self._obs.counter(
+                "cpu_seconds_total", node=f"as{self.asn}", section=section)
+        return _CpuSection(counter)
+
     def alarm(self, reason: str, text: str) -> None:
         """Raise one out-of-band alarm (Section 6.2) and count it under
         ``spider_alarms_total{reason=...}``."""
@@ -282,7 +307,7 @@ class Recorder:
             self.alarm("recovered_seed_mismatch",
                        f"logged commitment seed at t={entry.timestamp} "
                        "does not derive from this master secret")
-        with self.cpu.section("signatures"):
+        with self._cpu("signatures"):
             message = SpiderCommitment.make(self.signer, entry.timestamp,
                                             payload["root"])
         return CommitmentRecord(commit_time=entry.timestamp,
@@ -297,7 +322,7 @@ class Recorder:
 
     def mirror_sent_update(self, update: Update) -> None:
         """Re-announce one of our AS's BGP UPDATEs through SPIDeR."""
-        with self.cpu.section("handling"):
+        with self._cpu("handling"):
             self._mirror_sent_update(update)
 
     def _mirror_sent_update(self, update: Update) -> None:
@@ -327,7 +352,7 @@ class Recorder:
 
     def _timed_flush(self) -> None:
         self._flush_scheduled = False
-        with self.cpu.section("handling"):
+        with self._cpu("handling"):
             self.flush_outbox()
 
     def flush_outbox(self) -> int:
@@ -354,7 +379,7 @@ class Recorder:
 
     def _flush_chunk(self, receiver: int,
                      chunk: List["_PendingItem"]) -> int:
-        with self.cpu.section("signatures"):
+        with self._cpu("signatures"):
             announces = [i for i in chunk
                          if isinstance(i, _PendingAnnounce)]
             route_sigs = self.signer.sign_batch(
@@ -429,7 +454,7 @@ class Recorder:
     # Receiving SPIDeR messages from neighbor recorders
 
     def receive(self, message: object) -> None:
-        with self.cpu.section("handling"):
+        with self._cpu("handling"):
             self._receive(message)
 
     def _receive(self, message: object) -> None:
@@ -455,7 +480,7 @@ class Recorder:
         kind, what = (EntryKind.RECV_ANNOUNCE, "announce") \
             if isinstance(message, SpiderAnnounce) \
             else (EntryKind.RECV_WITHDRAW, "withdraw")
-        with self.cpu.section("signatures"):
+        with self._cpu("signatures"):
             ok = message.valid(self.registry)
         if not ok or message.receiver != self.asn:
             self.alarm(f"invalid_{what}",
@@ -473,7 +498,7 @@ class Recorder:
                                   message_hash=message_hash))
 
     def _receive_ack(self, ack: SpiderAck) -> None:
-        with self.cpu.section("signatures"):
+        with self._cpu("signatures"):
             ok = ack.valid(self.registry)
         if not ok:
             self.alarm("invalid_ack", f"invalid ack from AS{ack.acker}")
@@ -594,7 +619,7 @@ class Recorder:
         seed = self.commitment_seed(commit_time)
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
-            with self.cpu.section("mtt"):
+            with self._cpu("mtt"):
                 self._apply_dirty()
                 # materialize=False: only the root leaves this tree;
                 # proofs later come from a fresh §6.5 reconstruction

@@ -27,7 +27,7 @@ import os
 from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import Counter, Gauge
-from ..obs.registry import Registry, get_registry, next_instance_id
+from ..obs.registry import Registry, get_registry
 # Not called here — the log hands append() the bytes it chained —
 # but benchmarks/e2e/layers.py TARGETS substitutes this attribute.
 from ..runtime.logdump import encode_log_entry  # noqa: F401
@@ -141,7 +141,6 @@ class SegmentedLogStore:
         self.node = node
         self._registry = registry if registry is not None \
             else get_registry()
-        self._instance = next_instance_id("store")
         self._append_bytes: Dict[str, Counter] = {}
         self._records: Dict[str, Counter] = {}
         self._fsyncs = self._registry.counter(
@@ -172,9 +171,7 @@ class SegmentedLogStore:
     # Metrics plumbing
 
     def _labels(self, **extra: str) -> Dict[str, str]:
-        labels = {"instance": self._instance, "node": self.node}
-        labels.update(extra)
-        return labels
+        return {"node": self.node, **extra}
 
     def _append_cell(self, kind: str) -> Counter:
         cell = self._append_bytes.get(kind)

@@ -11,6 +11,7 @@ from repro.netreview.auditor import disclosure_bytes
 from repro.netreview.node import NetReviewDeployment
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
+from repro.obs.registry import use_registry
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind, TamperError
 from repro.spider.node import evaluation_scheme
@@ -71,11 +72,13 @@ class TestHonestAudit:
 
     def test_no_mtt_cpu_section(self):
         """The §7.5 comparison: NetReview = SPIDeR minus MTT cost."""
-        network, deployment = build()
-        deployment.recorder(FOCUS_AS).make_commitment()
-        cpu = deployment.recorder(FOCUS_AS).cpu
-        assert "mtt" not in cpu.seconds_by_section
-        assert cpu.seconds_by_section.get("signatures", 0) > 0
+        with use_registry() as registry:
+            network, deployment = build()
+            deployment.recorder(FOCUS_AS).make_commitment()
+        cpu = registry.label_values("cpu_seconds_total", "section",
+                                    node=f"as{FOCUS_AS}")
+        assert "mtt" not in cpu
+        assert cpu.get("signatures", 0) > 0
 
 
 class TestNaivePromiseInconsistency:

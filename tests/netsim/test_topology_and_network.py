@@ -8,6 +8,7 @@ from repro.netsim.network import BGP_TRAFFIC, Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, Topology, \
     caida_like_topology, degree_distribution, figure5_topology, \
     share_with_degree_at_most
+from repro.obs.registry import use_registry
 
 P = Prefix.parse("203.0.113.0/24")
 
@@ -131,10 +132,12 @@ class TestNetworkPropagation:
             assert speaker.best(P) is None, f"AS {asn} kept a stale route"
 
     def test_traffic_metered(self):
-        network = Network(figure5_topology())
-        network.originate(9, P)
-        network.settle()
-        assert network.meter(9).total(BGP_TRAFFIC) > 0
+        with use_registry() as registry:
+            network = Network(figure5_topology())
+            network.originate(9, P)
+            network.settle()
+        assert registry.total("traffic_bytes_total", node="as9",
+                              category=BGP_TRAFFIC) > 0
 
     def test_valley_free_paths(self):
         """No path should go customer→provider after provider→customer."""

@@ -1,11 +1,16 @@
 """The cost-attribution dump: §7 aggregation and the CLI entry point."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.obs.dump import cpu_attribution, main, render_cost_table, \
-    scenario_snapshot, storage_attribution, traffic_attribution
+    scenario_snapshot, traffic_attribution
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent /
+     "golden_snapshot_schema.json").read_text())
 
 
 def fabricated_snapshot() -> dict:
@@ -25,8 +30,8 @@ def fabricated_snapshot() -> dict:
             {"name": "traffic_bytes_total",
              "labels": {"category": "spider"}, "value": 300},
         ],
-        # Storage is a gauge (trim decrements it; high_water keeps the
-        # peak for §7.7).
+        # A snapshot exported before §7.7 became the log's own account
+        # (e.g. the committed BENCH_commit_obs.json) still carries it.
         "gauges": [
             {"name": "storage_bytes_total",
              "labels": {"kind": "log"}, "value": 4096,
@@ -54,9 +59,11 @@ class TestAttribution:
         assert cpu_attribution(snap)["other"] == 0.0
 
     def test_traffic_and_storage(self):
+        """Traffic by category; storage is no registry metric, so an
+        old snapshot's storage gauge renders no §7.7 block."""
         snap = fabricated_snapshot()
         assert traffic_attribution(snap) == {"bgp": 100, "spider": 300}
-        assert storage_attribution(snap) == {"log": 4096}
+        assert "§7.7" not in render_cost_table(snap)
 
 
 class TestRenderedTable:
@@ -65,7 +72,6 @@ class TestRenderedTable:
         assert "CPU attribution (paper §7.5)" in text
         assert "signatures" in text and "mtt" in text and "other" in text
         assert "Traffic by category (paper §7.6)" in text
-        assert "Durable storage by kind (paper §7.7)" in text
 
     def test_shares_sum_to_hundred(self):
         text = render_cost_table(fabricated_snapshot())
@@ -93,7 +99,7 @@ class TestScenarioSnapshot:
         assert "transport_frames_sent_total" in names
         assert "delivery_acks_matched_total" in names
         gauge_names = {entry["name"] for entry in snap["gauges"]}
-        assert "storage_bytes_total" in gauge_names
+        assert "delivery_pending" in gauge_names
 
     def test_commitment_spans_recorded(self, snap):
         commits = [s for s in snap["spans"] if s["name"] == "commitment"]
@@ -126,3 +132,34 @@ class TestCli:
         path.write_text(json.dumps(fabricated_snapshot()))
         with pytest.raises(SystemExit):
             main(["--snapshot", str(path), "--format", "prom"])
+
+    def test_live_json_matches_the_golden_schema(self, capsys):
+        assert main(["--format", "json"]) == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["schema"] == GOLDEN["schema_version"]
+        assert sorted(snap) == sorted(GOLDEN["top_level_keys"])
+        for kind, keys in (("counters", "counter_keys"),
+                           ("gauges", "gauge_keys"),
+                           ("histograms", "histogram_keys"),
+                           ("spans", "span_keys")):
+            assert snap[kind], kind
+            for entry in snap[kind]:
+                assert sorted(entry) == GOLDEN[keys], kind
+        assert cpu_attribution(snap)["mtt"] > 0
+
+    def test_live_prom(self, capsys):
+        assert main(["--format", "prom"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# TYPE cpu_seconds_total counter" in lines
+        # One series per node and section, whatever wrote to it.
+        assert sorted(line.split(" ")[0] for line in lines
+                      if line.startswith("cpu_seconds_total{")) == [
+            f'cpu_seconds_total{{node="{node}",section="{section}"}}'
+            for node in ("as11", "as12")
+            for section in ("handling", "mtt", "signatures")]
+
+    def test_live_table(self, capsys):
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert "CPU attribution (paper §7.5)" in out
+        assert "Signature operations" in out

@@ -34,20 +34,6 @@ class TestGauge:
         assert gauge.value == 2
         assert gauge.high_water == 5
 
-    def test_inc_dec(self):
-        gauge = Gauge("depth")
-        gauge.inc(3)
-        gauge.dec()
-        assert gauge.value == 2
-        assert gauge.high_water == 3
-
-    def test_dec_does_not_lower_high_water(self):
-        gauge = Gauge("depth")
-        gauge.set(7)
-        gauge.dec(10)
-        assert gauge.value == -3
-        assert gauge.high_water == 7
-
 
 class TestHistogram:
     def test_powers_of_two_bucketing(self):

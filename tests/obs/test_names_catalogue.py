@@ -26,8 +26,7 @@ GOLDEN_NAMES = sorted([
     "mtt_tree_edits_total", "mtt_schedule_builds_total",
     "commitment_dirty_prefixes",
     "spider_alarms_total",
-    "traffic_bytes_total", "cpu_seconds_total", "cpu_calls_total",
-    "cpu_section_seconds", "storage_bytes_total",
+    "traffic_bytes_total", "cpu_seconds_total",
     "delivery_tracked_total", "delivery_retries_total",
     "delivery_acks_matched_total", "delivery_give_ups_total",
     "delivery_pending", "retry_backoff_seconds",

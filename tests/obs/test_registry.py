@@ -3,8 +3,8 @@
 import pytest
 
 from repro.netsim.clock import SimClock
-from repro.obs.registry import Registry, get_registry, next_instance_id, \
-    set_registry, use_registry
+from repro.obs.registry import Registry, get_registry, set_registry, \
+    use_registry
 
 
 class TestMetricIdentity:
@@ -33,12 +33,6 @@ class TestMetricIdentity:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_instance_ids_are_unique(self):
-        first = next_instance_id("meter")
-        second = next_instance_id("meter")
-        assert first != second
-        assert first.startswith("meter-")
 
 
 class TestAggregation:

@@ -4,6 +4,7 @@ on the Figure 5 deployment."""
 import pytest
 
 from repro.netsim.topology import FOCUS_AS
+from repro.obs.registry import get_registry
 from repro.spider.log import EntryKind
 
 from .conftest import FEED, ORIGINATED, P, Q
@@ -231,8 +232,14 @@ class TestVerification:
         network, dep = deployment
         from repro.spider.node import PROOF_TRAFFIC
         dep.commit_now(FOCUS_AS)
+
+        def proof_bytes():
+            return get_registry().total("traffic_bytes_total",
+                                        node=f"as{FOCUS_AS}",
+                                        category=PROOF_TRAFFIC)
+        before = proof_bytes()
         dep.verify(FOCUS_AS)
-        assert network.meter(FOCUS_AS).total(PROOF_TRAFFIC) > 0
+        assert proof_bytes() > before
 
     def test_verify_without_commitment_rejected(self, deployment):
         network, dep = deployment

@@ -92,6 +92,20 @@ class TestInProcessRestart:
             assert registry.total("store_recovered_records_total") == 4
             rt_a.close()
 
+    def test_a_restart_mints_no_series(self, tmp_path):
+        """A series is keyed by node and category, not by the object
+        writing it: every cold open of the same directory adds to the
+        series the first one created."""
+        store_dir = str(tmp_path / "store")
+        run_phase1(store_dir)
+        with use_registry(Registry()) as registry:
+            series = []
+            for _ in range(5):
+                exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
+                                 store_dir=store_dir).close()
+                series.append(len(registry.metrics()))
+        assert series == series[:1] * 5
+
 
 #: One in-place edit per record of the phase-one store: which record,
 #: and the bytes inside it whose last bit is flipped.  Each keeps the

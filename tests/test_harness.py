@@ -7,7 +7,14 @@ from repro.harness.experiments import ReplayResult, \
     proof_experiment, run_replay_experiment
 from repro.harness.reporting import format_bytes, format_rate, \
     ratio_note, render_table
+from repro.netsim.network import BGP_TRAFFIC, Network
+from repro.netsim.topology import FOCUS_AS
 from repro.obs.dump import cpu_attribution
+from repro.spider.node import SPIDER_TRAFFIC
+from repro.traces.routeviews import TraceConfig, synthetic_trace
+
+#: The replay below: small enough for tier-1.
+SCALE, K, SEED = 0.0005, 5, 42
 
 
 class TestReporting:
@@ -77,7 +84,7 @@ class TestCpuSplit:
             scale=0.0, k=0, commit_interval=0.0, trace=None,
             network=None, deployment=None, setup_end=0.0, replay_end=0.0,
             commitments_made=0, cpu_sections=sections, signature_count=0,
-            last_census=None)
+            last_census=None, window_traffic={}, traffic={})
         snap = {"counters": [
             {"name": "cpu_seconds_total", "labels": {"section": name},
              "value": seconds} for name, seconds in sections.items()]}
@@ -88,7 +95,7 @@ class TestCpuSplit:
 class TestReplayExperiment:
     @pytest.fixture(scope="class")
     def replay(self):
-        return run_replay_experiment(scale=0.0005, k=5)
+        return run_replay_experiment(scale=SCALE, k=K, seed=SEED)
 
     def test_commitments_made(self, replay):
         assert replay.commitments_made > 0
@@ -120,3 +127,37 @@ class TestReplayExperiment:
         assert result.checks_ok
         assert result.single_prefix_bytes > 0
         assert len(result.per_neighbor_bytes) == 5
+
+    def test_e9_traffic_is_pinned(self, replay):
+        """E9's numbers at this scale, exactly: the rates over the
+        replay window and each AS's SPIDeR bytes over the whole run are
+        deterministic, so any change in how they are counted shows."""
+        assert replay.bgp_rate_bps() == 51199.99999999999
+        assert replay.spider_rate_bps() == 296373.3333333333
+        assert {asn: replay.traffic_bytes(asn, SPIDER_TRAFFIC)
+                for asn in range(1, 11)} == {
+            1: 0, 2: 104616, 3: 0, 4: 53418, 5: 134816, 6: 53418,
+            7: 57075, 8: 57075, 9: 18430, 10: 18430}
+        assert replay.signature_count == 61
+
+    def test_the_replay_window_is_half_open(self, replay, monkeypatch):
+        """A byte AS 5 sends at exactly setup_end is in the window, one
+        sent at exactly replay_end is not, so adjacent windows tile
+        without counting a boundary byte twice."""
+        trace = synthetic_trace(TraceConfig(scale=SCALE, seed=SEED))
+        schedule_trace = Network.schedule_trace
+
+        def with_boundary_sends(network, feed_asn, events):
+            schedule_trace(network, feed_asn, events)
+            for at, nbytes in ((trace.setup_end, 1000),
+                               (trace.replay_end, 7)):
+                network.sim.at(at, lambda n=nbytes: network.record_traffic(
+                    FOCUS_AS, BGP_TRAFFIC, n))
+
+        monkeypatch.setattr(Network, "schedule_trace", with_boundary_sends)
+        edged = run_replay_experiment(scale=SCALE, k=K, seed=SEED)
+        window = trace.replay_end - trace.setup_end
+        assert edged.bgp_rate_bps() - replay.bgp_rate_bps() == \
+            pytest.approx(1000 * 8 / window)
+        assert edged.traffic_bytes(FOCUS_AS, BGP_TRAFFIC) - \
+            replay.traffic_bytes(FOCUS_AS, BGP_TRAFFIC) == 1007
