@@ -287,6 +287,12 @@ def default_registry() -> ContractRegistry:
         SourceContract(LABEL_RSA, "attr:private_key",
                        description="RSA private key attribute",
                        section="§7.1"),
+        *(SourceContract(LABEL_RSA, f"attr:{component}",
+                         scope=("repro/crypto/rsa.py",),
+                         description="RSA private exponent or CRT "
+                                     "component",
+                         section="§7.1")
+          for component in ("d", "p", "q", "d_p", "d_q", "q_inv")),
     ]
     sinks = [
         SinkContract(SINK_CODEC, "SPDR006",
@@ -318,9 +324,10 @@ def default_registry() -> ContractRegistry:
                                "logger.exception"),
                      description="process log output", section="§7"),
         SinkContract(SINK_NATIVE, "SPDR006",
-                     patterns=("ARC4", "Cipher"),
-                     description="key bytes handed to a C cipher object "
-                                 "(OpenSSL memory Python does not own)",
+                     patterns=("ARC4", "Cipher", "RSAPrivateNumbers"),
+                     description="key material handed to a C cipher or "
+                                 "RSA key object (OpenSSL memory Python "
+                                 "does not own)",
                      section="§7.1"),
     ]
     declassifiers = [
@@ -383,6 +390,13 @@ def default_registry() -> ContractRegistry:
                           "the seed; the C object stays in-process and "
                           "the keystream it returns is as private as "
                           "the seed (taint flows on through it)"),
+        SanctionedFlow(
+            LABEL_RSA, SINK_NATIVE,
+            justification="§7.1: the prototype signs with a library "
+                          "RSA-1024; each private key is loaded into one "
+                          "OpenSSL key object that stays in-process, and "
+                          "only its signatures leave (the rsa-sign "
+                          "declassifier)"),
     ]
     return ContractRegistry(sources=sources, sinks=sinks,
                             declassifiers=declassifiers,

@@ -10,7 +10,8 @@ Three layers:
   flow that is clean with the full registry and a finding without it;
 * the repo's own ``src`` tree must analyze clean, and removing the
   commitment/signature declassifiers, the §6.5 sanctioned seed→log
-  flow or the §7.1 sanctioned seed→C-cipher flow must surface findings
+  flow or a §7.1 sanctioned flow into OpenSSL (the RC4 seed, the RSA
+  private key) must surface findings
   — proving the engine actually traverses those paths rather than
   being vacuously quiet.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import Program, load_program
-from repro.analysis.contracts import SINK_LOG, SINK_NATIVE, \
+from repro.analysis.contracts import LABEL_RSA, SINK_LOG, SINK_NATIVE, \
     default_registry
 from repro.analysis.taint import (TaintAnalysis, analyze_paths_dataflow,
                                   build_registry)
@@ -293,6 +294,20 @@ def test_sanctioned_seed_to_c_cipher_flow_is_traversed(src_program):
     assert [f.path for f in findings
             if "rc4-seed" in f.message and SINK_NATIVE in f.message] \
         == ["repro/crypto/rc4.py"]
+
+
+def test_sanctioned_rsa_key_to_c_flow_is_traversed(src_program):
+    # §7.1: each PrivateKey loads its CRT components into one OpenSSL key
+    # object.  The flow is sanctioned, not suppressed; deleting the
+    # sanction surfaces exactly that one load.
+    registry = build_registry(src_program)
+    registry.sanctioned = [flow for flow in registry.sanctioned
+                           if (flow.label, flow.sink_id)
+                           != (LABEL_RSA, SINK_NATIVE)]
+    findings = TaintAnalysis(src_program, registry).run()
+    assert [f.path for f in findings] == ["repro/crypto/rsa.py"]
+    assert LABEL_RSA in findings[0].message
+    assert "RSAPrivateNumbers" in findings[0].line_text
 
 
 def test_stats_are_populated():
