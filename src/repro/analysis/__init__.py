@@ -8,7 +8,10 @@ public sink unblinded.  This package enforces them statically on every
 commit — the cheap analogue of IVeri's SMT verifier for our pure-Python
 codebase.
 
-Two engines share one finding/suppression/baseline pipeline:
+Two engines share one finding path
+(:func:`repro.analysis.engine.finalize_findings`), and an inline
+``# spiderlint: disable=SPDRnnn`` comment is the only way to accept a
+finding:
 
 * the **lint** engine (:class:`repro.analysis.engine.Engine`) runs the
   per-file AST/CFG rules SPDR001–005 and SPDR007
@@ -17,35 +20,30 @@ Two engines share one finding/suppression/baseline pipeline:
   (:func:`repro.analysis.taint.analyze_paths_dataflow`) builds a
   whole-program call graph (:mod:`repro.analysis.callgraph`), per-
   function CFGs (:mod:`repro.analysis.cfg`), and runs an
-  interprocedural taint solver (:mod:`repro.analysis.taint`) against
+  interprocedural taint analysis (:mod:`repro.analysis.taint`, on the
+  worklist solver of :mod:`repro.analysis.dataflow`) against
   the privacy contract registry
   (:mod:`repro.analysis.contracts`) — rules SPDR006 and SPDR008.
 
 ``python -m repro.analysis`` is the CLI (see
-:mod:`repro.analysis.cli`); :mod:`repro.analysis.baseline` is the
-shrink-only ratchet file format.
+:mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
 
-from .baseline import (BASELINE_VERSION, BaselineError, check_shrunk,
-                       load_baseline, write_baseline)
 from .callgraph import Program, load_program
 from .cfg import Cfg, build_cfg
 from .contracts import ContractRegistry, default_registry
 from .engine import AnalysisResult, Engine, Rule, RuleContext
-from .findings import FINGERPRINT_SCHEMA, Finding, compute_fingerprint
+from .findings import Finding
 from .rules import all_rules
 from .taint import TaintAnalysis, analyze_paths_dataflow, build_registry
 
 __all__ = [
     "AnalysisResult",
-    "BASELINE_VERSION",
-    "BaselineError",
     "Cfg",
     "ContractRegistry",
     "Engine",
-    "FINGERPRINT_SCHEMA",
     "Finding",
     "Program",
     "Rule",
@@ -55,10 +53,6 @@ __all__ = [
     "analyze_paths_dataflow",
     "build_cfg",
     "build_registry",
-    "check_shrunk",
-    "compute_fingerprint",
     "default_registry",
-    "load_baseline",
     "load_program",
-    "write_baseline",
 ]

@@ -178,10 +178,6 @@ class Program:
             out.extend(fn.markers)
         return out
 
-    def function_at(self, module: str, display: str
-                    ) -> Optional[FunctionInfo]:
-        return self.functions.get(f"{module}::{display}")
-
     def resolve_call(self, call: ast.Call,
                      caller: FunctionInfo) -> List[FunctionInfo]:
         """Candidate callees for one call site (possibly empty)."""

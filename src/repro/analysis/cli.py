@@ -5,20 +5,18 @@ Usage patterns::
     python -m repro.analysis src                    # lint, exit 1 on findings
     python -m repro.analysis src --engine dataflow  # SPDR006/008 taint pass
     python -m repro.analysis src --engine all       # both
-    python -m repro.analysis src --baseline analysis-baseline.json
-    python -m repro.analysis src --write-baseline analysis-baseline.json
+    python -m repro.analysis src --engine all --format json
     python -m repro.analysis src --engine all --stats stats.json
-    python -m repro.analysis src --engine dataflow --explain <fingerprint>
     python -m repro.analysis --list-rules
-    python -m repro.analysis --check-shrunk OLD NEW # baseline ratchet check
 
-Exit status: 0 when no (non-baselined) findings and no parse errors,
-1 when findings remain, 2 for usage/baseline errors.
+Exit status: 0 when no findings and no parse errors, 1 when findings
+remain, 2 for usage errors.  A finding is accepted only by an inline
+``# spiderlint: disable=SPDRnnn`` comment at its line.
 
 The ``lint`` engine runs the per-file AST/CFG rules (SPDR001–005,
 SPDR007); the ``dataflow`` engine runs the whole-program privacy-taint
 rules (SPDR006, SPDR008), whose findings print an indented source→sink
-path trace.
+path trace (``--format json`` carries it as ``trace``).
 """
 
 from __future__ import annotations
@@ -27,10 +25,8 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from .baseline import BaselineError, check_shrunk, load_baseline, \
-    write_baseline
 from .engine import AnalysisResult, Engine, Rule
 from .findings import Finding
 from .rules import all_rules
@@ -48,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="lint",
                         help="lint = per-file AST/CFG rules; dataflow = "
                              "whole-program privacy taint (SPDR006/008)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="subtract findings recorded in this "
-                             "baseline file")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and exit 0")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     parser.add_argument("--rules", metavar="IDS", default=None,
@@ -60,16 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all; lint engine only)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--check-shrunk", nargs=2,
-                        metavar=("OLD", "NEW"), default=None,
-                        help="verify baseline NEW adds no entries over "
-                             "OLD, then exit")
     parser.add_argument("--stats", metavar="FILE", default=None,
                         help="write per-rule runtime and finding "
                              "counts to FILE as JSON")
-    parser.add_argument("--explain", metavar="FINGERPRINT", default=None,
-                        help="print the full path trace of the finding "
-                             "with this fingerprint and exit")
     return parser
 
 
@@ -91,7 +75,6 @@ def _merge_results(into: AnalysisResult,
                    extra: AnalysisResult) -> AnalysisResult:
     into.findings.extend(extra.findings)
     into.suppressed += extra.suppressed
-    into.baselined += extra.baselined
     into.files_analyzed = max(into.files_analyzed, extra.files_analyzed)
     into.parse_errors.extend(extra.parse_errors)
     into.findings.sort(key=lambda f: (f.path, f.line, f.column,
@@ -106,12 +89,10 @@ def _emit(result: AnalysisResult, output_format: str) -> None:
         doc = {
             "files_analyzed": result.files_analyzed,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "parse_errors": result.parse_errors,
             "findings": [
                 {"rule": f.rule_id, "path": f.path, "line": f.line,
                  "column": f.column, "message": f.message,
-                 "fingerprint": f.fingerprint(),
                  "trace": list(f.trace)}
                 for f in result.findings
             ],
@@ -126,30 +107,8 @@ def _emit(result: AnalysisResult, output_format: str) -> None:
             print(line)
     summary = (f"spiderlint: {result.files_analyzed} files, "
                f"{len(result.findings)} finding(s), "
-               f"{result.suppressed} suppressed, "
-               f"{result.baselined} baselined")
+               f"{result.suppressed} suppressed")
     print(summary, file=sys.stderr)
-
-
-def _explain(result: AnalysisResult, fingerprint: str) -> int:
-    matches = [f for f in result.findings
-               if f.fingerprint() == fingerprint]
-    if not matches:
-        print(f"no finding with fingerprint {fingerprint!r} "
-              f"(note: baselined/suppressed findings are excluded; "
-              f"rerun without --baseline to explain them)",
-              file=sys.stderr)
-        return 2
-    for finding in matches:
-        print(finding.render())
-        trace = finding.render_trace()
-        if trace:
-            print("  path trace (source -> sink):")
-            for line in trace:
-                print(f"  {line}")
-        else:
-            print("  (per-file rule: no interprocedural trace)")
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -165,30 +124,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "exception text (dataflow)")
         return 0
 
-    if args.check_shrunk is not None:
-        old_path, new_path = args.check_shrunk
-        try:
-            grown = check_shrunk(old_path, new_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if grown:
-            print("baseline grew — new entries are not allowed:",
-                  file=sys.stderr)
-            for fingerprint in grown:
-                print(f"  {fingerprint}", file=sys.stderr)
-            return 1
-        print("baseline ok: no new entries", file=sys.stderr)
-        return 0
-
-    baseline: Optional[Set[str]] = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     paths = list(args.paths) or ["src"]
     stats: Dict[str, object] = {"engine": args.engine}
 
@@ -196,7 +131,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.engine in ("lint", "all"):
         engine = Engine(_select_rules(args.rules))
         t0 = time.perf_counter()
-        lint_result = engine.analyze_paths(paths, baseline=baseline)
+        lint_result = engine.analyze_paths(paths)
         lint_seconds = time.perf_counter() - t0
         stats["lint"] = {
             "seconds": round(lint_seconds, 4),
@@ -207,8 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.engine in ("dataflow", "all"):
         phase: Dict[str, float] = {}
         t0 = time.perf_counter()
-        flow_result = analyze_paths_dataflow(
-            paths, baseline=baseline, stats=phase)
+        flow_result = analyze_paths_dataflow(paths, stats=phase)
         flow_seconds = time.perf_counter() - t0
         stats["dataflow"] = {
             "seconds": round(flow_seconds, 4),
@@ -223,15 +157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.stats, "w", encoding="utf-8") as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")
-
-    if args.explain is not None:
-        return _explain(result, args.explain)
-
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, result.findings)
-        print(f"wrote {len(result.findings)} finding(s) to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
 
     _emit(result, args.format)
     return 0 if result.ok else 1

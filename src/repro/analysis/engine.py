@@ -9,10 +9,9 @@ and reports findings through the :class:`RuleContext`.  The engine
 * parses each file once and hands the same tree to every in-scope rule;
 * honors per-line suppression comments
   (``# spiderlint: disable=SPDR001,SPDR002`` — on the offending line or
-  the line directly above it; bare ``disable`` silences every rule); and
-* filters the survivors against a committed baseline
-  (:mod:`repro.analysis.baseline`), so legacy debt can be ratcheted
-  down without blocking CI on day one.
+  the line directly above it; bare ``disable`` silences every rule),
+  the only way to accept a finding.  :func:`finalize_findings` applies
+  them, for this engine and for the dataflow driver alike.
 
 Rules must be deterministic and purely syntactic: no imports of the
 analyzed code, no filesystem access beyond the source text they are
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from .findings import Finding, assign_occurrences
+from .findings import Finding
 
 #: Matches one suppression comment anywhere in a line's trailing comment.
 _SUPPRESS_RE = re.compile(
@@ -82,24 +81,17 @@ def normalize_path(path: str) -> str:
 class RuleContext:
     """Everything one rule needs to analyze one module."""
 
-    def __init__(self, path: str, tree: ast.Module,
-                 lines: Sequence[str]) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
         self.tree = tree
-        self.lines = list(lines)
         self.findings: List[Finding] = []
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def report(self, rule_id: str, node: ast.AST, message: str) -> None:
         lineno = int(getattr(node, "lineno", 1))
         column = int(getattr(node, "col_offset", 0))
         self.findings.append(Finding(
             rule_id=rule_id, path=self.path, line=lineno, column=column,
-            message=message, line_text=self.line_text(lineno)))
+            message=message))
 
 
 class Rule:
@@ -122,7 +114,6 @@ class AnalysisResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_analyzed: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
@@ -137,9 +128,7 @@ class Engine:
     def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules = list(rules)
 
-    def analyze_source(self, source: str, path: str,
-                       baseline: Optional[Set[str]] = None
-                       ) -> AnalysisResult:
+    def analyze_source(self, source: str, path: str) -> AnalysisResult:
         """Analyze one module given as text (``path`` may be virtual)."""
         result = AnalysisResult(files_analyzed=1)
         module_path = normalize_path(path)
@@ -157,34 +146,18 @@ class Engine:
                 f"{module_path}:0: unparseable source: {exc}")
             return result
         lines = source.splitlines()
-        silenced = parse_suppressions(lines)
         raw: List[Finding] = []
         for rule in self.rules:
             if not rule.applies_to(module_path):
                 continue
-            ctx = RuleContext(module_path, tree, lines)
+            ctx = RuleContext(module_path, tree)
             rule.check(ctx)
             raw.extend(ctx.findings)
-        raw.sort(key=lambda f: (f.line, f.column, f.rule_id))
-        kept: List[Finding] = []
-        for finding in assign_occurrences(raw):
-            if is_suppressed(finding, silenced):
-                result.suppressed += 1
-            else:
-                kept.append(finding)
-        if baseline:
-            for finding in kept:
-                if finding.fingerprint() in baseline:
-                    result.baselined += 1
-                else:
-                    result.findings.append(finding)
-        else:
-            result.findings.extend(kept)
+        finalize_findings(raw, {module_path: parse_suppressions(lines)},
+                          result)
         return result
 
-    def analyze_paths(self, paths: Iterable[str],
-                      baseline: Optional[Set[str]] = None
-                      ) -> AnalysisResult:
+    def analyze_paths(self, paths: Iterable[str]) -> AnalysisResult:
         """Analyze every ``*.py`` file under the given paths."""
         merged = AnalysisResult()
         for filename in sorted(_collect_files(paths)):
@@ -198,11 +171,9 @@ class Engine:
                     f"{normalize_path(filename)}:0: not valid UTF-8: "
                     f"{exc.reason} at byte {exc.start}")
                 continue
-            single = self.analyze_source(source, filename,
-                                         baseline=baseline)
+            single = self.analyze_source(source, filename)
             merged.findings.extend(single.findings)
             merged.suppressed += single.suppressed
-            merged.baselined += single.baselined
             merged.files_analyzed += single.files_analyzed
             merged.parse_errors.extend(single.parse_errors)
         merged.findings.sort(
@@ -223,31 +194,20 @@ def _collect_files(paths: Iterable[str]) -> List[str]:
 
 def finalize_findings(raw: List[Finding],
                       silenced_by_path: Dict[str, Dict[int, Set[str]]],
-                      baseline: Optional[Set[str]],
                       result: AnalysisResult) -> None:
-    """Shared post-processing: occurrences, suppressions, baseline.
+    """Sort ``raw`` and split it into ``result``'s findings and its
+    suppressed count.
 
-    Used by both the per-file engine and the whole-program dataflow
-    driver so SPDR006–008 findings get byte-identical suppression and
-    ratchet mechanics to the AST rules.
+    Both the per-file engine and the whole-program dataflow driver end
+    here, so SPDR006–008 findings are suppressed exactly like the AST
+    rules' findings.
     """
-    raw = sorted(raw, key=lambda f: (f.path, f.line, f.column,
-                                     f.rule_id))
-    kept: List[Finding] = []
-    for finding in assign_occurrences(raw):
-        silenced = silenced_by_path.get(finding.path, {})
-        if is_suppressed(finding, silenced):
+    for finding in sorted(raw, key=lambda f: (f.path, f.line, f.column,
+                                              f.rule_id)):
+        if is_suppressed(finding, silenced_by_path.get(finding.path, {})):
             result.suppressed += 1
         else:
-            kept.append(finding)
-    if baseline:
-        for finding in kept:
-            if finding.fingerprint() in baseline:
-                result.baselined += 1
-            else:
-                result.findings.append(finding)
-    else:
-        result.findings.extend(kept)
+            result.findings.append(finding)
 
 
 # ----------------------------------------------------------------------

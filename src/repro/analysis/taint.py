@@ -15,24 +15,26 @@ stitches functions together with call summaries:
   reported when they reach a sink contract that is not explicitly
   sanctioned for that label.
 
-The analysis is flow-sensitive within a function (CFG + worklist,
-see :mod:`repro.analysis.dataflow`-style joins done inline here) and
-summary-based across functions, iterated to a global fixpoint.  Object
-attributes are handled pragmatically: ``self.x`` is tracked as a local
-key within one function, attribute reads inherit the receiver object's
-taint, and cross-method attribute state is covered by ``attr:``
-source contracts rather than a heap model.  Nested function bodies are
-not traversed (none of the guarded modules hide secrets there).
+The analysis is flow-sensitive within a function (the CFG worklist of
+:class:`repro.analysis.dataflow.ForwardSolver`, which SPDR007 runs on
+too) and summary-based across functions, iterated to a global
+fixpoint.  Object attributes are handled pragmatically: ``self.x`` is
+tracked as a local key within one function, attribute reads inherit
+the receiver object's taint, and cross-method attribute state is
+covered by ``attr:`` source contracts rather than a heap model.  Nested
+function bodies are not traversed (none of the guarded modules hide
+secrets there).
 
 Findings anchor at the *sink* line — that is where a suppression
-comment or baseline entry must sit — and carry the whole path in
-``Finding.trace`` (rendered by ``--explain`` and ``--format json``).
+comment must sit — and carry the whole path in ``Finding.trace``
+(printed under the finding, and a list in ``--format json``).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import time
@@ -47,6 +49,7 @@ from .contracts import (
     SinkContract,
     default_registry,
 )
+from .dataflow import ForwardSolver
 from .engine import AnalysisResult, dotted_name, finalize_findings, \
     parse_suppressions, terminal_name
 from .findings import Finding
@@ -131,6 +134,8 @@ class Summary:
 
 _EMPTY_SUMMARY = Summary()
 
+_SOLVER: ForwardSolver[Env] = ForwardSolver(_env_join, operator.eq)
+
 
 class TaintAnalysis:
     """Whole-program driver producing SPDR006/SPDR008 findings."""
@@ -178,10 +183,6 @@ class TaintAnalysis:
                       key=lambda f: (f.path, f.line, f.column, f.rule_id))
 
     def _finding(self, taint: Taint, hit: SinkHit) -> Finding:
-        module = self.program.modules.get(hit.module)
-        line_text = ""
-        if module and 1 <= hit.line <= len(module.lines):
-            line_text = module.lines[hit.line - 1].strip()
         trace = taint.trace + hit.trace_suffix
         if hit.rule_id == "SPDR008":
             message = (f"tainted value ({taint.label}) interpolated "
@@ -192,8 +193,7 @@ class TaintAnalysis:
                        f"{hit.detail}")
         return Finding(rule_id=hit.rule_id, path=hit.module,
                        line=hit.line, column=hit.column,
-                       message=message, line_text=line_text,
-                       trace=trace)
+                       message=message, trace=trace)
 
     # ------------------------------------------------------------------
 
@@ -213,29 +213,10 @@ class TaintAnalysis:
         for index, param in enumerate(fn.params):
             init[param] = {f"{_PARAM_PREFIX}{index}":
                            Taint(f"{_PARAM_PREFIX}{index}")}
-        inputs: Dict[int, Env] = {bid: {} for bid in cfg.blocks}
-        inputs[cfg.entry] = init
-        outputs: Dict[int, Env] = {bid: {} for bid in cfg.blocks}
-        preds = cfg.preds()
-        order = cfg.rpo()
-        for _ in range(40):
-            changed = False
-            for bid in order:
-                env: Env = dict(init) if bid == cfg.entry else {}
-                for pred in preds[bid]:
-                    env = _env_join(env, outputs[pred])
-                if env != inputs[bid]:
-                    inputs[bid] = env
-                    changed = True
-                out = walker.transfer(cfg.blocks[bid], env)
-                if out != outputs[bid]:
-                    outputs[bid] = out
-                    changed = True
-            if not changed:
-                break
+        inputs = _SOLVER.solve(cfg, walker.transfer, init=init, bottom={})
         # Converged: one sweep with collection enabled.
         walker.collecting = True
-        for bid in order:
+        for bid in cfg.rpo():
             walker.transfer(cfg.blocks[bid], inputs[bid])
         return walker.summary(), walker.real_hits
 
@@ -606,15 +587,14 @@ def build_registry(program: Program) -> ContractRegistry:
 
 def analyze_paths_dataflow(
         paths: Sequence[str],
-        baseline: Optional[FrozenSet[str] | set] = None,  # type: ignore[type-arg]
         contracts: Optional[ContractRegistry] = None,
         scope: Tuple[str, ...] = DATAFLOW_SCOPE,
         stats: Optional[Dict[str, float]] = None) -> AnalysisResult:
     """Run SPDR006/SPDR008 over a source tree.
 
     Mirrors ``Engine.analyze_paths``: findings honor the same per-line
-    suppression comments (anchored at the sink line) and the same
-    baseline ratchet.  ``stats``, when given, receives phase timings.
+    suppression comments, anchored at the sink line.  ``stats``, when
+    given, receives phase timings.
     """
     t0 = time.perf_counter()
     program = load_program(paths)
@@ -633,6 +613,5 @@ def analyze_paths_dataflow(
     silenced_by_path = {
         path: parse_suppressions(module.lines)
         for path, module in program.modules.items()}
-    finalize_findings(raw, silenced_by_path,
-                      set(baseline) if baseline else None, result)
+    finalize_findings(raw, silenced_by_path, result)
     return result

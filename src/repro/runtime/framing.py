@@ -19,8 +19,7 @@ This module is on the wire hot path, so both directions avoid copies:
   into the fed chunk for every frame that lies wholly inside it; only
   the one frame that straddles a chunk boundary is ever copied into the
   decoder's residual buffer (and is returned as ``bytes`` once its
-  remainder arrives).  Consumed residual bytes are trimmed lazily —
-  see :meth:`FrameDecoder.compact`.
+  remainder arrives, which empties the residual).
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from typing import List, Union
 MAX_FRAME_SIZE = 1 << 20
 
 LENGTH_BYTES = 4
-
-#: Consumed residual bytes are trimmed once they exceed this; below it
-#: the memmove is deferred (see :meth:`FrameDecoder.compact`).
-COMPACT_THRESHOLD = 1 << 16
 
 _S_LEN = struct.Struct(">I")
 
@@ -91,42 +86,25 @@ class FrameDecoder:
     windows into that chunk — no copy, but the views pin the chunk in
     memory, so a caller that retains frames past the next feed should
     take ``bytes(frame)`` of the ones it keeps.  The residual buffer
-    holds at most one partial frame plus a bounded consumed prefix
-    (:data:`COMPACT_THRESHOLD`), so decoder memory stays bounded by
+    holds at most one partial frame, so decoder memory stays bounded by
     the frame limit regardless of how the stream is chunked.
     """
 
-    def __init__(self, max_frame: int = MAX_FRAME_SIZE,
-                 compact_threshold: int = COMPACT_THRESHOLD):
+    def __init__(self, max_frame: int = MAX_FRAME_SIZE):
         self.max_frame = max_frame
-        self.compact_threshold = compact_threshold
+        #: The partial frame still in flight (empty between frames).
         self._buffer = bytearray()
-        #: How much of ``_buffer`` is already consumed (lazy trim).
-        self._offset = 0
         self._poison: str = ""
 
     @property
     def buffered(self) -> int:
-        """Unconsumed bytes held for the frame still in flight."""
-        return len(self._buffer) - self._offset
+        """Bytes held for the frame still in flight."""
+        return len(self._buffer)
 
     @property
     def poisoned(self) -> bool:
         """True once a framing violation has killed this decoder."""
         return bool(self._poison)
-
-    def compact(self) -> None:
-        """Trim the consumed prefix of the residual buffer now.
-
-        :meth:`feed` advances ``_offset`` past consumed bytes instead
-        of deleting them (deleting is a memmove of everything behind
-        the cut) and only compacts once the dead prefix crosses
-        ``compact_threshold`` — repeated small trims on a dribbling
-        stream would be quadratic.  This forces the trim immediately.
-        """
-        if self._offset:
-            del self._buffer[:self._offset]
-            self._offset = 0
 
     def _poison_with(self, reason: str) -> "FramingError":
         self._poison = reason
@@ -145,16 +123,9 @@ class FrameDecoder:
         frames: List[Union[bytes, memoryview]] = []
         pos = 0
         if self._buffer:
-            if self._offset == len(self._buffer):
-                # Everything in the residual was consumed by earlier
-                # feeds; dropping the whole buffer is free.
-                del self._buffer[:]
-                self._offset = 0
-            else:
-                consumed = self._finish_straddling(chunk, frames)
-                if consumed < 0:
-                    return frames
-                pos = consumed
+            pos = self._finish_straddling(chunk, frames)
+            if pos < 0:
+                return frames
         # Zero-copy pass over the rest of the chunk.
         n = len(chunk)
         view = None
@@ -181,15 +152,15 @@ class FrameDecoder:
         consumed, or -1 if the frame is still incomplete."""
         buf = self._buffer
         pos = 0
-        have = len(buf) - self._offset
+        have = len(buf)
         if have < LENGTH_BYTES:
             need = LENGTH_BYTES - have
             buf += chunk[:need]
-            if len(buf) - self._offset < LENGTH_BYTES:
+            if len(buf) < LENGTH_BYTES:
                 return -1
             pos = need
             have = LENGTH_BYTES
-        length: int = _S_LEN.unpack_from(buf, self._offset)[0]
+        length: int = _S_LEN.unpack_from(buf)[0]
         if length > self.max_frame:
             raise self._poison_with(
                 f"frame length {length} exceeds {self.max_frame}")
@@ -200,9 +171,7 @@ class FrameDecoder:
             pos += len(take)
             if len(take) < need:
                 return -1
-        start = self._offset + LENGTH_BYTES
-        frames.append(bytes(buf[start:start + length]))
-        self._offset = start + length
-        if self._offset >= self.compact_threshold:
-            self.compact()
+        # The residual held exactly this frame: hand it out, start over.
+        frames.append(bytes(buf[LENGTH_BYTES:]))
+        buf.clear()
         return pos

@@ -59,10 +59,6 @@ class RoutingState:
                      prefix: Prefix) -> Optional[Route]:
         return self.imports.get(neighbor, {}).get(prefix)
 
-    def export_route(self, neighbor: int,
-                     prefix: Prefix) -> Optional[Route]:
-        return self.exports.get(neighbor, {}).get(prefix)
-
     def serialized_size(self) -> int:
         """Snapshot size in bytes (the §7.7 snapshot measurement)."""
         total = 0

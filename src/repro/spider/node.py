@@ -82,6 +82,8 @@ class SpiderNode:
 
     def receive_spider(self, message: object) -> None:
         if isinstance(message, SpiderCommitment):
+            if not self.recorder.commitment_valid(message):
+                return
             key = (message.elector, message.commit_time)
             if key in self.received_commitments and \
                     not constant_time_eq(

@@ -59,10 +59,6 @@ class Reconstruction:
     replay_seconds: float
     label_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.replay_seconds + self.label_seconds
-
 
 @dataclass
 class ProofSet:

@@ -56,7 +56,6 @@ from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
 
 if TYPE_CHECKING:
     from ..bgp.speaker import Speaker
-    from ..netsim.events import Simulator
 
 
 @dataclass
@@ -493,6 +492,19 @@ class Recorder:
         self._fold(self.log.append(self.clock.now, kind, message))
         self._send_ack(message.sender, message.message_hash())
 
+    def commitment_valid(self, message: SpiderCommitment) -> bool:
+        """Whether a neighbour's commitment is signed by its elector.
+
+        An invalid one raises the ``invalid_commitment`` alarm: anyone
+        can put a frame on the wire, and a forged root stored next to
+        the genuine one would frame an honest elector."""
+        with self._cpu("signatures"):
+            ok = message.valid(self.registry)
+        if not ok:
+            self.alarm("invalid_commitment",
+                       f"invalid commitment from AS{message.elector}")
+        return ok
+
     def _send_ack(self, to: int, message_hash: bytes) -> None:
         self._enqueue(_PendingAck(receiver=to, timestamp=self.clock.now,
                                   message_hash=message_hash))
@@ -654,11 +666,6 @@ class Recorder:
         neighbors.update(self.state.exports)
         neighbors.discard(self.asn)
         return sorted(neighbors)
-
-    def start_periodic_commitments(self, sim: "Simulator") -> None:
-        """Hook the commitment timer onto the event loop."""
-        sim.every(self.config.commit_interval,
-                  lambda: self.make_commitment())
 
     # ------------------------------------------------------------------
     # Consistency check (Section 6.2, last paragraph)

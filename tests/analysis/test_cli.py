@@ -3,8 +3,8 @@
 These drive :func:`repro.analysis.cli.main` in-process with the same
 argv CI uses, covering the acceptance criteria: exit 0 on the repo's
 own ``src`` tree under both engines, non-zero on every rule's trigger
-fixture, and the new PR-10 surface — ``--engine``, ``--stats``,
-``--explain``, and non-crashing parse-error reporting.
+fixture, the five options (``--engine``, ``--rules``, ``--format``,
+``--list-rules``, ``--stats``), and non-crashing parse-error reporting.
 """
 
 import json
@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import load_baseline, write_baseline
-from repro.analysis.cli import main
+from repro.analysis.cli import build_parser, main
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -32,24 +31,10 @@ def test_repo_src_is_clean_under_dataflow():
 
 
 def test_repo_benchmarks_and_examples_are_clean():
-    # The ratchet covers the whole repo, not just src/ (PR-10
-    # satellite); suppressions in those trees are allowed, findings
-    # are not.
+    # The zero-findings gate covers the whole repo, not just src/;
+    # suppressions in those trees are allowed, findings are not.
     assert main([str(REPO / "benchmarks"), str(REPO / "examples"),
                  "--engine", "all"]) == 0
-
-
-def test_repo_src_is_clean_under_committed_baseline():
-    baseline = REPO / "analysis-baseline.json"
-    assert baseline.is_file(), "committed baseline missing"
-    assert main([str(REPO / "src"), "--baseline", str(baseline)]) == 0
-
-
-def test_committed_baseline_is_empty_and_v2():
-    # All pre-existing findings were fixed; the ratchet starts at zero
-    # and may only stay there.  The file must use fingerprint schema
-    # v2 (path, rule, snippet-hash) — v1 files are rejected.
-    assert load_baseline(str(REPO / "analysis-baseline.json")) == set()
 
 
 @pytest.mark.parametrize("rule_id", LINT_RULES)
@@ -125,7 +110,7 @@ def test_json_output_shape(capsys):
     assert len(doc["findings"]) == 4
     for finding in doc["findings"]:
         assert set(finding) == {"rule", "path", "line", "column",
-                                "message", "fingerprint", "trace"}
+                                "message", "trace"}
         assert finding["rule"] == "SPDR002"
         assert finding["trace"] == []
 
@@ -174,47 +159,18 @@ def test_stats_flag_writes_per_rule_json(tmp_path):
     assert doc["dataflow"]["findings"].get("SPDR006", 0) >= 1
 
 
-def test_explain_prints_path_trace(capsys):
+def test_text_output_prints_path_trace(capsys):
     target = FIXTURES / "spdr006" / "trigger"
-    assert main([str(target), "--engine", "dataflow",
-                 "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    fingerprint = doc["findings"][0]["fingerprint"]
-    assert main([str(target), "--engine", "dataflow",
-                 "--explain", fingerprint]) == 0
+    assert main([str(target), "--engine", "dataflow"]) == 1
     out = capsys.readouterr().out
-    assert "path trace (source -> sink)" in out
+    assert "SPDR006" in out
+    assert "\n  1. " in out  # the first step of the source->sink trace
 
 
-def test_explain_unknown_fingerprint_exits_2():
-    target = FIXTURES / "spdr006" / "clean"
-    assert main([str(target), "--engine", "dataflow",
-                 "--explain", "deadbeefdeadbeef"]) == 2
-
-
-def test_write_baseline_then_lint_against_it(tmp_path):
-    target = FIXTURES / "spdr003" / "trigger"
-    baseline = tmp_path / "baseline.json"
-    assert main([str(target), "--write-baseline", str(baseline)]) == 0
-    # Every finding is now grandfathered: the same tree lints clean.
-    assert main([str(target), "--baseline", str(baseline)]) == 0
-    # But the findings still exist without the baseline.
-    assert main([str(target)]) == 1
-
-
-def test_check_shrunk_exit_codes(tmp_path):
-    target = FIXTURES / "spdr004" / "trigger"
-    full = tmp_path / "full.json"
-    empty = tmp_path / "empty.json"
-    assert main([str(target), "--write-baseline", str(full)]) == 0
-    write_baseline(str(empty), [])
-    # Shrinking (or standing still) passes; growing fails.
-    assert main(["--check-shrunk", str(full), str(empty)]) == 0
-    assert main(["--check-shrunk", str(full), str(full)]) == 0
-    assert main(["--check-shrunk", str(empty), str(full)]) == 1
-    # A schema-v1 file is a usage error on either side, not a pass.
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({"version": 1, "findings": []}),
-                  encoding="utf-8")
-    assert main(["--check-shrunk", str(v1), str(empty)]) == 2
-    assert main([str(target), "--baseline", str(v1)]) == 2
+def test_cli_has_five_options():
+    # An inline suppression is the only way to accept a finding: no
+    # baseline file, no fingerprint lookup.
+    options = {option for action in build_parser()._actions
+               for option in action.option_strings}
+    assert options == {"-h", "--help", "--engine", "--format", "--rules",
+                       "--list-rules", "--stats"}

@@ -1,14 +1,9 @@
-"""Engine mechanics: suppressions, fingerprints, baselines, parsing."""
-
-import json
-from pathlib import Path
+"""Engine mechanics: suppressions, path normalization, parsing."""
 
 import pytest
 
-from repro.analysis import Engine, all_rules, load_baseline, write_baseline
-from repro.analysis.baseline import BaselineError, check_shrunk
+from repro.analysis import Engine, all_rules
 from repro.analysis.engine import normalize_path, parse_suppressions
-from repro.analysis.findings import FINGERPRINT_SCHEMA, compute_fingerprint
 
 #: A module that trips SPDR002 once, placed in the spider scope.
 VIRTUAL_PATH = "repro/spider/virtual.py"
@@ -19,8 +14,8 @@ def _engine():
     return Engine(all_rules())
 
 
-def _analyze(source, path=VIRTUAL_PATH, baseline=None):
-    return _engine().analyze_source(source, path, baseline=baseline)
+def _analyze(source, path=VIRTUAL_PATH):
+    return _engine().analyze_source(source, path)
 
 
 # ----------------------------------------------------------------------
@@ -99,125 +94,23 @@ def test_out_of_scope_path_is_quiet():
 
 
 # ----------------------------------------------------------------------
-# Fingerprints and occurrences
+# Identical lines
 
 
-def test_identical_lines_get_distinct_fingerprints():
+def test_identical_lines_are_separate_findings():
+    # Each hit is its own finding at its own line, so a suppression on
+    # one identical line leaves the other standing.
     source = ("def check(a, b):\n"
-              "    return a.payload == b\n"
+              "    return a.payload == b  # spiderlint: disable=SPDR002\n"
               "\n"
               "def check2(a, b):\n"
               "    return a.payload == b\n")
     result = _analyze(source)
-    assert len(result.findings) == 2
-    first, second = result.findings
-    assert first.line_text == second.line_text
-    assert (first.occurrence, second.occurrence) == (0, 1)
-    assert first.fingerprint() != second.fingerprint()
-
-
-def test_fingerprint_survives_line_shift():
-    shifted = "# a new leading comment\n\n" + OFFENDING
-    original = _analyze(OFFENDING).findings[0]
-    moved = _analyze(shifted).findings[0]
-    assert original.line != moved.line
-    assert original.fingerprint() == moved.fingerprint()
-
-
-def test_fingerprint_survives_reindent():
-    # v2 fingerprints hash the whitespace-normalized snippet: wrapping
-    # the offending line in an if-block must not change its identity.
-    reindented = ("def check(a, b):\n"
-                  "    if a is not None:\n"
-                  "        return a.payload == b\n")
-    original = _analyze(OFFENDING).findings[0]
-    moved = _analyze(reindented).findings[0]
-    assert original.fingerprint() == moved.fingerprint()
-    # Internal-whitespace edits are also identity-preserving.
-    respaced = OFFENDING.replace("a.payload == b", "a.payload  ==  b")
-    assert _analyze(respaced).findings[0].fingerprint() == \
-        original.fingerprint()
-
-
-def test_fingerprint_schema_is_v2_and_deterministic():
-    assert FINGERPRINT_SCHEMA == 2
-    a = compute_fingerprint("SPDR002", "repro/spider/x.py",
-                            "  return a ==  b  ", 0)
-    b = compute_fingerprint("SPDR002", "repro/spider/x.py",
-                            "return a == b", 0)
-    assert a == b  # whitespace-normalized
-    assert a != compute_fingerprint("SPDR002", "repro/spider/x.py",
-                                    "return a == b", 1)
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet
-
-
-def test_baseline_roundtrip(tmp_path):
-    findings = _analyze(OFFENDING).findings
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(str(baseline_file), findings)
-    fingerprints = load_baseline(str(baseline_file))
-    assert fingerprints == {finding.fingerprint() for finding in findings}
-
-    rerun = _analyze(OFFENDING, baseline=fingerprints)
-    assert rerun.findings == []
-    assert rerun.baselined == len(findings)
-    assert rerun.ok
-
-
-def test_baseline_entries_are_auditable(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(str(baseline_file), _analyze(OFFENDING).findings)
-    doc = json.loads(baseline_file.read_text())
-    entry = doc["findings"][0]
-    assert set(entry) == {"fingerprint", "rule", "location", "line"}
-    assert entry["rule"] == "SPDR002"
-    assert entry["location"].startswith(VIRTUAL_PATH)
-
-
-@pytest.mark.parametrize("payload", [
-    "not json at all",
-    '{"version": 99, "findings": []}',
-    '{"version": 1}',
-    '{"version": 1, "findings": [42]}',
-])
-def test_malformed_baseline_rejected(tmp_path, payload):
-    bad = tmp_path / "bad.json"
-    bad.write_text(payload)
-    with pytest.raises(BaselineError):
-        load_baseline(str(bad))
-
-
-def test_missing_baseline_rejected(tmp_path):
-    with pytest.raises(BaselineError):
-        load_baseline(str(tmp_path / "absent.json"))
-
-
-def test_check_shrunk_accepts_shrinkage_and_rejects_growth(tmp_path):
-    findings = _analyze(OFFENDING).findings
-    old = tmp_path / "old.json"
-    new_empty = tmp_path / "new_empty.json"
-    write_baseline(str(old), findings)
-    write_baseline(str(new_empty), [])
-    assert check_shrunk(str(old), str(new_empty)) == []
-    assert check_shrunk(str(old), str(old)) == []
-    # Growth: the old baseline was empty, the new one is not.
-    grown = check_shrunk(str(new_empty), str(old))
-    assert grown == sorted(f.fingerprint() for f in findings)
-
-
-def test_v1_baseline_is_rejected(tmp_path):
-    """Schema v1 (raw line-text fingerprints) is not readable and is
-    not migrated: nothing but the empty v2 baseline has existed since
-    the v2 fingerprint landed."""
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"version": 1, "findings": []}))
-    with pytest.raises(BaselineError, match="unsupported"):
-        load_baseline(str(path))
-    with pytest.raises(BaselineError, match="unsupported"):
-        check_shrunk(str(path), str(path))
+    assert [f.line for f in result.findings] == [5]
+    assert result.suppressed == 1
+    assert [f.line for f in _analyze(
+        source.replace("  # spiderlint: disable=SPDR002", "")).findings] \
+        == [2, 5]
 
 
 # ----------------------------------------------------------------------

@@ -170,32 +170,32 @@ class TestZeroCopyFeed:
         assert isinstance(frame, bytes)
 
     def test_compact_trims_consumed_residual(self):
+        """Completing a straddler trims the residual at once: no
+        consumed bytes linger in the decoder after the frame is out."""
         decoder = FrameDecoder()
         encoded = encode_frame(b"x" * 32)
-        decoder.feed(encoded[:10])
-        decoder.feed(encoded[10:])
-        # The straddler was emitted; its bytes linger, consumed, in
-        # the residual until trimmed.
+        assert decoder.feed(encoded[:10]) == []
+        assert decoder.buffered == 10
+        assert decoder.feed(encoded[10:]) == [b"x" * 32]
         assert decoder.buffered == 0
-        assert len(decoder._buffer) == len(encoded)
-        decoder.compact()
         assert len(decoder._buffer) == 0
         assert decoder.feed(encode_frame(b"next")) == [b"next"]
 
     def test_compact_threshold_bounds_residual_memory(self):
-        """A stream chunked so every frame straddles must not grow the
-        residual without bound: once the consumed prefix crosses the
-        threshold, the decoder trims it on its own."""
+        """A stream chunked so every frame straddles a chunk boundary
+        must not grow the residual: it never holds more than one
+        partial frame, since completing a straddler empties it and
+        only the next frame's head is kept."""
         frame = encode_frame(b"y" * 10)
-        decoder = FrameDecoder(compact_threshold=32)
+        decoder = FrameDecoder()
         out = []
         # Half a frame, then full-frame-sized chunks: every chunk
         # completes one straddler and starts the next.
         out += decoder.feed(frame[:7])
-        high_water = 0
         for _ in range(40):
             out += decoder.feed(frame[7:] + frame[:7])
-            high_water = max(high_water, len(decoder._buffer))
-        assert all(f == b"y" * 10 for f in out)
-        assert len(out) == 40
-        assert high_water <= 32 + 2 * len(frame)
+            assert decoder.buffered == 7
+        assert out == [b"y" * 10] * 40
+        assert all(isinstance(f, bytes) for f in out)
+        assert decoder.feed(frame[7:]) == [b"y" * 10]
+        assert decoder.buffered == 0

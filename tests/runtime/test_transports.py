@@ -12,13 +12,16 @@ import weakref
 import pytest
 
 from repro.bgp.prefix import Prefix
+from repro.crypto.keys import make_identity
+from repro.crypto.signatures import Signer
 from repro.runtime.codec import encode_message
 from repro.runtime.framing import encode_frame
-from repro.runtime.scenario import ASN_A, ASN_B, exchange_runtime, \
-    run_loopback_exchange
+from repro.runtime.scenario import ASN_A, ASN_B, T_COMMIT, \
+    _drive_first_round, exchange_runtime, run_loopback_exchange
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import LoopbackHub, TransportError
-from repro.spider.wire import SpiderAnnounce
+from repro.spider.wire import SpiderAnnounce, SpiderCommitment, \
+    commitment_payload
 
 
 class TestLoopbackExchange:
@@ -52,6 +55,47 @@ class TestLoopbackExchange:
         sent = sum(t.frames_sent for t in endpoints.values())
         received = sum(t.frames_received for t in endpoints.values())
         assert sent == received == 4
+
+
+class TestForgedCommitment:
+    """A commitment signed by anyone but its elector is dropped with an
+    ``invalid_commitment`` alarm, in either arrival order: it is never
+    stored and never compared, so it cannot frame the honest elector."""
+
+    OUTSIDER = 66
+
+    def _exchange(self, forged_first):
+        hub = LoopbackHub()
+        rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A))
+        rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B))
+        # B's number, a key nobody registered: one frame from anyone.
+        forger = Signer(make_identity(ASN_B, bits=512, seed=9966))
+        root = b"\x5a" * 32
+        forged = SpiderCommitment(
+            elector=ASN_B, commit_time=T_COMMIT, root=root,
+            envelope=forger.sign(commitment_payload(ASN_B, T_COMMIT, root)))
+        outsider = hub.attach(self.OUTSIDER)
+        if forged_first:
+            outsider.send(ASN_A, [forged])
+            hub.deliver_all()
+        _drive_first_round(hub, rt_a, rt_b)
+        if not forged_first:
+            outsider.send(ASN_A, [forged])
+            hub.deliver_all()
+            rt_a.deliver_pending()
+        return rt_a, rt_b
+
+    @pytest.mark.parametrize("forged_first", [False, True],
+                             ids=["forged_after", "forged_first"])
+    def test_forged_commitment_is_neither_stored_nor_compared(
+            self, forged_first):
+        rt_a, rt_b = self._exchange(forged_first)
+        stored = rt_a.node.commitment_from(ASN_B, T_COMMIT)
+        assert stored == rt_b.recorder.commitments[-1].message
+        assert stored.valid(rt_a.node.registry)
+        assert rt_a.node.detections == []
+        assert rt_a.recorder.alarms == [
+            f"invalid commitment from AS{ASN_B}"]
 
 
 class TestLoopbackHub:
