@@ -4,8 +4,8 @@ The paper labels each commitment's MTT on ``c`` commitment threads.  The
 first real pool here (PR 1) pickled a per-subtree op list through a
 fresh ``ProcessPoolExecutor`` every round, which made multiprocess
 labeling a *regression*: per-round pool spawn plus IPC serialization
-cost more than the hashing it parallelized (`BENCH_commit.json` at that
-commit: serial 0.46 s vs 0.97–1.23 s pooled).  This module replaces
+cost more than the hashing it parallelized (serial 0.46 s vs
+0.97–1.23 s pooled, measured then).  This module replaces
 that design with two ideas:
 
 * **Flat shared buffers, zero per-round pickling.**  Three
@@ -46,10 +46,10 @@ that design with two ideas:
   worker).  The recorder relabels one retained tree whose diff is
   rarely empty and the proof generator labels a tree of its own per
   reconstruction, so the deployment path still installs on almost
-  every round; `BENCH_commit.json` carries all three shapes
-  (``same_tree``, ``churn_tree``, ``fresh_tree``).  Shipping bits per
-  round beside the randomness blob, so that a bits-only round keeps
-  its program, is the next step and is not taken here.
+  every round (DESIGN.md §2 has the last measurement of all three
+  shapes).  Shipping bits per round beside the randomness
+  blob, so that a bits-only round keeps its program, is the next step
+  and is not taken here.
 
 Failure model: a worker death (OOM kill, SIGKILL, crash) surfaces as
 :class:`PoolBrokenError` on the next dispatch or reply.  The pool marks

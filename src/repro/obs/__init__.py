@@ -9,12 +9,12 @@ snapshot of a whole run (:mod:`repro.obs.export`,
 ``python -m repro.obs.dump``).
 """
 
-from .export import SCHEMA_VERSION, snapshot, to_json, to_prometheus
+from .export import SCHEMA_VERSION, snapshot, to_prometheus
 from .metrics import Counter, Gauge, Histogram, Span
 from .registry import Registry, get_registry, set_registry, use_registry
 
 __all__ = [
-    "SCHEMA_VERSION", "snapshot", "to_json", "to_prometheus",
+    "SCHEMA_VERSION", "snapshot", "to_prometheus",
     "Counter", "Gauge", "Histogram", "Span",
     "Registry", "get_registry", "set_registry", "use_registry",
 ]

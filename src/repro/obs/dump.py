@@ -16,9 +16,8 @@ and prints the cost table the evaluation sections report:
 §7.7's storage is not a metric: it is the log's own entries
 (:meth:`repro.spider.log.SpiderLog.bytes_by_kind`).
 
-``--snapshot FILE`` renders a previously exported JSON snapshot instead
-(e.g. the ``BENCH_commit_obs.json`` the commit benchmark writes), and
-``--format json|prom`` emits the raw exporter output for piping.
+``--format json|prom`` emits the same run's raw exporter output for
+piping instead.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .registry import Registry, use_registry
 
 
 # ----------------------------------------------------------------------
-# Snapshot aggregation (works on the exported dict, so a file snapshot
-# and a live registry render identically)
+# Snapshot aggregation (works on the exported dict, the same data
+# ``--format json`` prints)
 
 def counter_by_label(snap: Dict[str, Any], name: str, label: str
                      ) -> Dict[str, float]:
@@ -156,26 +155,17 @@ def scenario_snapshot() -> Dict[str, Any]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.dump",
-        description="Render a repro.obs registry snapshot as the "
-                    "paper's Section 7 cost-attribution table")
-    parser.add_argument("--snapshot", metavar="FILE",
-                        help="read an exported JSON snapshot instead of "
-                             "running the two-node scenario")
+        description="Run the two-node scenario and render its repro.obs "
+                    "registry as the paper's Section 7 cost-attribution "
+                    "table")
     parser.add_argument("--format", choices=("table", "json", "prom"),
                         default="table")
     args = parser.parse_args(argv)
 
     if args.format == "prom":
-        if args.snapshot:
-            raise SystemExit(
-                "--format prom requires a live run (omit --snapshot)")
         text = to_prometheus(scenario_registry())
     else:
-        if args.snapshot:
-            with open(args.snapshot) as handle:
-                snap = json.load(handle)
-        else:
-            snap = scenario_snapshot()
+        snap = scenario_snapshot()
         text = (json.dumps(snap, indent=2) if args.format == "json"
                 else render_cost_table(snap)) + "\n"
     try:

@@ -2,9 +2,9 @@
 
 Two formats cover the two consumers:
 
-* :func:`snapshot` / :func:`to_json` — a structured dump of every
-  metric and span, written alongside ``BENCH_commit.json`` and
-  consumed by ``python -m repro.obs.dump --snapshot``;
+* :func:`snapshot` — a structured, JSON-serializable dump of every
+  metric and span, which ``python -m repro.obs.dump`` renders as the
+  §7 cost table or prints with ``--format json``;
 * :func:`to_prometheus` — the text exposition format, one line per
   sample, for scraping a long-running deployment.
 
@@ -18,7 +18,6 @@ the golden schema in the same commit.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from .metrics import Counter, Gauge, Histogram
@@ -28,8 +27,7 @@ from .registry import Registry, get_registry
 SCHEMA_VERSION = 1
 
 
-def snapshot(registry: Optional[Registry] = None,
-             max_spans: Optional[int] = None) -> Dict[str, Any]:
+def snapshot(registry: Optional[Registry] = None) -> Dict[str, Any]:
     """The registry's full state as a JSON-serializable dict."""
     registry = registry if registry is not None else get_registry()
     counters: List[Dict[str, Any]] = []
@@ -43,21 +41,14 @@ def snapshot(registry: Optional[Registry] = None,
             gauges.append(entry)
         elif isinstance(metric, Histogram):
             histograms.append(entry)
-    spans = [span.to_dict() for span in registry.spans]
-    if max_spans is not None:
-        spans = spans[-max_spans:]
     key = lambda entry: (entry["name"], sorted(entry["labels"].items()))
     return {
         "schema": SCHEMA_VERSION,
         "counters": sorted(counters, key=key),
         "gauges": sorted(gauges, key=key),
         "histograms": sorted(histograms, key=key),
-        "spans": spans,
+        "spans": [span.to_dict() for span in registry.spans],
     }
-
-
-def to_json(registry: Optional[Registry] = None, indent: int = 2) -> str:
-    return json.dumps(snapshot(registry), indent=indent)
 
 
 # ----------------------------------------------------------------------

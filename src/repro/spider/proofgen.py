@@ -19,17 +19,16 @@ prefix exists in our table.
 
 Reconstruction (replay + relabel) is by far the dominant cost of a
 verification round, and every neighbor verifying the same commitment
-needs the *same* reconstruction, so the generator keeps a small LRU
-cache keyed by commit time (:data:`RECONSTRUCTION_CACHE` entries): N
-neighbors trigger one rebuild, not N.
+needs the *same* reconstruction, so the generator keeps the last one it
+built: N neighbors asking for one commit time in a row trigger one
+rebuild, not N.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..bgp.prefix import Prefix
 from ..crypto.hashing import constant_time_eq
@@ -43,21 +42,15 @@ from .checkpoint import RoutingState, elector_view, replay
 from .recorder import Recorder
 from .wire import SpiderBitProof
 
-#: Past-commitment reconstructions (replay + relabel) a generator keeps,
-#: so N neighbors verifying the same interval trigger one rebuild.
-RECONSTRUCTION_CACHE = 8
-
 
 @dataclass
 class Reconstruction:
-    """A rebuilt MTT for one past commitment, with timing breakdown."""
+    """A rebuilt MTT for one past commitment."""
 
     commit_time: float
     tree: Mtt
     root: bytes
     state: RoutingState
-    replay_seconds: float
-    label_seconds: float
 
 
 @dataclass
@@ -92,16 +85,14 @@ class ProofSet:
 class ProofGenerator:
     """Builds proof sets from a recorder's log.
 
-    Reconstructions are cached (LRU by commit time, capacity
-    :data:`RECONSTRUCTION_CACHE`): a reconstruction is a
-    pure function of the log contents up to that commitment, so as long
-    as the commitment exists it can be reused for every neighbor
-    verifying that interval.
+    The last reconstruction is kept: it is a pure function of the log
+    contents up to its commitment, so it serves every neighbor that
+    asks for the same commit time next.
     """
 
     def __init__(self, recorder: Recorder):
         self.recorder = recorder
-        self._cache: "OrderedDict[float, Reconstruction]" = OrderedDict()
+        self._last: Optional[Reconstruction] = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -114,20 +105,15 @@ class ProofGenerator:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def reconstruct(self, commit_time: float,
-                    use_cache: bool = True) -> Reconstruction:
+    def reconstruct(self, commit_time: float) -> Reconstruction:
         """Replay the log and rebuild the MTT for a past commitment."""
-        if use_cache and commit_time in self._cache:
+        last = self._last
+        if last is not None and last.commit_time == commit_time:
             self.cache_hits += 1
-            self._cache.move_to_end(commit_time)
-            return self._cache[commit_time]
+            return last
         self.cache_misses += 1
-        reconstruction = self._reconstruct(commit_time)
-        if use_cache:
-            self._cache[commit_time] = reconstruction
-            while len(self._cache) > RECONSTRUCTION_CACHE:
-                self._cache.popitem(last=False)
-        return reconstruction
+        self._last = self._reconstruct(commit_time)
+        return self._last
 
     def _reconstruct(self, commit_time: float) -> Reconstruction:
         recorder = self.recorder
@@ -136,15 +122,12 @@ class ProofGenerator:
             raise ValueError(f"no commitment logged at t={commit_time}")
         seed = entry.payload["seed"]
 
-        start = time.perf_counter()
         # Cut at the commitment's log position, not its timestamp: an
         # entry logged in the same millisecond after the commitment is
         # not part of the committed state.
         state = replay(recorder.log, recorder.asn,
                        before_index=entry.index)
-        entries = recorder.mtt_entries(state)
-        tree = Mtt.build(entries)
-        replay_seconds = time.perf_counter() - start
+        tree = Mtt.build(recorder.mtt_entries(state))
 
         # Reconstructions are the same workload as live commitments
         # (§6.5 replay), so they run on the recorder's labeling pool.
@@ -152,9 +135,8 @@ class ProofGenerator:
             tree, Rc4Csprng(seed),
             workers=recorder.config.commit_workers,
             pool=recorder.labeling_pool())
-        # Labeled once and then only read by proof generation: the
-        # cache holds up to ``RECONSTRUCTION_CACHE`` of these
-        # trees, and nothing reads a schedule after the hash pass.
+        # Labeled once and then only read by proof generation: nothing
+        # reads a schedule after the hash pass.
         tree.release_schedule()
         if not constant_time_eq(report.root_label,
                                 entry.payload["root"]):
@@ -163,9 +145,7 @@ class ProofGenerator:
                 "log replay is broken"
             )
         return Reconstruction(commit_time=commit_time, tree=tree,
-                              root=report.root_label, state=state,
-                              replay_seconds=replay_seconds,
-                              label_seconds=report.seconds)
+                              root=report.root_label, state=state)
 
     # ------------------------------------------------------------------
     # Proof sets

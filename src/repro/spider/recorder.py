@@ -510,9 +510,11 @@ class Recorder:
                                   message_hash=message_hash))
 
     def _receive_ack(self, ack: SpiderAck) -> None:
+        """An ACK is logged and folded iff it is validly signed and
+        acknowledges a message we sent (``ack.sender`` is us)."""
         with self._cpu("signatures"):
             ok = ack.valid(self.registry)
-        if not ok:
+        if not ok or ack.sender != self.asn:
             self.alarm("invalid_ack", f"invalid ack from AS{ack.acker}")
             return
         awaited = len(self.awaiting_ack)

@@ -82,8 +82,8 @@ class TestGoldenRoots:
 
     GOLDEN_BASIC = "7c275377aa7845b2d22b413297edb5700baec380"
     GOLDEN_WIDE = "d56c957599fc43ecd2cb483563e01b49e59ea4d8"
-    #: The root every PR since PR 9 has quoted (``golden_root`` in
-    #: ``BENCH_commit.json``): 2 000 prefixes × 50 one-bits.
+    #: The root of the §7.3 labeling workload, 2 000 prefixes × 50
+    #: one-bits (167 681 nodes), the figure the docs quote.
     GOLDEN_BENCH = "a4254237340ba931616aeea156dbff1d2c2b9f94"
 
     def wide_entries(self):

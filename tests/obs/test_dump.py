@@ -30,14 +30,7 @@ def fabricated_snapshot() -> dict:
             {"name": "traffic_bytes_total",
              "labels": {"category": "spider"}, "value": 300},
         ],
-        # A snapshot exported before §7.7 became the log's own account
-        # (e.g. the committed BENCH_commit_obs.json) still carries it.
-        "gauges": [
-            {"name": "storage_bytes_total",
-             "labels": {"kind": "log"}, "value": 4096,
-             "high_water": 4096},
-        ],
-        "histograms": [], "spans": [],
+        "gauges": [], "histograms": [], "spans": [],
     }
 
 
@@ -59,8 +52,8 @@ class TestAttribution:
         assert cpu_attribution(snap)["other"] == 0.0
 
     def test_traffic_and_storage(self):
-        """Traffic by category; storage is no registry metric, so an
-        old snapshot's storage gauge renders no §7.7 block."""
+        """Traffic by category; storage is no registry metric (§7.7 is
+        the log's own entries), so the table has no §7.7 block."""
         snap = fabricated_snapshot()
         assert traffic_attribution(snap) == {"bgp": 100, "spider": 300}
         assert "§7.7" not in render_cost_table(snap)
@@ -114,25 +107,6 @@ class TestScenarioSnapshot:
 
 
 class TestCli:
-    def test_table_from_snapshot_file(self, tmp_path, capsys):
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(fabricated_snapshot()))
-        assert main(["--snapshot", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "CPU attribution (paper §7.5)" in out
-
-    def test_json_from_snapshot_file(self, tmp_path, capsys):
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(fabricated_snapshot()))
-        assert main(["--snapshot", str(path), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["schema"] == 1
-
-    def test_prom_requires_live_run(self, tmp_path):
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(fabricated_snapshot()))
-        with pytest.raises(SystemExit):
-            main(["--snapshot", str(path), "--format", "prom"])
-
     def test_live_json_matches_the_golden_schema(self, capsys):
         assert main(["--format", "json"]) == 0
         snap = json.loads(capsys.readouterr().out)

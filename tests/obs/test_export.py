@@ -5,8 +5,7 @@ import json
 import pathlib
 
 from repro.netsim.clock import SimClock
-from repro.obs.export import SCHEMA_VERSION, snapshot, to_json, \
-    to_prometheus
+from repro.obs.export import SCHEMA_VERSION, snapshot, to_prometheus
 from repro.obs.registry import Registry
 
 GOLDEN = json.loads(
@@ -62,8 +61,8 @@ class TestSnapshotSchema:
         assert keys == sorted(keys)
 
     def test_json_roundtrip(self):
-        text = to_json(populated_registry())
-        assert json.loads(text)["schema"] == SCHEMA_VERSION
+        snap = snapshot(populated_registry())
+        assert json.loads(json.dumps(snap)) == snap
 
     def test_values_survive_export(self):
         snap = snapshot(populated_registry())

@@ -364,9 +364,11 @@ class TestRetriesSurviveARestart:
     retry for everything the recorder awaits."""
 
     @staticmethod
-    def crash_after_the_announce(store_dir):
+    def crash_after_the_announce(store_dir, close=True):
         """Side A announces on a durable log and dies before any ACK
-        arrives; returns the entry that logged the send."""
+        arrives; returns the entry that logged the send.  Without
+        ``close`` the runtime is dropped as it stands, which is what a
+        SIGKILL leaves under ``fsync=always``."""
         hub = LoopbackHub(drop_filter=drop_acks)
         rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A),
                                 retry_policy=FAST_RETRY,
@@ -382,7 +384,8 @@ class TestRetriesSurviveARestart:
         rt_a.deliver_pending()
         assert rt_a.delivery.retries_sent == 0
         (sent,) = rt_a.recorder.log.of_kind(EntryKind.SENT_ANNOUNCE)
-        rt_a.close()
+        if close:
+            rt_a.close()
         return sent
 
     @staticmethod
@@ -409,9 +412,14 @@ class TestRetriesSurviveARestart:
             rt_a.deliver_pending()
 
     def test_retries_resume_then_evidence_and_alarm(self, tmp_path):
+        self.check_retries_resume(str(tmp_path / "a"), close=True)
+
+    def test_retries_resume_after_a_crash_without_close(self, tmp_path):
+        self.check_retries_resume(str(tmp_path / "a"), close=False)
+
+    def check_retries_resume(self, store_dir, close):
         from repro.runtime.codec import encode_message
-        store_dir = str(tmp_path / "a")
-        sent = self.crash_after_the_announce(store_dir)
+        sent = self.crash_after_the_announce(store_dir, close)
         hub = LoopbackHub(drop_filter=drop_acks)
         rt_a, rt_b, sends = self.reopen_cold(store_dir, hub)
         try:

@@ -20,6 +20,7 @@ from repro.runtime.scenario import ASN_A, ASN_B, T_COMMIT, \
     _drive_first_round, exchange_runtime, run_loopback_exchange
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import LoopbackHub, TransportError
+from repro.spider.log import EntryKind
 from repro.spider.wire import SpiderAnnounce, SpiderCommitment, \
     commitment_payload
 
@@ -96,6 +97,33 @@ class TestForgedCommitment:
         assert rt_a.node.detections == []
         assert rt_a.recorder.alarms == [
             f"invalid commitment from AS{ASN_B}"]
+
+
+class TestMisaddressedAck:
+    """An ACK names the node whose message it acknowledges (``sender``).
+    Delivered anywhere else it is refused like a misaddressed update:
+    an ``invalid_ack`` alarm, no log entry, no ACK hook."""
+
+    def test_an_ack_for_someone_else_is_never_logged(self):
+        hub = LoopbackHub()
+        rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A))
+        rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B))
+        _drive_first_round(hub, rt_a, rt_b)
+        (sent,) = rt_b.recorder.log.of_kind(EntryKind.SENT_ACK)
+        ack = sent.payload  # B's ACK of A's announce, validly signed
+        assert ack.sender == ASN_A and ack.valid(rt_b.node.registry)
+        entries = len(rt_b.recorder.log)
+        hooked = []
+        rt_b.recorder.add_ack_hook(hooked.append)
+        outsider = hub.attach(TestForgedCommitment.OUTSIDER)
+        for _ in range(3):
+            outsider.send(ASN_B, [ack])
+            hub.deliver_all()
+            rt_b.deliver_pending()
+        assert len(rt_b.recorder.log) == entries
+        assert rt_b.recorder.log.of_kind(EntryKind.RECV_ACK) == []
+        assert hooked == []
+        assert rt_b.recorder.alarms == [f"invalid ack from AS{ASN_B}"] * 3
 
 
 class TestLoopbackHub:

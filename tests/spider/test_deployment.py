@@ -133,40 +133,35 @@ class TestReconstruction:
         assert 0.0 < gen.cache_hit_rate <= 1.0
 
     def test_reconstruction_cache_bypass(self, deployment):
+        """A generator of its own rebuilds from the log: a new tree,
+        the same root."""
+        from repro.spider.proofgen import ProofGenerator
+
         network, dep = deployment
         node = dep.node(FOCUS_AS)
         record = dep.commit_now(FOCUS_AS)
-        gen = node.proofgen
-        cached = gen.reconstruct(record.commit_time)
-        fresh = gen.reconstruct(record.commit_time, use_cache=False)
+        cached = node.proofgen.reconstruct(record.commit_time)
+        fresh = ProofGenerator(node.recorder).reconstruct(record.commit_time)
         assert fresh is not cached
         assert fresh.root == cached.root
 
-    def test_reconstruction_cache_evicts_lru(self, deployment,
-                                             monkeypatch):
-        from repro.spider import proofgen
-
+    def test_reconstruction_cache_evicts_lru(self, deployment):
+        """One reconstruction is kept: a second commit time replaces
+        the first, and asking for the first again rebuilds it."""
         network, dep = deployment
-        node = dep.node(FOCUS_AS)
-        gen = node.proofgen
-        monkeypatch.setattr(proofgen, "RECONSTRUCTION_CACHE", 2)
-        try:
-            gen._cache.clear()
-            # Three commitments at distinct times.
-            history = []
-            for _ in range(3):
-                network.sim.clock.advance_to(network.sim.now + 1.0)
-                history.append(dep.commit_now(FOCUS_AS).commit_time)
-            assert len(set(history)) == 3
-            for commit_time in history:
-                gen.reconstruct(commit_time)
-            assert len(gen._cache) == 2
-            # The oldest reconstruction was evicted; the newest remain.
-            assert history[-1] in gen._cache
-            assert history[-2] in gen._cache
-            assert history[0] not in gen._cache
-        finally:
-            gen._cache.clear()
+        gen = dep.node(FOCUS_AS).proofgen
+        history = []
+        for _ in range(2):
+            network.sim.clock.advance_to(network.sim.now + 1.0)
+            history.append(dep.commit_now(FOCUS_AS).commit_time)
+        first = gen.reconstruct(history[0])
+        second = gen.reconstruct(history[1])
+        assert second.commit_time == history[1]
+        misses = gen.cache_misses
+        assert gen.reconstruct(history[1]) is second
+        again = gen.reconstruct(history[0])
+        assert gen.cache_misses == misses + 1
+        assert again is not first and again.root == first.root
 
 
 class TestVerification:

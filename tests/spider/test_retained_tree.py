@@ -213,8 +213,7 @@ class World:
                         recorder.log.commitment_at(
                             record.commit_time) is None:
                     continue
-                assert proofgen.reconstruct(
-                    record.commit_time, use_cache=False).root == \
+                assert proofgen.reconstruct(record.commit_time).root == \
                     record.root
         finally:
             self.recorder.close()

@@ -20,6 +20,7 @@ from repro.runtime.scenario import ASN_A, ASN_B, _drive_first_round, \
 from repro.runtime.transport import LoopbackHub
 from repro.spider.log import EntryKind, TamperError
 from repro.store import SegmentedLogStore, StoreCorruptionError, recover
+from repro.store.inspect import main as inspect_main
 from repro.store.segment import SEGMENT_MAGIC, segment_filename
 from tests.store.test_recovery_fuzz import rewrite_record
 
@@ -124,10 +125,12 @@ AT_REST_EDITS = {
 
 class TestTamperAtRest:
     @pytest.mark.parametrize("name", sorted(AT_REST_EDITS))
-    def test_rewritten_record_is_never_adopted(self, tmp_path, name):
+    def test_rewritten_record_is_never_adopted(self, tmp_path, capsys,
+                                               name):
         """An adversary with the disk rewrites one record at equal
         length and fixes its CRC: the cold open must name the record
-        and refuse, not adopt (and re-sign) the forged history."""
+        and refuse, not adopt (and re-sign) the forged history, and
+        ``inspect --verify`` must fail naming the same record."""
         store_dir = str(tmp_path / "store")
         run_phase1(store_dir)
         index, field = AT_REST_EDITS[name]
@@ -140,11 +143,14 @@ class TestTamperAtRest:
             payload[payload.rindex(needle) + len(needle) - 1] ^= 0x01
 
         rewrite_record(store_dir, index, edit)
-        with use_registry(Registry()), pytest.raises(
-                TamperError,
-                match=f"record {index} breaks the hash chain"):
+        broken = f"record {index} breaks the hash chain"
+        with use_registry(Registry()), pytest.raises(TamperError,
+                                                     match=broken):
             exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
                              store_dir=store_dir)
+        with use_registry(Registry()):
+            assert inspect_main([store_dir, "--verify"]) == 1
+        assert broken in capsys.readouterr().out
 
     def test_version_1_directory_fails_closed(self, tmp_path):
         """A store written before the chain covered the entry bytes

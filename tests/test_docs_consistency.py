@@ -13,6 +13,23 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+#: The documents whose ``repro`` names must exist.
+DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md")
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted name is a module or an attribute of one."""
+    try:
+        importlib.import_module(name)
+        return True
+    except ImportError:
+        module, _, attribute = name.rpartition(".")
+    try:
+        return hasattr(importlib.import_module(module), attribute)
+    except ImportError:
+        return False
+
 
 @pytest.fixture(scope="module")
 def readme():
@@ -65,17 +82,27 @@ class TestModulesImport:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
 
-    def test_modules_mentioned_in_design_import(self, design):
-        for match in set(re.findall(r"`(repro\.[\w.]+)`", design)):
-            module = match
-            attribute = None
-            try:
-                importlib.import_module(module)
-                continue
-            except ImportError:
-                module, _, attribute = match.rpartition(".")
-            mod = importlib.import_module(module)
-            assert hasattr(mod, attribute), match
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_names_in_docs_resolve(self, doc):
+        """Every backticked ``repro.*`` name and every name a ``from
+        repro… import …`` line imports is a module or an attribute of
+        one."""
+        text = (ROOT / doc).read_text().replace("\\\n", " ")
+        names = set(re.findall(r"`(repro\.[\w.]+)`", text))
+        for module, wrapped, imported in re.findall(
+                r"^\s*from (repro[\w.]*) import "
+                r"(?:\(([^)]*)\)|([\w ,]+))", text, re.M):
+            names.update(f"{module}.{name.split()[0]}"
+                         for name in (wrapped or imported).split(",")
+                         if name.strip())
+        assert sorted(name for name in names if not resolves(name)) == []
+
+    def test_verify_skill_drive_snippet_runs(self):
+        """The skill's ``python`` block is a recipe, not a sketch: it
+        runs as written and every verification comes back clean."""
+        text = (ROOT / DOCS[-1]).read_text()
+        (snippet,) = re.findall(r"```python\n(.*?)```", text, re.S)
+        exec(compile(snippet, DOCS[-1], "exec"), {})
 
 
 class TestExamplesAreValidPython:
