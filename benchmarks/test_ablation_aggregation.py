@@ -81,4 +81,4 @@ def test_aggregate_entries_commit_and_prove(benchmark, emit):
         "A4: aggregate proof",
         ["quantity", "value"],
         [("aggregate prefix", str(parent)),
-         ("proof bytes", proof.wire_size())]))
+         ("proof bytes", len(proof.encode()))]))

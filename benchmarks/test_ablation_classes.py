@@ -32,7 +32,7 @@ def sweep():
         results[k] = {
             "census": tree.census(),
             "seconds": report.seconds,
-            "proof_bytes": proof.wire_size(),
+            "proof_bytes": len(proof.encode()),
         }
     return results
 

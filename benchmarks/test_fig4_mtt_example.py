@@ -52,4 +52,4 @@ def test_figure4_commit_and_prove(benchmark, emit):
         ["quantity", "value"],
         [("root label bytes", len(report.root_label)),
          ("hashes computed", report.hash_count),
-         ("single bit proof bytes", proof.wire_size())]))
+         ("single bit proof bytes", len(proof.encode()))]))

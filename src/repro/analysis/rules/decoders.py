@@ -26,7 +26,7 @@ SCOPE: Tuple[str, ...] = (
     "repro/core/wire.py",
     "repro/core/commitment.py",
     "repro/spider/wire.py",
-    "repro/runtime/codec.py",
+    "repro/spider/codec.py",
     "repro/runtime/framing.py",
     "repro/store/",
 )

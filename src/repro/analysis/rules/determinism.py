@@ -35,7 +35,7 @@ ORDER_SENSITIVE: Tuple[str, ...] = (
     "repro/core/wire.py",
     "repro/core/commitment.py",
     "repro/spider/wire.py",
-    "repro/runtime/codec.py",
+    "repro/spider/codec.py",
     "repro/runtime/framing.py",
 )
 

@@ -25,8 +25,7 @@ from typing import List, Sequence, Tuple
 
 from . import rsa
 from ..obs.registry import get_registry
-from .hashing import DIGEST_SIZE, constant_time_eq, digest, \
-    digest_fields
+from .hashing import constant_time_eq, digest, digest_fields
 from .keys import Identity, KeyRegistry
 
 
@@ -52,21 +51,6 @@ class Signed:
         if self.batch_digests:
             return _batch_root(self.signer, self.batch_digests)
         return _single_root(self.signer, self.payload)
-
-    def wire_size(self) -> int:
-        """Serialized size in bytes, what §7.6's traffic counts.
-
-        A batch is transmitted as a unit to one receiver (the recorder
-        groups its outbox per neighbor), so the shared signature and
-        digest list are amortized across the batch members.
-        """
-        overhead = 4 + 4 + 4  # signer + index + count framing
-        if self.batch_digests:
-            shared = len(self.signature) + \
-                DIGEST_SIZE * len(self.batch_digests)
-            share = -(-shared // len(self.batch_digests))  # ceil div
-            return len(self.payload) + overhead + share
-        return len(self.payload) + len(self.signature) + overhead
 
 
 def _single_root(signer: int, payload: bytes) -> bytes:

@@ -12,7 +12,7 @@ from .adversaries import ATTACK_CLASSES, SEC74_SPECS, SECRET_ORIGIN, \
     RouteLeakAdversary, World, WrongfulExportAdversary, adversary_for, \
     selective_export_scheme_for_spider, standard_workload
 # The campaign runner (.campaign) is a CLI module and is deliberately
-# not imported here, like obs.dump and store.inspect: import it as
+# not imported here, like runtime.dump and store.inspect: import it as
 # repro.faults.campaign, or run python -m repro.faults.campaign.
 from .injector import install_equivocation, install_export_filter, \
     install_export_leak, install_export_mutator, install_import_filter, \

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.commitment import FlatOpening
 from ..crypto.rc4 import Rc4Csprng
 from ..mtt.labeling import label_tree
 from ..mtt.stats import PAPER_CENSUS
@@ -21,11 +22,12 @@ from ..netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from ..obs.dump import cpu_split
 from ..obs.registry import Registry, get_registry
 from ..spider.config import SpiderConfig
-from ..spider.log import EntryKind
+from ..spider.log import EntryKind, encode_entry
 from ..spider.node import PROOF_TRAFFIC, SPIDER_TRAFFIC, \
     SpiderDeployment, evaluation_scheme
 from ..traces.routeviews import PAPER_COMMIT_INTERVAL, SyntheticTrace, \
     TraceConfig, synthetic_trace
+from ..traces.workload import generate_prefixes
 
 FEED = 65000
 
@@ -112,8 +114,10 @@ class ReplayResult:
         return sum(e.size_bytes for e in log.of_kind(EntryKind.COMMITMENT))
 
     def snapshot_bytes(self) -> int:
-        return self.deployment.node(FOCUS_AS).recorder.state \
-            .serialized_size()
+        """AS 5's routing state as one CHECKPOINT entry."""
+        state = self.deployment.node(FOCUS_AS).recorder.state
+        return len(encode_entry(EntryKind.CHECKPOINT, self.replay_end,
+                                state))
 
     # -- Section 7.5 -----------------------------------------------------
     def cpu_breakdown(self) -> Dict[str, float]:
@@ -242,7 +246,6 @@ class MttSizeResult:
 
 def mtt_size_experiment(n_prefixes: int = 4000, k: int = 50,
                         seed: int = 7) -> MttSizeResult:
-    from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
     entries = {p: [1] * k for p in prefixes}
     start = time.perf_counter()
@@ -268,7 +271,6 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
                         seed: int = 7) -> LabelingResult:
     """Serial labeling time: the hash phase, best of two rounds
     relabeling one tree."""
-    from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
     tree = Mtt.build({p: [1] * k for p in prefixes})
     serial = [label_tree(tree, Rc4Csprng(b"label-exp"))
@@ -313,7 +315,7 @@ def proof_experiment(replay: ReplayResult) -> ProofResult:
 
     outcomes = deployment.verify(FOCUS_AS,
                                  commit_time=record.commit_time)
-    per_bytes = {o.neighbor: o.proofs.wire_size() for o in outcomes}
+    per_bytes = {o.neighbor: o.proofs.encoded_size() for o in outcomes}
     per_count = {o.neighbor: o.proofs.proof_count() for o in outcomes}
     generation = sum(o.proofs.generation_seconds for o in outcomes)
     check_seconds = {o.neighbor: o.report.check_seconds for o in outcomes}
@@ -328,7 +330,7 @@ def proof_experiment(replay: ReplayResult) -> ProofResult:
         generation_seconds=generation,
         per_neighbor_bytes=per_bytes, per_neighbor_count=per_count,
         single_prefix_seconds=single.generation_seconds,
-        single_prefix_bytes=single.wire_size(),
+        single_prefix_bytes=single.encoded_size(),
         check_seconds=check_seconds, checks_ok=ok)
 
 
@@ -351,8 +353,6 @@ def flat_vs_mtt_experiment(n_prefixes: int = 500, k: int = 50,
                            seed: int = 7) -> FlatVsMttResult:
     """§5.1: running one VPref instance per prefix leaks which prefixes
     exist and multiplies commitment traffic; the MTT fixes both."""
-    from ..core.commitment import FlatOpening
-    from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
     bits = [1] * k
 

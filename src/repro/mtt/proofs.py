@@ -50,13 +50,6 @@ class MttBitProof:
     blinding: bytes
     steps: Tuple[PathStep, ...]
 
-    def wire_size(self) -> int:
-        """Serialized size in bytes (the §7.3 proof-size measurement)."""
-        labels = sum(len(l) for step in self.steps
-                     for l in step.child_labels)
-        framing = 4 * len(self.steps)  # child_index per step
-        return 5 + 4 + 1 + len(self.blinding) + labels + framing
-
     def encode(self) -> bytes:
         """The proof's one byte form: what :class:`~repro.spider.wire.
         SpiderBitProof` signs and what the wire codec ships.

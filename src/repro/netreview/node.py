@@ -11,8 +11,7 @@ minus MTT generation, about 5× lower) falls out of exactly this sharing.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..bgp.prefix import Prefix
 from ..core.classes import ClassScheme
@@ -24,8 +23,8 @@ from ..spider.checkpoint import replay
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind, LogEntry
 from ..spider.node import SPIDER_TRAFFIC, evaluation_scheme, \
-    sweep_overdue_acks
-from ..spider.recorder import CommitmentRecord, Recorder, Transport
+    simulated_transport, sweep_overdue_acks
+from ..spider.recorder import CommitmentRecord, Recorder
 from .auditor import AuditReport, NetReviewAuditor
 
 #: Traffic category for NetReview's own messages (same substrate).
@@ -100,7 +99,8 @@ class NetReviewDeployment:
                 scheme=self._scheme_for(asn), promises=promises,
                 config=config,
                 clock=network.sim.clock,
-                transport=self._transport_for(asn),
+                transport=simulated_transport(
+                    network, asn, NETREVIEW_TRAFFIC, self._inbox),
                 master_seed=b"netreview-%d" % asn,
                 schedule=network.sim.after)
             self.recorders[asn] = recorder
@@ -114,18 +114,9 @@ class NetReviewDeployment:
     def recorder(self, asn: int) -> NetReviewRecorder:
         return self.recorders[asn]
 
-    def _transport_for(self, sender: int) -> Transport:
-        def send(receiver: int, messages: Sequence[object]) -> None:
-            for message in messages:
-                self.network.record_traffic(sender, NETREVIEW_TRAFFIC,
-                                            message.wire_size())
-            target = self.recorders.get(receiver)
-            if target is None:
-                return
-            for message in messages:
-                self.network.sim.after(self.network.link_delay,
-                                       partial(target.receive, message))
-        return send
+    def _inbox(self, asn: int) -> Optional[Callable[[object], None]]:
+        recorder = self.recorders.get(asn)
+        return None if recorder is None else recorder.receive
 
     # ------------------------------------------------------------------
 

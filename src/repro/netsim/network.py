@@ -14,11 +14,10 @@ ever sends updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple, \
-    TYPE_CHECKING
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..bgp.messages import Announce, Update, Withdraw
-from ..bgp.policy import Relation, gao_rexford_policy
+from ..bgp.policy import NeighborConfig, Relation, gao_rexford_policy
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..bgp.speaker import Speaker
@@ -26,9 +25,6 @@ from ..obs.metrics import Counter
 from ..obs.registry import get_registry
 from .events import Simulator
 from .topology import Topology
-
-if TYPE_CHECKING:
-    from ..bgp.policy import NeighborConfig
 
 #: Traffic category for plain BGP updates (§7.6).
 BGP_TRAFFIC = "bgp"
@@ -209,6 +205,5 @@ class Network:
 
 
 def _feed_config(feed_asn: int, relation: Relation
-                 ) -> "NeighborConfig":
-    from ..bgp.policy import NeighborConfig
+                 ) -> NeighborConfig:
     return NeighborConfig(asn=feed_asn, relation=relation)

@@ -6,7 +6,7 @@ signing, the recorder's §7.5 CPU sections, retry/backoff delivery, the
 transports, and the simulated links' §7.6 traffic.  The Section 7
 experiments read it directly, and the exporters render one coherent
 snapshot of a whole run (:mod:`repro.obs.export`,
-``python -m repro.obs.dump``).
+:mod:`repro.obs.dump`).
 """
 
 from .export import SCHEMA_VERSION, snapshot, to_prometheus

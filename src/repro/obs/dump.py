@@ -1,9 +1,9 @@
 """Cost-attribution dump: render a registry snapshot in the paper's
 Section 7 categories.
 
-``python -m repro.obs.dump`` runs the canonical two-node scenario
-(:mod:`repro.runtime.scenario`) over loopback inside a fresh registry
-and prints the cost table the evaluation sections report:
+:func:`render_cost_table` prints the cost table the evaluation sections
+report (``python -m repro.runtime.dump`` renders a live two-node run
+with it):
 
 * **§7.5 CPU** — seconds split into signatures / MTT labeling / other
   (other = message handling minus its nested signature work:
@@ -15,20 +15,11 @@ and prints the cost table the evaluation sections report:
 
 §7.7's storage is not a metric: it is the log's own entries
 (:meth:`repro.spider.log.SpiderLog.bytes_by_kind`).
-
-``--format json|prom`` emits the same run's raw exporter output for
-piping instead.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from .export import snapshot as export_snapshot, to_prometheus
-from .registry import Registry, use_registry
+from typing import Any, Dict, List, Mapping, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -135,46 +126,3 @@ def render_cost_table(snap: Dict[str, Any]) -> str:
                 for s in spans[:20]]
         blocks.append(_table("Trace spans (component clocks)", rows))
     return "\n\n".join(blocks)
-
-
-# ----------------------------------------------------------------------
-# Snapshot sources
-
-def scenario_registry() -> Registry:
-    """Run the two-node loopback exchange inside a fresh registry."""
-    with use_registry(Registry()) as registry:
-        from ..runtime.scenario import run_loopback_exchange
-        run_loopback_exchange()
-    return registry
-
-
-def scenario_snapshot() -> Dict[str, Any]:
-    return export_snapshot(scenario_registry())
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.dump",
-        description="Run the two-node scenario and render its repro.obs "
-                    "registry as the paper's Section 7 cost-attribution "
-                    "table")
-    parser.add_argument("--format", choices=("table", "json", "prom"),
-                        default="table")
-    args = parser.parse_args(argv)
-
-    if args.format == "prom":
-        text = to_prometheus(scenario_registry())
-    else:
-        snap = scenario_snapshot()
-        text = (json.dumps(snap, indent=2) if args.format == "json"
-                else render_cost_table(snap)) + "\n"
-    try:
-        sys.stdout.write(text)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe: not an error.
-        sys.stderr.close()
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

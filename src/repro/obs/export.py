@@ -3,7 +3,7 @@
 Two formats cover the two consumers:
 
 * :func:`snapshot` — a structured, JSON-serializable dump of every
-  metric and span, which ``python -m repro.obs.dump`` renders as the
+  metric and span, which ``python -m repro.runtime.dump`` renders as the
   §7 cost table or prints with ``--format json``;
 * :func:`to_prometheus` — the text exposition format, one line per
   sample, for scraping a long-running deployment.

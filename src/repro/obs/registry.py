@@ -6,7 +6,7 @@ verification.  The registry is the one account of those numbers: the
 recorder's CPU sections, the simulated links, the signer, the
 transports and the retry loop write named metrics here, and the
 experiments (:mod:`repro.harness.experiments`), the exporters
-(:mod:`repro.obs.export`) and the dump CLI (:mod:`repro.obs.dump`) read
+(:mod:`repro.obs.export`) and the cost table (:mod:`repro.obs.dump`) read
 them back.  (§7.7's storage is the log's own entries:
 :meth:`repro.spider.log.SpiderLog.bytes_by_kind`.)
 

@@ -1,10 +1,9 @@
 """repro.runtime — SPIDeR nodes over real transports.
 
 The simulator (:mod:`repro.netsim`) proves the protocol logic; this
-package gives it a wire.  It provides, bottom-up:
+package gives it a wire.  Messages cross it as the bytes of
+:mod:`repro.spider.codec`.  It provides, bottom-up:
 
-* :mod:`~repro.runtime.codec` — deterministic, strict binary encodings
-  for every SPIDeR wire message;
 * :mod:`~repro.runtime.framing` — length-prefixed frames over a byte
   stream;
 * :mod:`~repro.runtime.transport` — the Transport interface (one
@@ -20,15 +19,14 @@ package gives it a wire.  It provides, bottom-up:
   clock, timers, inbox, and one :class:`~repro.spider.node.SpiderNode`;
 * :mod:`~repro.runtime.soak` — the many-peer soak scenario: 50+
   concurrent sessions against one node runtime, with per-peer
-  backpressure metrics.
+  backpressure metrics;
+* :mod:`~repro.runtime.dump` — ``python -m repro.runtime.dump``, the
+  two-node scenario's registry as the paper's §7 cost table.
 """
 
-from .codec import CodecError, WIRE_VERSION, decode_message, \
-    encode_message
 from .delivery import DeliveryService, RetryPolicy
 from .framing import FrameDecoder, FramingError, MAX_FRAME_SIZE, \
     encode_frame, encode_frames
-from .logdump import encode_log, encode_log_entry, log_digest
 from .node_runtime import NodeRuntime, StepClock, TimerWheel, WallClock
 from .soak import run_soak
 from .tcp import TcpTransport
@@ -36,11 +34,9 @@ from .transport import LoopbackHub, LoopbackTransport, Transport, \
     TransportError
 
 __all__ = [
-    "CodecError", "WIRE_VERSION", "decode_message", "encode_message",
     "DeliveryService", "RetryPolicy",
     "FrameDecoder", "FramingError", "MAX_FRAME_SIZE", "encode_frame",
     "encode_frames",
-    "encode_log", "encode_log_entry", "log_digest",
     "NodeRuntime", "StepClock", "TimerWheel", "WallClock",
     "run_soak",
     "TcpTransport",

@@ -19,8 +19,8 @@ import heapq
 import itertools
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, \
-    Optional, Protocol, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Protocol, \
+    Sequence, Tuple
 
 from ..bgp.messages import Announce, Withdraw
 from ..bgp.prefix import Prefix
@@ -33,12 +33,10 @@ from ..spider.config import SpiderConfig
 from ..spider.log import LogEntry
 from ..spider.node import SpiderNode
 from ..spider.recorder import CommitmentRecord, Recorder
+from ..store.recovery import Recovery, recover
+from ..store.seglog import SegmentedLogStore
 from .delivery import DeliveryService, RetryPolicy
 from .transport import Transport
-
-if TYPE_CHECKING:
-    from ..store.recovery import Recovery
-    from ..store.seglog import SegmentedLogStore
 
 
 class SteppableClock(ClockLike, Protocol):
@@ -149,17 +147,14 @@ class NodeRuntime:
         # Durable log store.  Recovery replays and chain-verifies
         # everything on disk before the node processes its first
         # message; a directory it refuses is never opened for writing.
-        # (Imported lazily: repro.store depends on this package's
-        # serializer, so a module-level import would cycle.)
-        self.store: Optional["SegmentedLogStore"] = None
-        self.recovery: Optional["Recovery"] = None
+        self.store: Optional[SegmentedLogStore] = None
+        self.recovery: Optional[Recovery] = None
         recovered_entries: Optional[Sequence[LogEntry]] = None
         if store_dir is not None:
-            from ..store.recovery import recover
-            from ..store.seglog import SegmentedLogStore
-            self.store = SegmentedLogStore(store_dir, fsync=store_fsync,
-                                           node=f"as{identity.asn}")
-            self.recovery = recover(self.store)
+            store = SegmentedLogStore(store_dir, fsync=store_fsync,
+                                      node=f"as{identity.asn}")
+            self.recovery = recover(store)
+            self.store = store
             if self.recovery.entries:
                 recovered_entries = self.recovery.entries
         self.node = SpiderNode(

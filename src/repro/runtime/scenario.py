@@ -5,7 +5,7 @@ AS 12 ("B").  Every timestamp is fixed by the script, not by the
 transport, so the resulting evidence logs are a pure function of the
 protocol — running the same script over :class:`LoopbackTransport` in
 one process or over real TCP between two OS processes must produce
-byte-identical logs (:mod:`repro.runtime.logdump` defines the bytes).
+byte-identical logs (:mod:`repro.spider.log` defines the bytes).
 
 The module doubles as the two-process demo: ``python -m
 repro.runtime.scenario --role a --port 9401 --peer-port 9402`` in one
@@ -34,9 +34,9 @@ from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..crypto.keys import KeyRegistry, make_identity
 from ..spider.config import SpiderConfig
+from ..spider.log import encode_log, log_digest
 from ..spider.node import evaluation_scheme
 from .delivery import RetryPolicy
-from .logdump import encode_log, log_digest
 from .node_runtime import NodeRuntime
 from .tcp import TcpTransport
 from .transport import LoopbackHub, Transport

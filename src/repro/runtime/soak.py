@@ -41,10 +41,10 @@ from ..bgp.route import Route
 from ..crypto.keys import KeyRegistry, make_identity
 from ..crypto.signatures import Signer
 from ..obs.registry import get_registry
+from ..spider.codec import CodecError, decode_message, encode_message
 from ..spider.config import SpiderConfig
 from ..spider.node import evaluation_scheme
 from ..spider.wire import SpiderAck, SpiderAnnounce
-from .codec import CodecError, decode_message, encode_message
 from .framing import FrameDecoder, encode_frames
 from .node_runtime import NodeRuntime
 from .tcp import TcpTransport

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import Gauge
 from ..obs.registry import get_registry
-from .codec import CodecError, decode_message, encode_message
+from ..spider.codec import CodecError, decode_message, encode_message
 from .framing import FrameDecoder, FramingError, encode_frame
 from .transport import Transport, TransportError
 

@@ -22,7 +22,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.registry import get_registry
-from .codec import decode_message, encode_message
+from ..spider.codec import decode_message, encode_message
 from .framing import FrameDecoder, LENGTH_BYTES, encode_frames
 
 #: A delivery callback: receives the decoded message object.

@@ -10,64 +10,13 @@ reproducing exactly the state the MTT was built from.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Set
+from typing import Collection, List, Optional
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from .log import EntryKind, LogEntry, SpiderLog
+from .state import RoutingState
 from .wire import SpiderAnnounce, SpiderWithdraw
-
-
-@dataclass
-class RoutingState:
-    """What a commitment needs to know about one AS's routing at time t.
-
-    * ``imports[neighbor][prefix]`` — the route that neighbor was
-      advertising to us (the VPref inputs);
-    * ``exports[neighbor][prefix]`` — the route we were advertising to
-      that neighbor (the VPref offers);
-    * ``origins`` — prefixes we originate ourselves.
-    """
-
-    imports: Dict[int, Dict[Prefix, Route]] = field(default_factory=dict)
-    exports: Dict[int, Dict[Prefix, Route]] = field(default_factory=dict)
-    origins: Set[Prefix] = field(default_factory=set)
-
-    def copy(self) -> "RoutingState":
-        return RoutingState(
-            imports={n: dict(t) for n, t in self.imports.items()},
-            exports={n: dict(t) for n, t in self.exports.items()},
-            origins=set(self.origins),
-        )
-
-    def known_prefixes(self) -> Set[Prefix]:
-        prefixes: Set[Prefix] = set(self.origins)
-        for table in self.imports.values():
-            prefixes.update(table)
-        for table in self.exports.values():
-            prefixes.update(table)
-        return prefixes
-
-    def knows(self, prefix: Prefix) -> bool:
-        """``prefix in known_prefixes()``, without building the set."""
-        return prefix in self.origins or \
-            any(prefix in table for table in self.imports.values()) or \
-            any(prefix in table for table in self.exports.values())
-
-    def import_route(self, neighbor: int,
-                     prefix: Prefix) -> Optional[Route]:
-        return self.imports.get(neighbor, {}).get(prefix)
-
-    def serialized_size(self) -> int:
-        """Snapshot size in bytes (the §7.7 snapshot measurement)."""
-        total = 0
-        for table in list(self.imports.values()) + \
-                list(self.exports.values()):
-            for route in table.values():
-                total += 4 + len(route.to_bytes())  # neighbor + route
-        total += 5 * len(self.origins)
-        return total
 
 
 def elector_view(route: Route, elector: int) -> Route:

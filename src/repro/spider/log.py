@@ -3,20 +3,22 @@
 The log keeps every SPIDeR message the AS has sent or received, hash-
 chained so that any retroactive edit invalidates all later entries (the
 NetReview-style tamper evidence the prototype reuses).  It also stores,
-for each commitment, only the 32-byte CSPRNG seed — the MTT itself is
-reconstructed from the message trace on demand, which is why the paper's
-per-commitment storage cost is 32 bytes (Section 7.7).
+for each commitment, only the CSPRNG seed and the root — the MTT itself
+is reconstructed from the message trace on demand.
 
 An entry *is* its canonical bytes, ``kind | t_ms | body``
-(:func:`repro.runtime.logdump.encode_entry`): :meth:`SpiderLog.append`
-encodes them once, links ``chain = H(prev_chain | entry_bytes)``
-through :func:`chain_step`, hands the same bytes to the durable sink and
-drops them.  :meth:`SpiderLog.verify_chain` re-encodes what a reader of
-``entry.payload`` would read, and crash recovery checks the link over
-the raw record bytes before it decodes them, so an edited payload —
-in memory or at rest — breaks the chain from that entry on.
-``size_bytes`` is not part of that: it is the paper's §7.6/§7.7
-accounting model, derived from the payload by :func:`entry_size`.
+(:func:`encode_entry`, defined here with its strict inverse
+:func:`decode_log_entry`): :meth:`SpiderLog.append` encodes them once,
+links ``chain = H(prev_chain | entry_bytes)`` through
+:func:`chain_step`, hands the same bytes to the durable sink and keeps
+their length as ``size_bytes``.  :meth:`SpiderLog.verify_chain`
+re-encodes what a reader of ``entry.payload`` would read, and crash
+recovery checks the link over the raw record bytes before it decodes
+them, so an edited payload — in memory or at rest — breaks the chain
+from that entry on.  Message bodies are the wire codec's bytes
+(:mod:`repro.spider.codec`); a checkpoint body is a sorted canonical
+dump of the routing state.  Two logs that encode identically
+(:func:`encode_log`) recorded the same protocol history.
 
 Retention: verification reaches back at most ``retention_seconds``;
 :meth:`SpiderLog.trim` discards older entries once a newer checkpoint
@@ -36,9 +38,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, \
-    Protocol
+    Protocol, Tuple, Union
 
+from ..bgp.prefix import Prefix
+from ..bgp.route import Route
 from ..crypto.hashing import DIGEST_SIZE, digest
+from .codec import CodecError, _Reader, _Writer, _read_prefix, \
+    _read_route, _write_prefix, _write_route, decode_message, \
+    encode_message
+from .state import RoutingState
+from .wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
 
 
 class EntryKind(enum.Enum):
@@ -65,21 +74,6 @@ def storage_kind(kind: EntryKind) -> str:
     return "log"
 
 
-def entry_size(kind: EntryKind, payload: Any) -> int:
-    """The §7.6/§7.7 accounting size of one entry.
-
-    The paper's model, not the length of the canonical bytes: a message
-    counts its ``wire_size()`` (signatures amortized over the batch), a
-    checkpoint its ``serialized_size()``, a commitment its seed plus 12
-    bytes of framing — 32 bytes with a SPIDeR seed.
-    """
-    if kind is EntryKind.COMMITMENT:
-        return len(payload["seed"]) + 12
-    if kind is EntryKind.CHECKPOINT:
-        return int(payload.serialized_size())
-    return int(payload.wire_size())
-
-
 def chain_step(prev_chain: bytes, entry_bytes: bytes) -> bytes:
     """The §6.5 link, ``H(prev_chain | entry_bytes)`` — the one formula
     append, :meth:`SpiderLog.verify_chain` and crash recovery share.
@@ -93,9 +87,9 @@ class LogEntry:
     """One log record.
 
     ``payload`` is the message object itself (kept in memory for replay);
-    ``size_bytes`` is its :func:`entry_size`, which is what the storage
-    experiment accounts; ``chain`` is the running hash binding this
-    entry's canonical bytes to all earlier ones.
+    ``size_bytes`` is the length of the entry's canonical bytes, which
+    is what the storage experiment accounts; ``chain`` is the running
+    hash binding those bytes to all earlier ones.
     """
 
     index: int
@@ -113,9 +107,8 @@ class TamperError(RuntimeError):
 class LogSink(Protocol):
     """Durable destination for log entries (see :mod:`repro.store`).
 
-    Structural, so :mod:`repro.spider` never imports the store package
-    (recovery imports :mod:`repro.runtime.logdump`, which imports this
-    module — a nominal base class here would cycle).
+    Structural, so :mod:`repro.spider` never imports the store package,
+    which sits above it and decodes entries through this module.
     """
 
     def append(self, entry: "LogEntry", entry_bytes: bytes) -> None:
@@ -138,8 +131,8 @@ class TrimReport:
     """What one :meth:`SpiderLog.trim` call reclaimed.
 
     ``entries`` counts discarded log entries; ``bytes_reclaimed`` sums
-    their logical ``size_bytes`` (what the §7.7 account loses), split by
-    storage kind in ``bytes_by_kind``.
+    their ``size_bytes`` (what the §7.7 account loses), split by storage
+    kind in ``bytes_by_kind``.
     """
 
     entries: int
@@ -148,12 +141,154 @@ class TrimReport:
 
 
 def _bytes_by_kind(entries: Iterable[LogEntry]) -> Dict[str, int]:
-    """Logical bytes per :func:`storage_kind` of ``entries``."""
+    """Entry bytes per :func:`storage_kind` of ``entries``."""
     by_kind: Dict[str, int] = {}
     for entry in entries:
         kind = storage_kind(entry.kind)
         by_kind[kind] = by_kind.get(kind, 0) + entry.size_bytes
     return by_kind
+
+
+# ----------------------------------------------------------------------
+# The entry layout
+
+_KIND_TAGS: Dict[EntryKind, int] = {
+    EntryKind.SENT_ANNOUNCE: 0x10,
+    EntryKind.RECV_ANNOUNCE: 0x11,
+    EntryKind.SENT_WITHDRAW: 0x12,
+    EntryKind.RECV_WITHDRAW: 0x13,
+    EntryKind.SENT_ACK: 0x14,
+    EntryKind.RECV_ACK: 0x15,
+    EntryKind.COMMITMENT: 0x16,
+    EntryKind.CHECKPOINT: 0x17,
+}
+
+
+def _encode_state(state: RoutingState) -> bytes:
+    w = _Writer()
+    for label, tables in ((b"I", state.imports), (b"E", state.exports)):
+        w.raw(label)
+        w.u32(len(tables))
+        for neighbor in sorted(tables):
+            table = tables[neighbor]
+            w.u32(neighbor)
+            w.u32(len(table))
+            for prefix in sorted(table):
+                _write_prefix(w, prefix)
+                _write_route(w, table[prefix])
+    w.raw(b"O")
+    w.u32(len(state.origins))
+    for prefix in sorted(state.origins):
+        _write_prefix(w, prefix)
+    return w.getvalue()
+
+
+def _decode_state(data: Union[bytes, memoryview]) -> RoutingState:
+    """Strict inverse of :func:`_encode_state`."""
+    r = _Reader(data)
+    state = RoutingState()
+    for label, tables in ((b"I", state.imports), (b"E", state.exports)):
+        if r.raw(1) != label:
+            raise CodecError(f"routing state misses section {label!r}")
+        for _ in range(r.u32()):
+            neighbor = r.u32()
+            if neighbor in tables:
+                raise CodecError(
+                    f"duplicate neighbor {neighbor} in routing state")
+            table: Dict[Prefix, Route] = {}
+            tables[neighbor] = table
+            for _ in range(r.u32()):
+                prefix = _read_prefix(r)
+                if prefix in table:
+                    raise CodecError(
+                        f"duplicate prefix in neighbor {neighbor} table")
+                table[prefix] = _read_route(r)
+    if r.raw(1) != b"O":
+        raise CodecError("routing state misses section b'O'")
+    for _ in range(r.u32()):
+        prefix = _read_prefix(r)
+        if prefix in state.origins:
+            raise CodecError("duplicate origin prefix in routing state")
+        state.origins.add(prefix)
+    r.expect_end()
+    return state
+
+
+def encode_entry(kind: EntryKind, timestamp: float,
+                 payload: Any) -> bytes:
+    """The canonical bytes of one entry, ``kind | t_ms | body`` — what
+    the §6.5 chain hashes and the durable store writes."""
+    w = _Writer()
+    w.u8(_KIND_TAGS[kind])
+    w.time_ms(timestamp)
+    if kind is EntryKind.COMMITMENT:
+        w.blob16(payload["seed"])
+        w.blob16(payload["root"])
+    else:
+        # Checkpoints take the messages' u32 length: a full-table
+        # routing snapshot passes 64 KB at about 1.3 k routes.
+        if kind is EntryKind.CHECKPOINT:
+            encoded = _encode_state(payload)
+        else:
+            encoded = encode_message(payload)
+        w.u32(len(encoded))
+        w.raw(encoded)
+    return w.getvalue()
+
+
+def encode_log_entry(entry: LogEntry) -> bytes:
+    return encode_entry(entry.kind, entry.timestamp, entry.payload)
+
+
+_KINDS_BY_TAG: Dict[int, EntryKind] = {
+    tag: kind for kind, tag in _KIND_TAGS.items()}
+
+#: The one message type each message-bearing kind may carry; a decoded
+#: payload of any other type is a forged or corrupted record.
+_KIND_MESSAGE_TYPES: Dict[EntryKind, type] = {
+    EntryKind.SENT_ANNOUNCE: SpiderAnnounce,
+    EntryKind.RECV_ANNOUNCE: SpiderAnnounce,
+    EntryKind.SENT_WITHDRAW: SpiderWithdraw,
+    EntryKind.RECV_WITHDRAW: SpiderWithdraw,
+    EntryKind.SENT_ACK: SpiderAck,
+    EntryKind.RECV_ACK: SpiderAck,
+}
+
+
+def decode_log_entry(data: Union[bytes, bytearray, memoryview]
+                     ) -> Tuple[EntryKind, float, object]:
+    """Strict inverse of :func:`encode_log_entry`.
+
+    Returns ``(kind, timestamp, payload)``; the index and chain value
+    that complete a :class:`~repro.spider.log.LogEntry` travel outside
+    the canonical bytes (the durable store frames them alongside).  Fails
+    closed: unknown kind tags, payload/kind type mismatches, truncation
+    and trailing bytes all raise :class:`CodecError`.
+    """
+    r = _Reader(data)
+    tag = r.u8()
+    kind = _KINDS_BY_TAG.get(tag)
+    if kind is None:
+        raise CodecError(f"unknown log entry kind tag {tag:#x}")
+    timestamp = r.time_ms()
+    payload: object
+    if kind is EntryKind.COMMITMENT:
+        seed = r.blob16()
+        root = r.blob16()
+        payload = {"seed": seed, "root": root}
+    elif kind is EntryKind.CHECKPOINT:
+        payload = _decode_state(r.window(r.u32()))
+    else:
+        n = r.u32()
+        payload = decode_message(r.window(n))
+        expected_type = _KIND_MESSAGE_TYPES[kind]
+        if not isinstance(payload, expected_type):
+            raise CodecError(
+                f"{kind.value} entry carries a "
+                f"{type(payload).__name__}, expected "
+                f"{expected_type.__name__}")
+    r.expect_end()
+    return kind, timestamp, payload
 
 
 class SpiderLog:
@@ -196,9 +331,6 @@ class SpiderLog:
 
     def append(self, timestamp: float, kind: EntryKind,
                payload: object) -> LogEntry:
-        # Function-level: repro.runtime's __init__ reaches back into
-        # this module through node_runtime.
-        from ..runtime.logdump import encode_entry
         if self._entries and timestamp < self._entries[-1].timestamp:
             # Clocks are loosely synchronized; tolerate equal stamps but
             # never reorder entries backwards.
@@ -207,7 +339,7 @@ class SpiderLog:
         chain = chain_step(self._head, entry_bytes)
         entry = LogEntry(index=self._next_index, timestamp=timestamp,
                          kind=kind, payload=payload,
-                         size_bytes=entry_size(kind, payload),
+                         size_bytes=len(entry_bytes),
                          chain=chain)
         if self.sink is not None:
             # Durable before visible: a sink failure leaves the
@@ -258,7 +390,6 @@ class SpiderLog:
         (a checkpoint at or before it covers everything discarded), and
         verification checks the linkage from there onward.
         """
-        from ..runtime.logdump import encode_log_entry
         entries = self._entries
         if entries and entries[0].index > 0:
             head = entries[0].chain
@@ -278,7 +409,7 @@ class SpiderLog:
         """Drop entries older than the retention window, keeping at
         least one checkpoint that predates the window (replay needs a
         base).  The durable sink reclaims the dropped entries, and their
-        logical bytes are reported per kind."""
+        bytes are reported per kind."""
         horizon = now - self.retention_seconds
         base: Optional[int] = None  # list position, not entry index
         for position, entry in enumerate(self._entries):
@@ -300,7 +431,7 @@ class SpiderLog:
     # Accounting (Section 7.7)
 
     def bytes_by_kind(self) -> Dict[str, int]:
-        """The §7.7 account: logical bytes held per :func:`storage_kind`
+        """The §7.7 account: entry bytes held per :func:`storage_kind`
         (log, commitments, checkpoints)."""
         return _bytes_by_kind(self._entries)
 
@@ -310,3 +441,17 @@ class SpiderLog:
             return sum(e.size_bytes for e in self._entries
                        if e.kind in wanted)
         return sum(e.size_bytes for e in self._entries)
+
+
+def encode_log(log: SpiderLog) -> bytes:
+    """The whole log in canonical form (entry count + entries)."""
+    w = _Writer()
+    w.u32(len(log))
+    for entry in log:
+        w.raw(encode_log_entry(entry))
+    return w.getvalue()
+
+
+def log_digest(log: SpiderLog) -> str:
+    """Short hex fingerprint of the canonical log bytes."""
+    return digest(encode_log(log)).hex()

@@ -4,16 +4,16 @@ A :class:`SpiderNode` bundles the three components of Section 6.1 —
 recorder, proof generator, checker — and hooks them onto one AS's BGP
 speaker.  A :class:`SpiderDeployment` instantiates nodes for every AS of
 a simulated :class:`~repro.netsim.network.Network`, carries SPIDeR
-messages over the same event loop (counted separately from BGP traffic,
-as tcpdump separates them in §7.6), and drives verification end to end.
+messages over the same event loop as their codec bytes
+(:func:`simulated_transport`, counted separately from BGP traffic, as
+tcpdump separates them in §7.6), and drives verification end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Sequence, Tuple
 
 from ..bgp.prefix import Prefix
 from ..core.classes import ClassScheme, path_length_scheme
@@ -22,18 +22,21 @@ from ..crypto.hashing import constant_time_eq
 from ..core.promise import Promise, total_order_promise
 from ..crypto.keys import Identity, KeyRegistry, make_identity
 from ..netsim.network import Network
+from ..obs.registry import ClockLike
 from .checker import Checker, CheckReport
 from .checkpoint import replay
+from .codec import decode_message, encode_message
 from .config import SpiderConfig
+from .evidence import CommitmentEquivocationPoM, \
+    commitment_equivocation_valid
 from .log import LogEntry, LogSink
 from .proofgen import ProofGenerator, ProofSet
-from ..obs.registry import ClockLike
-from .checkpoint import RoutingState
 from .recorder import CommitmentRecord, Recorder, Scheduler, Transport
-from .wire import SpiderCommitment
+from .state import RoutingState
+from .wire import SpiderCommitment, time_bytes
 
-if TYPE_CHECKING:
-    from .evidence import CommitmentEquivocationPoM
+#: An AS's message intake, or None for an AS that runs no recorder.
+Inbox = Callable[[int], Optional[Callable[[object], None]]]
 
 #: Traffic categories (§7.6 separates BGP, SPIDeR, and proof traffic).
 SPIDER_TRAFFIC = "spider"
@@ -46,6 +49,28 @@ EVALUATION_CLASSES = 50
 
 def evaluation_scheme(k: int = EVALUATION_CLASSES) -> ClassScheme:
     return path_length_scheme(k - 1)
+
+
+def simulated_transport(network: Network, sender: int, category: str,
+                        inbox: Inbox) -> Transport:
+    """The simulator as one more message path, shared by SPIDeR and
+    NetReview deployments.
+
+    Each message leaves ``sender`` as its codec bytes, metered under
+    ``category`` (§7.6), and reaches ``inbox(receiver)`` decoded from
+    those bytes one link delay later — as it would off a socket.  An
+    AS whose inbox is None (a phantom feed neighbor) receives nothing.
+    """
+    def send(receiver: int, messages: Sequence[object]) -> None:
+        deliver = inbox(receiver)
+        for message in messages:
+            data = encode_message(message)
+            network.record_traffic(sender, category, len(data))
+            if deliver is not None:
+                network.sim.after(
+                    network.link_delay,
+                    lambda d=deliver, b=data: d(decode_message(b)))
+    return send
 
 
 class SpiderNode:
@@ -69,8 +94,9 @@ class SpiderNode:
             recovered_entries=recovered_entries)
         self.proofgen = ProofGenerator(self.recorder)
         self.checker = Checker(identity.asn, registry, scheme)
-        #: Commitments received from neighbors: (elector, time) → message.
-        self.received_commitments: Dict[Tuple[int, float],
+        #: Commitments received from neighbors, keyed on the elector and
+        #: the commit time on the wire's millisecond grid.
+        self.received_commitments: Dict[Tuple[int, bytes],
                                         SpiderCommitment] = {}
         #: Faults this AS has attributed to a specific neighbor, in the
         #: normalized shape the campaign oracle consumes.
@@ -84,7 +110,7 @@ class SpiderNode:
         if isinstance(message, SpiderCommitment):
             if not self.recorder.commitment_valid(message):
                 return
-            key = (message.elector, message.commit_time)
+            key = (message.elector, time_bytes(message.commit_time))
             if key in self.received_commitments and \
                     not constant_time_eq(
                         self.received_commitments[key].root,
@@ -105,7 +131,8 @@ class SpiderNode:
 
     def commitment_from(self, elector: int,
                         commit_time: float) -> Optional[SpiderCommitment]:
-        return self.received_commitments.get((elector, commit_time))
+        return self.received_commitments.get(
+            (elector, time_bytes(commit_time)))
 
     def view_at(self, commit_time: float) -> RoutingState:
         """This AS's logged view of the world at ``commit_time``."""
@@ -181,7 +208,8 @@ class SpiderDeployment:
                 registry=self.registry, scheme=self._scheme_for(asn),
                 promises=promises, config=config,
                 clock=network.sim.clock,
-                transport=self._transport_for(asn),
+                transport=simulated_transport(network, asn,
+                                              SPIDER_TRAFFIC, self._inbox),
                 master_seed=b"spider-node-%d" % asn,
                 schedule=network.sim.after)
             self.nodes[asn] = node
@@ -195,19 +223,9 @@ class SpiderDeployment:
     def node(self, asn: int) -> SpiderNode:
         return self.nodes[asn]
 
-    def _transport_for(self, sender: int) -> Transport:
-        def send(receiver: int, messages: Sequence[object]) -> None:
-            for message in messages:
-                self.network.record_traffic(sender, SPIDER_TRAFFIC,
-                                            message.wire_size())
-            target = self.nodes.get(receiver)
-            if target is None:
-                return  # phantom feed neighbors run no SPIDeR
-            for message in messages:
-                self.network.sim.after(
-                    self.network.link_delay,
-                    partial(target.receive_spider, message))
-        return send
+    def _inbox(self, asn: int) -> Optional[Callable[[object], None]]:
+        node = self.nodes.get(asn)
+        return None if node is None else node.receive_spider
 
     # ------------------------------------------------------------------
     # Commitments
@@ -257,7 +275,7 @@ class SpiderDeployment:
                 reconstruction, neighbor,
                 watch=watch.get(neighbor, ()))
             self.network.record_traffic(elector, PROOF_TRAFFIC,
-                                        proofs.wire_size())
+                                        proofs.encoded_size())
             outcomes.append(self.check_proofs(
                 elector, neighbor, commit_time, proofs,
                 watch=watch.get(neighbor, ())))
@@ -310,7 +328,7 @@ class SpiderDeployment:
 
     def cross_check_commitments(
             self, elector: int, commit_time: float,
-    ) -> "List[CommitmentEquivocationPoM]":
+    ) -> List[CommitmentEquivocationPoM]:
         """Neighbors compare the commitments they received; any two that
         differ form a transferable INVALIDCOMMIT proof.
 
@@ -318,8 +336,6 @@ class SpiderDeployment:
         :class:`~repro.spider.evidence.CommitmentEquivocationPoM`
         (empty when all copies agree).
         """
-        from .evidence import CommitmentEquivocationPoM, \
-            commitment_equivocation_valid
         held: Dict[int, SpiderCommitment] = {}
         for neighbor in self.network.topology.neighbors(elector):
             node = self.nodes.get(neighbor)

@@ -38,8 +38,10 @@ from ..crypto.rc4 import Rc4Csprng
 from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
 from ..mtt.proofs import generate_proof
 from ..mtt.tree import Mtt
-from .checkpoint import RoutingState, elector_view, replay
+from .checkpoint import elector_view, replay
+from .codec import encode_message
 from .recorder import Recorder
+from .state import RoutingState
 from .wire import SpiderBitProof
 
 
@@ -74,8 +76,10 @@ class ProofSet:
             out.extend(proofs)
         return out
 
-    def wire_size(self) -> int:
-        return sum(p.wire_size() for p in self.all_proofs())
+    def encoded_size(self) -> int:
+        """The codec bytes of every proof: what the set costs on the
+        wire (§7.6's proof traffic)."""
+        return sum(len(encode_message(p)) for p in self.all_proofs())
 
     def proof_count(self) -> int:
         return len(self.producer_proofs) + \

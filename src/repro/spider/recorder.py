@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Set, Tuple
 
 from ..bgp.messages import Announce, Update
 from ..bgp.prefix import Prefix
 from ..bgp.route import NULL_ROUTE, Route
+from ..bgp.speaker import Speaker
 from ..core.bits import compute_bits
 from ..core.classes import ClassScheme, RouteOrNull
 from ..core.promise import Promise
@@ -53,9 +54,6 @@ from .log import EntryKind, LogEntry, LogSink, SpiderLog
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
     SpiderWithdraw, ack_payload, announce_payload, \
     route_signature_payload, time_bytes, withdraw_payload
-
-if TYPE_CHECKING:
-    from ..bgp.speaker import Speaker
 
 
 @dataclass
@@ -672,7 +670,7 @@ class Recorder:
     # ------------------------------------------------------------------
     # Consistency check (Section 6.2, last paragraph)
 
-    def mirror_consistent(self, speaker: "Speaker") -> bool:
+    def mirror_consistent(self, speaker: Speaker) -> bool:
         """Do the signed SPIDeR announcements match the BGP state?
 
         Compares our import mirror with the speaker's raw Adj-RIB-In; a

@@ -29,6 +29,7 @@ from ..bgp.route import Route
 from ..crypto.hashing import constant_time_eq, digest, digest_fields
 from ..crypto.keys import KeyRegistry
 from ..crypto.signatures import Signed, Signer, Verifier
+from ..mtt.proofs import MttBitProof
 
 
 def time_bytes(t: float) -> bytes:
@@ -138,12 +139,6 @@ class SpiderAnnounce:
         return constant_time_eq(self.envelope.payload, expected) and \
             Verifier(registry).verify(self.envelope)
 
-    def wire_size(self) -> int:
-        size = self.envelope.wire_size() + self.route_sig.wire_size()
-        if self.underlying is not None:
-            size += self.underlying.wire_size()
-        return size
-
 
 def withdraw_payload(sender: int, receiver: int, timestamp: float,
                      prefix: Prefix) -> bytes:
@@ -181,9 +176,6 @@ class SpiderWithdraw:
         return constant_time_eq(self.envelope.payload, expected) and \
             Verifier(registry).verify(self.envelope)
 
-    def wire_size(self) -> int:
-        return self.envelope.wire_size()
-
 
 def ack_payload(acker: int, sender: int, timestamp: float,
                 message_hash: bytes) -> bytes:
@@ -218,9 +210,6 @@ class SpiderAck:
         return constant_time_eq(self.envelope.payload, expected) and \
             Verifier(registry).verify(self.envelope)
 
-    def wire_size(self) -> int:
-        return self.envelope.wire_size()
-
 
 def commitment_payload(elector: int, commit_time: float,
                        root: bytes) -> bytes:
@@ -252,9 +241,6 @@ class SpiderCommitment:
         return constant_time_eq(self.envelope.payload, expected) and \
             Verifier(registry).verify(self.envelope)
 
-    def wire_size(self) -> int:
-        return self.envelope.wire_size()
-
 
 def bit_proof_payload(elector: int, recipient: int, commit_time: float,
                       proof_bytes: bytes) -> bytes:
@@ -270,12 +256,12 @@ class SpiderBitProof:
     elector: int
     recipient: int
     commit_time: float
-    proof: "MttBitProof"
+    proof: MttBitProof
     envelope: Signed
 
     @classmethod
     def make(cls, signer: Signer, recipient: int, commit_time: float,
-             proof: "MttBitProof") -> "SpiderBitProof":
+             proof: MttBitProof) -> "SpiderBitProof":
         payload = bit_proof_payload(signer.asn, recipient, commit_time,
                                     proof.encode())
         return cls(elector=signer.asn, recipient=recipient,
@@ -290,9 +276,3 @@ class SpiderBitProof:
                                      self.proof.encode())
         return constant_time_eq(self.envelope.payload, expected) and \
             Verifier(registry).verify(self.envelope)
-
-    def wire_size(self) -> int:
-        return self.envelope.wire_size() + self.proof.wire_size()
-
-
-from ..mtt.proofs import MttBitProof  # noqa: E402  (type for SpiderBitProof)

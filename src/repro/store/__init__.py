@@ -25,9 +25,8 @@ package is the on-disk half of that log.  Bottom-up:
 
 Layering: this package sits *above* :mod:`repro.spider` (it persists
 its log entries) and imports the canonical decoder from
-:mod:`repro.runtime.logdump`; the spider layer reaches back only
-through the structural ``LogSink`` protocol, never by importing this
-package.
+:mod:`repro.spider.log`; the spider layer reaches back only through the
+structural ``LogSink`` protocol, never by importing this package.
 """
 
 from .recovery import Recovery, RecoveryStats, rebuild_entries, recover

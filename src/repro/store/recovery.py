@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from ..crypto.hashing import DIGEST_SIZE, constant_time_eq
-from ..runtime.codec import CodecError
-from ..runtime.logdump import decode_log_entry
-from ..spider.log import LogEntry, TamperError, chain_step, entry_size
+from ..spider.codec import CodecError
+from ..spider.log import LogEntry, TamperError, chain_step, \
+    decode_log_entry
 from .segment import RawRecord, SegmentInfo, StoreCorruptionError
 from .seglog import SegmentedLogStore, read_directory
 
@@ -103,7 +103,7 @@ def rebuild_entries(records: Iterable[RawRecord],
         entries.append(LogEntry(index=record.index,
                                 timestamp=timestamp, kind=kind,
                                 payload=payload,
-                                size_bytes=entry_size(kind, payload),
+                                size_bytes=len(record.entry_bytes),
                                 chain=record.chain))
         prev_chain = record.chain
         prev_index = record.index

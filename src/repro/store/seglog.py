@@ -28,10 +28,10 @@ from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import Counter, Gauge
 from ..obs.registry import Registry, get_registry
+from ..spider.log import LogEntry, storage_kind
 # Not called here — the log hands append() the bytes it chained —
 # but benchmarks/e2e/layers.py TARGETS substitutes this attribute.
-from ..runtime.logdump import encode_log_entry  # noqa: F401
-from ..spider.log import LogEntry, storage_kind
+from ..spider.log import encode_log_entry  # noqa: F401
 from .segment import HEADER_SIZE, ScanResult, SegmentInfo, \
     StoreCorruptionError, StoreError, encode_header, encode_record, \
     frame_record, list_segments, scan_segment, segment_filename

@@ -7,13 +7,12 @@ One segment is one append-only file::
     payload: u8 record_version | u64 index | chain[20] | entry_bytes...
 
 ``entry_bytes`` is exactly the canonical evidence-log encoding of the
-entry (:func:`repro.runtime.logdump.encode_entry`) — the bytes the
+entry (:func:`repro.spider.log.encode_entry`) — the bytes the
 log hashed into ``chain = H(prev_chain | entry_bytes)`` and handed
 over, written as given — so the durable form, the chained form and the
 byte-identical-logs acceptance form are the same bytes.  Nothing else
-about the entry is stored: its accounting size is derived from the
-decoded payload, as :meth:`repro.spider.log.SpiderLog.append` derives
-it.
+about the entry is stored: its accounting size is the length of those
+bytes, as :meth:`repro.spider.log.SpiderLog.append` counts it.
 
 The CRC32 detects accidental corruption (torn writes, bit rot) frame
 by frame; *adversarial* tampering is caught one level up, by the hash

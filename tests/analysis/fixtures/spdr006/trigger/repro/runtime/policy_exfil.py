@@ -4,7 +4,7 @@ Parsed by the taint self-tests, never imported.
 """
 
 from repro.bgp.policy import gao_rexford_policy
-from repro.runtime.codec import encode_message
+from repro.spider.codec import encode_message
 
 
 def advertise_policy(customers, providers):

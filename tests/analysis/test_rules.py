@@ -102,3 +102,38 @@ def test_rule_catalogue_is_complete_and_sorted():
     assert all(rule.title for rule in rules)
     # Fresh instances each call: no shared mutable state between runs.
     assert rules[0] is not all_rules()[0]
+
+
+def _scoped_paths():
+    """Every ``repro/...`` path a rule or contract scopes by name."""
+    import importlib
+    import pkgutil
+
+    import repro.analysis.rules as rules_pkg
+    from repro.analysis import contracts
+
+    modules = [contracts] + [
+        importlib.import_module(f"{rules_pkg.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(rules_pkg.__path__)]
+    paths = set()
+    for module in modules:
+        for value in vars(module).values():
+            if isinstance(value, tuple) and value and all(
+                    isinstance(v, str) and v.startswith("repro/")
+                    for v in value):
+                paths.update(value)
+    registry = contracts.default_registry()
+    for contract in registry.sources + registry.sinks:
+        paths.update(contract.scope or ())
+    return sorted(paths)
+
+
+def test_every_scoped_path_names_a_source_file():
+    """A moved module must take its rules along: a scope naming a path
+    that no longer exists silently stops covering anything."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    paths = _scoped_paths()
+    assert "repro/spider/codec.py" in paths
+    missing = [path for path in paths
+               if not (src / path).is_dir() and not (src / path).is_file()]
+    assert missing == []

@@ -75,10 +75,6 @@ class TestSignerVerifier:
                         signature=env.signature)
         assert not Verifier(registry).verify(forged)
 
-    def test_wire_size_counts_all_parts(self, alice):
-        env = Signer(alice).sign(b"12345")
-        assert env.wire_size() == 5 + len(env.signature) + 12
-
 
 class TestBatchSigning:
     def test_batch_shares_one_signature(self, registry, alice):

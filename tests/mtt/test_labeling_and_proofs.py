@@ -284,7 +284,7 @@ class TestProofs:
             entries = {p: [1] * k for p in BASIC}
             tree, _ = build_labeled(entries)
             proof = generate_proof(tree, Prefix.parse("0.0.0.0/2"), 0)
-            sizes[k] = proof.wire_size()
+            sizes[k] = len(proof.encode())
         assert sizes[50] - sizes[10] == pytest.approx(40 * 20, abs=20)
         assert sizes[10] > sizes[2]
 
@@ -299,7 +299,7 @@ class TestProofs:
         proof_a = generate_proof(tree_a, Prefix.parse("128.0.0.0/1"), 0)
         proof_b = generate_proof(tree_b, Prefix.parse("128.0.0.0/1"), 0)
         assert len(proof_a.steps) == len(proof_b.steps)
-        assert proof_a.wire_size() == proof_b.wire_size()
+        assert len(proof_a.encode()) == len(proof_b.encode())
         assert [len(s.child_labels) for s in proof_a.steps] == \
             [len(s.child_labels) for s in proof_b.steps]
 

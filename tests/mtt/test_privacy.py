@@ -93,7 +93,7 @@ class TestSiblingIndistinguishability:
         assert len(proof_a.steps) == len(proof_b.steps)
         assert [len(s.child_labels) for s in proof_a.steps] == \
             [len(s.child_labels) for s in proof_b.steps]
-        assert proof_a.wire_size() == proof_b.wire_size()
+        assert len(proof_a.encode()) == len(proof_b.encode())
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 3), st.booleans())

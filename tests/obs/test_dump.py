@@ -1,12 +1,14 @@
-"""The cost-attribution dump: §7 aggregation and the CLI entry point."""
+"""The cost-attribution dump: §7 aggregation in :mod:`repro.obs.dump`
+and the live run behind ``python -m repro.runtime.dump``."""
 
 import json
 import pathlib
 
 import pytest
 
-from repro.obs.dump import cpu_attribution, main, render_cost_table, \
-    scenario_snapshot, traffic_attribution
+from repro.obs.dump import cpu_attribution, render_cost_table, \
+    traffic_attribution
+from repro.runtime.dump import main, scenario_snapshot
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent /

@@ -10,7 +10,7 @@ same property statically at every call site.
 import pytest
 
 from repro.obs import names
-from repro.obs.dump import scenario_snapshot
+from repro.runtime.dump import scenario_snapshot
 
 #: Golden: every declared metric/span name.  A deliberate schema change
 #: updates this list in the same diff that edits obs/names.py.

@@ -7,7 +7,7 @@ not count).  Each discovered pair must have a hypothesis strategy in
 :data:`BYTE_PAIR_STRATEGIES`; adding a new wire type without a strategy
 fails the registry test, so new types are fuzzed by construction.  The
 same construction pins the frame codec: every class registered in
-``repro.runtime.codec`` must have a message strategy here.
+``repro.spider.codec`` must have a message strategy here.
 
 The property under fuzz is the decoder contract enforced statically by
 lint rule SPDR003: corrupted input (truncated, bit-flipped, extended)
@@ -27,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
-from repro.runtime import codec
-from repro.runtime.logdump import decode_log_entry, encode_entry
-from repro.spider.checkpoint import RoutingState
+from repro.spider import codec
+from repro.spider.log import decode_log_entry, encode_entry
+from repro.spider.state import RoutingState
 from repro.spider.log import EntryKind
 from tests.strategies import ENTRY_PAYLOADS, acks, announces, \
     bit_proofs, commitments, prefixes, routes, routing_states, withdraws

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.signatures import Signed
-from repro.runtime.codec import CodecError, WIRE_VERSION, \
+from repro.spider.codec import CodecError, WIRE_VERSION, \
     decode_message, encode_message
 from repro.spider.wire import SpiderAck
 

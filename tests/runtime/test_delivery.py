@@ -418,7 +418,7 @@ class TestRetriesSurviveARestart:
         self.check_retries_resume(str(tmp_path / "a"), close=False)
 
     def check_retries_resume(self, store_dir, close):
-        from repro.runtime.codec import encode_message
+        from repro.spider.codec import encode_message
         sent = self.crash_after_the_announce(store_dir, close)
         hub = LoopbackHub(drop_filter=drop_acks)
         rt_a, rt_b, sends = self.reopen_cold(store_dir, hub)

@@ -14,7 +14,7 @@ import pytest
 from repro.bgp.prefix import Prefix
 from repro.crypto.keys import make_identity
 from repro.crypto.signatures import Signer
-from repro.runtime.codec import encode_message
+from repro.spider.codec import encode_message
 from repro.runtime.framing import encode_frame
 from repro.runtime.scenario import ASN_A, ASN_B, T_COMMIT, \
     _drive_first_round, exchange_runtime, run_loopback_exchange

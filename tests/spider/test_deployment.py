@@ -5,7 +5,9 @@ import pytest
 
 from repro.netsim.topology import FOCUS_AS
 from repro.obs.registry import get_registry
+from repro.spider.codec import decode_message, encode_message
 from repro.spider.log import EntryKind
+from repro.spider.wire import SpiderCommitment
 
 from .conftest import FEED, ORIGINATED, P, Q
 
@@ -62,14 +64,28 @@ class TestCommitments:
             assert commitment is not None
             assert commitment.root == record.root
 
+    def test_commitment_found_by_its_unrounded_time(self, deployment):
+        """A commit time off the millisecond grid arrives on it: the
+        lookup by the elector's own float still finds the commitment."""
+        network, dep = deployment
+        raw_time = 1.1400000000000001
+        sent = SpiderCommitment.make(dep.node(FOCUS_AS).recorder.signer,
+                                     raw_time, bytes(20))
+        received = decode_message(encode_message(sent))
+        assert received.commit_time != raw_time
+        neighbor = dep.node(network.topology.neighbors(FOCUS_AS)[0])
+        neighbor.receive_spider(received)
+        assert neighbor.commitment_from(FOCUS_AS, raw_time) is received
+
     def test_commitment_seed_logged_compactly(self, deployment):
         network, dep = deployment
         node = dep.node(FOCUS_AS)
         dep.commit_now(FOCUS_AS)
         entries = node.recorder.log.of_kind(EntryKind.COMMITMENT)
         assert entries
-        # §7.7: each commitment adds only the seed (plus tiny framing).
-        assert all(e.size_bytes <= 48 for e in entries)
+        # §7.7: each commitment adds only its seed and root: a 20 B
+        # seed, a 20 B root and 13 B of framing.
+        assert all(e.size_bytes == 53 for e in entries)
 
     def test_successive_commitments_differ(self, deployment):
         network, dep = deployment
@@ -194,7 +210,7 @@ class TestVerification:
         proofs = node.proofgen.proofs_for_prefix(reconstruction, 7, P)
         full = node.proofgen.proofs_for(reconstruction, 7)
         assert proofs.proof_count() < full.proof_count()
-        assert proofs.wire_size() < full.wire_size()
+        assert proofs.encoded_size() < full.encoded_size()
         # The single-prefix set still checks out for that prefix.
         neighbor_node = dep.node(7)
         commitment = neighbor_node.commitment_from(
@@ -233,8 +249,11 @@ class TestVerification:
                                         node=f"as{FOCUS_AS}",
                                         category=PROOF_TRAFFIC)
         before = proof_bytes()
-        dep.verify(FOCUS_AS)
-        assert proof_bytes() > before
+        outcomes = dep.verify(FOCUS_AS)
+        sent = sum(len(encode_message(proof)) for outcome in outcomes
+                   for proof in outcome.proofs.all_proofs())
+        assert sent > 0
+        assert proof_bytes() - before == sent
 
     def test_verify_without_commitment_rejected(self, deployment):
         network, dep = deployment

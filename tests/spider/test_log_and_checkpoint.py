@@ -11,15 +11,16 @@ from repro.core.promise import total_order_promise
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.signatures import Signer
 from repro.netsim.events import Simulator
-from repro.spider.checkpoint import RoutingState, apply_entry, \
-    elector_view, replay, take_checkpoint
+from repro.spider import log as log_module
+from repro.spider.checkpoint import elector_view, replay, take_checkpoint
+from repro.spider.codec import encode_message
 from repro.spider.config import SpiderConfig
-from repro.runtime import logdump
 from repro.spider.log import EntryKind, SpiderLog, TamperError, \
-    entry_size
+    encode_entry
 from repro.spider.node import evaluation_scheme
 from repro.spider.proofgen import ProofGenerator
 from repro.spider.recorder import Recorder
+from repro.spider.state import RoutingState
 from repro.spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
 from tests.spider.test_batching import RecordingSink
 
@@ -49,7 +50,8 @@ def withdraw(identity, t, prefix=P, receiver=5):
 
 
 def commitment(root=bytes(20)):
-    """A SPIDeR-shaped commitment payload: 20-byte seed, 32 B accounted."""
+    """A SPIDeR-shaped commitment payload: 20-byte seed and root, a
+    53 B entry."""
     return {"seed": bytes(20), "root": root}
 
 
@@ -101,7 +103,8 @@ class TestSpiderLog:
         log.verify_chain()
         entry = log._entries[index]
         other = payloads[index][2]
-        assert entry_size(entry.kind, other) == entry.size_bytes
+        assert len(encode_entry(entry.kind, entry.timestamp, other)) == \
+            entry.size_bytes
         log._entries[index] = dataclasses.replace(entry, payload=other)
         with pytest.raises(TamperError,
                            match=f"log entry {index} breaks"):
@@ -120,10 +123,10 @@ class TestSpiderLog:
                 return fn(*args)
             return spy
 
-        monkeypatch.setattr(logdump, "encode_entry",
-                            counting(logdump.encode_entry))
-        monkeypatch.setattr(logdump, "encode_message",
-                            counting(logdump.encode_message))
+        monkeypatch.setattr(log_module, "encode_entry",
+                            counting(log_module.encode_entry))
+        monkeypatch.setattr(log_module, "encode_message",
+                            counting(log_module.encode_message))
         sink = RecordingSink() if with_sink else None
         log = SpiderLog(sink=sink)
         message = announce(neighbor, 1.0)
@@ -134,7 +137,7 @@ class TestSpiderLog:
                          "encode_entry"]
         if sink is not None:
             assert sink.appended == [
-                (entry, logdump.encode_log_entry(entry))
+                (entry, log_module.encode_log_entry(entry))
                 for entry in log]
 
     def test_timestamps_never_go_backwards(self):
@@ -144,14 +147,17 @@ class TestSpiderLog:
         assert entry.timestamp == 5.0
 
     def test_byte_accounting(self, neighbor):
-        """``size_bytes`` is the §7.7 model, derived from the payload."""
+        """``size_bytes`` is the length of the entry's canonical bytes:
+        ``kind | t_ms`` (9 B), then a u32-framed message or a commitment's
+        u16-framed seed and root."""
         log = SpiderLog()
         message = announce(neighbor, 1.0)
         log.append(1.0, EntryKind.SENT_ANNOUNCE, message)
         log.append(2.0, EntryKind.COMMITMENT, commitment())
-        assert [e.size_bytes for e in log] == [message.wire_size(), 32]
-        assert log.total_bytes() == message.wire_size() + 32
-        assert log.total_bytes(EntryKind.COMMITMENT) == 32
+        sent = 13 + len(encode_message(message))
+        assert [e.size_bytes for e in log] == [sent, 53]
+        assert log.total_bytes() == sent + 53
+        assert log.total_bytes(EntryKind.COMMITMENT) == 53
 
     def test_queries(self, neighbor):
         log = SpiderLog()
@@ -165,7 +171,10 @@ class TestSpiderLog:
 
     def test_trim_respects_retention(self, neighbor):
         log = SpiderLog(retention_seconds=100.0)
-        state = RoutingState(origins={P, Q})  # 10 B of snapshot
+        # 13 B of entry framing, 15 B of I/E/O section framing, two
+        # 5 B prefixes.
+        state = RoutingState(origins={P, Q})
+        snapshot = 13 + 15 + 10
         log.append(0.0, EntryKind.CHECKPOINT, state)
         message = announce(neighbor, 1.0)
         for i in range(5):
@@ -179,10 +188,11 @@ class TestSpiderLog:
         # At t=200 the horizon is 100: the t=50 checkpoint qualifies and
         # everything before it can go.
         dropped = log.trim(now=200.0)
-        sent = 5 * message.wire_size()
+        sent = 5 * (13 + len(encode_message(message)))
         assert dropped.entries == 6
-        assert dropped.bytes_reclaimed == 10 + sent
-        assert dropped.bytes_by_kind == {"checkpoints": 10, "log": sent}
+        assert dropped.bytes_reclaimed == snapshot + sent
+        assert dropped.bytes_by_kind == {"checkpoints": snapshot,
+                                         "log": sent}
         assert log._entries[0].kind is EntryKind.CHECKPOINT
         # A trimmed log anchors at its first surviving chain value.
         log.verify_chain()
@@ -208,13 +218,6 @@ class TestRoutingState:
                                                    neighbor=7)
         state.origins.add(Prefix.parse("192.0.2.0/24"))
         assert len(state.known_prefixes()) == 3
-
-    def test_serialized_size_positive(self):
-        state = RoutingState()
-        state.imports.setdefault(7, {})[P] = Route(prefix=P,
-                                                   as_path=(7, 9),
-                                                   neighbor=7)
-        assert state.serialized_size() > 0
 
 
 class TestElectorView:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.obs.registry import Registry, use_registry
-from repro.runtime.logdump import encode_log_entry
+from repro.spider.log import encode_log_entry
 from repro.runtime.node_runtime import NodeRuntime
 from repro.runtime.scenario import ASN_A, exchange_runtime
 from repro.runtime.transport import LoopbackHub

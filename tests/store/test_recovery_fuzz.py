@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.registry import Registry
-from repro.runtime.logdump import encode_log_entry
+from repro.spider.log import encode_log_entry
 from repro.spider.log import EntryKind, SpiderLog, TamperError
 from repro.store import SegmentedLogStore, StoreCorruptionError, \
     list_segments, recover

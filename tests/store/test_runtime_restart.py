@@ -13,7 +13,7 @@ import pytest
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.obs.registry import Registry, use_registry
-from repro.runtime.logdump import encode_log, encode_log_entry
+from repro.spider.log import encode_log, encode_log_entry
 from repro.runtime.scenario import ASN_A, ASN_B, _drive_first_round, \
     exchange_runtime, resume_store_exchange, run_store_reference, \
     run_store_smoke

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.registry import Registry
-from repro.runtime.logdump import encode_log_entry
+from repro.spider.log import encode_log_entry
 from repro.spider.log import EntryKind, SpiderLog
 from repro.store import SegmentedLogStore, StoreError, \
     droppable_segments, recover

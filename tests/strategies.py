@@ -20,7 +20,7 @@ from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.signatures import Signed
 from repro.faults.adversaries import ATTACK_CLASSES
 from repro.mtt.proofs import MttBitProof, PathStep
-from repro.spider.checkpoint import RoutingState
+from repro.spider.state import RoutingState
 from repro.spider.log import EntryKind
 from repro.spider.wire import SpiderAck, SpiderAnnounce, SpiderBitProof, \
     SpiderCommitment, SpiderWithdraw

@@ -10,6 +10,7 @@ from repro.harness.reporting import format_bytes, format_rate, \
 from repro.netsim.network import BGP_TRAFFIC, Network
 from repro.netsim.topology import FOCUS_AS
 from repro.obs.dump import cpu_attribution
+from repro.spider.log import EntryKind
 from repro.spider.node import SPIDER_TRAFFIC
 from repro.traces.routeviews import TraceConfig, synthetic_trace
 
@@ -119,8 +120,12 @@ class TestReplayExperiment:
     def test_storage_accounting(self, replay):
         assert replay.log_bytes_replay() > 0
         assert replay.snapshot_bytes() > 0
-        per_commit = replay.commitment_bytes() / replay.commitments_made
-        assert per_commit <= 48
+        # §7.7: a commitment entry is a 20 B seed, a 20 B root and 13 B
+        # of framing, whatever the table size.
+        log = replay.deployment.node(FOCUS_AS).recorder.log
+        commitments = log.of_kind(EntryKind.COMMITMENT)
+        assert {entry.size_bytes for entry in commitments} == {53}
+        assert replay.commitment_bytes() == 53 * len(commitments)
 
     def test_proof_experiment_on_replay(self, replay):
         result = proof_experiment(replay)
@@ -130,14 +135,15 @@ class TestReplayExperiment:
 
     def test_e9_traffic_is_pinned(self, replay):
         """E9's numbers at this scale, exactly: the rates over the
-        replay window and each AS's SPIDeR bytes over the whole run are
-        deterministic, so any change in how they are counted shows."""
+        replay window and each AS's SPIDeR bytes over the whole run (the
+        codec bytes of every message sent) are deterministic, so any
+        change in how they are counted shows."""
         assert replay.bgp_rate_bps() == 51199.99999999999
-        assert replay.spider_rate_bps() == 296373.3333333333
+        assert replay.spider_rate_bps() == 811342.2222222221
         assert {asn: replay.traffic_bytes(asn, SPIDER_TRAFFIC)
                 for asn in range(1, 11)} == {
-            1: 0, 2: 104616, 3: 0, 4: 53418, 5: 134816, 6: 53418,
-            7: 57075, 8: 57075, 9: 18430, 10: 18430}
+            1: 0, 2: 220947, 3: 0, 4: 115905, 5: 298006, 6: 115905,
+            7: 131628, 8: 131628, 9: 43066, 10: 43066}
         assert replay.signature_count == 61
 
     def test_the_replay_window_is_half_open(self, replay, monkeypatch):
