@@ -214,12 +214,17 @@ class Route:
         if size != end:
             raise ValueError("trailing bytes in route encoding")
         if n_comm:
-            comms = frozenset(
-                (int.from_bytes(data[pos + 4 * i:pos + 4 * i + 2], "big"),
-                 int.from_bytes(data[pos + 4 * i + 2:pos + 4 * i + 4],
-                                "big"))
-                for i in range(n_comm)
-            )
+            tags = [(int.from_bytes(data[pos + 4 * i:pos + 4 * i + 2],
+                                    "big"),
+                     int.from_bytes(data[pos + 4 * i + 2:pos + 4 * i + 4],
+                                    "big"))
+                    for i in range(n_comm)]
+            # to_bytes writes the set sorted: anything else (a repeat,
+            # a swapped pair) is a second encoding of the same route.
+            if any(a >= b for a, b in zip(tags, tags[1:])):
+                raise ValueError("communities not in strictly ascending "
+                                 "order")
+            comms = frozenset(tags)
         else:
             comms = _EMPTY_COMMUNITIES
         route = cls.__new__(cls)

@@ -15,18 +15,37 @@ provides:
 A batch signature signs the hash-concatenation of all payloads in the batch;
 each :class:`Signed` then carries the sibling digests it needs so it remains
 independently verifiable, exactly like a tiny Merkle authentication list.
+
+A batch is paid for once on the receiving side too: :meth:`Verifier.verify`
+remembers every batch signature RSA has accepted, so the other members of
+the burst skip the RSA operation and the root hash, but every member still
+passes its own checks (known signer, index in range, payload digest in its
+slot).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from . import rsa
 from ..obs.registry import get_registry
 from .hashing import constant_time_eq, digest, digest_fields
 from .keys import Identity, KeyRegistry
+
+#: Batch signatures RSA has accepted, keyed by everything ``rsa.verify``
+#: reads for one: the public key's ``n`` and ``e``, the signer (the root
+#: hashes it), the signature and the digest list.  Only positive results
+#: enter, so a forged member can never ride on a memo entry.  The set is
+#: cleared wholesale once its keys hold this many digests, so a peer that
+#: sends ever-new valid batches costs bounded memory.  Verifiers run on
+#: any thread, so an insert holds the lock.
+_VERIFIED_BATCH_LIMIT = 1 << 14
+_VERIFIED_BATCHES: Set[Tuple[int, int, int, bytes, Tuple[bytes, ...]]] = set()
+_verified_digests = 0
+_VERIFIED_BATCHES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +139,10 @@ class Signer:
 class Verifier:
     """Verifies :class:`Signed` envelopes against a key registry.
 
-    Publishes ``signatures_checked_total`` (labeled by outcome) and a
-    ``verify_seconds`` histogram to the default registry.
+    Publishes ``signatures_checked_total`` (labeled by outcome; one per
+    envelope checked, whether or not it reached RSA) and a
+    ``verify_seconds`` histogram of the RSA operations to the default
+    registry.
     """
 
     def __init__(self, registry: KeyRegistry):
@@ -130,26 +151,40 @@ class Verifier:
 
     def verify(self, signed: Signed) -> bool:
         """Check attribution and signature; False on any mismatch."""
+        global _verified_digests
         if not self.registry.knows(signed.signer):
             self._obs.counter("signatures_checked_total",
                               outcome="unknown_signer").inc()
             return False
-        if signed.batch_digests:
-            if not 0 <= signed.batch_index < len(signed.batch_digests):
+        key = self.registry.public_key(signed.signer)
+        digests = signed.batch_digests
+        if digests:
+            if not 0 <= signed.batch_index < len(digests):
                 self._obs.counter("signatures_checked_total",
                                   outcome="bad_batch").inc()
                 return False
-            if not constant_time_eq(
-                    digest(signed.payload),
-                    signed.batch_digests[signed.batch_index]):
+            if not constant_time_eq(digest(signed.payload),
+                                    digests[signed.batch_index]):
                 self._obs.counter("signatures_checked_total",
                                   outcome="bad_batch").inc()
                 return False
+            memo = (key.n, key.e, signed.signer, signed.signature, digests)
+            if memo in _VERIFIED_BATCHES:
+                self._obs.counter("signatures_checked_total",
+                                  outcome="valid").inc()
+                return True
         start = time.perf_counter()
-        ok = rsa.verify(self.registry.public_key(signed.signer),
-                        signed.signed_bytes(), signed.signature)
+        ok = rsa.verify(key, signed.signed_bytes(), signed.signature)
         self._obs.histogram("verify_seconds").observe(
             time.perf_counter() - start)
         self._obs.counter("signatures_checked_total",
                           outcome="valid" if ok else "invalid").inc()
+        if ok and digests:
+            with _VERIFIED_BATCHES_LOCK:
+                if _verified_digests + len(digests) > _VERIFIED_BATCH_LIMIT:
+                    _VERIFIED_BATCHES.clear()
+                    _verified_digests = 0
+                if memo not in _VERIFIED_BATCHES:
+                    _VERIFIED_BATCHES.add(memo)
+                    _verified_digests += len(digests)
         return ok

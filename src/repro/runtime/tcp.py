@@ -49,7 +49,6 @@ class TcpTransport(Transport):
         self.peers: Dict[int, Tuple[str, int]] = dict(peers or {})
         self.max_queue = max_queue
         self.connect_timeout = connect_timeout
-        self.decode_errors = 0
         self.send_errors = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None

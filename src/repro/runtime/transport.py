@@ -22,7 +22,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.registry import get_registry
-from ..spider.codec import decode_message, encode_message
+from ..spider.codec import CodecError, decode_message, encode_message
 from .framing import FrameDecoder, LENGTH_BYTES, encode_frames
 
 #: A delivery callback: receives the decoded message object.
@@ -50,6 +50,8 @@ class Transport:
         self.bytes_sent = 0
         self.frames_received = 0
         self.bytes_received = 0
+        #: Frames that arrived whole but did not decode; each is dropped.
+        self.decode_errors = 0
         # Registry mirrors (shared across implementations so the dump
         # CLI attributes wire traffic per AS and transport kind).
         obs = get_registry()
@@ -202,7 +204,8 @@ class LoopbackHub:
 
         An entry holds one coalesced :meth:`LoopbackTransport.send`
         batch; each contained message is accounted and dispatched
-        individually.
+        individually.  A frame that does not decode is counted in the
+        endpoint's ``decode_errors`` and dropped, as over TCP.
         """
         if not self._queue:
             return False
@@ -212,8 +215,13 @@ class LoopbackHub:
             return True  # destination not attached: dropped on the floor
         payload = endpoint._decoder.feed(frame)
         for encoded in payload:
+            try:
+                message = decode_message(encoded)
+            except CodecError:
+                endpoint.decode_errors += 1
+                continue
             endpoint._note_received(len(encoded) + LENGTH_BYTES)
-            endpoint._dispatch(decode_message(encoded))
+            endpoint._dispatch(message)
         return True
 
     def deliver_all(self) -> int:

@@ -16,7 +16,9 @@ bytes here: every message type has a tagged, versioned encoding with
 
 Timestamps are encoded through :func:`repro.spider.wire.time_bytes`,
 the millisecond grid the signature payloads use, so a decoded message
-still validates even though sub-millisecond detail is gone.
+still validates even though sub-millisecond detail is gone.  A decoded
+millisecond count at or past :data:`~repro.spider.wire.TIME_MS_LIMIT`
+is refused like any other out-of-range field.
 
 The decode path is the runtime's hot loop (framing hands it one buffer
 per message at wire rate), so it is built for throughput: the
@@ -27,12 +29,19 @@ fields (digests, signature blobs, payloads) materialize ``bytes``.
 Message objects are built via ``__new__`` plus direct slot-descriptor
 writes; the layout assertions next to the setters make a field rename
 or reorder fail at import time rather than decode time.
+
+A batch-signed :class:`~repro.crypto.signatures.Signed` carries its
+whole batch's digest list, so every member of a burst repeats the same
+``20·n`` bytes.  They are read as one slice and written as one join,
+and decoding maps equal slices to one shared tuple, so a burst's
+members cost O(1) each to decode and hold.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
+import threading
 from typing import Any, Callable, Dict, List, NoReturn, Tuple, Union
 
 from ..bgp.prefix import Prefix, PrefixError
@@ -40,8 +49,8 @@ from ..bgp.route import Route
 from ..crypto.hashing import DIGEST_SIZE
 from ..crypto.signatures import Signed
 from ..mtt.proofs import MttBitProof, PathStep
-from .wire import SpiderAck, SpiderAnnounce, SpiderBitProof, \
-    SpiderCommitment, SpiderWithdraw, time_bytes
+from .wire import TIME_MS_LIMIT, SpiderAck, SpiderAnnounce, \
+    SpiderBitProof, SpiderCommitment, SpiderWithdraw, time_bytes
 
 #: Bumped whenever an encoding changes shape; decoders reject other
 #: versions outright rather than guessing.
@@ -72,8 +81,28 @@ _S_IB = struct.Struct(">IB")         # class_index | bit
 _S_HH = struct.Struct(">HH")         # n_children | child_index
 
 
+#: Decoded batch digest lists, keyed by their bytes: the members of one
+#: burst share one tuple.  The table is cleared wholesale once it holds
+#: this many digests, so a peer that never repeats a list costs bounded
+#: memory (the idiom of ``Prefix.from_bytes``'s intern table, counted in
+#: digests because one list may fill a frame).  Every TCP transport
+#: decodes on its own thread, so an insert holds the lock.
+_DIGEST_LIST_LIMIT = 1 << 14
+_DIGEST_LISTS: Dict[bytes, Tuple[bytes, ...]] = {}
+_digests_interned = 0
+_DIGEST_LISTS_LOCK = threading.Lock()
+
+
 class CodecError(ValueError):
     """Raised for any malformed, truncated, or non-canonical encoding."""
+
+
+def _seconds(ms: int) -> float:
+    """A decoded millisecond count as the timestamp it encodes."""
+    if ms >= TIME_MS_LIMIT:
+        raise CodecError(f"timestamp of {ms} ms is past the millisecond "
+                         "grid")
+    return ms / 1000.0
 
 
 class _Writer:
@@ -182,8 +211,7 @@ class _Reader:
         if end > self._len:
             self._short(8)
         self._pos = end
-        ms: int = _S_Q.unpack_from(self._buf, pos)[0]
-        return ms / 1000.0
+        return _seconds(_S_Q.unpack_from(self._buf, pos)[0])
 
     def blob16(self) -> bytes:
         """Length-prefixed terminal field, one fused bounds-checked read."""
@@ -286,12 +314,29 @@ def _write_signed(w: _Writer, signed: Signed) -> None:
     w.u32(signed.signer)
     w.blob16(signed.payload)
     w.blob16(signed.signature)
-    w.u16(len(signed.batch_digests))
-    for d in signed.batch_digests:
-        if len(d) != DIGEST_SIZE:
-            raise CodecError("batch digest has wrong length")
-        w.raw(d)
+    digests = signed.batch_digests
+    w.u16(len(digests))
+    if any(len(d) != DIGEST_SIZE for d in digests):
+        raise CodecError("batch digest has wrong length")
+    w.raw(b"".join(digests))
     w.u32(signed.batch_index)
+
+
+def _digest_list(blob: bytes) -> Tuple[bytes, ...]:
+    """The shared tuple of the ``20·n`` bytes of one digest list."""
+    global _digests_interned
+    digests = _DIGEST_LISTS.get(blob)
+    if digests is None:
+        digests = tuple(blob[i:i + DIGEST_SIZE]
+                        for i in range(0, len(blob), DIGEST_SIZE))
+        with _DIGEST_LISTS_LOCK:
+            if _digests_interned + len(digests) > _DIGEST_LIST_LIMIT:
+                _DIGEST_LISTS.clear()
+                _digests_interned = 0
+            if blob not in _DIGEST_LISTS:
+                _DIGEST_LISTS[blob] = digests
+                _digests_interned += len(digests)
+    return digests
 
 
 def _read_signed(r: _Reader) -> Signed:
@@ -306,7 +351,7 @@ def _read_signed(r: _Reader) -> Signed:
     digests: Tuple[bytes, ...]
     if n_batch:
         r._pos -= 4
-        digests = tuple(r.raw(DIGEST_SIZE) for _ in range(n_batch))
+        digests = _digest_list(r.raw(DIGEST_SIZE * n_batch))
         batch_index = r.u32()
         if batch_index >= n_batch:
             raise CodecError("batch index beyond digest list")
@@ -418,7 +463,7 @@ def _decode_announce(r: _Reader) -> SpiderAnnounce:
     msg = SpiderAnnounce.__new__(SpiderAnnounce)
     _an_sender(msg, sender)
     _an_receiver(msg, receiver)
-    _an_timestamp(msg, ms / 1000.0)
+    _an_timestamp(msg, _seconds(ms))
     _an_route(msg, route)
     _an_underlying(msg, underlying)
     _an_route_sig(msg, route_sig)
@@ -442,7 +487,7 @@ def _decode_withdraw(r: _Reader) -> SpiderWithdraw:
     msg = SpiderWithdraw.__new__(SpiderWithdraw)
     _wd_sender(msg, sender)
     _wd_receiver(msg, receiver)
-    _wd_timestamp(msg, ms / 1000.0)
+    _wd_timestamp(msg, _seconds(ms))
     _wd_prefix(msg, prefix)
     _wd_envelope(msg, envelope)
     return msg
@@ -463,7 +508,7 @@ def _decode_ack(r: _Reader) -> SpiderAck:
     msg = SpiderAck.__new__(SpiderAck)
     _ak_acker(msg, acker)
     _ak_sender(msg, sender)
-    _ak_timestamp(msg, ms / 1000.0)
+    _ak_timestamp(msg, _seconds(ms))
     _ak_hash(msg, message_hash)
     _ak_envelope(msg, envelope)
     return msg
@@ -482,7 +527,7 @@ def _decode_commitment(r: _Reader) -> SpiderCommitment:
     envelope = _read_signed(r)
     msg = SpiderCommitment.__new__(SpiderCommitment)
     _cm_elector(msg, elector)
-    _cm_time(msg, ms / 1000.0)
+    _cm_time(msg, _seconds(ms))
     _cm_root(msg, root)
     _cm_envelope(msg, envelope)
     return msg
@@ -503,7 +548,7 @@ def _decode_bit_proof_msg(r: _Reader) -> SpiderBitProof:
     msg = SpiderBitProof.__new__(SpiderBitProof)
     _bp_elector(msg, elector)
     _bp_recipient(msg, recipient)
-    _bp_time(msg, ms / 1000.0)
+    _bp_time(msg, _seconds(ms))
     _bp_proof(msg, proof)
     _bp_envelope(msg, envelope)
     return msg

@@ -31,6 +31,13 @@ from ..crypto.keys import KeyRegistry
 from ..crypto.signatures import Signed, Signer, Verifier
 from ..mtt.proofs import MttBitProof
 
+#: The millisecond grid ends here (2**51 ms, about 71 000 years).  Below
+#: it ``ms / 1000`` as a float rounds back to exactly ``ms``, so a
+#: decoded timestamp re-encodes to the bytes it came from; above it the
+#: round trip can land a millisecond off.  :func:`time_bytes` refuses a
+#: timestamp past it and the codec refuses to decode one.
+TIME_MS_LIMIT = 1 << 51
+
 
 def time_bytes(t: float) -> bytes:
     """The millisecond grid: a timestamp as 8 big-endian bytes.
@@ -48,13 +55,14 @@ def time_bytes(t: float) -> bytes:
 
     Timestamps are seconds since an epoch and can never be negative; a
     negative value would wrap the unsigned encoding into a huge bogus
-    nonce, so it is rejected outright, as is one past the u64 range.
+    nonce, so it is rejected outright, as is one past
+    :data:`TIME_MS_LIMIT`.
     """
     if t < 0:
         raise ValueError(f"negative timestamp {t!r}")
     ms = int(round(t * 1000))
-    if ms >= 1 << 64:
-        raise ValueError(f"timestamp {t!r} overflows u64")
+    if ms >= TIME_MS_LIMIT:
+        raise ValueError(f"timestamp {t!r} is past the millisecond grid")
     return ms.to_bytes(8, "big")
 
 

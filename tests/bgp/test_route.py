@@ -128,6 +128,19 @@ class TestEncoding:
         with pytest.raises(ValueError):
             Route.from_bytes(b"\x00")
 
+    @pytest.mark.parametrize("tags", [
+        [(65001, 80), (65000, 90)],    # swapped
+        [(65001, 80), (65001, 80)],    # repeated
+    ], ids=["swapped", "repeated"])
+    def test_non_canonical_communities_rejected(self, tags):
+        """``to_bytes`` writes the set sorted, so any other order or a
+        repeat is a second encoding of one route, and is refused."""
+        head = Route(prefix=P, as_path=(1,)).to_bytes()[:-2]
+        data = head + len(tags).to_bytes(2, "big") + b"".join(
+            a.to_bytes(2, "big") + b.to_bytes(2, "big") for a, b in tags)
+        with pytest.raises(ValueError):
+            Route.from_bytes(data)
+
     @given(route_strategy(), st.data())
     def test_every_truncation_raises_value_error(self, r, data):
         """Cutting a valid encoding anywhere must fail as ValueError —

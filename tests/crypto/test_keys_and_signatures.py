@@ -1,8 +1,12 @@
 """Tests for the key registry and the signed-envelope / batching layer."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.crypto import rsa
+from repro.crypto import rsa, signatures
+from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyRegistry, UnknownKeyError, make_identity
 from repro.crypto.signatures import Signed, Signer, Verifier
 from repro.obs.registry import use_registry
@@ -111,6 +115,119 @@ class TestBatchSigning:
         assert len(envs) == 1
         assert envs[0].batch_digests == ()
         assert Verifier(registry).verify(envs[0])
+
+
+@pytest.fixture(params=["pure", "c"])
+def engine(request, monkeypatch):
+    """Each RSA engine in turn, with an empty batch memo."""
+    if request.param == "pure":
+        monkeypatch.setattr(rsa, "_C_RSA", False)
+    elif not rsa._C_RSA:
+        pytest.skip("cryptography is not importable")
+    monkeypatch.setattr(signatures, "_VERIFIED_BATCHES", set())
+    monkeypatch.setattr(signatures, "_verified_digests", 0)
+    return request.param
+
+
+class TestHostileBatchesAgainstTheMemo:
+    """Once a batch root has verified, its other members skip RSA; a
+    forged member must still fail on its own, and the memo must not
+    grow with what a hostile peer sends."""
+
+    @pytest.fixture()
+    def verified(self, engine, registry, alice):
+        """A batch whose root has already verified once."""
+        envs = Signer(alice).sign_batch([b"a", b"b", b"c"])
+        assert Verifier(registry).verify(envs[0])
+        assert len(signatures._VERIFIED_BATCHES) == 1
+        return envs
+
+    @staticmethod
+    def forge(env, **changes):
+        fields = dict(signer=env.signer, payload=env.payload,
+                      signature=env.signature,
+                      batch_digests=env.batch_digests,
+                      batch_index=env.batch_index)
+        return Signed(**{**fields, **changes})
+
+    def test_swapped_payload_fails(self, registry, verified):
+        forged = self.forge(verified[0], payload=verified[1].payload)
+        assert not Verifier(registry).verify(forged)
+
+    def test_edited_digest_list_fails(self, registry, verified):
+        # Member 0 is untouched and still in its slot; only a sibling
+        # digest changed, so the root the signature must cover changed.
+        digests = list(verified[0].batch_digests)
+        digests[2] = digest(b"evil")
+        forged = self.forge(verified[0], batch_digests=tuple(digests))
+        assert not Verifier(registry).verify(forged)
+        forged_member = self.forge(verified[2], payload=b"evil",
+                                   batch_digests=tuple(digests))
+        assert not Verifier(registry).verify(forged_member)
+
+    def test_out_of_range_index_fails(self, registry, verified):
+        for index in (3, 2**32 - 1):
+            forged = self.forge(verified[0], batch_index=index)
+            assert not Verifier(registry).verify(forged)
+
+    def test_flipped_signature_byte_fails(self, registry, verified):
+        for position in (0, len(verified[0].signature) - 1):
+            flipped = bytearray(verified[1].signature)
+            flipped[position] ^= 0x01
+            forged = self.forge(verified[1], signature=bytes(flipped))
+            assert not Verifier(registry).verify(forged)
+
+    def test_forgeries_never_enter_and_members_still_verify(
+            self, registry, verified):
+        digests = (verified[0].batch_digests[0], digest(b"evil"))
+        Verifier(registry).verify(self.forge(verified[0],
+                                             batch_digests=digests))
+        assert len(signatures._VERIFIED_BATCHES) == 1
+        verifier = Verifier(registry)
+        assert all(verifier.verify(env) for env in verified)
+
+    def test_memo_stays_bounded_under_distinct_roots(self, engine):
+        registry = KeyRegistry()
+        signer = Signer(make_identity(asn=3, registry=registry, bits=384,
+                                      seed=104))
+        verifier = Verifier(registry)
+        for i in range(10_000):
+            first, second = signer.sign_batch([b"a%d" % i, b"b%d" % i])
+            assert verifier.verify(first) and verifier.verify(second)
+            # Two digests per root.
+            assert 2 * len(signatures._VERIFIED_BATCHES) <= \
+                signatures._VERIFIED_BATCH_LIMIT
+        held = sum(len(key[-1]) for key in signatures._VERIFIED_BATCHES)
+        assert held == signatures._verified_digests
+        # The wholesale clear happened and the memo refilled after it.
+        assert 0 < len(signatures._VERIFIED_BATCHES) < 10_000
+
+    def test_memo_counts_right_under_threads(self, engine):
+        registry = KeyRegistry()
+        signer = Signer(make_identity(asn=4, registry=registry, bits=384,
+                                      seed=105))
+        batches = [[signer.sign_batch([b"%d.%d.a" % (worker, i),
+                                       b"%d.%d.b" % (worker, i)])[0]
+                    for i in range(400)] for worker in range(4)]
+        verifier = Verifier(registry)
+        verdicts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda batch=batch:
+                                        verdicts.extend(map(verifier.verify,
+                                                            batch)))
+                       for batch in batches]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert verdicts == [True] * 1600
+        assert len(signatures._VERIFIED_BATCHES) == 1600
+        assert signatures._verified_digests == 2 * 1600
 
 
 class TestSignatureCounters:

@@ -8,14 +8,20 @@ mis-parses back into the original, and never escapes with a foreign
 exception type.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.signatures import Signed
+from repro.spider import codec
 from repro.spider.codec import CodecError, WIRE_VERSION, \
     decode_message, encode_message
-from repro.spider.wire import SpiderAck
+from repro.spider.log import EntryKind, decode_log_entry, encode_entry
+from repro.spider.wire import TIME_MS_LIMIT, SpiderAck, SpiderAnnounce, \
+    SpiderBitProof, SpiderCommitment, SpiderWithdraw, time_bytes
 
 # Message strategies live in the shared suite-wide module so the
 # corruption-fuzz and campaign suites draw the exact same shapes.
@@ -106,6 +112,138 @@ def test_negative_timestamp_rejected_on_encode():
     bad = dataclasses.replace(_sample_ack(), timestamp=-1.0)
     with pytest.raises(CodecError):
         encode_message(bad)
+
+
+# ----------------------------------------------------------------------
+# The millisecond grid and canonical frames
+
+#: Where each message type's u64 millisecond stamp sits in its frame:
+#: after version and tag, the announce's flags and one or two ids.
+_STAMP_AT = {SpiderAnnounce: 11, SpiderWithdraw: 10, SpiderAck: 10,
+             SpiderCommitment: 6, SpiderBitProof: 10}
+
+#: Millisecond counts on both sides of the grid's end.
+_STAMPS = st.one_of(st.integers(0, TIME_MS_LIMIT - 1),
+                    st.integers(TIME_MS_LIMIT, 2**64 - 1),
+                    st.sampled_from([TIME_MS_LIMIT - 1, TIME_MS_LIMIT,
+                                     2**64 - 1]))
+
+
+def _stamped(message, ms):
+    encoded = bytearray(encode_message(message))
+    at = _STAMP_AT[type(message)]
+    encoded[at:at + 8] = ms.to_bytes(8, "big")
+    return bytes(encoded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, TIME_MS_LIMIT - 1))
+def test_every_grid_point_round_trips_through_seconds(ms):
+    assert time_bytes(ms / 1000.0) == ms.to_bytes(8, "big")
+
+
+def test_the_grid_ends_at_its_limit():
+    last = (TIME_MS_LIMIT - 1) / 1000.0
+    assert time_bytes(last) == (TIME_MS_LIMIT - 1).to_bytes(8, "big")
+    with pytest.raises(ValueError):
+        time_bytes(TIME_MS_LIMIT / 1000.0)
+    import dataclasses
+    with pytest.raises(CodecError):
+        encode_message(dataclasses.replace(
+            _sample_ack(), timestamp=TIME_MS_LIMIT / 1000.0))
+    entry = encode_entry(EntryKind.COMMITMENT, 1.0,
+                         {"seed": b"s", "root": b"r"})
+    for ms in (TIME_MS_LIMIT, 2**64 - 1):
+        with pytest.raises(CodecError):
+            decode_message(_stamped(_sample_ack(), ms))
+        # A log entry is kind | t_ms | body.
+        with pytest.raises(CodecError):
+            decode_log_entry(entry[:1] + ms.to_bytes(8, "big") + entry[9:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages, st.data())
+def test_every_accepted_frame_re_encodes_to_its_bytes(message, data):
+    """Decoding is one-to-one on what it accepts: a frame it takes in,
+    bit-flipped or re-stamped anywhere on the u64 range, is the one
+    encoding of the message it returns."""
+    if data.draw(st.booleans()):
+        frame = _stamped(message, data.draw(_STAMPS))
+    else:
+        encoded = bytearray(encode_message(message))
+        pos = data.draw(st.integers(0, len(encoded) - 1))
+        encoded[pos] ^= data.draw(st.integers(1, 255))
+        frame = bytes(encoded)
+    try:
+        decoded = decode_message(frame)
+    except CodecError:
+        return
+    assert encode_message(decoded) == frame
+
+
+# ----------------------------------------------------------------------
+# Batch digest lists
+
+def _batch_ack(digests):
+    return SpiderAck(acker=1, sender=2, timestamp=3.0,
+                     message_hash=b"h" * DIGEST_SIZE,
+                     envelope=Signed(signer=1, payload=b"p",
+                                     signature=b"s",
+                                     batch_digests=digests,
+                                     batch_index=0))
+
+
+def test_a_digest_of_the_wrong_length_is_refused_on_encode():
+    with pytest.raises(CodecError):
+        encode_message(_batch_ack((b"d" * DIGEST_SIZE, b"short")))
+
+
+def test_equal_digest_lists_decode_to_one_tuple():
+    digests = (b"a" * DIGEST_SIZE, b"b" * DIGEST_SIZE)
+    first, second = (decode_message(encode_message(_batch_ack(digests)))
+                     for _ in range(2))
+    assert first.envelope.batch_digests == digests
+    assert first.envelope.batch_digests is second.envelope.batch_digests
+
+
+def test_the_digest_list_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+    monkeypatch.setattr(codec, "_digests_interned", 0)
+    for i in range(10_000):
+        digests = tuple(i.to_bytes(4, "big") + bytes([j]) * 16
+                        for j in range(3))
+        decoded = decode_message(encode_message(_batch_ack(digests)))
+        assert decoded.envelope.batch_digests == digests
+        # Three digests per list.
+        assert 3 * len(codec._DIGEST_LISTS) <= codec._DIGEST_LIST_LIMIT
+    assert codec._digests_interned == \
+        sum(len(d) for d in codec._DIGEST_LISTS.values())
+    assert 0 < len(codec._DIGEST_LISTS) < 10_000
+
+
+def test_the_digest_list_table_counts_right_under_threads(monkeypatch):
+    """Every TCP transport decodes on its own thread: concurrent inserts
+    (and the clears between them) must not lose a count."""
+    monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+    monkeypatch.setattr(codec, "_digests_interned", 0)
+    frames = [[encode_message(_batch_ack(tuple(
+        bytes([worker]) + i.to_bytes(3, "big") + bytes([j]) * 16
+        for j in range(2)))) for i in range(3000)] for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda batch=batch: [
+            decode_message(frame) for frame in batch]) for batch in frames]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codec._digests_interned == \
+        sum(len(d) for d in codec._DIGEST_LISTS.values())
+    assert codec._digests_interned <= codec._DIGEST_LIST_LIMIT
 
 
 # ----------------------------------------------------------------------

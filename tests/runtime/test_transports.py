@@ -7,6 +7,7 @@ sizes 0 and 4 under ``TestSendMany``.
 """
 
 import gc
+import socket
 import weakref
 
 import pytest
@@ -16,13 +17,14 @@ from repro.crypto.keys import make_identity
 from repro.crypto.signatures import Signer
 from repro.spider.codec import encode_message
 from repro.runtime.framing import encode_frame
-from repro.runtime.scenario import ASN_A, ASN_B, T_COMMIT, \
-    _drive_first_round, exchange_runtime, run_loopback_exchange
+from repro.runtime.scenario import ASN_A, ASN_B, PREFIX, ROUTE, \
+    T_ANNOUNCE, T_COMMIT, _drive_first_round, exchange_runtime, \
+    run_loopback_exchange
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import LoopbackHub, TransportError
 from repro.spider.log import EntryKind
 from repro.spider.wire import SpiderAnnounce, SpiderCommitment, \
-    commitment_payload
+    SpiderWithdraw, commitment_payload
 
 
 class TestLoopbackExchange:
@@ -124,6 +126,71 @@ class TestMisaddressedAck:
         assert rt_b.recorder.log.of_kind(EntryKind.RECV_ACK) == []
         assert hooked == []
         assert rt_b.recorder.alarms == [f"invalid ack from AS{ASN_B}"] * 3
+
+
+class TestTimestampPastTheGrid:
+    """A validly signed frame whose millisecond stamp is u64 max: the
+    codec refuses it, so each transport counts one ``decode_errors``
+    and drops it, and the receiving node carries on with the exchange
+    (its payload rebuild would otherwise raise on the stamp)."""
+
+    #: Offset of the u64 stamp: after version, tag and one or two ids.
+    STAMP_AT = {"withdraw": 10, "commitment": 6}
+
+    def frame(self, kind, signer):
+        if kind == "withdraw":
+            message = SpiderWithdraw.make(signer, ASN_B, T_ANNOUNCE, PREFIX)
+        else:
+            message = SpiderCommitment.make(signer, T_ANNOUNCE, b"\x5a" * 20)
+        encoded = bytearray(encode_message(message))
+        at = self.STAMP_AT[kind]
+        encoded[at:at + 8] = (2**64 - 1).to_bytes(8, "big")
+        return bytes(encoded)
+
+    @staticmethod
+    def assert_b_took_the_announce(rt_b):
+        assert rt_b.recorder.alarms == []
+        assert len(rt_b.recorder.log.of_kind(EntryKind.RECV_ANNOUNCE)) == 1
+
+    @pytest.mark.parametrize("kind", ["withdraw", "commitment"])
+    def test_loopback(self, kind):
+        hub = LoopbackHub()
+        rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A))
+        rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B))
+        hub._submit(ASN_A, ASN_B, [None],
+                    [self.frame(kind, rt_a.recorder.signer)])
+        _drive_first_round(hub, rt_a, rt_b)
+        assert hub.endpoints[ASN_B].decode_errors == 1
+        self.assert_b_took_the_announce(rt_b)
+        assert rt_a.node.commitment_from(ASN_B, T_COMMIT) == \
+            rt_b.recorder.commitments[-1].message
+
+    @pytest.mark.parametrize("kind", ["withdraw", "commitment"])
+    def test_tcp(self, kind):
+        t_a, t_b = TcpTransport(ASN_A), TcpTransport(ASN_B)
+        t_a.start()
+        t_b.start()
+        t_a.add_peer(ASN_B, "127.0.0.1", t_b.port)
+        t_b.add_peer(ASN_A, "127.0.0.1", t_a.port)
+        rt_a = exchange_runtime(ASN_A, t_a)
+        rt_b = exchange_runtime(ASN_B, t_b)
+        try:
+            with socket.create_connection(("127.0.0.1", t_b.port)) as sock:
+                sock.sendall(encode_frame(
+                    self.frame(kind, rt_a.recorder.signer)))
+            _wait_until(lambda: t_b.decode_errors, timeout=10.0)
+            rt_a.advance_to(T_ANNOUNCE)
+            rt_a.announce(ASN_B, ROUTE)
+            rt_b.wait_for_inbox(1)
+            rt_b.advance_to(T_ANNOUNCE)
+            rt_b.deliver_pending()
+            assert t_b.decode_errors == 1
+            self.assert_b_took_the_announce(rt_b)
+        finally:
+            rt_a.close()
+            rt_b.close()
+            t_a.stop()
+            t_b.stop()
 
 
 class TestLoopbackHub:

@@ -1,14 +1,18 @@
 """Tests for Nagle-style signature batching in the recorder (§6.2)."""
 
+import hashlib
+
 import pytest
 
 from repro.bgp.messages import Announce, Withdraw
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.core.promise import total_order_promise
+from repro.crypto import rsa, signatures as signatures_module
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.netsim.events import Simulator
 from repro.obs.registry import use_registry
+from repro.spider.codec import decode_message, encode_message
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind
 from repro.spider.node import evaluation_scheme
@@ -137,6 +141,81 @@ class TestBatching:
             schedule=None)
         recorder.mirror_sent_update(announce(1))
         assert len(sent) == 1  # no scheduler → synchronous send
+
+
+def burst_of_eight():
+    """A seeded burst: eight announces the elector signs as one chunk,
+    and the recorder they are sent to."""
+    sim = Simulator()
+    elector, sent = make_recorder(sim)
+    for i in range(8):
+        elector.mirror_sent_update(announce(i))
+    sim.run()
+    assert len(sent) == 8
+    scheme = evaluation_scheme(5)
+    consumer = Recorder(
+        identity=make_identity(CONSUMER, registry=elector.registry,
+                               bits=512, seed=901),
+        registry=elector.registry, scheme=scheme,
+        promises={ELECTOR: total_order_promise(scheme)},
+        config=SpiderConfig(), clock=sim.clock,
+        transport=lambda receiver, messages: None, schedule=sim.after)
+    return sent, consumer
+
+
+class TestReceiverPaysOncePerBatch:
+    """§6.2 batches signatures so RSA is paid per burst; the receiver
+    pays per burst too, while still checking every member."""
+
+    #: SHA-512 of ``encode_message`` of the burst's fourth member: the
+    #: digest-list layout of a batch-signed frame, which the unbatched
+    #: two-node goldens do not cover.
+    GOLDEN_MEMBER = "97e49961960e0034989c17421c557e1e65b9e225"
+
+    @pytest.fixture()
+    def rsa_verifies(self, monkeypatch):
+        """Counts RSA operations; starts from an empty memo, so a burst
+        some other test verified earlier is not already remembered."""
+        monkeypatch.setattr(signatures_module, "_VERIFIED_BATCHES", set())
+        monkeypatch.setattr(signatures_module, "_verified_digests", 0)
+        calls = []
+        real = rsa.verify
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rsa, "verify", counted)
+        return calls
+
+    def test_a_burst_of_eight_costs_two_rsa_verifies(self, rsa_verifies):
+        sent, consumer = burst_of_eight()
+        decoded = [decode_message(encode_message(m)) for m in sent]
+        with use_registry() as obs:
+            for message in decoded:
+                consumer.receive(message)
+            checked = obs.label_values("signatures_checked_total",
+                                       "outcome")
+        # One route-signature root and one envelope root, not 16.
+        assert len(rsa_verifies) == 2
+        # Still one check per signature received: §7.5 counts them.
+        assert checked == {"valid": 16}
+        assert consumer.alarms == []
+        assert len(consumer.log.of_kind(EntryKind.RECV_ANNOUNCE)) == 8
+
+    def test_decoded_members_share_one_digest_list(self):
+        sent, _consumer = burst_of_eight()
+        decoded = [decode_message(encode_message(m)) for m in sent]
+        for field in ("route_sig", "envelope"):
+            lists = [getattr(m, field).batch_digests for m in decoded]
+            assert len(lists[0]) == 8
+            assert all(digests is lists[0] for digests in lists)
+
+    def test_batch_signed_frame_bytes_are_pinned(self):
+        sent, _consumer = burst_of_eight()
+        encoded = encode_message(sent[3])
+        assert hashlib.sha512(encoded).hexdigest()[:40] == \
+            self.GOLDEN_MEMBER
 
 
 class RecordingSink:
