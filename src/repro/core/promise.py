@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, \
-    Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, \
+    Sequence, Set, Tuple
 
 from ..crypto.hashing import constant_time_eq, digest_fields
 from ..crypto.keys import KeyRegistry
@@ -57,6 +58,10 @@ class Promise:
 
     ``order`` holds strict preference pairs ``(lower, higher)``; the
     constructor takes any generating set and stores the transitive closure.
+    The classes above and below each class are sorted once, on the first
+    ask: a commitment asks for them per prefix and per consumer.  They
+    are derived from ``order`` and are not fields, so equality, hashing,
+    ``repr`` and :meth:`encode` see only the closure.
     """
 
     scheme: ClassScheme
@@ -82,6 +87,18 @@ class Promise:
                 )
         object.__setattr__(self, "order", closure)
 
+    @cached_property
+    def _class_sets(self) -> Tuple[Dict[int, Tuple[int, ...]],
+                                   Dict[int, Tuple[int, ...]]]:
+        """Per class, the sorted classes above it and below it."""
+        above: Dict[int, List[int]] = {}
+        below: Dict[int, List[int]] = {}
+        for lower, higher in self.order:
+            above.setdefault(lower, []).append(higher)
+            below.setdefault(higher, []).append(lower)
+        return ({c: tuple(sorted(hs)) for c, hs in above.items()},
+                {c: tuple(sorted(ls)) for c, ls in below.items()})
+
     # ------------------------------------------------------------------
     # Order queries
 
@@ -102,10 +119,12 @@ class Promise:
         These are exactly the classes a consumer whose route landed in
         ``index`` demands 0-bit proofs for (Section 4.5).
         """
-        return tuple(sorted(h for (l, h) in self.order if l == index))
+        return self._class_sets[0].get(index, ())
 
     def classes_below(self, index: int) -> Tuple[int, ...]:
-        return tuple(sorted(l for (l, h) in self.order if h == index))
+        """All classes ``index`` is strictly preferred over: the input
+        bits a chosen route of class ``index`` sets (Section 5.3)."""
+        return self._class_sets[1].get(index, ())
 
     def is_violation(self, available: RouteOrNull,
                      exported: RouteOrNull) -> bool:

@@ -48,8 +48,9 @@ def apply_entry(state: RoutingState, asn: int,
         assert isinstance(message, SpiderAnnounce)
         # Stamp the sender as the route's (receiver-local) neighbor, like
         # the BGP speaker does for its Adj-RIB-In.
-        route = dataclasses.replace(message.route,
-                                    neighbor=message.sender)
+        route = message.route
+        if route.neighbor != message.sender:
+            route = dataclasses.replace(route, neighbor=message.sender)
         state.imports.setdefault(message.sender, {})[message.prefix] = \
             route
         return (message.prefix,)

@@ -35,6 +35,13 @@ whole batch's digest list, so every member of a burst repeats the same
 ``20·n`` bytes.  They are read as one slice and written as one join,
 and decoding maps equal slices to one shared tuple, so a burst's
 members cost O(1) each to decode and hold.
+
+A received update is logged, and an ACK is logged and then sent, so
+the same object reaches :func:`encode_message` right after it was
+decoded or encoded.  A small memo keyed by object identity hands back
+the frame it came from (see :data:`_FRAME_MEMO_BYTES`).  That is the
+same bytes a fresh encode would give, because decoding is one-to-one
+on what it accepts and the messages are immutable.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import threading
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, NoReturn, Tuple, Union
 
 from ..bgp.prefix import Prefix, PrefixError
@@ -91,6 +99,18 @@ _DIGEST_LIST_LIMIT = 1 << 14
 _DIGEST_LISTS: Dict[bytes, Tuple[bytes, ...]] = {}
 _digests_interned = 0
 _DIGEST_LISTS_LOCK = threading.Lock()
+
+
+#: The frames of the announces, withdrawals and ACKs most recently
+#: decoded or encoded, keyed by ``id`` of the message.  Each entry
+#: holds its message, so that ``id`` is not reused while it is listed.
+#: At most this many frame bytes are kept, oldest out first; every TCP
+#: transport decodes on its own thread, so a change holds the lock.
+#: Recovery (:func:`repro.spider.log.decode_log_entry`) does not fill it.
+_FRAME_MEMO_BYTES = 256 * 1024
+_FRAMES: OrderedDict[int, Tuple[object, bytes]] = OrderedDict()
+_frame_bytes_held = 0
+_FRAMES_LOCK = threading.Lock()
 
 
 class CodecError(ValueError):
@@ -572,6 +592,24 @@ _DECODERS: Dict[int, Callable[[_Reader], object]] = {
 }
 
 
+_MEMOIZED = (SpiderAnnounce, SpiderWithdraw, SpiderAck)
+
+
+def _remember(message: object, frame: bytes) -> None:
+    global _frame_bytes_held
+    size = len(frame)
+    if size > _FRAME_MEMO_BYTES:
+        return
+    with _FRAMES_LOCK:
+        held = _FRAMES.pop(id(message), None)
+        if held is not None:
+            _frame_bytes_held -= len(held[1])
+        while _frame_bytes_held + size > _FRAME_MEMO_BYTES:
+            _frame_bytes_held -= len(_FRAMES.popitem(last=False)[1][1])
+        _FRAMES[id(message)] = (message, frame)
+        _frame_bytes_held += size
+
+
 def encode_message(message: object) -> bytes:
     """Serialize one SPIDeR wire message (version byte included).
 
@@ -581,13 +619,19 @@ def encode_message(message: object) -> bytes:
     private input (policy, seeds, blinding, keys) to have passed a
     commitment/proof/signature declassifier first.
     """
+    held = _FRAMES.get(id(message))
+    if held is not None and held[0] is message:
+        return held[1]
     for klass, tag, encoder in _ENCODERS:
         if isinstance(message, klass):
             w = _Writer()
             w.u8(WIRE_VERSION)
             w.u8(tag)
             encoder(w, message)
-            return w.getvalue()
+            frame = w.getvalue()
+            if isinstance(message, _MEMOIZED):
+                _remember(message, frame)
+            return frame
     raise CodecError(
         f"not a SPIDeR wire message: {type(message).__name__}")
 
@@ -599,8 +643,18 @@ def decode_message(
     Accepts ``bytes`` or any byte buffer (``memoryview``,
     ``bytearray``): the framing layer hands this function zero-copy
     views into its receive buffer, and nothing on the decode path
-    forces a copy of the whole message.
+    forces a copy of the whole message.  An announce, withdrawal or
+    ACK keeps a copy of its frame in the memo, for the log to reuse.
     """
+    message = _decode_message(data)
+    if isinstance(message, _MEMOIZED):
+        _remember(message, bytes(data))
+    return message
+
+
+def _decode_message(
+        data: Union[bytes, bytearray, memoryview]) -> object:
+    """:func:`decode_message` without the memo, for reading a log."""
     if len(data) < 2:
         raise CodecError("message shorter than version + tag header")
     r = _Reader(data)

@@ -43,11 +43,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, \
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..crypto.hashing import DIGEST_SIZE, digest
-from .codec import CodecError, _Reader, _Writer, _read_prefix, \
-    _read_route, _write_prefix, _write_route, decode_message, \
+from .codec import CodecError, _Reader, _Writer, _decode_message, \
+    _read_prefix, _read_route, _write_prefix, _write_route, \
     encode_message
 from .state import RoutingState
-from .wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
+from .wire import SpiderAck, SpiderAnnounce, SpiderWithdraw, time_bytes
 
 
 class EntryKind(enum.Enum):
@@ -280,7 +280,7 @@ def decode_log_entry(data: Union[bytes, bytearray, memoryview]
         payload = _decode_state(r.window(r.u32()))
     else:
         n = r.u32()
-        payload = decode_message(r.window(n))
+        payload = _decode_message(r.window(n))
         expected_type = _KIND_MESSAGE_TYPES[kind]
         if not isinstance(payload, expected_type):
             raise CodecError(
@@ -370,9 +370,12 @@ class SpiderLog:
         return [e for e in self._entries if e.kind in wanted]
 
     def commitment_at(self, t: float) -> Optional[LogEntry]:
+        """The commitment logged at ``t`` on the millisecond grid, the
+        resolution its broadcast carries its commit time at."""
+        stamp = time_bytes(t)
         for entry in self._entries:
             if entry.kind is EntryKind.COMMITMENT and \
-                    abs(entry.timestamp - t) < 1e-6:
+                    time_bytes(entry.timestamp) == stamp:
                 return entry
         return None
 

@@ -42,7 +42,7 @@ from .checkpoint import elector_view, replay
 from .codec import encode_message
 from .recorder import Recorder
 from .state import RoutingState
-from .wire import SpiderBitProof
+from .wire import SpiderBitProof, time_bytes
 
 
 @dataclass
@@ -112,7 +112,8 @@ class ProofGenerator:
     def reconstruct(self, commit_time: float) -> Reconstruction:
         """Replay the log and rebuild the MTT for a past commitment."""
         last = self._last
-        if last is not None and last.commit_time == commit_time:
+        if last is not None and \
+                time_bytes(last.commit_time) == time_bytes(commit_time):
             self.cache_hits += 1
             return last
         self.cache_misses += 1

@@ -68,30 +68,34 @@ def time_bytes(t: float) -> bytes:
 
 def route_signature_payload(route: Route) -> bytes:
     """Payload of the inner ``σ_E(r)`` route signature."""
-    return digest_fields(b"SPIDER-ROUTE", route.to_bytes())
+    return _route_signature_payload(route.to_bytes())
+
+
+def _route_signature_payload(route_bytes: bytes) -> bytes:
+    return digest_fields(b"SPIDER-ROUTE", route_bytes)
 
 
 def sign_route(signer: Signer, route: Route) -> Signed:
     return signer.sign(route_signature_payload(route))
 
 
-def route_signature_valid(registry: KeyRegistry, signer_asn: int,
-                          route: Route, envelope: Signed) -> bool:
-    return (envelope.signer == signer_asn
-            and constant_time_eq(envelope.payload,
-                                 route_signature_payload(route))
-            and Verifier(registry).verify(envelope))
-
-
 def announce_payload(sender: int, receiver: int, timestamp: float,
                      route: Route, underlying: Optional[Signed],
                      route_sig: Signed, reannounce: bool = False) -> bytes:
+    return _announce_payload(sender, receiver, timestamp, route.to_bytes(),
+                             underlying, route_sig, reannounce)
+
+
+def _announce_payload(sender: int, receiver: int, timestamp: float,
+                      route_bytes: bytes, underlying: Optional[Signed],
+                      route_sig: Signed, reannounce: bool) -> bytes:
+    # A route's canonical bytes open with its prefix's five.
     tag = b"SPIDER-REANNOUNCE" if reannounce else b"SPIDER-ANNOUNCE"
     underlying_part = b"" if underlying is None else (
         underlying.payload + underlying.signature)
     return digest_fields(
         tag, sender.to_bytes(4, "big"), receiver.to_bytes(4, "big"),
-        time_bytes(timestamp), route.prefix.to_bytes(), route.to_bytes(),
+        time_bytes(timestamp), route_bytes[:5], route_bytes,
         underlying_part, route_sig.signature)
 
 
@@ -132,20 +136,26 @@ class SpiderAnnounce:
         return digest(self.envelope.payload + self.envelope.signature)
 
     def valid(self, registry: KeyRegistry) -> bool:
-        if self.envelope.signer != self.sender:
+        route_sig = self.route_sig
+        if self.envelope.signer != self.sender or \
+                route_sig.signer != self.sender:
             return False
-        if not route_signature_valid(registry, self.sender, self.route,
-                                     self.route_sig):
+        # One encoding of the route serves both payload rebuilds.
+        route_bytes = self.route.to_bytes()
+        verifier = Verifier(registry)
+        if not (constant_time_eq(route_sig.payload,
+                                 _route_signature_payload(route_bytes))
+                and verifier.verify(route_sig)):
             return False
         if self.underlying is not None and \
-                not Verifier(registry).verify(self.underlying):
+                not verifier.verify(self.underlying):
             return False
-        expected = announce_payload(self.sender, self.receiver,
-                                    self.timestamp, self.route,
-                                    self.underlying, self.route_sig,
-                                    reannounce=self.reannounce)
+        expected = _announce_payload(self.sender, self.receiver,
+                                     self.timestamp, route_bytes,
+                                     self.underlying, route_sig,
+                                     self.reannounce)
         return constant_time_eq(self.envelope.payload, expected) and \
-            Verifier(registry).verify(self.envelope)
+            verifier.verify(self.envelope)
 
 
 def withdraw_payload(sender: int, receiver: int, timestamp: float,

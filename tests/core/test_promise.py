@@ -1,7 +1,10 @@
 """Tests for promises: partial orders, violations, Theorem 5, signing."""
 
+import dataclasses
+import hashlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.policy import Relation
@@ -73,6 +76,91 @@ class TestOrderQueries:
             for j in range(k):
                 if p.prefers(i, j):
                     assert not p.prefers(j, i)
+
+
+def scanned_above(promise, c):
+    """``classes_above`` as a scan over the whole closure."""
+    return tuple(sorted(h for (l, h) in promise.order if l == c))
+
+
+def scanned_below(promise, c):
+    return tuple(sorted(l for (l, h) in promise.order if h == c))
+
+
+@st.composite
+def acyclic_promises(draw):
+    """A promise over random acyclic generating pairs, k <= 12: pairs
+    ranked along a random permutation can never close a cycle."""
+    k = draw(st.integers(1, 12))
+    rank = draw(st.permutations(range(k)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, k - 1),
+                                   st.integers(0, k - 1))
+                         .filter(lambda ij: ij[0] < ij[1]),
+                         max_size=k * (k - 1) // 2))
+    return Promise(scheme=flat_scheme(k),
+                   order=frozenset((rank[i], rank[j]) for i, j in pairs))
+
+
+def assert_class_sets_match_the_scan(promise):
+    k = promise.k
+    for c in range(k):
+        assert promise.classes_above(c) == scanned_above(promise, c)
+        assert promise.classes_below(c) == scanned_below(promise, c)
+    for unknown in (-1, k, k + 7):
+        assert promise.classes_above(unknown) == ()
+        assert promise.classes_below(unknown) == ()
+
+
+class TestClassSets:
+    """The classes above and below each class are sorted once and looked
+    up after: they equal the closure scan they replaced, and the promise
+    compares, hashes, prints and encodes as before."""
+
+    #: SHA-512 prefixes of ``encode()`` at k = 50, as before the class
+    #: sets existed: total order, the chain 0 < 3 < ... < 48, trivial.
+    ENCODED = ("0409b57d1f18744effea29150afd3d9b558bce09",
+               "ba1717285afd00bcd150a6092810bb3cbb427d15",
+               "223aa2eae5be9d1ac80d679fb2ec1d3d633cf932")
+
+    @staticmethod
+    def k50_promises():
+        scheme = flat_scheme(50)
+        return (total_order_promise(scheme),
+                chain_promise(scheme, list(range(0, 50, 3))),
+                trivial_promise(scheme))
+
+    @settings(max_examples=200, deadline=None)
+    @given(acyclic_promises())
+    def test_random_orders_match_the_scan(self, promise):
+        assert_class_sets_match_the_scan(promise)
+
+    def test_k50_constructors_match_the_scan(self):
+        for promise in self.k50_promises():
+            assert_class_sets_match_the_scan(promise)
+
+    def test_identity_is_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Promise)] == \
+            ["scheme", "order"]
+        for promise, encoded in zip(self.k50_promises(), self.ENCODED):
+            twin = Promise(scheme=promise.scheme, order=promise.order)
+            before = (repr(promise), hash(promise), promise.encode())
+            promise.classes_above(0)
+            promise.classes_below(49)
+            assert (repr(promise), hash(promise), promise.encode()) == \
+                before
+            assert promise == twin
+            assert before == (repr(twin), hash(twin), twin.encode())
+            assert hashlib.sha512(promise.encode()).hexdigest()[:40] == \
+                encoded
+
+    def test_replace_rebuilds_the_sets(self):
+        p = total_order_promise(flat_scheme(4))
+        assert p.classes_above(1) == (2, 3)
+        q = dataclasses.replace(p, order=frozenset({(2, 1)}))
+        assert q.classes_above(1) == ()
+        assert q.classes_below(1) == (2,)
+        assert q.classes_above(2) == (1,)
+        assert p.classes_above(1) == (2, 3)
 
 
 class TestViolationSemantics:

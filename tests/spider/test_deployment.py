@@ -1,6 +1,8 @@
 """Integration tests: recorder, proof generator, and checker end to end
 on the Figure 5 deployment."""
 
+import math
+
 import pytest
 
 from repro.netsim.topology import FOCUS_AS
@@ -135,6 +137,26 @@ class TestReconstruction:
             assert reconstruction.root == next(
                 r.root for r in node.recorder.commitments
                 if r.commit_time == commit_time)
+
+    def test_off_grid_commitment_is_found_by_its_wire_time(
+            self, deployment):
+        """A commitment made between milliseconds is broadcast at the
+        millisecond it falls in; asking by that time finds it, and
+        asking by the exact time is then a cache hit."""
+        from repro.spider.proofgen import ProofGenerator
+
+        network, dep = deployment
+        clock = network.sim.clock
+        clock.advance_to(math.floor(network.sim.now) + 1.0004)
+        record = dep.commit_now(FOCUS_AS)
+        wire = decode_message(encode_message(record.message))
+        assert wire.commit_time == math.floor(record.commit_time)
+        gen = ProofGenerator(dep.node(FOCUS_AS).recorder)
+        assert gen.reconstruct(wire.commit_time).root == record.root
+        gen.reconstruct(record.commit_time)
+        assert (gen.cache_misses, gen.cache_hits) == (1, 1)
+        # Later tests in this module commit on the grid again.
+        clock.advance_to(math.floor(network.sim.now) + 1.0)
 
     def test_reconstruction_cache_hits_on_repeat(self, deployment):
         network, dep = deployment

@@ -11,7 +11,7 @@ from repro.core.promise import total_order_promise
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.signatures import Signer
 from repro.netsim.events import Simulator
-from repro.spider import log as log_module
+from repro.spider import codec, log as log_module
 from repro.spider.checkpoint import elector_view, replay, take_checkpoint
 from repro.spider.codec import encode_message
 from repro.spider.config import SpiderConfig
@@ -106,6 +106,9 @@ class TestSpiderLog:
         assert len(encode_entry(entry.kind, entry.timestamp, other)) == \
             entry.size_bytes
         log._entries[index] = dataclasses.replace(entry, payload=other)
+        if isinstance(entry.payload, codec._MEMOIZED):
+            # The swapped-out message still lends its frame, to itself.
+            assert codec._FRAMES[id(entry.payload)][0] is entry.payload
         with pytest.raises(TamperError,
                            match=f"log entry {index} breaks"):
             log.verify_chain()
@@ -168,6 +171,15 @@ class TestSpiderLog:
         assert len(log.entries_up_to(2.0)) == 2
         assert log.commitment_at(3.0) is not None
         assert log.commitment_at(4.0) is None
+
+    def test_commitment_found_on_the_millisecond_grid(self):
+        """A commitment's broadcast carries its time on the millisecond
+        grid; the log finds it by that time, not only by its own."""
+        log = SpiderLog()
+        entry = log.append(10.0004, EntryKind.COMMITMENT, commitment())
+        assert log.commitment_at(10.0) is entry
+        assert log.commitment_at(10.0004) is entry
+        assert log.commitment_at(10.001) is None
 
     def test_trim_respects_retention(self, neighbor):
         log = SpiderLog(retention_seconds=100.0)
