@@ -82,20 +82,21 @@ def sign_route(signer: Signer, route: Route) -> Signed:
 def announce_payload(sender: int, receiver: int, timestamp: float,
                      route: Route, underlying: Optional[Signed],
                      route_sig: Signed, reannounce: bool = False) -> bytes:
-    return _announce_payload(sender, receiver, timestamp, route.to_bytes(),
+    return _announce_payload(sender, receiver, timestamp,
+                             route.prefix.to_bytes(), route.to_bytes(),
                              underlying, route_sig, reannounce)
 
 
 def _announce_payload(sender: int, receiver: int, timestamp: float,
-                      route_bytes: bytes, underlying: Optional[Signed],
-                      route_sig: Signed, reannounce: bool) -> bytes:
-    # A route's canonical bytes open with its prefix's five.
+                      prefix_bytes: bytes, route_bytes: bytes,
+                      underlying: Optional[Signed], route_sig: Signed,
+                      reannounce: bool) -> bytes:
     tag = b"SPIDER-REANNOUNCE" if reannounce else b"SPIDER-ANNOUNCE"
     underlying_part = b"" if underlying is None else (
         underlying.payload + underlying.signature)
     return digest_fields(
         tag, sender.to_bytes(4, "big"), receiver.to_bytes(4, "big"),
-        time_bytes(timestamp), route_bytes[:5], route_bytes,
+        time_bytes(timestamp), prefix_bytes, route_bytes,
         underlying_part, route_sig.signature)
 
 
@@ -151,7 +152,9 @@ class SpiderAnnounce:
                 not verifier.verify(self.underlying):
             return False
         expected = _announce_payload(self.sender, self.receiver,
-                                     self.timestamp, route_bytes,
+                                     self.timestamp,
+                                     self.route.prefix.to_bytes(),
+                                     route_bytes,
                                      self.underlying, route_sig,
                                      self.reannounce)
         return constant_time_eq(self.envelope.payload, expected) and \
