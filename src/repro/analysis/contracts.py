@@ -341,8 +341,8 @@ def default_registry() -> ContractRegistry:
             description="Merkle labels and hash digests are one-way",
             section="§5.3"),
         DeclassifierContract(
-            "proof-construction", ("generate_proof", "MttBitProof",
-                                   "SpiderBitProof"),
+            "proof-construction", ("generate_proof", "generate_proofs",
+                                   "MttBitProof", "SpiderBitProof"),
             description="bit proofs selectively reveal exactly the "
                         "blinding/siblings the protocol publishes",
             section="§6.1"),

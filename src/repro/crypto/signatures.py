@@ -28,9 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from . import rsa
+from ..obs.metrics import Counter, Histogram
 from ..obs.registry import get_registry
 from .hashing import constant_time_eq, digest, digest_fields
 from .keys import Identity, KeyRegistry
@@ -93,18 +94,30 @@ class Signer:
     def __init__(self, identity: Identity):
         self.identity = identity
         self._registry = get_registry()
+        # Looked up on the first signature, not here: a signer that
+        # never signs (a cold open) adds no series to the registry.
+        self._cells: Optional[Tuple[Counter, Counter, Histogram,
+                                    Histogram]] = None
 
     @property
     def asn(self) -> int:
         return self.identity.asn
 
     def _observe(self, payloads: int, seconds: float) -> None:
-        node = f"as{self.asn}"
-        self._registry.counter("signatures_made_total", node=node).inc()
-        self._registry.counter("payloads_signed_total",
-                               node=node).inc(payloads)
-        self._registry.histogram("sign_seconds").observe(seconds)
-        self._registry.histogram("sign_batch_size").observe(payloads)
+        cells = self._cells
+        if cells is None:
+            node = f"as{self.asn}"
+            registry = self._registry
+            cells = self._cells = (
+                registry.counter("signatures_made_total", node=node),
+                registry.counter("payloads_signed_total", node=node),
+                registry.histogram("sign_seconds"),
+                registry.histogram("sign_batch_size"))
+        signatures, signed_payloads, sign_seconds, batch_size = cells
+        signatures.inc()
+        signed_payloads.inc(payloads)
+        sign_seconds.observe(seconds)
+        batch_size.observe(payloads)
 
     def sign(self, payload: bytes) -> Signed:
         """Sign a single payload."""

@@ -14,7 +14,7 @@ from .nodes import BitNode, DummyNode, EDGE_END, EDGE_ONE, EDGE_ZERO, \
     EDGES, InnerNode, MttNode, PrefixNode, validate_structure
 from .pool import LabelPool, PoolBrokenError, RoundResult, subtree_jobs
 from .proofs import LabelDigestCache, MttBitProof, PathStep, ProofError, \
-    generate_proof, verify_proof
+    generate_proof, generate_proofs, verify_proof
 from .stats import PAPER_CENSUS, PAPER_MTT_BYTES, ScaleComparison, \
     predict_census, slot_identity_holds
 from .tree import FlatSchedule, Mtt, NodeCensus
@@ -28,7 +28,7 @@ __all__ = [
     "InnerNode", "MttNode", "PrefixNode", "validate_structure",
     "LabelPool", "PoolBrokenError", "RoundResult", "subtree_jobs",
     "LabelDigestCache", "MttBitProof", "PathStep", "ProofError",
-    "generate_proof", "verify_proof",
+    "generate_proof", "generate_proofs", "verify_proof",
     "PAPER_CENSUS", "PAPER_MTT_BYTES", "ScaleComparison",
     "predict_census", "slot_identity_holds",
     "FlatSchedule", "Mtt", "NodeCensus",

@@ -12,13 +12,13 @@ presence or absence of any other prefix.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.prefix import Prefix
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, \
     constant_time_eq, digest_concat
-from .nodes import EDGE_END
+from .nodes import EDGE_END, InnerNode
 from .tree import Mtt
 
 _S_CLASS_BIT = struct.Struct(">IB")  # class_index | bit
@@ -42,6 +42,14 @@ class MttBitProof:
 
     ``steps[0]`` is the prefix node (children = bit nodes); subsequent
     steps are the inner nodes up to and including the root.
+
+    ``encoded`` carries the proof's byte form once :meth:`encode` has
+    built it, or the codec has decoded the proof from it, so the sender
+    signs and ships one encoding and the receiver checks the frame's
+    bytes without encoding.  It is not an ``__init__`` argument and
+    takes no part in ``==``, ``hash`` or ``repr``; a new proof,
+    ``dataclasses.replace`` included, starts without it and is encoded
+    afresh.
     """
 
     prefix: Prefix
@@ -49,6 +57,8 @@ class MttBitProof:
     bit: int
     blinding: bytes
     steps: Tuple[PathStep, ...]
+    encoded: bytes = field(default=b"", init=False, compare=False,
+                           repr=False)
 
     def encode(self) -> bytes:
         """The proof's one byte form: what :class:`~repro.spider.wire.
@@ -58,6 +68,8 @@ class MttBitProof:
         then per step ``u16 n_children | u16 child_index | labels``.
         Raises ``ValueError`` for a field the layout cannot hold.
         """
+        if self.encoded:
+            return self.encoded
         if len(self.blinding) != DIGEST_SIZE:
             raise ValueError("blinding has wrong length")
         out = bytearray(self.prefix.to_bytes())
@@ -74,7 +86,9 @@ class MttBitProof:
                     out += label
         except struct.error as exc:
             raise ValueError(f"proof field out of range: {exc}") from exc
-        return bytes(out)
+        encoded = bytes(out)
+        object.__setattr__(self, "encoded", encoded)
+        return encoded
 
 
 class LabelDigestCache:
@@ -118,36 +132,61 @@ def generate_proof(tree: Mtt, prefix: Prefix,
 
     The tree must already be labeled (see :mod:`repro.mtt.labeling`).
     """
+    return generate_proofs(tree, prefix, (class_index,))[0]
+
+
+def generate_proofs(tree: Mtt, prefix: Prefix,
+                    classes: Sequence[int]) -> List[MttBitProof]:
+    """The bit proofs for ``prefix`` in each of ``classes``, in order,
+    from one walk of its path.
+
+    Equal to ``[generate_proof(tree, prefix, c) for c in classes]`` and
+    raising the same :class:`ProofError` for the first class that one
+    would fail on.  The proofs differ only in step 0's child index, the
+    bit and the blinding; they share every other (immutable) step.
+    """
+    if not classes:
+        return []
     prefix_node = tree.prefix_node(prefix)
     if prefix_node is None:
         raise ProofError(f"prefix {prefix} not present in the MTT")
-    if not 0 <= class_index < len(prefix_node.bit_nodes):
-        raise ProofError(f"class {class_index} out of range for {prefix}")
-    inner_path = tree.path_to(prefix)
-    if inner_path is None:
-        raise ProofError(f"no path to {prefix}")
+    bit_nodes = prefix_node.bit_nodes
+    leaves: List[Tuple[int, int, bytes]] = []
+    inner_path: Optional[List[InnerNode]] = None
+    for class_index in classes:
+        if not 0 <= class_index < len(bit_nodes):
+            raise ProofError(
+                f"class {class_index} out of range for {prefix}")
+        if inner_path is None:
+            inner_path = tree.path_to(prefix)
+            if inner_path is None:
+                raise ProofError(f"no path to {prefix}")
+        bit_node = bit_nodes[class_index]
+        if bit_node.blinding is None or prefix_node.label is None:
+            raise ProofError("tree is not labeled")
+        leaves.append((class_index, bit_node.bit, bit_node.blinding))
+    assert inner_path is not None  # set by the first class
 
-    bit_node = prefix_node.bit_nodes[class_index]
-    if bit_node.blinding is None or prefix_node.label is None:
-        raise ProofError("tree is not labeled")
-
-    steps: List[PathStep] = [PathStep(
-        child_labels=tuple(b.label for b in prefix_node.bit_nodes),
-        child_index=class_index,
-    )]
     # Walk back up: the deepest inner node reaches the prefix node via E;
     # every other inner node reaches the next via the prefix's path bit.
     bits = prefix.bits()
+    path: List[PathStep] = []
     for depth in range(len(inner_path) - 1, -1, -1):
         node = inner_path[depth]
         edge = EDGE_END if depth == len(inner_path) - 1 else bits[depth]
-        steps.append(PathStep(
+        path.append(PathStep(
             child_labels=tuple(c.label for c in node.children),
             child_index=edge,
         ))
-    return MttBitProof(prefix=prefix, class_index=class_index,
-                       bit=bit_node.bit, blinding=bit_node.blinding,
-                       steps=tuple(steps))
+    shared = tuple(path)
+    bit_labels = tuple(b.label for b in bit_nodes)
+    return [
+        MttBitProof(prefix=prefix, class_index=class_index, bit=bit,
+                    blinding=blinding,
+                    steps=(PathStep(child_labels=bit_labels,
+                                    child_index=class_index),) + shared)
+        for class_index, bit, blinding in leaves
+    ]
 
 
 def verify_proof(root_label: bytes, proof: MttBitProof,

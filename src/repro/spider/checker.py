@@ -26,7 +26,7 @@ from ..crypto.keys import KeyRegistry
 from ..mtt.proofs import LabelDigestCache, verify_proof
 from .checkpoint import elector_view
 from .proofgen import ProofSet
-from .wire import SpiderBitProof, SpiderCommitment
+from .wire import SpiderBitProof, SpiderCommitment, same_millisecond
 
 
 @dataclass
@@ -79,7 +79,8 @@ class Checker:
             return None
         if message.recipient != self.asn:
             return None
-        if abs(message.commit_time - commitment.commit_time) > 1e-6:
+        if not same_millisecond(message.commit_time,
+                                commitment.commit_time):
             return None
         if not message.valid(self.registry):
             return None

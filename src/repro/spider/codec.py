@@ -41,12 +41,16 @@ the same object reaches :func:`encode_message` right after it was
 decoded or encoded.  A small memo keyed by object identity hands back
 the frame it came from (see :data:`_FRAME_MEMO_BYTES`).  That is the
 same bytes a fresh encode would give, because decoding is one-to-one
-on what it accepts and the messages are immutable.
+on what it accepts and the messages are immutable.  For the same
+reason a decoded bit proof carries the slice of the frame it was read
+from (``MttBitProof.encoded``), so checking its signature encodes
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 import threading
 from collections import OrderedDict
@@ -263,6 +267,26 @@ class _Reader:
             return buf[pos:end]
         return bytes(buf[pos:end])
 
+    def digests(self, n: int) -> Tuple[bytes, ...]:
+        """``n`` consecutive digests in one struct read.  The length is
+        checked first, so a count the buffer cannot hold is refused
+        before a :class:`struct.Struct` is looked up for it."""
+        pos = self._pos
+        end = pos + DIGEST_SIZE * n
+        if end > self._len:
+            self._short(DIGEST_SIZE * n)
+        self._pos = end
+        digests: Tuple[bytes, ...] = _labels_struct(n).unpack_from(
+            self._buf, pos)
+        return digests
+
+    def since(self, start: int) -> bytes:
+        """The bytes read from offset ``start`` up to here."""
+        buf = self._buf
+        if isinstance(buf, bytes):
+            return buf[start:self._pos]
+        return bytes(buf[start:self._pos])
+
     def window(self, n: int) -> Union[bytes, memoryview]:
         """A sub-buffer for a nested decoder — zero-copy on views."""
         pos = self._pos
@@ -320,9 +344,9 @@ def _slot_setters(cls: Any, *names: str) -> Tuple[Any, ...]:
 (_bp_elector, _bp_recipient, _bp_time, _bp_proof, _bp_envelope) = \
     _slot_setters(SpiderBitProof, "elector", "recipient", "commit_time",
                   "proof", "envelope")
-(_mp_prefix, _mp_class, _mp_bit, _mp_blinding, _mp_steps) = \
-    _slot_setters(MttBitProof, "prefix", "class_index", "bit",
-                  "blinding", "steps")
+(_mp_prefix, _mp_class, _mp_bit, _mp_blinding, _mp_steps,
+ _mp_encoded) = _slot_setters(MttBitProof, "prefix", "class_index", "bit",
+                              "blinding", "steps", "encoded")
 (_ps_labels, _ps_index) = _slot_setters(PathStep, "child_labels",
                                         "child_index")
 
@@ -427,7 +451,14 @@ def _write_bit_proof(w: _Writer, proof: MttBitProof) -> None:
         raise CodecError(f"unencodable proof: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=8)
+def _labels_struct(n: int) -> struct.Struct:
+    """One path step's ``n`` child labels as one struct."""
+    return struct.Struct(f"{DIGEST_SIZE}s" * n)
+
+
 def _read_bit_proof(r: _Reader) -> MttBitProof:
+    start = r._pos
     prefix = _read_prefix(r)
     class_index, bit = r.unpack(_S_IB)
     if bit not in (0, 1):
@@ -438,9 +469,8 @@ def _read_bit_proof(r: _Reader) -> MttBitProof:
         n_children, child_index = r.unpack(_S_HH)
         if child_index >= n_children:
             raise CodecError("child index beyond child labels")
-        labels = tuple(r.raw(DIGEST_SIZE) for _ in range(n_children))
         step = PathStep.__new__(PathStep)
-        _ps_labels(step, labels)
+        _ps_labels(step, r.digests(n_children))
         _ps_index(step, child_index)
         steps.append(step)
     proof = MttBitProof.__new__(MttBitProof)
@@ -449,6 +479,10 @@ def _read_bit_proof(r: _Reader) -> MttBitProof:
     _mp_bit(proof, bit)
     _mp_blinding(proof, blinding)
     _mp_steps(proof, tuple(steps))
+    # The proof carries the bytes it was read from: they are what
+    # encode() would build, since every accepted frame re-encodes to
+    # itself (tests/runtime/test_codec_roundtrip.py).
+    _mp_encoded(proof, r.since(start))
     return proof
 
 

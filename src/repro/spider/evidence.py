@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..crypto.hashing import constant_time_eq
 from ..crypto.keys import KeyRegistry
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
-    SpiderWithdraw
+    SpiderWithdraw, same_millisecond
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +44,8 @@ def commitment_equivocation_valid(registry: KeyRegistry,
     """Would this INVALIDCOMMIT evidence convince a third party?"""
     return (
         pom.first.elector == pom.second.elector
-        and abs(pom.first.commit_time - pom.second.commit_time) < 1e-6
+        and same_millisecond(pom.first.commit_time,
+                             pom.second.commit_time)
         and not constant_time_eq(pom.first.root, pom.second.root)
         and pom.first.valid(registry)
         and pom.second.valid(registry)

@@ -33,7 +33,7 @@ from .log import LogEntry, LogSink
 from .proofgen import ProofGenerator, ProofSet
 from .recorder import CommitmentRecord, Recorder, Scheduler, Transport
 from .state import RoutingState
-from .wire import SpiderCommitment, time_bytes
+from .wire import SpiderCommitment, same_millisecond, time_bytes
 
 #: An AS's message intake, or None for an AS that runs no recorder.
 Inbox = Callable[[int], Optional[Callable[[object], None]]]
@@ -297,7 +297,7 @@ class SpiderDeployment:
             # integration tests verify delivery separately).
             commitment = elector_node.recorder.commitments[-1].message
             for record in elector_node.recorder.commitments:
-                if record.commit_time == commit_time:
+                if same_millisecond(record.commit_time, commit_time):
                     commitment = record.message
         view = node.view_at(commit_time)
         report = node.checker.check(

@@ -36,13 +36,13 @@ from ..bgp.route import NULL_ROUTE
 from ..crypto.rc4 import Rc4Csprng
 # Imported under the name benchmarks/e2e/layers.py TARGETS wraps here.
 from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
-from ..mtt.proofs import generate_proof
+from ..mtt.proofs import generate_proof, generate_proofs
 from ..mtt.tree import Mtt
 from .checkpoint import elector_view, replay
 from .codec import encode_message
 from .recorder import Recorder
 from .state import RoutingState
-from .wire import SpiderBitProof, time_bytes
+from .wire import SpiderBitProof, same_millisecond
 
 
 @dataclass
@@ -113,7 +113,7 @@ class ProofGenerator:
         """Replay the log and rebuild the MTT for a past commitment."""
         last = self._last
         if last is not None and \
-                time_bytes(last.commit_time) == time_bytes(commit_time):
+                same_millisecond(last.commit_time, commit_time):
             self.cache_hits += 1
             return last
         self.cache_misses += 1
@@ -189,12 +189,14 @@ class ProofGenerator:
         start = time.perf_counter()
         result = ProofSet(elector=self.asn, recipient=neighbor,
                           commit_time=commit_time)
+        signer = self.recorder.signer
         imports = state.imports.get(neighbor, {})
         for prefix in produced:
             if prefix in imports:
-                result.producer_proofs[prefix] = self._signed_proof(
-                    tree, neighbor, commit_time, prefix,
-                    scheme.classify(imports[prefix]))
+                proof = generate_proof(tree, prefix,
+                                       scheme.classify(imports[prefix]))
+                result.producer_proofs[prefix] = SpiderBitProof.make(
+                    signer, neighbor, commit_time, proof)
         promise = self.recorder.promises.get(neighbor)
         if promise is not None:
             exports = state.exports.get(neighbor, {})
@@ -204,19 +206,11 @@ class ProofGenerator:
                 offer = exports.get(prefix, NULL_ROUTE)
                 if offer is not NULL_ROUTE:
                     offer = elector_view(offer, self.asn)
-                proofs = [
-                    self._signed_proof(tree, neighbor, commit_time,
-                                       prefix, class_index)
-                    for class_index in promise.classes_above(
-                        scheme.classify(offer))
-                ]
-                if proofs:
-                    result.consumer_proofs[prefix] = proofs
+                due = promise.classes_above(scheme.classify(offer))
+                if due:
+                    result.consumer_proofs[prefix] = [
+                        SpiderBitProof.make(signer, neighbor, commit_time,
+                                            proof)
+                        for proof in generate_proofs(tree, prefix, due)]
         result.generation_seconds = time.perf_counter() - start
         return result
-
-    def _signed_proof(self, tree: Mtt, recipient: int, commit_time: float,
-                      prefix: Prefix, class_index: int) -> SpiderBitProof:
-        proof = generate_proof(tree, prefix, class_index)
-        return SpiderBitProof.make(self.recorder.signer, recipient,
-                                   commit_time, proof)

@@ -66,6 +66,17 @@ def time_bytes(t: float) -> bytes:
     return ms.to_bytes(8, "big")
 
 
+def same_millisecond(a: float, b: float) -> bool:
+    """Whether two timestamps name the same point of the millisecond
+    grid: the rule for matching a commit time, since a commitment that
+    went through the codec carries only its grid time.  A timestamp
+    :func:`time_bytes` refuses matches nothing."""
+    try:
+        return time_bytes(a) == time_bytes(b)
+    except ValueError:
+        return False
+
+
 def route_signature_payload(route: Route) -> bytes:
     """Payload of the inner ``σ_E(r)`` route signature."""
     return _route_signature_payload(route.to_bytes())

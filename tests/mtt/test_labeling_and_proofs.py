@@ -10,7 +10,7 @@ from repro.mtt.labeling import assign_randomness, compute_label, \
     label_tree, label_tree_parallel
 from repro.mtt.pool import LabelPool
 from repro.mtt.proofs import LabelDigestCache, MttBitProof, PathStep, \
-    ProofError, generate_proof, verify_proof
+    ProofError, generate_proof, generate_proofs, verify_proof
 from repro.mtt.tree import Mtt
 
 
@@ -305,9 +305,9 @@ class TestProofs:
 
 
 @st.composite
-def random_entries(draw):
+def random_entries(draw, max_k=6):
     n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, max_k))
     prefixes = draw(st.sets(
         st.lists(st.integers(0, 1), min_size=0, max_size=10).map(
             lambda bits: Prefix.from_bits(tuple(bits))),
@@ -329,6 +329,32 @@ class TestProofProperties:
         proof = generate_proof(tree, prefix, class_index)
         assert verify_proof(report.root_label, proof, expected_k=k) == \
             entries[prefix][class_index]
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_entries(max_k=12), st.data())
+    def test_one_walk_gives_the_per_class_proofs(self, entries, data):
+        """``generate_proofs`` is ``generate_proof`` per class, field for
+        field and byte for byte, and fails where that would first fail
+        (absent prefix, class out of range, unlabeled tree)."""
+        tree = Mtt.build(entries)
+        if data.draw(st.booleans(), label="labeled"):
+            label_tree(tree, Rc4Csprng(b"walk"))
+        k = len(next(iter(entries.values())))
+        # No entry prefix is longer than 10 bits.
+        absent = Prefix.from_bits((1,) * 11)
+        prefix = data.draw(st.sampled_from(sorted(entries) + [absent]))
+        classes = data.draw(st.lists(st.integers(-1, k), max_size=k + 2))
+        try:
+            expected = [generate_proof(tree, prefix, c) for c in classes]
+        except ProofError as exc:
+            with pytest.raises(ProofError) as raised:
+                generate_proofs(tree, prefix, classes)
+            assert str(raised.value) == str(exc)
+            return
+        proofs = generate_proofs(tree, prefix, classes)
+        assert proofs == expected
+        assert [p.encode() for p in proofs] == \
+            [p.encode() for p in expected]
 
     @settings(max_examples=25, deadline=None)
     @given(random_entries(), st.data())

@@ -14,8 +14,7 @@ Q = Prefix.parse("198.51.100.0/24")
 ORIGINATED = Prefix.parse("192.0.2.0/24")
 
 
-@pytest.fixture(scope="module")
-def deployment():
+def converged_deployment():
     """Figure 5 network + SPIDeR, converged on three prefixes."""
     network = Network(figure5_topology())
     deployment = SpiderDeployment(
@@ -29,3 +28,16 @@ def deployment():
     network.originate(9, ORIGINATED)
     network.settle()
     return network, deployment
+
+
+@pytest.fixture(scope="module")
+def deployment():
+    """One converged deployment shared by a module's tests."""
+    return converged_deployment()
+
+
+@pytest.fixture
+def fresh_deployment():
+    """A converged deployment of the test's own, for a test that runs
+    the simulator on (the shared one's clock is moved by hand)."""
+    return converged_deployment()

@@ -261,6 +261,44 @@ class TestVerification:
                               watch={2: [ORIGINATED]})
         assert outcomes[0].report.ok
 
+    def test_off_grid_commitment_verifies_clean(self, fresh_deployment):
+        """A commitment made between milliseconds reaches the neighbours
+        on the grid; proofs stamped with the elector's exact time are
+        for that commitment and pass."""
+        network, dep = fresh_deployment
+        network.sim.clock.advance_to(math.floor(network.sim.now) + 1.0004)
+        record = dep.commit_now(FOCUS_AS)
+        network.settle()
+        outcomes = dep.verify(FOCUS_AS, record.commit_time)
+        assert outcomes
+        for outcome in outcomes:
+            assert outcome.report.ok, \
+                (f"AS{outcome.neighbor}: "
+                 f"{[str(v) for v in outcome.report.verdicts]}")
+
+    def test_undelivered_commitment_is_found_on_the_grid(
+            self, fresh_deployment):
+        """A neighbour that has not received the commitment is checked
+        against the elector's record for the same millisecond, not the
+        latest one."""
+        network, dep = fresh_deployment
+        clock = network.sim.clock
+        elector = dep.node(FOCUS_AS)
+        neighbor = network.topology.neighbors(FOCUS_AS)[0]
+        clock.advance_to(math.floor(network.sim.now) + 1.0004)
+        first = dep.commit_now(FOCUS_AS)
+        # A later commitment, made before the first one arrives.
+        clock.advance_to(network.sim.now + 0.005)
+        dep.commit_now(FOCUS_AS)
+        wire_time = math.floor(first.commit_time)
+        assert dep.node(neighbor).commitment_from(
+            FOCUS_AS, wire_time) is None
+        reconstruction = elector.proofgen.reconstruct(wire_time)
+        proofs = elector.proofgen.proofs_for(reconstruction, neighbor)
+        outcome = dep.check_proofs(FOCUS_AS, neighbor, wire_time, proofs)
+        assert outcome.report.ok, \
+            [str(v) for v in outcome.report.verdicts]
+
     def test_proof_traffic_metered(self, deployment):
         network, dep = deployment
         from repro.spider.node import PROOF_TRAFFIC

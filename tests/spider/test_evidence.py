@@ -6,10 +6,13 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.signatures import Signer
-from repro.spider.evidence import ExportEvidence, ImportEvidence, \
+from repro.spider.codec import decode_message, encode_message
+from repro.spider.evidence import CommitmentEquivocationPoM, \
+    ExportEvidence, ImportEvidence, commitment_equivocation_valid, \
     export_evidence_valid, import_evidence_valid, refute_export, \
     refute_import
-from repro.spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
+from repro.spider.wire import SpiderAck, SpiderAnnounce, \
+    SpiderCommitment, SpiderWithdraw
 
 P = Prefix.parse("203.0.113.0/24")
 Q = Prefix.parse("198.51.100.0/24")
@@ -165,3 +168,24 @@ class TestExportEvidence:
         evidence = ExportEvidence(announce=announce)
         assert not refute_export(registry, evidence, withdraw, self_ack,
                                  commit_time=30.0)
+
+
+class TestCommitmentEquivocation:
+    def test_same_millisecond_is_the_same_commitment_time(self, world):
+        """One commitment as its elector holds it (between
+        milliseconds) and another for that time as it arrived (on the
+        grid) are two commitments for one time."""
+        registry, sign_alice, _sign_bob = world
+        held = SpiderCommitment.make(sign_alice, 10.0004, bytes(20))
+        arrived = decode_message(encode_message(
+            SpiderCommitment.make(sign_alice, 10.0004, b"\x01" * 20)))
+        assert arrived.commit_time == 10.0
+        assert commitment_equivocation_valid(
+            registry, CommitmentEquivocationPoM(held, arrived))
+
+    def test_different_milliseconds_are_not_equivocation(self, world):
+        registry, sign_alice, _sign_bob = world
+        first = SpiderCommitment.make(sign_alice, 10.0004, bytes(20))
+        second = SpiderCommitment.make(sign_alice, 10.0006, b"\x01" * 20)
+        assert not commitment_equivocation_valid(
+            registry, CommitmentEquivocationPoM(first, second))
