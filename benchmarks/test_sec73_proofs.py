@@ -1,6 +1,8 @@
 """E5/E6 — §7.3 'Proof generation and proof size' / 'Proof checking'.
 
-Paper numbers for AS 5's last commitment: 13.4 s to reconstruct the MTT,
+Paper numbers for AS 5's last commitment: 13.4 s to reconstruct the MTT
+(our row: the §6.5 rebuild from the log; the latest commitment itself is
+served from the recorder's retained tree, a row of its own),
 70.2 s to generate proofs for five neighbors, average proof set 449 MB;
 the single-prefix 'shortest route to Google' promise instead takes
 0.431 s and 2.1 KB per side.  Checking one proof set averages 27 s, of
@@ -21,16 +23,20 @@ def test_proof_generation_and_size(benchmark, replay, proofs, emit):
     node5 = replay.deployment.node(FOCUS_AS)
     record = node5.recorder.commitments[-1]
 
-    def reconstruct():
-        return node5.proofgen.reconstruct(record.commit_time)
+    def rebuild():
+        return node5.proofgen.rebuild(record.commit_time)
 
-    reconstruction = benchmark.pedantic(reconstruct, rounds=1,
-                                        iterations=1)
-    assert reconstruction.root == record.root
+    rebuilt = benchmark.pedantic(rebuild, rounds=1, iterations=1)
+    served = node5.proofgen.reconstruct(record.commit_time)
+    assert served.tree is node5.recorder.committed_tree(record.commit_time)
+    assert rebuilt.root == served.root == record.root
+    assert proofs.rebuild_seconds > 0
 
     avg_bytes = proofs.average_proof_set_bytes()
     rows = [
-        ("MTT reconstruction (s)", 13.4, proofs.reconstruct_seconds),
+        ("MTT reconstruction (s)", 13.4, proofs.rebuild_seconds),
+        ("latest commitment, retained tree (s)", "-",
+         proofs.reconstruct_seconds),
         ("proof generation, 5 neighbors (s)", 70.2,
          proofs.generation_seconds),
         ("average proof set size", "449 MB", format_bytes(avg_bytes)),

@@ -17,8 +17,8 @@ the caller that uses it:
   behind :func:`label_tree`.  The recorder relabels the one tree it
   keeps — new randomness every round (§5), the schedule reused while
   the prefix set holds — and the proof generator labels a tree of its
-  own per reconstruction, once; this path carries nothing a single
-  round does not use.
+  own per rebuild of an older commitment, once; this path carries
+  nothing a single round does not use.
 * the **process pool** — the paper's ``c`` commitment threads (§7.1),
   reached through :func:`label_tree_parallel` with a caller-owned
   :class:`~repro.mtt.pool.LabelPool`: worker processes execute a flat
@@ -203,9 +203,9 @@ def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
     are each labeled completely by one of the threads" (§7.1).  Labels
     land on the same node objects serial labeling would have written, so
     proof generation is oblivious to how the tree was labeled.  Set
-    ``materialize=False`` when only the root is consumed (the recorder
-    takes the root and relabels its tree next round; proofs come from
-    the proof generator's own tree): the per-node copy-back is skipped.
+    ``materialize=False`` when only the root is consumed: the per-node
+    copy-back is skipped.  No deployment path does — the recorder's
+    tree proves its latest commitment, so every label must land.
 
     The pool is the caller's (the recorder owns one,
     ``SpiderConfig.commit_workers`` wide); ``workers`` is that width as

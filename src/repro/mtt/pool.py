@@ -45,9 +45,9 @@ that design with two ideas:
   re-installs (build, encode, and one compile of all n slots in every
   worker).  The recorder relabels one retained tree whose diff is
   rarely empty and the proof generator labels a tree of its own per
-  reconstruction, so the deployment path still installs on almost
-  every round (DESIGN.md §2 has the last measurement of all three
-  shapes).  Shipping bits per round beside the randomness
+  rebuild of an older commitment, so the deployment path still
+  installs on almost every round (DESIGN.md §2 has the last
+  measurement of all three shapes).  Shipping bits per round beside the randomness
   blob, so that a bits-only round keeps its program, is the next step
   and is not taken here.
 
@@ -693,9 +693,9 @@ class LabelPool:
         :func:`repro.mtt.labeling.assign_randomness` returns).  On
         return every node carries its label, exactly as serial labeling
         would have left it — unless ``materialize`` is False, which
-        skips the copy-back and yields only the root (the commitment
-        fast path: the recorder reads nothing but the root off its
-        tree, so per-node labels would be written and never read).
+        skips the copy-back and yields only the root (for a caller
+        that reads nothing else off the tree; the recorder does not,
+        since the latest commitment is proved from its tree).
         Raises :class:`PoolBrokenError` if a worker died; the
         tree's randomness is untouched, so a serial relabel remains
         valid.

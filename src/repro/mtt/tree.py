@@ -45,8 +45,8 @@ class FlatSchedule:
     stays valid while the tree's bits are rewritten
     (:meth:`Mtt.set_bits`) and is dropped by the tree when a prefix
     appears or vanishes.  The recorder's tree keeps its schedule across
-    every round whose diff leaves the prefix set alone; a
-    reconstruction's tree is labeled once and releases it.  It holds
+    every round whose diff leaves the prefix set alone; a rebuilt tree
+    (an older commitment's) is labeled once and releases it.  It holds
     only what the serial kernel reads; the worker pool derives its slot
     program from it on install (:mod:`repro.mtt.pool`).
 

@@ -17,11 +17,18 @@ prefixes the consumer must name the prefix (``watch`` set), because
 volunteering a ⊥-proof for an unasked prefix would reveal that the
 prefix exists in our table.
 
-Reconstruction (replay + relabel) is by far the dominant cost of a
-verification round, and every neighbor verifying the same commitment
-needs the *same* reconstruction, so the generator keeps the last one it
-built: N neighbors asking for one commit time in a row trigger one
-rebuild, not N.
+Neighbors almost always ask about the commitment just broadcast, and
+the recorder still holds that tree, labeled under its seed.  So the
+latest commitment is proved from the recorder's retained tree
+(:meth:`Recorder.committed_tree`) once the replayed state is checked
+against it, and only an older commitment — or any after a restart — is
+rebuilt and relabeled from the seed (:meth:`ProofGenerator.rebuild`).
+Every neighbor verifying the same commitment needs the *same*
+reconstruction, so the generator keeps the last one while it is
+current: N neighbors asking for one commit time in a row trigger one
+replay, not N.  The recorder's next round edits or relabels its tree,
+which makes a reconstruction taken from it stale; a stale one is never
+served and never proved from.
 """
 
 from __future__ import annotations
@@ -45,14 +52,30 @@ from .state import RoutingState
 from .wire import SpiderBitProof, same_millisecond
 
 
+_REPLAY_BROKEN = ("reconstructed MTT root differs from the committed "
+                  "root — log replay is broken")
+
+
 @dataclass
 class Reconstruction:
-    """A rebuilt MTT for one past commitment."""
+    """The labeled MTT of one past commitment and the state it covers:
+    the recorder's retained tree or a rebuilt one."""
 
     commit_time: float
     tree: Mtt
     root: bytes
     state: RoutingState
+    #: ``tree.version`` when the reconstruction was taken.
+    version: int
+
+    @property
+    def current(self) -> bool:
+        """Whether the tree still carries this commitment: an edit
+        moves its version, a relabel its root.  Nothing edits or
+        relabels a rebuilt tree."""
+        label = self.tree.root.label
+        return self.tree.version == self.version and label is not None \
+            and constant_time_eq(label, self.root)
 
 
 @dataclass
@@ -89,9 +112,9 @@ class ProofSet:
 class ProofGenerator:
     """Builds proof sets from a recorder's log.
 
-    The last reconstruction is kept: it is a pure function of the log
-    contents up to its commitment, so it serves every neighbor that
-    asks for the same commit time next.
+    The last reconstruction is kept while it is current: it is a pure
+    function of the log contents up to its commitment, so it serves
+    every neighbor that asks for the same commit time next.
     """
 
     def __init__(self, recorder: Recorder):
@@ -110,47 +133,63 @@ class ProofGenerator:
         return self.cache_hits / total if total else 0.0
 
     def reconstruct(self, commit_time: float) -> Reconstruction:
-        """Replay the log and rebuild the MTT for a past commitment."""
+        """Replay the log to a past commitment and take its MTT: the
+        recorder's retained tree if it is labeled for that commitment,
+        else a rebuild."""
         last = self._last
-        if last is not None and \
+        if last is not None and last.current and \
                 same_millisecond(last.commit_time, commit_time):
             self.cache_hits += 1
             return last
         self.cache_misses += 1
-        self._last = self._reconstruct(commit_time)
+        self._last = None  # no second tree held while one is built
+        self._last = self._reconstruct(commit_time, retained=True)
         return self._last
 
-    def _reconstruct(self, commit_time: float) -> Reconstruction:
+    def rebuild(self, commit_time: float) -> Reconstruction:
+        """The §6.5 reconstruction from the log alone: replay, build,
+        relabel from the logged seed.  Uncached, and never reads the
+        recorder's tree."""
+        return self._reconstruct(commit_time, retained=False)
+
+    def _reconstruct(self, commit_time: float,
+                     retained: bool) -> Reconstruction:
         recorder = self.recorder
         entry = recorder.log.commitment_at(commit_time)
         if entry is None:
             raise ValueError(f"no commitment logged at t={commit_time}")
-        seed = entry.payload["seed"]
+        root = entry.payload["root"]
 
         # Cut at the commitment's log position, not its timestamp: an
         # entry logged in the same millisecond after the commitment is
         # not part of the committed state.
         state = replay(recorder.log, recorder.asn,
                        before_index=entry.index)
-        tree = Mtt.build(recorder.mtt_entries(state))
-
-        # Reconstructions are the same workload as live commitments
-        # (§6.5 replay), so they run on the recorder's labeling pool.
-        report = label_tree_with_workers(
-            tree, Rc4Csprng(seed),
-            workers=recorder.config.commit_workers,
-            pool=recorder.labeling_pool())
-        # Labeled once and then only read by proof generation: nothing
-        # reads a schedule after the hash pass.
-        tree.release_schedule()
-        if not constant_time_eq(report.root_label,
-                                entry.payload["root"]):
-            raise RuntimeError(
-                "reconstructed MTT root differs from the committed root — "
-                "log replay is broken"
-            )
+        entries = recorder.mtt_entries(state)
+        tree = recorder.committed_tree(commit_time) if retained else None
+        if tree is None:
+            tree = Mtt.build(entries)
+            # Rebuilds are the same workload as live commitments (§6.5
+            # replay), so they run on the recorder's labeling pool.
+            label_tree_with_workers(
+                tree, Rc4Csprng(entry.payload["seed"]),
+                workers=recorder.config.commit_workers,
+                pool=recorder.labeling_pool())
+            # Labeled once and then only read by proof generation:
+            # nothing reads a schedule after the hash pass.
+            tree.release_schedule()
+        elif tree.census().prefix != len(entries) or any(
+                tree.bits_for(prefix) != bits
+                for prefix, bits in entries.items()):
+            # The retained tree is the commitment's; the replay must
+            # arrive at it, as a rebuild must arrive at its root.
+            raise RuntimeError(_REPLAY_BROKEN)
+        label = tree.root.label
+        if label is None or not constant_time_eq(label, root):
+            raise RuntimeError(_REPLAY_BROKEN)
         return Reconstruction(commit_time=commit_time, tree=tree,
-                              root=report.root_label, state=state)
+                              root=root, state=state,
+                              version=tree.version)
 
     # ------------------------------------------------------------------
     # Proof sets
@@ -181,7 +220,12 @@ class ProofGenerator:
         advertising, for each of ``produced`` it advertised.  Consumer
         side: for each of ``consumed`` that is in the commitment, the
         0-proofs for every class its promise ranks above our offer.
+        A reconstruction whose tree has moved on proves nothing.
         """
+        if not reconstruction.current:
+            raise ValueError(
+                f"reconstruction for t={reconstruction.commit_time} is "
+                "stale: the recorder has edited or relabeled its tree")
         state = reconstruction.state
         tree = reconstruction.tree
         commit_time = reconstruction.commit_time

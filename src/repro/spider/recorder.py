@@ -20,7 +20,10 @@ The commitment tree persists: the recorder keeps one
 whenever an entry that touches it is folded into the mirror, and each
 round recomputes the bits of the dirty prefixes only and edits the tree
 in place.  What it cannot keep is the hash pass: every round draws new
-randomness from a new seed (§5), so every label changes.
+randomness from a new seed (§5), so every label changes.  Until the next
+round the tree is M(P, ε) labeled under the latest commitment's seed,
+and :meth:`Recorder.committed_tree` hands it to the proof generator for
+that commitment alone.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .config import SpiderConfig
 from .log import EntryKind, LogEntry, LogSink, SpiderLog
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
     SpiderWithdraw, ack_payload, announce_payload, \
-    route_signature_payload, time_bytes, withdraw_payload
+    route_signature_payload, same_millisecond, time_bytes, \
+    withdraw_payload
 
 
 @dataclass
@@ -149,11 +153,15 @@ class Recorder:
         # :meth:`_fold` is the only writer of these.
         self.state = RoutingState()
         #: Prefixes touched since :meth:`_apply_dirty` last brought the
-        #: commitment tree (§5.2) up to ``state``.  Only the root ever
-        #: leaves that tree — proofs come from the proof generator's
-        #: own reconstruction.
+        #: commitment tree (§5.2) up to ``state``.  Between rounds the
+        #: tree is the latest commitment's, labels and all: the proof
+        #: generator proves that commitment from it
+        #: (:meth:`committed_tree`) and rebuilds every older one.
         self._dirty: Set[Prefix] = set()
         self._tree = Mtt()
+        #: (commit time, tree version) of the commitment whose labels
+        #: ``_tree`` carries; None while a round is editing it.
+        self._labelled_for: Optional[Tuple[float, int]] = None
         self.commitments: List[CommitmentRecord] = []
         #: σ_P(r') for each (neighbor, prefix) we imported — the inner
         #: producer signature our own announcements must carry.
@@ -187,13 +195,13 @@ class Recorder:
         """The warm labeling pool, spawned lazily; ``None`` when serial.
 
         One pool of ``commit_workers`` processes serves every commitment
-        round and every proof-generator reconstruction.  Its installed
-        program holds one tree's shape *and bits*, so it is reused only
-        by a round whose diff was empty; any edit of the retained tree,
-        and every reconstruction (a tree of its own), re-installs (see
-        DESIGN.md §2 for what that costs).  A pool that broke (worker
-        death mid-round) is discarded here and replaced, so one crashed
-        worker costs exactly one serial-fallback round.
+        round and every proof-generator rebuild.  Its installed program
+        holds one tree's shape *and bits*, so it is reused only by a
+        round whose diff was empty; any edit of the retained tree, and
+        every rebuild of an older commitment (a tree of its own),
+        re-installs (see DESIGN.md §2 for what that costs).  A pool that
+        broke (worker death mid-round) is discarded here and replaced,
+        so one crashed worker costs exactly one serial-fallback round.
         """
         if self.config.commit_workers <= 1:
             return None
@@ -552,8 +560,9 @@ class Recorder:
             self, state: RoutingState
     ) -> Dict[Prefix, Tuple[int, ...]]:
         """The per-prefix VPref input bits for a routing state, from
-        scratch — what a reconstruction builds its tree from, and what
-        the retained tree must equal after every round."""
+        scratch — what a rebuild builds its tree from, and what the
+        retained tree must equal after every round (the proof generator
+        checks it against the replay before proving from that tree)."""
         promise_list = list(self.promises.values())
         return {prefix: self._prefix_bits(state, prefix, promise_list)
                 for prefix in state.known_prefixes()}
@@ -623,26 +632,43 @@ class Recorder:
                           ("remove", removed)):
             self._obs.counter("mtt_tree_edits_total", op=op).inc(count)
 
+    def committed_tree(self, commit_time: float) -> Optional[Mtt]:
+        """The retained tree, if it is labeled for the commitment at
+        ``commit_time`` (on the millisecond grid) and unedited since;
+        otherwise None and the proof generator rebuilds (§6.5)."""
+        stamp = self._labelled_for
+        if stamp is None or not same_millisecond(stamp[0], commit_time) \
+                or stamp[1] != self._tree.version:
+            return None
+        return self._tree
+
     def make_commitment(self) -> CommitmentRecord:
         """Update the retained tree, relabel it under this round's
-        seed, then log, sign, and broadcast the root."""
+        seed, then log, sign, and broadcast the root.
+
+        Every label is written back, so once the COMMITMENT entry is
+        logged the tree is stamped as that commitment's; the stamp is
+        cleared first, and a round that raises leaves none."""
         self.flush_outbox()  # the commitment must cover queued messages
         commit_time = self.clock.now
         seed = self.commitment_seed(commit_time)
+        self._labelled_for = None
+        # Labels are rewritten in place and the root's comes last: a
+        # reconstruction of this tree is stale from here on, even if
+        # the round raises halfway through the hash pass.
+        self._tree.root.label = None
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
             with self._cpu("mtt"):
                 self._apply_dirty()
-                # materialize=False: only the root leaves this tree;
-                # proofs later come from a fresh §6.5 reconstruction
-                # in the proof generator, on a tree of its own.
                 report = label_tree_with_workers(
                     self._tree, Rc4Csprng(seed),
                     workers=self.config.commit_workers,
-                    pool=self.labeling_pool(), materialize=False)
+                    pool=self.labeling_pool())
             self._fold(self.log.append(
                 commit_time, EntryKind.COMMITMENT,
                 {"seed": seed, "root": report.root_label}))
+        self._labelled_for = (commit_time, self._tree.version)
         record = self.commitments[-1]
         record.census_total = self._tree.census().total
         self._maybe_checkpoint(commit_time)

@@ -171,17 +171,27 @@ class TestReconstruction:
         assert 0.0 < gen.cache_hit_rate <= 1.0
 
     def test_reconstruction_cache_bypass(self, deployment):
-        """A generator of its own rebuilds from the log: a new tree,
-        the same root."""
-        from repro.spider.proofgen import ProofGenerator
-
+        """``rebuild`` is §6.5 from the log alone: a tree of its own,
+        not cached, with the root and the proof bytes of the retained
+        tree the latest commitment is served from."""
         network, dep = deployment
         node = dep.node(FOCUS_AS)
+        gen = node.proofgen
         record = dep.commit_now(FOCUS_AS)
-        cached = node.proofgen.reconstruct(record.commit_time)
-        fresh = ProofGenerator(node.recorder).reconstruct(record.commit_time)
-        assert fresh is not cached
-        assert fresh.root == cached.root
+        cached = gen.reconstruct(record.commit_time)
+        assert cached.tree is \
+            node.recorder.committed_tree(record.commit_time)
+        counts = (gen.cache_hits, gen.cache_misses)
+        fresh = gen.rebuild(record.commit_time)
+        assert (gen.cache_hits, gen.cache_misses) == counts
+        assert fresh is not cached and fresh.tree is not cached.tree
+        assert fresh.root == cached.root == record.root
+        for neighbor in network.topology.neighbors(FOCUS_AS):
+            assert [encode_message(p) for p in
+                    gen.proofs_for(fresh, neighbor).all_proofs()] == \
+                [encode_message(p) for p in
+                 gen.proofs_for(cached, neighbor).all_proofs()]
+        assert gen.reconstruct(record.commit_time) is cached
 
     def test_reconstruction_cache_evicts_lru(self, deployment):
         """One reconstruction is kept: a second commit time replaces

@@ -6,7 +6,9 @@ commitment must be the root a from-scratch ``Mtt.build`` of
 ``mtt_entries(state)`` labels to under that round's seed, and every
 commitment must reconstruct from the log (§6.5) — serially and on the
 pool, across a crash and a recovery, after a trim, and with the
-recorder-level faults installed.
+recorder-level faults installed.  The latest commitment is proved from
+that retained tree: its proofs must be the bytes a rebuild gives, and a
+reconstruction the next round edits or relabels must prove nothing.
 """
 
 import pytest
@@ -17,18 +19,23 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.core import bits as bits_module
 from repro.core.promise import total_order_promise
+from repro.core.verdict import FaultKind
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.rc4 import Rc4Csprng
 from repro.crypto.signatures import Signer
 from repro.faults.injector import install_equivocation, \
     install_inbound_drop
+from repro.mtt import labeling as labeling_module
 from repro.mtt.labeling import label_tree
 from repro.mtt.tree import Mtt
 from repro.netreview.node import NetReviewRecorder
 from repro.obs.registry import Registry, use_registry
 from repro.runtime.node_runtime import NodeRuntime, StepClock
 from repro.runtime.transport import LoopbackHub
+from repro.spider import proofgen as proofgen_module
 from repro.spider import recorder as recorder_module
+from repro.spider.checker import Checker
+from repro.spider.codec import encode_message
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind
 from repro.spider.node import evaluation_scheme
@@ -556,3 +563,267 @@ class TestRecoveryAfterTrim:
             world.finish(since=1200.0)
         finally:
             cold.close()
+
+
+def proof_bytes(proofs):
+    """A proof set as the codec bytes of every proof, in prefix order."""
+    return ([(prefix, encode_message(message)) for prefix, message
+             in sorted(proofs.producer_proofs.items())],
+            [(prefix, [encode_message(m) for m in messages])
+             for prefix, messages
+             in sorted(proofs.consumer_proofs.items())])
+
+
+def check(world, record, reconstruction, neighbor):
+    """``neighbor``'s Checker verdict on its proof set for ``record``.
+
+    The neighbour's view is the replayed traffic with the elector: a
+    ``World`` delivers every message it builds, so both sides hold what
+    the elector logged.
+    """
+    recorder = world.recorder
+    proofs = ProofGenerator(recorder).proofs_for(reconstruction, neighbor)
+    state = reconstruction.state
+    return Checker(neighbor, world.registry, SCHEME).check(
+        record.message, proofs,
+        my_exports_to_elector=state.imports.get(neighbor, {}),
+        my_imports_from_elector=state.exports.get(neighbor, {}),
+        promise=recorder.promises[neighbor])
+
+
+def assert_proves_its_commitment(world, record, reconstruction):
+    """Every proof matches the commitment and every bit is the logged
+    one.  A drawn history exports freely, so the elector may offer a
+    neighbour less than its promise: that verdict alone is honest."""
+    for neighbor in NEIGHBORS:
+        report = check(world, record, reconstruction, neighbor)
+        assert {v.kind for v in report.verdicts} <= \
+            {FaultKind.BROKEN_PROMISE}, report.verdicts
+
+
+def honest_world():
+    """Two imports, one export each way, each the best route."""
+    world = World()
+    world.announce(2, P)
+    world.announce(3, Q, (4000,))
+    world.export(3, P, (2,))
+    world.export(2, Q, (3, 4000))
+    return world
+
+
+class TestLatestFromTheRetainedTree:
+    """The latest commitment comes from the tree its round labeled;
+    every older one is rebuilt from the log, and both give the proof
+    bytes the §6.5 rebuild does."""
+
+    @staticmethod
+    def run(world, steps):
+        try:
+            world.play(steps)
+            recorder = world.recorder
+            proofgen = ProofGenerator(recorder)
+            latest = recorder.commitments[-1]
+            served = proofgen.reconstruct(latest.commit_time)
+            assert served.tree is \
+                recorder.committed_tree(latest.commit_time)
+            rebuilt = proofgen.rebuild(latest.commit_time)
+            assert rebuilt.tree is not served.tree
+            assert served.root == rebuilt.root == latest.root
+            for neighbor in NEIGHBORS:
+                assert proof_bytes(proofgen.proofs_for(served, neighbor)) \
+                    == proof_bytes(proofgen.proofs_for(rebuilt, neighbor))
+            assert_proves_its_commitment(world, latest, served)
+            for record in recorder.commitments[:-1]:
+                if recorder.log.commitment_at(record.commit_time) is None:
+                    continue  # past retention
+                assert recorder.committed_tree(record.commit_time) is None
+                assert_proves_its_commitment(
+                    world, record, proofgen.rebuild(record.commit_time))
+        finally:
+            world.recorder.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(recorder_histories(restarts=True))
+    def test_serial(self, steps):
+        self.run(World(), steps)
+
+    @settings(max_examples=6, deadline=None)
+    @given(recorder_histories(restarts=True, max_steps=10))
+    def test_on_the_pool(self, steps):
+        self.run(World(SpiderConfig(commit_workers=2)), steps)
+
+    def test_latest_is_neither_built_nor_labeled(self, monkeypatch):
+        world = honest_world()
+        first = world.commit()
+        world.announce(3, Prefix.parse("10.0.0.0/8"))
+        latest = world.commit()
+        calls = []
+        build = Mtt.build
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Mtt, "build", counted("build", build))
+        monkeypatch.setattr(
+            proofgen_module, "label_tree_with_workers",
+            counted("label", proofgen_module.label_tree_with_workers))
+        monkeypatch.setattr(
+            labeling_module, "assign_randomness",
+            counted("draw", labeling_module.assign_randomness))
+        proofgen = ProofGenerator(world.recorder)
+        assert proofgen.reconstruct(latest.commit_time).root == latest.root
+        assert calls == []
+        assert proofgen.reconstruct(first.commit_time).root == first.root
+        assert sorted(calls) == ["build", "draw", "label"]
+        monkeypatch.undo()
+        world.finish()
+
+
+class TestStaleReconstructions:
+    """A reconstruction of the retained tree holds only until the next
+    round edits (version) or relabels (root) that tree; after that it
+    proves nothing and ``reconstruct`` rebuilds."""
+
+    @pytest.mark.parametrize("edited", [False, True],
+                             ids=["relabel_only", "edited"])
+    def test_a_later_round_leaves_the_held_one_stale(self, edited):
+        world = honest_world()
+        first = world.commit()
+        proofgen = ProofGenerator(world.recorder)
+        held = proofgen.reconstruct(first.commit_time)
+        assert held.current
+        version = held.tree.version
+        if edited:
+            world.announce(3, Prefix.parse("10.0.0.0/8"))
+        latest = world.commit()
+        assert (held.tree.version != version) is edited
+        assert not held.current
+        for neighbor in NEIGHBORS:
+            with pytest.raises(ValueError, match="stale"):
+                proofgen.proofs_for(held, neighbor)
+        with pytest.raises(ValueError, match="stale"):
+            proofgen.proofs_for_prefix(held, 2, P)
+
+        misses = proofgen.cache_misses
+        again = proofgen.reconstruct(first.commit_time)
+        assert proofgen.cache_misses == misses + 1
+        assert again is not held and again.tree is not held.tree
+        assert again.current and again.root == first.root
+        for neighbor in NEIGHBORS:
+            assert check(world, first, again, neighbor).ok
+        assert proofgen.reconstruct(latest.commit_time).tree is \
+            world.recorder.committed_tree(latest.commit_time)
+        world.finish()
+
+    def test_a_round_that_raises_leaves_no_committed_tree(
+            self, monkeypatch):
+        world = honest_world()
+        first = world.commit()
+        proofgen = ProofGenerator(world.recorder)
+        held = proofgen.reconstruct(first.commit_time)
+        for i in range(4):
+            world.announce(2, Prefix.parse(f"10.{i}.0.0/16"))
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return bits_module.compute_bits(*args, **kwargs)
+
+        monkeypatch.setattr(recorder_module, "compute_bits",
+                            failing_second)
+        with pytest.raises(RuntimeError, match="injected"):
+            world.recorder.make_commitment()
+        monkeypatch.undo()
+        assert world.recorder.committed_tree(first.commit_time) is None
+        assert world.recorder.committed_tree(world.clock.now) is None
+        assert not held.current  # one edit went in before the raise
+        again = proofgen.reconstruct(first.commit_time)
+        assert again is not held and again.root == first.root
+        for neighbor in NEIGHBORS:
+            assert check(world, first, again, neighbor).ok
+        world.commit()
+        world.finish()
+
+
+    def test_a_hash_pass_that_raises_leaves_no_current_tree(
+            self, monkeypatch):
+        """An empty diff edits nothing, so only the labels say the
+        round began: fresh blindings under the old root label must
+        not pass for the first commitment's tree."""
+        world = honest_world()
+        first = world.commit()
+        proofgen = ProofGenerator(world.recorder)
+        held = proofgen.reconstruct(first.commit_time)
+
+        def draw_then_raise(tree, csprng, **kwargs):
+            labeling_module.assign_randomness(tree, csprng)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(recorder_module, "label_tree_with_workers",
+                            draw_then_raise)
+        world.tick()
+        with pytest.raises(RuntimeError, match="injected"):
+            world.recorder.make_commitment()
+        monkeypatch.undo()
+        assert held.tree.version == held.version
+        assert world.recorder.committed_tree(first.commit_time) is None
+        assert not held.current
+        with pytest.raises(ValueError, match="stale"):
+            proofgen.proofs_for(held, 3)
+        again = proofgen.reconstruct(first.commit_time)
+        assert again.tree is not held.tree and again.root == first.root
+        for neighbor in NEIGHBORS:
+            assert check(world, first, again, neighbor).ok
+        world.commit()
+        world.finish()
+
+    def test_an_edit_outside_a_round_voids_the_stamp(self):
+        """Only a round edits the tree, and it clears the stamp first;
+        should anything else edit it, the version still disowns it."""
+        world = honest_world()
+        record = world.commit()
+        tree = world.recorder.committed_tree(record.commit_time)
+        assert tree is not None
+        tree.set_bits(P, tree.bits_for(P))
+        assert world.recorder.committed_tree(record.commit_time) is None
+        assert ProofGenerator(world.recorder).reconstruct(
+            record.commit_time).tree is not tree
+        world.finish()
+
+
+class TestReplaySelfCheck:
+    """The retained tree is not taken on trust: the replayed state must
+    arrive at it, or reconstruction raises as a rebuild would."""
+
+    @pytest.mark.parametrize("neighbor, prefix", [
+        (3, Prefix.parse("10.0.0.0/8")),
+        (2, Q),  # a better route than the one held: Q's bits move
+    ], ids=["prefix_lost", "bits_differ"])
+    def test_a_replay_that_drops_an_entry(self, monkeypatch, neighbor,
+                                          prefix):
+        world = honest_world()
+        world.announce(neighbor, prefix)
+        record = world.commit()
+        assert world.recorder.committed_tree(record.commit_time)
+        replay = proofgen_module.replay
+
+        def lossy(log, asn, **kwargs):
+            entries = list(log)
+            last = max(i for i, e in enumerate(entries)
+                       if e.kind is EntryKind.RECV_ANNOUNCE)
+            return replay(entries[:last] + entries[last + 1:], asn,
+                          **kwargs)
+
+        monkeypatch.setattr(proofgen_module, "replay", lossy)
+        proofgen = ProofGenerator(world.recorder)
+        for reconstruct in (proofgen.reconstruct, proofgen.rebuild):
+            with pytest.raises(RuntimeError,
+                               match="log replay is broken"):
+                reconstruct(record.commit_time)
+        monkeypatch.undo()
+        world.finish()
