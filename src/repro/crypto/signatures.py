@@ -16,19 +16,18 @@ A batch signature signs the hash-concatenation of all payloads in the batch;
 each :class:`Signed` then carries the sibling digests it needs so it remains
 independently verifiable, exactly like a tiny Merkle authentication list.
 
-A batch is paid for once on the receiving side too: :meth:`Verifier.verify`
-remembers every batch signature RSA has accepted, so the other members of
-the burst skip the RSA operation and the root hash, but every member still
-passes its own checks (known signer, index in range, payload digest in its
-slot).
+A batch is paid for once on the receiving side too: the members of a burst
+share one :class:`BatchDigests`, which carries the verdict RSA gave its
+root, so the other members skip the RSA operation and the root hash, but
+every member still passes its own checks (known signer, index in range,
+payload digest in its slot).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import rsa
 from ..obs.metrics import Counter, Histogram
@@ -36,17 +35,17 @@ from ..obs.registry import get_registry
 from .hashing import constant_time_eq, digest, digest_fields
 from .keys import Identity, KeyRegistry
 
-#: Batch signatures RSA has accepted, keyed by everything ``rsa.verify``
-#: reads for one: the public key's ``n`` and ``e``, the signer (the root
-#: hashes it), the signature and the digest list.  Only positive results
-#: enter, so a forged member can never ride on a memo entry.  The set is
-#: cleared wholesale once its keys hold this many digests, so a peer that
-#: sends ever-new valid batches costs bounded memory.  Verifiers run on
-#: any thread, so an insert holds the lock.
-_VERIFIED_BATCH_LIMIT = 1 << 14
-_VERIFIED_BATCHES: Set[Tuple[int, int, int, bytes, Tuple[bytes, ...]]] = set()
-_verified_digests = 0
-_VERIFIED_BATCHES_LOCK = threading.Lock()
+
+class BatchDigests(Tuple[bytes, ...]):
+    """The digest list every member of one batch shares.
+
+    ``verified_by`` is ``(n, e, signer, signature)`` of the last batch
+    signature RSA accepted over this list, or ``None``: with the digests,
+    everything ``rsa.verify`` reads for the root.  The list is immutable,
+    so the verdict holds as long as the members that share it live.
+    """
+
+    verified_by: Optional[Tuple[int, int, int, bytes]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +137,7 @@ class Signer:
         if len(payloads) == 1:
             return [self.sign(payloads[0])]
         start = time.perf_counter()
-        digests = tuple(digest(p) for p in payloads)
+        digests = BatchDigests(digest(p) for p in payloads)
         signature = rsa.sign(self.identity.private_key,
                              _batch_root(self.asn, digests))
         self._observe(len(payloads), time.perf_counter() - start)
@@ -164,12 +163,12 @@ class Verifier:
 
     def verify(self, signed: Signed) -> bool:
         """Check attribution and signature; False on any mismatch."""
-        global _verified_digests
         if not self.registry.knows(signed.signer):
             self._obs.counter("signatures_checked_total",
                               outcome="unknown_signer").inc()
             return False
         key = self.registry.public_key(signed.signer)
+        verdict = (key.n, key.e, signed.signer, signed.signature)
         digests = signed.batch_digests
         if digests:
             if not 0 <= signed.batch_index < len(digests):
@@ -181,8 +180,8 @@ class Verifier:
                 self._obs.counter("signatures_checked_total",
                                   outcome="bad_batch").inc()
                 return False
-            memo = (key.n, key.e, signed.signer, signed.signature, digests)
-            if memo in _VERIFIED_BATCHES:
+            if isinstance(digests, BatchDigests) and \
+                    digests.verified_by == verdict:
                 self._obs.counter("signatures_checked_total",
                                   outcome="valid").inc()
                 return True
@@ -192,12 +191,6 @@ class Verifier:
             time.perf_counter() - start)
         self._obs.counter("signatures_checked_total",
                           outcome="valid" if ok else "invalid").inc()
-        if ok and digests:
-            with _VERIFIED_BATCHES_LOCK:
-                if _verified_digests + len(digests) > _VERIFIED_BATCH_LIMIT:
-                    _VERIFIED_BATCHES.clear()
-                    _verified_digests = 0
-                if memo not in _VERIFIED_BATCHES:
-                    _VERIFIED_BATCHES.add(memo)
-                    _verified_digests += len(digests)
+        if ok and isinstance(digests, BatchDigests):
+            digests.verified_by = verdict
         return ok

@@ -2,14 +2,18 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from repro.crypto import rsa, signatures
+from repro.crypto import rsa
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyRegistry, UnknownKeyError, make_identity
-from repro.crypto.signatures import Signed, Signer, Verifier
+from repro.crypto.signatures import BatchDigests, Signed, Signer, Verifier
 from repro.obs.registry import use_registry
+from repro.spider import codec
+from repro.spider.codec import decode_message, encode_message
+from repro.spider.wire import SpiderCommitment
 
 BITS = 512
 
@@ -119,27 +123,44 @@ class TestBatchSigning:
 
 @pytest.fixture(params=["pure", "c"])
 def engine(request, monkeypatch):
-    """Each RSA engine in turn, with an empty batch memo."""
+    """Each RSA engine in turn."""
     if request.param == "pure":
         monkeypatch.setattr(rsa, "_C_RSA", False)
     elif not rsa._C_RSA:
         pytest.skip("cryptography is not importable")
-    monkeypatch.setattr(signatures, "_VERIFIED_BATCHES", set())
-    monkeypatch.setattr(signatures, "_verified_digests", 0)
     return request.param
 
 
+@pytest.fixture()
+def rsa_calls(monkeypatch):
+    """Every ``rsa.verify`` call, as ``(thread, root)``."""
+    calls = []
+    real = rsa.verify
+
+    def counted(key, message, signature):
+        calls.append((threading.get_ident(), message))
+        return real(key, message, signature)
+
+    monkeypatch.setattr(rsa, "verify", counted)
+    return calls
+
+
 class TestHostileBatchesAgainstTheMemo:
-    """Once a batch root has verified, its other members skip RSA; a
-    forged member must still fail on its own, and the memo must not
-    grow with what a hostile peer sends."""
+    """Once a batch root has verified, its shared digest list carries
+    the verdict and the other members skip RSA; a forged member must
+    still fail on its own, and the verdict holds only for the exact key,
+    signer and signature RSA accepted."""
 
     @pytest.fixture()
     def verified(self, engine, registry, alice):
         """A batch whose root has already verified once."""
         envs = Signer(alice).sign_batch([b"a", b"b", b"c"])
+        assert all(env.batch_digests is envs[0].batch_digests
+                   for env in envs)
         assert Verifier(registry).verify(envs[0])
-        assert len(signatures._VERIFIED_BATCHES) == 1
+        key = alice.public_key
+        assert envs[0].batch_digests.verified_by == \
+            (key.n, key.e, alice.asn, envs[0].signature)
         return envs
 
     @staticmethod
@@ -150,6 +171,12 @@ class TestHostileBatchesAgainstTheMemo:
                       batch_index=env.batch_index)
         return Signed(**{**fields, **changes})
 
+    @staticmethod
+    def flip(signature, position):
+        flipped = bytearray(signature)
+        flipped[position] ^= 0x01
+        return bytes(flipped)
+
     def test_swapped_payload_fails(self, registry, verified):
         forged = self.forge(verified[0], payload=verified[1].payload)
         assert not Verifier(registry).verify(forged)
@@ -159,10 +186,11 @@ class TestHostileBatchesAgainstTheMemo:
         # digest changed, so the root the signature must cover changed.
         digests = list(verified[0].batch_digests)
         digests[2] = digest(b"evil")
-        forged = self.forge(verified[0], batch_digests=tuple(digests))
+        forged = self.forge(verified[0],
+                            batch_digests=BatchDigests(digests))
         assert not Verifier(registry).verify(forged)
         forged_member = self.forge(verified[2], payload=b"evil",
-                                   batch_digests=tuple(digests))
+                                   batch_digests=BatchDigests(digests))
         assert not Verifier(registry).verify(forged_member)
 
     def test_out_of_range_index_fails(self, registry, verified):
@@ -172,52 +200,71 @@ class TestHostileBatchesAgainstTheMemo:
 
     def test_flipped_signature_byte_fails(self, registry, verified):
         for position in (0, len(verified[0].signature) - 1):
-            flipped = bytearray(verified[1].signature)
-            flipped[position] ^= 0x01
-            forged = self.forge(verified[1], signature=bytes(flipped))
+            forged = self.forge(verified[1], signature=self.flip(
+                verified[1].signature, position))
             assert not Verifier(registry).verify(forged)
 
     def test_forgeries_never_enter_and_members_still_verify(
             self, registry, verified):
-        digests = (verified[0].batch_digests[0], digest(b"evil"))
-        Verifier(registry).verify(self.forge(verified[0],
-                                             batch_digests=digests))
-        assert len(signatures._VERIFIED_BATCHES) == 1
+        marked = verified[0].batch_digests
+        verdict = marked.verified_by
+        digests = BatchDigests((marked[0], digest(b"evil")))
+        assert not Verifier(registry).verify(
+            self.forge(verified[0], batch_digests=digests))
+        assert digests.verified_by is None
+        assert marked.verified_by == verdict
         verifier = Verifier(registry)
         assert all(verifier.verify(env) for env in verified)
 
-    def test_memo_stays_bounded_under_distinct_roots(self, engine):
-        registry = KeyRegistry()
-        signer = Signer(make_identity(asn=3, registry=registry, bits=384,
-                                      seed=104))
+    def test_forged_member_holding_the_marked_list_fails(
+            self, registry, verified, rsa_calls):
+        marked = verified[0].batch_digests
+        verdict = marked.verified_by
+        forgeries = [self.forge(verified[1], payload=b"evil"),
+                     self.forge(verified[1], batch_index=0),
+                     self.forge(verified[1], signature=self.flip(
+                         verified[1].signature, 0))]
         verifier = Verifier(registry)
-        for i in range(10_000):
-            first, second = signer.sign_batch([b"a%d" % i, b"b%d" % i])
-            assert verifier.verify(first) and verifier.verify(second)
-            # Two digests per root.
-            assert 2 * len(signatures._VERIFIED_BATCHES) <= \
-                signatures._VERIFIED_BATCH_LIMIT
-        held = sum(len(key[-1]) for key in signatures._VERIFIED_BATCHES)
-        assert held == signatures._verified_digests
-        # The wholesale clear happened and the memo refilled after it.
-        assert 0 < len(signatures._VERIFIED_BATCHES) < 10_000
+        for forged in forgeries:
+            assert forged.batch_digests is marked
+            assert not verifier.verify(forged)
+        # Only the flipped signature got past the member's own checks,
+        # and it matched no verdict, so RSA ran for it and refused.
+        assert len(rsa_calls) == 1
+        assert marked.verified_by == verdict
 
-    def test_memo_counts_right_under_threads(self, engine):
+    def test_marked_list_under_another_key_runs_rsa_and_fails(
+            self, registry, verified, bob, rsa_calls):
+        marked = verified[0].batch_digests
+        verdict = marked.verified_by
+        # The same list and signature, claimed by another known signer.
+        assert not Verifier(registry).verify(
+            self.forge(verified[0], signer=bob.asn))
+        assert len(rsa_calls) == 1
+        # The same envelope after the signer's registered key changed.
+        rotated = KeyRegistry()
+        rotated.register(verified[0].signer, rsa.generate_keypair(
+            bits=BITS, seed=103).public_key)
+        assert not Verifier(rotated).verify(verified[0])
+        assert len(rsa_calls) == 2
+        assert marked.verified_by == verdict
+        assert Verifier(registry).verify(verified[2])
+        assert len(rsa_calls) == 2
+
+    def test_threads_pay_at_most_once_per_batch(self, engine, rsa_calls):
         registry = KeyRegistry()
         signer = Signer(make_identity(asn=4, registry=registry, bits=384,
                                       seed=105))
-        batches = [[signer.sign_batch([b"%d.%d.a" % (worker, i),
-                                       b"%d.%d.b" % (worker, i)])[0]
-                    for i in range(400)] for worker in range(4)]
+        batches = [signer.sign_batch([b"%d.a" % i, b"%d.b" % i])
+                   for i in range(400)]
         verifier = Verifier(registry)
         verdicts = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=lambda batch=batch:
-                                        verdicts.extend(map(verifier.verify,
-                                                            batch)))
-                       for batch in batches]
+            threads = [threading.Thread(target=lambda: verdicts.append(
+                [verifier.verify(env) for batch in batches
+                 for env in batch])) for _ in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -225,9 +272,33 @@ class TestHostileBatchesAgainstTheMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert verdicts == [True] * 1600
-        assert len(signatures._VERIFIED_BATCHES) == 1600
-        assert signatures._verified_digests == 2 * 1600
+        assert verdicts == [[True] * 800] * 4
+        per_thread_root = Counter(rsa_calls)
+        assert max(per_thread_root.values()) == 1
+        assert len({root for _thread, root in rsa_calls}) == 400
+
+    def test_burst_redecoded_after_the_intern_clears_pays_again(
+            self, engine, registry, alice, monkeypatch, rsa_calls):
+        monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+        monkeypatch.setattr(codec, "_digests_interned", 0)
+        # Commitments only carry the burst's envelopes through the codec.
+        burst = Signer(alice).sign_batch([b"a", b"b", b"c", b"d"])
+        frames = [encode_message(SpiderCommitment(
+            elector=alice.asn, commit_time=1.0, root=digest(env.payload),
+            envelope=env)) for env in burst]
+        verifier = Verifier(registry)
+
+        def rsa_for_one_decode():
+            before = len(rsa_calls)
+            assert all(verifier.verify(decode_message(frame).envelope)
+                       for frame in frames)
+            return len(rsa_calls) - before
+
+        assert rsa_for_one_decode() == 1
+        assert rsa_for_one_decode() == 0
+        monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+        monkeypatch.setattr(codec, "_digests_interned", 0)
+        assert rsa_for_one_decode() == 1
 
 
 class TestSignatureCounters:

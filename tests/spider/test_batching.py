@@ -8,10 +8,11 @@ from repro.bgp.messages import Announce, Withdraw
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.core.promise import total_order_promise
-from repro.crypto import rsa, signatures as signatures_module
+from repro.crypto import rsa
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.netsim.events import Simulator
 from repro.obs.registry import use_registry
+from repro.spider import codec
 from repro.spider.codec import decode_message, encode_message
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind
@@ -174,10 +175,11 @@ class TestReceiverPaysOncePerBatch:
 
     @pytest.fixture()
     def rsa_verifies(self, monkeypatch):
-        """Counts RSA operations; starts from an empty memo, so a burst
-        some other test verified earlier is not already remembered."""
-        monkeypatch.setattr(signatures_module, "_VERIFIED_BATCHES", set())
-        monkeypatch.setattr(signatures_module, "_verified_digests", 0)
+        """Counts RSA operations; starts from an empty digest-list
+        intern, so a burst some other test decoded and verified earlier
+        is not handed back already carrying its verdict."""
+        monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+        monkeypatch.setattr(codec, "_digests_interned", 0)
         calls = []
         real = rsa.verify
 
