@@ -196,8 +196,8 @@ def run_store_phase1(store_dir: str,
     """First round of the store script with side A's log on disk.
 
     Leaves the store *open* on purpose: the ``--kill`` path SIGKILLs the
-    process right after this returns, so only what each append's fsync
-    made durable survives — exactly the crash the recovery path must
+    process right after this returns, so only what the appends handed
+    the kernel survives — exactly the crash the recovery path must
     handle.
     """
     hub = LoopbackHub()
@@ -367,8 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         summary = run_store_phase1(args.store_phase1,
                                    fsync=args.store_fsync)
         if args.kill:
-            # Die without flushing or closing anything: only what fsync
-            # already made durable may survive.
+            # Die without closing anything: only what the appends
+            # already handed the kernel may survive.
             os.kill(os.getpid(), signal.SIGKILL)
         print(json.dumps(summary) if args.json else
               f"phase 1 done: {summary['entries']} entries, "

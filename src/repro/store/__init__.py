@@ -12,8 +12,10 @@ package is the on-disk half of that log.  Bottom-up:
   acceptable, and :class:`SegmentedLogStore`, the
   :class:`~repro.spider.log.LogSink` implementation with size-based
   rotation, ``never``/``batch``/``always`` fsync policies with group
-  commit, and whole-segment retirement once a signed checkpoint covers
-  a span (the disk mirror of ``SpiderLog.trim``);
+  commit (``always`` hands every append to the kernel at once and
+  fsyncs at each ``sync``, the points where §6 needs it durable), and
+  whole-segment retirement once a signed checkpoint covers a span (the
+  disk mirror of ``SpiderLog.trim``);
 * :mod:`~repro.store.recovery` — replay that one walk into verified
   :class:`~repro.spider.log.LogEntry` objects, checking the Section 6.5
   hash chain over each record's bytes before decoding them, so

@@ -5,8 +5,13 @@ implementation — the recorder's tamper-evident log writes through it
 entry by entry, and crash recovery (:mod:`repro.store.recovery`) reads
 it back.  Three fsync policies trade durability for throughput:
 
-* ``always`` — fsync after every append.  Nothing acknowledged is ever
-  lost; the kill/restart acceptance scenario runs under this policy.
+* ``always`` — every append reaches the kernel at once, so a process
+  crash or SIGKILL keeps it, and every :meth:`sync` fsyncs whatever
+  was appended since the last one.  The recorder syncs wherever
+  something leaves the node (§6: a message goes out, or a received one
+  is ACKed, only once its entry is durable), so nothing sent or
+  acknowledged is lost to a power cut either; the kill/restart
+  acceptance scenario runs under this policy.
 * ``batch`` — group commit: appends accumulate in the OS buffer and
   one fsync covers the batch, at ``batch_bytes`` of pending data or at
   an explicit :meth:`sync` (the recorder calls it at every protocol
@@ -217,7 +222,10 @@ class SegmentedLogStore:
         file carries beyond that.  What a crash left on the last file is
         repaired here, durably, before anything is appended behind it: a
         torn create is removed, a torn tail truncated back to the last
-        intact record boundary.
+        intact record boundary, and the tail fsynced — a killed writer
+        may have handed the kernel appends it never synced (under
+        ``always``, everything since its last :meth:`sync`), and what
+        this node sends next may rest on them.
         """
         self._sealed = list(segments)
         self._tail_path = None
@@ -233,12 +241,11 @@ class SegmentedLogStore:
                 if torn_bytes:
                     with open(tail.path, "r+b") as handle:
                         handle.truncate(tail.size_bytes)
-                        handle.flush()
-                        os.fsync(handle.fileno())
                 self._tail_path = tail.path
                 self._tail_base = tail.base_index
                 self._tail_bytes = tail.size_bytes
                 self._fh = open(tail.path, "ab")
+                os.fsync(self._fh.fileno())
         self._recovered = True
         self._update_segments_gauge()
 
@@ -282,10 +289,11 @@ class SegmentedLogStore:
         kind = storage_kind(entry.kind)
         self._append_cell(kind).inc(len(frame))
         self._record_cell(kind).inc()
-        if self.fsync_policy == "always" or (
-                self.fsync_policy == "batch" and
-                self._pending_bytes >= self.batch_bytes):
-            self._flush(fsync=self.fsync_policy != "never")
+        if self.fsync_policy == "always":
+            handle.flush()  # in the kernel; the next sync() fsyncs it
+        elif self.fsync_policy == "batch" and \
+                self._pending_bytes >= self.batch_bytes:
+            self._flush(fsync=True)
 
     def sync(self) -> None:
         """Group-commit boundary: everything appended becomes durable
@@ -304,6 +312,10 @@ class SegmentedLogStore:
         """
         removable = droppable_segments(self.segments(),
                                        keep_from_index)
+        if removable:
+            # The checkpoint that replaces the history is durable
+            # before any of that history is gone.
+            self.sync()
         removed_bytes = 0
         for info in removable:
             os.unlink(info.path)

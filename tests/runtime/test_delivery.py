@@ -368,7 +368,8 @@ class TestRetriesSurviveARestart:
         """Side A announces on a durable log and dies before any ACK
         arrives; returns the entry that logged the send.  Without
         ``close`` the runtime is dropped as it stands, which is what a
-        SIGKILL leaves under ``fsync=always``."""
+        SIGKILL leaves under ``fsync=always``: every append is in the
+        kernel, and the send's entry was fsynced before it left."""
         hub = LoopbackHub(drop_filter=drop_acks)
         rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A),
                                 retry_policy=FAST_RETRY,

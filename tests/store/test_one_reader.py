@@ -41,16 +41,85 @@ SEGMENT_BYTES = 400  # one announce, or a few smaller records, per file
 
 
 class WriteLog:
-    """Stands in for ``open`` in ``repro.store.seglog``: every append
-    the store makes to a segment file, in order, as ``(name, bytes)``."""
+    """Stands in for ``open`` and ``os`` in ``repro.store.seglog``
+    (:meth:`install`).  Records every append the store makes to a
+    segment file, in order, as ``(name, bytes)``, and what a power cut
+    would keep (:meth:`power_cut`): each segment up to its length at its
+    last ``os.fsync``, and a new file only once its header fsync and
+    then a directory fsync have happened."""
 
     def __init__(self):
         self.writes = []
+        #: Segment path -> its byte length at its last fsync.
+        self.synced = {}
+        #: Segment paths a directory fsync has made part of the directory.
+        self.linked = set()
+        #: Each unlink, as ``(path, a copy of synced at that moment)``.
+        self.unlinks = []
+        self._paths = {}  # open descriptor -> the path it was opened on
+
+    def install(self, patch):
+        patch.setattr(seglog, "open", self, raising=False)
+        patch.setattr(seglog, "os", _SeglogOs(self))
 
     def __call__(self, path, mode):
         handle = open(path, mode)
+        self._opened(handle.fileno(), path)
         return _Recorded(handle, os.path.basename(path), self.writes) \
             if mode == "ab" else handle
+
+    def power_cut(self, directory, image):
+        """Write to ``image`` what a power cut now would leave of the
+        store ``directory``."""
+        shutil.rmtree(image, ignore_errors=True)
+        os.makedirs(image)
+        for name in os.listdir(directory):
+            path = os.path.abspath(os.path.join(directory, name))
+            if path in self.linked:
+                with open(path, "rb") as handle:
+                    data = handle.read(self.synced[path])
+                with open(os.path.join(image, name), "wb") as handle:
+                    handle.write(data)
+
+    def _opened(self, fd, path):
+        self._paths[fd] = os.path.abspath(path)
+
+    def _fsynced(self, fd):
+        path = self._paths[fd]
+        if os.path.isdir(path):
+            self.linked.update(segment for segment in self.synced
+                               if os.path.dirname(segment) == path)
+        else:
+            self.synced[path] = os.fstat(fd).st_size
+
+    def _unlinked(self, path):
+        path = os.path.abspath(path)
+        self.unlinks.append((path, dict(self.synced)))
+        self.synced.pop(path, None)
+        self.linked.discard(path)
+
+
+class _SeglogOs:
+    """``os`` as ``repro.store.seglog`` sees it under a :class:`WriteLog`."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def __getattr__(self, attribute):
+        return getattr(os, attribute)
+
+    def open(self, path, flags, *args):
+        fd = os.open(path, flags, *args)
+        self._log._opened(fd, path)
+        return fd
+
+    def fsync(self, fd):
+        os.fsync(fd)
+        self._log._fsynced(fd)
+
+    def unlink(self, path):
+        os.unlink(path)
+        self._log._unlinked(path)
 
 
 class _Recorded:
@@ -74,7 +143,7 @@ class History:
         self.world = World()
         recording = WriteLog()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(seglog, "open", recording, raising=False)
+            recording.install(patch)
             store = SegmentedLogStore(
                 self.directory, fsync="always",
                 segment_bytes=SEGMENT_BYTES, registry=Registry())

@@ -134,7 +134,8 @@ def test_fsync_always_loses_no_acked_entry(tmp_path_factory, data):
     n = data.draw(st.integers(min_value=1, max_value=12))
     store, entries = build_store(directory, n, fsync="always")
     # No close, no sync: the process "dies" here.  Every append already
-    # fsynced, so a second store must see all of them.
+    # reached the kernel, which keeps it across a process crash, so a
+    # second store must see all of them.
     recovery = recover(SegmentedLogStore(str(directory),
                                          segment_bytes=SEGMENT_BYTES,
                                          registry=Registry()))

@@ -1,5 +1,7 @@
 """SegmentedLogStore behavior: append, rotation, fsync, trim, reopen."""
 
+import os
+
 import pytest
 
 from repro.obs.registry import Registry
@@ -8,6 +10,7 @@ from repro.spider.log import EntryKind, SpiderLog
 from repro.store import SegmentedLogStore, StoreError, \
     droppable_segments, recover
 from repro.store.segment import SegmentInfo
+from tests.store.test_one_reader import WriteLog
 
 
 def commitment_payload(i):
@@ -91,13 +94,26 @@ class TestAppendDiscipline:
 
 
 class TestFsyncAccounting:
-    def test_always_fsyncs_per_append(self, tmp_path):
+    def test_always_hands_appends_over_and_syncs_once(self, tmp_path):
+        """Under ``always`` an append reaches the kernel at once — a
+        fresh recovery sees it — and is fsynced at the next ``sync()``:
+        one fsync covers everything appended since the last."""
         registry = Registry()
-        store = reopened(tmp_path / "a", fsync="always",
-                         registry=registry)
-        fill(store, 8)
+        store = reopened(tmp_path, fsync="always", registry=registry)
+        log = fill(store, 1)  # creates the segment (its header fsync)
+        created = registry.total("store_fsyncs_total")
+        for i in range(1, 8):
+            log.append(float(i), EntryKind.COMMITMENT,
+                       commitment_payload(i))
+        assert registry.total("store_fsyncs_total") == created
+        again = reopened(tmp_path)
+        assert recover(again).entries == list(log)
+        again.close()
+        store.sync()
+        assert registry.total("store_fsyncs_total") == created + 1
+        store.sync()
+        assert registry.total("store_fsyncs_total") == created + 1
         store.close()
-        assert registry.total("store_fsyncs_total") >= 8
 
     def test_batch_fsyncs_only_at_sync(self, tmp_path):
         registry = Registry()
@@ -144,6 +160,24 @@ class TestTrim:
         # the first surviving record).
         again = recover(reopened(tmp_path, segment_bytes=128))
         assert again.entries[0].index == keep_from
+
+    @pytest.mark.parametrize("fsync", ["batch", "always"])
+    def test_unlinks_only_behind_a_durable_tail(self, tmp_path,
+                                                monkeypatch, fsync):
+        """What a trim keeps — in the log, the checkpoint that replaces
+        the dropped history — may still be pending when it runs; every
+        unlink comes after an fsync that covers it."""
+        writes = WriteLog()
+        writes.install(monkeypatch)
+        store = reopened(tmp_path, fsync=fsync, segment_bytes=128)
+        fill(store, 12)
+        *dropped, tail = store.segments()
+        assert store.trim(tail.base_index)
+        assert [path for path, _synced in writes.unlinks] == \
+            [os.path.abspath(info.path) for info in dropped]
+        for _path, synced in writes.unlinks:
+            assert synced[os.path.abspath(tail.path)] == tail.size_bytes
+        store.close()
 
     def test_active_segment_never_dropped(self):
         segments = [SegmentInfo(path=f"seg{i}", base_index=i * 4,
