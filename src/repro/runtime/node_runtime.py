@@ -20,7 +20,7 @@ import itertools
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Protocol, \
-    Sequence, Tuple
+    Tuple
 
 from ..bgp.messages import Announce, Withdraw
 from ..bgp.prefix import Prefix
@@ -30,10 +30,9 @@ from ..core.promise import Promise, total_order_promise
 from ..crypto.keys import Identity, KeyRegistry
 from ..obs.registry import ClockLike, get_registry
 from ..spider.config import SpiderConfig
-from ..spider.log import LogEntry
 from ..spider.node import SpiderNode
 from ..spider.recorder import CommitmentRecord, Recorder
-from ..store.recovery import Recovery, recover
+from ..store.recovery import RecoveredLog, Recovery, recover
 from ..store.seglog import SegmentedLogStore
 from .delivery import DeliveryService, RetryPolicy
 from .transport import Transport
@@ -138,8 +137,9 @@ class NodeRuntime:
                  store_dir: Optional[str] = None,
                  store_fsync: str = "always"):
         if promises is None:
-            promises = {n: total_order_promise(scheme)
-                        for n in neighbors}
+            # A Promise is frozen, so one serves every neighbor.
+            promises = dict.fromkeys(neighbors,
+                                     total_order_promise(scheme))
         self.config = config if config is not None else SpiderConfig()
         self.clock = clock if clock is not None else StepClock()
         self.timers = TimerWheel(self.clock)
@@ -148,22 +148,26 @@ class NodeRuntime:
         # everything on disk before the node processes its first
         # message; a directory it refuses is never opened for writing.
         self.store: Optional[SegmentedLogStore] = None
-        self.recovery: Optional[Recovery] = None
-        recovered_entries: Optional[Sequence[LogEntry]] = None
+        #: What the cold open recovered; the entries stay the log's
+        #: alone, so a trim frees them.
+        self.recovery: Optional[RecoveredLog] = None
+        recovery: Optional[Recovery] = None
         if store_dir is not None:
             store = SegmentedLogStore(store_dir, fsync=store_fsync,
                                       node=f"as{identity.asn}")
-            self.recovery = recover(store)
+            recovery = recover(store)
             self.store = store
-            if self.recovery.entries:
-                recovered_entries = self.recovery.entries
         self.node = SpiderNode(
             identity=identity, registry=registry, scheme=scheme,
             promises=promises, config=self.config, clock=self.clock,
             transport=transport,
             master_seed=b"spider-runtime-%d" % identity.asn,
             schedule=self.timers.schedule, log_store=self.store,
-            recovered_entries=recovered_entries)
+            recovered_entries=None if recovery is None
+            else recovery.entries)
+        if recovery is not None:
+            self.recovery = RecoveredLog(recovery.head, recovery.next_index,
+                                         recovery.stats, self.recorder.log)
         self.delivery = DeliveryService(
             self.node.recorder, schedule=self.timers.schedule,
             policy=retry_policy, seed=retry_seed)

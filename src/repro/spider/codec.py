@@ -300,6 +300,13 @@ class _Reader:
         self._pos = end
         return self._buf[pos:end]
 
+    def expect_rest(self, n: int) -> None:
+        """A declared length ``n`` of a last field must be exactly the
+        bytes left, so its decoder can read it in place."""
+        left = self._len - self._pos
+        if n != left:
+            raise CodecError(f"declared {n} bytes, {left} remain")
+
     def expect_end(self) -> None:
         if self._pos != self._len:
             raise CodecError(
@@ -430,7 +437,7 @@ def _write_route(w: _Writer, route: Route) -> None:
 def _read_route(r: _Reader) -> Route:
     neighbor, n = r.unpack(_S_IH)
     try:
-        return Route.from_bytes(r.window(n), neighbor=neighbor)
+        return Route.from_bytes(r.window(n), neighbor)
     except (ValueError, PrefixError) as exc:  # includes Origin errors
         raise CodecError(f"malformed route: {exc}") from exc
 
@@ -684,18 +691,18 @@ def decode_message(
     forces a copy of the whole message.  An announce, withdrawal or
     ACK keeps a copy of its frame in the memo, for the log to reuse.
     """
-    message = _decode_message(data)
+    message = _read_message(_Reader(data))
     if isinstance(message, _MEMOIZED):
         _remember(message, bytes(data))
     return message
 
 
-def _decode_message(
-        data: Union[bytes, bytearray, memoryview]) -> object:
-    """:func:`decode_message` without the memo, for reading a log."""
-    if len(data) < 2:
+def _read_message(r: _Reader) -> object:
+    """The message that fills the rest of ``r``, without the memo: a
+    log entry's reader decodes its message in place
+    (:func:`repro.spider.log.decode_log_entry`)."""
+    if r._len - r._pos < _S_HEAD.size:
         raise CodecError("message shorter than version + tag header")
-    r = _Reader(data)
     version, tag = r.unpack(_S_HEAD)
     if version != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {version}")

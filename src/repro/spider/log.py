@@ -36,6 +36,7 @@ state built on it.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, \
     Protocol, Tuple, Union
@@ -43,9 +44,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, \
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
 from ..crypto.hashing import DIGEST_SIZE, digest
-from .codec import CodecError, _Reader, _Writer, _decode_message, \
-    _read_prefix, _read_route, _write_prefix, _write_route, \
-    encode_message
+from .codec import CodecError, _Reader, _read_message, _read_prefix, \
+    _read_route, _seconds, _slot_setters, _write_prefix, _write_route, \
+    _Writer, encode_message
 from .state import RoutingState
 from .wire import SpiderAck, SpiderAnnounce, SpiderWithdraw, time_bytes
 
@@ -82,14 +83,16 @@ def chain_step(prev_chain: bytes, entry_bytes: bytes) -> bytes:
     return digest(prev_chain + entry_bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One log record.
 
     ``payload`` is the message object itself (kept in memory for replay);
     ``size_bytes`` is the length of the entry's canonical bytes, which
     is what the storage experiment accounts; ``chain`` is the running
-    hash binding those bytes to all earlier ones.
+    hash binding those bytes to all earlier ones.  A log holds one per
+    message, so it has slots; an append and a recovery both build it
+    with :func:`new_entry`.
     """
 
     index: int
@@ -98,6 +101,27 @@ class LogEntry:
     payload: object
     size_bytes: int
     chain: bytes
+
+
+(_le_index, _le_timestamp, _le_kind, _le_payload, _le_size, _le_chain) = \
+    _slot_setters(LogEntry, "index", "timestamp", "kind", "payload",
+                  "size_bytes", "chain")
+
+
+def new_entry(index: int, timestamp: float, kind: EntryKind,
+              payload: object, size_bytes: int, chain: bytes) -> LogEntry:
+    """One :class:`LogEntry`, built as the codec builds a message: its
+    slots written directly, since the frozen ``__init__`` pays an
+    ``object.__setattr__`` per field, and a cold open builds one entry
+    per record."""
+    entry = LogEntry.__new__(LogEntry)
+    _le_index(entry, index)
+    _le_timestamp(entry, timestamp)
+    _le_kind(entry, kind)
+    _le_payload(entry, payload)
+    _le_size(entry, size_bytes)
+    _le_chain(entry, chain)
+    return entry
 
 
 class TamperError(RuntimeError):
@@ -183,32 +207,41 @@ def _encode_state(state: RoutingState) -> bytes:
     return w.getvalue()
 
 
-def _decode_state(data: Union[bytes, memoryview]) -> RoutingState:
-    """Strict inverse of :func:`_encode_state`."""
-    r = _Reader(data)
+def _read_state(r: _Reader) -> RoutingState:
+    """Strict inverse of :func:`_encode_state`, over the rest of ``r``.
+    Neighbors and prefixes must come in the ascending order the encoder
+    writes them in: any other order is a second encoding of one
+    state."""
     state = RoutingState()
     for label, tables in ((b"I", state.imports), (b"E", state.exports)):
         if r.raw(1) != label:
             raise CodecError(f"routing state misses section {label!r}")
+        last_neighbor = -1
         for _ in range(r.u32()):
             neighbor = r.u32()
-            if neighbor in tables:
+            if neighbor <= last_neighbor:
                 raise CodecError(
-                    f"duplicate neighbor {neighbor} in routing state")
+                    f"neighbor {neighbor} out of order in routing state")
+            last_neighbor = neighbor
             table: Dict[Prefix, Route] = {}
             tables[neighbor] = table
+            last: Optional[Prefix] = None
             for _ in range(r.u32()):
                 prefix = _read_prefix(r)
-                if prefix in table:
+                if last is not None and not last < prefix:
                     raise CodecError(
-                        f"duplicate prefix in neighbor {neighbor} table")
+                        "prefix out of order in neighbor "
+                        f"{neighbor} table")
+                last = prefix
                 table[prefix] = _read_route(r)
     if r.raw(1) != b"O":
         raise CodecError("routing state misses section b'O'")
+    last = None
     for _ in range(r.u32()):
         prefix = _read_prefix(r)
-        if prefix in state.origins:
-            raise CodecError("duplicate origin prefix in routing state")
+        if last is not None and not last < prefix:
+            raise CodecError("origin prefix out of order in routing state")
+        last = prefix
         state.origins.add(prefix)
     r.expect_end()
     return state
@@ -255,39 +288,46 @@ _KIND_MESSAGE_TYPES: Dict[EntryKind, type] = {
 }
 
 
+#: An entry's fixed head: kind tag | t_ms.
+_S_ENTRY_HEAD = struct.Struct(">BQ")
+
+
 def decode_log_entry(data: Union[bytes, bytearray, memoryview]
                      ) -> Tuple[EntryKind, float, object]:
     """Strict inverse of :func:`encode_log_entry`.
 
     Returns ``(kind, timestamp, payload)``; the index and chain value
     that complete a :class:`~repro.spider.log.LogEntry` travel outside
-    the canonical bytes (the durable store frames them alongside).  Fails
-    closed: unknown kind tags, payload/kind type mismatches, truncation
-    and trailing bytes all raise :class:`CodecError`.
+    the canonical bytes (the durable store frames them alongside).  One
+    reader walks the whole entry: the head in one struct read, then the
+    body in place, whose declared length must be exactly the bytes
+    left.  Fails closed: unknown kind tags, payload/kind type
+    mismatches, truncation and trailing bytes all raise
+    :class:`CodecError`.
     """
     r = _Reader(data)
-    tag = r.u8()
+    tag, ms = r.unpack(_S_ENTRY_HEAD)
     kind = _KINDS_BY_TAG.get(tag)
     if kind is None:
         raise CodecError(f"unknown log entry kind tag {tag:#x}")
-    timestamp = r.time_ms()
+    timestamp = _seconds(ms)
     payload: object
     if kind is EntryKind.COMMITMENT:
         seed = r.blob16()
         root = r.blob16()
-        payload = {"seed": seed, "root": root}
-    elif kind is EntryKind.CHECKPOINT:
-        payload = _decode_state(r.window(r.u32()))
-    else:
-        n = r.u32()
-        payload = _decode_message(r.window(n))
-        expected_type = _KIND_MESSAGE_TYPES[kind]
-        if not isinstance(payload, expected_type):
-            raise CodecError(
-                f"{kind.value} entry carries a "
-                f"{type(payload).__name__}, expected "
-                f"{expected_type.__name__}")
-    r.expect_end()
+        r.expect_end()
+        return kind, timestamp, {"seed": seed, "root": root}
+    # The body fills the rest, and its reader ends by checking that it
+    # did.
+    r.expect_rest(r.u32())
+    if kind is EntryKind.CHECKPOINT:
+        return kind, timestamp, _read_state(r)
+    payload = _read_message(r)
+    expected_type = _KIND_MESSAGE_TYPES[kind]
+    if not isinstance(payload, expected_type):
+        raise CodecError(
+            f"{kind.value} entry carries a {type(payload).__name__}, "
+            f"expected {expected_type.__name__}")
     return kind, timestamp, payload
 
 
@@ -337,10 +377,8 @@ class SpiderLog:
             timestamp = self._entries[-1].timestamp
         entry_bytes = encode_entry(kind, timestamp, payload)
         chain = chain_step(self._head, entry_bytes)
-        entry = LogEntry(index=self._next_index, timestamp=timestamp,
-                         kind=kind, payload=payload,
-                         size_bytes=len(entry_bytes),
-                         chain=chain)
+        entry = new_entry(self._next_index, timestamp, kind, payload,
+                          len(entry_bytes), chain)
         if self.sink is not None:
             # Durable before visible: a sink failure leaves the
             # in-memory log exactly as it was.

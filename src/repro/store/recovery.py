@@ -34,13 +34,13 @@ authorized compaction covers everything before it), exactly as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from ..crypto.hashing import DIGEST_SIZE, constant_time_eq
 from ..spider.codec import CodecError
-from ..spider.log import LogEntry, TamperError, chain_step, \
-    decode_log_entry
+from ..spider.log import LogEntry, SpiderLog, TamperError, chain_step, \
+    decode_log_entry, new_entry
 from .segment import RawRecord, SegmentInfo, StoreCorruptionError
 from .seglog import SegmentedLogStore, read_directory
 
@@ -65,6 +65,23 @@ class Recovery:
     stats: RecoveryStats
 
 
+@dataclass(frozen=True)
+class RecoveredLog:
+    """A :class:`Recovery` once a log holds its entries, as a cold-opened
+    runtime keeps it: ``entries`` reads the recovered entries the log
+    still holds, so trimming the log frees the rest."""
+
+    head: bytes
+    next_index: int
+    stats: RecoveryStats
+    log: SpiderLog = field(repr=False, compare=False)
+
+    @property
+    def entries(self) -> List[LogEntry]:
+        return [entry for entry in self.log
+                if entry.index < self.next_index]
+
+
 def rebuild_entries(records: Iterable[RawRecord],
                     after: Optional[LogEntry] = None) -> List[LogEntry]:
     """Chain-verify and decode raw records into log entries.
@@ -77,36 +94,30 @@ def rebuild_entries(records: Iterable[RawRecord],
     gaps or chain-consistent but undecodable payloads.
     """
     entries: List[LogEntry] = []
+    append = entries.append
     prev_chain = after.chain if after is not None else None
     prev_index = after.index if after is not None else None
-    for record in records:
+    for index, chain, entry_bytes, _end in records:
         if prev_index is None:
-            if record.index == 0:
+            if index == 0:
                 prev_chain = bytes(DIGEST_SIZE)
             # else: compacted log — the first survivor's chain is the
             # trust anchor; nothing earlier exists to verify against.
-        elif record.index != prev_index + 1:
+        elif index != prev_index + 1:
             raise StoreCorruptionError(
-                f"record index gap: {record.index} follows "
-                f"{prev_index}")
+                f"record index gap: {index} follows {prev_index}")
         if prev_chain is not None and not constant_time_eq(
-                chain_step(prev_chain, record.entry_bytes), record.chain):
-            raise TamperError(
-                f"record {record.index} breaks the hash chain")
+                chain_step(prev_chain, entry_bytes), chain):
+            raise TamperError(f"record {index} breaks the hash chain")
         try:
-            kind, timestamp, payload = \
-                decode_log_entry(record.entry_bytes)
+            kind, timestamp, payload = decode_log_entry(entry_bytes)
         except CodecError as exc:
             raise StoreCorruptionError(
-                f"record {record.index}: undecodable entry: {exc}"
-            ) from exc
-        entries.append(LogEntry(index=record.index,
-                                timestamp=timestamp, kind=kind,
-                                payload=payload,
-                                size_bytes=len(record.entry_bytes),
-                                chain=record.chain))
-        prev_chain = record.chain
-        prev_index = record.index
+                f"record {index}: undecodable entry: {exc}") from exc
+        append(new_entry(index, timestamp, kind, payload,
+                         len(entry_bytes), chain))
+        prev_chain = chain
+        prev_index = index
     return entries
 
 

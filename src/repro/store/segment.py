@@ -30,7 +30,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Union
 
 from ..crypto.hashing import DIGEST_SIZE
 
@@ -84,9 +84,11 @@ class SegmentInfo:
     size_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
-class RawRecord:
-    """One framed record as scanned off disk (not yet chain-verified)."""
+class RawRecord(NamedTuple):
+    """One framed record as scanned off disk (not yet chain-verified).
+
+    A tuple, so a scan builds it in one positional call and recovery
+    unpacks it in one step."""
 
     index: int
     chain: bytes
@@ -150,20 +152,25 @@ def encode_record(index: int, chain: bytes,
     return _S_RECORD.pack(STORE_VERSION, index) + chain + entry_bytes
 
 
-def decode_record(data: Union[bytes, memoryview],
-                  end_offset: int) -> RawRecord:
-    """Strict inverse of :func:`encode_record` for one frame payload."""
-    if len(data) < RECORD_OVERHEAD:
+def decode_record(data: bytes, end_offset: int,
+                  start: int = 0, stop: Optional[int] = None
+                  ) -> RawRecord:
+    """Strict inverse of :func:`encode_record` for the frame payload
+    ``data[start:stop]`` (all of ``data`` by default).  A scan hands in
+    the whole file, so the chain and the entry are one slice each of
+    it; ``end_offset`` is the truncation point the record reports."""
+    if stop is None:
+        stop = len(data)
+    if stop - start < RECORD_OVERHEAD:
         raise StoreCorruptionError(
-            f"record payload truncated at {len(data)} bytes")
-    version, index = _S_RECORD.unpack_from(data, 0)
+            f"record payload truncated at {stop - start} bytes")
+    version, index = _S_RECORD.unpack_from(data, start)
     if version != STORE_VERSION:
         raise StoreCorruptionError(
             f"unsupported record version {version}")
-    chain = bytes(data[_S_RECORD.size:RECORD_OVERHEAD])
-    entry_bytes = bytes(data[RECORD_OVERHEAD:])
-    return RawRecord(index=int(index), chain=chain,
-                     entry_bytes=entry_bytes, end_offset=end_offset)
+    entry_at = start + RECORD_OVERHEAD
+    return RawRecord(index, data[start + _S_RECORD.size:entry_at],
+                     data[entry_at:stop], end_offset)
 
 
 def frame_record(payload: bytes) -> bytes:
@@ -181,55 +188,52 @@ def scan_segment(path: str) -> ScanResult:
     Never raises for content problems — the caller decides whether a
     violation is a torn tail (final segment: truncate) or corruption
     (sealed segment: fail closed).  Only genuine I/O errors propagate.
+
+    Each frame is checked where it lies in the file's bytes: its bound,
+    then its CRC over a view, then its record (:func:`decode_record`).
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    view = memoryview(data)
     size = len(data)
     try:
-        base_index = decode_header(view)
+        base_index = decode_header(data)
     except StoreCorruptionError as exc:
         return ScanResult(base_index=None, records=[], valid_bytes=0,
                           file_bytes=size, error=str(exc),
                           header_ok=False)
+    view = memoryview(data)
     records: List[RawRecord] = []
+    append = records.append
+    unpack_frame = _S_FRAME.unpack_from
+    crc32 = zlib.crc32
     offset = HEADER_SIZE
     error: Optional[str] = None
     while offset < size:
-        frame_end, payload, error = _next_frame(view, offset, size)
-        if error is not None:
+        start = offset + FRAME_OVERHEAD
+        if start > size:
+            error = f"offset {offset}: frame header truncated"
+            break
+        length, crc = unpack_frame(data, offset)
+        if length > MAX_RECORD_SIZE:
+            error = f"offset {offset}: frame length {length} " \
+                "exceeds bound"
+            break
+        end = start + length
+        if end > size:
+            error = f"offset {offset}: frame payload truncated"
+            break
+        if crc32(view[start:end]) != crc:
+            error = f"offset {offset}: CRC mismatch"
             break
         try:
-            records.append(decode_record(payload, frame_end))
+            append(decode_record(data, end, start, end))
         except StoreCorruptionError as exc:
             error = f"offset {offset}: {exc}"
             break
-        offset = frame_end
+        offset = end
     return ScanResult(base_index=base_index, records=records,
                       valid_bytes=offset, file_bytes=size, error=error,
                       header_ok=True)
-
-
-def _next_frame(view: memoryview, offset: int, size: int
-                ) -> Tuple[int, memoryview, Optional[str]]:
-    """One frame at ``offset``: ``(end_offset, payload, error)``."""
-    empty = view[0:0]
-    if offset + FRAME_OVERHEAD > size:
-        return offset, empty, \
-            f"offset {offset}: frame header truncated"
-    length, crc = _S_FRAME.unpack_from(view, offset)
-    if length > MAX_RECORD_SIZE:
-        return offset, empty, \
-            f"offset {offset}: frame length {length} exceeds bound"
-    start = offset + FRAME_OVERHEAD
-    end = start + length
-    if end > size:
-        return offset, empty, \
-            f"offset {offset}: frame payload truncated"
-    payload = view[start:end]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        return offset, empty, f"offset {offset}: CRC mismatch"
-    return end, payload, None
 
 
 def list_segments(directory: str) -> List[SegmentInfo]:

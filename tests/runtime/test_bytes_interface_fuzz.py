@@ -20,6 +20,7 @@ decode of corrupted bytes never silently yields the original message.
 import dataclasses
 import importlib
 import pkgutil
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +28,13 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
-from repro.spider import codec
+from repro.crypto.signatures import Signed
+from repro.spider import codec, log
 from repro.spider.log import decode_log_entry, encode_entry
 from repro.spider.state import RoutingState
 from repro.spider.log import EntryKind
+from repro.spider.wire import SpiderAck, SpiderWithdraw
+from tests.runtime.test_codec_roundtrip import _fresh_encode
 from tests.strategies import ENTRY_PAYLOADS, acks, announces, \
     bit_proofs, commitments, prefixes, routes, routing_states, withdraws
 
@@ -293,3 +297,80 @@ def test_log_entry_bitflip_never_misparses(kind, data):
         return
     assert decoded != (kind, timestamp, payload), (
         "corrupted bytes decoded back to the original entry")
+
+
+def _fresh_entry(kind, timestamp, payload):
+    """:func:`encode_entry` with every message encoded past the frame
+    memo, so the property below cannot pass on bytes the memo lent."""
+    with mock.patch.object(log, "encode_message", _fresh_encode):
+        return encode_entry(kind, timestamp, payload)
+
+
+@pytest.mark.parametrize("kind", _ENTRY_PARAMS,
+                         ids=[k.value for k in _ENTRY_PARAMS])
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_log_entry_accepted_bytes_are_canonical(kind, data):
+    """Every entry the decoder accepts, byte flips included, re-encodes
+    to exactly its bytes: a stored entry has one encoding, so recovery
+    re-derives what the chain covered."""
+    encoded = bytearray(encode_entry(kind, data.draw(_TIMESTAMPS),
+                                     data.draw(ENTRY_STRATEGIES[kind])))
+    if data.draw(st.booleans()):
+        pos = data.draw(st.integers(0, len(encoded) - 1))
+        encoded[pos] ^= data.draw(st.integers(1, 255))
+    try:
+        decoded = decode_log_entry(bytes(encoded))
+    except codec.CodecError:
+        return
+    assert _fresh_entry(*decoded) == encoded
+
+
+_LOW, _HIGH = Prefix.parse("10.0.0.0/8"), Prefix.parse("11.0.0.0/8")
+
+
+@pytest.mark.parametrize("state, first, second", [
+    (RoutingState(exports={1: {}, 2: {}}),
+     (1).to_bytes(4, "big") + bytes(4), (2).to_bytes(4, "big") + bytes(4)),
+    (RoutingState(origins={_LOW, _HIGH}), _LOW.to_bytes(), _HIGH.to_bytes()),
+], ids=["neighbors", "origins"])
+def test_checkpoint_out_of_order_is_refused(state, first, second):
+    """A checkpoint lists neighbors and prefixes ascending; the same
+    state in another order is a second encoding, and is refused."""
+    encoded = encode_entry(EntryKind.CHECKPOINT, 1.0, state)
+    assert encoded.count(first + second) == 1
+    swapped = encoded.replace(first + second, second + first)
+    with pytest.raises(codec.CodecError, match="out of order"):
+        decode_log_entry(swapped)
+
+
+_SIGNED = Signed(signer=1, payload=b"p", signature=b"s")
+_ACK_ENTRY = encode_entry(EntryKind.SENT_ACK, 3.0, SpiderAck(
+    acker=1, sender=2, timestamp=3.0, message_hash=bytes(20),
+    envelope=_SIGNED))
+_WITHDRAW_ENTRY = encode_entry(EntryKind.SENT_WITHDRAW, 3.0, SpiderWithdraw(
+    sender=1, receiver=2, timestamp=3.0, prefix=_LOW, envelope=_SIGNED))
+
+
+def _declared(delta):
+    """The ACK entry with its body's u32 length (after kind and t_ms)
+    moved by ``delta``."""
+    n = int.from_bytes(_ACK_ENTRY[9:13], "big") + delta
+    return _ACK_ENTRY[:9] + n.to_bytes(4, "big") + _ACK_ENTRY[13:]
+
+
+@pytest.mark.parametrize("data, pattern", [
+    (_declared(-1), "declared"),
+    (_declared(+1), "declared"),
+    (_ACK_ENTRY + b"\x00", "declared"),
+    (_ACK_ENTRY[:13] + b"\x09" + _ACK_ENTRY[14:], "wire version"),
+    (_ACK_ENTRY[:14] + b"\x7f" + _ACK_ENTRY[15:], "message tag"),
+    (_ACK_ENTRY[:1] + _WITHDRAW_ENTRY[1:], "carries a SpiderWithdraw"),
+], ids=["length-short", "length-long", "trailing", "version", "tag",
+        "type"])
+def test_log_entry_refusals(data, pattern):
+    """One reader per entry still refuses what the entry reader and the
+    message reader refused between them."""
+    assert decode_log_entry(_ACK_ENTRY)[0] is EntryKind.SENT_ACK
+    with pytest.raises(codec.CodecError, match=pattern):
+        decode_log_entry(data)
