@@ -153,9 +153,13 @@ class Prefix:
         return f"{self._format_address(self.address)}/{self.length}"
 
     def __lt__(self, other: "Prefix") -> bool:
+        # ``(address, length)`` order without building two tuples: every
+        # audit sorts prefixes.
         if not isinstance(other, Prefix):
             return NotImplemented
-        return (self.address, self.length) < (other.address, other.length)
+        if self.address != other.address:
+            return self.address < other.address
+        return self.length < other.length
 
 
 #: The default route, useful as a catch-all in examples.

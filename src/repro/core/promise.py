@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, \
-    Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.hashing import constant_time_eq, digest_fields
 from ..crypto.keys import KeyRegistry
@@ -32,24 +31,34 @@ class InconsistentPromiseError(ValueError):
     """Raised when a promise's order pairs contain a cycle."""
 
 
-def _transitive_closure(pairs: Iterable[OrderPair]) -> FrozenSet[OrderPair]:
-    """Reachability closure via DFS from each node (near-linear for the
-    dense tier×length promises real deployments use)."""
-    successors: Dict[int, Set[int]] = {}
+def _transitive_closure(pairs: FrozenSet[OrderPair],
+                        k: int) -> FrozenSet[OrderPair]:
+    """The transitive closure of in-range, irreflexive ``pairs`` over k
+    classes: ``pairs`` itself when it is already closed, as every
+    total-order and chain promise is.
+
+    Warshall over one int bit-row per class (bit ``h`` of row ``l``:
+    ``l`` reaches ``h``), O(k²) row operations; a class that reaches
+    itself lies on a cycle.
+    """
+    rows = [0] * k
     for lower, higher in pairs:
-        successors.setdefault(lower, set()).add(higher)
-    closure: Set[OrderPair] = set()
-    for start in list(successors):
-        seen: Set[int] = set()
-        stack = list(successors[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(successors.get(node, ()))
-        closure.update((start, target) for target in seen)
-    return frozenset(closure)
+        rows[lower] |= 1 << higher
+    for middle in range(k):
+        through, bit = rows[middle], 1 << middle
+        if through:
+            rows = [row | through if row & bit else row for row in rows]
+    for cls, row in enumerate(rows):
+        if row >> cls & 1:
+            other = next(c for c in range(k)
+                         if c != cls and row >> c & 1 and rows[c] >> cls & 1)
+            raise InconsistentPromiseError(
+                f"cycle between classes {cls} and {other}")
+    if sum(row.bit_count() for row in rows) == len(pairs):
+        return frozenset(pairs)  # the same object for a frozenset
+    return frozenset((lower, higher)
+                     for lower, row in enumerate(rows)
+                     for higher in range(k) if row >> higher & 1)
 
 
 @dataclass(frozen=True)
@@ -79,13 +88,8 @@ class Promise:
                 raise InconsistentPromiseError(
                     f"class {lower} cannot be preferred over itself"
                 )
-        closure = _transitive_closure(self.order)
-        for lower, higher in closure:
-            if (higher, lower) in closure:
-                raise InconsistentPromiseError(
-                    f"cycle between classes {lower} and {higher}"
-                )
-        object.__setattr__(self, "order", closure)
+        object.__setattr__(self, "order",
+                           _transitive_closure(self.order, k))
 
     @cached_property
     def _class_sets(self) -> Tuple[Dict[int, Tuple[int, ...]],

@@ -10,7 +10,9 @@ reproducing exactly the state the MTT was built from.
 from __future__ import annotations
 
 import dataclasses
-from typing import Collection, List, Optional
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Collection, Optional, Tuple
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
@@ -84,8 +86,13 @@ def apply_entry(state: RoutingState, asn: int,
     return ()  # ACKs and commitments do not change routing state
 
 
+_entry_index = attrgetter("index")
+
+
 def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
-           before_index: Optional[int] = None) -> RoutingState:
+           before_index: Optional[int] = None,
+           since: Optional[Tuple[int, RoutingState]] = None
+           ) -> RoutingState:
     """Reconstruct the routing state at a point of the log.
 
     The point is a time — every entry with timestamp ≤ ``until`` — or,
@@ -101,21 +108,45 @@ def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
     acknowledged, outgoing when sent (Section 6.3); the recorder logs
     them at exactly those moments, so replay can apply entries in log
     order.
+
+    ``since=(index, state)`` resumes: ``state`` must be this replay's
+    result for ``before_index=index`` on the same log.  If no
+    checkpoint lies in ``[index, before_index)``, the full replay's fold
+    is that state's fold continued, so a copy of ``state`` takes the
+    entries in between; otherwise the fold starts over at the latest
+    one, as the full replay does.  Either way the result is the full
+    replay's, down to dict order.  An ``index`` at or before the first
+    entry the log still holds (a trim may have dropped what ``state``
+    was folded from) or past the cut, or a cut by time, means a full
+    replay.
     """
-    if (until is None) == (before_index is None):
-        raise ValueError("replay needs a time or a log index, not both")
-    cut: List[LogEntry] = []
-    for entry in log:
-        if before_index is not None:
-            if entry.index >= before_index:
+    if before_index is not None and until is None:
+        end = bisect_left(log, before_index, key=_entry_index)
+    elif until is not None and before_index is None:
+        end = 0
+        for entry in log:
+            if entry.timestamp > until:
                 break
-        elif until is not None and entry.timestamp > until:
+            end += 1
+    else:
+        raise ValueError("replay needs a time or a log index, not both")
+    # ``since`` holds the fold below ``floor``: the latest checkpoint
+    # inside the cut is looked for down to there.
+    base: Optional[RoutingState] = None
+    floor = 0
+    if since is not None and before_index is not None and len(log) and \
+            log[0].index < since[0] <= before_index:
+        floor = bisect_left(log, since[0], key=_entry_index)
+        base = since[1]
+    entries = log[floor:end]
+    for position in range(len(entries) - 1, -1, -1):
+        if entries[position].kind is EntryKind.CHECKPOINT:
+            # The fold starts over at that checkpoint.
+            entries = entries[position:]
+            base = None
             break
-        if entry.kind is EntryKind.CHECKPOINT:
-            cut = []
-        cut.append(entry)
-    state = RoutingState()
-    for entry in cut:
+    state = RoutingState() if base is None else base.copy()
+    for entry in entries:
         apply_entry(state, asn, entry)
     return state
 

@@ -39,7 +39,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, \
-    Protocol, Tuple, Union
+    Protocol, Tuple, Union, overload
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
@@ -344,6 +344,9 @@ class SpiderLog:
         #: once :meth:`trim` has dropped a prefix: indices are monotonic
         #: over the log's whole lifetime, never reused.
         self._next_index = 0
+        #: ``time_bytes`` of each COMMITMENT entry held → its index; the
+        #: first of two in one millisecond keeps the key.
+        self._commitments: Dict[bytes, int] = {}
 
     @classmethod
     def restore(cls, entries: Iterable[LogEntry],
@@ -354,6 +357,7 @@ class SpiderLog:
         re-appended to the sink."""
         log = cls(retention_seconds=retention_seconds, sink=sink)
         log._entries = list(entries)
+        log._index_commitments()
         if log._entries:
             log._head = log._entries[-1].chain
             log._next_index = log._entries[-1].index + 1
@@ -364,6 +368,18 @@ class SpiderLog:
 
     def __iter__(self) -> Iterator[LogEntry]:
         return iter(self._entries)
+
+    @overload
+    def __getitem__(self, position: int) -> LogEntry: ...
+
+    @overload
+    def __getitem__(self, position: slice) -> List[LogEntry]: ...
+
+    def __getitem__(self, position: Union[int, slice]
+                    ) -> Union[LogEntry, List[LogEntry]]:
+        """The entry, or a list of them, at list positions (not entry
+        indices)."""
+        return self._entries[position]
 
     @property
     def head(self) -> bytes:
@@ -386,6 +402,9 @@ class SpiderLog:
         self._entries.append(entry)
         self._head = chain
         self._next_index = entry.index + 1
+        if kind is EntryKind.COMMITMENT:
+            self._commitments.setdefault(time_bytes(timestamp),
+                                         entry.index)
         return entry
 
     def sync(self) -> None:
@@ -409,13 +428,23 @@ class SpiderLog:
 
     def commitment_at(self, t: float) -> Optional[LogEntry]:
         """The commitment logged at ``t`` on the millisecond grid, the
-        resolution its broadcast carries its commit time at."""
-        stamp = time_bytes(t)
+        resolution its broadcast carries its commit time at; the first
+        one, should two share a millisecond.  Found through the index
+        :meth:`append`, :meth:`restore` and :meth:`trim` keep, and read
+        from the entry list, so it is the entry the log holds now."""
+        index = self._commitments.get(time_bytes(t))
+        if index is None:
+            return None
+        return self._entries[index - self._entries[0].index]
+
+    def _index_commitments(self) -> None:
+        """Index every COMMITMENT entry held, the first per millisecond
+        first."""
+        self._commitments = {}
         for entry in self._entries:
-            if entry.kind is EntryKind.COMMITMENT and \
-                    time_bytes(entry.timestamp) == stamp:
-                return entry
-        return None
+            if entry.kind is EntryKind.COMMITMENT:
+                self._commitments.setdefault(time_bytes(entry.timestamp),
+                                             entry.index)
 
     # ------------------------------------------------------------------
     # Integrity and retention
@@ -461,6 +490,9 @@ class SpiderLog:
             return TrimReport(entries=0, bytes_reclaimed=0)
         dropped = self._entries[:base]  # keep the checkpoint itself
         self._entries = self._entries[base:]
+        # A commitment that shared its millisecond with a dropped one
+        # now owns the key.
+        self._index_commitments()
         by_kind = _bytes_by_kind(dropped)
         if self.sink is not None:
             self.sink.trim(self._entries[0].index)

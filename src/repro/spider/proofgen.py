@@ -29,13 +29,19 @@ current: N neighbors asking for one commit time in a row trigger one
 replay, not N.  The recorder's next round edits or relabels its tree,
 which makes a reconstruction taken from it stale; a stale one is never
 served and never proved from.
+
+A replay resumes from the generator's last one (``replay(...,
+since=...)``): the next commitment asked for is usually the next one
+logged, so an audit folds the entries logged since the previous audit,
+not the whole log.  The generator keeps its own copy of that state and
+never hands it out; :meth:`ProofGenerator.rebuild` replays in full.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bgp.prefix import Prefix
 from ..crypto.hashing import constant_time_eq
@@ -120,6 +126,10 @@ class ProofGenerator:
     def __init__(self, recorder: Recorder):
         self.recorder = recorder
         self._last: Optional[Reconstruction] = None
+        #: (commitment index, a private copy of the state replayed up
+        #: to it) of the last reconstruction that checked out: where the
+        #: next replay resumes.
+        self._replayed: Optional[Tuple[int, RoutingState]] = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -143,17 +153,20 @@ class ProofGenerator:
             return last
         self.cache_misses += 1
         self._last = None  # no second tree held while one is built
-        self._last = self._reconstruct(commit_time, retained=True)
+        self._last = self._reconstruct(commit_time, cached=True)
         return self._last
 
     def rebuild(self, commit_time: float) -> Reconstruction:
         """The §6.5 reconstruction from the log alone: replay, build,
         relabel from the logged seed.  Uncached, and never reads the
         recorder's tree."""
-        return self._reconstruct(commit_time, retained=False)
+        return self._reconstruct(commit_time, cached=False)
 
     def _reconstruct(self, commit_time: float,
-                     retained: bool) -> Reconstruction:
+                     cached: bool) -> Reconstruction:
+        """Replay, then take the retained tree or rebuild.  ``cached``
+        lets the replay resume and the retained tree serve; without it
+        this is :meth:`rebuild`."""
         recorder = self.recorder
         entry = recorder.log.commitment_at(commit_time)
         if entry is None:
@@ -164,9 +177,10 @@ class ProofGenerator:
         # entry logged in the same millisecond after the commitment is
         # not part of the committed state.
         state = replay(recorder.log, recorder.asn,
-                       before_index=entry.index)
+                       before_index=entry.index,
+                       since=self._replayed if cached else None)
         entries = recorder.mtt_entries(state)
-        tree = recorder.committed_tree(commit_time) if retained else None
+        tree = recorder.committed_tree(commit_time) if cached else None
         if tree is None:
             tree = Mtt.build(entries)
             # Rebuilds are the same workload as live commitments (§6.5
@@ -187,6 +201,8 @@ class ProofGenerator:
         label = tree.root.label
         if label is None or not constant_time_eq(label, root):
             raise RuntimeError(_REPLAY_BROKEN)
+        if cached:
+            self._replayed = (entry.index, state.copy())
         return Reconstruction(commit_time=commit_time, tree=tree,
                               root=root, state=state,
                               version=tree.version)

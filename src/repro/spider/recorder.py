@@ -648,7 +648,16 @@ class Recorder:
 
         Every label is written back, so once the COMMITMENT entry is
         logged the tree is stamped as that commitment's; the stamp is
-        cleared first, and a round that raises leaves none."""
+        cleared first, and a round that raises leaves none.
+
+        One commitment per millisecond, the grid its commit time is
+        signed and looked up on: a second root for the same commit time
+        is equivocation to every neighbour.  A call in the millisecond
+        of the latest commitment logs and sends nothing and returns
+        that record; what changed since waits for the next round."""
+        if self.commitments and same_millisecond(
+                self.commitments[-1].commit_time, self.clock.now):
+            return self.commitments[-1]
         self.flush_outbox()  # the commitment must cover queued messages
         commit_time = self.clock.now
         seed = self.commitment_seed(commit_time)

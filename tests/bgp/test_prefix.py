@@ -142,3 +142,27 @@ class TestOrdering:
     def test_hashable_value_semantics(self):
         assert len({Prefix.parse("10.0.0.0/8"),
                     Prefix.parse("10.0.0.0/8")}) == 1
+
+    @given(bits_strategy(), bits_strategy())
+    def test_comparisons_follow_tuple_order(self, a_bits, b_bits):
+        a = Prefix.from_bits(a_bits)
+        # ``a`` one bit longer with a 0 shares its address: the length
+        # decides.
+        longer = (Prefix.from_bits(a_bits + (0,)),) \
+            if len(a_bits) < MAX_PREFIX_LEN else ()
+        for b in (Prefix.from_bits(b_bits), *longer):
+            ta, tb = (a.address, a.length), (b.address, b.length)
+            assert (a < b, a <= b, a > b, a >= b, a == b) == \
+                (ta < tb, ta <= tb, ta > tb, ta >= tb, ta == tb)
+            assert (b < a, b <= a, b > a, b >= a) == \
+                (tb < ta, tb <= ta, tb > ta, tb >= ta)
+
+    @pytest.mark.parametrize("other", [(10 << 24, 8), "10.0.0.0/8", 5,
+                                       None])
+    def test_comparing_with_a_non_prefix_raises(self, other):
+        p = Prefix.parse("10.0.0.0/8")
+        for compare in (lambda: p < other, lambda: p <= other,
+                        lambda: p > other, lambda: p >= other,
+                        lambda: other < p, lambda: other >= p):
+            with pytest.raises(TypeError):
+                compare()

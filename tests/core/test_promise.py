@@ -43,8 +43,9 @@ class TestPromiseConstruction:
                     order=frozenset({(0, 1), (1, 2), (2, 0)}))
 
     def test_out_of_range_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Promise(scheme=flat_scheme(2), order=frozenset({(0, 5)}))
+        for pair in ((0, 5), (5, 0), (-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                Promise(scheme=flat_scheme(2), order=frozenset({pair}))
 
     def test_trivial_promise_prefers_nothing(self):
         p = trivial_promise(flat_scheme(4))
@@ -88,8 +89,8 @@ def scanned_below(promise, c):
 
 
 @st.composite
-def acyclic_promises(draw):
-    """A promise over random acyclic generating pairs, k <= 12: pairs
+def acyclic_orders(draw):
+    """``(k, pairs)``: random acyclic generating pairs, k <= 12: pairs
     ranked along a random permutation can never close a cycle."""
     k = draw(st.integers(1, 12))
     rank = draw(st.permutations(range(k)))
@@ -97,8 +98,14 @@ def acyclic_promises(draw):
                                    st.integers(0, k - 1))
                          .filter(lambda ij: ij[0] < ij[1]),
                          max_size=k * (k - 1) // 2))
-    return Promise(scheme=flat_scheme(k),
-                   order=frozenset((rank[i], rank[j]) for i, j in pairs))
+    return k, frozenset((rank[i], rank[j]) for i, j in pairs)
+
+
+@st.composite
+def acyclic_promises(draw):
+    """A promise over random acyclic generating pairs."""
+    k, pairs = draw(acyclic_orders())
+    return Promise(scheme=flat_scheme(k), order=pairs)
 
 
 def assert_class_sets_match_the_scan(promise):
@@ -161,6 +168,88 @@ class TestClassSets:
         assert q.classes_below(1) == (2,)
         assert q.classes_above(2) == (1,)
         assert p.classes_above(1) == (2, 3)
+
+
+def dfs_closure(pairs):
+    """The reachability closure as the promise computed it before the
+    bit rows: a DFS from every class, kept as the reference."""
+    successors = {}
+    for lower, higher in pairs:
+        successors.setdefault(lower, set()).add(higher)
+    closure = set()
+    for start in list(successors):
+        seen = set()
+        stack = list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(successors.get(node, ()))
+        closure.update((start, target) for target in seen)
+    return frozenset(closure)
+
+
+@st.composite
+def order_pairs(draw, max_k=12):
+    """``(k, pairs)``: random irreflexive in-range pairs, cycles allowed."""
+    k = draw(st.integers(2, max_k))
+    pairs = draw(st.frozensets(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        .filter(lambda ij: ij[0] != ij[1]), max_size=2 * k))
+    return k, pairs
+
+
+class TestClosure:
+    """The bit-row closure against the DFS it replaced: the same order
+    on every acyclic set, a cycle wherever the DFS closure holds a pair
+    both ways, and a closed set kept as it was given."""
+
+    #: SHA-512 prefixes of ``signed_promise(...).signature`` by the
+    #: elector's 512-bit test key at k = 50: total order, the chain
+    #: 0 < 3 < ... < 48, trivial.
+    SIGNED = ("804a7145a2eb9790fc2682f44c4a4e7b4aca28a3",
+              "3adea435060c04ae8c8b4d32135c2daf6dd7d6ad",
+              "a2fbbd7ff41b9968893a6a86672628fa2d40ab4e")
+
+    @settings(max_examples=300, deadline=None)
+    @given(acyclic_orders())
+    def test_acyclic_orders_match_the_dfs(self, k_pairs):
+        k, pairs = k_pairs
+        order = Promise(scheme=flat_scheme(k), order=pairs).order
+        assert order == dfs_closure(pairs)
+        assert Promise(scheme=flat_scheme(k), order=order).order is order
+
+    @settings(max_examples=300, deadline=None)
+    @given(order_pairs())
+    def test_cycles_are_where_the_dfs_finds_them(self, k_pairs):
+        k, pairs = k_pairs
+        reference = dfs_closure(pairs)
+        cyclic = any((h, l) in reference for l, h in reference)
+        if cyclic:
+            with pytest.raises(InconsistentPromiseError,
+                               match="cycle between classes"):
+                Promise(scheme=flat_scheme(k), order=pairs)
+        else:
+            assert Promise(scheme=flat_scheme(k),
+                           order=pairs).order == reference
+
+    def test_a_closed_set_is_kept(self):
+        for promise in TestClassSets.k50_promises():
+            again = Promise(scheme=promise.scheme, order=promise.order)
+            assert again.order is promise.order
+        open_chain = frozenset({(0, 1), (1, 2)})
+        assert Promise(scheme=flat_scheme(3), order=open_chain).order == \
+            open_chain | {(0, 2)}
+
+    def test_k50_signatures_are_pinned(self, identities):
+        """``encode()`` is pinned in :class:`TestClassSets`."""
+        signer = Signer(identities[ELECTOR])
+        for promise, signed in zip(TestClassSets.k50_promises(),
+                                   self.SIGNED):
+            envelope = signed_promise(signer, promise)
+            assert hashlib.sha512(envelope.signature).hexdigest()[:40] \
+                == signed
 
 
 class TestViolationSemantics:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.bgp.prefix import Prefix
 from repro.netsim.topology import FOCUS_AS
 from repro.obs.registry import get_registry
 from repro.spider.codec import decode_message, encode_message
@@ -98,6 +99,34 @@ class TestCommitments:
         r2 = dep.commit_now(FOCUS_AS)
         # Same routing state, fresh blinding → different roots (§5.3).
         assert r1.root != r2.root
+
+    def test_one_commitment_per_millisecond(self, fresh_deployment):
+        """A second round in the commit millisecond would sign another
+        root for the same commit time, which every neighbour holds as
+        equivocation: it logs nothing and returns the standing record,
+        and what changed waits for the next round."""
+        network, dep = fresh_deployment
+        recorder = dep.node(FOCUS_AS).recorder
+        first = recorder.make_commitment()
+        log_length = len(recorder.log)
+        network.originate(FOCUS_AS, Prefix.parse("10.9.0.0/16"))
+        again = recorder.make_commitment()
+        assert again is first
+        assert len(recorder.log) == log_length
+        assert recorder.committed_tree(first.commit_time) is not None
+        network.settle()
+        for neighbor in network.topology.neighbors(FOCUS_AS):
+            node = dep.node(neighbor)
+            assert node.recorder.alarms == []
+            assert node.detections == []
+            assert node.commitment_from(
+                FOCUS_AS, first.commit_time).root == first.root
+        network.sim.clock.advance_to(network.sim.now + 1.0)
+        later = recorder.make_commitment()
+        assert later.root != first.root
+        assert dep.node(FOCUS_AS).proofgen.reconstruct(
+            later.commit_time).root == later.root
+        assert all(o.report.ok for o in dep.verify(FOCUS_AS))
 
     def test_periodic_commitments_fire(self):
         from repro.netsim.network import Network

@@ -827,3 +827,42 @@ class TestReplaySelfCheck:
                 reconstruct(record.commit_time)
         monkeypatch.undo()
         world.finish()
+
+    @pytest.mark.parametrize("neighbor, prefix", [
+        (3, Prefix.parse("10.0.0.0/8")),
+        (2, Q),
+    ], ids=["prefix_lost", "bits_differ"])
+    def test_a_resumed_replay_that_drops_an_entry(self, monkeypatch,
+                                                  neighbor, prefix):
+        """The replay resumes where the last reconstruction left off;
+        an entry it then drops still fails the check, resumed or in
+        the full rebuild."""
+        world = honest_world()
+        first = world.commit()
+        proofgen = ProofGenerator(world.recorder)
+        assert proofgen.reconstruct(first.commit_time).root == first.root
+        resume_at = world.recorder.log.commitment_at(
+            first.commit_time).index
+        world.announce(neighbor, prefix)
+        record = world.commit()
+        replay = proofgen_module.replay
+        dropped, resumed_from = [], []
+
+        def lossy(log, asn, since=None, **kwargs):
+            entries = list(log)
+            last = max(i for i, e in enumerate(entries)
+                       if e.kind is EntryKind.RECV_ANNOUNCE)
+            dropped.append(entries[last].index)
+            resumed_from.append(None if since is None else since[0])
+            return replay(entries[:last] + entries[last + 1:], asn,
+                          since=since, **kwargs)
+
+        monkeypatch.setattr(proofgen_module, "replay", lossy)
+        for reconstruct in (proofgen.reconstruct, proofgen.rebuild):
+            with pytest.raises(RuntimeError,
+                               match="log replay is broken"):
+                reconstruct(record.commit_time)
+        assert resumed_from == [resume_at, None]
+        assert all(index > resume_at for index in dropped)
+        monkeypatch.undo()
+        world.finish()
