@@ -103,15 +103,18 @@ def honest_choice(scheme: ClassScheme,
                   promises: Iterable[Promise],
                   private_rank: Optional[Callable[[Route], object]]
                   = None) -> RouteOrNull:
-    """Pick ``e`` so every consumer can be given a conforming offer.
+    """Pick ``e`` so every consumer can be given an offer its check
+    passes.
 
     Candidates are tried in the elector's private preference order
     (``private_rank``: lower sorts earlier; defaults to a deterministic
     byte ordering standing in for the BGP decision process).  The first
-    candidate for which every promise admits a conforming offer wins.  If
-    none exists — possible only with inconsistent promises (Theorem 5) —
-    ⊥ is returned and some promise will be broken or some consumer
-    unserved.
+    wins for which every promise admits ``e`` or ⊥ with a 0 bit, among
+    the bits it commits (:func:`compute_bits`), for each class above the
+    offer: the consumer demands those 0-proofs, and the bits also set
+    the classes *other* promises rank below ``e`` (Theorem 3).  If none
+    does — possible only with inconsistent promises (Theorem 5) — ⊥ is
+    returned and some promise will be broken or some consumer unserved.
     """
     promise_list = list(promises)
     real_inputs = [r for r in inputs if r is not NULL_ROUTE]
@@ -120,7 +123,10 @@ def honest_choice(scheme: ClassScheme,
     candidates: List[RouteOrNull] = sorted(real_inputs, key=private_rank)
     candidates.append(NULL_ROUTE)
     for candidate in candidates:
-        if all(conforming_offer(p, inputs, candidate) is not None
+        bits = compute_bits(scheme, inputs, candidate, promise_list)
+        offers = (scheme.classify(candidate), scheme.classify(NULL_ROUTE))
+        if all(any(not any(bits[cls] for cls in p.classes_above(offer))
+                   for offer in offers)
                for p in promise_list):
             return candidate
     return NULL_ROUTE

@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..core.verdict import DetectionRecord, FaultKind
 from ..netreview.auditor import AuditReport
-from ..spider.checkpoint import replay
 from ..spider.node import SpiderDeployment, VerificationOutcome
 
 
@@ -174,9 +173,8 @@ def check_privacy(deployment: SpiderDeployment, elector: int,
     problems: List[str] = []
 
     elector_node = deployment.nodes[elector]
-    elector_prefixes = set(
-        replay(elector_node.recorder.log, elector,
-               elector_node.recorder.commitments[-1].commit_time)
+    elector_prefixes = set(elector_node.committed_view(
+        elector_node.recorder.commitments[-1].commit_time)
         .known_prefixes())
 
     for outcome in outcomes:

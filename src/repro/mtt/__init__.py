@@ -15,8 +15,8 @@ from .nodes import BitNode, DummyNode, EDGE_END, EDGE_ONE, EDGE_ZERO, \
 from .pool import LabelPool, PoolBrokenError, RoundResult, subtree_jobs
 from .proofs import LabelDigestCache, MttBitProof, PathStep, ProofError, \
     generate_proof, generate_proofs, verify_proof
-from .stats import PAPER_CENSUS, PAPER_MTT_BYTES, ScaleComparison, \
-    predict_census, slot_identity_holds
+from .stats import PAPER_CENSUS, PAPER_MTT_BYTES, predict_census, \
+    slot_identity_holds
 from .tree import FlatSchedule, Mtt, NodeCensus
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "LabelPool", "PoolBrokenError", "RoundResult", "subtree_jobs",
     "LabelDigestCache", "MttBitProof", "PathStep", "ProofError",
     "generate_proof", "generate_proofs", "verify_proof",
-    "PAPER_CENSUS", "PAPER_MTT_BYTES", "ScaleComparison",
-    "predict_census", "slot_identity_holds",
+    "PAPER_CENSUS", "PAPER_MTT_BYTES", "predict_census",
+    "slot_identity_holds",
     "FlatSchedule", "Mtt", "NodeCensus",
 ]

@@ -10,8 +10,7 @@ the paper's reference census for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from ..bgp.prefix import Prefix
 from .tree import NodeCensus
@@ -45,30 +44,6 @@ def predict_census(prefixes: Iterable[Prefix],
     dummy = 3 * inner - (inner - 1) - n_prefixes
     return NodeCensus(inner=inner, prefix=n_prefixes,
                       bit=n_prefixes * classes_per_prefix, dummy=dummy)
-
-
-@dataclass(frozen=True)
-class ScaleComparison:
-    """Measured census vs. the paper's, with composition ratios."""
-
-    measured: NodeCensus
-    reference: NodeCensus = PAPER_CENSUS
-
-    def composition(self, census: NodeCensus) -> Mapping[str, float]:
-        total = census.total
-        return {
-            "inner": census.inner / total,
-            "prefix": census.prefix / total,
-            "bit": census.bit / total,
-            "dummy": census.dummy / total,
-        }
-
-    def rows(self) -> List[Tuple[str, float, float]]:
-        """(name, measured share, paper share) rows for reporting."""
-        ours = self.composition(self.measured)
-        paper = self.composition(self.reference)
-        return [(name, ours[name], paper[name])
-                for name in ("inner", "prefix", "bit", "dummy")]
 
 
 def slot_identity_holds(census: NodeCensus) -> bool:

@@ -99,7 +99,8 @@ class NetReviewAuditor:
                              at_time=at_time,
                              disclosed_bytes=disclosure_bytes(log))
         log.verify_chain()
-        state: RoutingState = replay(log, audited, at_time)
+        state: RoutingState = replay(
+            log, audited, before_index=log.index_after(at_time))
 
         if auditor_exports is not None:
             logged_imports = state.imports.get(self.asn, {})

@@ -33,6 +33,10 @@ NETREVIEW_TRAFFIC = SPIDER_TRAFFIC
 #: Traffic category for disclosed logs during audits.
 AUDIT_TRAFFIC = "netreview-audit"
 
+#: A deployment's RSA key size; AS ``n``'s key is drawn from seed
+#: ``KEY_SEED + n``.
+KEY_BITS, KEY_SEED = 512, 24242
+
 
 class NetReviewRecorder(Recorder):
     """The shared recorder without MTT commitments.
@@ -53,7 +57,7 @@ class NetReviewRecorder(Recorder):
                                 message=None, census_total=0)
 
     def make_commitment(self) -> CommitmentRecord:
-        commit_time = self.clock.now
+        commit_time = self.log.stamp(self.clock.now)
         self._fold(self.log.append(commit_time, EntryKind.COMMITMENT,
                                    {"seed": b"", "root": b""}))
         self._maybe_checkpoint(commit_time)
@@ -66,7 +70,6 @@ class NetReviewDeployment:
     def __init__(self, network: Network,
                  scheme: Optional[ClassScheme] = None,
                  config: SpiderConfig = SpiderConfig(),
-                 key_bits: int = 512, key_seed: int = 24242,
                  promise_factory:
                  Optional[Callable[[int, int], Promise]] = None,
                  scheme_factory:
@@ -85,7 +88,7 @@ class NetReviewDeployment:
 
         identities = {
             asn: make_identity(asn, registry=self.registry,
-                               bits=key_bits, seed=key_seed + asn)
+                               bits=KEY_BITS, seed=KEY_SEED + asn)
             for asn in network.topology.ases
         }
         for asn in network.topology.ases:
@@ -137,8 +140,9 @@ class NetReviewDeployment:
             at_time = self.network.sim.now
         auditor_exports = None
         if cross_check and auditor in self.recorders:
-            own_view = replay(self.recorders[auditor].log, auditor,
-                              at_time)
+            own = self.recorders[auditor].log
+            own_view = replay(own, auditor,
+                              before_index=own.index_after(at_time))
             auditor_exports = own_view.exports.get(audited, {})
         report = NetReviewAuditor(auditor, recorder.scheme).audit(
             recorder.log, audited, at_time, self.promises[audited],

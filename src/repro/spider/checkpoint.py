@@ -2,9 +2,10 @@
 
 The recorder keeps a full snapshot of its routing state at the beginning
 of the log (and optionally at later commitment times).  When verification
-is triggered for a commitment at time t, the proof generator loads the
-most recent checkpoint before t and replays all logged messages up to t,
-reproducing exactly the state the MTT was built from.
+is triggered for a commitment, the proof generator loads the most recent
+checkpoint before that commitment's log entry and replays every logged
+message up to the entry, reproducing exactly the state the MTT was built
+from.
 """
 
 from __future__ import annotations
@@ -89,18 +90,14 @@ def apply_entry(state: RoutingState, asn: int,
 _entry_index = attrgetter("index")
 
 
-def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
-           before_index: Optional[int] = None,
+def replay(log: SpiderLog, asn: int, *, before_index: int,
            since: Optional[Tuple[int, RoutingState]] = None
            ) -> RoutingState:
-    """Reconstruct the routing state at a point of the log.
-
-    The point is a time — every entry with timestamp ≤ ``until`` — or,
-    for the proof generator, a log position: every entry below
-    ``before_index``, the index of the commitment entry.  The recorder
-    commits to its state as of that position, and entries logged in the
-    same millisecond *after* it carry the same timestamp, so a
-    commitment can only be cut out by position.
+    """Reconstruct the routing state from every entry below
+    ``before_index``: a commitment's COMMITMENT entry (§6.5; entries
+    logged after it in its millisecond share its stamp, so only a
+    position cuts them out), or :meth:`SpiderLog.index_after` for a
+    view at a time.
 
     Folds the latest checkpoint inside the cut and every later entry
     inside it (nothing before a checkpoint survives it, so nothing
@@ -117,25 +114,14 @@ def replay(log: SpiderLog, asn: int, until: Optional[float] = None, *,
     one, as the full replay does.  Either way the result is the full
     replay's, down to dict order.  An ``index`` at or before the first
     entry the log still holds (a trim may have dropped what ``state``
-    was folded from) or past the cut, or a cut by time, means a full
-    replay.
+    was folded from), or past the cut, means a full replay.
     """
-    if before_index is not None and until is None:
-        end = bisect_left(log, before_index, key=_entry_index)
-    elif until is not None and before_index is None:
-        end = 0
-        for entry in log:
-            if entry.timestamp > until:
-                break
-            end += 1
-    else:
-        raise ValueError("replay needs a time or a log index, not both")
+    end = bisect_left(log, before_index, key=_entry_index)
     # ``since`` holds the fold below ``floor``: the latest checkpoint
     # inside the cut is looked for down to there.
     base: Optional[RoutingState] = None
     floor = 0
-    if since is not None and before_index is not None and len(log) and \
-            log[0].index < since[0] <= before_index:
+    if since and len(log) and log[0].index < since[0] <= before_index:
         floor = bisect_left(log, since[0], key=_entry_index)
         base = since[1]
     entries = log[floor:end]

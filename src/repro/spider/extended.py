@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bgp.prefix import Prefix
 from ..core.verdict import FaultKind, Verdict
-from .checkpoint import elector_view, replay
+from .checkpoint import elector_view
 from .node import SpiderDeployment, SpiderNode
 from .wire import SpiderAnnounce
 
@@ -60,7 +60,7 @@ def producer_reannounces(node: SpiderNode, elector: int,
     ``suppress`` injects the fault where a producer withholds some
     re-announcements (it no longer stands behind those routes).
     """
-    view = replay(node.recorder.log, node.asn, commit_time)
+    view = node.view_at(commit_time)
     exports = view.exports.get(elector, {})
     messages: List[SpiderAnnounce] = []
     for prefix, route in sorted(exports.items()):
@@ -100,8 +100,7 @@ def run_extended_verification(
                                         commit_time=commit_time)
 
     # --- Step 1: collect RE-ANNOUNCEs from every producer. -------------
-    elector_view_state = replay(elector_node.recorder.log, elector,
-                                commit_time)
+    elector_view_state = elector_node.committed_view(commit_time)
     fresh: Dict[int, Dict[Prefix, SpiderAnnounce]] = {}
     for producer in sorted(elector_view_state.imports):
         node = deployment.nodes.get(producer)
@@ -133,8 +132,7 @@ def run_extended_verification(
         if consumer in stale_exports:
             held = stale_exports[consumer]
         else:
-            consumer_state = replay(consumer_node.recorder.log, consumer,
-                                    commit_time)
+            consumer_state = consumer_node.view_at(commit_time)
             held = consumer_state.imports.get(elector, {})
         for prefix, route in sorted(held.items()):
             underlying = elector_view(

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import enum
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, \
     Protocol, Tuple, Union, overload
 
@@ -385,12 +387,16 @@ class SpiderLog:
     def head(self) -> bytes:
         return self._head
 
+    def stamp(self, t: float) -> float:
+        """``t``, or the last stamp if ``t`` is behind it (a restarted
+        clock can be): stamps may repeat but never decrease."""
+        if self._entries and t < self._entries[-1].timestamp:
+            return self._entries[-1].timestamp
+        return t
+
     def append(self, timestamp: float, kind: EntryKind,
                payload: object) -> LogEntry:
-        if self._entries and timestamp < self._entries[-1].timestamp:
-            # Clocks are loosely synchronized; tolerate equal stamps but
-            # never reorder entries backwards.
-            timestamp = self._entries[-1].timestamp
+        timestamp = self.stamp(timestamp)
         entry_bytes = encode_entry(kind, timestamp, payload)
         chain = chain_step(self._head, entry_bytes)
         entry = new_entry(self._next_index, timestamp, kind, payload,
@@ -419,8 +425,11 @@ class SpiderLog:
                         end: float) -> List[LogEntry]:
         return [e for e in self._entries if start <= e.timestamp <= end]
 
-    def entries_up_to(self, t: float) -> List[LogEntry]:
-        return [e for e in self._entries if e.timestamp <= t]
+    def index_after(self, t: float) -> int:
+        """The index of the first entry stamped after ``t`` (or the next
+        one to assign): a view at ``t``'s replay cut, by bisection."""
+        position = bisect_right(self._entries, t, key=attrgetter("timestamp"))
+        return self._next_index - len(self._entries) + position
 
     def of_kind(self, *kinds: EntryKind) -> List[LogEntry]:
         wanted = set(kinds)

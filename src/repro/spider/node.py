@@ -42,6 +42,10 @@ Inbox = Callable[[int], Optional[Callable[[object], None]]]
 SPIDER_TRAFFIC = "spider"
 PROOF_TRAFFIC = "spider-proofs"
 
+#: A deployment's RSA key size; AS ``n``'s key is drawn from seed
+#: ``KEY_SEED + n``.
+KEY_BITS, KEY_SEED = 512, 4242
+
 #: The evaluation's promise: 50 path-length classes, totally ordered
 #: ("promised to choose the shortest route to all prefixes", §7.2).
 EVALUATION_CLASSES = 50
@@ -134,9 +138,16 @@ class SpiderNode:
         return self.received_commitments.get(
             (elector, time_bytes(commit_time)))
 
-    def view_at(self, commit_time: float) -> RoutingState:
-        """This AS's logged view of the world at ``commit_time``."""
-        return replay(self.recorder.log, self.asn, commit_time)
+    def view_at(self, t: float) -> RoutingState:
+        """This AS's logged view at ``t``: every entry stamped by then."""
+        log = self.recorder.log
+        return replay(log, self.asn, before_index=log.index_after(t))
+
+    def committed_view(self, commit_time: float) -> RoutingState:
+        """The state this AS committed to at ``commit_time``: its log
+        cut at that COMMITMENT entry, as the proof generator cuts it."""
+        entry = self.proofgen.commitment(commit_time)
+        return replay(self.recorder.log, self.asn, before_index=entry.index)
 
     def close(self) -> None:
         """Release held resources (the recorder's warm labeling pool)."""
@@ -160,7 +171,6 @@ class SpiderDeployment:
     def __init__(self, network: Network,
                  scheme: Optional[ClassScheme] = None,
                  config: SpiderConfig = SpiderConfig(),
-                 key_bits: int = 512, key_seed: int = 4242,
                  promise_factory: Optional[
                      Callable[[int, int], Promise]] = None,
                  scheme_factory: Optional[
@@ -193,7 +203,7 @@ class SpiderDeployment:
         self.participants = tuple(sorted(participants))
         identities = {
             asn: make_identity(asn, registry=self.registry,
-                               bits=key_bits, seed=key_seed + asn)
+                               bits=KEY_BITS, seed=KEY_SEED + asn)
             for asn in self.participants
         }
         for asn in self.participants:

@@ -53,9 +53,10 @@ from ..mtt.proofs import generate_proof, generate_proofs
 from ..mtt.tree import Mtt
 from .checkpoint import elector_view, replay
 from .codec import encode_message
+from .log import LogEntry
 from .recorder import Recorder
 from .state import RoutingState
-from .wire import SpiderBitProof, same_millisecond
+from .wire import SpiderBitProof
 
 
 _REPLAY_BROKEN = ("reconstructed MTT root differs from the committed "
@@ -146,31 +147,37 @@ class ProofGenerator:
         """Replay the log to a past commitment and take its MTT: the
         recorder's retained tree if it is labeled for that commitment,
         else a rebuild."""
+        entry = self.commitment(commit_time)
         last = self._last
         if last is not None and last.current and \
-                same_millisecond(last.commit_time, commit_time):
+                last.commit_time == entry.timestamp:
             self.cache_hits += 1
             return last
         self.cache_misses += 1
         self._last = None  # no second tree held while one is built
-        self._last = self._reconstruct(commit_time, cached=True)
+        self._last = self._reconstruct(entry, cached=True)
         return self._last
 
     def rebuild(self, commit_time: float) -> Reconstruction:
         """The §6.5 reconstruction from the log alone: replay, build,
         relabel from the logged seed.  Uncached, and never reads the
         recorder's tree."""
-        return self._reconstruct(commit_time, cached=False)
+        return self._reconstruct(self.commitment(commit_time),
+                                 cached=False)
 
-    def _reconstruct(self, commit_time: float,
+    def commitment(self, commit_time: float) -> LogEntry:
+        """The COMMITMENT entry at ``commit_time`` (millisecond grid)."""
+        entry = self.recorder.log.commitment_at(commit_time)
+        if entry is None:
+            raise ValueError(f"no commitment logged at t={commit_time}")
+        return entry
+
+    def _reconstruct(self, entry: LogEntry,
                      cached: bool) -> Reconstruction:
         """Replay, then take the retained tree or rebuild.  ``cached``
         lets the replay resume and the retained tree serve; without it
         this is :meth:`rebuild`."""
         recorder = self.recorder
-        entry = recorder.log.commitment_at(commit_time)
-        if entry is None:
-            raise ValueError(f"no commitment logged at t={commit_time}")
         root = entry.payload["root"]
 
         # Cut at the commitment's log position, not its timestamp: an
@@ -180,7 +187,8 @@ class ProofGenerator:
                        before_index=entry.index,
                        since=self._replayed if cached else None)
         entries = recorder.mtt_entries(state)
-        tree = recorder.committed_tree(commit_time) if cached else None
+        tree = recorder.committed_tree(entry.timestamp) if cached \
+            else None
         if tree is None:
             tree = Mtt.build(entries)
             # Rebuilds are the same workload as live commitments (§6.5
@@ -203,7 +211,7 @@ class ProofGenerator:
             raise RuntimeError(_REPLAY_BROKEN)
         if cached:
             self._replayed = (entry.index, state.copy())
-        return Reconstruction(commit_time=commit_time, tree=tree,
+        return Reconstruction(commit_time=entry.timestamp, tree=tree,
                               root=root, state=state,
                               version=tree.version)
 

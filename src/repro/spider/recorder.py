@@ -29,7 +29,7 @@ that commitment alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Set, Tuple
 
@@ -56,8 +56,7 @@ from .config import SpiderConfig
 from .log import EntryKind, LogEntry, LogSink, SpiderLog
 from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
     SpiderWithdraw, ack_payload, announce_payload, \
-    route_signature_payload, same_millisecond, time_bytes, \
-    withdraw_payload
+    route_signature_payload, time_bytes, withdraw_payload
 
 
 @dataclass
@@ -633,11 +632,11 @@ class Recorder:
             self._obs.counter("mtt_tree_edits_total", op=op).inc(count)
 
     def committed_tree(self, commit_time: float) -> Optional[Mtt]:
-        """The retained tree, if it is labeled for the commitment at
-        ``commit_time`` (on the millisecond grid) and unedited since;
+        """The retained tree, if it is labeled for the commitment whose
+        log entry is stamped ``commit_time`` and unedited since;
         otherwise None and the proof generator rebuilds (§6.5)."""
         stamp = self._labelled_for
-        if stamp is None or not same_millisecond(stamp[0], commit_time) \
+        if stamp is None or stamp[0] != commit_time \
                 or stamp[1] != self._tree.version:
             return None
         return self._tree
@@ -650,16 +649,19 @@ class Recorder:
         logged the tree is stamped as that commitment's; the stamp is
         cleared first, and a round that raises leaves none.
 
+        The commit time is the entry's stamp (:meth:`SpiderLog.stamp`),
+        even if the clock reads behind the log, as a restarted one can.
         One commitment per millisecond, the grid its commit time is
-        signed and looked up on: a second root for the same commit time
-        is equivocation to every neighbour.  A call in the millisecond
-        of the latest commitment logs and sends nothing and returns
-        that record; what changed since waits for the next round."""
-        if self.commitments and same_millisecond(
-                self.commitments[-1].commit_time, self.clock.now):
+        signed and looked up on: a second root for one commit time is
+        equivocation to every neighbour.  A call stamped in the
+        millisecond of the latest commitment logs and sends nothing and
+        returns that record; what changed since waits for the next
+        round."""
+        log = self.log
+        if log.commitment_at(log.stamp(self.clock.now)) is not None:
             return self.commitments[-1]
         self.flush_outbox()  # the commitment must cover queued messages
-        commit_time = self.clock.now
+        commit_time = log.stamp(self.clock.now)
         seed = self.commitment_seed(commit_time)
         self._labelled_for = None
         # Labels are rewritten in place and the root's comes last: a
@@ -674,7 +676,7 @@ class Recorder:
                     self._tree, Rc4Csprng(seed),
                     workers=self.config.commit_workers,
                     pool=self.labeling_pool())
-            self._fold(self.log.append(
+            self._fold(log.append(
                 commit_time, EntryKind.COMMITMENT,
                 {"seed": seed, "root": report.root_label}))
         self._labelled_for = (commit_time, self._tree.version)
@@ -684,7 +686,7 @@ class Recorder:
         # The seed and any checkpoint must be durable before the root
         # is broadcast: a post-crash recorder must be able to answer
         # verification requests for every commitment it published.
-        self.log.sync()
+        log.sync()
         for neighbor in self._all_neighbors():
             self.transport(neighbor, [record.message])
         return record

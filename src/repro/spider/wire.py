@@ -48,10 +48,10 @@ def time_bytes(t: float) -> bytes:
     resolution: the paper's timestamps "double as
     nonces" (Section 6.2), so two *logically distinct* messages to the
     same peer within the same millisecond would encode identical nonce
-    bytes and be indistinguishable as replays.  The recorder respects
-    this by stamping a whole outbox flush with one timestamp — the batch
-    is one logical burst — and deployments must not emit more than one
-    independent message per (peer, millisecond).
+    bytes and be indistinguishable as replays.  The recorder stamps each
+    outgoing message with the time it was queued, not with its flush's,
+    and nothing yet enforces one message per (peer, millisecond): that
+    nonce rule is open in ROADMAP.md's integer-time item.
 
     Timestamps are seconds since an epoch and can never be negative; a
     negative value would wrap the unsigned encoding into a huge bogus

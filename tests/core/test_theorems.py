@@ -14,7 +14,7 @@ through :func:`repro.core.protocol.run_round`:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.prefix import Prefix
@@ -94,6 +94,13 @@ class TestAccuracyProperty:
     @settings(max_examples=20, deadline=None)
     @given(inputs_strategy(),
            st.lists(promises_strategy(), min_size=2, max_size=2))
+    # Choosing AS2's route (class 1) sets bit 3, which AS6's promise
+    # ranks below class 1; AS7, offered ⊥, demands a 0-proof for class
+    # 3.  Only AS3's route (class 2) is clean for both consumers.
+    @example({1: NULL_ROUTE, 2: route_in_class(2, 1),
+              3: route_in_class(3, 2)},
+             [Promise(scheme=SCHEME, order=frozenset({(3, 1)})),
+              Promise(scheme=SCHEME, order=frozenset({(0, 3), (1, 2)}))])
     def test_honest_round_clean(self, registry, identities, routes,
                                 promise_list):
         promises = dict(zip(CONSUMERS, promise_list))

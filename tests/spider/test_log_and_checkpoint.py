@@ -168,7 +168,9 @@ class TestSpiderLog:
         log.append(2.0, EntryKind.CHECKPOINT, RoutingState())
         log.append(3.0, EntryKind.COMMITMENT, commitment())
         assert len(log.entries_between(1.5, 3.0)) == 2
-        assert len(log.entries_up_to(2.0)) == 2
+        assert log.index_after(2.0) == 2
+        assert log.index_after(0.5) == 0
+        assert log.index_after(3.0) == 3
         assert log.commitment_at(3.0) is not None
         assert log.commitment_at(4.0) is None
 
@@ -256,9 +258,9 @@ class TestReplay:
         a2 = announce(neighbor, 3.0, prefix=Q)
         log.append(3.0, EntryKind.RECV_ANNOUNCE, a2)
 
-        at_1 = replay(log, 5, until=1.5)
+        at_1 = replay(log, 5, before_index=log.index_after(1.5))
         assert P in at_1.imports[7] and Q not in at_1.imports.get(7, {})
-        at_3 = replay(log, 5, until=3.0)
+        at_3 = replay(log, 5, before_index=log.index_after(3.0))
         assert P not in at_3.imports.get(7, {})
         assert Q in at_3.imports[7]
 
@@ -266,19 +268,19 @@ class TestReplay:
         log = SpiderLog()
         a1 = announce(neighbor, 1.0)
         log.append(1.0, EntryKind.RECV_ANNOUNCE, a1)
-        state = replay(log, 5, until=2.0)
+        state = replay(log, 5, before_index=log.index_after(2.0))
         assert state.imports[7][P].neighbor == 7
 
     def test_replay_from_checkpoint(self, registry, neighbor):
         log = SpiderLog()
         a1 = announce(neighbor, 1.0)
         log.append(1.0, EntryKind.RECV_ANNOUNCE, a1)
-        base = replay(log, 5, until=1.5)
+        base = replay(log, 5, before_index=log.index_after(1.5))
         take_checkpoint(log, 1.5, base)
         a2 = announce(neighbor, 2.0, prefix=Q)
         log.append(2.0, EntryKind.RECV_ANNOUNCE, a2)
 
-        state = replay(log, 5, until=2.5)
+        state = replay(log, 5, before_index=log.index_after(2.5))
         assert P in state.imports[7] and Q in state.imports[7]
 
     def test_replay_cut_by_index_ignores_same_timestamp_tail(
@@ -289,11 +291,12 @@ class TestReplay:
         a1 = announce(neighbor, 1.0)
         log.append(1.0, EntryKind.RECV_ANNOUNCE, a1)
         marker = log.append(1.0, EntryKind.COMMITMENT, commitment())
-        take_checkpoint(log, 1.0, replay(log, 5, until=1.0))
+        take_checkpoint(log, 1.0,
+                        replay(log, 5, before_index=log.index_after(1.0)))
         a2 = announce(neighbor, 1.0, prefix=Q)
         log.append(1.0, EntryKind.RECV_ANNOUNCE, a2)
 
-        by_time = replay(log, 5, until=1.0)
+        by_time = replay(log, 5, before_index=log.index_after(1.0))
         assert Q in by_time.imports[7]
         by_index = replay(log, 5, before_index=marker.index)
         assert set(by_index.imports[7]) == {P}
@@ -301,10 +304,6 @@ class TestReplay:
         # base for later cuts and carries the committed state.
         after = replay(log, 5, before_index=marker.index + 2)
         assert set(after.imports[7]) == {P}
-        with pytest.raises(ValueError):
-            replay(log, 5)
-        with pytest.raises(ValueError):
-            replay(log, 5, until=1.0, before_index=1)
 
     def test_reconstruct_with_same_millisecond_traffic(self, registry):
         """Regression: an announce logged at ``commit_time`` after

@@ -1,19 +1,27 @@
 """Property tests: log replay reproduces committed state under random
 workloads, and SPIDeR stays consistent through session churn."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
+from repro.crypto.keys import KeyRegistry, make_identity
+from repro.crypto.signatures import Signer
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
-from repro.spider.checkpoint import replay
+from repro.obs.registry import Registry, use_registry
+from repro.spider.checkpoint import apply_entry, replay
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind, SpiderLog
 from repro.spider.node import SpiderDeployment, evaluation_scheme
 from repro.spider.state import RoutingState
-from repro.spider.wire import time_bytes
+from repro.spider.wire import SpiderAnnounce, SpiderWithdraw, time_bytes
+from tests.spider.test_retained_tree import NEIGHBORS, World
+from tests.strategies import recorder_histories
 
 FEED = 65000
 
@@ -214,6 +222,148 @@ class TestCommitmentIndex:
             for t in sorted(probes):
                 assert held.commitment_at(t) is \
                     scanned_commitment_at(held, t)
+
+
+def time_fold(log, asn, t):
+    """The replay's former cut by time, kept as the reference: every
+    entry stamped at or before ``t``, folded from the latest checkpoint
+    among them."""
+    entries = []
+    for entry in log:
+        if entry.timestamp > t:
+            break
+        entries.append(entry)
+    for position in range(len(entries) - 1, -1, -1):
+        if entries[position].kind is EntryKind.CHECKPOINT:
+            entries = entries[position:]
+            break
+    state = RoutingState()
+    for entry in entries:
+        apply_entry(state, asn, entry)
+    return state
+
+
+ELECTOR, PEER = 5, 7
+
+
+@functools.lru_cache(maxsize=None)
+def message_pool():
+    """(kind, message) pairs for the entries a trace draws from: signed
+    once, since a log keeps the message objects it is handed."""
+    registry = KeyRegistry()
+    elector, peer = (Signer(make_identity(asn, registry=registry, bits=512,
+                                          seed=900 + asn))
+                     for asn in (ELECTOR, PEER))
+    pool = []
+    for prefix in PREFIX_POOL[:3]:
+        pool += [
+            (EntryKind.RECV_ANNOUNCE, SpiderAnnounce.make(
+                peer, receiver=ELECTOR, timestamp=1.0,
+                route=Route(prefix=prefix, as_path=(PEER, 4000),
+                            neighbor=PEER), underlying=None)),
+            (EntryKind.RECV_WITHDRAW, SpiderWithdraw.make(
+                peer, receiver=ELECTOR, timestamp=1.0, prefix=prefix)),
+            (EntryKind.SENT_ANNOUNCE, SpiderAnnounce.make(
+                elector, receiver=PEER, timestamp=1.0,
+                route=Route(prefix=prefix, as_path=(ELECTOR, 4001),
+                            neighbor=4001), underlying=None)),
+            (EntryKind.SENT_WITHDRAW, SpiderWithdraw.make(
+                elector, receiver=PEER, timestamp=1.0, prefix=prefix)),
+        ]
+    return pool
+
+
+@st.composite
+def traced_logs(draw):
+    """A log whose stamps repeat, step by 0.4 ms or half a second, or
+    would step back (which the log clamps), with checkpoints of the
+    folded state or of a foreign one, commitments and trims."""
+    log = SpiderLog(retention_seconds=0.0)
+    pool = message_pool()
+    t = 5.0
+    for _ in range(draw(st.integers(0, 30))):
+        t = max(0.0, t + draw(st.sampled_from([0.0, 0.0004, 0.5, -0.3])))
+        step = draw(st.sampled_from(
+            ["message"] * 4 + ["checkpoint", "commitment", "trim"]))
+        if step == "message":
+            kind, message = draw(st.sampled_from(pool))
+            log.append(t, kind, message)
+        elif step == "checkpoint":
+            state = time_fold(log, ELECTOR, float("inf")) \
+                if draw(st.booleans()) else RoutingState()
+            log.append(t, EntryKind.CHECKPOINT, state)
+        elif step == "commitment":
+            log.append(t, EntryKind.COMMITMENT,
+                       {"seed": bytes(20), "root": bytes(20)})
+        else:
+            log.trim(now=t)
+    return log
+
+
+class TestOneCut:
+    """A view at a time is the one cut at ``index_after``: it folds
+    what the former time scan folded, for every ``t``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(traced_logs())
+    def test_index_after_is_the_time_cut(self, log):
+        stamps = [entry.timestamp for entry in log]
+        probes = {stamp + delta for stamp in stamps
+                  for delta in (-0.0006, -0.0004, 0.0, 0.0004, 0.0006)}
+        probes |= {-1.0, 0.0, 1e6}
+        if stamps:
+            probes |= {stamps[0] - 1.0, stamps[-1] + 1.0}
+        assert stamps == sorted(stamps)
+        for held in (log, SpiderLog.restore(list(log))):
+            for t in sorted(probes):
+                cut = replay(held, ELECTOR,
+                             before_index=held.index_after(t))
+                assert ordered(cut) == ordered(time_fold(held, ELECTOR, t))
+
+
+class FloatClock:
+    """A clock at any float reading, as a wall clock reads."""
+
+    def __init__(self, now):
+        self.now = now
+
+    def advance_to(self, t):
+        self.now = t
+
+
+class TestRestartBehindTheLog:
+    """A recorder restored with its clock anywhere up to 10 s past the
+    log head — behind it, as a rebased wall clock reads after a
+    restart, included — commits on the log's stamps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(recorder_histories(), st.floats(0.0, 1.0))
+    def test_commitments_keep_to_the_log(self, steps, where):
+        with use_registry(Registry()) as registry:
+            world = World()
+            world.play(steps)
+            live = world.recorder
+            live.close()
+            head = live.log[-1].timestamp
+            world.clock = FloatClock(where * (head + 10.0))
+            world.recorder = world.build(recovered_entries=list(live.log))
+            recorder = world.recorder
+            recorder.make_commitment()
+            world.announce(NEIGHBORS[0], PREFIX_POOL[0])
+            recorder.make_commitment()
+            world.clock.advance_to(head + 11.0)
+            last = recorder.make_commitment()
+            assert last.commit_time == head + 11.0
+
+            stamps = [entry.timestamp for entry in recorder.log]
+            assert stamps == sorted(stamps)
+            grid = [time_bytes(entry.timestamp) for entry in
+                    recorder.log.of_kind(EntryKind.COMMITMENT)]
+            assert len(grid) == len(set(grid))
+            assert registry.total("spider_alarms_total",
+                                  reason="recovered_seed_mismatch") == 0
+            assert recorder.alarms == []
+            world.finish()
 
 
 class TestSessionChurn:

@@ -14,7 +14,8 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.obs.registry import Registry, use_registry
 from repro.spider.log import encode_log, encode_log_entry
-from repro.runtime.scenario import ASN_A, ASN_B, _drive_first_round, \
+from repro.runtime.scenario import ASN_A, ASN_B, ROUTE, T_ACK_SEEN, \
+    T_ANNOUNCE, T_COMMIT, T_COMMIT_SEEN, _drive_first_round, \
     exchange_runtime, resume_store_exchange, run_store_reference, \
     run_store_smoke
 from repro.runtime.transport import LoopbackHub
@@ -212,3 +213,62 @@ class TestLargeCheckpoint:
                 assert len(recovered.payload.exports[ASN_B]) == 1800
             finally:
                 cold.close()
+
+
+class TestRestartBehindTheLog:
+    def test_a_clock_behind_the_log_commits_nothing_new(self, tmp_path):
+        """A cold open starts a fresh clock, which can read behind the
+        last stamp in the log (a ``WallClock`` rebases to about 0 at
+        every start).  The log stamps nothing earlier than its last
+        entry, so a commitment now would land on the previous one's
+        time: the round returns that commitment instead, and a new one
+        waits for the clock to pass it."""
+        store_dir = str(tmp_path / "store")
+        with use_registry(Registry()):
+            hub = LoopbackHub()
+            transport = hub.attach(ASN_A)
+            rt_a = exchange_runtime(ASN_A, transport, store_dir=store_dir)
+            rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B))
+            rt_a.advance_to(T_ANNOUNCE)
+            rt_a.announce(ASN_B, ROUTE)
+            hub.deliver_all()
+            rt_b.advance_to(T_ANNOUNCE)
+            rt_b.deliver_pending()               # B logs + ACKs
+            hub.deliver_all()
+            rt_a.advance_to(T_ACK_SEEN)
+            rt_a.deliver_pending()
+            rt_a.advance_to(T_COMMIT)
+            first = rt_a.commit()
+            hub.deliver_all()
+            rt_b.advance_to(T_COMMIT_SEEN)
+            rt_b.deliver_pending()
+            rt_a.close()
+
+            rt_a = exchange_runtime(ASN_A, transport, store_dir=store_dir)
+            try:
+                assert rt_a.clock.now == 0.0
+                again = rt_a.commit()
+                hub.deliver_all()
+                rt_b.deliver_pending()
+                assert again.commit_time == T_COMMIT
+                assert again.root == first.root
+                log = rt_a.recorder.log
+                assert [e.timestamp for e in
+                        log.of_kind(EntryKind.COMMITMENT)] == [T_COMMIT]
+                assert rt_a.recorder.alarms == []
+                assert rt_b.recorder.alarms == []
+                assert rt_b.node.detections == []
+
+                rt_a.advance_to(T_COMMIT_SEEN)
+                later = rt_a.commit()
+                hub.deliver_all()
+                rt_b.deliver_pending()
+                assert later.commit_time == T_COMMIT_SEEN
+                assert [e.timestamp for e in
+                        log.of_kind(EntryKind.COMMITMENT)] == \
+                    [T_COMMIT, T_COMMIT_SEEN]
+                assert rt_a.recorder.alarms == []
+                assert rt_b.recorder.alarms == []
+                assert rt_b.node.detections == []
+            finally:
+                rt_a.close()
