@@ -30,6 +30,7 @@ depend on which engine ran, and nothing selects one by configuration.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, List
 
 from .hashing import DIGEST_SIZE
@@ -45,6 +46,9 @@ except ImportError:  # the pure-Python engine alone
 
 #: Bytes of keystream discarded after keying, per the paper (RC4-drop3072).
 DROP_BYTES = 3072
+
+#: Splits a draw into :data:`DIGEST_SIZE`-byte bitstrings in one C call.
+_BITSTRING = re.compile(b".{%d}" % DIGEST_SIZE, re.DOTALL)
 
 
 class Rc4:
@@ -143,12 +147,10 @@ class Rc4Csprng:
         :spiderlint-contract: source(commit-randomness)
 
         Equivalent to ``[self.bitstring() for _ in range(n)]`` but pays
-        the per-draw cost once — the labeling pass uses this to blind an
-        entire MTT.
+        the per-draw cost once and splits the draw in one regex pass —
+        the labeling pass uses this to blind an entire MTT.
         """
-        data = self.bytes(n * DIGEST_SIZE)
-        size = DIGEST_SIZE
-        return [data[i:i + size] for i in range(0, n * size, size)]
+        return _BITSTRING.findall(self.bytes(n * DIGEST_SIZE))
 
     def bytes(self, n: int) -> bytes:
         """Return ``n`` raw pseudo-random bytes."""

@@ -35,12 +35,12 @@ labels on every node from the same seed (property-tested), and
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..crypto import hashing
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, digest_concat
 from ..crypto.rc4 import Rc4Csprng
 from ..obs.registry import get_registry
@@ -127,21 +127,23 @@ def compute_label(node: MttNode) -> bytes:
 def _hash_pass(tree: Mtt) -> bytes:
     """Label every node of an already-blinded tree via the flat schedule.
 
-    Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, identical to
-    :func:`repro.crypto.hashing.digest`) so each node costs one hash
-    call; the golden-root tests pin this path to the generic
-    :func:`compute_label` traversal byte for byte.  This is also the
-    recovery path when a worker pool breaks mid-round: the tree's
-    randomness is already in place, so one serial pass always restores
-    a fully labeled tree.
+    Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, on the Merkle
+    engine :data:`~repro.crypto.hashing.merkle_sha512`) so each node
+    costs one hash call; a bit node feeds its bit byte and then its
+    blinding, which skips building ``b || x``.  The golden-root tests
+    pin this path to the generic :func:`compute_label` traversal byte
+    for byte.  This is also the recovery path when a worker pool breaks
+    mid-round: the tree's randomness is already in place, so one serial
+    pass always restores a fully labeled tree.
     """
     schedule = tree.schedule()
-    sha = hashlib.sha512
+    sha = hashing.merkle_sha512
     size = DIGEST_SIZE
     one, zero = b"\x01", b"\x00"
     for node in schedule.bit_nodes:
-        node.label = sha((one if node.bit else zero)
-                         + node.blinding).digest()[:size]
+        h = sha(one if node.bit else zero)
+        h.update(node.blinding)
+        node.label = h.digest()[:size]
     join = b"".join
     for node, children in zip(*schedule.interiors):
         node.label = sha(join([c.label for c in children])).digest()[:size]

@@ -69,7 +69,6 @@ per node (property-tested in ``tests/mtt/test_label_pool.py``).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from array import array
@@ -80,6 +79,7 @@ from itertools import repeat
 from multiprocessing.connection import Connection
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..crypto import hashing
 from ..crypto.hashing import DIGEST_SIZE
 from ..obs.registry import get_registry
 from .nodes import BitNode, InnerNode, MttNode
@@ -236,7 +236,7 @@ def _run_streams(dum_ls: Sequence[slice], dum_rs: Sequence[slice],
                  int_ls: Sequence[slice],
                  int_ch: Sequence[Tuple[slice, ...]],
                  rand: bytes, labels: memoryview) -> None:
-    sha = hashlib.sha512
+    sha = hashing.merkle_sha512
     join = b"".join
     size = DIGEST_SIZE
     # Dummies: one C-level gather/scatter sweep, no interpreter loop.

@@ -1,10 +1,54 @@
 """Unit tests for the truncated-SHA-512 hashing layer."""
 
 import hashlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import hashing
+
+#: FIPS 180-4 SHA-512 examples: the empty message, "abc" and the
+#: two-block 896-bit message.
+FIPS_180_4 = [
+    (b"",
+     "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+     "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"),
+    (b"abc",
+     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+     "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"),
+    (b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+     b"hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+     "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
+     "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"),
+]
+
+
+class TestMerkleEngine:
+    """The Merkle engine is SHA-512 as the standard defines it, and
+    ``hashlib.sha512`` is its pinned reference."""
+
+    @pytest.mark.parametrize("message, expected", FIPS_180_4,
+                             ids=["empty", "abc", "896-bit"])
+    def test_fips_180_4_vectors(self, message, expected):
+        assert hashing.merkle_sha512(message).hexdigest() == expected
+        assert hashlib.sha512(message).hexdigest() == expected
+
+    def test_builtin_engine_where_cpython_has_one(self):
+        module = "_sha2" if sys.version_info >= (3, 12) else "_sha512"
+        builtin = pytest.importorskip(module)
+        assert hashing.merkle_sha512 is builtin.sha512
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=4096), cut=st.integers(0, 4096))
+    def test_engine_digest_equals_hashlib(self, data, cut):
+        expected = hashlib.sha512(data).digest()
+        assert hashing.merkle_sha512(data).digest() == expected
+        # The labeling kernel feeds a bit node in two updates.
+        h = hashing.merkle_sha512(data[:cut])
+        h.update(data[cut:])
+        assert h.digest() == expected
 
 
 class TestDigest:

@@ -125,6 +125,22 @@ class TestBlockedKeystream:
         # The zero-length draw must not consume stream position.
         assert gen.bitstring() == Rc4Csprng(b"batch").bitstring()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 48_611])
+    @pytest.mark.parametrize("engine", ["c", "pure"])
+    def test_bitstrings_split_equals_slicing(self, engine, n, monkeypatch):
+        # One regex pass splits the draw; the reference is the slice per
+        # bitstring it replaced.  48 611 draws blind a `table_commit`
+        # tree.
+        if engine == "c":
+            pytest.importorskip("cryptography", exc_type=ImportError)
+        else:
+            monkeypatch.setattr(rc4, "_C_KEY_BYTES", frozenset())
+        seed = bytes(range(DIGEST_SIZE))
+        data = Rc4Csprng(seed).bytes(n * DIGEST_SIZE)
+        sliced = [data[i:i + DIGEST_SIZE]
+                  for i in range(0, len(data), DIGEST_SIZE)]
+        assert Rc4Csprng(seed).bitstrings(n) == sliced
+
 
 class TestRc4Csprng:
     def test_deterministic_given_seed(self):

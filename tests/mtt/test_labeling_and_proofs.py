@@ -1,10 +1,13 @@
 """Tests for MTT labeling, reconstruction, and bit proofs."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.prefix import Prefix
+from repro.crypto import hashing
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import assign_randomness, compute_label, \
     label_tree, label_tree_parallel
@@ -25,6 +28,17 @@ BASIC = {
     Prefix.parse("160.0.0.0/3"): [0, 1, 0],
     Prefix.parse("128.0.0.0/1"): [1, 1, 0],
 }
+
+
+def wide_entries():
+    from repro.traces.workload import generate_prefixes
+    return {p: [i % 2 for i in range(7)]
+            for p in generate_prefixes(200, seed=11)}
+
+
+def bench_entries():
+    from repro.traces.workload import generate_prefixes
+    return {p: [1] * 50 for p in generate_prefixes(2000, seed=7)}
 
 
 class TestLabeling:
@@ -86,32 +100,25 @@ class TestGoldenRoots:
     #: one-bits (167 681 nodes), the figure the docs quote.
     GOLDEN_BENCH = "a4254237340ba931616aeea156dbff1d2c2b9f94"
 
-    def wide_entries(self):
-        from repro.traces.workload import generate_prefixes
-        return {p: [i % 2 for i in range(7)]
-                for p in generate_prefixes(200, seed=11)}
-
     def test_basic_anchor(self):
         tree = Mtt.build(BASIC)
         report = label_tree(tree, Rc4Csprng(b"golden-seed"))
         assert report.root_label.hex() == self.GOLDEN_BASIC
 
     def test_wide_anchor(self):
-        tree = Mtt.build(self.wide_entries())
+        tree = Mtt.build(wide_entries())
         report = label_tree(tree, Rc4Csprng(b"golden-wide"))
         assert report.root_label.hex() == self.GOLDEN_WIDE
 
     def test_bench_anchor(self):
-        from repro.traces.workload import generate_prefixes
-        tree = Mtt.build({p: [1] * 50
-                          for p in generate_prefixes(2000, seed=7)})
+        tree = Mtt.build(bench_entries())
         report = label_tree(tree, Rc4Csprng(b"bench-pool"))
         assert report.root_label.hex() == self.GOLDEN_BENCH
 
     def test_generic_traversal_matches_anchor(self):
         # compute_label is the reference implementation the fast
         # schedule-driven pass must agree with.
-        tree = Mtt.build(self.wide_entries())
+        tree = Mtt.build(wide_entries())
         assign_randomness(tree, Rc4Csprng(b"golden-wide"))
         assert compute_label(tree.root).hex() == self.GOLDEN_WIDE
 
@@ -119,10 +126,40 @@ class TestGoldenRoots:
         # assign_randomness resets no label, so the reference must
         # recompute every node rather than trust what an earlier round
         # left on it.
-        tree = Mtt.build(self.wide_entries())
+        tree = Mtt.build(wide_entries())
         label_tree(tree, Rc4Csprng(b"an-earlier-round"))
         assign_randomness(tree, Rc4Csprng(b"golden-wide"))
         assert compute_label(tree.root).hex() == self.GOLDEN_WIDE
+
+
+class TestMerkleEngines:
+    """The Merkle engine (CPython's builtin SHA-512) against
+    ``hashlib.sha512`` (OpenSSL), the pinned reference: the serial
+    kernel and the per-node reference give each golden root and the
+    same label on every node under either."""
+
+    ANCHORS = {
+        "basic": (lambda: BASIC, b"golden-seed",
+                  TestGoldenRoots.GOLDEN_BASIC),
+        "wide": (wide_entries, b"golden-wide", TestGoldenRoots.GOLDEN_WIDE),
+        "bench": (bench_entries, b"bench-pool",
+                  TestGoldenRoots.GOLDEN_BENCH),
+    }
+
+    @pytest.mark.parametrize("anchor", ["basic", "wide", "bench"])
+    def test_every_label_equal_under_both_engines(self, anchor,
+                                                  monkeypatch):
+        entries, seed, golden = self.ANCHORS[anchor]
+        tree = Mtt.build(entries())
+        nodes = list(tree.iter_nodes())
+        builtin = label_tree(tree, Rc4Csprng(seed)).root_label
+        labels = [node.label for node in nodes]
+        monkeypatch.setattr(hashing, "merkle_sha512", hashlib.sha512)
+        reference = label_tree(tree, Rc4Csprng(seed)).root_label
+        assert builtin.hex() == reference.hex() == golden
+        assert [node.label for node in nodes] == labels
+        assert compute_label(tree.root) == reference
+        assert [node.label for node in nodes] == labels
 
 
 class TestRealPool:
