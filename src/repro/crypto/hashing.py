@@ -11,19 +11,20 @@ and its own builtin (``_sha512`` through 3.11, ``_sha2`` from 3.12).
 Both compute FIPS 180-4 SHA-512, so they give the same digest byte for
 byte (the tests pin the builtin to the standard's vectors and to
 ``hashlib``); they differ in cost.  ``hashlib`` pays more per call (its
-EVP layer) and OpenSSL's assembly less per byte.  Per digest (median of
-9 ``timeit`` runs, 2 vCPUs, CPython 3.11.7, OpenSSL 3.0.19):
+EVP layer) and OpenSSL's assembly less per byte; they cost the same
+near 300 B.  Per digest (fastest of 25 interleaved ``timeit`` runs,
+2 vCPUs, CPython 3.11.7, OpenSSL 3.0.19):
 
-==============================  =============  =========
-input                           ``hashlib``    builtin
-==============================  =============  =========
-21 B (a bit node ``b || x``)    1.34 µs        0.84 µs
-41 B                            1.30 µs        0.82 µs
-60 B (an inner node)            1.29 µs        0.85 µs
-200 B                           1.65 µs        1.34 µs
-1 000 B (k = 50 labels)         3.33 µs        3.97 µs
-20 kB                           44.5 µs        78.3 µs
-==============================  =============  =========
+==========================================  ===========  =======
+input                                       ``hashlib``  builtin
+==========================================  ===========  =======
+20–66 B (bit and inner nodes, RSA digests)  0.69 µs      0.47 µs
+148 B (a message hash)                      0.92 µs      0.78 µs
+300 B                                       1.10 µs      1.09 µs
+875 B (a median §6.5 chain step)            1.97 µs      2.45 µs
+1 000 B (a k = 50 prefix node)              2.19 µs      2.72 µs
+2 600 B (a bit-proof payload)               5.01 µs      6.79 µs
+==========================================  ===========  =======
 
 Hence the rule.  A Merkle input is at most ``k · DIGEST_SIZE`` bytes
 (1 000 B at k = 50) and almost every one is a 21-byte bit node or a
@@ -32,9 +33,22 @@ Hence the rule.  A Merkle input is at most ``k · DIGEST_SIZE`` bytes
 in :mod:`repro.mtt` — runs on :data:`merkle_sha512`, the builtin where
 the interpreter has one and ``hashlib.sha512`` otherwise.  Message
 digests (:func:`digest`, :func:`digest_fields`, :func:`digest_iter`, and
-through them signatures and the §6.5 log chain) hash inputs that run to
-kilobytes and stay on ``hashlib.sha512``.  Which engine ran never shows
-in a root, a log or a wire byte, and nothing selects one by
+through them signatures and the §6.5 log chain) stay on
+``hashlib.sha512``, because their time goes to long inputs.  Counted
+per call site on the four ``BENCHMARK.json`` workloads (seed 1), 37–51 %
+of them are under 250 B (RSA digests, signature payloads, message
+hashes, the commitment seed), but 42–62 % are chain steps over log
+entries (48–1 881 B, median 743–875 B) and more are bit-proof payloads
+(1.7–2.7 kB).  Weighted by the table, the builtin would cost them
+16–33 ms more in a whole run (picking the engine by input length would
+save 5–14 ms; not tried end to end).  Measured end to end with message
+digests on the builtin too, a cold open, which re-checks every chain
+step, got slower: ``restart_entries_per_s`` read lower in 27 of 40
+pairs, and 5 % lower than with every hash on ``hashlib`` in 10 of 10
+on ``durable_churn`` (EXPERIMENTS, "Which engine for message digests").
+The timings are CPython 3.11's only: the ``_sha2`` branch is checked
+for correctness on 3.12, and its cost is unmeasured.  Which engine ran
+never shows in a root, a log or a wire byte, and nothing selects one by
 configuration.
 
 Domain separation

@@ -161,6 +161,31 @@ class TestMerkleEngines:
         assert compute_label(tree.root) == reference
         assert [node.label for node in nodes] == labels
 
+    @pytest.mark.parametrize("engine", [hashlib.sha512, hashlib.sha384],
+                             ids=["sha512", "sha384"])
+    def test_pool_started_after_the_swap_hashes_on_it(self, engine,
+                                                      monkeypatch):
+        """Pool workers keep the engine bound when they forked, so the
+        swap must come before the pool starts; a pool started after it
+        labels on the swapped engine.  Truncated SHA-384 tells the two
+        apart: a worker still on SHA-512 would break the equality with
+        the serial kernel."""
+        monkeypatch.setattr(hashing, "merkle_sha512", engine)
+        seed = b"golden-wide"
+        serial = label_tree(Mtt.build(wide_entries()),
+                            Rc4Csprng(seed)).root_label
+        pool = LabelPool(2, timeout=10.0)
+        try:
+            par = label_tree_parallel(Mtt.build(wide_entries()),
+                                      Rc4Csprng(seed), workers=2,
+                                      cut_depth=3, pool=pool)
+        finally:
+            pool.close()
+        assert par.mode == "process"
+        assert par.root_label == serial
+        assert (serial.hex() == TestGoldenRoots.GOLDEN_WIDE) == \
+            (engine is hashlib.sha512)
+
 
 class TestRealPool:
     """Process-pool, serial, and reference labeling must all produce
