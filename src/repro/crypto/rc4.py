@@ -31,6 +31,8 @@ depend on which engine ran, and nothing selects one by configuration.
 from __future__ import annotations
 
 import re
+import struct
+from itertools import chain
 from typing import Callable, List
 
 from .hashing import DIGEST_SIZE
@@ -47,7 +49,16 @@ except ImportError:  # the pure-Python engine alone
 #: Bytes of keystream discarded after keying, per the paper (RC4-drop3072).
 DROP_BYTES = 3072
 
-#: Splits a draw into :data:`DIGEST_SIZE`-byte bitstrings in one C call.
+#: Bitstrings per unpack of :data:`_CHUNK`.  Fixed, so the struct is
+#: built once per process whatever the tree size.
+_CHUNK_BITSTRINGS = 256
+
+#: Cuts :data:`_CHUNK_BITSTRINGS` bitstrings off a draw per call: the
+#: aligned head of every :meth:`Rc4Csprng.bitstrings` draw.
+_CHUNK = struct.Struct(("%ds" % DIGEST_SIZE) * _CHUNK_BITSTRINGS)
+
+#: Cuts the tail a whole :data:`_CHUNK` does not cover (fewer than
+#: :data:`_CHUNK_BITSTRINGS` bitstrings) in one C call.
 _BITSTRING = re.compile(b".{%d}" % DIGEST_SIZE, re.DOTALL)
 
 
@@ -147,10 +158,18 @@ class Rc4Csprng:
         :spiderlint-contract: source(commit-randomness)
 
         Equivalent to ``[self.bitstring() for _ in range(n)]`` but pays
-        the per-draw cost once and splits the draw in one regex pass —
-        the labeling pass uses this to blind an entire MTT.
+        the per-draw cost once — the labeling pass uses this to blind an
+        entire MTT.  The draw's aligned head is cut
+        :data:`_CHUNK_BITSTRINGS` bitstrings per :data:`_CHUNK` unpack,
+        the rest by one regex pass; either way each bitstring is the
+        next :data:`DIGEST_SIZE` bytes of the draw.
         """
-        return _BITSTRING.findall(self.bytes(n * DIGEST_SIZE))
+        draw = self.bytes(n * DIGEST_SIZE)
+        full = len(draw) - len(draw) % _CHUNK.size
+        strings = list(chain.from_iterable(
+            _CHUNK.iter_unpack(memoryview(draw)[:full])))
+        strings += _BITSTRING.findall(draw, full)
+        return strings
 
     def bytes(self, n: int) -> bytes:
         """Return ``n`` raw pseudo-random bytes."""

@@ -130,11 +130,18 @@ def _hash_pass(tree: Mtt) -> bytes:
     Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, on the Merkle
     engine :data:`~repro.crypto.hashing.merkle_sha512`) so each node
     costs one hash call; a bit node feeds its bit byte and then its
-    blinding, which skips building ``b || x``.  The golden-root tests
-    pin this path to the generic :func:`compute_label` traversal byte
-    for byte.  This is also the recovery path when a worker pool breaks
-    mid-round: the tree's randomness is already in place, so one serial
-    pass always restores a fully labeled tree.
+    blinding, which skips building ``b || x``.  An interior node hashes
+    its child labels concatenated, by one of two branches: a node with
+    exactly three children (every inner node, and a prefix node when
+    k = 3) as ``a + b + c``, which builds no list and, on 3.11, runs no
+    comprehension frame; any other through ``b"".join`` of the list.
+    Both branches hash the same bytes, so which one a node takes cannot
+    move its label (the basic golden anchor, k = 3, sends its prefix
+    nodes down the first).  The golden-root tests pin this path to the
+    generic :func:`compute_label` traversal byte for byte.  This is
+    also the recovery path when a worker pool breaks mid-round: the
+    tree's randomness is already in place, so one serial pass always
+    restores a fully labeled tree.
     """
     schedule = tree.schedule()
     sha = hashing.merkle_sha512
@@ -146,7 +153,11 @@ def _hash_pass(tree: Mtt) -> bytes:
         node.label = h.digest()[:size]
     join = b"".join
     for node, children in zip(*schedule.interiors):
-        node.label = sha(join([c.label for c in children])).digest()[:size]
+        if len(children) == 3:
+            a, b, c = children
+            node.label = sha(a.label + b.label + c.label).digest()[:size]
+        else:
+            node.label = sha(join([c.label for c in children])).digest()[:size]
     return tree.root.label
 
 

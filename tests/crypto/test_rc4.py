@@ -20,6 +20,9 @@ ARC4_SEED_BYTES = (5, 7, 8, 10, 16, 20, 24, 32)
 #: Seed lengths it rejects, which must fall back to :class:`Rc4`.
 FALLBACK_SEED_BYTES = (9, 33)
 
+#: Bitstrings per whole-chunk unpack of ``Rc4Csprng.bitstrings``.
+W = rc4._CHUNK_BITSTRINGS
+
 #: One draw: ``("bytes", k)``, ``("bitstring", 1)`` or
 #: ``("bitstrings", m)``.
 DRAWS = st.one_of(
@@ -38,6 +41,13 @@ def _draw(gen, draws):
         else:
             out.extend(gen.bitstrings(n))
     return b"".join(out)
+
+
+def _sliced(seed, n):
+    """The ``n`` bitstrings under ``seed`` cut by slicing one draw."""
+    data = Rc4Csprng(seed).bytes(n * DIGEST_SIZE)
+    return [data[i:i + DIGEST_SIZE]
+            for i in range(0, len(data), DIGEST_SIZE)]
 
 
 class TestRc4:
@@ -125,21 +135,37 @@ class TestBlockedKeystream:
         # The zero-length draw must not consume stream position.
         assert gen.bitstring() == Rc4Csprng(b"batch").bitstring()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 48_611])
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, W - 1, W, W + 1, 2 * W, 2 * W + 1, 48_611])
     @pytest.mark.parametrize("engine", ["c", "pure"])
     def test_bitstrings_split_equals_slicing(self, engine, n, monkeypatch):
-        # One regex pass splits the draw; the reference is the slice per
-        # bitstring it replaced.  48 611 draws blind a `table_commit`
-        # tree.
+        # Whole chunks of W are unpacked, the tail goes through the
+        # regex; the reference is the slice per bitstring both replaced.
+        # The n around W and 2W sit on the seam; 48 611 draws blind a
+        # `table_commit` tree.
         if engine == "c":
             pytest.importorskip("cryptography", exc_type=ImportError)
         else:
             monkeypatch.setattr(rc4, "_C_KEY_BYTES", frozenset())
         seed = bytes(range(DIGEST_SIZE))
-        data = Rc4Csprng(seed).bytes(n * DIGEST_SIZE)
-        sliced = [data[i:i + DIGEST_SIZE]
-                  for i in range(0, len(data), DIGEST_SIZE)]
-        assert Rc4Csprng(seed).bitstrings(n) == sliced
+        assert Rc4Csprng(seed).bitstrings(n) == _sliced(seed, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 3 * W), after=st.integers(0, 2 * W),
+           engine=st.sampled_from(["c", "pure"]))
+    def test_split_equals_slicing_and_leaves_the_stream_in_place(
+            self, n, after, engine):
+        # Without cryptography "c" runs the pure path too.
+        seed = b"chunked-split-16"
+        with pytest.MonkeyPatch.context() as patch:
+            if engine == "pure":
+                patch.setattr(rc4, "_C_KEY_BYTES", frozenset())
+            gen = Rc4Csprng(seed)
+            strings = gen.bitstrings(n)
+            next_draw = gen.bitstrings(after)
+        reference = _sliced(seed, n + after)
+        assert strings == reference[:n]
+        assert next_draw == reference[n:]
 
 
 class TestRc4Csprng:

@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.prefix import Prefix
@@ -11,6 +11,7 @@ from repro.crypto import hashing
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import assign_randomness, compute_label, \
     label_tree, label_tree_parallel
+from repro.mtt.nodes import PrefixNode
 from repro.mtt.pool import LabelPool
 from repro.mtt.proofs import LabelDigestCache, MttBitProof, PathStep, \
     ProofError, generate_proof, generate_proofs, verify_proof
@@ -378,6 +379,33 @@ def random_entries(draw, max_k=6):
         p: [draw(st.integers(0, 1)) for _ in range(k)]
         for p in prefixes
     }
+
+
+def _every_node(root):
+    """Every node of the tree under ``root``, parents first."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if type(node) is PrefixNode:
+            stack.extend(node.bit_nodes)
+        else:
+            stack.extend(getattr(node, "children", ()))
+    return nodes
+
+
+class TestLabelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(random_entries())
+    @example(BASIC)
+    def test_every_label_is_the_reference_label(self, entries):
+        # Inner nodes and, at k = 3, prefix nodes take the kernel's
+        # three-child branch; prefix nodes at any other k take the join.
+        tree, _ = build_labeled(entries)
+        nodes = _every_node(tree.root)
+        kernel = [node.label for node in nodes]
+        compute_label(tree.root)  # relabels every node by the reference
+        assert kernel == [node.label for node in nodes]
 
 
 class TestProofProperties:
