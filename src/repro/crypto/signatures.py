@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import rsa
 from ..obs.metrics import Counter, Histogram
-from ..obs.registry import get_registry
+from ..obs.registry import Registry, get_registry
 from .hashing import constant_time_eq, digest, digest_fields
 from .keys import Identity, KeyRegistry
 
@@ -148,49 +148,85 @@ class Signer:
         ]
 
 
+class _VerifyCells:
+    """One obs registry's verifier cells: ``signatures_checked_total``
+    per outcome, each made on its first count (no series at zero), and
+    ``verify_seconds``, made on the first RSA check."""
+
+    __slots__ = ("registry", "_checked", "_seconds")
+
+    def __init__(self, registry: Registry):
+        self.registry = registry
+        self._checked: Dict[str, Counter] = {}
+        self._seconds: Optional[Histogram] = None
+
+    def checked(self, outcome: str) -> Counter:
+        cell = self._checked.get(outcome)
+        if cell is None:
+            cell = self._checked[outcome] = self.registry.counter(
+                "signatures_checked_total", outcome=outcome)
+        return cell
+
+    def seconds(self) -> Histogram:
+        cell = self._seconds
+        if cell is None:
+            cell = self._seconds = self.registry.histogram(
+                "verify_seconds")
+        return cell
+
+
+#: The cells of the obs registry verifiers were last built under.  A
+#: verifier is built per message checked, so the cells outlive it; a
+#: ``use_registry`` swap replaces them at the next verifier built.
+_VERIFY_CELLS: Optional[_VerifyCells] = None
+
+
+def _verify_cells(registry: Registry) -> _VerifyCells:
+    global _VERIFY_CELLS
+    cells = _VERIFY_CELLS
+    if cells is None or cells.registry is not registry:
+        cells = _VERIFY_CELLS = _VerifyCells(registry)
+    return cells
+
+
 class Verifier:
     """Verifies :class:`Signed` envelopes against a key registry.
 
     Publishes ``signatures_checked_total`` (labeled by outcome; one per
     envelope checked, whether or not it reached RSA) and a
-    ``verify_seconds`` histogram of the RSA operations to the default
-    registry.
+    ``verify_seconds`` histogram of the RSA operations to the obs
+    registry that is the default when it is built.
     """
 
     def __init__(self, registry: KeyRegistry):
         self.registry = registry
-        self._obs = get_registry()
+        self._cells = _verify_cells(get_registry())
 
     def verify(self, signed: Signed) -> bool:
         """Check attribution and signature; False on any mismatch."""
+        cells = self._cells
         if not self.registry.knows(signed.signer):
-            self._obs.counter("signatures_checked_total",
-                              outcome="unknown_signer").inc()
+            cells.checked("unknown_signer").inc()
             return False
         key = self.registry.public_key(signed.signer)
         verdict = (key.n, key.e, signed.signer, signed.signature)
         digests = signed.batch_digests
         if digests:
             if not 0 <= signed.batch_index < len(digests):
-                self._obs.counter("signatures_checked_total",
-                                  outcome="bad_batch").inc()
+                cells.checked("bad_batch").inc()
                 return False
             if not constant_time_eq(digest(signed.payload),
                                     digests[signed.batch_index]):
-                self._obs.counter("signatures_checked_total",
-                                  outcome="bad_batch").inc()
+                cells.checked("bad_batch").inc()
                 return False
             if isinstance(digests, BatchDigests) and \
                     digests.verified_by == verdict:
-                self._obs.counter("signatures_checked_total",
-                                  outcome="valid").inc()
+                cells.checked("valid").inc()
                 return True
         start = time.perf_counter()
         ok = rsa.verify(key, signed.signed_bytes(), signed.signature)
-        self._obs.histogram("verify_seconds").observe(
-            time.perf_counter() - start)
-        self._obs.counter("signatures_checked_total",
-                          outcome="valid" if ok else "invalid").inc()
+        cells.seconds().observe(time.perf_counter() - start)
+        cells.checked("valid" if ok else "invalid").inc()
         if ok and isinstance(digests, BatchDigests):
             digests.verified_by = verdict
         return ok

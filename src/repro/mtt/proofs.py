@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.prefix import Prefix
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, \
     constant_time_eq, digest_concat
-from .nodes import EDGE_END, InnerNode
+from .nodes import EDGE_END, PrefixNode
 from .tree import Mtt
 
 _S_CLASS_BIT = struct.Struct(">IB")  # class_index | bit
@@ -35,6 +36,14 @@ class PathStep:
     child_index: int
 
 
+# A walk builds its steps past the frozen ``__init__``, as the codec
+# does; a step has no ``__post_init__`` to skip.
+_new_step = PathStep.__new__
+_set_child_labels = PathStep.__dict__["child_labels"].__set__
+_set_child_index = PathStep.__dict__["child_index"].__set__
+_label = attrgetter("label")
+
+
 @dataclass(frozen=True, slots=True)
 class MttBitProof:
     """Proof that the bit for (``prefix``, ``class_index``) had value
@@ -43,13 +52,14 @@ class MttBitProof:
     ``steps[0]`` is the prefix node (children = bit nodes); subsequent
     steps are the inner nodes up to and including the root.
 
-    ``encoded`` carries the proof's byte form once :meth:`encode` has
-    built it, or the codec has decoded the proof from it, so the sender
-    signs and ships one encoding and the receiver checks the frame's
-    bytes without encoding.  It is not an ``__init__`` argument and
-    takes no part in ``==``, ``hash`` or ``repr``; a new proof,
-    ``dataclasses.replace`` included, starts without it and is encoded
-    afresh.
+    ``encoded`` carries the proof's byte form: :func:`generate_proofs`
+    builds it with the proof, :meth:`encode` builds it for a proof made
+    any other way, and the codec sets it to the bytes it decoded the
+    proof from.  So the sender signs and ships one encoding and the
+    receiver checks the frame's bytes without encoding.  It is not an
+    ``__init__`` argument and takes no part in ``==``, ``hash`` or
+    ``repr``; a new proof, ``dataclasses.replace`` included, starts
+    without it and is encoded afresh.
     """
 
     prefix: Prefix
@@ -87,8 +97,13 @@ class MttBitProof:
         except struct.error as exc:
             raise ValueError(f"proof field out of range: {exc}") from exc
         encoded = bytes(out)
-        object.__setattr__(self, "encoded", encoded)
+        _set_encoded(self, encoded)
         return encoded
+
+
+# Sets the carried bytes past the frozen ``__setattr__``; no field the
+# bytes are built from is ever set this way.
+_set_encoded = MttBitProof.__dict__["encoded"].__set__
 
 
 class LabelDigestCache:
@@ -126,17 +141,66 @@ class ProofError(ValueError):
     """Raised when a proof cannot be generated (absent prefix/class)."""
 
 
-def generate_proof(tree: Mtt, prefix: Prefix,
-                   class_index: int) -> MttBitProof:
+def generate_proof(tree: Mtt, prefix: Prefix, class_index: int,
+                   walks: Optional[Dict[Prefix, "ProofWalk"]] = None
+                   ) -> MttBitProof:
     """Build the bit proof for (``prefix``, ``class_index``).
 
     The tree must already be labeled (see :mod:`repro.mtt.labeling`).
+    ``walks`` is as for :func:`generate_proofs`.
     """
-    return generate_proofs(tree, prefix, (class_index,))[0]
+    return generate_proofs(tree, prefix, (class_index,), walks)[0]
 
 
-def generate_proofs(tree: Mtt, prefix: Prefix,
-                    classes: Sequence[int]) -> List[MttBitProof]:
+class ProofWalk:
+    """One prefix's path in one labeled tree, walked once.
+
+    ``bit_labels`` are the prefix node's children (step 0's labels, the
+    same for every class), ``shared`` the inner steps from the deepest
+    up to the root, and ``tail`` the byte form of step 0's labels and
+    every shared step, as :meth:`MttBitProof.encode` lays them out;
+    ``tail`` is empty when a label on the path is missing or not a
+    digest, and then a proof is left to :meth:`~MttBitProof.encode`.
+    """
+
+    __slots__ = ("prefix_bytes", "count", "bit_labels", "shared", "tail")
+
+    def __init__(self, tree: Mtt, prefix: Prefix,
+                 prefix_node: PrefixNode):
+        inner_path = tree.path_to(prefix)
+        if inner_path is None:
+            raise ProofError(f"no path to {prefix}")
+        # Bottom-up: the deepest inner node reaches the prefix node via
+        # E, every other one the next one down via the prefix's bit at
+        # its depth.
+        edges = prefix.bits() + (EDGE_END,)
+        bit_labels = tuple(map(_label, prefix_node.bit_nodes))
+        labels = list(bit_labels)
+        parts = list(bit_labels)
+        shared: List[PathStep] = []
+        for node, edge in zip(reversed(inner_path), reversed(edges)):
+            child_labels = tuple(map(_label, node.children))
+            step = _new_step(PathStep)
+            _set_child_labels(step, child_labels)
+            _set_child_index(step, edge)
+            shared.append(step)
+            labels += child_labels
+            parts.append(_S_STEP.pack(len(child_labels), edge))
+            parts += child_labels
+        self.prefix_bytes = prefix.to_bytes()
+        self.count = _S_STEPS.pack(len(shared) + 1)
+        self.bit_labels = bit_labels
+        self.shared = tuple(shared)
+        try:
+            encodable = set(map(len, labels)) == {DIGEST_SIZE}
+        except TypeError:  # a node an edit left unlabeled
+            encodable = False
+        self.tail = b"".join(parts) if encodable else b""
+
+
+def generate_proofs(tree: Mtt, prefix: Prefix, classes: Sequence[int],
+                    walks: Optional[Dict[Prefix, ProofWalk]] = None
+                    ) -> List[MttBitProof]:
     """The bit proofs for ``prefix`` in each of ``classes``, in order,
     from one walk of its path.
 
@@ -144,6 +208,13 @@ def generate_proofs(tree: Mtt, prefix: Prefix,
     raising the same :class:`ProofError` for the first class that one
     would fail on.  The proofs differ only in step 0's child index, the
     bit and the blinding; they share every other (immutable) step.
+    Each proof carries its bytes (``encoded``), built from the walk's.
+
+    ``walks`` maps a prefix to its :class:`ProofWalk` in ``tree``: a
+    walk found there is used, a walk made is added.  It must only ever
+    hold walks of this tree as it is now; a caller that keeps one
+    (:class:`~repro.spider.proofgen.Reconstruction`) drops it when the
+    tree is edited or relabeled.
     """
     if not classes:
         return []
@@ -151,42 +222,40 @@ def generate_proofs(tree: Mtt, prefix: Prefix,
     if prefix_node is None:
         raise ProofError(f"prefix {prefix} not present in the MTT")
     bit_nodes = prefix_node.bit_nodes
-    leaves: List[Tuple[int, int, bytes]] = []
-    inner_path: Optional[List[InnerNode]] = None
+    k = len(bit_nodes)
     for class_index in classes:
-        if not 0 <= class_index < len(bit_nodes):
+        if not 0 <= class_index < k:
             raise ProofError(
                 f"class {class_index} out of range for {prefix}")
-        if inner_path is None:
-            inner_path = tree.path_to(prefix)
-            if inner_path is None:
-                raise ProofError(f"no path to {prefix}")
-        bit_node = bit_nodes[class_index]
-        if bit_node.blinding is None or prefix_node.label is None:
+        if bit_nodes[class_index].blinding is None or \
+                prefix_node.label is None:
             raise ProofError("tree is not labeled")
-        leaves.append((class_index, bit_node.bit, bit_node.blinding))
-    assert inner_path is not None  # set by the first class
-
-    # Walk back up: the deepest inner node reaches the prefix node via E;
-    # every other inner node reaches the next via the prefix's path bit.
-    bits = prefix.bits()
-    path: List[PathStep] = []
-    for depth in range(len(inner_path) - 1, -1, -1):
-        node = inner_path[depth]
-        edge = EDGE_END if depth == len(inner_path) - 1 else bits[depth]
-        path.append(PathStep(
-            child_labels=tuple(c.label for c in node.children),
-            child_index=edge,
-        ))
-    shared = tuple(path)
-    bit_labels = tuple(b.label for b in bit_nodes)
-    return [
-        MttBitProof(prefix=prefix, class_index=class_index, bit=bit,
-                    blinding=blinding,
-                    steps=(PathStep(child_labels=bit_labels,
-                                    child_index=class_index),) + shared)
-        for class_index, bit, blinding in leaves
-    ]
+    walk = walks.get(prefix) if walks is not None else None
+    if walk is None:
+        walk = ProofWalk(tree, prefix, prefix_node)
+        if walks is not None:
+            walks[prefix] = walk
+    bit_labels, shared, tail = walk.bit_labels, walk.shared, walk.tail
+    proofs: List[MttBitProof] = []
+    for class_index in classes:
+        bit_node = bit_nodes[class_index]
+        bit, blinding = bit_node.bit, bit_node.blinding
+        assert blinding is not None  # checked above
+        proof = MttBitProof(prefix=prefix, class_index=class_index,
+                            bit=bit, blinding=blinding,
+                            steps=(PathStep(child_labels=bit_labels,
+                                            child_index=class_index),)
+                            + shared)
+        if tail and len(blinding) == DIGEST_SIZE:
+            try:
+                _set_encoded(proof, b"".join((
+                    walk.prefix_bytes, _S_CLASS_BIT.pack(class_index, bit),
+                    blinding, walk.count, _S_STEP.pack(k, class_index),
+                    tail)))
+            except struct.error:
+                pass  # encode() refuses the proof when it is asked to
+        proofs.append(proof)
+    return proofs
 
 
 def verify_proof(root_label: bytes, proof: MttBitProof,
@@ -205,37 +274,47 @@ def verify_proof(root_label: bytes, proof: MttBitProof,
         return None
     if len(proof.blinding) != DIGEST_SIZE:
         return None
-    bits = proof.prefix.bits()
-    if len(proof.steps) != len(bits) + 2:
+    prefix = proof.prefix
+    steps = proof.steps
+    depth = prefix.length
+    if len(steps) != depth + 2:
         return None  # prefix-node step + one inner step per level + root
-    step_digest = cache.digest if cache is not None else \
-        (lambda labels: digest_concat(*labels))
+    step_digest = cache.digest if cache is not None else _digest_labels
 
     # Step 0: the prefix node.
-    first = proof.steps[0]
-    if expected_k is not None and len(first.child_labels) != expected_k:
+    first = steps[0]
+    labels = first.child_labels
+    if expected_k is not None and len(labels) != expected_k:
         return None
-    if first.child_index != proof.class_index or \
-            not 0 <= first.child_index < len(first.child_labels):
+    index = first.child_index
+    if index != proof.class_index or not 0 <= index < len(labels):
         return None
-    leaf_label = bit_commitment(proof.bit, proof.blinding)
-    if not constant_time_eq(first.child_labels[first.child_index],
-                            leaf_label):
+    if not constant_time_eq(labels[index],
+                            bit_commitment(proof.bit, proof.blinding)):
         return None
-    running = step_digest(first.child_labels)
+    running = step_digest(labels)
 
-    # Inner steps, bottom-up: deepest uses edge E, then the prefix bits
-    # in reverse.
-    expected_edges = [EDGE_END] + list(reversed(bits))
-    for step, edge in zip(proof.steps[1:], expected_edges):
-        if len(step.child_labels) != 3:
+    # Inner steps, bottom-up: the deepest is entered by edge E, each one
+    # above it by the prefix's bit at its depth, read off the address as
+    # ``Prefix.bits()`` reads it.
+    address = prefix.address
+    edge = EDGE_END
+    for step in steps[1:]:
+        labels = step.child_labels
+        if len(labels) != 3:
             return None
         if step.child_index != edge:
             return None
-        if not constant_time_eq(step.child_labels[edge], running):
+        if not constant_time_eq(labels[edge], running):
             return None
-        running = step_digest(step.child_labels)
+        running = step_digest(labels)
+        depth -= 1
+        edge = (address >> (31 - depth)) & 1
 
     if not constant_time_eq(running, root_label):
         return None
     return proof.bit
+
+
+def _digest_labels(labels: Tuple[bytes, ...]) -> bytes:
+    return digest_concat(*labels)

@@ -271,19 +271,6 @@ class _Reader:
             return buf[pos:end]
         return bytes(buf[pos:end])
 
-    def digests(self, n: int) -> Tuple[bytes, ...]:
-        """``n`` consecutive digests in one struct read.  The length is
-        checked first, so a count the buffer cannot hold is refused
-        before a :class:`struct.Struct` is looked up for it."""
-        pos = self._pos
-        end = pos + DIGEST_SIZE * n
-        if end > self._len:
-            self._short(DIGEST_SIZE * n)
-        self._pos = end
-        digests: Tuple[bytes, ...] = _labels_struct(n).unpack_from(
-            self._buf, pos)
-        return digests
-
     def since(self, start: int) -> bytes:
         """The bytes read from offset ``start`` up to here."""
         buf = self._buf
@@ -475,15 +462,31 @@ def _read_bit_proof(r: _Reader) -> MttBitProof:
     if bit not in (0, 1):
         raise CodecError(f"proof bit must be 0 or 1, got {bit}")
     blinding = r.raw(DIGEST_SIZE)
+    n_steps = r.u16()
+    # The steps are read in one loop over the buffer, with the reader's
+    # checks in its order: a step's header must be there, its child
+    # index in range, and its 20·n label bytes there before a struct is
+    # looked up for n.
+    buf, pos, end = r._buf, r._pos, r._len
     steps: List[PathStep] = []
-    for _ in range(r.u16()):
-        n_children, child_index = r.unpack(_S_HH)
+    for _ in range(n_steps):
+        if pos + 4 > end:
+            r._pos = pos
+            r._short(4)
+        n_children, child_index = _S_HH.unpack_from(buf, pos)
+        pos += 4
         if child_index >= n_children:
             raise CodecError("child index beyond child labels")
+        size = DIGEST_SIZE * n_children
+        if pos + size > end:
+            r._pos = pos
+            r._short(size)
         step = PathStep.__new__(PathStep)
-        _ps_labels(step, r.digests(n_children))
+        _ps_labels(step, _labels_struct(n_children).unpack_from(buf, pos))
         _ps_index(step, child_index)
         steps.append(step)
+        pos += size
+    r._pos = pos
     proof = MttBitProof.__new__(MttBitProof)
     _mp_prefix(proof, prefix)
     _mp_class(proof, class_index)

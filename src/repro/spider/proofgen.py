@@ -28,7 +28,10 @@ reconstruction, so the generator keeps the last one while it is
 current: N neighbors asking for one commit time in a row trigger one
 replay, not N.  The recorder's next round edits or relabels its tree,
 which makes a reconstruction taken from it stale; a stale one is never
-served and never proved from.
+served and never proved from.  A reconstruction also keeps each
+prefix's path once it has been walked (:class:`~repro.mtt.proofs.
+ProofWalk`), so every proof of that prefix, for every neighbor, shares
+one walk and its bytes; the walks die with the reconstruction.
 
 A replay resumes from the generator's last one (``replay(...,
 since=...)``): the next commitment asked for is usually the next one
@@ -49,7 +52,7 @@ from ..bgp.route import NULL_ROUTE
 from ..crypto.rc4 import Rc4Csprng
 # Imported under the name benchmarks/e2e/layers.py TARGETS wraps here.
 from ..mtt.labeling import label_tree_parallel as label_tree_with_workers
-from ..mtt.proofs import generate_proof, generate_proofs
+from ..mtt.proofs import ProofWalk, generate_proof, generate_proofs
 from ..mtt.tree import Mtt
 from .checkpoint import elector_view, replay
 from .codec import encode_message
@@ -74,6 +77,11 @@ class Reconstruction:
     state: RoutingState
     #: ``tree.version`` when the reconstruction was taken.
     version: int
+    #: prefix → its path in ``tree``, walked for the first proof of it
+    #: and shared by every later one, whoever it is for.  Only read
+    #: while the reconstruction is :attr:`current`.
+    walks: Dict[Prefix, ProofWalk] = field(default_factory=dict,
+                                           compare=False, repr=False)
 
     @property
     def current(self) -> bool:
@@ -244,7 +252,8 @@ class ProofGenerator:
         advertising, for each of ``produced`` it advertised.  Consumer
         side: for each of ``consumed`` that is in the commitment, the
         0-proofs for every class its promise ranks above our offer.
-        A reconstruction whose tree has moved on proves nothing.
+        A reconstruction whose tree has moved on proves nothing, so its
+        walks are read only while it is current.
         """
         if not reconstruction.current:
             raise ValueError(
@@ -252,6 +261,7 @@ class ProofGenerator:
                 "stale: the recorder has edited or relabeled its tree")
         state = reconstruction.state
         tree = reconstruction.tree
+        walks = reconstruction.walks
         commit_time = reconstruction.commit_time
         scheme = self.recorder.scheme
         start = time.perf_counter()
@@ -262,7 +272,8 @@ class ProofGenerator:
         for prefix in produced:
             if prefix in imports:
                 proof = generate_proof(tree, prefix,
-                                       scheme.classify(imports[prefix]))
+                                       scheme.classify(imports[prefix]),
+                                       walks)
                 result.producer_proofs[prefix] = SpiderBitProof.make(
                     signer, neighbor, commit_time, proof)
         promise = self.recorder.promises.get(neighbor)
@@ -279,6 +290,7 @@ class ProofGenerator:
                     result.consumer_proofs[prefix] = [
                         SpiderBitProof.make(signer, neighbor, commit_time,
                                             proof)
-                        for proof in generate_proofs(tree, prefix, due)]
+                        for proof in generate_proofs(tree, prefix, due,
+                                                     walks)]
         result.generation_seconds = time.perf_counter() - start
         return result

@@ -354,3 +354,24 @@ class TestSignatureCounters:
             signature=envs[0].signature,
             batch_digests=envs[0].batch_digests, batch_index=5))
         assert self.checked(obs) == {"unknown_signer": 1, "bad_batch": 1}
+
+    def test_a_verifier_counts_into_the_registry_it_was_built_under(
+            self, registry, alice):
+        """The cells are bound once per obs registry, and a
+        ``use_registry`` swap, in or out, moves the next verifier's
+        counts with it; an outcome never seen has no series."""
+        env = Signer(alice).sign(b"a")
+        stranger = Signed(signer=42, payload=b"a",
+                          signature=env.signature)
+        with use_registry() as outer:
+            assert Verifier(registry).verify(env)
+            with use_registry() as inner:
+                verifier = Verifier(registry)
+                assert verifier.verify(env)
+                assert not verifier.verify(stranger)
+            assert Verifier(registry).verify(env)
+            assert not verifier.verify(stranger)  # built under inner
+        assert self.checked(outer) == {"valid": 2}
+        assert self.checked(inner) == {"valid": 1, "unknown_signer": 2}
+        assert outer.histogram("verify_seconds").count == 2
+        assert inner.histogram("verify_seconds").count == 1

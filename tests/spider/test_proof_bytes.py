@@ -125,8 +125,8 @@ class TestIdentityUnchanged:
 
     def test_eq_hash_and_repr_ignore_the_bytes(self, world):
         proof = generate_proof(world[2], P, 0)
-        twin = generate_proof(world[2], P, 0)
-        proof.encode()
+        # A generated proof carries its bytes; a replace copy does not.
+        twin = dataclasses.replace(proof)
         assert proof.encoded and not twin.encoded
         assert proof == twin
         assert hash(proof) == hash(twin)
@@ -159,8 +159,9 @@ def eight_prefixes():
 
 
 class _CountingStruct:
-    """Stands in for the struct only ``MttBitProof.encode``'s body
-    packs, so every pack is one run of the encoder body."""
+    """Stands in for the struct packed once per encoding of a proof,
+    by ``generate_proofs`` as it builds one or by the body of
+    ``MttBitProof.encode``, so every pack is one encoding."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -175,8 +176,9 @@ class _CountingStruct:
 def test_an_eight_prefix_set_is_encoded_once_and_decoded_bytes_reused(
         eight_prefixes, monkeypatch, neighbor):
     """AS 2 is due a 1-proof per prefix, AS 7 two 0-proofs per prefix.
-    Sending encodes each proof once (to sign; shipping reuses it),
-    receiving never (the signature check reads the frame's bytes)."""
+    Sending encodes each proof once (as it is generated; signing and
+    shipping reuse it), receiving never (the signature check reads the
+    frame's bytes)."""
     dep, record = eight_prefixes
     elector = dep.node(FOCUS_AS)
     reconstruction = elector.proofgen.reconstruct(record.commit_time)

@@ -718,6 +718,49 @@ class TestStaleReconstructions:
             world.recorder.committed_tree(latest.commit_time)
         world.finish()
 
+    @pytest.mark.parametrize("edit", ["round", "relabel_only", "by_hand"])
+    def test_a_stale_reconstruction_reads_no_walk(self, edit):
+        """Both neighbours' proofs of a prefix they both advertise share
+        its one walk.  Once the tree moves on, ``proofs_for`` refuses
+        before it reads the walk table, and a fresh reconstruction's
+        proofs verify."""
+        world = honest_world()
+        both = Prefix.parse("192.0.2.0/24")
+        world.announce(2, both)
+        world.announce(3, both, (4000,))
+        first = world.commit()
+        proofgen = ProofGenerator(world.recorder)
+        held = proofgen.reconstruct(first.commit_time)
+        proofs = [proofgen.proofs_for(held, n).producer_proofs[both].proof
+                  for n in NEIGHBORS]
+        assert set(held.walks) == {P, Q, both}
+        for proof in proofs:
+            assert all(a is b for a, b in
+                       zip(proof.steps[1:], held.walks[both].shared))
+
+        class Unread(dict):
+            def refuse(self, *args):
+                raise AssertionError("a stale walk was read")
+
+            get = __getitem__ = __contains__ = __iter__ = refuse
+
+        held.walks = Unread(held.walks)
+        if edit == "by_hand":
+            tree = world.recorder.committed_tree(first.commit_time)
+            tree.set_bits(P, tree.bits_for(P))
+        elif edit == "round":
+            world.announce(3, Prefix.parse("10.0.0.0/8"))
+        latest = world.commit()
+        assert not held.current
+        for neighbor in NEIGHBORS:
+            with pytest.raises(ValueError, match="stale"):
+                proofgen.proofs_for(held, neighbor)
+        fresh = proofgen.reconstruct(latest.commit_time)
+        assert fresh is not held and fresh.walks == {}
+        for neighbor in NEIGHBORS:
+            assert check(world, latest, fresh, neighbor).ok
+        world.finish()
+
     def test_a_round_that_raises_leaves_no_committed_tree(
             self, monkeypatch):
         world = honest_world()
