@@ -149,9 +149,10 @@ class Signer:
 
 
 class _VerifyCells:
-    """One obs registry's verifier cells: ``signatures_checked_total``
-    per outcome, each made on its first count (no series at zero), and
-    ``verify_seconds``, made on the first RSA check."""
+    """One obs registry's verifier cells (:meth:`Registry.cells`):
+    ``signatures_checked_total`` per outcome, each made on its first
+    count (no series at zero), and ``verify_seconds``, made on the first
+    RSA check."""
 
     __slots__ = ("registry", "_checked", "_seconds")
 
@@ -175,20 +176,6 @@ class _VerifyCells:
         return cell
 
 
-#: The cells of the obs registry verifiers were last built under.  A
-#: verifier is built per message checked, so the cells outlive it; a
-#: ``use_registry`` swap replaces them at the next verifier built.
-_VERIFY_CELLS: Optional[_VerifyCells] = None
-
-
-def _verify_cells(registry: Registry) -> _VerifyCells:
-    global _VERIFY_CELLS
-    cells = _VERIFY_CELLS
-    if cells is None or cells.registry is not registry:
-        cells = _VERIFY_CELLS = _VerifyCells(registry)
-    return cells
-
-
 class Verifier:
     """Verifies :class:`Signed` envelopes against a key registry.
 
@@ -200,11 +187,11 @@ class Verifier:
 
     def __init__(self, registry: KeyRegistry):
         self.registry = registry
-        self._cells = _verify_cells(get_registry())
+        self._obs = get_registry()
 
     def verify(self, signed: Signed) -> bool:
         """Check attribution and signature; False on any mismatch."""
-        cells = self._cells
+        cells = self._obs.cells(_VerifyCells)
         if not self.registry.knows(signed.signer):
             cells.checked("unknown_signer").inc()
             return False

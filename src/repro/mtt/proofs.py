@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..bgp.prefix import Prefix
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, \
@@ -170,15 +170,11 @@ class ProofWalk:
         inner_path = tree.path_to(prefix)
         if inner_path is None:
             raise ProofError(f"no path to {prefix}")
-        # Bottom-up: the deepest inner node reaches the prefix node via
-        # E, every other one the next one down via the prefix's bit at
-        # its depth.
-        edges = prefix.bits() + (EDGE_END,)
         bit_labels = tuple(map(_label, prefix_node.bit_nodes))
         labels = list(bit_labels)
         parts = list(bit_labels)
         shared: List[PathStep] = []
-        for node, edge in zip(reversed(inner_path), reversed(edges)):
+        for node, edge in zip(reversed(inner_path), _edges_up(prefix)):
             child_labels = tuple(map(_label, node.children))
             step = _new_step(PathStep)
             _set_child_labels(step, child_labels)
@@ -276,8 +272,7 @@ def verify_proof(root_label: bytes, proof: MttBitProof,
         return None
     prefix = proof.prefix
     steps = proof.steps
-    depth = prefix.length
-    if len(steps) != depth + 2:
+    if len(steps) != prefix.length + 2:
         return None  # prefix-node step + one inner step per level + root
     step_digest = cache.digest if cache is not None else _digest_labels
 
@@ -294,12 +289,8 @@ def verify_proof(root_label: bytes, proof: MttBitProof,
         return None
     running = step_digest(labels)
 
-    # Inner steps, bottom-up: the deepest is entered by edge E, each one
-    # above it by the prefix's bit at its depth, read off the address as
-    # ``Prefix.bits()`` reads it.
-    address = prefix.address
-    edge = EDGE_END
-    for step in steps[1:]:
+    # Inner steps, bottom-up.
+    for step, edge in zip(steps[1:], _edges_up(prefix)):
         labels = step.child_labels
         if len(labels) != 3:
             return None
@@ -308,12 +299,18 @@ def verify_proof(root_label: bytes, proof: MttBitProof,
         if not constant_time_eq(labels[edge], running):
             return None
         running = step_digest(labels)
-        depth -= 1
-        edge = (address >> (31 - depth)) & 1
 
     if not constant_time_eq(running, root_label):
         return None
     return proof.bit
+
+
+def _edges_up(prefix: Prefix) -> Iterator[int]:
+    """The child index of each inner step of ``prefix``'s path, from the
+    deepest up to the root: the deepest reaches the prefix node by E,
+    each one above it the next one down by the prefix's bit at its
+    depth."""
+    return reversed(prefix.bits() + (EDGE_END,))
 
 
 def _digest_labels(labels: Tuple[bytes, ...]) -> bytes:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional, Protocol, \
-    Tuple, Type, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, \
+    Protocol, Tuple, Type, TypeVar, Union
 
 from collections import deque
 
@@ -38,6 +38,7 @@ from .metrics import Counter, Gauge, Histogram, LabelSet, Span, \
     canonical_labels
 
 Metric = Union[Counter, Gauge, Histogram]
+Cells = TypeVar("Cells")
 
 
 class ClockLike(Protocol):
@@ -72,6 +73,7 @@ class Registry:
     def __init__(self, max_spans: int = MAX_SPANS):
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, LabelSet], Metric] = {}
+        self._cells: Dict[Callable[["Registry"], object], object] = {}
         self.spans: Deque[Span] = deque(maxlen=max_spans)
 
     # ------------------------------------------------------------------
@@ -101,6 +103,21 @@ class Registry:
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._metric(Histogram, name, labels)
+
+    def cells(self, kind: Callable[["Registry"], Cells]) -> Cells:
+        """The one ``kind(self)`` of this registry, made on first use.
+
+        A component that reports on a hot path keeps its metric cells
+        here, bound once and shared by every instance of it that
+        reports into this registry.  :meth:`clear` drops them with the
+        metrics, so counts after a clear land in the registry again.
+        """
+        cells = self._cells.get(kind)
+        if cells is None:
+            made = kind(self)
+            with self._lock:
+                cells = self._cells.setdefault(kind, made)
+        return cells  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Spans
@@ -164,6 +181,7 @@ class Registry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
+            self._cells.clear()
         self.spans.clear()
 
 

@@ -271,6 +271,34 @@ class _Reader:
             return buf[pos:end]
         return bytes(buf[pos:end])
 
+    def path_steps(self, n: int) -> Tuple[PathStep, ...]:
+        """``n`` bit-proof path steps, read in one loop over the buffer.
+        A step's header must be there and its child index in range, and
+        its 20·n label bytes must be there before a struct is looked up
+        for n."""
+        buf, pos, end = self._buf, self._pos, self._len
+        steps: List[PathStep] = []
+        for _ in range(n):
+            if pos + 4 > end:
+                self._pos = pos
+                self._short(4)
+            n_children, child_index = _S_HH.unpack_from(buf, pos)
+            pos += 4
+            if child_index >= n_children:
+                raise CodecError("child index beyond child labels")
+            size = DIGEST_SIZE * n_children
+            if pos + size > end:
+                self._pos = pos
+                self._short(size)
+            step = PathStep.__new__(PathStep)
+            _ps_labels(step,
+                       _labels_struct(n_children).unpack_from(buf, pos))
+            _ps_index(step, child_index)
+            steps.append(step)
+            pos += size
+        self._pos = pos
+        return tuple(steps)
+
     def since(self, start: int) -> bytes:
         """The bytes read from offset ``start`` up to here."""
         buf = self._buf
@@ -462,37 +490,13 @@ def _read_bit_proof(r: _Reader) -> MttBitProof:
     if bit not in (0, 1):
         raise CodecError(f"proof bit must be 0 or 1, got {bit}")
     blinding = r.raw(DIGEST_SIZE)
-    n_steps = r.u16()
-    # The steps are read in one loop over the buffer, with the reader's
-    # checks in its order: a step's header must be there, its child
-    # index in range, and its 20·n label bytes there before a struct is
-    # looked up for n.
-    buf, pos, end = r._buf, r._pos, r._len
-    steps: List[PathStep] = []
-    for _ in range(n_steps):
-        if pos + 4 > end:
-            r._pos = pos
-            r._short(4)
-        n_children, child_index = _S_HH.unpack_from(buf, pos)
-        pos += 4
-        if child_index >= n_children:
-            raise CodecError("child index beyond child labels")
-        size = DIGEST_SIZE * n_children
-        if pos + size > end:
-            r._pos = pos
-            r._short(size)
-        step = PathStep.__new__(PathStep)
-        _ps_labels(step, _labels_struct(n_children).unpack_from(buf, pos))
-        _ps_index(step, child_index)
-        steps.append(step)
-        pos += size
-    r._pos = pos
+    steps = r.path_steps(r.u16())
     proof = MttBitProof.__new__(MttBitProof)
     _mp_prefix(proof, prefix)
     _mp_class(proof, class_index)
     _mp_bit(proof, bit)
     _mp_blinding(proof, blinding)
-    _mp_steps(proof, tuple(steps))
+    _mp_steps(proof, steps)
     # The proof carries the bytes it was read from: they are what
     # encode() would build, since every accepted frame re-encodes to
     # itself (tests/runtime/test_codec_roundtrip.py).

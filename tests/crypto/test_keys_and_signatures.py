@@ -375,3 +375,20 @@ class TestSignatureCounters:
         assert self.checked(inner) == {"valid": 1, "unknown_signer": 2}
         assert outer.histogram("verify_seconds").count == 2
         assert inner.histogram("verify_seconds").count == 1
+
+    def test_counts_after_a_clear_land_in_the_registry(self, obs,
+                                                       registry, alice):
+        """``Registry.clear`` drops the bound cells with the metrics, so
+        a verifier built before the clear counts into the registry
+        again, from zero, and no outcome it has not seen since
+        reappears."""
+        env = Signer(alice).sign(b"a")
+        verifier = Verifier(registry)
+        assert verifier.verify(env)
+        assert not verifier.verify(Signed(signer=42, payload=b"a",
+                                          signature=env.signature))
+        obs.clear()
+        assert self.checked(obs) == {}
+        assert verifier.verify(env)
+        assert self.checked(obs) == {"valid": 1}
+        assert obs.histogram("verify_seconds").count == 1

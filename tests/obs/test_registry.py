@@ -60,6 +60,22 @@ class TestAggregation:
         assert registry.metrics() == []
         assert registry.total("x") == 0
 
+    def test_bound_cells_are_made_once_and_dropped_by_clear(self):
+        class Hits:
+            def __init__(self, registry):
+                self.cell = registry.counter("hits")
+
+        registry = Registry()
+        first = registry.cells(Hits)
+        assert registry.cells(Hits) is first
+        assert Registry().cells(Hits) is not first
+        first.cell.inc()
+        registry.clear()
+        again = registry.cells(Hits)
+        assert again is not first
+        again.cell.inc()
+        assert registry.total("hits") == 1
+
 
 class TestSpans:
     def test_span_reads_the_given_clock(self):
