@@ -37,7 +37,7 @@ from .contracts import ContractRegistry, default_registry
 from .engine import AnalysisResult, Engine, Rule, RuleContext
 from .findings import Finding
 from .rules import all_rules
-from .taint import TaintAnalysis, analyze_paths_dataflow, build_registry
+from .taint import TaintAnalysis, analyze_paths_dataflow
 
 __all__ = [
     "AnalysisResult",
@@ -52,7 +52,6 @@ __all__ = [
     "all_rules",
     "analyze_paths_dataflow",
     "build_cfg",
-    "build_registry",
     "default_registry",
     "load_program",
 ]

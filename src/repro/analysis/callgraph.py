@@ -2,9 +2,10 @@
 
 The dataflow rules reason about *the program*, not one file at a time,
 so this module parses every source file once into a :class:`Program`:
-per-module import tables, every function/method definition with its
-qualified name, and the docstring contract markers that feed
-:mod:`repro.analysis.contracts`.
+per-module import tables and every function/method definition with its
+qualified name.  It declares no contracts: every source, sink and
+declassifier is an entry of
+:func:`repro.analysis.contracts.default_registry`.
 
 Call resolution is deliberately heuristic — this is Python — but the
 heuristics are ranked and bounded so imprecision stays conservative:
@@ -24,7 +25,6 @@ heuristics are ranked and bounded so imprecision stays conservative:
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -43,21 +43,6 @@ _COMMON_METHODS = frozenset({
 #: Max same-named definitions before a by-name lookup is abandoned.
 _MAX_CANDIDATES = 8
 
-#: ``:spiderlint-contract: source(label) …`` docstring marker.
-_MARKER_RE = re.compile(
-    r":spiderlint-contract:\s*"
-    r"(?P<kind>source|sink|declassifier)\s*\(\s*(?P<arg>[a-z0-9_\-]+)\s*\)")
-
-
-@dataclass(frozen=True)
-class DocMarker:
-    """One ``:spiderlint-contract:`` marker found in a docstring."""
-
-    kind: str   # "source" | "sink" | "declassifier"
-    arg: str    # taint label (source/declassifier) or sink id
-    qualname: str
-
-
 @dataclass
 class FunctionInfo:
     """One function or method definition in the program."""
@@ -68,7 +53,6 @@ class FunctionInfo:
     module: str            # normalized module path
     node: ast.FunctionDef | ast.AsyncFunctionDef
     params: Tuple[str, ...] = ()
-    markers: Tuple[DocMarker, ...] = ()
 
     @property
     def display(self) -> str:
@@ -157,10 +141,8 @@ class Program:
         qualname = f"{info.path}::{display}"
         params = tuple(arg.arg for arg in node.args.posonlyargs
                        ) + tuple(arg.arg for arg in node.args.args)
-        markers = _doc_markers(node, qualname)
         fn = FunctionInfo(qualname=qualname, name=node.name, cls=cls,
-                          module=info.path, node=node, params=params,
-                          markers=markers)
+                          module=info.path, node=node, params=params)
         self.functions[qualname] = fn
         self.by_name.setdefault(node.name, []).append(qualname)
         if cls is None:
@@ -170,13 +152,6 @@ class Program:
 
     # ------------------------------------------------------------------
     # Queries
-
-    def doc_markers(self) -> List[DocMarker]:
-        """Every docstring contract marker in the program."""
-        out: List[DocMarker] = []
-        for fn in self.functions.values():
-            out.extend(fn.markers)
-        return out
 
     def resolve_call(self, call: ast.Call,
                      caller: FunctionInfo) -> List[FunctionInfo]:
@@ -296,17 +271,6 @@ def _absolute_base(node: ast.ImportFrom, module_path: str) -> str:
     if node.module:
         parts.extend(node.module.split("."))
     return ".".join(parts)
-
-
-def _doc_markers(node: ast.FunctionDef | ast.AsyncFunctionDef,
-                 qualname: str) -> Tuple[DocMarker, ...]:
-    doc = ast.get_docstring(node, clean=False)
-    if not doc or ":spiderlint-contract:" not in doc:
-        return ()
-    return tuple(
-        DocMarker(kind=m.group("kind"), arg=m.group("arg"),
-                  qualname=qualname)
-        for m in _MARKER_RE.finditer(doc))
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,8 @@ the taint engine (:mod:`repro.analysis.taint`) can enforce it:
   (selective reveal, §6.1), and RSA signing (§6.2).  A value that has
   passed through one is, by design, publishable.
 
-Contracts come from two places: the built-in registry below (the
-paper-derived model) and ``:spiderlint-contract:`` docstring markers on
-the functions themselves (harvested by
-:mod:`repro.analysis.callgraph`), so a module can declare its own
-secrets next to the code that owns them.
+Every contract is declared once, as an entry of
+:func:`default_registry` below (the paper-derived model).
 
 A few flows are *sanctioned* as (label, sink) pairs rather than routed
 through a declassifier — most importantly the §6.5 storage of the raw
@@ -34,9 +31,7 @@ proving the engine really traverses those paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-from .callgraph import DocMarker
+from typing import FrozenSet, List, Optional, Tuple
 
 # Taint labels used by the built-in model.
 LABEL_POLICY = "bgp-policy"
@@ -136,33 +131,6 @@ class ContractRegistry:
                            if d.name != name],
             sanctioned=list(self.sanctioned),
             public_attrs=self.public_attrs)
-
-    def merge_markers(self, markers: Iterable[DocMarker],
-                      qualname_module: Dict[str, str]) -> None:
-        """Fold docstring markers into the registry.
-
-        ``source(label)`` / ``declassifier(label)`` markers register the
-        carrying function's bare name as a call pattern; ``sink(id)``
-        markers attach the function to an existing sink identity.
-        """
-        for marker in markers:
-            bare = marker.qualname.rsplit("::", 1)[-1].rsplit(".", 1)[-1]
-            module = qualname_module.get(marker.qualname, "")
-            if marker.kind == "source":
-                self.sources.append(SourceContract(
-                    label=marker.arg, pattern=f"call:{bare}",
-                    scope=None,
-                    description=f"docstring marker on {marker.qualname}"))
-            elif marker.kind == "declassifier":
-                self.declassifiers.append(DeclassifierContract(
-                    name=f"doc:{bare}", patterns=(bare,),
-                    description=f"docstring marker on {marker.qualname}"))
-            elif marker.kind == "sink":
-                self.sinks.append(SinkContract(
-                    sink_id=marker.arg, rule_id="SPDR006",
-                    patterns=(bare,), scope=None,
-                    description=f"docstring marker on {marker.qualname} "
-                                f"({module})"))
 
     # ------------------------------------------------------------------
     # Matching helpers used by the taint transfer functions.
@@ -264,13 +232,9 @@ def default_registry() -> ContractRegistry:
                        section="§6.5"),
         # §5.3: blinding bitstrings drawn for MTT nodes.
         SourceContract(LABEL_RANDOMNESS, "call:bitstring",
-                       scope=("repro/crypto/", "repro/mtt/",
-                              "repro/spider/"),
                        description="one blinding bitstring",
                        section="§5.3"),
         SourceContract(LABEL_RANDOMNESS, "call:bitstrings",
-                       scope=("repro/crypto/", "repro/mtt/",
-                              "repro/spider/"),
                        description="batched blinding bitstrings",
                        section="§5.3"),
         SourceContract(LABEL_RANDOMNESS, "attr:blinding",

@@ -25,8 +25,10 @@ SCOPE: Tuple[str, ...] = (
     "repro/bgp/",
     "repro/core/wire.py",
     "repro/core/commitment.py",
+    "repro/mtt/proofs.py",
     "repro/spider/wire.py",
     "repro/spider/codec.py",
+    "repro/spider/log.py",
     "repro/runtime/framing.py",
     "repro/store/",
 )

@@ -576,15 +576,6 @@ class _FunctionWalker:
 # Whole-program driver
 
 
-def build_registry(program: Program) -> ContractRegistry:
-    """The default contract set plus the program's docstring markers."""
-    registry = default_registry()
-    qualname_module = {qual: fn.module
-                       for qual, fn in program.functions.items()}
-    registry.merge_markers(program.doc_markers(), qualname_module)
-    return registry
-
-
 def analyze_paths_dataflow(
         paths: Sequence[str],
         contracts: Optional[ContractRegistry] = None,
@@ -600,7 +591,7 @@ def analyze_paths_dataflow(
     program = load_program(paths)
     t1 = time.perf_counter()
     registry = contracts if contracts is not None \
-        else build_registry(program)
+        else default_registry()
     analysis = TaintAnalysis(program, registry, scope=scope)
     raw = analysis.run()
     t2 = time.perf_counter()

@@ -15,7 +15,7 @@ from .prefix import DEFAULT_ROUTE_PREFIX, MAX_PREFIX_LEN, Prefix, PrefixError
 from .rib import AdjRibIn, AdjRibOut, LocRib, rib_diff
 from .route import DEFAULT_LOCAL_PREF, NULL_ROUTE, NullRoute, Origin, Route, \
     originate
-from .speaker import Speaker, SpeakerStats
+from .speaker import Speaker
 
 __all__ = [
     "ActionKind", "Community", "CommunityAction", "NO_ADVERTISE",
@@ -29,5 +29,5 @@ __all__ = [
     "AdjRibIn", "AdjRibOut", "LocRib", "rib_diff",
     "DEFAULT_LOCAL_PREF", "NULL_ROUTE", "NullRoute", "Origin", "Route",
     "originate",
-    "Speaker", "SpeakerStats",
+    "Speaker",
 ]

@@ -181,8 +181,6 @@ def gao_rexford_policy(
 ) -> Tuple[ImportPolicy, ExportPolicy]:
     """Build the matched import/export policy pair used in the evaluation.
 
-    :spiderlint-contract: source(bgp-policy)
-
     The returned policy objects hold the AS's private business
     relationships (§4); spiderlint's SPDR006 treats them as tainted
     until a decision is extracted via ``apply`` (the public verdict).

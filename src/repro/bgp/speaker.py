@@ -17,7 +17,6 @@ the BGP message flow" (Section 1).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
 from .messages import Announce, Update, Withdraw
@@ -28,17 +27,6 @@ from .rib import AdjRibIn, AdjRibOut, LocRib
 from .route import Route, originate as make_origin_route
 
 Observer = Callable[[Update], None]
-
-
-@dataclass
-class SpeakerStats:
-    """Counters for the evaluation's message accounting."""
-
-    updates_received: int = 0
-    updates_sent: int = 0
-    announces_sent: int = 0
-    withdraws_sent: int = 0
-    bytes_sent: int = 0
 
 
 class Speaker:
@@ -62,7 +50,6 @@ class Speaker:
         self.rib_out = AdjRibOut()
         #: Prefixes this AS originates.
         self.origins: Set[Prefix] = set()
-        self.stats = SpeakerStats()
         self._receive_observers: List[Observer] = []
         self._send_observers: List[Observer] = []
 
@@ -119,7 +106,6 @@ class Speaker:
                 f"AS {self.asn} received update from non-neighbor "
                 f"{update.sender}"
             )
-        self.stats.updates_received += 1
         for observer in self._receive_observers:
             observer(update)
 
@@ -178,18 +164,9 @@ class Speaker:
             self.rib_out.put(neighbor, exported)
             update = Announce(sender=self.asn, receiver=neighbor,
                               route=exported)
-        self._note_sent(update)
-        return [update]
-
-    def _note_sent(self, update: Update) -> None:
-        self.stats.updates_sent += 1
-        if isinstance(update, Announce):
-            self.stats.announces_sent += 1
-        else:
-            self.stats.withdraws_sent += 1
-        self.stats.bytes_sent += update.wire_size()
         for observer in self._send_observers:
             observer(update)
+        return [update]
 
     # ------------------------------------------------------------------
     # Introspection

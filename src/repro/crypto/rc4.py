@@ -143,8 +143,6 @@ class Rc4Csprng:
     def bitstring(self) -> bytes:
         """Return one blinding bitstring.
 
-        :spiderlint-contract: source(commit-randomness)
-
         Per Section 5.3, all random bitstrings must have the same length as
         a hash value so that dummy labels are indistinguishable from real
         Merkle labels.  The bitstring is private until it enters a bit
@@ -154,8 +152,6 @@ class Rc4Csprng:
 
     def bitstrings(self, n: int) -> List[bytes]:
         """Return ``n`` consecutive bitstrings in one draw.
-
-        :spiderlint-contract: source(commit-randomness)
 
         Equivalent to ``[self.bitstring() for _ in range(n)]`` but pays
         the per-draw cost once — the labeling pass uses this to blind an

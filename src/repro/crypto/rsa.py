@@ -207,8 +207,6 @@ def generate_keypair(bits: int = DEFAULT_KEY_BITS,
                      seed: Optional[int] = None) -> PrivateKey:
     """Generate an RSA keypair.
 
-    :spiderlint-contract: source(rsa-private)
-
     ``seed`` makes generation deterministic (for reproducible simulations);
     omit it for real randomness.  The returned key is private material
     (§7.1): only ``sign`` output and the ``public_key`` half may reach

@@ -248,11 +248,11 @@ def participant_neighbors(world: World, asn: int) -> Tuple[int, ...]:
 
 
 def audit_position(world: World, audited: int, *,
-                   cross_check: bool = True,
-                   check_derivation: bool = True,
+                   check_derivation: bool,
                    exclude: Sequence[int] = (),
                    ) -> Tuple[List[AuditReport], List[DetectionRecord]]:
-    """Every neighbor audits ``audited``; tampered logs convict too.
+    """Every neighbor audits ``audited``, with the pairwise input
+    cross-check on; tampered logs convict too.
 
     A log whose hash chain fails :meth:`verify_chain` raises
     :class:`~repro.spider.log.TamperError` inside the audit — that *is*
@@ -266,7 +266,7 @@ def audit_position(world: World, audited: int, *,
             continue
         try:
             report = world.netreview.audit(
-                audited, auditor, cross_check=cross_check,
+                audited, auditor, cross_check=True,
                 check_derivation=check_derivation)
         except TamperError as error:
             records.append(DetectionRecord(
@@ -279,9 +279,7 @@ def audit_position(world: World, audited: int, *,
     return reports, records
 
 
-def verify_and_audit(world: World, spec: AttackSpec, *,
-                     cross_check: bool = True,
-                     check_derivation: bool = False) -> DetectResult:
+def verify_and_audit(world: World, spec: AttackSpec) -> DetectResult:
     """The default detection pass: commit, verify, audit, sweep."""
     result = DetectResult()
     world.spider.commit_now(spec.position)
@@ -290,9 +288,8 @@ def verify_and_audit(world: World, spec: AttackSpec, *,
     result.outcomes = world.spider.verify(spec.position)
     result.spider.extend(spider_node.detection_records(result.outcomes))
     result.spider.extend(world.spider.sweep_overdue_acks())
-    reports, records = audit_position(
-        world, spec.position, cross_check=cross_check,
-        check_derivation=check_derivation)
+    reports, records = audit_position(world, spec.position,
+                                      check_derivation=False)
     result.audit_reports = reports
     result.netreview.extend(records)
     result.netreview.extend(world.netreview.sweep_overdue_acks())

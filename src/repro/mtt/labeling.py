@@ -85,8 +85,6 @@ def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> List[bytes]:
 def compute_label(node: MttNode) -> bytes:
     """Compute the Merkle label of a subtree, node by node.
 
-    :spiderlint-contract: declassifier(merkle-label)
-
     Labels are hiding (§5.3): a label reveals neither the bit nor the
     blinding beneath it, so spiderlint treats this construction as a
     sanctioned declassifier for taint that flows into it.

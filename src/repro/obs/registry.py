@@ -109,8 +109,7 @@ class Registry:
 
         A component that reports on a hot path keeps its metric cells
         here, bound once and shared by every instance of it that
-        reports into this registry.  :meth:`clear` drops them with the
-        metrics, so counts after a clear land in the registry again.
+        reports into this registry.
         """
         cells = self._cells.get(kind)
         if cells is None:
@@ -177,12 +176,6 @@ class Registry:
                 continue
             out[key] = out.get(key, 0) + metric.value
         return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-            self._cells.clear()
-        self.spans.clear()
 
 
 # ----------------------------------------------------------------------

@@ -665,8 +665,6 @@ def _remember(message: object, frame: bytes) -> None:
 def encode_message(message: object) -> bytes:
     """Serialize one SPIDeR wire message (version byte included).
 
-    :spiderlint-contract: sink(codec-encode)
-
     Everything encoded here leaves the node, so SPDR006 requires any
     private input (policy, seeds, blinding, keys) to have passed a
     commitment/proof/signature declassifier first.

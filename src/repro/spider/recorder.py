@@ -547,8 +547,6 @@ class Recorder:
     def commitment_seed(self, commit_time: float) -> bytes:
         """The per-commitment CSPRNG seed.
 
-        :spiderlint-contract: source(rc4-seed)
-
         Derived deterministically from the recorder's master secret so a
         simulation replays identically; only the 20-byte seed is logged,
         reproducing the paper's tiny per-commitment storage cost.

@@ -257,11 +257,11 @@ class SegmentedLogStore:
         (the log calls this before exposing the entry).
 
         Privacy model: this is the ``store-append`` public sink of
-        spiderlint's SPDR006 (declared centrally in
-        ``repro.analysis.contracts`` — the bare name ``append`` is too
-        generic for a docstring marker).  The only raw secret sanctioned
-        to land here is the §6.5 per-commitment seed entry, which the
-        recorder keeps in its own trusted storage.
+        spiderlint's SPDR006 (declared in
+        ``repro.analysis.contracts.default_registry``, like every
+        contract).  The only raw secret sanctioned to land here is the
+        §6.5 per-commitment seed entry, which the recorder keeps in its
+        own trusted storage.
         """
         if not self._recovered:
             raise StoreError(

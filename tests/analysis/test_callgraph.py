@@ -17,10 +17,7 @@ def top(x):
 
 
 def helper(x):
-    """Helps.
-
-    :spiderlint-contract: declassifier(helper)
-    """
+    """Helps."""
     return transform(x)
 
 
@@ -127,14 +124,6 @@ def test_common_method_names_stay_unresolved():
     program = _program()
     caller = program.functions["repro/helpers/main.py::top"]
     assert program.resolve_call(_call("thing.append(x)"), caller) == []
-
-
-def test_doc_markers_are_harvested():
-    program = _program()
-    markers = program.doc_markers()
-    assert [(m.kind, m.arg) for m in markers] == \
-        [("declassifier", "helper")]
-    assert markers[0].qualname == "repro/helpers/main.py::helper"
 
 
 def test_parse_errors_are_collected_not_raised():

@@ -137,3 +137,21 @@ def test_every_scoped_path_names_a_source_file():
     missing = [path for path in paths
                if not (src / path).is_dir() and not (src / path).is_file()]
     assert missing == []
+
+
+#: A decoder that indexes its input unchecked: SPDR003 fires on it
+#: wherever the rule applies.
+_LEAKY_DECODER = '''\
+def decode_head(data):
+    return data[0]
+'''
+
+
+@pytest.mark.parametrize("path", ["repro/spider/log.py",
+                                  "repro/mtt/proofs.py"])
+def test_spdr003_covers_the_log_and_proof_decoders(path):
+    """The evidence-log entry decoder and the bit proof's bytes are
+    read back from disk and the wire like any codec frame, so their
+    decoders must fail closed too."""
+    result = Engine(all_rules()).analyze_source(_LEAKY_DECODER, path)
+    assert [finding.rule_id for finding in result.findings] == ["SPDR003"]

@@ -23,8 +23,7 @@ import pytest
 from repro.analysis.callgraph import Program, load_program
 from repro.analysis.contracts import LABEL_RSA, SINK_LOG, SINK_NATIVE, \
     default_registry
-from repro.analysis.taint import (TaintAnalysis, analyze_paths_dataflow,
-                                  build_registry)
+from repro.analysis.taint import TaintAnalysis, analyze_paths_dataflow
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).parents[2]
@@ -224,46 +223,23 @@ def src_program():
 
 
 def test_src_tree_is_clean_under_dataflow(src_program):
-    registry = build_registry(src_program)
+    registry = default_registry()
     findings = TaintAnalysis(src_program, registry).run()
     assert findings == [], [f.render() for f in findings]
-
-
-def test_src_docstring_markers_feed_the_registry(src_program):
-    # The packages declare their own secrets next to the code: the
-    # ``:spiderlint-contract:`` markers on gao_rexford_policy,
-    # Rc4Csprng.bitstring(s), generate_keypair, commitment_seed,
-    # compute_label, and encode_message are harvested by the call-graph
-    # builder and folded into the contract registry.
-    harvested = {(m.kind, m.arg) for m in src_program.doc_markers()}
-    assert {("source", "bgp-policy"),
-            ("source", "commit-randomness"),
-            ("source", "rsa-private"),
-            ("source", "rc4-seed"),
-            ("declassifier", "merkle-label"),
-            ("sink", "codec-encode")} <= harvested
-    registry = build_registry(src_program)
-    marker_sources = [s for s in registry.sources
-                      if s.description.startswith("docstring marker")]
-    assert any(s.pattern == "call:bitstring" for s in marker_sources)
-    assert any(s.pattern == "call:generate_keypair"
-               for s in marker_sources)
 
 
 def test_removing_bit_commitment_surfaces_commitment_path(src_program):
     # The engine must actually traverse the §5.3 commitment path: with
     # the hiding property deleted from the registry, real flows in the
     # tree become findings.
-    registry = build_registry(src_program) \
-        .without_declassifier("bit-commitment")
+    registry = default_registry().without_declassifier("bit-commitment")
     findings = TaintAnalysis(src_program, registry).run()
     assert findings, "bit-commitment must be load-bearing on src"
     assert all(f.trace for f in findings)
 
 
 def test_removing_rsa_sign_surfaces_signature_path(src_program):
-    registry = build_registry(src_program) \
-        .without_declassifier("rsa-sign")
+    registry = default_registry().without_declassifier("rsa-sign")
     findings = TaintAnalysis(src_program, registry).run()
     assert findings, "rsa-sign must be load-bearing on src"
 
@@ -273,7 +249,7 @@ def test_sanctioned_seed_log_flow_is_traversed(src_program):
     # sanctioned, so the tree is clean — but deleting the sanction must
     # surface it, proving the engine sees the flow rather than missing
     # it.
-    registry = build_registry(src_program)
+    registry = default_registry()
     registry.sanctioned = [flow for flow in registry.sanctioned
                            if flow.sink_id != SINK_LOG]
     findings = TaintAnalysis(src_program, registry).run()
@@ -287,7 +263,7 @@ def test_sanctioned_seed_log_flow_is_traversed(src_program):
 def test_sanctioned_seed_to_c_cipher_flow_is_traversed(src_program):
     # §7.1: Rc4Csprng keys the installed C ARC4 with the seed.  The flow
     # is sanctioned, not suppressed; deleting the sanction surfaces it.
-    registry = build_registry(src_program)
+    registry = default_registry()
     registry.sanctioned = [flow for flow in registry.sanctioned
                            if flow.sink_id != SINK_NATIVE]
     findings = TaintAnalysis(src_program, registry).run()
@@ -300,7 +276,7 @@ def test_sanctioned_rsa_key_to_c_flow_is_traversed(src_program):
     # §7.1: each PrivateKey loads its CRT components into one OpenSSL key
     # object.  The flow is sanctioned, not suppressed; deleting the
     # sanction surfaces exactly that one load.
-    registry = build_registry(src_program)
+    registry = default_registry()
     registry.sanctioned = [flow for flow in registry.sanctioned
                            if (flow.label, flow.sink_id)
                            != (LABEL_RSA, SINK_NATIVE)]

@@ -195,13 +195,6 @@ class TestSpeaker:
         assert all(isinstance(u, Withdraw) for u in out)
         assert 1 not in {u.receiver for u in out}
 
-    def test_stats_accumulate(self):
-        speaker = make_speaker()
-        speaker.receive(announce(1, 5))
-        assert speaker.stats.updates_received == 1
-        assert speaker.stats.updates_sent == 2
-        assert speaker.stats.bytes_sent > 0
-
     def test_duplicate_announce_suppressed(self):
         speaker = make_speaker()
         speaker.receive(announce(1, 5))

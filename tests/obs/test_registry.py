@@ -53,14 +53,7 @@ class TestAggregation:
         assert registry.label_values("bytes", "category", node="as5") == \
             {"bgp": 10, "spider": 3}
 
-    def test_clear(self):
-        registry = Registry()
-        registry.counter("x").inc()
-        registry.clear()
-        assert registry.metrics() == []
-        assert registry.total("x") == 0
-
-    def test_bound_cells_are_made_once_and_dropped_by_clear(self):
+    def test_bound_cells_are_made_once(self):
         class Hits:
             def __init__(self, registry):
                 self.cell = registry.counter("hits")
@@ -70,10 +63,6 @@ class TestAggregation:
         assert registry.cells(Hits) is first
         assert Registry().cells(Hits) is not first
         first.cell.inc()
-        registry.clear()
-        again = registry.cells(Hits)
-        assert again is not first
-        again.cell.inc()
         assert registry.total("hits") == 1
 
 
