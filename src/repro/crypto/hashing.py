@@ -116,9 +116,10 @@ def constant_time_eq(a: Union[bytes, bytearray, memoryview],
     bytes short-circuits at the first differing byte, leaking the
     position of the mismatch through timing.  Wraps
     :func:`hmac.compare_digest`, which compares in time independent of
-    content for equal-length inputs.
+    content for equal-length inputs, and reads any bytes-like input in
+    place, so neither side is copied.
     """
-    return hmac.compare_digest(bytes(a), bytes(b))
+    return hmac.compare_digest(a, b)
 
 
 def digest_concat(*parts: bytes) -> bytes:

@@ -43,9 +43,17 @@ class BatchDigests(Tuple[bytes, ...]):
     signature RSA accepted over this list, or ``None``: with the digests,
     everything ``rsa.verify`` reads for the root.  The list is immutable,
     so the verdict holds as long as the members that share it live.
+
+    ``signature`` is the batch signature the codec last decoded with
+    this list, or ``None``: a member whose signature bytes equal it
+    holds this object instead of a copy of its own, and a member whose
+    bytes differ keeps them and makes them the list's
+    (:func:`repro.spider.codec._read_signed`).  Only equal bytes are
+    shared, so it is a memory saving and never a verdict.
     """
 
     verified_by: Optional[Tuple[int, int, int, bytes]] = None
+    signature: Optional[bytes] = None
 
 
 @dataclass(frozen=True, slots=True)

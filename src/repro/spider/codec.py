@@ -35,7 +35,10 @@ whole batch's digest list, so every member of a burst repeats the same
 ``20·n`` bytes.  They are read as one slice and written as one join,
 and decoding maps equal slices to one shared
 :class:`~repro.crypto.signatures.BatchDigests`, so a burst's members
-cost O(1) each to decode and hold, and RSA checks its root once.
+cost O(1) each to decode and hold, and RSA checks its root once.  The
+list also holds the batch signature, which members with equal bytes
+share (:func:`_read_signed`), and a message's signers and its route's
+neighbor share its sender's int object when equal.
 
 A received update is logged, and an ACK is logged and then sent, so
 the same object reaches :func:`encode_message` right after it was
@@ -61,7 +64,7 @@ from typing import Any, Callable, Dict, List, NoReturn, Tuple, Union
 
 from ..bgp.prefix import Prefix, PrefixError
 from ..bgp.route import Route
-from ..crypto.hashing import DIGEST_SIZE
+from ..crypto.hashing import DIGEST_SIZE, constant_time_eq
 from ..crypto.signatures import BatchDigests, Signed
 from ..mtt.proofs import MttBitProof, PathStep
 from .wire import TIME_MS_LIMIT, SpiderAck, SpiderAnnounce, \
@@ -409,8 +412,18 @@ def _digest_list(blob: bytes) -> BatchDigests:
     return digests
 
 
-def _read_signed(r: _Reader) -> Signed:
+def _read_signed(r: _Reader, owner: int) -> Signed:
+    """One signed envelope.  ``owner`` is the message's own sender (or
+    acker, or elector): a signer equal to it holds that int object.
+
+    A batched member holds the signature its shared digest list holds
+    when the bytes are equal; otherwise it keeps its own bytes, and they
+    become the list's.  Only equal bytes are shared, so a member holds
+    what it read, and a forged member never holds a genuine signature
+    (DESIGN.md §3c, "Per-batch cost model")."""
     signer, n_payload = r.unpack(_S_IH)
+    if signer == owner:
+        signer = owner
     payload = r.raw(n_payload)
     signature = r.blob16()
     # Speculatively read batch count and batch index together: with no
@@ -421,10 +434,16 @@ def _read_signed(r: _Reader) -> Signed:
     digests: Tuple[bytes, ...]
     if n_batch:
         r._pos -= 4
-        digests = _digest_list(r.raw(DIGEST_SIZE * n_batch))
+        shared = _digest_list(r.raw(DIGEST_SIZE * n_batch))
         batch_index = r.u32()
         if batch_index >= n_batch:
             raise CodecError("batch index beyond digest list")
+        held = shared.signature
+        if held is not None and constant_time_eq(held, signature):
+            signature = held
+        else:
+            shared.signature = signature
+        digests = shared
     else:
         digests = ()
         if batch_index:
@@ -449,8 +468,10 @@ def _write_route(w: _Writer, route: Route) -> None:
         raise CodecError(f"unencodable route: {exc}") from exc
 
 
-def _read_route(r: _Reader) -> Route:
+def _read_route(r: _Reader, sender: int) -> Route:
     neighbor, n = r.unpack(_S_IH)
+    if neighbor == sender:
+        neighbor = sender
     try:
         return Route.from_bytes(r.window(n), neighbor)
     except (ValueError, PrefixError) as exc:  # includes Origin errors
@@ -528,10 +549,11 @@ def _decode_announce(r: _Reader) -> SpiderAnnounce:
     flags, sender, receiver, ms = r.unpack(_S_BIIQ)
     if flags & ~(_FLAG_REANNOUNCE | _FLAG_UNDERLYING):
         raise CodecError(f"unknown announce flags {flags:#x}")
-    route = _read_route(r)
-    underlying = _read_signed(r) if flags & _FLAG_UNDERLYING else None
-    route_sig = _read_signed(r)
-    envelope = _read_signed(r)
+    route = _read_route(r, sender)
+    underlying = _read_signed(r, sender) \
+        if flags & _FLAG_UNDERLYING else None
+    route_sig = _read_signed(r, sender)
+    envelope = _read_signed(r, sender)
     msg = SpiderAnnounce.__new__(SpiderAnnounce)
     _an_sender(msg, sender)
     _an_receiver(msg, receiver)
@@ -555,7 +577,7 @@ def _encode_withdraw(w: _Writer, msg: SpiderWithdraw) -> None:
 def _decode_withdraw(r: _Reader) -> SpiderWithdraw:
     sender, receiver, ms = r.unpack(_S_IIQ)
     prefix = _read_prefix(r)
-    envelope = _read_signed(r)
+    envelope = _read_signed(r, sender)
     msg = SpiderWithdraw.__new__(SpiderWithdraw)
     _wd_sender(msg, sender)
     _wd_receiver(msg, receiver)
@@ -576,7 +598,7 @@ def _encode_ack(w: _Writer, msg: SpiderAck) -> None:
 def _decode_ack(r: _Reader) -> SpiderAck:
     acker, sender, ms = r.unpack(_S_IIQ)
     message_hash = r.blob16()
-    envelope = _read_signed(r)
+    envelope = _read_signed(r, acker)
     msg = SpiderAck.__new__(SpiderAck)
     _ak_acker(msg, acker)
     _ak_sender(msg, sender)
@@ -596,7 +618,7 @@ def _encode_commitment(w: _Writer, msg: SpiderCommitment) -> None:
 def _decode_commitment(r: _Reader) -> SpiderCommitment:
     elector, ms = r.unpack(_S_IQ)
     root = r.blob16()
-    envelope = _read_signed(r)
+    envelope = _read_signed(r, elector)
     msg = SpiderCommitment.__new__(SpiderCommitment)
     _cm_elector(msg, elector)
     _cm_time(msg, _seconds(ms))
@@ -616,7 +638,7 @@ def _encode_bit_proof_msg(w: _Writer, msg: SpiderBitProof) -> None:
 def _decode_bit_proof_msg(r: _Reader) -> SpiderBitProof:
     elector, recipient, ms = r.unpack(_S_IIQ)
     proof = _read_bit_proof(r)
-    envelope = _read_signed(r)
+    envelope = _read_signed(r, elector)
     msg = SpiderBitProof.__new__(SpiderBitProof)
     _bp_elector(msg, elector)
     _bp_recipient(msg, recipient)

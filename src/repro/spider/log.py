@@ -235,7 +235,7 @@ def _read_state(r: _Reader) -> RoutingState:
                         "prefix out of order in neighbor "
                         f"{neighbor} table")
                 last = prefix
-                table[prefix] = _read_route(r)
+                table[prefix] = _read_route(r, neighbor)
     if r.raw(1) != b"O":
         raise CodecError("routing state misses section b'O'")
     last = None

@@ -6,14 +6,24 @@ from collections import Counter
 
 import pytest
 
+from repro.bgp.messages import Announce
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
+from repro.core.promise import total_order_promise
 from repro.crypto import rsa
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyRegistry, UnknownKeyError, make_identity
 from repro.crypto.signatures import BatchDigests, Signed, Signer, Verifier
+from repro.netsim.events import Simulator
 from repro.obs.registry import use_registry
 from repro.spider import codec
 from repro.spider.codec import decode_message, encode_message
+from repro.spider.config import SpiderConfig
+from repro.spider.node import evaluation_scheme
+from repro.spider.recorder import Recorder
 from repro.spider.wire import SpiderCommitment
+
+from tests.runtime.test_codec_roundtrip import _fresh_encode
 
 BITS = 512
 
@@ -299,6 +309,102 @@ class TestHostileBatchesAgainstTheMemo:
         monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
         monkeypatch.setattr(codec, "_digests_interned", 0)
         assert rsa_for_one_decode() == 1
+
+
+def _bursts():
+    """One genuine burst of eight announces, and the burst of eight
+    ACKs that acknowledges it, each signed with one RSA operation per
+    batch, as frames."""
+    registry = KeyRegistry()
+    # Above 256, so equal AS numbers are distinct int objects unless the
+    # decoder shares them.
+    elector, consumer = 64531, 64532
+    identities = {asn: make_identity(asn, registry=registry, bits=BITS,
+                                     seed=7400 + asn)
+                  for asn in (elector, consumer)}
+    scheme = evaluation_scheme(5)
+    sim = Simulator()
+    out = {elector: [], consumer: []}
+
+    def recorder(asn, peer):
+        return Recorder(
+            identity=identities[asn], registry=registry, scheme=scheme,
+            promises={peer: total_order_promise(scheme)},
+            config=SpiderConfig(), clock=sim.clock,
+            transport=lambda _receiver, messages: out[asn].extend(
+                messages),
+            schedule=sim.after)
+
+    sender, receiver = recorder(elector, consumer), \
+        recorder(consumer, elector)
+    for i in range(8):
+        sender.mirror_sent_update(Announce(
+            sender=elector, receiver=consumer,
+            route=Route(prefix=Prefix.parse(f"10.{i}.0.0/16"),
+                        as_path=(elector, 9), neighbor=9)))
+    sim.run()
+    for announce in out[elector]:
+        receiver.receive(announce)
+    sim.run()
+    assert len(out[elector]) == len(out[consumer]) == 8
+    return registry, {kind: [_fresh_encode(m) for m in out[asn]]
+                      for kind, asn in (("announce", elector),
+                                        ("ack", consumer))}
+
+
+@pytest.fixture(scope="module")
+def bursts():
+    return _bursts()
+
+
+class TestHostileBurstsThroughTheCodec:
+    """A decoded burst holds its batch signature once, on the shared
+    digest list; a member whose signature bytes differ keeps its own
+    bytes, so one forged member fails alone and never receives the
+    genuine signature, and every member still re-encodes to its own
+    frame."""
+
+    @pytest.fixture(autouse=True)
+    def empty_intern(self, monkeypatch):
+        monkeypatch.setattr(codec, "_DIGEST_LISTS", {})
+        monkeypatch.setattr(codec, "_digests_interned", 0)
+
+    @staticmethod
+    def decode_all(frames):
+        return [decode_message(frame) for frame in frames]
+
+    @pytest.mark.parametrize("kind", ["announce", "ack"])
+    def test_a_genuine_burst_holds_one_signature(self, bursts, kind):
+        registry, frames = bursts
+        members = self.decode_all(frames[kind])
+        assert [_fresh_encode(m) for m in members] == frames[kind]
+        assert all(m.valid(registry) for m in members)
+        assert len({id(m.envelope.signature) for m in members}) == 1
+        assert len({id(m.envelope.batch_digests) for m in members}) == 1
+        if kind == "announce":
+            assert len({id(m.route_sig.signature) for m in members}) == 1
+            assert all(m.envelope.signer is m.route_sig.signer is m.sender
+                       for m in members)
+        else:
+            assert all(m.envelope.signer is m.acker for m in members)
+
+    @pytest.mark.parametrize("kind", ["announce", "ack"])
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_a_forged_member_keeps_its_own_bytes(self, bursts, kind, k):
+        registry, frames = bursts
+        genuine = decode_message(frames[kind][k]).envelope.signature
+        at = frames[kind][k].index(genuine) + len(genuine) // 2
+        forged_frame = bytearray(frames[kind][k])
+        forged_frame[at] ^= 0x01
+        sent = list(frames[kind])
+        sent[k] = bytes(forged_frame)
+        members = self.decode_all(sent)
+        assert [_fresh_encode(m) for m in members] == sent
+        assert [m.valid(registry) for m in members] == \
+            [i != k for i in range(len(members))]
+        assert members[k].envelope.signature != genuine
+        assert all(m.envelope.signature is not members[k].envelope.signature
+                   for i, m in enumerate(members) if i != k)
 
 
 class TestSignatureCounters:

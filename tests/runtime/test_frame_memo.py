@@ -10,7 +10,7 @@ import dataclasses
 import sys
 import tempfile
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +34,8 @@ from repro.store.recovery import recover
 from repro.store.seglog import SegmentedLogStore, read_directory
 
 from tests import strategies
-from tests.runtime.test_codec_roundtrip import _STAMPS, _stamped
+from tests.runtime.test_codec_roundtrip import _STAMP_AT, _STAMPS, \
+    _fresh_encode, _stamped
 
 
 @pytest.fixture(autouse=True)
@@ -138,10 +139,30 @@ def test_an_evicted_message_never_lends_its_frame(monkeypatch):
 
 
 def test_the_memo_stays_within_its_byte_bound():
-    template = encode_message(_ack())
+    """The memo's oldest-out eviction is modelled by a deque of
+    ``(id, frame length)``, so every decode is checked against it in
+    O(1): the byte count, and the oldest and newest frame held.  The
+    full recount of the frames held, and the order of every key, run
+    every 500 decodes and at the end."""
+    template = _fresh_encode(_ack())
+    at = _STAMP_AT[SpiderAck]
+    bound = codec._FRAME_MEMO_BYTES
+    model, held = deque(), 0
     for ms in range(10_000):
-        decode_message(_stamped(_ack(), ms))
-        assert memo_bytes() <= codec._FRAME_MEMO_BYTES
+        frame = template[:at] + ms.to_bytes(8, "big") + template[at + 8:]
+        message = decode_message(frame)
+        while held + len(frame) > bound:
+            held -= model.popleft()[1]
+        model.append((id(message), len(frame)))
+        held += len(frame)
+        assert codec._frame_bytes_held == held <= bound
+        assert len(codec._FRAMES) == len(model)
+        assert next(iter(codec._FRAMES)) == model[0][0]
+        assert next(reversed(codec._FRAMES)) == id(message)
+        if ms % 500 == 499:
+            assert memo_bytes() == held
+            assert list(codec._FRAMES) == [key for key, _size in model]
+    assert memo_bytes() == held
     assert len(codec._FRAMES) < 10_000
     assert memo_bytes() > codec._FRAME_MEMO_BYTES - len(template)
     oldest = next(iter(codec._FRAMES.values()))[0]

@@ -80,6 +80,84 @@ class TestARecoveredRuntimeHoldsItsLogOnce:
                 rt.close()
 
 
+#: The exchange with Nagle batching on, so each burst is one batch.
+_BATCHED = dataclasses.replace(EXCHANGE_CONFIG, nagle_delay=0.05)
+
+_RECEIVED = (EntryKind.RECV_ANNOUNCE, EntryKind.RECV_WITHDRAW,
+             EntryKind.RECV_ACK)
+
+
+def _log_state(rt):
+    """What a cold open must reproduce: length, head and every
+    commitment with its signature."""
+    log = rt.recorder.log
+    return (len(log), log.head,
+            [(c.commit_time, c.root, c.message.envelope.signature)
+             for c in rt.recorder.commitments])
+
+
+def _held_once(entries):
+    """The batched signatures in the entries' messages, and the objects
+    that hold them: as many objects as distinct signatures, and at least
+    one burst."""
+    signed = [s for entry in entries
+              for s in (getattr(entry.payload, name, None)
+                        for name in ("underlying", "route_sig", "envelope"))
+              if s is not None and s.batch_digests]
+    values = {s.signature for s in signed}
+    assert len(signed) > len(values) > 0
+    assert len({id(s.signature) for s in signed}) == len(values)
+
+
+class TestABurstHoldsItsSignatureOnce:
+    """The members of a decoded burst share one signature object, off
+    the wire and at a cold open, and the recovered log is the live one."""
+
+    def test_live_and_recovered_logs(self, tmp_path):
+        dirs = {asn: str(tmp_path / f"store{asn}") for asn in (ASN_A,
+                                                               ASN_B)}
+        with use_registry(Registry()):
+            hub = LoopbackHub()
+            rts = {asn: exchange_runtime(asn, hub.attach(asn),
+                                         config=_BATCHED,
+                                         store_dir=dirs[asn])
+                   for asn in (ASN_A, ASN_B)}
+            try:
+                t = 1.0
+                for i in range(8):
+                    rts[ASN_A].announce(ASN_B, Route(
+                        prefix=Prefix.parse(f"10.{i}.0.0/16"),
+                        as_path=(ASN_A, 4000), neighbor=4000))
+                # The announces, the ACKs, then a commitment each.
+                for commit in (False, False, True):
+                    t += 1.0
+                    for rt in rts.values():
+                        rt.advance_to(t)
+                        if commit:
+                            rt.commit()
+                    hub.deliver_all()
+                    for rt in rts.values():
+                        rt.deliver_pending()
+                live = {}
+                for asn, rt in rts.items():
+                    log = rt.recorder.log
+                    _held_once(e for e in log if e.kind in _RECEIVED)
+                    assert rt.recorder.commitments
+                    live[asn] = _log_state(rt)
+            finally:
+                for rt in rts.values():
+                    rt.close()
+            for asn in (ASN_A, ASN_B):
+                rt = exchange_runtime(asn, LoopbackHub().attach(asn),
+                                      config=_BATCHED,
+                                      store_dir=dirs[asn])
+                try:
+                    _held_once(rt.recorder.log)
+                    assert _log_state(rt) == live[asn]
+                finally:
+                    rt.close()
+
+
 def _rechain_from(store_dir, index, edit):
     """Edit record ``index``'s entry bytes in place (``edit`` mutates a
     bytearray, keeping its length), then re-chain and re-CRC it and
