@@ -146,6 +146,27 @@ class TestReplayExperiment:
             7: 131628, 8: 131628, 9: 43066, 10: 43066}
         assert replay.signature_count == 61
 
+    def test_e9_e10_bytes_are_pinned_at_bench_shape(self):
+        """E9/E10 at scale 0.001, k = 10: the traffic by category, AS
+        5's log (length and chain head), its replay-window bytes and
+        the periodic commitment count.  Every one is a function of the
+        messages the hosts exchange, so a change in how an AS is hosted
+        that moves a byte shows here."""
+        result = run_replay_experiment(scale=0.001, k=10, seed=42)
+        by_category: dict = {}
+        for (_node, category), nbytes in result.traffic.items():
+            by_category[category] = by_category.get(category, 0) + nbytes
+        # A category another test in this process sent under reads 0.
+        by_category = {c: n for c, n in by_category.items() if n}
+        assert by_category == {SPIDER_TRAFFIC: 2_197_276,
+                               BGP_TRAFFIC: 265_732}
+        log = result.deployment.node(FOCUS_AS).recorder.log
+        assert len(log) == 4_442
+        assert log.head.hex() == \
+            "8443febde739eeb8bf84615a31a54e52efeffc7a"
+        assert result.log_bytes_replay() == 175_661
+        assert result.commitments_made == 14
+
     def test_the_replay_window_is_half_open(self, replay, monkeypatch):
         """A byte AS 5 sends at exactly setup_end is in the window, one
         sent at exactly replay_end is not, so adjacent windows tile
