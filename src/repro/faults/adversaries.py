@@ -46,11 +46,12 @@ from ..netreview.auditor import AuditReport
 from ..netreview.node import NetReviewDeployment
 from ..netsim.network import Network, TraceEvent
 from ..netsim.topology import FOCUS_AS, Topology
+from ..runtime.node_runtime import SpiderDeployment
 from ..spider import node as spider_node
 from ..spider.checkpoint import elector_view
 from ..spider.extended import run_extended_verification
 from ..spider.log import TamperError
-from ..spider.node import SpiderDeployment, VerificationOutcome
+from ..spider.node import VerificationOutcome
 from ..spider.promises import GaoRexfordPromises
 from ..spider.recorder import Recorder
 from .injector import install_equivocation, install_export_filter, \
@@ -280,19 +281,17 @@ def audit_position(world: World, audited: int, *,
 
 
 def verify_and_audit(world: World, spec: AttackSpec) -> DetectResult:
-    """The default detection pass: commit, verify, audit, sweep."""
+    """The default detection pass: commit, verify, audit."""
     result = DetectResult()
     world.spider.commit_now(spec.position)
     world.netreview.recorders[spec.position].make_commitment()
     world.network.settle()
     result.outcomes = world.spider.verify(spec.position)
     result.spider.extend(spider_node.detection_records(result.outcomes))
-    result.spider.extend(world.spider.sweep_overdue_acks())
     reports, records = audit_position(world, spec.position,
                                       check_derivation=False)
     result.audit_reports = reports
     result.netreview.extend(records)
-    result.netreview.extend(world.netreview.sweep_overdue_acks())
     return result
 
 
@@ -662,12 +661,10 @@ class InterceptionAdversary(Adversary):
             result.problems.append(
                 "interception: honest producers refused to re-announce: "
                 f"{extended.refusing_producers}")
-        result.spider.extend(world.spider.sweep_overdue_acks())
         reports, records = audit_position(world, spec.position,
                                           check_derivation=True)
         result.audit_reports = reports
         result.netreview.extend(records)
-        result.netreview.extend(world.netreview.sweep_overdue_acks())
         return result
 
     def expectations(self, faulty_world: World, spec: AttackSpec,
@@ -744,11 +741,9 @@ class AckWithholdingAdversary(Adversary):
     def detect(self, world: World, spec: AttackSpec) -> DetectResult:
         # No verification or audits: the stonewalled messages make the
         # faulty recorder's mirror legitimately diverge from its
-        # speaker, and the timeout alone is the §6.2 detection path.
-        result = DetectResult()
-        result.spider.extend(world.spider.sweep_overdue_acks())
-        result.netreview.extend(world.netreview.sweep_overdue_acks())
-        return result
+        # speaker, and the T_max evidence every world is read for
+        # (:func:`~repro.faults.campaign.run_world`) is the detection.
+        return DetectResult()
 
     def expectations(self, faulty_world: World, spec: AttackSpec,
                      ) -> Tuple[SystemExpectation, SystemExpectation]:
@@ -813,12 +808,10 @@ class EquivocationAdversary(Adversary):
         if not world.faulty and poms:
             result.problems.append(
                 "equivocation: control world produced a PoM")
-        result.spider.extend(world.spider.sweep_overdue_acks())
         reports, records = audit_position(world, spec.position,
                                           check_derivation=False)
         result.audit_reports = reports
         result.netreview.extend(records)
-        result.netreview.extend(world.netreview.sweep_overdue_acks())
         return result
 
     def expectations(self, faulty_world: World, spec: AttackSpec,
@@ -878,7 +871,6 @@ class ProofTamperAdversary(Adversary):
                 spec.position, neighbor, commit_time, proofs))
         result.spider.extend(
             spider_node.detection_records(result.outcomes))
-        result.spider.extend(world.spider.sweep_overdue_acks())
         if world.faulty:
             tamper_log_entry(
                 world.netreview.recorders[spec.position].log, -1)
@@ -886,7 +878,6 @@ class ProofTamperAdversary(Adversary):
                                           check_derivation=False)
         result.audit_reports = reports
         result.netreview.extend(records)
-        result.netreview.extend(world.netreview.sweep_overdue_acks())
         return result
 
     def expectations(self, faulty_world: World, spec: AttackSpec,
@@ -966,9 +957,6 @@ class CollusionAdversary(Adversary):
         for record in spider_node.detection_records(result.outcomes):
             (result.discarded if record.detector in accomplices
              else result.spider).append(record)
-        for record in world.spider.sweep_overdue_acks():
-            (result.discarded if record.detector in accomplices
-             else result.spider).append(record)
         reports, records = audit_position(world, spec.position,
                                           check_derivation=False,
                                           exclude=spec.accomplices)
@@ -988,9 +976,6 @@ class CollusionAdversary(Adversary):
                 continue
             result.discarded.extend(
                 netreview_auditor.detection_records([own]))
-        for record in world.netreview.sweep_overdue_acks():
-            (result.discarded if record.detector in accomplices
-             else result.netreview).append(record)
         if world.faulty:
             result.extras["violation_detectable"] = \
                 self._theory_check(world, spec)

@@ -44,8 +44,8 @@ from ..netsim.topology import INJECTION_AS, figure5_topology
 from ..obs import names
 from ..obs.registry import get_registry
 from ..spider.config import SpiderConfig
-from ..spider.node import SpiderDeployment
 from ..netreview.node import NetReviewDeployment
+from ..runtime.node_runtime import SpiderDeployment
 from ..core.verdict import DetectionRecord
 from .adversaries import ATTACK_CLASSES, FEED_ASN, Adversary, \
     AttackSpec, DetectResult, World, adversary_for
@@ -138,11 +138,21 @@ def _by_system(records: List[DetectionRecord], system: str
 def run_world(spec: AttackSpec, faulty: bool
               ) -> Tuple[World, DetectResult]:
     """Build one world for ``spec`` — the fault hooked in, or its
-    honest counterpart — drive the workload and run detection."""
+    honest counterpart — drive the workload and run detection.
+
+    Whatever the attack, each system's §6.2 detections — its delivery
+    services' valid T_max evidence — come last; a colluder's are
+    discarded."""
     adversary = adversary_for(spec)
     world = build_world(adversary, spec, faulty)
     adversary.drive(world, spec)
-    return world, adversary.detect(world, spec)
+    result = adversary.detect(world, spec)
+    for deployment, records in ((world.spider, result.spider),
+                                (world.netreview, result.netreview)):
+        for record in deployment.missing_ack_detections():
+            (result.discarded if record.detector in spec.accomplices
+             else records).append(record)
+    return world, result
 
 
 def run_campaign(seed: int, index: int) -> Dict[str, object]:

@@ -61,9 +61,9 @@ def install_inbound_drop(recorder: Recorder, sender: int, *,
     With ``acknowledge`` the (validly signed) message is still ACKed —
     the stealthy loss of §7.4's over-aggressive filter, where a missing
     ACK would raise an immediate alarm.  Without it the sender is
-    stonewalled and its :meth:`~repro.spider.recorder.Recorder.
-    overdue_acks` trips after T_max (§6.2).  Returns the live list of
-    dropped messages.
+    stonewalled, and its delivery service gives up with evidence once
+    T_max has passed (§6.2).  Returns the live list of dropped
+    messages.
     """
     dropped: List[object] = []
     original = recorder._receive_update

@@ -28,7 +28,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..core.verdict import DetectionRecord, FaultKind
 from ..netreview.auditor import AuditReport
-from ..spider.node import SpiderDeployment, VerificationOutcome
+from ..runtime.node_runtime import SpiderDeployment
+from ..spider.node import VerificationOutcome
 
 
 @dataclass(frozen=True)

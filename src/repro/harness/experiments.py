@@ -23,8 +23,8 @@ from ..obs.dump import cpu_split
 from ..obs.registry import Registry, get_registry
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind, encode_entry
-from ..spider.node import PROOF_TRAFFIC, SPIDER_TRAFFIC, \
-    SpiderDeployment, evaluation_scheme
+from ..runtime.node_runtime import SpiderDeployment
+from ..spider.node import PROOF_TRAFFIC, SPIDER_TRAFFIC, evaluation_scheme
 from ..spider.proofgen import ProofGenerator
 from ..traces.routeviews import PAPER_COMMIT_INTERVAL, SyntheticTrace, \
     TraceConfig, synthetic_trace

@@ -15,16 +15,15 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from ..bgp.prefix import Prefix
 from ..core.classes import ClassScheme
-from ..core.promise import Promise, total_order_promise
-from ..core.verdict import DetectionRecord
-from ..crypto.keys import KeyRegistry, make_identity
+from ..core.promise import Promise
 from ..netsim.network import Network
+from ..runtime.node_runtime import Deployment
 from ..spider.checkpoint import replay
 from ..spider.config import SpiderConfig
 from ..spider.log import EntryKind, LogEntry
-from ..spider.node import SPIDER_TRAFFIC, evaluation_scheme, \
-    simulated_transport, sweep_overdue_acks
+from ..spider.node import SPIDER_TRAFFIC
 from ..spider.recorder import CommitmentRecord, Recorder
+from ..spider.wire import SpiderCommitment
 from .auditor import AuditReport, NetReviewAuditor
 
 #: Traffic category for NetReview's own messages (same substrate).
@@ -32,10 +31,6 @@ NETREVIEW_TRAFFIC = SPIDER_TRAFFIC
 
 #: Traffic category for disclosed logs during audits.
 AUDIT_TRAFFIC = "netreview-audit"
-
-#: A deployment's RSA key size; AS ``n``'s key is drawn from seed
-#: ``KEY_SEED + n``.
-KEY_BITS, KEY_SEED = 512, 24242
 
 
 class NetReviewRecorder(Recorder):
@@ -56,6 +51,11 @@ class NetReviewRecorder(Recorder):
         return CommitmentRecord(commit_time=entry.timestamp, root=b"",
                                 message=None, census_total=0)
 
+    def commitment_valid(self, message: SpiderCommitment) -> bool:
+        """NetReview keeps no commitments: one that arrives (from an
+        equivocation installed here) is dropped unread."""
+        return False
+
     def make_commitment(self) -> CommitmentRecord:
         commit_time = self.log.stamp(self.clock.now)
         self._fold(self.log.append(commit_time, EntryKind.COMMITMENT,
@@ -64,8 +64,13 @@ class NetReviewRecorder(Recorder):
         return self.commitments[-1]
 
 
-class NetReviewDeployment:
+class NetReviewDeployment(Deployment):
     """NetReview on every AS of a simulated network."""
+
+    system, unacknowledged = "netreview", "a logged message"
+    category = NETREVIEW_TRAFFIC
+    key_seed, seed_format = 24242, b"netreview-%d"
+    recorder_class = NetReviewRecorder
 
     def __init__(self, network: Network,
                  scheme: Optional[ClassScheme] = None,
@@ -74,52 +79,13 @@ class NetReviewDeployment:
                  Optional[Callable[[int, int], Promise]] = None,
                  scheme_factory:
                  Optional[Callable[[int], ClassScheme]] = None):
-        self.network = network
-        self.config = config
-        self.scheme = scheme if scheme is not None else \
-            evaluation_scheme()
-        self._scheme_factory = scheme_factory
-        self.registry = KeyRegistry()
-        self.recorders: Dict[int, NetReviewRecorder] = {}
-        self.promises: Dict[int, Dict[int, Promise]] = {}
-        if promise_factory is None:
-            promise_factory = lambda elector, neighbor: \
-                total_order_promise(self._scheme_for(elector))
+        super().__init__(network, scheme, config, promise_factory,
+                         scheme_factory)
+        self.recorders: Dict[int, Recorder] = {
+            asn: runtime.recorder for asn, runtime in self.runtimes.items()}
 
-        identities = {
-            asn: make_identity(asn, registry=self.registry,
-                               bits=KEY_BITS, seed=KEY_SEED + asn)
-            for asn in network.topology.ases
-        }
-        for asn in network.topology.ases:
-            promises = {
-                neighbor: promise_factory(asn, neighbor)
-                for neighbor in network.topology.neighbors(asn)
-            }
-            self.promises[asn] = promises
-            recorder = NetReviewRecorder(
-                identity=identities[asn], registry=self.registry,
-                scheme=self._scheme_for(asn), promises=promises,
-                config=config,
-                clock=network.sim.clock,
-                transport=simulated_transport(
-                    network, asn, NETREVIEW_TRAFFIC, self._inbox),
-                master_seed=b"netreview-%d" % asn,
-                schedule=network.sim.after)
-            self.recorders[asn] = recorder
-            network.speaker(asn).on_send(recorder.mirror_sent_update)
-
-    def _scheme_for(self, asn: int) -> ClassScheme:
-        if self._scheme_factory is not None:
-            return self._scheme_factory(asn)
-        return self.scheme
-
-    def recorder(self, asn: int) -> NetReviewRecorder:
+    def recorder(self, asn: int) -> Recorder:
         return self.recorders[asn]
-
-    def _inbox(self, asn: int) -> Optional[Callable[[object], None]]:
-        recorder = self.recorders.get(asn)
-        return None if recorder is None else recorder.receive
 
     # ------------------------------------------------------------------
 
@@ -145,7 +111,7 @@ class NetReviewDeployment:
                               before_index=own.index_after(at_time))
             auditor_exports = own_view.exports.get(audited, {})
         report = NetReviewAuditor(auditor, recorder.scheme).audit(
-            recorder.log, audited, at_time, self.promises[audited],
+            recorder.log, audited, at_time, recorder.promises,
             auditor_exports=auditor_exports,
             participants=self.recorders,
             check_derivation=check_derivation)
@@ -163,8 +129,3 @@ class NetReviewDeployment:
                            check_derivation=check_derivation)
                 for neighbor in self.network.topology.neighbors(audited)
                 if neighbor in self.recorders]
-
-    def sweep_overdue_acks(self) -> List[DetectionRecord]:
-        """The §6.2 T_max check on the shared substrate, NetReview side."""
-        return sweep_overdue_acks(self.recorders, "netreview",
-                                  "a logged message")

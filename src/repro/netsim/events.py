@@ -21,9 +21,11 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self.clock = SimClock(start)
-        self._queue: List[Tuple[float, int, Callback]] = []
+        #: (time, insertion order, callback, not a timer).
+        self._queue: List[Tuple[float, int, Callback, bool]] = []
         self._counter = itertools.count()
         self._processed = 0
+        self._events = 0  # queued non-timers: what run() waits for
 
     @property
     def now(self) -> float:
@@ -37,17 +39,23 @@ class Simulator:
     def processed(self) -> int:
         return self._processed
 
-    def at(self, t: float, callback: Callback) -> None:
-        """Schedule ``callback`` at absolute time ``t``."""
+    def at(self, t: float, callback: Callback, timer: bool = False) -> None:
+        """Schedule ``callback`` at absolute time ``t``.  A ``timer``
+        fires in order like any event, but :meth:`run` does not wait for
+        it: a retransmission timer that an ACK made moot must not keep a
+        settled network running, nor move its clock."""
         if t < self.now:
             raise ValueError(f"cannot schedule in the past ({t} < {self.now})")
-        heapq.heappush(self._queue, (t, next(self._counter), callback))
+        heapq.heappush(self._queue, (t, next(self._counter), callback,
+                                     not timer))
+        self._events += not timer
 
-    def after(self, delay: float, callback: Callback) -> None:
-        """Schedule ``callback`` after ``delay`` seconds."""
+    def after(self, delay: float, callback: Callback,
+              timer: bool = False) -> None:
+        """Schedule ``callback`` (a ``timer``: see :meth:`at`) later."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        self.at(self.now + delay, callback)
+        self.at(self.now + delay, callback, timer)
 
     def every(self, interval: float, callback: Callback,
               until: Optional[float] = None,
@@ -70,7 +78,8 @@ class Simulator:
         """Run the next event; False when the queue is empty."""
         if not self._queue:
             return False
-        t, _seq, callback = heapq.heappop(self._queue)
+        t, _seq, callback, event = heapq.heappop(self._queue)
+        self._events -= event
         self.clock.advance_to(t)
         self._processed += 1
         callback()
@@ -83,8 +92,9 @@ class Simulator:
         self.clock.advance_to(max(self.clock.now, t))
 
     def run(self, max_events: int = 10_000_000) -> None:
-        """Run until the queue drains (guarded against runaway loops)."""
+        """Run until only timers are left (guarded against runaways)."""
         for _ in range(max_events):
-            if not self.step():
+            if not self._events:
                 return
+            self.step()
         raise RuntimeError(f"simulation exceeded {max_events} events")

@@ -1,14 +1,17 @@
 """ACK-tracked delivery: retry with backoff, then evidence.
 
 Section 6.2 requires every SPIDeR message to be acknowledged; a missing
-ACK past T_max is an alarm.  On a real network, though, a lost frame is
-far more likely than a misbehaving neighbor, so the runtime retries
-first: each unacknowledged announcement or withdrawal is retransmitted
-on an exponential backoff schedule (with seeded jitter, so tests are
-reproducible) until either the ACK arrives or the sender has both
-exhausted its attempts and waited out ``ack_timeout`` — at which point a
+ACK past T_max is an alarm.  This service is that one rule, on every
+host — a socket runtime and each AS of a simulated deployment alike.
+A lost frame is far more likely than a misbehaving neighbor, so it
+retries first: each unacknowledged announcement or withdrawal is
+retransmitted on an exponential backoff schedule (with seeded jitter,
+so tests are reproducible) until the ACK arrives or T_max has passed
+since it was sent (:func:`~repro.spider.evidence.ack_overdue`); then a
 :class:`~repro.spider.evidence.MissingAckEvidence` record is produced
-and the recorder raises the paper's out-of-band alarm.
+and the recorder raises the paper's out-of-band alarm.  A message to an
+AS the transport does not reach (a §6.7 non-participant) is owed no
+ACK: neither retried nor accused.
 
 Which messages are un-ACKed is the recorder's knowledge, rebuilt from
 its log at a restart: :attr:`~repro.spider.recorder.Recorder.
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..obs.registry import get_registry
-from ..spider.evidence import MissingAckEvidence
+from ..spider.evidence import MissingAckEvidence, ack_overdue
 from ..spider.log import LogEntry
 from ..spider.recorder import Recorder, Scheduler
 from ..spider.wire import SpiderAck, SpiderAnnounce, SpiderWithdraw
@@ -71,15 +74,18 @@ class RetryPolicy:
 class DeliveryService:
     """Retries one recorder's unacknowledged messages, then accuses.
 
-    ``schedule`` is any ``(delay, thunk)`` scheduler — the simulator's
-    ``sim.after``, or a :class:`~repro.runtime.node_runtime.TimerWheel`
-    for stepped/wall-clock runtimes.
+    ``schedule`` is the host's ``(delay, thunk)`` timer scheduler (a
+    :class:`~repro.runtime.node_runtime.TimerWheel`, or the simulator's
+    timers); ``reaches`` is its transport's
+    :meth:`~repro.runtime.transport.Transport.reaches`.
     """
 
     def __init__(self, recorder: Recorder, schedule: Scheduler,
+                 reaches: Callable[[int], bool],
                  policy: Optional[RetryPolicy] = None, seed: int = 0):
         self.recorder = recorder
         self.schedule = schedule
+        self.reaches = reaches
         self.policy = policy if policy is not None else RetryPolicy()
         self.rng = random.Random(seed)
         self.evidence: List[MissingAckEvidence] = []
@@ -128,9 +134,11 @@ class DeliveryService:
 
     def _track(self, message_hash: bytes) -> None:
         """A message awaits its ACK: arm its first retry."""
+        awaiting = self.recorder.awaiting_ack
         self._tracked_counter.inc()
-        self._pending_gauge.set(len(self.recorder.awaiting_ack))
-        self._schedule_retry(message_hash, attempts=1)
+        self._pending_gauge.set(len(awaiting))
+        self._schedule_retry(message_hash, 1,
+                             awaiting[message_hash].timestamp)
 
     def _on_ack(self, _ack: SpiderAck) -> None:
         self.acks_matched += 1
@@ -140,11 +148,17 @@ class DeliveryService:
     # ------------------------------------------------------------------
     # Retry machinery
 
-    def _schedule_retry(self, message_hash: bytes, attempts: int) -> None:
+    def _schedule_retry(self, message_hash: bytes, attempts: int,
+                        sent: float, backoff: bool = True) -> None:
         """Arm the timer that follows transmission number ``attempts``
+        of the message sent at ``sent``: its backoff, never past T_max
         — the count lives in the timer, the message in the log."""
-        delay = self.policy.delay(attempts, self.rng)
-        self._backoff_histogram.observe(delay)
+        delay = max(0.0, self.recorder.config.ack_timeout -
+                    (self.recorder.clock.now - sent))
+        if backoff:
+            backoff_delay = self.policy.delay(attempts, self.rng)
+            self._backoff_histogram.observe(backoff_delay)
+            delay = min(delay, backoff_delay)
         self.schedule(delay, lambda: self._retry(message_hash, attempts))
 
     def _retry(self, message_hash: bytes, attempts: int) -> None:
@@ -153,16 +167,18 @@ class DeliveryService:
             return  # acknowledged in the meantime
         message = entry.payload
         assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
+        if not self.reaches(message.receiver):
+            return  # no node there to acknowledge it
         now = self.recorder.clock.now
-        timeout = self.recorder.config.ack_timeout
-        if attempts >= self.policy.max_attempts:
-            if now - entry.timestamp < timeout:
-                # Attempts exhausted but T_max not reached: the alarm
-                # would be premature, wait out the remainder.
-                self.schedule(timeout - (now - entry.timestamp),
-                              lambda: self._retry(message_hash, attempts))
-                return
+        if ack_overdue(entry.timestamp, now,
+                       self.recorder.config.ack_timeout):
             self._give_up(message, entry.timestamp, attempts, now)
+            return
+        if attempts >= self.policy.max_attempts:
+            # Attempts exhausted but T_max not reached: the alarm
+            # would be premature, wait out the remainder.
+            self._schedule_retry(message_hash, attempts, entry.timestamp,
+                                 backoff=False)
             return
         self.retries_sent += 1
         self._retries_counter.inc()
@@ -177,7 +193,7 @@ class DeliveryService:
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.schedule(0.0, self._flush_retries)
-        self._schedule_retry(message_hash, attempts + 1)
+        self._schedule_retry(message_hash, attempts + 1, entry.timestamp)
 
     def _flush_retries(self) -> None:
         self._flush_scheduled = False
@@ -188,7 +204,7 @@ class DeliveryService:
     def _give_up(self, message: SpiderAnnounce | SpiderWithdraw,
                  first_sent: float, attempts: int, now: float) -> None:
         """No timer follows; the message stays in the recorder's table
-        (``overdue_acks`` keeps listing it) with the evidence on file."""
+        with the evidence on file."""
         self._giveups_counter.inc()
         self.evidence.append(MissingAckEvidence(
             message=message, first_sent=first_sent, attempts=attempts,

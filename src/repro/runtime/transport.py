@@ -3,9 +3,9 @@
 A transport moves encoded SPIDeR messages between ASes.  The
 :class:`~repro.spider.recorder.Recorder` only ever calls
 ``transport(receiver, messages)`` — one signed chunk, or a one-element
-broadcast — so a :class:`Transport` instance is directly usable wherever
-the recorder takes a bare callable: the simulator closures, the
-in-process loopback hub, and real TCP all present the same interface.
+broadcast — and a :class:`Transport` instance is that callable: the
+simulated network (:class:`NetsimTransport`), the in-process loopback
+hub, and real TCP all present the same interface.
 
 :class:`LoopbackTransport` is the hermetic implementation: messages
 really pass through the binary codec and framing layers (serialization
@@ -21,6 +21,7 @@ import random
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..netsim.network import Network
 from ..obs.registry import get_registry
 from ..spider.codec import CodecError, decode_message, encode_message
 from .framing import FrameDecoder, LENGTH_BYTES, encode_frames
@@ -92,6 +93,10 @@ class Transport:
         """Send a batch to one receiver: delivered in order, one
         coalesced submission (one hub entry, one cross-thread hop)."""
         raise NotImplementedError
+
+    def reaches(self, receiver: int) -> bool:
+        """Whether a node receives what is sent to ``receiver``."""
+        return True
 
     def __call__(self, receiver: int,
                  messages: Sequence[object]) -> None:
@@ -244,3 +249,41 @@ class LoopbackTransport(Transport):
         for payload in payloads:
             self._note_sent(len(payload) + LENGTH_BYTES)
         self.hub._submit(self.asn, receiver, messages, payloads)
+
+
+class NetsimTransport(Transport):
+    """One AS's endpoint on a simulated :class:`Network`, in the table
+    of ``endpoints`` all of them share.
+
+    A message leaves as its codec bytes, metered under ``category``
+    (§7.6), and one link delay later — one event per message — is
+    decoded and dispatched at the receiver's endpoint.  An AS with none
+    (a phantom feed, a §6.7 non-participant) receives nothing."""
+
+    def __init__(self, asn: int, network: Network, category: str,
+                 endpoints: Dict[int, "NetsimTransport"]):
+        super().__init__(asn)
+        self.network = network
+        self.category = category
+        self.endpoints = endpoints
+        endpoints[asn] = self
+
+    def reaches(self, receiver: int) -> bool:
+        return receiver in self.endpoints
+
+    def send(self, receiver: int, messages: Sequence[object]) -> None:
+        endpoint = self.endpoints.get(receiver)
+        for message in messages:
+            data = encode_message(message)
+            self._note_sent(len(data))
+            if endpoint is None:
+                self.network.record_traffic(self.asn, self.category,
+                                            len(data))
+            else:
+                self.network.schedule_delivery(
+                    self.asn, self.category, len(data),
+                    lambda e=endpoint, d=data: e._arrive(d))
+
+    def _arrive(self, data: bytes) -> None:
+        self._note_received(len(data))
+        self._dispatch(decode_message(data))

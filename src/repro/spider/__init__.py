@@ -19,7 +19,7 @@ from .extended import ExtendedVerificationResult, producer_reannounces, \
 from .promises import GaoRexfordPromises, GaoRexfordScheme
 from .log import EntryKind, LogEntry, SpiderLog, TamperError
 from .node import EVALUATION_CLASSES, PROOF_TRAFFIC, SPIDER_TRAFFIC, \
-    SpiderDeployment, SpiderNode, VerificationOutcome, evaluation_scheme
+    SpiderNode, VerificationOutcome, evaluation_scheme
 from .proofgen import ProofGenerator, ProofSet, Reconstruction
 from .recorder import CommitmentRecord, Recorder
 from .windows import RouteChange, admissible_inputs, choose_input, \
@@ -41,7 +41,7 @@ __all__ = [
     "GaoRexfordPromises", "GaoRexfordScheme",
     "EntryKind", "LogEntry", "SpiderLog", "TamperError",
     "EVALUATION_CLASSES", "PROOF_TRAFFIC", "SPIDER_TRAFFIC",
-    "SpiderDeployment", "SpiderNode", "VerificationOutcome",
+    "SpiderNode", "VerificationOutcome",
     "evaluation_scheme",
     "ProofGenerator", "ProofSet", "Reconstruction",
     "CommitmentRecord", "Recorder",

@@ -85,6 +85,13 @@ class MissingAckEvidence:
         return self.message.sender
 
 
+def ack_overdue(sent: float, now: float, ack_timeout: float) -> bool:
+    """§6.2's one missing-ACK rule: T_max has passed since ``sent``, on
+    the millisecond grid of every signed time (:func:`~repro.spider.
+    wire.time_bytes`), so a timer armed for the deadline finds it due."""
+    return round((now - sent) * 1000) >= round(ack_timeout * 1000)
+
+
 def missing_ack_evidence_valid(registry: KeyRegistry,
                                evidence: MissingAckEvidence,
                                ack_timeout: float) -> bool:
@@ -98,7 +105,8 @@ def missing_ack_evidence_valid(registry: KeyRegistry,
         return False
     if evidence.attempts < 2:
         return False
-    return evidence.gave_up_at - evidence.first_sent >= ack_timeout
+    return ack_overdue(evidence.first_sent, evidence.gave_up_at,
+                       ack_timeout)
 
 
 @dataclass(frozen=True, slots=True)

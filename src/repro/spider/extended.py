@@ -22,13 +22,22 @@ of import (Section 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..bgp.prefix import Prefix
 from ..core.verdict import FaultKind, Verdict
+from ..crypto.keys import KeyRegistry
+from ..netsim.network import Network
 from .checkpoint import elector_view
-from .node import SpiderDeployment, SpiderNode
+from .node import SpiderNode
 from .wire import SpiderAnnounce
+
+
+class DeploymentView(Protocol):
+    """What §6.6 reads of a deployment: nodes, keys and topology."""
+    registry: KeyRegistry
+    network: Network
+    nodes: Dict[int, SpiderNode]
 
 
 @dataclass
@@ -74,7 +83,7 @@ def producer_reannounces(node: SpiderNode, elector: int,
 
 
 def run_extended_verification(
-        deployment: SpiderDeployment, elector: int,
+        deployment: DeploymentView, elector: int,
         commit_time: Optional[float] = None,
         producer_suppress: Optional[Dict[int, Tuple[Prefix, ...]]] = None,
         stale_exports: Optional[Dict[int, Dict[Prefix, SpiderAnnounce]]]
@@ -88,7 +97,7 @@ def run_extended_verification(
     """
     producer_suppress = producer_suppress or {}
     stale_exports = stale_exports or {}
-    elector_node = deployment.node(elector)
+    elector_node = deployment.nodes[elector]
     records = elector_node.recorder.commitments
     if not records:
         raise ValueError(f"AS {elector} has made no commitments")

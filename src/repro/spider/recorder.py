@@ -85,9 +85,6 @@ class _PendingAck:
 
 _PendingItem = object  # union of the three pending kinds
 
-#: Transport callback: (receiver ASN, messages for that receiver, in
-#: order).  The batch is the only unit of egress (§6.2's Nagle burst).
-Transport = Callable[[int, Sequence[object]], None]
 #: Scheduler callback: (delay seconds, thunk).
 Scheduler = Callable[[float, Callable[[], None]], None]
 
@@ -127,7 +124,7 @@ class Recorder:
     def __init__(self, identity: Identity, registry: KeyRegistry,
                  scheme: ClassScheme, promises: Dict[int, Promise],
                  config: SpiderConfig, clock: ClockLike,
-                 transport: Transport,
+                 transport: Callable[[int, Sequence[object]], None],
                  schedule: Optional[Scheduler] = None,
                  master_seed: bytes = b"spider-master",
                  log_store: Optional[LogSink] = None,
@@ -138,6 +135,8 @@ class Recorder:
         self.promises = dict(promises)
         self.config = config
         self.clock = clock
+        #: ``transport(receiver, messages)``: one ordered batch is the
+        #: only unit of egress (§6.2's Nagle burst).
         self.transport = transport
         self.schedule = schedule
         self.master_seed = master_seed
@@ -167,8 +166,8 @@ class Recorder:
         self._import_sigs: Dict[Tuple[int, Prefix], Signed] = {}
         #: The un-ACKed messages (§6.2): message hash → the ``SENT_*``
         #: entry that logged it, which holds the message, its receiver
-        #: and the send time.  :meth:`overdue_acks` and the runtime's
-        #: delivery service both read this one table.
+        #: and the send time: what the runtime's delivery service
+        #: retries and, past T_max, accuses on.
         self.awaiting_ack: Dict[bytes, LogEntry] = {}
         self._checkpointed_at: Optional[float] = None
         self._outbox: List[_PendingItem] = []
@@ -528,18 +527,6 @@ class Recorder:
         if len(self.awaiting_ack) < awaited:
             for hook in self.ack_hooks:
                 hook(ack)
-
-    def overdue_acks(self) -> List[Tuple[bytes, int]]:
-        """Messages unacknowledged past T_max — each one is an alarm that
-        must be handled out of band (Section 6.2)."""
-        now = self.clock.now
-        overdue: List[Tuple[bytes, int]] = []
-        for message_hash, entry in self.awaiting_ack.items():
-            message = entry.payload
-            assert isinstance(message, (SpiderAnnounce, SpiderWithdraw))
-            if now - entry.timestamp > self.config.ack_timeout:
-                overdue.append((message_hash, message.receiver))
-        return overdue
 
     # ------------------------------------------------------------------
     # Commitments (Section 5.3 / 6.1)

@@ -27,6 +27,8 @@ def test_repo_src_is_clean():
 
 
 def test_repo_src_is_clean_under_dataflow():
+    # The one default-registry solve of src/ in the suite; a finding
+    # is printed to stdout, which pytest shows on failure.
     assert main([str(REPO / "src"), "--engine", "dataflow"]) == 0
 
 

@@ -19,8 +19,9 @@ from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, \
     figure5_topology
 from repro.spider.config import SpiderConfig
+from repro.spider.evidence import missing_ack_evidence_valid
 from repro.spider.log import EntryKind, TamperError
-from repro.spider.node import SpiderDeployment
+from repro.runtime.node_runtime import SpiderDeployment
 from repro.spider.wire import SpiderCommitment
 
 OTHER_PREFIX = Prefix.parse("198.51.100.0/24")
@@ -72,9 +73,9 @@ def test_filtering_recorder_drops_but_still_acks():
     good_route_workload(network)
     assert dropped, "the filtered announce was never seen"
     assert all(m.sender == 7 for m in dropped)
-    # The stealthy part: AS 7 got its ACKs, so no T_max sweep fires.
-    assert deployment.node(7).recorder.overdue_acks() == []
-    assert deployment.sweep_overdue_acks() == []
+    # The stealthy part: AS 7 got its ACKs, so no T_max alarm fires.
+    assert deployment.node(7).recorder.awaiting_ack == {}
+    assert deployment.missing_ack_detections() == []
     # And the committed view really is missing the route.
     commit = deployment.commit_now(FOCUS_AS)
     view = deployment.node(FOCUS_AS).view_at(commit.commit_time)
@@ -107,8 +108,8 @@ def test_acknowledged_drop_leaves_no_log_entry_but_clears_the_ack(
     assert dropped
     assert logged_from(recorders[FOCUS_AS], 7) == []
     network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
-    assert recorders[7].overdue_acks() == []
-    assert deployment.sweep_overdue_acks() == []
+    assert recorders[7].awaiting_ack == {}
+    assert deployment.missing_ack_detections() == []
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +123,7 @@ def test_ack_withholding_trips_the_tmax_sweep():
     good_route_workload(network)
     assert withheld, "nothing was withheld"
     network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
-    records = deployment.sweep_overdue_acks()
+    records = deployment.missing_ack_detections()
     assert [(r.detector, r.accused, r.kind) for r in records] == \
         [(7, FOCUS_AS, FaultKind.MISSING_MESSAGE)]
 
@@ -133,14 +134,91 @@ def test_silent_drop_trips_overdue_acks_after_tmax(system):
     install_inbound_drop(recorders[FOCUS_AS], 7, acknowledge=False)
     good_route_workload(network)
     assert logged_from(recorders[FOCUS_AS], 7) == []
-    assert recorders[7].overdue_acks() == []  # not yet: T_max is a wait
+    evidence = deployment.runtimes[7].delivery.evidence
+    assert evidence == []  # not yet: T_max is a wait
     network.run_until(network.sim.now + _CONFIG.ack_timeout + 2.0)
-    assert {neighbor for _hash, neighbor in
-            recorders[7].overdue_acks()} == {FOCUS_AS}
-    records = deployment.sweep_overdue_acks()
+    assert {e.accused for e in evidence} == {FOCUS_AS}
+    records = deployment.missing_ack_detections()
     assert [(r.system, r.detector, r.accused, r.kind)
             for r in records] == \
         [(system, 7, FOCUS_AS, FaultKind.MISSING_MESSAGE)]
+
+
+# ----------------------------------------------------------------------
+# §6.2 on the deployment host: each AS's delivery service is the one
+# ACK rule — retry, then evidence once T_max has passed since the send
+
+
+def sent_to(recorder, receiver):
+    """The ``SENT_*`` entries of ``recorder`` addressed to ``receiver``."""
+    return [entry for entry in recorder.log
+            if entry.kind in (EntryKind.SENT_ANNOUNCE,
+                              EntryKind.SENT_WITHDRAW) and
+            entry.payload.receiver == receiver]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_stonewall_yields_valid_evidence_exactly_at_tmax(system):
+    network, deployment, recorders = build_system(system)
+    install_inbound_drop(recorders[FOCUS_AS], 7, acknowledge=False)
+    good_route_workload(network)
+    delivery = deployment.runtimes[7].delivery
+    first_sent = min(entry.timestamp
+                     for entry in sent_to(recorders[7], FOCUS_AS))
+    network.run_until(first_sent + _CONFIG.ack_timeout - 0.001)
+    assert delivery.evidence == []
+    assert delivery.retries_sent > 0     # retried before accusing
+    network.run_until(first_sent + _CONFIG.ack_timeout)
+    assert delivery.evidence, "no evidence at exactly T_max"
+    network.run_until(network.sim.now + _CONFIG.ack_timeout)
+    for evidence in delivery.evidence:
+        assert evidence.accused == FOCUS_AS
+        assert missing_ack_evidence_valid(deployment.registry, evidence,
+                                          _CONFIG.ack_timeout)
+    # Every message AS 7 sent AS 5 was given up on; one detection.
+    assert len(delivery.evidence) == \
+        len(sent_to(recorders[7], FOCUS_AS))
+    assert [(r.system, r.detector, r.accused, r.kind, r.source)
+            for r in deployment.missing_ack_detections()] == \
+        [(system, 7, FOCUS_AS, FaultKind.MISSING_MESSAGE, "ack-sweep")]
+    assert sum("no ack from AS5" in alarm
+               for alarm in recorders[7].alarms) == \
+        len(delivery.evidence)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_phantom_feed_is_neither_retried_nor_accused(system):
+    network, deployment, recorders = build_system(system)
+    network.schedule_trace(FEED_ASN, [
+        TraceEvent(1.0, FILLER_PREFIX, (FEED_ASN, 4000, 4001))])
+    good_route_workload(network)
+    # AS 2 mirrors its exports to the feed; nobody is there to ACK.
+    assert sent_to(recorders[INJECTION_AS], FEED_ASN)
+    network.run_until(network.sim.now + 3 * _CONFIG.ack_timeout)
+    delivery = deployment.runtimes[INJECTION_AS].delivery
+    assert delivery.retries_sent == 0
+    assert delivery.evidence == []
+    assert recorders[INJECTION_AS].alarms == []
+    assert deployment.missing_ack_detections() == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_honest_figure5_run_raises_no_alarm(system):
+    network, deployment, recorders = build_system(system)
+    network.schedule_trace(FEED_ASN, [
+        TraceEvent(1.0, FILLER_PREFIX, (FEED_ASN, 4000, 4001))])
+    network.originate(10, OTHER_PREFIX)
+    good_route_workload(network)
+    for recorder in recorders.values():
+        recorder.make_commitment()
+    network.settle()
+    network.run_until(network.sim.now + 2 * _CONFIG.ack_timeout)
+    assert {asn: recorder.alarms
+            for asn, recorder in recorders.items()} == \
+        {asn: [] for asn in recorders}
+    assert all(runtime.delivery.retries_sent == 0
+               for runtime in deployment.runtimes.values())
+    assert deployment.missing_ack_detections() == []
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -176,7 +254,7 @@ def test_equivocating_recorder_detected_by_lied_to_neighbor():
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_second_root_reaches_only_lie_to(system):
-    network, _deployment, recorders = build_system(system)
+    network, deployment, recorders = build_system(system)
     recorder = recorders[FOCUS_AS]
     install_equivocation(recorder, {7})
     good_route_workload(network)
@@ -196,6 +274,12 @@ def test_second_root_reaches_only_lie_to(system):
                   if message is record.message}
         assert {7, 8} <= honest
         assert fake.root != record.root
+    else:
+        # NetReview keeps no commitments: the victim drops it unread.
+        victim = deployment.runtimes[7].node
+        victim.receive_spider(fake)
+        assert victim.received_commitments == {}
+        assert victim.recorder.alarms == []
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +393,7 @@ def verified_world():
     good_route_workload(network)
     deployment.commit_now(FOCUS_AS)
     outcomes = deployment.verify(FOCUS_AS)
-    assert deployment.all_clean(outcomes)
+    assert all(outcome.report.ok for outcome in outcomes)
     return network, deployment, outcomes
 
 

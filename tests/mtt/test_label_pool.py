@@ -32,7 +32,8 @@ from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from repro.spider import proofgen as proofgen_module
 from repro.spider import recorder as recorder_module
 from repro.spider.config import SpiderConfig
-from repro.spider.node import SpiderDeployment, evaluation_scheme
+from repro.runtime.node_runtime import SpiderDeployment
+from repro.spider.node import evaluation_scheme
 from repro.spider.recorder import Recorder
 
 

@@ -471,6 +471,6 @@ class TestRetriesSurviveARestart:
             assert rt_a.delivery.retries_sent == 1
             assert rt_a.delivery.evidence == []
             assert rt_a.recorder.alarms == []
-            assert rt_a.recorder.overdue_acks() == []
+            assert rt_a.recorder.awaiting_ack == {}
         finally:
             rt_a.close()

@@ -6,7 +6,8 @@ from repro.bgp.prefix import Prefix
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from repro.spider.config import SpiderConfig
-from repro.spider.node import SpiderDeployment, evaluation_scheme
+from repro.runtime.node_runtime import SpiderDeployment
+from repro.spider.node import evaluation_scheme
 
 FEED = 65000
 P = Prefix.parse("203.0.113.0/24")

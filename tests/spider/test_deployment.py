@@ -28,7 +28,7 @@ class TestRecorderMirroring:
         network, dep = deployment
         node = dep.node(FOCUS_AS)
         assert node.recorder.log.of_kind(EntryKind.RECV_ACK)
-        assert not node.recorder.overdue_acks()
+        assert not node.recorder.awaiting_ack
 
     def test_mirror_matches_bgp(self, deployment):
         network, dep = deployment
@@ -132,7 +132,8 @@ class TestCommitments:
         from repro.netsim.network import Network
         from repro.netsim.topology import figure5_topology
         from repro.spider.config import SpiderConfig
-        from repro.spider.node import SpiderDeployment, evaluation_scheme
+        from repro.runtime.node_runtime import SpiderDeployment
+        from repro.spider.node import evaluation_scheme
         network = Network(figure5_topology())
         dep = SpiderDeployment(network, scheme=evaluation_scheme(5),
                                config=SpiderConfig(commit_interval=60.0))
@@ -361,8 +362,8 @@ class TestVerification:
             # some from earlier tests, so use a fresh deployment check:
             from repro.netsim.network import Network
             from repro.netsim.topology import figure5_topology
-            from repro.spider.node import SpiderDeployment, \
-                evaluation_scheme
+            from repro.runtime.node_runtime import SpiderDeployment
+            from repro.spider.node import evaluation_scheme
             from repro.spider.config import SpiderConfig
             net2 = Network(figure5_topology())
             dep2 = SpiderDeployment(net2, scheme=evaluation_scheme(5),

@@ -120,7 +120,8 @@ class TestExtendedVerification:
         from repro.netsim.network import Network
         from repro.netsim.topology import figure5_topology
         from repro.spider.config import SpiderConfig
-        from repro.spider.node import SpiderDeployment, evaluation_scheme
+        from repro.runtime.node_runtime import SpiderDeployment
+        from repro.spider.node import evaluation_scheme
         net2 = Network(figure5_topology())
         dep2 = SpiderDeployment(net2, scheme=evaluation_scheme(5),
                                 config=SpiderConfig())

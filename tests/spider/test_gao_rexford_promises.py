@@ -8,7 +8,7 @@ from repro.bgp.route import NULL_ROUTE, Route
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from repro.spider.config import SpiderConfig
-from repro.spider.node import SpiderDeployment
+from repro.runtime.node_runtime import SpiderDeployment
 from repro.spider.promises import GaoRexfordPromises, GaoRexfordScheme
 
 P = Prefix.parse("203.0.113.0/24")

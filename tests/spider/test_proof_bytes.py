@@ -28,7 +28,8 @@ from repro.netsim.topology import FOCUS_AS, INJECTION_AS, figure5_topology
 from repro.spider import codec
 from repro.spider.codec import CodecError, decode_message, encode_message
 from repro.spider.config import SpiderConfig
-from repro.spider.node import SpiderDeployment, evaluation_scheme
+from repro.runtime.node_runtime import SpiderDeployment
+from repro.spider.node import evaluation_scheme
 from repro.spider.proofgen import ProofSet
 from repro.spider.wire import SpiderBitProof
 

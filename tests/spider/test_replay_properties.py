@@ -17,7 +17,8 @@ from repro.obs.registry import Registry, use_registry
 from repro.spider.checkpoint import apply_entry, replay
 from repro.spider.config import SpiderConfig
 from repro.spider.log import EntryKind, SpiderLog
-from repro.spider.node import SpiderDeployment, evaluation_scheme
+from repro.runtime.node_runtime import SpiderDeployment
+from repro.spider.node import evaluation_scheme
 from repro.spider.state import RoutingState
 from repro.spider.wire import SpiderAnnounce, SpiderWithdraw, time_bytes
 from tests.spider.test_retained_tree import NEIGHBORS, World

@@ -16,7 +16,7 @@ from repro.netsim.network import Network
 from repro.netsim.topology import caida_like_topology
 from repro.spider.config import SpiderConfig
 from repro.spider.extended import run_extended_verification
-from repro.spider.node import SpiderDeployment
+from repro.runtime.node_runtime import SpiderDeployment
 from repro.spider.promises import GaoRexfordPromises
 
 PREFIXES = [Prefix.parse(f"198.51.{i}.0/24") for i in range(4)]
