@@ -33,14 +33,21 @@ class Origin(enum.IntEnum):
     INCOMPLETE = 2
 
 
-#: Decode-path helpers: the fixed attribute tail after the AS path
-#: (local_pref i32 | med u32 | origin u8 | router_id u32 | comm_count
-#: u16), per-length AS-path structs (cached — path lengths in real
-#: tables cluster under a few dozen values), the Origin lookup that
-#: skips ``EnumMeta.__call__`` dispatch, and the shared empty community
-#: set (most routes carry none).
-_ROUTE_TAIL = struct.Struct(">iIBIH")
+#: The byte layout of a route, shared by both directions: prefix
+#: (address u32 | length u8), path length u8, the AS path (u32 each), then
+#: the fixed attribute tail (local_pref i32 | med u32 | origin u8 |
+#: router_id u32 | comm_count u16) and the communities (u16 | u16 each,
+#: sorted).  Decode reads the tail with ``_ROUTE_TAIL`` and a path with
+#: its per-length struct (cached — path lengths in real tables cluster
+#: under a few dozen values); encode packs everything up to the
+#: communities with one struct per path length, cached the same way.
+#: Also here: the Origin lookup that skips ``EnumMeta.__call__``
+#: dispatch, and the shared empty community set (most routes carry
+#: none).
+_TAIL_FORMAT = "iIBIH"
+_ROUTE_TAIL = struct.Struct(">" + _TAIL_FORMAT)
 _PATH_STRUCTS: Dict[int, struct.Struct] = {}
+_ROUTE_STRUCTS: Dict[int, struct.Struct] = {}
 _ORIGIN_BY_CODE: Tuple[Origin, ...] = tuple(
     Origin(code) for code in sorted(o.value for o in Origin))
 _EMPTY_COMMUNITIES: FrozenSet[Community] = frozenset()
@@ -135,21 +142,34 @@ class Route:
 
         Layout: prefix(5) | path_len(1) path(4*n) | local_pref(4) | med(4)
         | origin(1) | router_id(4) | comm_count(2) comms(4*m, sorted).
+        Encode and decode share this one layout (``_TAIL_FORMAT`` and
+        the notes above it): everything before the communities is one
+        ``pack`` of the struct for this path length.  A path of 256
+        hops or more raises ``ValueError`` and a field out of its range
+        raises ``OverflowError``, as the byte-by-byte encoder did;
+        ``struct.error`` never escapes.
         """
-        out = bytearray()
-        out += self.prefix.to_bytes()
-        out += bytes([len(self.as_path)])
-        for asn in self.as_path:
-            out += asn.to_bytes(4, "big")
-        out += self.local_pref.to_bytes(4, "big", signed=True)
-        out += self.med.to_bytes(4, "big")
-        out += bytes([self.origin])
-        out += self.router_id.to_bytes(4, "big")
-        tags = sorted(self.communities)
-        out += len(tags).to_bytes(2, "big")
-        for tag in tags:
-            out += encode_community(tag)
-        return bytes(out)
+        path = self.as_path
+        n_path = len(path)
+        layout = _ROUTE_STRUCTS.get(n_path)
+        if layout is None:
+            if n_path > 255:
+                raise ValueError(f"AS path of {n_path} hops does not fit "
+                                 f"its one-byte length")
+            layout = struct.Struct(f">IBB{n_path}I{_TAIL_FORMAT}")
+            _ROUTE_STRUCTS[n_path] = layout
+        prefix = self.prefix
+        communities = self.communities
+        try:
+            head = layout.pack(prefix.address, prefix.length, n_path, *path,
+                               self.local_pref, self.med, self.origin,
+                               self.router_id, len(communities))
+        except struct.error as exc:
+            raise OverflowError(f"route field out of range: {exc}") \
+                from None
+        if not communities:
+            return head
+        return head + b"".join(map(encode_community, sorted(communities)))
 
     @classmethod
     def from_bytes(cls, data: Union[bytes, bytearray, memoryview],
