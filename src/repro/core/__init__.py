@@ -8,8 +8,8 @@ consumers each verify one small lemma using only what they already know.
 
 from .adjacency import ADJACENCY_BASE, adjacency_id, adjacency_owner, \
     dummy_adjacencies, register_adjacencies
-from .bits import available_classes, compute_bits, conforming_offer, \
-    honest_choice, offer_conforms
+from .bits import available_classes, class_rows, compute_bits, \
+    conforming_offer, honest_choice, offer_conforms
 from .classes import ClassScheme, Classifier, RouteOrNull, \
     local_pref_scheme, partial_transit_scheme, path_length_scheme, \
     relation_scheme, relation_with_path_length_scheme, \
@@ -32,7 +32,7 @@ from .wire import AdvertAck, BitProofMsg, CommitmentMsg, OfferMsg, \
 __all__ = [
     "ADJACENCY_BASE", "adjacency_id", "adjacency_owner",
     "dummy_adjacencies", "register_adjacencies",
-    "available_classes", "compute_bits", "conforming_offer",
+    "available_classes", "class_rows", "compute_bits", "conforming_offer",
     "honest_choice", "offer_conforms",
     "ClassScheme", "Classifier", "RouteOrNull", "local_pref_scheme",
     "partial_transit_scheme", "path_length_scheme", "relation_scheme",

@@ -14,6 +14,11 @@ and the consumer-side check of Section 7.4 ("the downstream AS noticed
 that it had a bit proof for the null route, which was better than the
 route it had actually received") would not fire.
 
+:func:`compute_bits` is the rule as stated; :func:`class_rows` splits off
+its promise half, which depends only on the chosen route's class, so that
+a recorder deriving a whole table's bits computes it once per class
+rather than once per prefix.
+
 This module also contains the *honest elector* helpers: which offers
 conform to a promise given the available inputs, and how a correct elector
 picks ``e`` so that every consumer can be given a conforming offer.
@@ -55,6 +60,29 @@ def compute_bits(scheme: ClassScheme,
             bits[worse] = 1
 
     return tuple(bits)
+
+
+def class_rows(scheme: ClassScheme,
+               promises: Iterable[Promise]) -> Tuple[int, ...]:
+    """Per chosen class c, the bits a chosen route of class c sets by
+    itself: ⊥'s class, and every class some promise ranks below c.
+
+    The second half of :func:`compute_bits` depends on the chosen class
+    alone, so for fixed promises it is k rows computed once; a prefix's
+    bits are then its chosen class's row plus one bit per input class.
+    Row c is an int whose bit j is bit j of those k bits.  Raises
+    ``ValueError`` for a promise over another k, as :func:`compute_bits`
+    does.
+    """
+    k = scheme.k
+    rows = [1 << scheme.classify(NULL_ROUTE)] * k
+    # Equal promises set equal bits, and neighbors often share one.
+    for promise in set(promises):
+        if promise.scheme.k != k:
+            raise ValueError("promise scheme does not match bit scheme")
+        for lower, higher in promise.order:
+            rows[higher] |= 1 << lower
+    return tuple(rows)
 
 
 def available_classes(scheme: ClassScheme,

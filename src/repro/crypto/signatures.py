@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import rsa
 from ..obs.metrics import Counter, Histogram
@@ -93,13 +93,17 @@ class Signer:
 
     Every operation is published to the default registry:
     ``signatures_made_total`` / ``payloads_signed_total`` counters
-    (labeled by ``node``), a ``sign_seconds`` duration histogram, and a
+    (labeled by ``node``, or by the host's ``labels``), a
+    ``sign_seconds`` duration histogram, and a
     ``sign_batch_size`` histogram recording how well Nagle batching
     amortizes RSA operations (Section 6.2 / 7.5).
     """
 
-    def __init__(self, identity: Identity):
+    def __init__(self, identity: Identity,
+                 labels: Optional[Mapping[str, str]] = None):
         self.identity = identity
+        self._labels = dict(labels) if labels is not None \
+            else {"node": f"as{identity.asn}"}
         self._registry = get_registry()
         # Looked up on the first signature, not here: a signer that
         # never signs (a cold open) adds no series to the registry.
@@ -113,11 +117,11 @@ class Signer:
     def _observe(self, payloads: int, seconds: float) -> None:
         cells = self._cells
         if cells is None:
-            node = f"as{self.asn}"
+            labels = self._labels
             registry = self._registry
             cells = self._cells = (
-                registry.counter("signatures_made_total", node=node),
-                registry.counter("payloads_signed_total", node=node),
+                registry.counter("signatures_made_total", **labels),
+                registry.counter("payloads_signed_total", **labels),
                 registry.histogram("sign_seconds"),
                 registry.histogram("sign_batch_size"))
         signatures, signed_payloads, sign_seconds, batch_size = cells

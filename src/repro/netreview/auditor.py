@@ -17,7 +17,7 @@ quantifying the privacy price.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Iterable, List, Mapping, Optional
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import NULL_ROUTE, Route
@@ -74,7 +74,7 @@ class NetReviewAuditor:
         self.scheme = scheme
 
     def audit(self, log: SpiderLog, audited: int, at_time: float,
-              promises: Dict[int, Promise], *,
+              promises: Mapping[int, Promise], *,
               auditor_exports: Optional[Mapping[Prefix, Route]] = None,
               participants: Optional[Iterable[int]] = None,
               check_derivation: bool = False) -> AuditReport:

@@ -11,6 +11,7 @@ minus MTT generation, about 5× lower) falls out of exactly this sharing.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..bgp.prefix import Prefix
@@ -40,8 +41,12 @@ class NetReviewRecorder(Recorder):
     tree is built and nothing is hashed beyond the log chain — the cost
     difference against SPIDeR is precisely the missing 'mtt' CPU
     section.  With no tree to keep current there are no dirty-prefix
-    marks either: nothing would ever clear them.
+    marks either: nothing would ever clear them.  Its host's series
+    carry ``system="netreview"``, so an AS that runs both systems in one
+    world counts each apart.
     """
+
+    system_labels = MappingProxyType({"system": "netreview"})
 
     def _mark_dirty(self, prefixes: Iterable[Prefix]) -> None:
         pass

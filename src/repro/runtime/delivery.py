@@ -97,20 +97,20 @@ class DeliveryService:
         self._retry_batch: Dict[int, List[object]] = {}
         self._flush_scheduled = False
         # Registry mirrors of the counters above, plus the backoff
-        # histogram, all attributed to this recorder's AS.
+        # histogram, all attributed to this recorder's AS and system.
         obs = get_registry()
-        node = f"as{recorder.identity.asn}"
+        labels = type(recorder).labels_for(recorder.identity.asn)
         self._retries_counter = obs.counter("delivery_retries_total",
-                                            node=node)
+                                            **labels)
         self._acks_counter = obs.counter("delivery_acks_matched_total",
-                                         node=node)
+                                         **labels)
         self._giveups_counter = obs.counter("delivery_give_ups_total",
-                                            node=node)
+                                            **labels)
         self._tracked_counter = obs.counter("delivery_tracked_total",
-                                            node=node)
-        self._pending_gauge = obs.gauge("delivery_pending", node=node)
+                                            **labels)
+        self._pending_gauge = obs.gauge("delivery_pending", **labels)
         self._backoff_histogram = obs.histogram("retry_backoff_seconds",
-                                                node=node)
+                                                **labels)
         for message_hash in recorder.awaiting_ack:
             self._track(message_hash)
         recorder.add_sent_hook(self._on_sent)

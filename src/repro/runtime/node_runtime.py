@@ -202,7 +202,7 @@ class NodeRuntime:
         #: :meth:`deliver_pending` — the runtime-side backpressure
         #: signal the soak scenario watches per peer.
         self._inbox_gauge = get_registry().gauge(
-            "runtime_inbox_depth", node=f"as{identity.asn}")
+            "runtime_inbox_depth", **recorder_class.labels_for(identity.asn))
         inbox_append = self.inbox.append
         inbox_gauge = self._inbox_gauge
 
@@ -340,8 +340,9 @@ class Deployment:
         for asn in self.participants:
             neighbors = tuple(n for n in network.topology.neighbors(asn)
                               if n in identities)
-            transport = NetsimTransport(asn, network, self.category,
-                                        endpoints)
+            transport = NetsimTransport(
+                asn, network, self.category, endpoints,
+                system_labels=self.recorder_class.system_labels)
             runtime = NodeRuntime(
                 identities[asn], self.registry,
                 scheme_factory(asn) if scheme_factory is not None

@@ -19,7 +19,9 @@ import heapq
 import itertools
 import random
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from ..netsim.network import Network
 from ..obs.registry import get_registry
@@ -37,7 +39,10 @@ class TransportError(RuntimeError):
 class Transport:
     """Base class: per-AS message egress plus receive dispatch."""
 
-    def __init__(self, asn: int):
+    def __init__(self, asn: int,
+                 system_labels: Mapping[str, str] = MappingProxyType({})):
+        """``system_labels`` go beside ``node`` and ``transport`` on the
+        registry series (a recorder class's ``system_labels``)."""
         self.asn = asn
         self._receivers: List[ReceiveCallback] = []
         #: Messages that arrived before any receiver registered.  A TCP
@@ -57,7 +62,7 @@ class Transport:
         # CLI attributes wire traffic per AS and transport kind).
         obs = get_registry()
         labels = {"node": f"as{asn}",
-                  "transport": type(self).__name__}
+                  "transport": type(self).__name__, **system_labels}
         self._frames_sent_counter = obs.counter(
             "transport_frames_sent_total", **labels)
         self._bytes_sent_counter = obs.counter(
@@ -261,8 +266,9 @@ class NetsimTransport(Transport):
     (a phantom feed, a §6.7 non-participant) receives nothing."""
 
     def __init__(self, asn: int, network: Network, category: str,
-                 endpoints: Dict[int, "NetsimTransport"]):
-        super().__init__(asn)
+                 endpoints: Dict[int, "NetsimTransport"],
+                 system_labels: Mapping[str, str] = MappingProxyType({})):
+        super().__init__(asn, system_labels)
         self.network = network
         self.category = category
         self.endpoints = endpoints

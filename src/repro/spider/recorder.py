@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
-    Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Sequence, Set, Tuple
 
 from ..bgp.messages import Announce, Update
 from ..bgp.prefix import Prefix
 from ..bgp.route import NULL_ROUTE, Route
 from ..bgp.speaker import Speaker
-from ..core.bits import compute_bits
-from ..core.classes import ClassScheme, RouteOrNull
+from ..core.bits import class_rows
+from ..core.classes import ClassScheme
 from ..core.promise import Promise
 from ..crypto.hashing import constant_time_eq, digest_fields
 from ..crypto.keys import Identity, KeyRegistry
@@ -121,6 +122,11 @@ class CommitmentRecord:
 class Recorder:
     """The per-AS SPIDeR recorder."""
 
+    #: Labels beside ``node`` on every obs series this recorder and its
+    #: host emit.  SPIDeR's are none; another system on the same AS
+    #: names itself here, so that the two count apart.
+    system_labels: Mapping[str, str] = MappingProxyType({})
+
     def __init__(self, identity: Identity, registry: KeyRegistry,
                  scheme: ClassScheme, promises: Dict[int, Promise],
                  config: SpiderConfig, clock: ClockLike,
@@ -132,7 +138,13 @@ class Recorder:
         self.identity = identity
         self.registry = registry
         self.scheme = scheme
-        self.promises = dict(promises)
+        #: Read-only: the class rows below are derived from it once.
+        self.promises: Mapping[int, Promise] = MappingProxyType(
+            dict(promises))
+        #: Per chosen class, the input bits the promises set, as an int
+        #: with bit j for class j (:func:`~repro.core.bits.class_rows`);
+        #: raises here for a promise over another k.
+        self._class_rows = class_rows(scheme, self.promises.values())
         self.config = config
         self.clock = clock
         #: ``transport(receiver, messages)``: one ordered batch is the
@@ -141,8 +153,9 @@ class Recorder:
         self.schedule = schedule
         self.master_seed = master_seed
         self._obs = get_registry()
+        self.obs_labels = self.labels_for(identity.asn)
         self._cpu_seconds: Dict[str, Counter] = {}
-        self.signer = Signer(identity)
+        self.signer = Signer(identity, labels=self.obs_labels)
         self.alarms: List[str] = []
         self.log = SpiderLog.restore(
             recovered_entries or (),
@@ -181,6 +194,12 @@ class Recorder:
         #: repro.mtt.pool).  ``close()`` shuts it down.
         self._label_pool: Optional[LabelPool] = None
         self._adopt_recovery()
+
+    @classmethod
+    def labels_for(cls, asn: int) -> Dict[str, str]:
+        """``node`` plus :attr:`system_labels`: the labels of every obs
+        series that AS ``asn``'s host of this system emits."""
+        return {"node": f"as{asn}", **cls.system_labels}
 
     @property
     def asn(self) -> int:
@@ -246,15 +265,15 @@ class Recorder:
         counter = self._cpu_seconds.get(section)
         if counter is None:
             counter = self._cpu_seconds[section] = self._obs.counter(
-                "cpu_seconds_total", node=f"as{self.asn}", section=section)
+                "cpu_seconds_total", section=section, **self.obs_labels)
         return _CpuSection(counter)
 
     def alarm(self, reason: str, text: str) -> None:
         """Raise one out-of-band alarm (Section 6.2) and count it under
         ``spider_alarms_total{reason=...}``."""
         self.alarms.append(text)
-        self._obs.counter("spider_alarms_total", node=f"as{self.asn}",
-                          reason=reason).inc()
+        self._obs.counter("spider_alarms_total", reason=reason,
+                          **self.obs_labels).inc()
 
     def _adopt_recovery(self) -> None:
         """A restart is the live path run again, minus the appends:
@@ -547,33 +566,57 @@ class Recorder:
         scratch — what a rebuild builds its tree from, and what the
         retained tree must equal after every round (the proof generator
         checks it against the replay before proving from that tree)."""
-        promise_list = list(self.promises.values())
-        return {prefix: self._prefix_bits(state, prefix, promise_list)
+        bits_of = self._bits_pass(state)
+        return {prefix: bits_of(prefix)
                 for prefix in state.known_prefixes()}
 
-    def _prefix_bits(self, state: RoutingState, prefix: Prefix,
-                     promise_list: List[Promise]) -> Tuple[int, ...]:
-        inputs: List[RouteOrNull] = [
-            table[prefix] for table in state.imports.values()
-            if prefix in table
-        ]
-        return compute_bits(self.scheme, inputs,
-                            self._chosen_for(state, prefix), promise_list)
+    def _bits_pass(
+            self, state: RoutingState
+    ) -> Callable[[Prefix], Tuple[int, ...]]:
+        """One derivation pass over ``state``: the function from a
+        prefix to its k input bits, equal to
+        :func:`~repro.core.bits.compute_bits` over the prefix's imports,
+        the elector's choice ``e`` and :attr:`promises`.
 
-    def _chosen_for(self, state: RoutingState,
-                    prefix: Prefix) -> RouteOrNull:
-        """The elector's choice ``e``, derived from log-visible exports.
+        ``e`` is derived from log-visible exports.  Every export is
+        either e or ⊥; the first non-null export (by neighbor number)
+        therefore identifies e.  All-⊥ exports leave e unobservable, and
+        ⊥ is the conservative value.  The export path carries our own
+        prepend, which is stripped to recover e.
 
-        Every export is either e or ⊥; the first non-null export (by
-        neighbor number) therefore identifies e.  All-⊥ exports leave e
-        unobservable, and ⊥ is the conservative value.  The export path
-        carries our own prepend, which is stripped to recover e.
+        The tables are listed once per pass, exports in neighbor order.
+        A prefix's bits start from its chosen class's row, which holds
+        ⊥'s class and every class a promise ranks below e, and each
+        import sets its own class's bit.  The pass makes one tuple per
+        distinct set of bits, which every prefix with that set shares: a
+        table's prefixes fall into few of them, and a new tuple per
+        prefix set off the garbage collector inside the pass.
         """
-        for neighbor in sorted(state.exports):
-            route = state.exports[neighbor].get(prefix)
-            if route is not None:
-                return elector_view(route, self.asn)
-        return NULL_ROUTE
+        rows, asn = self._class_rows, self.asn
+        classify, k = self.scheme.classify, self.scheme.k
+        null_row = rows[classify(NULL_ROUTE)]
+        imports = list(state.imports.values())
+        exports = [state.exports[n] for n in sorted(state.exports)]
+        made: Dict[int, Tuple[int, ...]] = {}
+
+        def bits_of(prefix: Prefix) -> Tuple[int, ...]:
+            row = null_row
+            for table in exports:
+                route = table.get(prefix)
+                if route is not None:
+                    row = rows[classify(elector_view(route, asn))]
+                    break
+            for table in imports:
+                route = table.get(prefix)
+                if route is not None:
+                    row |= 1 << classify(route)
+            bits = made.get(row)
+            if bits is None:
+                bits = made[row] = tuple(row >> cls & 1
+                                         for cls in range(k))
+            return bits
+
+        return bits_of
 
     def _apply_dirty(self) -> None:
         """Bring the retained tree up to ``self.state``.
@@ -586,13 +629,13 @@ class Recorder:
         so the tree equals ``Mtt.build(self.mtt_entries(self.state))``.
         """
         tree, state = self._tree, self.state
-        promise_list = list(self.promises.values())
+        bits_of = self._bits_pass(state)
         rewritten = inserted = removed = 0
         try:
             for prefix in self._dirty:
                 present = tree.prefix_node(prefix) is not None
                 if state.knows(prefix):
-                    bits = self._prefix_bits(state, prefix, promise_list)
+                    bits = bits_of(prefix)
                     if present:
                         tree.set_bits(prefix, bits)
                         rewritten += 1
@@ -653,8 +696,7 @@ class Recorder:
         # reconstruction of this tree is stale from here on, even if
         # the round raises halfway through the hash pass.
         self._tree.root.label = None
-        with self._obs.span("commitment", self.clock,
-                            node=f"as{self.asn}"):
+        with self._obs.span("commitment", self.clock, **self.obs_labels):
             with self._cpu("mtt"):
                 self._apply_dirty()
                 report = label_tree_with_workers(

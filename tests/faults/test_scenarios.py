@@ -14,6 +14,7 @@ import pytest
 from repro.core.verdict import FaultKind
 from repro.faults.adversaries import SEC74_SPECS
 from repro.faults.campaign import recorder_alarms, run_spec, run_world
+from repro.obs.registry import Registry, use_registry
 
 
 def detectors(entry):
@@ -154,6 +155,26 @@ class TestAckWithholding:
         for key in ("spider_detections", "netreview_detections"):
             assert {(r["detector"], r["kind"]) for r in entry[key]} == \
                 {(7, FaultKind.MISSING_MESSAGE.value)}
+
+    def test_each_system_counts_its_own_retries(self):
+        """Both systems run a runtime on AS 7; NetReview's series carry
+        ``system="netreview"`` and SPIDeR's keep their labels, so each
+        reads its own 4 retries rather than the sum."""
+        with use_registry(Registry()) as registry:
+            run_world(SEC74_SPECS["ack-withholding"], faulty=True)
+        at_as7 = [(metric, dict(metric.labels))
+                  for metric in registry.metrics()
+                  if dict(metric.labels).get("node") == "as7"]
+        retries = {labels.get("system", "spider"): metric.value
+                   for metric, labels in at_as7
+                   if metric.name == "delivery_retries_total"}
+        assert retries == {"spider": 4, "netreview": 4}
+        systems = {(metric.name, labels.get("system", "spider"))
+                   for metric, labels in at_as7}
+        for name in ("runtime_inbox_depth", "delivery_tracked_total",
+                     "transport_frames_sent_total", "cpu_seconds_total",
+                     "signatures_made_total"):
+            assert {(name, "spider"), (name, "netreview")} <= systems
 
 
 class TestAllFaultsDetectedExactlyLikeThePaper:

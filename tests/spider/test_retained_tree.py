@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from repro.bgp.messages import Announce, Withdraw
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
-from repro.core import bits as bits_module
 from repro.core.promise import total_order_promise
 from repro.core.verdict import FaultKind
 from repro.crypto.keys import KeyRegistry, make_identity
@@ -419,6 +418,27 @@ class TestStaleProgramHazard:
                 world.finish()
 
 
+def raise_on_prefix(monkeypatch, n: int) -> None:
+    """Make the recorder's per-prefix bit derivation (the function a
+    ``Recorder._bits_pass`` returns) raise on the n-th prefix it is
+    asked for, counted across passes."""
+    real_pass = Recorder._bits_pass
+    calls = []
+
+    def bits_pass(self, state):
+        bits_of = real_pass(self, state)
+
+        def failing(prefix):
+            calls.append(prefix)
+            if len(calls) == n:
+                raise RuntimeError("injected")
+            return bits_of(prefix)
+
+        return failing
+
+    monkeypatch.setattr(Recorder, "_bits_pass", bits_pass)
+
+
 class TestFailClosed:
     def test_a_raise_mid_apply_costs_a_rebuild_not_a_wrong_root(
             self, monkeypatch):
@@ -429,16 +449,7 @@ class TestFailClosed:
         for i in range(4, 9):
             world.announce(3, Prefix.parse(f"10.{i}.0.0/16"), (4000,))
         world.withdraw(2, Prefix.parse("10.0.0.0/16"))
-        calls = []
-
-        def failing_third(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise RuntimeError("injected")
-            return bits_module.compute_bits(*args, **kwargs)
-
-        monkeypatch.setattr(recorder_module, "compute_bits",
-                            failing_third)
+        raise_on_prefix(monkeypatch, 3)
         with pytest.raises(RuntimeError, match="injected"):
             world.recorder.make_commitment()
         monkeypatch.undo()
@@ -769,16 +780,7 @@ class TestStaleReconstructions:
         held = proofgen.reconstruct(first.commit_time)
         for i in range(4):
             world.announce(2, Prefix.parse(f"10.{i}.0.0/16"))
-        calls = []
-
-        def failing_second(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("injected")
-            return bits_module.compute_bits(*args, **kwargs)
-
-        monkeypatch.setattr(recorder_module, "compute_bits",
-                            failing_second)
+        raise_on_prefix(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="injected"):
             world.recorder.make_commitment()
         monkeypatch.undo()
