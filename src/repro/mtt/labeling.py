@@ -44,7 +44,7 @@ from ..crypto import hashing
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, digest_concat
 from ..crypto.rc4 import Rc4Csprng
 from ..obs.registry import get_registry
-from .nodes import BitNode, DummyNode, MttNode, PrefixNode
+from .nodes import DummyNode, MttNode, PrefixNode
 from .pool import CUT_DEPTH, LabelPool, PoolBrokenError
 from .tree import Mtt
 
@@ -90,9 +90,9 @@ def compute_label(node: MttNode) -> bytes:
     sanctioned declassifier for taint that flows into it.
 
     The reference implementation: a generic iterative post-order
-    traversal straight off the §5.3 definition, which the golden-root
-    tests pin the serial kernel and the pool to.  Whole-tree labeling
-    goes through :func:`label_tree`.
+    traversal straight off the §5.3 definition (a prefix node labels
+    its bit nodes from its ``bits``), which the golden-root tests pin
+    the serial kernel and the pool to; :func:`label_tree` labels trees.
     """
     stack: List[Tuple[MttNode, bool]] = [(node, False)]
     while stack:
@@ -103,16 +103,16 @@ def compute_label(node: MttNode) -> bytes:
                 raise RuntimeError("dummy node has no label; call "
                                    "assign_randomness first")
             continue
-        if kind is BitNode:
-            if current.blinding is None:
-                raise RuntimeError("bit node has no blinding; call "
-                                   "assign_randomness first")
-            current.label = bit_commitment(current.bit, current.blinding)
-            continue
         if kind is PrefixNode:
-            children: List[MttNode] = list(current.bit_nodes)
-        else:
-            children = [c for c in current.children if c is not None]
+            for bit, bit_node in zip(current.bits, current.bit_nodes):
+                if bit_node.blinding is None:
+                    raise RuntimeError("bit node has no blinding; call "
+                                       "assign_randomness first")
+                bit_node.label = bit_commitment(bit, bit_node.blinding)
+            current.label = digest_concat(
+                *[bit_node.label for bit_node in current.bit_nodes])
+            continue
+        children = [c for c in current.children if c is not None]
         if expanded:
             current.label = digest_concat(
                 *[child.label for child in children])
@@ -127,28 +127,29 @@ def _hash_pass(tree: Mtt) -> bytes:
 
     Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, on the Merkle
     engine :data:`~repro.crypto.hashing.merkle_sha512`) so each node
-    costs one hash call; a bit node feeds its bit byte and then its
-    blinding, which skips building ``b || x``.  An interior node hashes
-    its child labels concatenated, by one of two branches: a node with
-    exactly three children (every inner node, and a prefix node when
-    k = 3) as ``a + b + c``, which builds no list and, on 3.11, runs no
-    comprehension frame; any other through ``b"".join`` of the list.
-    Both branches hash the same bytes, so which one a node takes cannot
-    move its label (the basic golden anchor, k = 3, sends its prefix
-    nodes down the first).  The golden-root tests pin this path to the
-    generic :func:`compute_label` traversal byte for byte.  This is
-    also the recovery path when a worker pool breaks mid-round: the
-    tree's randomness is already in place, so one serial pass always
-    restores a fully labeled tree.
+    costs one hash call; a bit node feeds its bit byte (its prefix
+    node's ``bits[c]``) and then its blinding: no ``b || x`` is built.
+    An interior node hashes its child labels concatenated, by one of
+    two branches: a node with exactly three children (every inner node,
+    and a prefix node when k = 3) as ``a + b + c``, which builds no
+    list and, on 3.11, runs no comprehension frame; any other through
+    ``b"".join`` of the list.  Both branches hash the same bytes, so
+    which one a node takes cannot move its label (the basic golden
+    anchor, k = 3, sends its prefix nodes down the first).  The
+    golden-root tests pin this path to the generic :func:`compute_label`
+    traversal byte for byte.  This is also the recovery path when a
+    worker pool breaks mid-round: the tree's randomness is already in
+    place, so one serial pass always restores a fully labeled tree.
     """
     schedule = tree.schedule()
     sha = hashing.merkle_sha512
     size = DIGEST_SIZE
     one, zero = b"\x01", b"\x00"
-    for node in schedule.bit_nodes:
-        h = sha(one if node.bit else zero)
-        h.update(node.blinding)
-        node.label = h.digest()[:size]
+    for prefix_node in schedule.prefix_nodes:
+        for bit, node in zip(prefix_node.bits, prefix_node.bit_nodes):
+            h = sha(one if bit else zero)
+            h.update(node.blinding)
+            node.label = h.digest()[:size]
     join = b"".join
     for node, children in zip(*schedule.interiors):
         if len(children) == 3:

@@ -5,9 +5,9 @@ An MTT has four node types:
 * **inner nodes** — exactly three children, on edges labeled 0, 1, and E
   ('end of prefix');
 * **prefix nodes** — reached by an E edge (or by a 0/1 edge when the
-  paper's figure places them directly); hold one bit node per
-  indifference class;
-* **bit nodes** — leaves carrying one VPref input bit and its blinding;
+  paper's figure places them directly); hold the k VPref input bits,
+  one tuple, and one bit node per indifference class;
+* **bit nodes** — leaves carrying one blinding and its bit's label;
 * **dummy nodes** — leaves carrying a random label, filling unused child
   slots so that siblings reveal nothing about which subtrees exist.
 
@@ -18,7 +18,7 @@ cheap.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..bgp.prefix import Prefix
 
@@ -28,20 +28,18 @@ EDGES = (EDGE_ZERO, EDGE_ONE, EDGE_END)
 
 
 class BitNode:
-    """Leaf carrying one input bit ``b`` and its blinding ``x``."""
+    """Leaf carrying the blinding ``x`` and label ``H(b || x)`` of one
+    input bit: ``b`` is ``bits[c]`` of the prefix node whose
+    ``bit_nodes[c]`` this is, so every reader of a bit starts there."""
 
-    __slots__ = ("class_index", "bit", "blinding", "label")
+    __slots__ = ("blinding", "label")
 
-    def __init__(self, class_index: int, bit: int, blinding: bytes):
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        self.class_index = class_index
-        self.bit = bit
-        self.blinding = blinding
+    def __init__(self) -> None:
+        self.blinding: Optional[bytes] = None
         self.label: Optional[bytes] = None
 
     def __repr__(self) -> str:
-        return f"BitNode(class={self.class_index}, bit={self.bit})"
+        return "BitNode()"
 
 
 class DummyNode:
@@ -57,20 +55,28 @@ class DummyNode:
         return "DummyNode()"
 
 
+def checked_bits(bits: Sequence[int]) -> Tuple[int, ...]:
+    """``bits`` as a tuple (the same object if it is one); ``ValueError``
+    unless it is at least one bit, each 0 or 1."""
+    bits = tuple(bits)
+    if not bits or bits.count(0) + bits.count(1) != len(bits):
+        raise ValueError(f"bits must be one or more 0/1s, got {bits!r}")
+    return bits
+
+
 class PrefixNode:
-    """The node for one IP prefix; its children are the k bit nodes."""
+    """The node for one IP prefix: its k input bits and k bit nodes."""
 
-    __slots__ = ("prefix", "bit_nodes", "label")
+    __slots__ = ("prefix", "bits", "bit_nodes", "label")
 
-    def __init__(self, prefix: Prefix, bit_nodes: List[BitNode]):
-        if not bit_nodes:
-            raise ValueError("a prefix node needs at least one bit node")
+    def __init__(self, prefix: Prefix, bits: Tuple[int, ...]):
         self.prefix = prefix
-        self.bit_nodes = bit_nodes
+        self.bits = bits
+        self.bit_nodes = [BitNode() for _ in bits]
         self.label: Optional[bytes] = None
 
     def __repr__(self) -> str:
-        return f"PrefixNode({self.prefix}, k={len(self.bit_nodes)})"
+        return f"PrefixNode({self.prefix}, bits={self.bits})"
 
 
 class InnerNode:
@@ -112,6 +118,7 @@ def validate_structure(node: MttNode, depth: int = 0) -> None:
     * the E child is a prefix node or a dummy node (never inner);
     * 0/1 children are inner, prefix, or dummy nodes;
     * bit nodes appear only under prefix nodes;
+    * a prefix node's ``bits`` is a tuple of 0/1s, one per bit node;
     * the tree is no deeper than 32 branch levels: an inner node sits
       below at most 32 bit edges (a /32's prefix node hangs off one
       that sits below exactly 32).
@@ -129,6 +136,10 @@ def validate_structure(node: MttNode, depth: int = 0) -> None:
                 raise ValueError("E edge must not lead to an inner node")
             validate_structure(child, depth + 1)
     elif isinstance(node, PrefixNode):
+        if checked_bits(node.bits) is not node.bits or \
+                len(node.bits) != len(node.bit_nodes):
+            raise ValueError("prefix node bits: not a tuple with one "
+                             "entry per bit node")
         for bit_node in node.bit_nodes:
             if not isinstance(bit_node, BitNode):
                 raise ValueError("prefix node child is not a bit node")

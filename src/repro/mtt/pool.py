@@ -82,7 +82,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..crypto import hashing
 from ..crypto.hashing import DIGEST_SIZE
 from ..obs.registry import get_registry
-from .nodes import BitNode, InnerNode, MttNode
+from .nodes import InnerNode, MttNode, PrefixNode
 from .tree import FlatSchedule, Mtt
 
 #: Branch levels below the MTT root at which the tree is cut into
@@ -299,18 +299,17 @@ def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
         offsets.append(len(children))
         sizes.append(size)
 
-    def add_leaf(node: MttNode) -> None:
-        if type(node) is BitNode:
-            add_slot(node, SLOT_BIT, node.bit, 1)
-        else:
-            add_slot(node, SLOT_DUMMY, 0, 1)
-
     for node, kids in zip(*schedule.interiors):
         # Leaves first: a slot's CSR range starts where the previous
         # slot's ended, so no slot may open inside this node's range.
-        for kid in kids:
-            if id(kid) not in slot_of:
-                add_leaf(kid)
+        # A bit slot takes its bit from its prefix node.
+        if type(node) is PrefixNode:
+            for kid, bit in zip(kids, node.bits):
+                add_slot(kid, SLOT_BIT, bit, 1)
+        else:
+            for kid in kids:
+                if id(kid) not in slot_of:
+                    add_slot(kid, SLOT_DUMMY, 0, 1)
         size = 1
         for kid in kids:
             kid_slot = slot_of[id(kid)]
@@ -318,7 +317,7 @@ def _build_program(tree: Mtt, cut_depth: int) -> Tuple[_Program, bytes]:
             size += sizes[kid_slot]
         add_slot(node, SLOT_INTERIOR, 0, size)
     if not nodes:  # the empty tree: a lone dummy root
-        add_leaf(tree.root)
+        add_slot(tree.root, SLOT_DUMMY, 0, 1)
     n_slots = len(nodes)
 
     covered = bytearray(n_slots)

@@ -217,7 +217,7 @@ def generate_proofs(tree: Mtt, prefix: Prefix, classes: Sequence[int],
     prefix_node = tree.prefix_node(prefix)
     if prefix_node is None:
         raise ProofError(f"prefix {prefix} not present in the MTT")
-    bit_nodes = prefix_node.bit_nodes
+    bits, bit_nodes = prefix_node.bits, prefix_node.bit_nodes
     k = len(bit_nodes)
     for class_index in classes:
         if not 0 <= class_index < k:
@@ -234,8 +234,7 @@ def generate_proofs(tree: Mtt, prefix: Prefix, classes: Sequence[int],
     bit_labels, shared, tail = walk.bit_labels, walk.shared, walk.tail
     proofs: List[MttBitProof] = []
     for class_index in classes:
-        bit_node = bit_nodes[class_index]
-        bit, blinding = bit_node.bit, bit_node.blinding
+        bit, blinding = bits[class_index], bit_nodes[class_index].blinding
         assert blinding is not None  # checked above
         proof = MttBitProof(prefix=prefix, class_index=class_index,
                             bit=bit, blinding=blinding,

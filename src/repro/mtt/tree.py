@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from ..bgp.prefix import Prefix
 from ..obs.registry import get_registry
 from .nodes import BitNode, DummyNode, EDGE_END, InnerNode, MttNode, \
-    PrefixNode, validate_structure
+    PrefixNode, checked_bits, validate_structure
 
 
 class FlatSchedule:
@@ -64,7 +64,8 @@ class FlatSchedule:
       this order, so it must never change: proof generators rebuild
       past blindings from the stored seed by replaying it (Section
       6.5).
-    * ``bit_nodes`` — all bit nodes.
+    * ``prefix_nodes`` — all prefix nodes; the hash pass zips each
+      one's ``bits`` with its ``bit_nodes``.
     * ``interiors`` — ``(nodes, children)``: every prefix and inner
       node, children always before parents, so one forward pass
       computes every Merkle label, and beside each the node's own child
@@ -74,16 +75,16 @@ class FlatSchedule:
     * ``counts`` — the node census.
     """
 
-    __slots__ = ("rand_plan", "bit_nodes", "interiors", "counts")
+    __slots__ = ("rand_plan", "prefix_nodes", "interiors", "counts")
 
     def __init__(self, root: MttNode):
         rand_nodes: List[MttNode] = []
         rand_attributes: List[str] = []
-        bit_nodes: List[BitNode] = []
+        prefix_nodes: List[PrefixNode] = []
         interior_nodes: List[MttNode] = []
         interior_children: List[Sequence[Optional[MttNode]]] = []
         stack: List[MttNode] = [root]
-        prefix = 0
+        bits = 0
         while stack:
             node = stack.pop()
             kind = type(node)
@@ -93,8 +94,8 @@ class FlatSchedule:
             elif kind is PrefixNode:
                 # Leaves, consecutive in the walk: taken whole, so most
                 # nodes of a tree never touch the stack.
-                prefix += 1
-                bit_nodes.extend(node.bit_nodes)
+                prefix_nodes.append(node)
+                bits += len(node.bit_nodes)
                 rand_nodes.extend(node.bit_nodes)
                 rand_attributes.extend(
                     repeat("blinding", len(node.bit_nodes)))
@@ -105,12 +106,13 @@ class FlatSchedule:
                 interior_children.append(node.children)
                 stack.extend(reversed(node.children))
         self.rand_plan = (tuple(rand_nodes), tuple(rand_attributes))
-        self.bit_nodes = tuple(reversed(bit_nodes))
+        self.prefix_nodes = tuple(prefix_nodes)
         self.interiors = (tuple(reversed(interior_nodes)),
                           tuple(reversed(interior_children)))
-        self.counts = NodeCensus(inner=len(interior_nodes) - prefix,
-                                 prefix=prefix, bit=len(bit_nodes),
-                                 dummy=len(rand_nodes) - len(bit_nodes))
+        self.counts = NodeCensus(
+            inner=len(interior_nodes) - len(prefix_nodes),
+            prefix=len(prefix_nodes), bit=bits,
+            dummy=len(rand_nodes) - bits)
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,12 @@ class Mtt:
         becomes the chain of inner nodes the path still needs — two
         fresh dummies beside each — ending in the inner node whose E
         child is the new prefix node.  In the empty tree that dummy is
-        the root.
+        the root.  ``bits`` is checked once (0/1s) and stored as a
+        tuple, the same object when it is one.
         """
         if prefix in self._prefix_nodes:
             raise ValueError(f"duplicate prefix {prefix}")
-        prefix_node = PrefixNode(prefix, _bit_nodes(prefix, bits))
+        prefix_node = PrefixNode(prefix, checked_bits(bits))
         path = prefix.bits()
         node = self.root
         if not isinstance(node, InnerNode):
@@ -230,23 +233,19 @@ class Mtt:
     def set_bits(self, prefix: Prefix, bits: Sequence[int]) -> None:
         """Replace the input bits of a prefix already in the tree.
 
-        With the same number of classes the bit nodes are rewritten
-        where they are and the schedule stays valid; another k gives
-        the prefix node new bit nodes, which is a new shape.
+        With the same number of classes this is one store and the
+        schedule stays valid; another k gives the prefix node new bit
+        nodes, which is a new shape.
         """
         node = self._prefix_nodes.get(prefix)
         if node is None:
             raise KeyError(prefix)
+        node.bits = bits = checked_bits(bits)
         if len(bits) != len(node.bit_nodes):
-            node.bit_nodes = _bit_nodes(prefix, bits)
+            node.bit_nodes = [BitNode() for _ in bits]
             self._shape_changed()
-            return
-        for bit in bits:
-            if bit not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        for bit_node, bit in zip(node.bit_nodes, bits):
-            bit_node.bit = bit
-        self.version += 1
+        else:
+            self.version += 1
 
     def _shape_changed(self) -> None:
         self._schedule = None
@@ -265,9 +264,7 @@ class Mtt:
 
     def bits_for(self, prefix: Prefix) -> Optional[Tuple[int, ...]]:
         node = self._prefix_nodes.get(prefix)
-        if node is None:
-            return None
-        return tuple(b.bit for b in node.bit_nodes)
+        return None if node is None else node.bits
 
     def path_to(self, prefix: Prefix) -> Optional[List[InnerNode]]:
         """Inner nodes from the root down to (and including) the node
@@ -323,13 +320,6 @@ class Mtt:
 
     def validate(self) -> None:
         validate_structure(self.root)
-
-
-def _bit_nodes(prefix: Prefix, bits: Sequence[int]) -> List[BitNode]:
-    if not bits:
-        raise ValueError(f"no bits supplied for {prefix}")
-    return [BitNode(class_index=i, bit=b, blinding=None)
-            for i, b in enumerate(bits)]
 
 
 def _chain(path: Sequence[int], prefix_node: PrefixNode) -> InnerNode:

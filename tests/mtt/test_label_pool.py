@@ -155,7 +155,7 @@ class TestSlotProgram:
         label_tree(tree, Rc4Csprng(b"serial-only"))
         schedule = tree.schedule()
         assert set(type(schedule).__slots__) == {
-            "rand_plan", "bit_nodes", "interiors", "counts"}
+            "rand_plan", "prefix_nodes", "interiors", "counts"}
         for name in type(schedule).__slots__:
             assert not isinstance(getattr(schedule, name),
                                   (array, bytes, bytearray))

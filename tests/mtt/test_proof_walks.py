@@ -39,7 +39,7 @@ def reference_proofs(tree, prefix, classes):
     bit_labels = tuple(b.label for b in prefix_node.bit_nodes)
     return [
         MttBitProof(prefix=prefix, class_index=c,
-                    bit=prefix_node.bit_nodes[c].bit,
+                    bit=prefix_node.bits[c],
                     blinding=prefix_node.bit_nodes[c].blinding,
                     steps=(PathStep(child_labels=bit_labels,
                                     child_index=c),) + tuple(path))

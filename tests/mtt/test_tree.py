@@ -122,12 +122,14 @@ class TestCensus:
 
 def shape(node):
     """A tree as nested tuples: node types, prefixes, bits, child
-    order — everything M(P, ε) fixes, nothing labeling adds."""
+    order — everything M(P, ε) fixes, nothing labeling adds.  A prefix
+    node gives its bit tuple and one bit node per bit, in class order."""
     if isinstance(node, InnerNode):
         return ("inner", *[shape(child) for child in node.children])
     if isinstance(node, PrefixNode):
-        return ("prefix", node.prefix,
-                *[(b.class_index, b.bit) for b in node.bit_nodes])
+        assert all(type(b) is BitNode for b in node.bit_nodes)
+        return ("prefix", node.prefix, node.bits,
+                ("bit",) * len(node.bit_nodes))
     assert isinstance(node, DummyNode)
     return ("dummy",)
 
@@ -259,8 +261,9 @@ class TestEditCases:
         p = Prefix.parse("10.0.0.0/8")
         tree = Mtt.build({p: [1, 0, 1]})
         schedule, nodes = tree.schedule(), list(tree.prefix_node(p).bit_nodes)
-        tree.set_bits(p, (0, 1, 1))
-        assert tree.bits_for(p) == (0, 1, 1)
+        bits = (0, 1, 1)
+        tree.set_bits(p, bits)
+        assert tree.bits_for(p) is bits  # stored, not copied
         assert tree.schedule() is schedule
         assert tree.prefix_node(p).bit_nodes == nodes
         with pytest.raises(ValueError):
@@ -316,16 +319,53 @@ class TestValidation:
 
     def test_validate_rejects_bit_node_under_inner(self):
         root = InnerNode()
-        root.children[0] = BitNode(class_index=0, bit=1, blinding=None)
+        root.children[0] = BitNode()
         root.children[1] = DummyNode(label=b"x")
         root.children[2] = DummyNode(label=b"x")
         with pytest.raises(ValueError):
             validate_structure(root)
 
-    def test_prefix_node_requires_bit_nodes(self):
+    def test_bit_node_holds_a_blinding_and_a_label_only(self):
+        assert BitNode.__slots__ == ("blinding", "label")
+
+    P = Prefix.parse("10.0.0.0/8")
+
+    def refused(self, bits):
+        """A prefix node built by hand holds whatever it is given;
+        validation refuses it, as ``insert`` refuses the bits."""
+        node = PrefixNode(self.P, bits)
+        assert len(node.bit_nodes) == len(bits)
         with pytest.raises(ValueError):
-            PrefixNode(prefix=Prefix.parse("10.0.0.0/8"), bit_nodes=[])
+            validate_structure(node)
+        with pytest.raises(ValueError):
+            Mtt().insert(self.P, bits)
+
+    def test_prefix_node_requires_bit_nodes(self):
+        self.refused(())
 
     def test_bit_node_requires_binary_bit(self):
+        for bits in [(0, 2), (1, -1), (None,)]:
+            self.refused(bits)
+
+    def test_prefix_node_bits_must_be_a_tuple(self):
+        node = PrefixNode(self.P, (1, 0))
+        validate_structure(node)
+        node.bits = [1, 0]
         with pytest.raises(ValueError):
-            BitNode(class_index=0, bit=2, blinding=None)
+            validate_structure(node)
+
+    def test_prefix_node_needs_one_bit_per_bit_node(self):
+        node = PrefixNode(self.P, (1, 0))
+        node.bits = (1, 0, 1)
+        with pytest.raises(ValueError):
+            validate_structure(node)
+        node.bits = (1,)
+        with pytest.raises(ValueError):
+            validate_structure(node)
+
+    def test_validate_reaches_a_prefix_node_in_a_tree(self):
+        tree = Mtt.build({self.P: [1, 0]})
+        tree.validate()
+        tree.prefix_node(self.P).bits = (1, 2)
+        with pytest.raises(ValueError):
+            tree.validate()
